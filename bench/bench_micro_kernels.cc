@@ -661,18 +661,11 @@ BENCHMARK(BM_ActivationScalarVsVectorized)->Arg(0)->Arg(1);
 
 // --- heterogeneous wave scheduler --------------------------------------------
 // The episodesPerEval == 1 regime: one episode each of kWaveGenomes
-// *different* genomes. Per-genome episode batching degenerates to
-// lane width 1 here — only the cross-genome wave scheduler
-// (env::evaluateWave) fills the lanes. The triple below runs the
-// same episode set through the serial loop, the per-genome batched
-// kernel and the heterogeneous wave; outputs are asserted
-// bit-identical and the wave's measured lane occupancy is asserted
-// >= 0.9 (vs 1/kWaveLanes for per-genome batching on the same
-// shards) before anything is timed. All three retire identical
-// forward-pass counts per iteration, so items_per_second compares
-// directly: the wave's cost delta vs serial is pure scheduling
-// overhead, paid for the near-full modeled PE-array occupancy the
-// stats report.
+// *different* genomes packed onto one kWaveLanes-wide shard by the
+// cross-genome wave scheduler (env::evaluateWave). Before anything is
+// timed, every wave episode is asserted bit-identical to the serial
+// one-episode loop and the measured lane occupancy is asserted
+// >= 0.9.
 
 constexpr int kWaveGenomes = 64;
 constexpr int kWaveLanes = 8;
@@ -685,7 +678,7 @@ namespace
  * from the reset seed (uniform in [40, 120]), observations are a
  * seeded pseudo-random stream, rewards are 1 per step. Gives the
  * wave scheduler realistic episode-length variance and refill
- * pressure with negligible dynamics cost, so the triple times
+ * pressure with negligible dynamics cost, so the benchmark times
  * inference + scheduling, not gym physics.
  */
 class FixedLengthEnv final : public env::Environment
@@ -794,12 +787,12 @@ waveLanes(std::vector<std::unique_ptr<env::Environment>> &owned,
 }
 
 /**
- * The triple's contract, checked before timing: every wave episode
+ * The wave contract, checked before timing: every wave episode
  * bit-identical to the serial loop, and measured lane occupancy at
  * least 0.9 — the acceptance bar for the cross-genome scheduler at
  * episodesPerEval == 1. Returns the measured total environment steps
- * across the workload, so every leg's items_per_second normalizes to
- * the same env-steps count without re-deriving the episode lengths.
+ * across the workload, so items_per_second counts env-steps without
+ * re-deriving the episode lengths.
  */
 long
 assertWaveMatchesSerial(const WaveWorkload &w)
@@ -834,50 +827,6 @@ assertWaveMatchesSerial(const WaveWorkload &w)
     return steps;
 }
 
-/** Serial leg: one episode per genome, one environment, no lanes. */
-void
-evalPathWaveSerial(benchmark::State &state, const WaveWorkload &w)
-{
-    const long total_steps = assertWaveMatchesSerial(w);
-    FixedLengthEnv env(w.cfg.numInputs);
-    nn::PlanScratch scratch;
-    for (auto _ : state) {
-        for (size_t i = 0; i < w.plans.size(); ++i) {
-            env::EpisodeRunner runner(env, w.seeds[i], 1);
-            benchmark::DoNotOptimize(
-                runner.runEpisode(w.plans[i], scratch, w.seeds[i]));
-        }
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            total_steps); // env-steps/s
-}
-
-/**
- * Per-genome batched leg on kWaveLanes-wide shards: each genome's
- * single episode occupies one lane, the other kWaveLanes - 1 idle —
- * the occupancy collapse the heterogeneous scheduler removes.
- */
-void
-evalPathWavePerGenomeBatch(benchmark::State &state,
-                           const WaveWorkload &w)
-{
-    const long total_steps = assertWaveMatchesSerial(w);
-    std::vector<std::unique_ptr<env::Environment>> owned;
-    const auto lanes = waveLanes(owned, w.cfg.numInputs, kWaveLanes);
-    env::EpisodeBatchScratch scratch;
-    for (auto _ : state) {
-        for (size_t i = 0; i < w.plans.size(); ++i) {
-            benchmark::DoNotOptimize(env::evaluateBatched(
-                w.plans[i], {w.seeds[i]}, lanes, scratch));
-        }
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            total_steps); // env-steps/s
-    state.counters["lane_occupancy"] = 1.0 / kWaveLanes;
-}
-
 /** Heterogeneous wave leg: all genomes share the lane shard. */
 void
 evalPathWaveHeterogeneous(benchmark::State &state,
@@ -901,20 +850,6 @@ evalPathWaveHeterogeneous(benchmark::State &state,
 }
 
 } // namespace
-
-static void
-BM_EvalPathWaveSerialAtariScale(benchmark::State &state)
-{
-    evalPathWaveSerial(state, WaveWorkload(kAtariInputs));
-}
-BENCHMARK(BM_EvalPathWaveSerialAtariScale);
-
-static void
-BM_EvalPathWavePerGenomeBatchAtariScale(benchmark::State &state)
-{
-    evalPathWavePerGenomeBatch(state, WaveWorkload(kAtariInputs));
-}
-BENCHMARK(BM_EvalPathWavePerGenomeBatchAtariScale);
 
 static void
 BM_EvalPathWaveHeterogeneousAtariScale(benchmark::State &state)
@@ -1267,7 +1202,8 @@ BENCHMARK(BM_EvePeChild);
 // exec::EvalEngine with no telemetry session vs. a full trace +
 // metrics session. Fitness bits are asserted identical before either
 // is timed; the items_per_second ratio is the telemetry tax on the
-// batched evaluation path (acceptance: < 2%).
+// evaluation path. Run it with --benchmark_repetitions=10 and compare
+// medians: single runs sit inside the run-to-run noise.
 
 namespace
 {
@@ -1303,9 +1239,6 @@ telemetryOverheadBench(benchmark::State &state, bool telemetry)
     ecfg.numThreads = 1;
     ecfg.episodes = 1;
     ecfg.batchEpisodes = true;
-    // Pin the wave scheduler explicitly: EvalEngine does not read
-    // GENESYS_EVAL_MODE itself, so both halves of the pair measure
-    // the same (hottest) execution path regardless of environment.
     ecfg.heterogeneousLanes = true;
 
     // Bit-identity gate before any timing: the no-session baseline

@@ -105,7 +105,6 @@ main(int argc, char **argv)
     if (!sys.reports().empty()) {
         core::PhaseBreakdown mean;
         double occupancy = 0.0;
-        int occupancy_gens = 0;
         for (const auto &r : sys.reports()) {
             mean.evaluateSeconds += r.phases.evaluateSeconds;
             mean.reproduceSeconds += r.phases.reproduceSeconds;
@@ -115,10 +114,7 @@ main(int argc, char **argv)
             mean.planCompileCpuSeconds +=
                 r.phases.planCompileCpuSeconds;
             mean.barrierIdleFraction += r.phases.barrierIdleFraction;
-            if (r.waveStatsValid) {
-                occupancy += r.batches.laneOccupancy();
-                ++occupancy_gens;
-            }
+            occupancy += r.batches.laneOccupancy();
         }
         const double n = static_cast<double>(sys.reports().size());
         std::cout << "phase breakdown (mean ms/gen): evaluate "
@@ -133,15 +129,8 @@ main(int argc, char **argv)
                   << sys.evalEngine().numThreads()
                   << " workers): " << mean.barrierIdleFraction / n
                   << "\n";
-        if (occupancy_gens > 0)
-            std::cout << "wave lane occupancy (mean): "
-                      << occupancy /
-                             static_cast<double>(occupancy_gens)
-                      << " over " << occupancy_gens
-                      << " wave-scheduled generations\n";
-        else
-            std::cout << "wave lane occupancy: n/a (wave scheduler "
-                         "not active in this mode)\n";
+        std::cout << "wave lane occupancy (mean): " << occupancy / n
+                  << "\n";
     }
     if (sys.telemetry().installed())
         std::cout << "telemetry written to "

@@ -49,7 +49,7 @@ System::System(SystemConfig cfg)
     // Telemetry session first, so the sinks are installed before any
     // pool worker spawns (workers name their timeline rows on their
     // first drain). GENESYS_TRACE / GENESYS_METRICS override the
-    // config the same way GENESYS_EVAL_MODE does below.
+    // config the same way GENESYS_NUMERICS does below.
     obs::applyTelemetryFromEnv(cfg_.telemetry);
     telemetry_ = std::make_unique<obs::Telemetry>(cfg_.telemetry);
 
@@ -75,11 +75,9 @@ System::System(SystemConfig cfg)
     ecfg.heterogeneousLanes = cfg_.heterogeneousLanes;
     ecfg.waveLanes = cfg_.waveLanes;
     ecfg.numericsTier = cfg_.numericsTier;
-    // CI test-matrix hook: GENESYS_EVAL_MODE pins the execution mode
-    // for every System-level consumer (all modes are bit-identical).
-    exec::applyEvalModeFromEnv(ecfg);
-    // GENESYS_NUMERICS likewise pins the numerics tier; the resolved
-    // tier is kept for replay and snapshot provenance.
+    // CI test-matrix hook: GENESYS_NUMERICS pins the numerics tier
+    // for every System-level consumer; the resolved tier is kept for
+    // replay and snapshot provenance.
     exec::applyNumericsFromEnv(ecfg);
     numericsTier_ = ecfg.numericsTier;
     engine_ = std::make_unique<exec::EvalEngine>(std::move(ecfg));
@@ -217,7 +215,6 @@ System::stepGeneration()
         report.phases.barrierIdleFraction = std::clamp(
             1.0 - busy_seconds / worker_seconds, 0.0, 1.0);
     }
-    report.waveStatsValid = engine_->usesHeterogeneousWaves();
 
     if (auto *reg = obs::MetricsRegistry::active()) {
         reg->counter("generations").add(1);

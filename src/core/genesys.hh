@@ -39,22 +39,16 @@ struct SystemConfig
      */
     int numThreads = 1;
     /**
-     * Step each genome's episodes in BSP lockstep waves through the
-     * batched compiled-plan kernel (see exec::EvalEngineConfig::
-     * batchEpisodes). Results are bit-identical either way.
+     * Step a genome's episodes side by side, one lane each (see
+     * exec::EvalEngineConfig::batchEpisodes). Results are
+     * bit-identical either way.
      */
     bool batchEpisodes = true;
     /**
      * Pack one episode each of many *different* genomes per lane
-     * wave when episodesPerEval == 1 (see exec::EvalEngineConfig::
-     * heterogeneousLanes); falls back to per-genome episode batching
-     * at episodesPerEval > 1 and is inert when `batchEpisodes` is
-     * false (the blanket opt-out selecting the serial loop). Results
-     * are bit-identical either way.
-     *
-     * Note: the GENESYS_EVAL_MODE environment variable ("serial",
-     * "batch", "waves") overrides this knob and `batchEpisodes` —
-     * the CI test-matrix hook (exec::applyEvalModeFromEnv).
+     * wave when episodesPerEval == 1 and `batchEpisodes` is set (see
+     * exec::EvalEngineConfig::heterogeneousLanes). Results are
+     * bit-identical either way.
      */
     bool heterogeneousLanes = true;
     /** Wave-shard lane width per worker (0 = engine default). */
@@ -82,7 +76,7 @@ struct SystemConfig
      * are bit-identical with telemetry on and off. The GENESYS_TRACE
      * / GENESYS_METRICS / GENESYS_TELEMETRY_DIR environment
      * variables override these fields (same idiom as
-     * GENESYS_EVAL_MODE).
+     * GENESYS_NUMERICS).
      */
     obs::TelemetryConfig telemetry{};
     /**
@@ -91,7 +85,7 @@ struct SystemConfig
      * generation barrier (created if missing). "" = off. The
      * GENESYS_CHECKPOINT_DIR / GENESYS_CHECKPOINT_EVERY environment
      * variables override these fields (same idiom as
-     * GENESYS_EVAL_MODE). Resuming from a snapshot reproduces the
+     * GENESYS_NUMERICS). Resuming from a snapshot reproduces the
      * uninterrupted run bit-identically — see System::resumeFrom.
      */
     std::string checkpointDir;
@@ -153,17 +147,10 @@ struct GenerationReport
     double macsPerStep = 0.0;
     /**
      * How this generation's batch mapped onto EvE PE-array waves
-     * (occupancy + BSP lockstep supersteps per wave).
+     * (occupancy + BSP lockstep supersteps per wave), plus the
+     * measured lane occupancy of the episode loop.
      */
     exec::BatchStats batches;
-    /**
-     * True iff the generation ran through the plan-heterogeneous
-     * wave scheduler, i.e. the wave* counters in `batches` (and
-     * laneOccupancy()) are live measurements. In serial and
-     * per-genome-batch modes those counters are silently zero — this
-     * flag distinguishes "measured zero" from "path not taken".
-     */
-    bool waveStatsValid = false;
     /** Phase wall-clock breakdown of this generation. */
     PhaseBreakdown phases;
 };

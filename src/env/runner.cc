@@ -163,112 +163,6 @@ EpisodeRunner::evaluateDetailed(const nn::CompiledPlan &plan,
     });
 }
 
-EvalDetail
-evaluateBatched(const nn::CompiledPlan &plan,
-                const std::vector<uint64_t> &episodeSeeds,
-                const std::vector<Environment *> &lanes,
-                EpisodeBatchScratch &scratch)
-{
-    GENESYS_ASSERT(!episodeSeeds.empty(),
-                   "evaluateBatched needs at least one episode seed");
-    GENESYS_ASSERT(!lanes.empty(),
-                   "evaluateBatched needs at least one environment lane");
-
-    const int num_inputs = static_cast<int>(plan.numInputs());
-    const int num_outputs = static_cast<int>(plan.numOutputs());
-    const long macs_per_step = plan.macsPerInference();
-    const ActionSpace space = lanes.front()->actionSpace();
-
-    EvalDetail detail;
-    detail.episodes.resize(episodeSeeds.size());
-    double total = 0.0;
-
-    std::vector<std::vector<double>> &obs = scratch.obs;
-    std::vector<uint8_t> &active = scratch.active;
-    std::vector<double> &lane_outputs = scratch.laneOutputs;
-    obs.resize(lanes.size());
-    active.resize(lanes.size());
-    lane_outputs.resize(static_cast<size_t>(num_outputs));
-
-    for (size_t wave = 0; wave < episodeSeeds.size();
-         wave += lanes.size()) {
-        const size_t wave_lanes =
-            std::min(lanes.size(), episodeSeeds.size() - wave);
-        const size_t W = wave_lanes;
-
-        for (size_t l = 0; l < W; ++l) {
-            obs[l] = lanes[l]->reset(episodeSeeds[wave + l]);
-            active[l] = 1;
-        }
-        plan.beginBatch(static_cast<int>(W), scratch.net);
-
-        // BSP lockstep superstep: one shared batched forward pass
-        // across every live lane, then each live lane steps its own
-        // environment. Finished lanes are masked until the wave
-        // drains — the per-episode termination masking that keeps
-        // the accounting identical to the serial loop.
-        size_t running = W;
-        while (running > 0) {
-            for (size_t l = 0; l < W; ++l) {
-                if (!active[l])
-                    continue;
-                // Same panic the serial path hits in activate() when
-                // an environment misreports its observation size.
-                GENESYS_ASSERT(obs[l].size() ==
-                                   static_cast<size_t>(num_inputs),
-                               "observation size "
-                                   << obs[l].size()
-                                   << " != plan inputs " << num_inputs);
-                for (int i = 0; i < num_inputs; ++i)
-                    scratch.net.inputs[static_cast<size_t>(i) * W + l] =
-                        obs[l][static_cast<size_t>(i)];
-            }
-            plan.activateBatch(static_cast<int>(W), active.data(),
-                               scratch.net);
-            for (size_t l = 0; l < W; ++l) {
-                if (!active[l])
-                    continue;
-                for (int o = 0; o < num_outputs; ++o)
-                    lane_outputs[static_cast<size_t>(o)] =
-                        scratch.net
-                            .outputs[static_cast<size_t>(o) * W + l];
-                StepResult sr =
-                    lanes[l]->step(decodeAction(space, lane_outputs));
-                obs[l] = std::move(sr.observation);
-                if (sr.done) {
-                    active[l] = 0;
-                    --running;
-                    GENESYS_DCHECK_RANGE(wave + l, size_t{0},
-                                         detail.episodes.size(),
-                                         "evaluateBatched: episode slot"
-                                         " of finishing lane");
-                    EpisodeResult &res =
-                        detail.episodes[wave + l];
-                    res.cumulativeReward =
-                        lanes[l]->cumulativeReward();
-                    res.fitness = lanes[l]->episodeFitness();
-                    res.steps = lanes[l]->stepsTaken();
-                    res.inferences = res.steps; // one pass per step
-                    res.macs = macs_per_step * res.inferences;
-                }
-            }
-        }
-    }
-
-    // Aggregate in episode (seed) order — the exact accumulation
-    // order of the serial evaluateDetailed loop, so the mean and the
-    // totals are bit-identical, not merely equal up to reassociation.
-    for (const EpisodeResult &res : detail.episodes) {
-        total += res.fitness;
-        detail.inferences += res.inferences;
-        detail.macs += res.macs;
-        detail.maxEpisodeSteps =
-            std::max(detail.maxEpisodeSteps, res.steps);
-    }
-    detail.fitness = total / static_cast<double>(episodeSeeds.size());
-    return detail;
-}
-
 double
 WaveStats::occupancy() const
 {

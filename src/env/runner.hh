@@ -151,54 +151,9 @@ class EpisodeRunner
 };
 
 /**
- * Caller-owned mutable state for evaluateBatched: the network-side
- * batch scratch plus the episode-loop lane buffers, so one warmed
- * scratch per worker makes the batched episode path allocation-free
- * on the runner's side (environments still allocate their returned
- * observations). Not shareable across threads.
- */
-struct EpisodeBatchScratch
-{
-    /** Plan activation buffers (sized by CompiledPlan::beginBatch). */
-    nn::BatchScratch net;
-    /** Latest observation per lane. */
-    std::vector<std::vector<double>> obs;
-    /** Live-episode mask per lane. */
-    std::vector<uint8_t> active;
-    /** One lane's outputs, staged for action decoding. */
-    std::vector<double> laneOutputs;
-};
-
-/**
- * Evaluate one genome's episodes in BSP lockstep waves — the software
- * mirror of the paper's PE-array wave execution, with the episode
- * lanes of one genome standing in for the PEs. Episodes are grouped
- * into waves of `lanes.size()` concurrent episodes; every wave step
- * activates the shared plan once across all still-running lanes
- * (CompiledPlan::activateBatch) and steps each live lane's
- * environment, with finished episodes masked out until the wave
- * drains. Works for feed-forward and recurrent plans (recurrent lane
- * state is cleared per wave via beginBatch).
- *
- * `lanes` are distinct environment instances (one per concurrent
- * episode — e.g. an exec::EnvPool worker shard); `scratch` is the
- * caller's reusable batch scratch. Results are bit-identical, field
- * for field and episode for episode, to the serial
- * EpisodeRunner::evaluateDetailed loop over the same seeds — batching
- * never reassociates a lane's arithmetic or reorders its environment
- * stepping.
- */
-EvalDetail
-evaluateBatched(const nn::CompiledPlan &plan,
-                const std::vector<uint64_t> &episodeSeeds,
-                const std::vector<Environment *> &lanes,
-                EpisodeBatchScratch &scratch);
-
-/**
- * One unit of heterogeneous-wave work: a single episode of a single
- * compiled plan. Unlike evaluateBatched — where every lane runs the
- * *same* plan — a wave mixes items of different genomes, so each item
- * names the plan that drives its lane (borrowed, read-only).
+ * One unit of wave work: a single episode of a single compiled plan.
+ * A wave may mix items of different genomes, so each item names the
+ * plan that drives its lane (borrowed, read-only).
  */
 struct WaveItem
 {
@@ -271,23 +226,24 @@ struct WaveResult
 };
 
 /**
- * Evaluate a queue of plan-heterogeneous episodes in BSP lockstep
- * waves — the cross-genome generalization of evaluateBatched, and the
- * software mirror of the paper's PE array keeping every PE busy with
- * a *different* genome in the same wave. The first lanes.size() items
- * fill the lanes; every superstep activates each live lane's plan on
- * its observation and steps its environment, and a lane whose episode
- * terminates is immediately refilled from the pending item queue, so
- * lane occupancy stays near 1 until the queue drains (WaveStats
- * reports it). Lanes whose items share one feed-forward plan are
- * executed as a single grouped activateBatch dispatch (lanes scanned
- * in order, so items sorted by plan keep the per-edge CSR
- * accumulation contiguous across the group); recurrent plans and
- * singleton groups dispatch per lane.
+ * Evaluate a queue of episodes in BSP lockstep waves — the engine's
+ * only episode loop, and the software mirror of the paper's PE array
+ * keeping every PE busy, with the same or a *different* genome in
+ * each lane. The first lanes.size() items fill the lanes; every
+ * superstep activates each live lane's plan on its observation and
+ * steps its environment, and a lane whose episode terminates is
+ * immediately refilled from the pending item queue, so lane occupancy
+ * stays near 1 until the queue drains (WaveStats reports it). A
+ * single lane degenerates to the serial one-episode-at-a-time loop.
+ * Lanes whose items share one feed-forward plan are executed as a
+ * single grouped activateBatch dispatch (lanes scanned in order, so
+ * items sorted by plan keep the per-edge CSR accumulation contiguous
+ * across the group); recurrent plans and singleton groups dispatch
+ * per lane.
  *
  * `lanes` are distinct same-named environment instances (an
- * exec::EnvPool wave shard); `scratch` is the caller's reusable wave
- * scratch. Each item's EpisodeResult is bit-identical, field for
+ * exec::EnvPool worker shard); `scratch` is the caller's reusable
+ * wave scratch. Each item's EpisodeResult is bit-identical, field for
  * field, to running that (plan, seed) episode alone through
  * EpisodeRunner::runEpisode — lane packing, grouping and refill never
  * reassociate a lane's arithmetic or reorder its environment

@@ -1,7 +1,5 @@
 #include "exec/env_pool.hh"
 
-#include <utility>
-
 #include "common/logging.hh"
 #include "env/runner.hh"
 
@@ -31,19 +29,6 @@ EnvPool::EnvPool(const Factory &factory, int workers, int lanesPerWorker)
             shard.push_back(envs_.back().get());
         }
     }
-}
-
-env::Environment &
-EnvPool::at(int worker)
-{
-    return *const_cast<env::Environment *>(
-        &std::as_const(*this).at(worker));
-}
-
-const env::Environment &
-EnvPool::at(int worker) const
-{
-    return *shard(worker).front();
 }
 
 const std::vector<env::Environment *> &

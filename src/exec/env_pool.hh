@@ -7,15 +7,13 @@
  * is fully re-initialized by reset(seed), results depend only on the
  * episode seed, never on which shard ran the episode.
  *
- * A shard holds `lanesPerWorker` instances so a worker can step a
- * genome's episodes in BSP lockstep waves (env::evaluateBatched) —
- * one environment per concurrent episode lane, mirroring the paper's
- * PE-array wave execution. The same shard doubles as the worker's
- * *wave shard* for the cross-genome scheduler (env::evaluateWave):
- * its lanes then hold episodes of *different* genomes, and each lane
- * environment persists across refills — a freed lane's instance is
- * simply reset(seed) for the next pending genome, so shard ownership
- * never churns mid-wave.
+ * A shard holds `lanesPerWorker` instances so a worker can step
+ * episodes in BSP lockstep waves (env::evaluateWave) — one
+ * environment per concurrent episode lane, mirroring the paper's
+ * PE-array wave execution. Lanes may hold episodes of the same or of
+ * *different* genomes, and each lane environment persists across
+ * refills — a freed lane's instance is simply reset(seed) for the
+ * next pending episode, so shard ownership never churns mid-wave.
  */
 
 #ifndef GENESYS_EXEC_ENV_POOL_HH
@@ -39,8 +37,8 @@ class EnvPool
 
     /**
      * Build `workers` shards of the named Table I environment, each
-     * shard holding `lanesPerWorker` instances (1 = the serial
-     * episode loop's single environment).
+     * shard holding `lanesPerWorker` instances (1 = one episode at a
+     * time).
      */
     EnvPool(const std::string &envName, int workers,
             int lanesPerWorker = 1);
@@ -57,16 +55,8 @@ class EnvPool
     int lanesPerWorker() const { return lanes_; }
 
     /**
-     * The first environment of `worker`'s shard — the serial episode
-     * loop's instance; valid for [0, size()).
-     */
-    env::Environment &at(int worker);
-    const env::Environment &at(int worker) const;
-
-    /**
      * All of `worker`'s episode-lane environments, in lane order —
-     * the argument env::evaluateBatched wants. Valid for
-     * [0, size()).
+     * the argument env::evaluateWave wants. Valid for [0, size()).
      */
     const std::vector<env::Environment *> &shard(int worker) const;
 

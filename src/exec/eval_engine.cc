@@ -66,28 +66,6 @@ BatchStats::laneOccupancy() const
 }
 
 void
-applyEvalModeFromEnv(EvalEngineConfig &cfg)
-{
-    const char *mode = std::getenv("GENESYS_EVAL_MODE");
-    if (mode == nullptr || *mode == '\0')
-        return;
-    const std::string m(mode);
-    if (m == "serial") {
-        cfg.batchEpisodes = false;
-        cfg.heterogeneousLanes = false;
-    } else if (m == "batch") {
-        cfg.batchEpisodes = true;
-        cfg.heterogeneousLanes = false;
-    } else if (m == "waves") {
-        cfg.batchEpisodes = true;
-        cfg.heterogeneousLanes = true;
-    } else {
-        fatal("unknown GENESYS_EVAL_MODE \"" + m +
-              "\" (expected serial, batch or waves)");
-    }
-}
-
-void
 applyNumericsFromEnv(EvalEngineConfig &cfg)
 {
     const char *tier = std::getenv("GENESYS_NUMERICS");
@@ -122,26 +100,13 @@ EvalEngine::perGenomeSeeds(uint64_t base)
 namespace
 {
 
-/** Episode lanes each worker shard needs for `cfg`'s episode loop. */
-int
-resolveLanes(const EvalEngineConfig &cfg)
-{
-    if (!cfg.batchEpisodes)
-        return 1;
-    const int lanes =
-        cfg.episodeLanes > 0 ? cfg.episodeLanes : cfg.episodes;
-    return std::max(1, std::min(lanes, cfg.episodes));
-}
-
 /** Default lane width of a worker's heterogeneous wave shard. */
 constexpr int kDefaultWaveLanes = 8;
 
 /**
- * The single wave-path activation predicate — shard sizing
- * (resolveWaveLanes) and batch routing (usesHeterogeneousWaves) must
- * agree, so both read this. batchEpisodes == false is the blanket
- * batching opt-out: it selects the plain serial loop, never the wave
- * scheduler.
+ * The single multi-genome chunking predicate — shard sizing
+ * (resolveShardLanes) and chunk sizing (evaluateWaves) must agree, so
+ * both read this, as does usesHeterogeneousWaves.
  */
 bool
 wavesActive(const EvalEngineConfig &cfg)
@@ -159,21 +124,32 @@ resolveWaveLanes(const EvalEngineConfig &cfg)
     return cfg.waveLanes > 0 ? cfg.waveLanes : kDefaultWaveLanes;
 }
 
+/**
+ * Environment lanes per worker shard, i.e. the width of every
+ * evaluateWave call: `waveLanes` when chunks span many genomes, one
+ * genome's E episodes side by side when batching, and a single lane
+ * (one episode at a time) when batching is off.
+ */
+int
+resolveShardLanes(const EvalEngineConfig &cfg)
+{
+    if (wavesActive(cfg))
+        return resolveWaveLanes(cfg);
+    return cfg.batchEpisodes ? std::max(1, cfg.episodes) : 1;
+}
+
 } // namespace
 
 EvalEngine::EvalEngine(EvalEngineConfig cfg)
     : cfg_(std::move(cfg)),
       pool_(ThreadPool::resolveThreads(cfg_.numThreads)),
-      envs_(cfg_.envName, pool_.size(),
-            std::max(resolveLanes(cfg_), resolveWaveLanes(cfg_))),
-      batchScratch_(static_cast<size_t>(pool_.size())),
+      envs_(cfg_.envName, pool_.size(), resolveShardLanes(cfg_)),
       waveScratch_(static_cast<size_t>(pool_.size()))
 {
     GENESYS_ASSERT(cfg_.episodes > 0,
                    "EvalEngine needs episodes > 0, got "
                        << cfg_.episodes);
     cfg_.numThreads = pool_.size();
-    cfg_.episodeLanes = resolveLanes(cfg_);
     cfg_.waveLanes = resolveWaveLanes(cfg_);
 }
 
@@ -228,53 +204,7 @@ EvalEngine::evaluateGeneration(const std::vector<neat::GenomeHandle> &batch,
     planCache_.beginGeneration(batchKeys);
 
     lastBatch_ = BatchStats{};
-
-    if (usesHeterogeneousWaves()) {
-        // Cross-genome wave scheduling: one episode each of many
-        // different genomes per lane wave, with lane refill — the
-        // occupancy lever when episodes == 1 collapses per-genome
-        // batching to a single lane.
-        evaluateWaves(batch, cfg, seedFor, results);
-    } else {
-        // Per-genome fan-out. Each item touches only its own results
-        // slot and the worker's private environment shard, so the hot
-        // loop is lock-free (the plan cache takes a brief lock per
-        // genome, once, outside the episode loop); writing by index
-        // makes the output order (and hence every downstream
-        // consumer) independent of work stealing. Each genome is
-        // compiled exactly once and the resulting immutable plan is
-        // shared read-only by all of its episodes and by workload
-        // accounting. A genome's episodes run in BSP lockstep waves
-        // across the worker's episode lanes (batched kernel) unless
-        // batching is disabled — both paths are bit-identical, per
-        // episode and in aggregate.
-        runParallel(
-            batch.size(), [&](std::size_t i, int worker) {
-                const neat::GenomeHandle &h = batch[i];
-                obs::Span span("eval.genome", "evaluate", h.key);
-                std::vector<uint64_t> seeds(
-                    static_cast<std::size_t>(cfg_.episodes));
-                for (int e = 0; e < cfg_.episodes; ++e)
-                    seeds[static_cast<std::size_t>(e)] =
-                        seedFor(h.key, e);
-
-                GenomeEvalResult &out = results[i];
-                out.genomeKey = h.key;
-                out.plan = planCache_.acquire(h.key, *h.genome, cfg,
-                                              cfg_.numericsTier);
-                if (cfg_.batchEpisodes) {
-                    out.detail = env::evaluateBatched(
-                        *out.plan, seeds, envs_.shard(worker),
-                        batchScratch_[static_cast<std::size_t>(worker)]);
-                } else {
-                    env::EpisodeRunner runner(envs_.at(worker),
-                                              seeds.front(),
-                                              cfg_.episodes);
-                    out.detail =
-                        runner.evaluateDetailed(*out.plan, seeds);
-                }
-            });
-    }
+    evaluateWaves(batch, cfg, seedFor, results);
 
     // Map the batch onto EvE PE-array waves: genomes fill waves in
     // submission order, one PE per genome; each wave runs in BSP
@@ -310,7 +240,7 @@ EvalEngine::publishMetrics(const std::vector<GenomeEvalResult> &results)
     if (m == nullptr)
         return;
 
-    // Batch totals + the wave scheduler's occupancy counters — the
+    // Batch totals + the episode loop's occupancy counters — the
     // registry form of BatchStats, so downstream consumers read one
     // metrics surface instead of plumbing engine structs around.
     m->counter("eval.genomes").add(static_cast<long>(results.size()));
@@ -364,8 +294,10 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
 
     // Phase 1 — compile. Plans must exist before lanes can be packed
     // (a wave dispatches per-lane plans), so the compile fan-out runs
-    // as its own parallel pass; the cache guarantees one compile per
-    // genome and elite carry-over exactly as on the per-genome path.
+    // as its own parallel pass. The cache guarantees one compile per
+    // genome and elite carry-over; each compiled plan is immutable
+    // and shared read-only by all of its episodes and by workload
+    // accounting.
     runParallel(batch.size(), [&](std::size_t i, int) {
         const neat::GenomeHandle &h = batch[i];
         results[i].genomeKey = h.key;
@@ -375,28 +307,35 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
 
     // Phase 2 — rolling waves. The batch splits into contiguous
     // chunks claimed by the workers; each chunk's episodes run
-    // through one rolling heterogeneous wave over the claiming
-    // worker's private lane shard (env::evaluateWave), refilling
-    // freed lanes from the chunk's pending queue. Every (genome,
-    // episode) outcome is a pure function of (plan, seed), so the
-    // chunking — like work stealing on the per-genome path — never
-    // affects results, only which shard computes them.
+    // through one rolling wave over the claiming worker's private
+    // lane shard (env::evaluateWave), refilling freed lanes from the
+    // chunk's pending queue. Each chunk touches only its own results
+    // slots and its worker's shard, so the episode loop is lock-free.
+    // Every (genome, episode) outcome is a pure function of (plan,
+    // seed), so the chunking never affects results, only which shard
+    // computes them.
     //
-    // Chunk count balances two pressures: more chunks even out the
-    // tail when episode lengths cluster unevenly across the batch (a
-    // worker stuck with the long-episode chunk would otherwise gate
-    // the generation), while a chunk needs a refill queue several
-    // waves deep to keep lane occupancy high (the drain tail costs
-    // about one wave per chunk). So: one chunk per worker by
-    // default, split finer — up to 4 per worker — only while every
-    // chunk keeps at least ~8 waves of items.
-    const std::size_t pool = static_cast<std::size_t>(pool_.size());
-    const std::size_t minChunk =
-        8 * static_cast<std::size_t>(cfg_.waveLanes);
-    std::size_t chunks = pool;
-    if (minChunk > 0 && batch.size() / minChunk > chunks)
-        chunks = std::min(batch.size() / minChunk, pool * 4);
-    chunks = std::min(chunks, batch.size());
+    // The mode decides only the chunk size. Without multi-genome
+    // waves a chunk is one genome: its E episodes fill the shard's E
+    // lanes (or run one after another on a single lane when batching
+    // is off). With them, the chunk count balances two pressures:
+    // more chunks even out the tail when episode lengths cluster
+    // unevenly across the batch (a worker stuck with the long-episode
+    // chunk would otherwise gate the generation), while a chunk needs
+    // a refill queue several waves deep to keep lane occupancy high
+    // (the drain tail costs about one wave per chunk). So: one chunk
+    // per worker by default, split finer — up to 4 per worker — only
+    // while every chunk keeps at least ~8 waves of items.
+    std::size_t chunks = batch.size();
+    if (wavesActive(cfg_)) {
+        const std::size_t pool = static_cast<std::size_t>(pool_.size());
+        const std::size_t minChunk =
+            8 * static_cast<std::size_t>(cfg_.waveLanes);
+        chunks = pool;
+        if (batch.size() / minChunk > chunks)
+            chunks = std::min(batch.size() / minChunk, pool * 4);
+        chunks = std::min(chunks, batch.size());
+    }
     const std::size_t per = (batch.size() + chunks - 1) / chunks;
     const int episodes = cfg_.episodes;
     std::vector<env::WaveStats> chunkStats(chunks);
@@ -446,7 +385,7 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
         }
     });
 
-    lastBatch_.laneCount = cfg_.waveLanes;
+    lastBatch_.laneCount = envs_.lanesPerWorker();
     for (const env::WaveStats &s : chunkStats) {
         lastBatch_.waveSupersteps += s.supersteps;
         lastBatch_.waveLaneSlotSteps += s.laneSlotSteps;

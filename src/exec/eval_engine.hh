@@ -5,14 +5,16 @@
  * whole NEAT generation is submitted as one batch; a persistent
  * thread pool fans the genomes out across workers, each of which
  * owns a private shard of environment instances (EnvPool), so the
- * episode hot loop takes no locks. Within a worker, a genome's E
- * episodes step in BSP lockstep waves through the batched compiled
- * plan kernel (env::evaluateBatched) — one shared plan, one
- * environment lane per episode — mirroring the paper's PE-array wave
- * execution at episode granularity. Episode seeds come from a
- * SplitMix-style per-(genome, episode) mixer, which makes results a
- * pure function of (genome, seed) — bit-identical whether the batch
- * runs on 1 thread or N, and in whatever order workers claim items.
+ * episode hot loop takes no locks. Every generation runs through one
+ * episode loop, env::evaluateWave: a worker steps a chunk of episodes
+ * in BSP lockstep waves across its shard's lanes, refilling a lane as
+ * soon as its episode ends — mirroring the paper's PE-array wave
+ * execution. The configuration only decides how many genomes a chunk
+ * holds (see EvalEngineConfig::heterogeneousLanes). Episode seeds
+ * come from a SplitMix-style per-(genome, episode) mixer, which makes
+ * results a pure function of (genome, seed) — bit-identical whether
+ * the batch runs on 1 thread or N, and in whatever order workers
+ * claim items.
  *
  * The engine also records how the batch would map onto the EvE
  * PE-array: genomes are grouped into waves of `waveWidth` (one PE
@@ -74,13 +76,11 @@ struct BatchStats
     std::vector<BatchWave> waves;
 
     /**
-     * Measured lane occupancy of the heterogeneous-wave execution
-     * path (env::evaluateWave), aggregated across every worker's
-     * rolling wave. All zero when the batch ran through the serial or
-     * per-genome-batched episode loops instead. `laneCount` is the
-     * configured lane width per worker wave shard; the remaining
-     * counters aggregate the per-worker WaveStats — see
-     * env::WaveStats for field semantics.
+     * Measured lane occupancy of the episode loop (env::evaluateWave),
+     * aggregated across every chunk's rolling wave. `laneCount` is
+     * the lane width of each worker shard; the remaining counters
+     * aggregate the per-chunk WaveStats — see env::WaveStats for
+     * field semantics.
      */
     int laneCount = 0;
     long waveSupersteps = 0;
@@ -102,11 +102,10 @@ struct BatchStats
      */
     double lockstepEfficiency() const;
     /**
-     * Fraction of heterogeneous-wave lane slots that held a live
-     * episode (waveActiveLaneSteps / waveLaneSlotSteps); 0 when the
-     * wave path did not run. The headline occupancy counter: > 0.9
-     * on an episodesPerEval == 1 batch large enough to keep the
-     * refill queue full, where per-genome batching idles at 1/lane.
+     * Fraction of wave lane slots that held a live episode
+     * (waveActiveLaneSteps / waveLaneSlotSteps); 0 when nothing ran.
+     * The headline occupancy counter: > 0.9 on an episodesPerEval ==
+     * 1 batch large enough to keep the refill queue full.
      */
     double laneOccupancy() const;
 };
@@ -126,38 +125,25 @@ struct EvalEngineConfig
      */
     int waveWidth = 0;
     /**
-     * Step each genome's episodes in BSP lockstep waves through the
-     * batched plan kernel (env::evaluateBatched) instead of the
-     * serial one-episode-at-a-time loop. Bit-identical results either
-     * way — batching is purely a throughput lever.
+     * Step a genome's `episodes` side by side, one shard lane each,
+     * instead of one after another on a single lane. Bit-identical
+     * results either way — lane width is purely a throughput lever.
      */
     bool batchEpisodes = true;
     /**
-     * Concurrent episode lanes per worker when batching: each worker
-     * shard holds this many environment instances and a genome's
-     * episodes run in waves of this width. 0 = all `episodes` in one
-     * wave; values above `episodes` are clamped to it.
-     */
-    int episodeLanes = 0;
-    /**
-     * Pack one episode each of up to `waveLanes` *different* genomes
-     * into a plan-heterogeneous BSP wave (env::evaluateWave) when
-     * `episodes == 1` — the occupancy lever for the common
-     * single-episode configuration, where per-genome episode
-     * batching degenerates to lane width 1. Lanes freed by finished
-     * episodes refill from the worker's pending-genome queue, so
+     * Chunk the batch across genomes: each worker's wave packs one
+     * episode each of up to `waveLanes` *different* genomes and
+     * refills a freed lane from its chunk's pending queue, so
      * measured lane occupancy (BatchStats::laneOccupancy) stays near
-     * 1. Falls back to per-genome episode batching when
-     * `episodes > 1`, and is inert when `batchEpisodes` is false —
-     * that knob remains the blanket opt-out selecting the plain
-     * serial loop. Results are bit-identical across all three
-     * execution paths.
+     * 1. Applies when `episodes == 1` and `batchEpisodes` is set;
+     * otherwise every chunk is a single genome. Results are
+     * bit-identical either way.
      */
     bool heterogeneousLanes = true;
     /**
-     * Lane width of each worker's wave shard in heterogeneous mode
+     * Lane width of each worker's shard when chunks span genomes
      * (0 = 8). The engine-wide lane count is numThreads * waveLanes.
-     * Resolved to 1 when the wave path is inactive.
+     * Resolved to 1 when they do not.
      */
     int waveLanes = 0;
     /**
@@ -171,26 +157,13 @@ struct EvalEngineConfig
 };
 
 /**
- * Apply the GENESYS_EVAL_MODE environment variable to `cfg`:
- * "serial" disables episode batching and heterogeneous waves,
- * "batch" selects per-genome episode batching only, and "waves"
- * enables the full heterogeneous-wave scheduler. Unset (or empty)
- * leaves `cfg` untouched; anything else is a fatal configuration
- * error. This is the CI test-matrix hook — the workflow runs the
- * whole suite once per mode — and core::System applies it on top of
- * SystemConfig, so every System-level test exercises the selected
- * path. All three modes are bit-identical by contract.
- */
-void applyEvalModeFromEnv(EvalEngineConfig &cfg);
-
-/**
  * Apply the GENESYS_NUMERICS environment variable to `cfg`:
  * "reference" selects the float tier, "hw" the hardware-faithful
  * fixed-point tier. Unset (or empty) leaves `cfg` untouched; anything
- * else is a fatal configuration error. Like GENESYS_EVAL_MODE this is
- * a CI matrix hook — core::System applies it on top of SystemConfig —
- * but unlike the eval modes the tiers are *not* bit-identical to each
- * other, so digest-pinning tests must set the tier explicitly.
+ * else is a fatal configuration error. This is a CI matrix hook —
+ * core::System applies it on top of SystemConfig — and the tiers are
+ * *not* bit-identical to each other, so digest-pinning tests must set
+ * the tier explicitly.
  */
 void applyNumericsFromEnv(EvalEngineConfig &cfg);
 
@@ -262,10 +235,10 @@ class EvalEngine
     uint64_t workerBusyNs() const { return pool_.busyNs(); }
 
     /**
-     * Does this engine route generations through the plan-
-     * heterogeneous wave scheduler? True iff batching is enabled,
-     * `heterogeneousLanes` is set and the config evaluates one
-     * episode per genome.
+     * Do this engine's wave chunks span many genomes? True iff
+     * batching is enabled, `heterogeneousLanes` is set and the config
+     * evaluates one episode per genome; otherwise each chunk is one
+     * genome.
      */
     bool usesHeterogeneousWaves() const;
 
@@ -282,8 +255,10 @@ class EvalEngine
                      const std::function<void(std::size_t item,
                                               int worker)> &body);
 
-    /** The heterogeneous-wave evaluation path (episodes == 1 fast
-     *  lane; also correct for episodes > 1). */
+    /**
+     * The episode loop: compile every genome's plan, then run the
+     * batch's episodes through env::evaluateWave in per-worker chunks.
+     */
     void evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
                        const neat::NeatConfig &cfg,
                        const SeedFn &seedFor,
@@ -310,12 +285,10 @@ class EvalEngine
     long seenRaces_ = 0;
     long seenCompileNs_ = 0;
     /**
-     * One batched-episode scratch per worker, reused across genomes
-     * and generations — the runner side of the episode hot loop
-     * allocates nothing once the buffers have warmed up.
+     * One wave scratch per worker, reused across chunks and
+     * generations, so the runner's lane buffers stop allocating once
+     * they have warmed up.
      */
-    std::vector<env::EpisodeBatchScratch> batchScratch_;
-    /** One heterogeneous-wave scratch per worker, reused likewise. */
     std::vector<env::WaveScratch> waveScratch_;
 };
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 
 #include "common/check.hh"
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 #include "obs/tracer.hh"
 
 namespace genesys::neat
@@ -42,6 +44,36 @@ dcheckSpeciesPartition(const SpeciesSet &species,
                        << " (partition violated)");
     GENESYS_DCHECK(!population.empty(),
                    "population empty after reproduction");
+}
+
+/**
+ * Replace every non-finite fitness in `fits` with the lowest finite
+ * fitness of the batch (0.0 when none is finite), counting each in
+ * the `fitness.non_finite` metric. NaN or ±inf reaching the sort
+ * comparators in reproduction and stagnation would be undefined
+ * behaviour; ranking such a genome last keeps evolution going.
+ */
+void
+replaceNonFiniteFitness(std::vector<double> &fits)
+{
+    double lowest = std::numeric_limits<double>::infinity();
+    long bad = 0;
+    for (double f : fits) {
+        if (std::isfinite(f))
+            lowest = std::min(lowest, f);
+        else
+            ++bad;
+    }
+    if (bad == 0)
+        return;
+    if (!std::isfinite(lowest))
+        lowest = 0.0;
+    for (double &f : fits) {
+        if (!std::isfinite(f))
+            f = lowest;
+    }
+    if (obs::MetricsRegistry *m = obs::MetricsRegistry::active())
+        m->counter("fitness.non_finite").add(bad);
 }
 
 } // namespace
@@ -151,11 +183,12 @@ Population::stepBatch(const BatchFitnessFn &fitness)
             batch.push_back({gk, &g});
     }
     if (!batch.empty()) {
-        const std::vector<double> fits = fitness(batch);
+        std::vector<double> fits = fitness(batch);
         GENESYS_ASSERT(fits.size() == batch.size(),
                        "batch fitness returned "
                            << fits.size() << " values for "
                            << batch.size() << " genomes");
+        replaceNonFiniteFitness(fits);
         for (size_t i = 0; i < batch.size(); ++i)
             population_.at(batch[i].key).setFitness(fits[i]);
     }

@@ -145,7 +145,10 @@ class Population
 
     /**
      * Like step(), but hands the whole unevaluated generation to the
-     * callback in one batch (population-level parallelism).
+     * callback in one batch (population-level parallelism). Both
+     * funnel through here: a non-finite fitness (NaN, ±inf) is
+     * replaced by the lowest finite fitness of the batch (0.0 if none
+     * is finite) and counted in the `fitness.non_finite` metric.
      */
     bool stepBatch(const BatchFitnessFn &fitness);
 

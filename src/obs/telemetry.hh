@@ -17,7 +17,7 @@
  *
  * Disabled (the default) nothing is installed and every
  * instrumentation site stays a null-pointer branch. Configuration
- * follows the GENESYS_EVAL_MODE idiom: core::SystemConfig carries a
+ * follows the GENESYS_NUMERICS idiom: core::SystemConfig carries a
  * TelemetryConfig, and the GENESYS_TRACE / GENESYS_METRICS /
  * GENESYS_TELEMETRY_DIR environment variables override it
  * (applyTelemetryFromEnv).
@@ -63,7 +63,7 @@ struct TelemetryConfig
  * GENESYS_TELEMETRY_DIR (a path) to `cfg`. Unset or empty variables
  * leave the corresponding field untouched; any other value is a
  * fatal configuration error — the same idiom as
- * exec::applyEvalModeFromEnv.
+ * exec::applyNumericsFromEnv.
  */
 void applyTelemetryFromEnv(TelemetryConfig &cfg);
 

@@ -121,7 +121,7 @@ std::string snapshotFileName(int generation);
 /**
  * Apply the GENESYS_CHECKPOINT_DIR / GENESYS_CHECKPOINT_EVERY
  * environment variables on top of the config fields (the
- * applyEvalModeFromEnv idiom): a set, non-empty GENESYS_CHECKPOINT_DIR
+ * applyNumericsFromEnv idiom): a set, non-empty GENESYS_CHECKPOINT_DIR
  * replaces `dir`; GENESYS_CHECKPOINT_EVERY must parse as a positive
  * integer and replaces `every_n`. Unset/empty leaves the fields
  * untouched; garbage is a fatal configuration error.

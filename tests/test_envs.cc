@@ -135,6 +135,121 @@ TEST_P(EnvSuite, RecommendedOutputsAreDecodable)
 INSTANTIATE_TEST_SUITE_P(TableI, EnvSuite,
                          ::testing::ValuesIn(environmentNames()));
 
+// --- the contract the episode loop relies on --------------------------------
+// env::evaluateWave refills a lane by calling reset(seed) on an instance
+// that has already run other episodes, and expects the episode to be a
+// pure function of the seed and the actions. These tests pin that
+// contract for every environment, driving episodes the way the loop
+// does: network-shaped outputs through decodeAction.
+
+namespace
+{
+
+/** Everything observable about one (possibly truncated) episode. */
+struct Trajectory
+{
+    std::vector<std::vector<double>> observations;
+    std::vector<double> rewards;
+    bool done = false;
+    int steps = 0;
+    double cumulativeReward = 0.0;
+    double fitness = 0.0;
+};
+
+/**
+ * Run up to `maxSteps` steps of the episode `seed` on `env`, with
+ * outputs drawn from a stream seeded by `policySeed`. Every
+ * observation must be finite and `observationSize()` wide.
+ */
+Trajectory
+runContractEpisode(Environment &env, uint64_t seed, uint64_t policySeed,
+                   int maxSteps = 200)
+{
+    const auto space = env.actionSpace();
+    const auto width = static_cast<size_t>(env.observationSize());
+    XorWow policy(policySeed);
+    std::vector<double> outputs(
+        static_cast<size_t>(env.recommendedOutputs()));
+
+    Trajectory t;
+    t.observations.push_back(env.reset(seed));
+    while (!t.done && t.steps < maxSteps) {
+        for (double &o : outputs)
+            o = policy.uniform(-1.0, 1.0);
+        StepResult sr = env.step(decodeAction(space, outputs));
+        t.observations.push_back(std::move(sr.observation));
+        t.rewards.push_back(sr.reward);
+        t.done = sr.done;
+        ++t.steps;
+    }
+    for (size_t i = 0; i < t.observations.size(); ++i) {
+        EXPECT_EQ(t.observations[i].size(), width) << "observation " << i;
+        for (double v : t.observations[i])
+            EXPECT_TRUE(std::isfinite(v)) << "observation " << i;
+    }
+    t.cumulativeReward = env.cumulativeReward();
+    t.fitness = env.episodeFitness();
+    EXPECT_EQ(env.stepsTaken(), t.steps);
+    return t;
+}
+
+void
+expectSameTrajectory(const Trajectory &a, const Trajectory &b)
+{
+    EXPECT_EQ(a.observations, b.observations);
+    EXPECT_EQ(a.rewards, b.rewards);
+    EXPECT_EQ(a.done, b.done);
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.cumulativeReward, b.cumulativeReward);
+    EXPECT_EQ(a.fitness, b.fitness);
+}
+
+} // namespace
+
+class EnvContract : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(EnvContract, ResetIsPure)
+{
+    // A used instance — one finished episode, then one abandoned
+    // mid-way — must replay an episode exactly as a fresh one does.
+    auto fresh = makeEnvironment(GetParam());
+    const Trajectory expect = runContractEpisode(*fresh, 5, 50);
+
+    auto used = makeEnvironment(GetParam());
+    runContractEpisode(*used, 11, 51);
+    runContractEpisode(*used, 12, 52, /*maxSteps=*/7);
+    expectSameTrajectory(runContractEpisode(*used, 5, 50), expect);
+}
+
+TEST_P(EnvContract, SameSeedSameTrajectory)
+{
+    auto a = makeEnvironment(GetParam());
+    auto b = makeEnvironment(GetParam());
+    for (uint64_t seed : {1u, 2u, 977u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expectSameTrajectory(runContractEpisode(*a, seed, seed + 3),
+                             runContractEpisode(*b, seed, seed + 3));
+    }
+}
+
+TEST_P(EnvContract, ObservationsFiniteAndSized)
+{
+    // runContractEpisode checks every observation; cover several
+    // seeds and policies so more of the state space is visited.
+    auto env = makeEnvironment(GetParam());
+    for (uint64_t seed = 20; seed < 25; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const Trajectory t = runContractEpisode(*env, seed, seed * 7);
+        EXPECT_GT(t.steps, 0);
+        EXPECT_TRUE(std::isfinite(t.fitness));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(TableI, EnvContract,
+                         ::testing::ValuesIn(environmentNames()));
+
 // --- per-environment physics ------------------------------------------------
 
 TEST(CartPoleTest, BalancedPoleEarnsRewardEveryStep)

@@ -1,11 +1,12 @@
 /**
  * @file
- * Bit-identity tests for per-genome episode batching: the BSP
- * lockstep wave loop (env::evaluateBatched) against the serial
- * episode loop, at the kernel, engine and whole-System levels, for
- * feed-forward and recurrent genomes, across batch widths and thread
- * counts. "Identical" always means bit-identical — the batched path
- * is a pure throughput lever and must never perturb a result.
+ * Bit-identity tests for per-genome episode batching: one genome's
+ * E > 1 episodes run side by side as same-plan lanes of
+ * env::evaluateWave (batchEpisodes) against the serial episode loop,
+ * at the kernel, engine and whole-System levels, for feed-forward and
+ * recurrent genomes, across lane widths and thread counts. "Identical"
+ * always means bit-identical — episode batching is a pure throughput
+ * lever and must never perturb a result.
  */
 
 #include <gtest/gtest.h>
@@ -58,6 +59,17 @@ handlesOf(const std::vector<neat::Genome> &genomes)
 }
 
 void
+expectEpisodeIdentical(const env::EpisodeResult &a,
+                       const env::EpisodeResult &b)
+{
+    EXPECT_EQ(a.fitness, b.fitness);
+    EXPECT_EQ(a.cumulativeReward, b.cumulativeReward);
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.inferences, b.inferences);
+    EXPECT_EQ(a.macs, b.macs);
+}
+
+void
 expectDetailIdentical(const env::EvalDetail &a, const env::EvalDetail &b)
 {
     EXPECT_EQ(a.fitness, b.fitness);
@@ -65,92 +77,61 @@ expectDetailIdentical(const env::EvalDetail &a, const env::EvalDetail &b)
     EXPECT_EQ(a.macs, b.macs);
     EXPECT_EQ(a.maxEpisodeSteps, b.maxEpisodeSteps);
     ASSERT_EQ(a.episodes.size(), b.episodes.size());
-    for (size_t e = 0; e < a.episodes.size(); ++e) {
-        EXPECT_EQ(a.episodes[e].fitness, b.episodes[e].fitness);
-        EXPECT_EQ(a.episodes[e].cumulativeReward,
-                  b.episodes[e].cumulativeReward);
-        EXPECT_EQ(a.episodes[e].steps, b.episodes[e].steps);
-        EXPECT_EQ(a.episodes[e].inferences, b.episodes[e].inferences);
-        EXPECT_EQ(a.episodes[e].macs, b.episodes[e].macs);
-    }
+    for (size_t e = 0; e < a.episodes.size(); ++e)
+        expectEpisodeIdentical(a.episodes[e], b.episodes[e]);
 }
 
 } // namespace
 
-// --- kernel level: evaluateBatched vs the serial episode loop ----------------
+// --- kernel level: same-plan waves vs the serial episode loop ----------------
 
-TEST(EpisodeBatchTest, BatchedMatchesSerialAcrossWidths)
+TEST(EpisodeBatchTest, SamePlanWaveMatchesSerialAndInterpreter)
 {
-    const auto [cfg, genomes] = makeGenomes(12, 41);
+    // One genome's episodes as same-plan wave items — what the engine
+    // submits when a chunk is a single genome. The genome-level
+    // interpreter, the serial compiled loop and the wave at every
+    // width must agree bit for bit.
     const std::vector<uint64_t> seeds{11, 22, 33, 44, 55, 66, 77, 88,
                                       99, 110};
+    for (const bool feed_forward : {true, false}) {
+        const auto [cfg, genomes] = makeGenomes(8, 41, feed_forward);
+        for (const neat::Genome &g : genomes) {
+            SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
+                         " genome " + std::to_string(g.key()));
+            const auto plan = nn::CompiledPlan::compileFor(g, cfg);
+            ASSERT_EQ(plan.isRecurrent(), !feed_forward);
 
-    for (const neat::Genome &g : genomes) {
-        const auto plan = nn::CompiledPlan::compileFor(g, cfg);
+            auto env = env::makeEnvironment("CartPole_v0");
+            env::EpisodeRunner runner(*env, seeds.front(),
+                                      static_cast<int>(seeds.size()));
+            const auto serial = runner.evaluateDetailed(plan, seeds);
+            expectDetailIdentical(serial,
+                                  runner.evaluateDetailed(g, cfg, seeds));
 
-        auto serial_env = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner runner(*serial_env, seeds.front(),
-                                  static_cast<int>(seeds.size()));
-        const auto serial = runner.evaluateDetailed(plan, seeds);
-
-        for (int width : {1, 2, 5, 8}) {
-            SCOPED_TRACE("genome " + std::to_string(g.key()) +
-                         " width " + std::to_string(width));
-            std::vector<std::unique_ptr<env::Environment>> owned;
-            std::vector<env::Environment *> lanes;
-            for (int l = 0; l < width; ++l) {
-                owned.push_back(env::makeEnvironment("CartPole_v0"));
-                lanes.push_back(owned.back().get());
+            std::vector<env::WaveItem> items;
+            for (uint64_t seed : seeds)
+                items.push_back({&plan, seed});
+            for (int width : {1, 2, 5, 8}) {
+                SCOPED_TRACE("width " + std::to_string(width));
+                std::vector<std::unique_ptr<env::Environment>> owned;
+                std::vector<env::Environment *> lanes;
+                for (int l = 0; l < width; ++l) {
+                    owned.push_back(env::makeEnvironment("CartPole_v0"));
+                    lanes.push_back(owned.back().get());
+                }
+                env::WaveScratch scratch;
+                const auto wave =
+                    env::evaluateWave(items, lanes, scratch);
+                ASSERT_EQ(wave.episodes.size(), seeds.size());
+                for (size_t e = 0; e < seeds.size(); ++e)
+                    expectEpisodeIdentical(wave.episodes[e],
+                                           serial.episodes[e]);
             }
-            env::EpisodeBatchScratch scratch;
-            const auto batched =
-                env::evaluateBatched(plan, seeds, lanes, scratch);
-            expectDetailIdentical(batched, serial);
         }
     }
 }
 
-TEST(EpisodeBatchTest, RecurrentBatchedMatchesSerialAndInterpreter)
-{
-    // Recurrent genomes through the full dispatch: the genome-level
-    // interpreter reference (RecurrentNetwork), the serial compiled
-    // path and the batched compiled path must agree bit for bit.
-    const auto [cfg, genomes] = makeGenomes(10, 43, /*feed_forward=*/false);
-    const std::vector<uint64_t> seeds{5, 6, 7, 8, 9};
-
-    for (const neat::Genome &g : genomes) {
-        SCOPED_TRACE("recurrent genome " + std::to_string(g.key()));
-        const auto plan = nn::CompiledPlan::compileFor(g, cfg);
-        ASSERT_TRUE(plan.isRecurrent());
-
-        auto env1 = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner interp_runner(*env1, seeds.front(),
-                                         static_cast<int>(seeds.size()));
-        const auto interp = interp_runner.evaluateDetailed(g, cfg, seeds);
-
-        auto env2 = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner plan_runner(*env2, seeds.front(),
-                                       static_cast<int>(seeds.size()));
-        const auto serial = plan_runner.evaluateDetailed(plan, seeds);
-        expectDetailIdentical(serial, interp);
-
-        for (int width : {1, 2, 5}) {
-            SCOPED_TRACE("width " + std::to_string(width));
-            std::vector<std::unique_ptr<env::Environment>> owned;
-            std::vector<env::Environment *> lanes;
-            for (int l = 0; l < width; ++l) {
-                owned.push_back(env::makeEnvironment("CartPole_v0"));
-                lanes.push_back(owned.back().get());
-            }
-            env::EpisodeBatchScratch scratch;
-            const auto batched =
-                env::evaluateBatched(plan, seeds, lanes, scratch);
-            expectDetailIdentical(batched, serial);
-        }
-    }
-}
-
-// --- engine level: batched vs serial episode loops ---------------------------
+// --- engine level: episode lanes vs the one-lane serial loop -----------------
 
 namespace
 {
@@ -158,44 +139,64 @@ namespace
 std::vector<GenomeEvalResult>
 evaluateEngine(const neat::NeatConfig &cfg,
                const std::vector<neat::Genome> &genomes, int threads,
-               bool batch, int lanes = 0)
+               bool batch)
 {
     EvalEngineConfig ecfg;
     ecfg.envName = "CartPole_v0";
     ecfg.numThreads = threads;
     ecfg.episodes = 5;
     ecfg.batchEpisodes = batch;
-    ecfg.episodeLanes = lanes;
     EvalEngine engine(ecfg);
     return engine.evaluateGeneration(handlesOf(genomes), cfg,
-                                     EvalEngine::perGenomeSeeds(77));
+                                     EvalEngine::perGenomeSeeds(83));
 }
 
 } // namespace
 
-TEST(EpisodeBatchTest, EngineBatchedMatchesSerialAcrossThreads)
+TEST(EpisodeBatchTest, EngineEpisodeLanesMatchSerialAcrossThreads)
 {
+    // E = 5: every chunk is one genome, its episodes side by side on
+    // five lanes (batchEpisodes) or one after another on one lane.
     for (const bool feed_forward : {true, false}) {
         const auto [cfg, genomes] = makeGenomes(16, 47, feed_forward);
         const auto reference =
             evaluateEngine(cfg, genomes, 1, /*batch=*/false);
-
         for (int threads : {1, 8}) {
-            for (int lanes : {0, 1, 2}) {
-                SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
-                             " threads " + std::to_string(threads) +
-                             " lanes " + std::to_string(lanes));
-                const auto batched = evaluateEngine(
-                    cfg, genomes, threads, /*batch=*/true, lanes);
-                ASSERT_EQ(batched.size(), reference.size());
-                for (size_t i = 0; i < reference.size(); ++i) {
-                    EXPECT_EQ(batched[i].genomeKey,
-                              reference[i].genomeKey);
-                    expectDetailIdentical(batched[i].detail,
-                                          reference[i].detail);
-                }
+            SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
+                         " threads " + std::to_string(threads));
+            const auto batched =
+                evaluateEngine(cfg, genomes, threads, /*batch=*/true);
+            ASSERT_EQ(batched.size(), reference.size());
+            for (size_t i = 0; i < reference.size(); ++i) {
+                EXPECT_EQ(batched[i].genomeKey, reference[i].genomeKey);
+                expectDetailIdentical(batched[i].detail,
+                                      reference[i].detail);
             }
         }
+    }
+}
+
+TEST(EpisodeBatchTest, EnginePoolShardsSizedToEpisodeLanes)
+{
+    // episodes > 1 runs one genome per chunk: waveLanes resolves to 1
+    // and each shard holds one lane per episode, or a single lane when
+    // batching is off.
+    const auto [cfg, genomes] = makeGenomes(2, 89);
+    EvalEngineConfig ecfg;
+    ecfg.envName = "CartPole_v0";
+    ecfg.numThreads = 1;
+    ecfg.episodes = 3;
+    ecfg.heterogeneousLanes = true;
+    ecfg.waveLanes = 16;
+    for (const bool batch : {true, false}) {
+        SCOPED_TRACE(batch ? "batched" : "serial");
+        ecfg.batchEpisodes = batch;
+        EvalEngine engine(ecfg);
+        EXPECT_FALSE(engine.usesHeterogeneousWaves());
+        EXPECT_EQ(engine.config().waveLanes, 1);
+        engine.evaluateGeneration(handlesOf(genomes), cfg,
+                                  EvalEngine::sharedEpisodeSeeds(5));
+        EXPECT_EQ(engine.lastBatchStats().laneCount, batch ? 3 : 1);
     }
 }
 
@@ -227,6 +228,8 @@ runSystem(int threads, bool batchEpisodes, bool feed_forward)
 
 TEST(EpisodeBatchTest, SystemDigestsIdenticalBatchedVsSerial)
 {
+    // E = 3: one genome's episodes on three lanes against the same
+    // episodes one after another on a single lane.
     for (const bool feed_forward : {true, false}) {
         const auto [s_ref, r_ref] =
             runSystem(1, /*batchEpisodes=*/false, feed_forward);
@@ -259,24 +262,9 @@ TEST(EpisodeBatchTest, SystemDigestsIdenticalBatchedVsSerial)
                 EXPECT_EQ(r[i].macsPerStep, r_ref[i].macsPerStep);
                 EXPECT_EQ(r[i].hw.eve.cycles, r_ref[i].hw.eve.cycles);
                 EXPECT_EQ(r[i].hw.adam.cycles, r_ref[i].hw.adam.cycles);
+                EXPECT_GT(r[i].batches.waveLaneSlotSteps, 0);
+                EXPECT_GT(r_ref[i].batches.waveLaneSlotSteps, 0);
             }
         }
     }
-}
-
-TEST(EpisodeBatchTest, EnginePoolShardsSizedToEpisodeLanes)
-{
-    EvalEngineConfig ecfg;
-    ecfg.envName = "CartPole_v0";
-    ecfg.numThreads = 2;
-    ecfg.episodes = 5;
-    ecfg.batchEpisodes = true;
-    ecfg.episodeLanes = 8; // clamped to episodes
-    EvalEngine engine(ecfg);
-    EXPECT_EQ(engine.config().episodeLanes, 5);
-
-    EvalEngineConfig serial = ecfg;
-    serial.batchEpisodes = false;
-    EvalEngine serial_engine(serial);
-    EXPECT_EQ(serial_engine.config().episodeLanes, 1);
 }

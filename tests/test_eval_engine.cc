@@ -204,8 +204,8 @@ TEST(EnvPoolTest, ShardsAreIndependentInstances)
 {
     EnvPool pool("CartPole_v0", 3);
     ASSERT_EQ(pool.size(), 3);
-    EXPECT_NE(&pool.at(0), &pool.at(1));
-    EXPECT_NE(&pool.at(1), &pool.at(2));
+    EXPECT_NE(pool.shard(0).front(), pool.shard(1).front());
+    EXPECT_NE(pool.shard(1).front(), pool.shard(2).front());
 
     // Stepping one shard must not disturb another: run an episode on
     // shard 0, then reset shard 1 with the same seed and check it
@@ -213,12 +213,12 @@ TEST(EnvPoolTest, ShardsAreIndependentInstances)
     auto fresh = env::makeEnvironment("CartPole_v0");
     const auto expect_obs = fresh->reset(42);
 
-    env::Environment &dirty = pool.at(0);
+    env::Environment &dirty = *pool.shard(0).front();
     dirty.reset(42);
     for (int i = 0; i < 5; ++i)
         dirty.step(env::Action{1, {}});
 
-    const auto obs = pool.at(1).reset(42);
+    const auto obs = pool.shard(1).front()->reset(42);
     EXPECT_EQ(obs, expect_obs);
 }
 

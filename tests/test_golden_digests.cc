@@ -22,10 +22,11 @@
  *
  * and update the constants below, noting why in the commit.
  *
- * The suite deliberately does NOT clear GENESYS_EVAL_MODE: under the
- * CI mode matrix the same constants must hold for the serial,
- * per-genome-batched and heterogeneous-wave execution paths — the
- * strongest cross-mode identity statement in the tree.
+ * Every configuration must reproduce its constant under each chunking
+ * of the episode loop — multi-genome waves (the default), one genome
+ * per chunk (heterogeneousLanes = false) and one lane per worker
+ * (batchEpisodes = false) — the strongest cross-chunking identity
+ * statement in the tree.
  *
  * GENESYS_NUMERICS, by contrast, IS pinned per test: the numerics
  * tiers are intentionally different lowerings with different bit
@@ -110,9 +111,12 @@ class ScopedNumericsEnv
 
 /** The fixed configuration every golden run uses. */
 core::SystemConfig
-goldenConfig(const std::string &envName, bool feed_forward, int threads)
+goldenConfig(const std::string &envName, bool feed_forward, int threads,
+             bool batchEpisodes = true, bool heterogeneousLanes = true)
 {
     core::SystemConfig cfg;
+    cfg.batchEpisodes = batchEpisodes;
+    cfg.heterogeneousLanes = heterogeneousLanes;
     cfg.envName = envName;
     cfg.maxGenerations = 6;
     cfg.episodesPerEval = 1;
@@ -161,10 +165,12 @@ digestFields(const core::RunSummary &s,
 /** Run a fixed 6-generation system and digest its observable state. */
 uint64_t
 digestRun(const std::string &envName, bool feed_forward, int threads,
-          nn::NumericsTier tier)
+          nn::NumericsTier tier, bool batchEpisodes = true,
+          bool heterogeneousLanes = true)
 {
     ScopedNumericsEnv pin(tier);
-    core::System sys(goldenConfig(envName, feed_forward, threads));
+    core::System sys(goldenConfig(envName, feed_forward, threads,
+                                  batchEpisodes, heterogeneousLanes));
     const core::RunSummary s = sys.run();
     return digestFields(s, sys.reports());
 }
@@ -247,7 +253,8 @@ digestResumedRun(const std::string &envName, bool feed_forward,
 
 /**
  * Check one configuration against its golden digest at 1 thread, and
- * that 8 threads reproduce the same bits. When GENESYS_PRINT_DIGESTS
+ * that 8 threads and the other two episode-loop chunkings (at 1
+ * thread) reproduce the same bits. When GENESYS_PRINT_DIGESTS
  * is set, print the measured value for regeneration instead of
  * relying on the failure output.
  */
@@ -270,6 +277,10 @@ expectGolden(const std::string &envName, bool feed_forward,
            "with GENESYS_PRINT_DIGESTS=1 ./tests/test_golden_digests";
     EXPECT_EQ(digestRun(envName, feed_forward, 8, tier), d1)
         << envName << " digest differs at 8 threads";
+    EXPECT_EQ(digestRun(envName, feed_forward, 1, tier, true, false), d1)
+        << envName << " digest differs with heterogeneousLanes=false";
+    EXPECT_EQ(digestRun(envName, feed_forward, 1, tier, false, true), d1)
+        << envName << " digest differs with batchEpisodes=false";
 }
 
 /**
@@ -345,7 +356,7 @@ TEST(GoldenDigestTest, ResumedAtariRamRecurrent)
 // The same configurations lowered through the Q6.10 quantized tier.
 // Different constants by design (the tiers are numerically distinct);
 // the identity statements are the same: bit-identical at 1 vs 8
-// threads, across the GENESYS_EVAL_MODE matrix, and across a
+// threads, across episode-loop chunkings, and across a
 // checkpoint/resume boundary (which also exercises the snapshot's
 // recorded-tier provenance field on the happy path).
 

@@ -10,6 +10,7 @@
 
 #include "neat/population.hh"
 #include "nn/feedforward.hh"
+#include "obs/metrics.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -192,4 +193,53 @@ TEST(Population, RunStopsAtThreshold)
         pop.run([](const Genome &) { return 1.0; }, 50);
     EXPECT_TRUE(result.solved);
     EXPECT_EQ(result.generations, 1);
+}
+
+TEST(Population, NonFiniteFitnessRanksLowestAndRunContinues)
+{
+    // NaN and ±inf from a batch callback must never reach the sort
+    // comparators: each is replaced by the batch's lowest finite
+    // fitness, counted, and evolution carries on.
+    auto cfg = xorConfig();
+    cfg.populationSize = 40;
+    cfg.fitnessThreshold = 1e18; // never solve
+    Population pop(cfg, 8);
+
+    obs::MetricsRegistry reg;
+    obs::MetricsRegistry::install(&reg);
+    const double poison[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+    long injected = 0;
+    auto fitness = [&](const std::vector<GenomeHandle> &batch) {
+        std::vector<double> fits;
+        for (size_t i = 0; i < batch.size(); ++i) {
+            if (i % 5 == 0) {
+                fits.push_back(poison[(i / 5) % 3]);
+                ++injected;
+            } else {
+                fits.push_back(xorFitness(*batch[i].genome, cfg));
+            }
+        }
+        return fits;
+    };
+    for (int gen = 0; gen < 5; ++gen)
+        EXPECT_FALSE(pop.stepBatch(fitness));
+
+    // A batch with no finite fitness at all maps everything to 0.
+    EXPECT_FALSE(pop.stepBatch([&](const std::vector<GenomeHandle> &b) {
+        injected += static_cast<long>(b.size());
+        return std::vector<double>(b.size(), std::nan(""));
+    }));
+    obs::MetricsRegistry::install(nullptr);
+
+    ASSERT_EQ(pop.history().size(), 6u);
+    for (const GenerationStats &s : pop.history()) {
+        EXPECT_TRUE(std::isfinite(s.bestFitness));
+        EXPECT_TRUE(std::isfinite(s.meanFitness));
+        EXPECT_GE(s.bestFitness, s.meanFitness);
+    }
+    EXPECT_EQ(pop.history().back().bestFitness, 0.0);
+    EXPECT_EQ(pop.history().back().meanFitness, 0.0);
+    EXPECT_TRUE(std::isfinite(pop.bestGenome().fitness()));
+    EXPECT_EQ(reg.counter("fitness.non_finite").value(), injected);
+    EXPECT_EQ(pop.generation(), 6);
 }

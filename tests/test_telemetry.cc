@@ -3,8 +3,8 @@
  * Telemetry subsystem suite: metrics-registry exactness under real
  * pool concurrency, tracer buffering/export, the Telemetry session's
  * artifact files, log-level gating, and — the load-bearing contract —
- * bit-identical golden digests with telemetry on and off across all
- * three GENESYS_EVAL_MODE execution paths at 1 and 8 threads.
+ * bit-identical golden digests with telemetry on and off under every
+ * episode-loop chunking at 1 and 8 threads.
  */
 
 #include <gtest/gtest.h>
@@ -98,7 +98,8 @@ fold(uint64_t &h, double v)
  * fully on (trace + metrics into a throwaway dir) or fully off.
  */
 uint64_t
-digestRun(int threads, bool telemetry, const std::string &leaf)
+digestRun(int threads, bool telemetry, bool batchEpisodes,
+          bool heterogeneousLanes, const std::string &leaf)
 {
     core::SystemConfig cfg;
     cfg.envName = "CartPole_v0";
@@ -106,6 +107,8 @@ digestRun(int threads, bool telemetry, const std::string &leaf)
     cfg.episodesPerEval = 1;
     cfg.seed = 20260808;
     cfg.numThreads = threads;
+    cfg.batchEpisodes = batchEpisodes;
+    cfg.heterogeneousLanes = heterogeneousLanes;
     cfg.telemetry.trace = telemetry;
     cfg.telemetry.metrics = telemetry;
     cfg.telemetry.dir = freshDir(leaf);
@@ -407,57 +410,34 @@ TEST(TelemetryTest, ApplyTelemetryFromEnv)
 
 /**
  * The headline contract: telemetry on and off produce bit-identical
- * runs in every execution mode, at 1 and 8 threads.
+ * runs under every chunking of the episode loop, at 1 and 8 threads.
  */
-TEST(TelemetryTest, DigestsIdenticalTelemetryOnOffAllModes)
+TEST(TelemetryTest, DigestsIdenticalTelemetryOnOffAllChunkings)
 {
-    EnvVarGuard mode("GENESYS_EVAL_MODE");
-    for (const std::string m : {"serial", "batch", "waves"}) {
-        mode.set(m);
-        const uint64_t off1 = digestRun(1, false, m + "-off1");
-        const uint64_t on1 = digestRun(1, true, m + "-on1");
-        const uint64_t off8 = digestRun(8, false, m + "-off8");
-        const uint64_t on8 = digestRun(8, true, m + "-on8");
+    struct Chunking
+    {
+        const char *name;
+        bool batchEpisodes;
+        bool heterogeneousLanes;
+    };
+    for (const Chunking &c : {Chunking{"serial", false, false},
+                              Chunking{"per-genome", true, false},
+                              Chunking{"waves", true, true}}) {
+        const std::string m = c.name;
+        auto digest = [&](int threads, bool telemetry,
+                          const std::string &leaf) {
+            return digestRun(threads, telemetry, c.batchEpisodes,
+                             c.heterogeneousLanes, m + leaf);
+        };
+        const uint64_t off1 = digest(1, false, "-off1");
+        const uint64_t on1 = digest(1, true, "-on1");
+        const uint64_t off8 = digest(8, false, "-off8");
+        const uint64_t on8 = digest(8, true, "-on8");
         EXPECT_EQ(on1, off1) << "telemetry changed results: " << m;
         EXPECT_EQ(off8, off1) << "thread count changed results: " << m;
         EXPECT_EQ(on8, off1)
             << "telemetry at 8 threads changed results: " << m;
     }
-}
-
-TEST(TelemetryTest, WaveStatsValidTracksExecutionMode)
-{
-    EnvVarGuard mode("GENESYS_EVAL_MODE");
-
-    auto one_gen = [](bool &valid) {
-        core::SystemConfig cfg;
-        cfg.envName = "CartPole_v0";
-        cfg.maxGenerations = 1;
-        cfg.seed = 5;
-        cfg.tweakNeat = [](neat::NeatConfig &ncfg) {
-            ncfg.populationSize = 16;
-        };
-        core::System sys(cfg);
-        sys.stepGeneration();
-        valid = sys.reports().back().waveStatsValid;
-        return sys.reports().back();
-    };
-
-    bool valid = false;
-    mode.set("waves");
-    core::GenerationReport wavesReport = one_gen(valid);
-    EXPECT_TRUE(valid);
-    // A measured occupancy, not a silent zero.
-    EXPECT_GT(wavesReport.batches.waveLaneSlotSteps, 0);
-
-    mode.set("serial");
-    core::GenerationReport serialReport = one_gen(valid);
-    EXPECT_FALSE(valid);
-    EXPECT_EQ(serialReport.batches.waveLaneSlotSteps, 0);
-
-    mode.set("batch");
-    one_gen(valid);
-    EXPECT_FALSE(valid);
 }
 
 TEST(TelemetryTest, PhaseBreakdownIsSane)

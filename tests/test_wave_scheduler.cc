@@ -1,18 +1,20 @@
 /**
  * @file
- * Differential tests for the cross-genome wave scheduler: the
- * plan-heterogeneous lane kernel (env::evaluateWave) and the engine
- * path built on it must be bit-identical to the serial episode loop —
- * episode for episode, genome for genome, and down to whole-run
- * RunSummary digests — at 1 and 8 threads, for feed-forward and
- * recurrent populations. The suite also locks the scheduler's
- * observability: occupancy counters populated, refill accounting
- * exact, shared-plan lanes grouped into batched dispatches.
+ * Differential tests for the engine's episode loop, env::evaluateWave:
+ * the lane kernel and every engine chunking built on it must be
+ * bit-identical to the serial one-episode-at-a-time loop — episode for
+ * episode, genome for genome, and down to whole-run RunSummary digests
+ * — across lane widths, at 1 and 8 threads, for feed-forward and
+ * recurrent populations. Waves of many genomes (a different plan per
+ * lane) are covered here; waves of one genome's episodes (same plan in
+ * every lane) are covered by test_episode_batch. The suite also locks
+ * the loop's observability: occupancy counters populated on every
+ * configuration, refill accounting exact, shared-plan lanes grouped
+ * into batched dispatches.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 
 #include "core/genesys.hh"
@@ -235,7 +237,7 @@ TEST(WaveSchedulerTest, EmptyAndUndersubscribedWaves)
     EXPECT_EQ(wave.stats.activeLaneSteps, wave.stats.supersteps);
 }
 
-// --- engine level: heterogeneous waves vs serial episode loop ----------------
+// --- engine level: chunkings vs the one-lane serial configuration ------------
 
 namespace
 {
@@ -243,18 +245,29 @@ namespace
 std::vector<GenomeEvalResult>
 evaluateEngine(const neat::NeatConfig &cfg,
                const std::vector<neat::Genome> &genomes, int threads,
-               bool heterogeneous, int waveLanes = 0)
+               bool batch, int waveLanes = 0)
 {
     EvalEngineConfig ecfg;
     ecfg.envName = "CartPole_v0";
     ecfg.numThreads = threads;
     ecfg.episodes = 1;
-    ecfg.batchEpisodes = heterogeneous;
-    ecfg.heterogeneousLanes = heterogeneous;
+    ecfg.batchEpisodes = batch;
+    ecfg.heterogeneousLanes = batch;
     ecfg.waveLanes = waveLanes;
     EvalEngine engine(ecfg);
     return engine.evaluateGeneration(handlesOf(genomes), cfg,
                                      EvalEngine::perGenomeSeeds(83));
+}
+
+void
+expectResultsIdentical(const std::vector<GenomeEvalResult> &a,
+                       const std::vector<GenomeEvalResult> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < b.size(); ++i) {
+        EXPECT_EQ(a[i].genomeKey, b[i].genomeKey);
+        expectDetailIdentical(a[i].detail, b[i].detail);
+    }
 }
 
 } // namespace
@@ -264,23 +277,17 @@ TEST(WaveSchedulerTest, EngineWavePathMatchesSerialAcrossThreads)
     for (const bool feed_forward : {true, false}) {
         const auto [cfg, genomes] = makeGenomes(26, 73, feed_forward);
         const auto reference =
-            evaluateEngine(cfg, genomes, 1, /*heterogeneous=*/false);
+            evaluateEngine(cfg, genomes, 1, /*batch=*/false);
 
         for (int threads : {1, 8}) {
             for (int lanes : {0, 3, 16}) {
                 SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
                              " threads " + std::to_string(threads) +
                              " waveLanes " + std::to_string(lanes));
-                const auto waved = evaluateEngine(
-                    cfg, genomes, threads, /*heterogeneous=*/true,
-                    lanes);
-                ASSERT_EQ(waved.size(), reference.size());
-                for (size_t i = 0; i < reference.size(); ++i) {
-                    EXPECT_EQ(waved[i].genomeKey,
-                              reference[i].genomeKey);
-                    expectDetailIdentical(waved[i].detail,
-                                          reference[i].detail);
-                }
+                expectResultsIdentical(
+                    evaluateEngine(cfg, genomes, threads, /*batch=*/true,
+                                   lanes),
+                    reference);
             }
         }
     }
@@ -313,35 +320,37 @@ TEST(WaveSchedulerTest, OccupancyCountersObservableAndHigh)
     EXPECT_GT(stats.laneOccupancy(), 0.75);
     EXPECT_LE(stats.laneOccupancy(), 1.0);
 
-    // The serial and per-genome-batched paths leave the wave
-    // counters untouched.
+    // One genome per chunk at E = 1 runs on one-lane shards: the
+    // counters are still measured, and a lone lane is always live.
     EvalEngineConfig scfg = ecfg;
     scfg.heterogeneousLanes = false;
-    EvalEngine serial_engine(scfg);
-    EXPECT_FALSE(serial_engine.usesHeterogeneousWaves());
-    serial_engine.evaluateGeneration(handlesOf(genomes), cfg,
+    EvalEngine single_engine(scfg);
+    EXPECT_FALSE(single_engine.usesHeterogeneousWaves());
+    single_engine.evaluateGeneration(handlesOf(genomes), cfg,
                                      EvalEngine::sharedEpisodeSeeds(3));
-    EXPECT_EQ(serial_engine.lastBatchStats().waveLaneSlotSteps, 0);
-    EXPECT_EQ(serial_engine.lastBatchStats().laneOccupancy(), 0.0);
+    const BatchStats &single = single_engine.lastBatchStats();
+    EXPECT_EQ(single.laneCount, 1);
+    EXPECT_GT(single.waveLaneSlotSteps, 0);
+    EXPECT_EQ(single.waveLaneSlotSteps, single.waveSupersteps);
+    EXPECT_EQ(single.waveRefills, 0);
+    EXPECT_EQ(single.laneOccupancy(), 1.0);
 }
 
 TEST(WaveSchedulerTest, WaveShardSizingAndFallback)
 {
-    // episodes > 1 falls back to per-genome batching: wave shards
-    // resolve to a single lane and the episode-lane resolution is
-    // unchanged.
+    // episodes > 1 falls back to one genome per chunk (episode lanes
+    // are covered by test_episode_batch); episodes == 1 activates
+    // waves.
     EvalEngineConfig ecfg;
     ecfg.envName = "CartPole_v0";
     ecfg.numThreads = 1;
     ecfg.episodes = 3;
+    ecfg.batchEpisodes = true;
     ecfg.heterogeneousLanes = true;
     ecfg.waveLanes = 16;
-    EvalEngine engine(ecfg);
-    EXPECT_FALSE(engine.usesHeterogeneousWaves());
-    EXPECT_EQ(engine.config().waveLanes, 1);
-    EXPECT_EQ(engine.config().episodeLanes, 3);
+    EXPECT_FALSE(EvalEngine(ecfg).usesHeterogeneousWaves());
 
-    // episodes == 1 activates waves; the default lane width is 8.
+    // The default lane width is 8.
     EvalEngineConfig wcfg = ecfg;
     wcfg.episodes = 1;
     wcfg.waveLanes = 0;
@@ -350,53 +359,22 @@ TEST(WaveSchedulerTest, WaveShardSizingAndFallback)
     EXPECT_EQ(wave_engine.config().waveLanes, 8);
 }
 
-TEST(WaveSchedulerTest, EvalModeFromEnv)
-{
-    const auto flags = [](const char *mode) {
-        setenv("GENESYS_EVAL_MODE", mode, 1);
-        EvalEngineConfig cfg;
-        cfg.batchEpisodes = false;
-        cfg.heterogeneousLanes = false;
-        applyEvalModeFromEnv(cfg);
-        unsetenv("GENESYS_EVAL_MODE");
-        return std::make_pair(cfg.batchEpisodes,
-                              cfg.heterogeneousLanes);
-    };
-    EXPECT_EQ(flags("serial"), std::make_pair(false, false));
-    EXPECT_EQ(flags("batch"), std::make_pair(true, false));
-    EXPECT_EQ(flags("waves"), std::make_pair(true, true));
-
-    // Unset leaves the config untouched.
-    unsetenv("GENESYS_EVAL_MODE");
-    EvalEngineConfig cfg;
-    cfg.batchEpisodes = false;
-    cfg.heterogeneousLanes = true;
-    applyEvalModeFromEnv(cfg);
-    EXPECT_FALSE(cfg.batchEpisodes);
-    EXPECT_TRUE(cfg.heterogeneousLanes);
-
-    // Unknown modes are a configuration error, not a silent default.
-    setenv("GENESYS_EVAL_MODE", "bogus", 1);
-    EXPECT_THROW(applyEvalModeFromEnv(cfg), std::runtime_error);
-    unsetenv("GENESYS_EVAL_MODE");
-}
-
 // --- system level: whole-run RunSummary digests ------------------------------
 
 namespace
 {
 
 std::pair<core::RunSummary, std::vector<core::GenerationReport>>
-runSystem(int threads, bool heterogeneous, bool feed_forward)
+runSystem(int threads, bool batch, bool feed_forward)
 {
     core::SystemConfig cfg;
     cfg.envName = "CartPole_v0";
     cfg.maxGenerations = 4;
-    cfg.episodesPerEval = 1; // the wave scheduler's home turf
+    cfg.episodesPerEval = 1;
     cfg.seed = 29;
     cfg.numThreads = threads;
-    cfg.batchEpisodes = heterogeneous;
-    cfg.heterogeneousLanes = heterogeneous;
+    cfg.batchEpisodes = batch;
+    cfg.heterogeneousLanes = batch;
     if (!feed_forward)
         cfg.tweakNeat = [](neat::NeatConfig &ncfg) {
             ncfg.feedForward = false;
@@ -406,53 +384,51 @@ runSystem(int threads, bool heterogeneous, bool feed_forward)
     return {summary, sys.reports()};
 }
 
+void
+expectRunsIdentical(
+    const std::pair<core::RunSummary,
+                    std::vector<core::GenerationReport>> &run,
+    const std::pair<core::RunSummary,
+                    std::vector<core::GenerationReport>> &ref)
+{
+    const auto &[s, r] = run;
+    const auto &[s_ref, r_ref] = ref;
+    EXPECT_EQ(s.solved, s_ref.solved);
+    EXPECT_EQ(s.generations, s_ref.generations);
+    EXPECT_EQ(s.bestFitness, s_ref.bestFitness);
+    EXPECT_EQ(s.totalEvolutionEnergyJ, s_ref.totalEvolutionEnergyJ);
+    EXPECT_EQ(s.totalInferenceEnergyJ, s_ref.totalInferenceEnergyJ);
+    EXPECT_EQ(s.totalEvolutionSeconds, s_ref.totalEvolutionSeconds);
+    EXPECT_EQ(s.totalInferenceSeconds, s_ref.totalInferenceSeconds);
+    ASSERT_EQ(r.size(), r_ref.size());
+    for (size_t i = 0; i < r_ref.size(); ++i) {
+        EXPECT_EQ(r[i].algo.bestFitness, r_ref[i].algo.bestFitness);
+        EXPECT_EQ(r[i].algo.meanFitness, r_ref[i].algo.meanFitness);
+        EXPECT_EQ(r[i].inferenceSteps, r_ref[i].inferenceSteps);
+        EXPECT_EQ(r[i].maxEpisodeSteps, r_ref[i].maxEpisodeSteps);
+        EXPECT_EQ(r[i].macsPerStep, r_ref[i].macsPerStep);
+        EXPECT_EQ(r[i].hw.eve.cycles, r_ref[i].hw.eve.cycles);
+        EXPECT_EQ(r[i].hw.adam.cycles, r_ref[i].hw.adam.cycles);
+        // Every configuration measures its lane occupancy and
+        // surfaces it in the generation reports.
+        EXPECT_GT(r[i].batches.waveLaneSlotSteps, 0);
+        EXPECT_GT(r_ref[i].batches.waveLaneSlotSteps, 0);
+    }
+}
+
 } // namespace
 
-TEST(WaveSchedulerTest, SystemDigestsIdenticalWavesVsSerial)
+TEST(WaveSchedulerTest, SystemDigestsIdenticalAcrossChunkings)
 {
-    // This differential pins the mode comparison itself, so the CI
-    // mode matrix must not collapse both sides onto one path.
-    unsetenv("GENESYS_EVAL_MODE");
-
+    // E = 1 compares multi-genome waves with one-lane serial chunks;
+    // E > 1 episode lanes are covered by test_episode_batch.
     for (const bool feed_forward : {true, false}) {
-        const auto [s_ref, r_ref] =
-            runSystem(1, /*heterogeneous=*/false, feed_forward);
-
+        const auto ref = runSystem(1, /*batch=*/false, feed_forward);
         for (int threads : {1, 8}) {
             SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
                          " threads " + std::to_string(threads));
-            const auto [s, r] =
-                runSystem(threads, /*heterogeneous=*/true,
-                          feed_forward);
-            EXPECT_EQ(s.solved, s_ref.solved);
-            EXPECT_EQ(s.generations, s_ref.generations);
-            EXPECT_EQ(s.bestFitness, s_ref.bestFitness);
-            EXPECT_EQ(s.totalEvolutionEnergyJ,
-                      s_ref.totalEvolutionEnergyJ);
-            EXPECT_EQ(s.totalInferenceEnergyJ,
-                      s_ref.totalInferenceEnergyJ);
-            EXPECT_EQ(s.totalEvolutionSeconds,
-                      s_ref.totalEvolutionSeconds);
-            EXPECT_EQ(s.totalInferenceSeconds,
-                      s_ref.totalInferenceSeconds);
-            ASSERT_EQ(r.size(), r_ref.size());
-            for (size_t i = 0; i < r_ref.size(); ++i) {
-                EXPECT_EQ(r[i].algo.bestFitness,
-                          r_ref[i].algo.bestFitness);
-                EXPECT_EQ(r[i].algo.meanFitness,
-                          r_ref[i].algo.meanFitness);
-                EXPECT_EQ(r[i].inferenceSteps, r_ref[i].inferenceSteps);
-                EXPECT_EQ(r[i].maxEpisodeSteps,
-                          r_ref[i].maxEpisodeSteps);
-                EXPECT_EQ(r[i].macsPerStep, r_ref[i].macsPerStep);
-                EXPECT_EQ(r[i].hw.eve.cycles, r_ref[i].hw.eve.cycles);
-                EXPECT_EQ(r[i].hw.adam.cycles,
-                          r_ref[i].hw.adam.cycles);
-                // The wave path's occupancy counters surface in the
-                // generation reports; the serial path leaves them 0.
-                EXPECT_GT(r[i].batches.waveLaneSlotSteps, 0);
-                EXPECT_EQ(r_ref[i].batches.waveLaneSlotSteps, 0);
-            }
+            expectRunsIdentical(
+                runSystem(threads, /*batch=*/true, feed_forward), ref);
         }
     }
 }
