@@ -45,44 +45,6 @@ XorWow::reseed(uint64_t seed)
     cachedGaussian_ = 0.0;
 }
 
-uint32_t
-XorWow::next32()
-{
-    uint32_t t = state_[4];
-    const uint32_t s = state_[0];
-    state_[4] = state_[3];
-    state_[3] = state_[2];
-    state_[2] = state_[1];
-    state_[1] = s;
-    t ^= t >> 2;
-    t ^= t << 1;
-    t ^= s ^ (s << 4);
-    state_[0] = t;
-    weyl_ += 362437;
-    return t + weyl_;
-}
-
-uint64_t
-XorWow::next64()
-{
-    uint64_t hi = next32();
-    uint64_t lo = next32();
-    return (hi << 32) | lo;
-}
-
-double
-XorWow::uniform()
-{
-    // 53-bit mantissa from a 64-bit draw.
-    return static_cast<double>(next64() >> 11) * 0x1.0p-53;
-}
-
-double
-XorWow::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
 XorWowState
 XorWow::saveState() const
 {

@@ -52,10 +52,31 @@ class XorWow
     explicit XorWow(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
     /** Next raw 32-bit output. */
-    uint32_t next32();
+    uint32_t
+    next32()
+    {
+        uint32_t t = state_[4];
+        const uint32_t s = state_[0];
+        state_[4] = state_[3];
+        state_[3] = state_[2];
+        state_[2] = state_[1];
+        state_[1] = s;
+        t ^= t >> 2;
+        t ^= t << 1;
+        t ^= s ^ (s << 4);
+        state_[0] = t;
+        weyl_ += 362437;
+        return t + weyl_;
+    }
 
     /** Next 64-bit output (two 32-bit draws). */
-    uint64_t next64();
+    uint64_t
+    next64()
+    {
+        const uint64_t hi = next32();
+        const uint64_t lo = next32();
+        return (hi << 32) | lo;
+    }
 
     /**
      * Next 8-bit output, as delivered to an EvE PE each cycle
@@ -64,11 +85,19 @@ class XorWow
      */
     uint8_t next8() { return static_cast<uint8_t>(next32() >> 24); }
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+    /** Uniform double in [0, 1): a 53-bit mantissa from next64(). */
+    double
+    uniform()
+    {
+        return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double
+    uniform(double lo, double hi)
+    {
+        return lo + (hi - lo) * uniform();
+    }
 
     /** Uniform integer in [0, n). n == 0 is a fatal error. */
     uint32_t uniformInt(uint32_t n);

@@ -81,6 +81,16 @@ System::System(SystemConfig cfg)
     exec::applyNumericsFromEnv(ecfg);
     numericsTier_ = ecfg.numericsTier;
     engine_ = std::make_unique<exec::EvalEngine>(std::move(ecfg));
+
+    // Breeding and speciation fan out over the same workers, between
+    // evaluations, as EvE's PE array breeds one child per PE.
+    population_->setExecutor(
+        [engine = engine_.get()](
+            std::size_t count,
+            const std::function<void(std::size_t)> &body) {
+            engine->runParallel(count,
+                                [&body](std::size_t i, int) { body(i); });
+        });
 }
 
 System::~System() = default;

@@ -242,18 +242,21 @@ class EvalEngine
      */
     bool usesHeterogeneousWaves() const;
 
-  private:
     /**
-     * parallelFor with exception containment: a throwing item (e.g. a
-     * plan-compile validation panic) is captured and rethrown on the
-     * calling thread after the batch joins, instead of escaping a
-     * pool worker and terminating the process. First exception wins;
-     * remaining items still run (their results are discarded by the
-     * rethrow).
+     * parallelFor on the engine's pool with exception containment: a
+     * throwing item (e.g. a plan-compile validation panic) is
+     * captured and rethrown on the calling thread after the batch
+     * joins, instead of escaping a pool worker and terminating the
+     * process. First exception wins; remaining items still run (their
+     * results are discarded by the rethrow). core::System also runs
+     * breeding and speciation through it, so their time counts as
+     * pool work in workerBusyNs().
      */
     void runParallel(std::size_t count,
                      const std::function<void(std::size_t item,
                                               int worker)> &body);
+
+  private:
 
     /**
      * The episode loop: compile every genome's plan, then run the

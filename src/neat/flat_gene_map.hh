@@ -192,10 +192,19 @@ class FlatGeneMap
     }
 
     // --- insertion -------------------------------------------------------
-    /** Insert (key, gene) keeping sort order; no-op if key exists. */
+    /**
+     * Insert (key, gene) keeping sort order; no-op if key exists. A
+     * key past the current last one appends without a search
+     * (crossover and genome construction insert in key order).
+     */
     std::pair<iterator, bool>
     emplace(const Key &key, Gene gene)
     {
+        if (keys_.empty() || keys_.back() < key) {
+            keys_.push_back(key);
+            values_.push_back(std::move(gene));
+            return {iterator{this, keys_.size() - 1}, true};
+        }
         const std::size_t i = lowerBound(key);
         if (i < keys_.size() && keys_[i] == key)
             return {iterator{this, i}, false};

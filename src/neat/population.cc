@@ -244,7 +244,7 @@ Population::stepBatch(const BatchFitnessFn &fitness)
     const auto s0 = Clock::now();
     {
         obs::Span span("speciate", "phase", generation_);
-        speciesSet_.speciate(population_, generation_);
+        speciesSet_.speciate(population_, generation_, executor_);
     }
     dcheckSpeciesPartition(speciesSet_, population_);
     lastPhases_.speciateSeconds = seconds_since(s0);

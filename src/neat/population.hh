@@ -191,6 +191,13 @@ class Population
         trimTraces();
     }
 
+    /**
+     * Install the executor that breeding and speciation fan out
+     * through (see neat/executor.hh). Unset, both run as plain loops
+     * on the calling thread; results are bit-identical either way.
+     */
+    void setExecutor(Executor exec) { executor_ = std::move(exec); }
+
     XorWow &rng() { return rng_; }
     const XorWow &rng() const { return rng_; }
     const Reproduction &reproduction() const { return reproduction_; }
@@ -229,6 +236,7 @@ class Population
     Reproduction reproduction_;
     SpeciesSet speciesSet_;
     XorWow rng_;
+    Executor executor_;
 
     std::map<int, Genome> population_;
     int generation_ = 0;

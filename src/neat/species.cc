@@ -42,15 +42,44 @@ DistanceCache::distance(const Genome &a, const Genome &b)
 }
 
 void
-SpeciesSet::speciate(const std::map<int, Genome> &population, int generation)
+DistanceCache::prefill(const std::vector<const Genome *> &reps,
+                       const std::vector<const Genome *> &genomes,
+                       const Executor &exec)
+{
+    const size_t cols = genomes.size();
+    std::vector<double> d(reps.size() * cols);
+    forEachIndex(exec, d.size(), [&](size_t i) {
+        d[i] = reps[i / cols]->distance(*genomes[i % cols], cfg_);
+    });
+    for (size_t i = 0; i < d.size(); ++i) {
+        const int a = reps[i / cols]->key();
+        const int b = genomes[i % cols]->key();
+        cache_.emplace(std::pair{std::min(a, b), std::max(a, b)}, d[i]);
+    }
+    misses_ += d.size();
+}
+
+void
+SpeciesSet::speciate(const std::map<int, Genome> &population, int generation,
+                     const Executor &exec)
 {
     GENESYS_ASSERT(!population.empty(), "cannot speciate empty population");
 
     DistanceCache distances(cfg_);
 
     std::set<int> unspeciated;
-    for (const auto &[gk, g] : population)
+    std::vector<const Genome *> all;
+    all.reserve(population.size());
+    for (const auto &[gk, g] : population) {
         unspeciated.insert(gk);
+        all.push_back(&g);
+    }
+    // Every distance step 1 can ask for: each previous representative
+    // against every genome.
+    std::vector<const Genome *> reps;
+    for (const auto &[sk, sp] : species_)
+        reps.push_back(&sp.representative);
+    distances.prefill(reps, all, exec);
 
     std::map<int, int> newRepresentatives; // species -> genome key
     std::map<int, std::vector<int>> newMembers;
@@ -77,7 +106,18 @@ SpeciesSet::speciate(const std::map<int, Genome> &population, int generation)
     }
 
     // Step 2: assign every remaining genome to the nearest compatible
-    // species, or spawn a new species around it.
+    // species, or spawn a new species around it. Distances to the
+    // step-1 representatives are computed up front; those to species
+    // spawned below are computed as they arise.
+    reps.clear();
+    for (const auto &[sk, repKey] : newRepresentatives)
+        reps.push_back(&population.at(repKey));
+    std::vector<const Genome *> rest;
+    rest.reserve(unspeciated.size());
+    for (int gk : unspeciated)
+        rest.push_back(&population.at(gk));
+    distances.prefill(reps, rest, exec);
+
     while (!unspeciated.empty()) {
         const int gk = *unspeciated.begin();
         unspeciated.erase(unspeciated.begin());

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "neat/executor.hh"
 #include "neat/genome.hh"
 
 namespace genesys::neat
@@ -47,6 +48,17 @@ class DistanceCache
 
     double distance(const Genome &a, const Genome &b);
 
+    /**
+     * Memoize distance(*reps[r], *genomes[g]) for every (r, g) pair,
+     * computed on `exec`. Genome::distance is pure and bitwise
+     * symmetric, so a prefilled pass returns exactly the values the
+     * serial lookups would have computed. Each computed pair counts
+     * as a miss.
+     */
+    void prefill(const std::vector<const Genome *> &reps,
+                 const std::vector<const Genome *> &genomes,
+                 const Executor &exec);
+
     size_t hits() const { return hits_; }
     size_t misses() const { return misses_; }
 
@@ -68,8 +80,15 @@ class SpeciesSet
   public:
     explicit SpeciesSet(const NeatConfig &cfg) : cfg_(cfg) {}
 
-    /** Partition `population` into species for `generation`. */
-    void speciate(const std::map<int, Genome> &population, int generation);
+    /**
+     * Partition `population` into species for `generation`. The
+     * distances to the previous and to the carried-over
+     * representatives are computed up front on `exec`; the
+     * assignment itself stays serial, so the partition does not
+     * depend on the executor.
+     */
+    void speciate(const std::map<int, Genome> &population, int generation,
+                  const Executor &exec = {});
 
     const std::map<int, Species> &species() const { return species_; }
     std::map<int, Species> &mutableSpecies() { return species_; }
