@@ -296,6 +296,21 @@ class FlatGeneMap
      */
     std::span<Gene> mutableValues() { return {values_}; }
 
+    /**
+     * Replace every key k (and the key embedded in its gene) with
+     * f(k). `f` must be strictly increasing over the stored keys, so
+     * the arrays stay sorted without a re-sort.
+     */
+    template <typename F>
+    void
+    remapKeys(F f)
+    {
+        for (std::size_t i = 0; i < keys_.size(); ++i) {
+            keys_[i] = f(keys_[i]);
+            values_[i].key = keys_[i];
+        }
+    }
+
     const Key &keyAt(std::size_t i) const { return keys_[i]; }
     const Gene &valueAt(std::size_t i) const { return values_[i]; }
     Gene &mutableValueAt(std::size_t i) { return values_[i]; }

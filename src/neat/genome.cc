@@ -4,6 +4,7 @@
 #include <limits>
 #include <set>
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace genesys::neat
@@ -108,6 +109,18 @@ Genome::crossover(int child_key, const Genome &parent1,
                   const Genome &parent2, XorWow &rng, MutationCounts *counts)
 {
     Genome child(child_key);
+    crossoverInto(child, parent1, parent2, rng, counts);
+    return child;
+}
+
+void
+Genome::crossoverInto(Genome &child, const Genome &parent1,
+                      const Genome &parent2, XorWow &rng,
+                      MutationCounts *counts)
+{
+    GENESYS_ASSERT(child.nodes_.empty() && child.connections_.empty(),
+                   "crossover target genome " << child.key()
+                                              << " already has genes");
 
     // Merge-join over the sorted key arrays: parent1 drives (its key
     // order fixes the RNG stream, exactly as the old map iteration
@@ -154,7 +167,6 @@ Genome::crossover(int child_key, const Genome &parent1,
     }
     child.nodes_.dcheckInvariants("Genome::crossover nodes");
     child.connections_.dcheckInvariants("Genome::crossover connections");
-    return child;
 }
 
 MutationCounts
@@ -330,6 +342,51 @@ Genome::mutateDeleteConnection(XorWow &rng)
     connections_.eraseAt(static_cast<size_t>(rng.uniformInt(
         static_cast<uint32_t>(connections_.size()))));
     return 1;
+}
+
+int
+Genome::renumberNewNodes(int first_local, NodeIndexer &indexer)
+{
+    const auto &keys = nodes_.keys();
+    const auto first_new = static_cast<size_t>(
+        std::lower_bound(keys.begin(), keys.end(), first_local) -
+        keys.begin());
+    const int added = static_cast<int>(keys.size() - first_new);
+    if (added == 0)
+        return 0;
+    GENESYS_ASSERT(indexer.peek() >= first_local,
+                   "node indexer at " << indexer.peek()
+                                      << " is behind the local keys from "
+                                      << first_local);
+
+    // The surviving local keys, ascending; the i-th becomes the i-th
+    // key issued here.
+    const std::vector<int> local(keys.begin() +
+                                     static_cast<std::ptrdiff_t>(first_new),
+                                 keys.end());
+    const int first_final = indexer.peek();
+    for (int i = 0; i < added; ++i)
+        indexer.next();
+    const auto renumber = [&](int k) {
+        if (k < first_local)
+            return k;
+        return first_final +
+               static_cast<int>(std::lower_bound(local.begin(), local.end(),
+                                                 k) -
+                                local.begin());
+    };
+    nodes_.remapKeys(renumber);
+    connections_.remapKeys([&](const ConnKey &ck) {
+        return ConnKey{renumber(ck.first), renumber(ck.second)};
+    });
+    GENESYS_DCHECK(nodes_.keyAt(first_new) == first_final &&
+                       nodes_.keys().back() == first_final + added - 1,
+                   "renumbered node keys of genome "
+                       << key_ << " are not contiguous from "
+                       << first_final);
+    nodes_.dcheckInvariants("Genome::renumberNewNodes nodes");
+    connections_.dcheckInvariants("Genome::renumberNewNodes connections");
+    return added;
 }
 
 double

@@ -151,6 +151,16 @@ class Genome
                             const Genome &parent2, XorWow &rng,
                             MutationCounts *counts = nullptr);
 
+    /**
+     * crossover() into a caller-constructed child with no genes yet,
+     * which keeps whatever capacity the caller reserved in its gene
+     * arrays (reproduction reserves on the thread that will own the
+     * genome, then breeds on a worker).
+     */
+    static void crossoverInto(Genome &child, const Genome &parent1,
+                              const Genome &parent2, XorWow &rng,
+                              MutationCounts *counts = nullptr);
+
     // --- mutation -----------------------------------------------------------
     /**
      * Apply the configured structural and attribute mutations in
@@ -183,6 +193,16 @@ class Genome
 
     /** Delete a random connection gene. Returns 1 if one was removed. */
     long mutateDeleteConnection(XorWow &rng);
+
+    /**
+     * Renumber the nodes this genome drew from a child-local indexer
+     * (every node key >= `first_local`) to fresh keys from `indexer`,
+     * in ascending order, rewriting the connections that touch them.
+     * All other keys are below `first_local` and the fresh keys are
+     * at least `first_local`, so the order of every key array is
+     * unchanged. Returns the number of keys issued.
+     */
+    int renumberNewNodes(int first_local, NodeIndexer &indexer);
 
     // --- compatibility ---------------------------------------------------------
     /**

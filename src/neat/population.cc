@@ -225,7 +225,7 @@ Population::stepBatch(const BatchFitnessFn &fitness)
         obs::Span span("reproduce", "phase", generation_);
         auto next = reproduction_.reproduce(speciesSet_, population_,
                                             generation_, rng_,
-                                            trace_out);
+                                            trace_out, executor_);
         if (next.empty()) {
             if (!cfg_.resetOnExtinction)
                 fatal("complete extinction in generation " +

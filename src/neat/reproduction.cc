@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace genesys::neat
@@ -104,7 +105,8 @@ Reproduction::computeSpawn(const std::vector<double> &adjusted_fitness,
 std::map<int, Genome>
 Reproduction::reproduce(SpeciesSet &species,
                         const std::map<int, Genome> &population,
-                        int generation, XorWow &rng, EvolutionTrace &trace)
+                        int generation, XorWow &rng, EvolutionTrace &trace,
+                        const Executor &exec)
 {
     trace.generation = generation;
     trace.children.clear();
@@ -183,6 +185,16 @@ Reproduction::reproduce(SpeciesSet &species,
     shave_down_to(cfg_.elitism); // spare elites while possible
     shave_down_to(0);            // cut elites only if they alone overflow
 
+    // Phase 1, plan (serial, on the population stream): elites, parent
+    // picks and child keys for the whole generation, in species order.
+    // Each bred child gets a placeholder record in trace.children.
+    struct Planned
+    {
+        const Genome *parent1;
+        const Genome *parent2;
+        size_t record;
+    };
+    std::vector<Planned> planned;
     for (size_t si = 0; si < remaining.size(); ++si) {
         const Species &sp = species.species().at(remaining[si]);
         int spawn = spawns[si];
@@ -250,27 +262,61 @@ Reproduction::reproduce(SpeciesSet &species,
                 population.at(p1_key).fitness()) {
                 std::swap(p1_key, p2_key);
             }
-            const Genome &p1 = population.at(p1_key);
-            const Genome &p2 = population.at(p2_key);
 
-            const int child_key = nextGenomeKey_++;
             ChildRecord rec;
-            rec.childKey = child_key;
+            rec.childKey = nextGenomeKey_++;
             rec.parent1Key = p1_key;
             rec.parent2Key = p2_key;
-            rec.parent1Genes = p1.numGenes();
-            rec.parent2Genes = p2.numGenes();
-            rec.alignedStreamLen = alignedStreamLength(p1, p2);
-
-            Genome child =
-                Genome::crossover(child_key, p1, p2, rng, &rec.ops);
-            rec.ops += child.mutate(cfg_, nodeIndexer_, rng);
-
-            rec.childNodeGenes = child.numNodeGenes();
-            rec.childConnGenes = child.numConnectionGenes();
+            planned.push_back({&population.at(p1_key),
+                               &population.at(p2_key),
+                               trace.children.size()});
             trace.children.push_back(rec);
-            new_population.emplace(child_key, std::move(child));
         }
+    }
+
+    // Phase 2, breed (parallel): child j draws only from its own
+    // stream, deriveSeed(breedSeed, j), and numbers the nodes it adds
+    // from a child-local indexer, so it is a pure function of its
+    // parents, the seed and j — whichever worker builds it. Gene
+    // arrays are reserved here, on the thread that keeps the
+    // genomes, with room for one structural mutation of each kind.
+    const uint64_t breed_seed = rng.next64();
+    const int first_local_node = nodeIndexer_.peek();
+    std::vector<Genome> children;
+    children.reserve(planned.size());
+    for (const Planned &p : planned) {
+        Genome &child = children.emplace_back(
+            trace.children[p.record].childKey);
+        child.mutableNodes().reserve(p.parent1->numNodeGenes() + 1);
+        child.mutableConnections().reserve(
+            p.parent1->numConnectionGenes() + 3);
+    }
+    forEachIndex(exec, planned.size(), [&](size_t j) {
+        const Planned &p = planned[j];
+        ChildRecord &rec = trace.children[p.record];
+        Genome &child = children[j];
+        XorWow child_rng(deriveSeed(breed_seed, j));
+        NodeIndexer local_nodes(first_local_node);
+
+        rec.parent1Genes = p.parent1->numGenes();
+        rec.parent2Genes = p.parent2->numGenes();
+        rec.alignedStreamLen = alignedStreamLength(*p.parent1, *p.parent2);
+        Genome::crossoverInto(child, *p.parent1, *p.parent2, child_rng,
+                              &rec.ops);
+        rec.ops += child.mutate(cfg_, local_nodes, child_rng);
+        rec.childNodeGenes = child.numNodeGenes();
+        rec.childConnGenes = child.numConnectionGenes();
+    });
+
+    // Phase 3, commit (serial, in child order): the nodes each child
+    // added get their final keys from the shared indexer, so issued
+    // keys stay contiguous across the generation.
+    for (Genome &child : children) {
+        child.renumberNewNodes(first_local_node, nodeIndexer_);
+        if (checksEnabled())
+            child.validate(cfg_);
+        const int key = child.key();
+        new_population.emplace(key, std::move(child));
     }
     GENESYS_ASSERT(new_population.size() <=
                        static_cast<size_t>(cfg_.populationSize),

@@ -35,10 +35,17 @@ class Reproduction
      * stagnant species from `species` as a side effect. Returns the
      * new population (empty on complete extinction) and fills
      * `trace` with the reproduction record.
+     *
+     * Selection, elites and child keys are drawn serially from `rng`,
+     * followed by one breed seed. Each child is then crossed over and
+     * mutated on `exec` from its own stream, derived from (breed
+     * seed, child index), so the result is bit-identical for every
+     * executor and thread count.
      */
     std::map<int, Genome>
     reproduce(SpeciesSet &species, const std::map<int, Genome> &population,
-              int generation, XorWow &rng, EvolutionTrace &trace);
+              int generation, XorWow &rng, EvolutionTrace &trace,
+              const Executor &exec = {});
 
     /**
      * Spawn-count apportioning (neat-python compute_spawn): smooth

@@ -312,98 +312,101 @@ expectGoldenResumed(const std::string &envName, bool feed_forward,
 
 TEST(GoldenDigestTest, CartPoleFeedForward)
 {
-    expectGolden("CartPole_v0", true, 0xa4dd2bf2e33d8903ull);
+    expectGolden("CartPole_v0", true, 0x91ab83f9a21094c8ull);
 }
 
 TEST(GoldenDigestTest, CartPoleRecurrent)
 {
-    expectGolden("CartPole_v0", false, 0xf4652fd5a13a0e77ull);
+    expectGolden("CartPole_v0", false, 0x13c74606f16213fbull);
 }
 
 TEST(GoldenDigestTest, AtariRamFeedForward)
 {
-    expectGolden("AirRaid-ram-v0", true, 0x04275853e587422aull);
+    expectGolden("AirRaid-ram-v0", true, 0x0c2b83e79f4d6cd4ull);
 }
 
 TEST(GoldenDigestTest, AtariRamRecurrent)
 {
-    expectGolden("AirRaid-ram-v0", false, 0x43e86f2c5070f181ull);
+    expectGolden("AirRaid-ram-v0", false, 0x8cd2f0b7e7b2976aull);
 }
 
 TEST(GoldenDigestTest, ResumedCartPoleFeedForward)
 {
-    expectGoldenResumed("CartPole_v0", true, 2, 0xa4dd2bf2e33d8903ull);
+    expectGoldenResumed("CartPole_v0", true, 2, 0x91ab83f9a21094c8ull);
 }
 
 TEST(GoldenDigestTest, ResumedCartPoleRecurrent)
 {
-    expectGoldenResumed("CartPole_v0", false, 2, 0xf4652fd5a13a0e77ull);
+    expectGoldenResumed("CartPole_v0", false, 2, 0x13c74606f16213fbull);
 }
 
 TEST(GoldenDigestTest, ResumedAtariRamFeedForward)
 {
     expectGoldenResumed("AirRaid-ram-v0", true, 3,
-                        0x04275853e587422aull);
+                        0x0c2b83e79f4d6cd4ull);
 }
 
 TEST(GoldenDigestTest, ResumedAtariRamRecurrent)
 {
     expectGoldenResumed("AirRaid-ram-v0", false, 3,
-                        0x43e86f2c5070f181ull);
+                        0x8cd2f0b7e7b2976aull);
 }
 
 // --- HwFaithful tier -------------------------------------------------
 // The same configurations lowered through the Q6.10 quantized tier.
-// Different constants by design (the tiers are numerically distinct);
-// the identity statements are the same: bit-identical at 1 vs 8
+// The tiers are numerically distinct, so the constants differ in
+// general. CartPole's coincide with the reference ones: its three
+// generations (solved on the third) score every episode to the same
+// length under both tiers, so no digested field tells them apart.
+// The identity statements are the same: bit-identical at 1 vs 8
 // threads, across episode-loop chunkings, and across a
 // checkpoint/resume boundary (which also exercises the snapshot's
 // recorded-tier provenance field on the happy path).
 
 TEST(GoldenDigestTest, HwCartPoleFeedForward)
 {
-    expectGolden("CartPole_v0", true, 0x6ea0b26adbe4d5ccull,
+    expectGolden("CartPole_v0", true, 0x91ab83f9a21094c8ull,
                  nn::NumericsTier::HwFaithful);
 }
 
 TEST(GoldenDigestTest, HwCartPoleRecurrent)
 {
-    expectGolden("CartPole_v0", false, 0x67a36c8719ceec4dull,
+    expectGolden("CartPole_v0", false, 0x13c74606f16213fbull,
                  nn::NumericsTier::HwFaithful);
 }
 
 TEST(GoldenDigestTest, HwAtariRamFeedForward)
 {
-    expectGolden("AirRaid-ram-v0", true, 0xdb908a1c665f3ccbull,
+    expectGolden("AirRaid-ram-v0", true, 0x6f0429717d4d0369ull,
                  nn::NumericsTier::HwFaithful);
 }
 
 TEST(GoldenDigestTest, HwAtariRamRecurrent)
 {
-    expectGolden("AirRaid-ram-v0", false, 0x197a2a52e20c5f9dull,
+    expectGolden("AirRaid-ram-v0", false, 0x4809cadcf81e17abull,
                  nn::NumericsTier::HwFaithful);
 }
 
 TEST(GoldenDigestTest, ResumedHwCartPoleFeedForward)
 {
-    expectGoldenResumed("CartPole_v0", true, 2, 0x6ea0b26adbe4d5ccull,
+    expectGoldenResumed("CartPole_v0", true, 2, 0x91ab83f9a21094c8ull,
                         nn::NumericsTier::HwFaithful);
 }
 
 TEST(GoldenDigestTest, ResumedHwCartPoleRecurrent)
 {
-    expectGoldenResumed("CartPole_v0", false, 2, 0x67a36c8719ceec4dull,
+    expectGoldenResumed("CartPole_v0", false, 2, 0x13c74606f16213fbull,
                         nn::NumericsTier::HwFaithful);
 }
 
 TEST(GoldenDigestTest, ResumedHwAtariRamFeedForward)
 {
-    expectGoldenResumed("AirRaid-ram-v0", true, 3, 0xdb908a1c665f3ccbull,
+    expectGoldenResumed("AirRaid-ram-v0", true, 3, 0x6f0429717d4d0369ull,
                         nn::NumericsTier::HwFaithful);
 }
 
 TEST(GoldenDigestTest, ResumedHwAtariRamRecurrent)
 {
-    expectGoldenResumed("AirRaid-ram-v0", false, 3, 0x197a2a52e20c5f9dull,
+    expectGoldenResumed("AirRaid-ram-v0", false, 3, 0x4809cadcf81e17abull,
                         nn::NumericsTier::HwFaithful);
 }

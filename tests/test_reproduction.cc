@@ -1,11 +1,17 @@
 /**
  * @file
  * Tests for reproduction: spawn apportioning, elitism, survival
- * threshold, trace recording and extinction handling.
+ * threshold, trace recording, extinction handling, and breeding that
+ * is bit-identical on every executor.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "exec/thread_pool.hh"
+#include "neat/population.hh"
 #include "neat/reproduction.hh"
 
 using namespace genesys;
@@ -231,4 +237,220 @@ TEST(Reproduction, ExtinctionReturnsEmpty)
         set.speciate(pop, gen + 1);
     }
     EXPECT_TRUE(extinct);
+}
+
+namespace
+{
+
+/** Structure-heavy config: every child adds a node and a connection. */
+NeatConfig
+forcedStructureConfig(bool feed_forward)
+{
+    NeatConfig cfg;
+    cfg.numInputs = 3;
+    cfg.numOutputs = 2;
+    cfg.populationSize = 40;
+    cfg.feedForward = feed_forward;
+    cfg.nodeAddProb = 1.0;
+    cfg.connAddProb = 1.0;
+    // Deletions may remove a node the same child just added, so the
+    // renumbering also sees gaps among the child-local keys.
+    cfg.nodeDeleteProb = 0.3;
+    cfg.connDeleteProb = 0.2;
+    cfg.fitnessThreshold = 1e18; // never solve
+    return cfg;
+}
+
+/** Cheap deterministic fitness from the genome's own genes. */
+double
+structuralFitness(const Genome &g)
+{
+    double f = 0.01 * static_cast<double>(g.numGenes());
+    for (const ConnectionGene &cg : g.connections().values()) {
+        if (cg.enabled)
+            f += cg.weight;
+    }
+    return f;
+}
+
+uint64_t
+bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+void
+expectSameGenome(const Genome &a, const Genome &b)
+{
+    ASSERT_EQ(a.key(), b.key());
+    ASSERT_EQ(a.nodes().keys(), b.nodes().keys()) << "genome " << a.key();
+    ASSERT_EQ(a.connections().keys(), b.connections().keys())
+        << "genome " << a.key();
+    for (size_t i = 0; i < a.numNodeGenes(); ++i) {
+        const NodeGene &x = a.nodes().valueAt(i);
+        const NodeGene &y = b.nodes().valueAt(i);
+        EXPECT_EQ(x.key, y.key);
+        EXPECT_EQ(bits(x.bias), bits(y.bias));
+        EXPECT_EQ(bits(x.response), bits(y.response));
+        EXPECT_EQ(x.activation, y.activation);
+        EXPECT_EQ(x.aggregation, y.aggregation);
+    }
+    for (size_t i = 0; i < a.numConnectionGenes(); ++i) {
+        const ConnectionGene &x = a.connections().valueAt(i);
+        const ConnectionGene &y = b.connections().valueAt(i);
+        EXPECT_EQ(x.key, y.key);
+        EXPECT_EQ(bits(x.weight), bits(y.weight));
+        EXPECT_EQ(x.enabled, y.enabled);
+    }
+    EXPECT_EQ(a.nodeDeletions(), b.nodeDeletions());
+    ASSERT_EQ(a.hasFitness(), b.hasFitness());
+    if (a.hasFitness())
+        EXPECT_EQ(bits(a.fitness()), bits(b.fitness()));
+}
+
+void
+expectSameCounts(const MutationCounts &a, const MutationCounts &b)
+{
+    EXPECT_EQ(a.crossoverOps, b.crossoverOps);
+    EXPECT_EQ(a.cloneOps, b.cloneOps);
+    EXPECT_EQ(a.perturbOps, b.perturbOps);
+    EXPECT_EQ(a.addOps, b.addOps);
+    EXPECT_EQ(a.deleteOps, b.deleteOps);
+}
+
+void
+expectSameTrace(const EvolutionTrace &a, const EvolutionTrace &b)
+{
+    EXPECT_EQ(a.generation, b.generation);
+    ASSERT_EQ(a.children.size(), b.children.size());
+    for (size_t i = 0; i < a.children.size(); ++i) {
+        const ChildRecord &x = a.children[i];
+        const ChildRecord &y = b.children[i];
+        EXPECT_EQ(x.childKey, y.childKey);
+        EXPECT_EQ(x.parent1Key, y.parent1Key);
+        EXPECT_EQ(x.parent2Key, y.parent2Key);
+        EXPECT_EQ(x.isElite, y.isElite);
+        expectSameCounts(x.ops, y.ops);
+        EXPECT_EQ(x.parent1Genes, y.parent1Genes);
+        EXPECT_EQ(x.parent2Genes, y.parent2Genes);
+        EXPECT_EQ(x.alignedStreamLen, y.alignedStreamLen);
+        EXPECT_EQ(x.childNodeGenes, y.childNodeGenes);
+        EXPECT_EQ(x.childConnGenes, y.childConnGenes);
+    }
+}
+
+void
+expectSameStats(const GenerationStats &a, const GenerationStats &b)
+{
+    EXPECT_EQ(a.generation, b.generation);
+    EXPECT_EQ(bits(a.bestFitness), bits(b.bestFitness));
+    EXPECT_EQ(bits(a.meanFitness), bits(b.meanFitness));
+    EXPECT_EQ(a.bestGenomeKey, b.bestGenomeKey);
+    EXPECT_EQ(a.totalGenes, b.totalGenes);
+    EXPECT_EQ(a.memoryBytes, b.memoryBytes);
+    EXPECT_EQ(a.evolutionOps, b.evolutionOps);
+    expectSameCounts(a.opBreakdown, b.opBreakdown);
+    EXPECT_EQ(a.maxParentReuse, b.maxParentReuse);
+    EXPECT_EQ(a.numSpecies, b.numSpecies);
+}
+
+/** Everything an 8-generation run leaves behind, for comparison. */
+struct BreedRun
+{
+    std::vector<std::map<int, Genome>> generations;
+    std::vector<EvolutionTrace> traces;
+    std::vector<GenerationStats> history;
+    int nextNodeKey = 0;
+};
+
+/**
+ * Evolve 8 generations with `exec` (empty = plain loop), checking
+ * after every breeding step that each bred child is valid and that
+ * the node keys the generation issued are contiguous in child order.
+ */
+BreedRun
+breed(const NeatConfig &cfg, const Executor &exec)
+{
+    Population pop(cfg, 20261016);
+    pop.setExecutor(exec);
+    BreedRun run;
+    const auto fitness = [](const std::vector<GenomeHandle> &batch) {
+        std::vector<double> fits;
+        for (const GenomeHandle &h : batch)
+            fits.push_back(structuralFitness(*h.genome));
+        return fits;
+    };
+    for (int gen = 0; gen < 8; ++gen) {
+        const int first_node = pop.reproduction().nodeIndexer().peek();
+        EXPECT_FALSE(pop.stepBatch(fitness));
+        run.generations.push_back(pop.genomes());
+
+        int expected = first_node;
+        for (const ChildRecord &rec : pop.traces().back().children) {
+            const Genome &child = pop.genomes().at(rec.childKey);
+            child.validate(cfg);
+            if (rec.isElite)
+                continue;
+            for (int nk : child.nodes().keys()) {
+                if (nk >= first_node)
+                    EXPECT_EQ(nk, expected++) << "child " << rec.childKey;
+            }
+        }
+        EXPECT_EQ(expected, pop.reproduction().nodeIndexer().peek())
+            << "generation " << gen << " issued node keys it never used";
+        EXPECT_GT(expected, first_node)
+            << "forced node additions issued no keys";
+    }
+    run.traces = pop.traces();
+    run.history = pop.history();
+    run.nextNodeKey = pop.reproduction().nodeIndexer().peek();
+    return run;
+}
+
+void
+expectSameRun(const BreedRun &a, const BreedRun &b)
+{
+    ASSERT_EQ(a.generations.size(), b.generations.size());
+    for (size_t g = 0; g < a.generations.size(); ++g) {
+        ASSERT_EQ(a.generations[g].size(), b.generations[g].size());
+        auto it = b.generations[g].begin();
+        for (const auto &[gk, genome] : a.generations[g])
+            expectSameGenome(genome, (it++)->second);
+    }
+    ASSERT_EQ(a.traces.size(), b.traces.size());
+    for (size_t i = 0; i < a.traces.size(); ++i)
+        expectSameTrace(a.traces[i], b.traces[i]);
+    ASSERT_EQ(a.history.size(), b.history.size());
+    for (size_t i = 0; i < a.history.size(); ++i)
+        expectSameStats(a.history[i], b.history[i]);
+    EXPECT_EQ(a.nextNodeKey, b.nextNodeKey);
+}
+
+void
+expectExecutorIndependent(bool feed_forward)
+{
+    const NeatConfig cfg = forcedStructureConfig(feed_forward);
+    const BreedRun serial = breed(cfg, {});
+    for (int threads : {1, 2, 4, 8}) {
+        SCOPED_TRACE(::testing::Message() << threads << " workers");
+        exec::ThreadPool pool(threads);
+        const Executor on_pool =
+            [&pool](size_t count, const std::function<void(size_t)> &body) {
+                pool.parallelFor(count,
+                                 [&body](size_t i, int) { body(i); });
+            };
+        expectSameRun(serial, breed(cfg, on_pool));
+    }
+}
+
+} // namespace
+
+TEST(ParallelBreeding, FeedForwardIsExecutorIndependent)
+{
+    expectExecutorIndependent(true);
+}
+
+TEST(ParallelBreeding, RecurrentIsExecutorIndependent)
+{
+    expectExecutorIndependent(false);
 }
