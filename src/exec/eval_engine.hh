@@ -257,7 +257,6 @@ class EvalEngine
                                               int worker)> &body);
 
   private:
-
     /**
      * The episode loop: compile every genome's plan, then run the
      * batch's episodes through env::evaluateWave in per-worker chunks.

@@ -82,9 +82,9 @@ class SpeciesSet
 
     /**
      * Partition `population` into species for `generation`. The
-     * distances to the previous and to the carried-over
-     * representatives are computed up front on `exec`; the
-     * assignment itself stays serial, so the partition does not
+     * distances to the previous representatives, and then to the
+     * representatives step 1 picks, are computed up front on `exec`;
+     * the assignment itself stays serial, so the partition does not
      * depend on the executor.
      */
     void speciate(const std::map<int, Genome> &population, int generation,

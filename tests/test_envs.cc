@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "env/acrobot.hh"
 #include "env/atari_ram.hh"
@@ -245,6 +246,28 @@ TEST_P(EnvContract, ObservationsFiniteAndSized)
         EXPECT_GT(t.steps, 0);
         EXPECT_TRUE(std::isfinite(t.fitness));
     }
+}
+
+TEST_P(EnvContract, StepAfterDoneFailsLoudly)
+{
+    // Every environment's step limit ends the episode, so running to
+    // maxSteps() always reaches `done`. Stepping past it — or before
+    // the first reset — is a caller bug and must throw, not return a
+    // stale observation.
+    auto env = makeEnvironment(GetParam());
+    const std::vector<double> outputs(
+        static_cast<size_t>(env->recommendedOutputs()), 0.5);
+    const Action action = decodeAction(env->actionSpace(), outputs);
+    EXPECT_THROW(env->step(action), std::logic_error) << "before reset";
+
+    const Trajectory t =
+        runContractEpisode(*env, 3, 30, env->maxSteps());
+    ASSERT_TRUE(t.done);
+    EXPECT_THROW(env->step(action), std::logic_error) << "after done";
+    EXPECT_THROW(env->step(action), std::logic_error) << "still done";
+
+    env->reset(3);
+    EXPECT_NO_THROW(env->step(action)) << "reset starts a new episode";
 }
 
 INSTANTIATE_TEST_SUITE_P(TableI, EnvContract,

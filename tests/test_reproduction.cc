@@ -304,8 +304,9 @@ expectSameGenome(const Genome &a, const Genome &b)
     }
     EXPECT_EQ(a.nodeDeletions(), b.nodeDeletions());
     ASSERT_EQ(a.hasFitness(), b.hasFitness());
-    if (a.hasFitness())
+    if (a.hasFitness()) {
         EXPECT_EQ(bits(a.fitness()), bits(b.fitness()));
+    }
 }
 
 void
@@ -392,8 +393,9 @@ breed(const NeatConfig &cfg, const Executor &exec)
             if (rec.isElite)
                 continue;
             for (int nk : child.nodes().keys()) {
-                if (nk >= first_node)
+                if (nk >= first_node) {
                     EXPECT_EQ(nk, expected++) << "child " << rec.childKey;
+                }
             }
         }
         EXPECT_EQ(expected, pop.reproduction().nodeIndexer().peek())
