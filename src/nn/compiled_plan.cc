@@ -98,6 +98,25 @@ indexOf(const CompileScratch &s, int num_inputs, int key)
     return static_cast<int32_t>(it - s.keys.begin());
 }
 
+/**
+ * Mark vertex `src` as a source of layer `layer`; true the first time
+ * the layer sees it. Counting these gives PackedLayer::vectorLen (the
+ * distinct sources feeding the layer) in O(edges) with no per-layer
+ * sort. The out-of-graph sentinel -1 has its own mark, so it counts
+ * as one more distinct source.
+ */
+bool
+firstSourceOfLayer(std::vector<int32_t> &stamp, int32_t &sentinelStamp,
+                   int32_t src, int32_t layer)
+{
+    int32_t &mark =
+        src >= 0 ? stamp[static_cast<size_t>(src)] : sentinelStamp;
+    if (mark == layer)
+        return false;
+    mark = layer;
+    return true;
+}
+
 } // namespace
 
 /*
@@ -269,16 +288,20 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
     plan.nodeSlot_.reserve(n_nodes);
     plan.edgeOffset_.reserve(n_nodes + 1);
     plan.edgeOffset_.push_back(0);
+    plan.edgeSrc_.reserve(num_edges);
+    plan.edgeWeight_.reserve(num_edges);
     plan.layerSpans_.reserve(num_waves);
     plan.schedule_.layers.reserve(num_waves);
+    s.sourceStamp.assign(static_cast<size_t>(num_vertices), -1);
+    int32_t sentinel_stamp = -1;
 
     int32_t span_begin = 0;
     for (size_t w = 0; w < num_waves; ++w) {
         const int32_t w0 = s.waveOffs[w];
         const int32_t w1 = s.waveOffs[w + 1];
+        const auto layer = static_cast<int32_t>(w);
         PackedLayer packed;
         packed.numNodes = static_cast<int>(w1 - w0);
-        s.layerSources.clear();
         for (int32_t wi = w0; wi < w1; ++wi) {
             const int32_t idx = s.waveNodes[static_cast<size_t>(wi)];
             const neat::NodeGene *ng = s.genes[static_cast<size_t>(idx)];
@@ -297,7 +320,9 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
                 const int32_t src = s.inSrc[static_cast<size_t>(e)];
                 ++plan.macs_;
                 ++packed.weights;
-                s.layerSources.push_back(src);
+                if (firstSourceOfLayer(s.sourceStamp, sentinel_stamp, src,
+                                       layer))
+                    ++packed.vectorLen;
                 const int32_t src_slot =
                     src >= 0 ? s.slotOf[static_cast<size_t>(src)] : -1;
                 if (src_slot < 0 &&
@@ -313,13 +338,6 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
         const auto span_end = span_begin + static_cast<int32_t>(w1 - w0);
         plan.layerSpans_.push_back({span_begin, span_end});
         span_begin = span_end;
-
-        // Packed input vector length: distinct sources feeding the
-        // layer (levelize's vectorLen).
-        std::sort(s.layerSources.begin(), s.layerSources.end());
-        packed.vectorLen = static_cast<int>(
-            std::unique(s.layerSources.begin(), s.layerSources.end()) -
-            s.layerSources.begin());
         plan.schedule_.layers.push_back(packed);
     }
 
@@ -416,7 +434,11 @@ CompiledPlan::compileRecurrent(const Genome &genome,
     plan.nodeSlot_.reserve(static_cast<size_t>(n_nodes));
     plan.edgeOffset_.reserve(static_cast<size_t>(n_nodes) + 1);
     plan.edgeOffset_.push_back(0);
-    s.layerSources.clear();
+    plan.edgeSrc_.reserve(kept_edges);
+    plan.edgeWeight_.reserve(kept_edges);
+    s.sourceStamp.assign(static_cast<size_t>(num_vertices), -1);
+    int32_t sentinel_stamp = -1;
+    int vector_len = 0; // distinct sources of the one packed layer
     for (int32_t idx = num_inputs; idx < num_vertices; ++idx) {
         const neat::NodeGene *ng = s.genes[static_cast<size_t>(idx)];
         plan.activation_.push_back(ng->activation);
@@ -429,7 +451,8 @@ CompiledPlan::compileRecurrent(const Genome &genome,
              e < s.inOff[static_cast<size_t>(idx) + 1]; ++e) {
             const int32_t src = s.inSrc[static_cast<size_t>(e)];
             ++plan.macs_;
-            s.layerSources.push_back(src);
+            if (firstSourceOfLayer(s.sourceStamp, sentinel_stamp, src, 0))
+                ++vector_len;
             const int32_t src_slot = src >= 0 ? slot_of_vertex(src) : -1;
             if (src_slot < 0 && ng->aggregation == neat::Aggregation::Sum)
                 continue; // see edgeSrc_ docs
@@ -452,10 +475,7 @@ CompiledPlan::compileRecurrent(const Genome &genome,
         PackedLayer packed;
         packed.numNodes = n_nodes;
         packed.weights = plan.macs_;
-        std::sort(s.layerSources.begin(), s.layerSources.end());
-        packed.vectorLen = static_cast<int>(
-            std::unique(s.layerSources.begin(), s.layerSources.end()) -
-            s.layerSources.begin());
+        packed.vectorLen = vector_len;
         plan.schedule_.layers.push_back(packed);
     }
 

@@ -137,7 +137,8 @@ struct CompileScratch
     /** Flattened waves: wave w spans waveNodes[waveOffs[w] .. waveOffs[w+1]). */
     std::vector<int32_t> waveNodes, waveOffs;
     std::vector<int32_t> slotOf, remaining;
-    std::vector<int32_t> layerSources;
+    /** Per-vertex mark of the last layer that counted it as a source. */
+    std::vector<int32_t> sourceStamp;
 };
 
 /** A genome lowered to flat arrays, executable without the genome. */

@@ -251,30 +251,66 @@ TEST(CompiledPlanFuzz, MatchesInterpreterBitForBit)
     }
 }
 
+/**
+ * Hostile variant of a fuzz genome for the schedule check: every
+ * other node switched to a non-Sum aggregation (their out-of-graph
+ * sources stay in the edge arrays as -1 sentinels), plus edges from
+ * source keys that name no gene — below the input range and above
+ * every node key — into the newest node and sometimes output 0.
+ */
+Genome
+withDanglingSources(Genome g, const NeatConfig &cfg, XorWow &rng)
+{
+    int n = 0;
+    for (auto &&[nk, ng] : g.mutableNodes()) {
+        if (n++ % 2 == 0)
+            ng.aggregation = rng.bernoulli(0.5) ? Aggregation::Median
+                                                : Aggregation::Max;
+    }
+    const int newest = g.nodes().keys().back();
+    const int above = newest + 1000;
+    auto link = [&](int s, int d) {
+        ConnectionGene c;
+        c.key = {s, d};
+        c.weight = rng.gaussian();
+        g.mutableConnections().emplace(c.key, c);
+    };
+    link(-cfg.numInputs - 3, newest);
+    link(above, newest);
+    if (rng.bernoulli(0.5))
+        link(above + 1, 0);
+    return g;
+}
+
 TEST(CompiledPlanFuzz, ScheduleAgreesWithLevelizer)
 {
     // The plan's embedded ADAM schedule and the standalone levelizer
     // must describe identical packed layers — the "cost model agrees
-    // with execution by construction" invariant.
+    // with execution by construction" invariant. Each genome is
+    // checked as grown and in its withDanglingSources() variant.
     constexpr int kGenomes = 250;
     for (int i = 0; i < kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase ^ 0xABCD, static_cast<uint64_t>(i)));
         const bool allow_cycles = i % 5 == 4;
         const NeatConfig cfg = fuzzConfig(rng, allow_cycles);
-        const Genome g = fuzzGenome(cfg, rng, allow_cycles);
-        SCOPED_TRACE("schedule genome " + std::to_string(i));
-
-        const auto plan = CompiledPlan::compile(g, cfg);
-        const auto ref = levelize(g, cfg);
-        const InferenceSchedule &sched = plan.schedule();
-        ASSERT_EQ(sched.layers.size(), ref.layers.size());
-        for (size_t l = 0; l < ref.layers.size(); ++l) {
-            EXPECT_EQ(sched.layers[l].numNodes, ref.layers[l].numNodes);
-            EXPECT_EQ(sched.layers[l].vectorLen,
-                      ref.layers[l].vectorLen);
-            EXPECT_EQ(sched.layers[l].weights, ref.layers[l].weights);
+        const Genome grown = fuzzGenome(cfg, rng, allow_cycles);
+        const Genome hostile = withDanglingSources(grown, cfg, rng);
+        for (const Genome *g : {&grown, &hostile}) {
+            SCOPED_TRACE("schedule genome " + std::to_string(i) +
+                         (g == &hostile ? " (dangling sources)" : ""));
+            const auto plan = CompiledPlan::compile(*g, cfg);
+            const auto ref = levelize(*g, cfg);
+            const InferenceSchedule &sched = plan.schedule();
+            ASSERT_EQ(sched.layers.size(), ref.layers.size());
+            for (size_t l = 0; l < ref.layers.size(); ++l) {
+                EXPECT_EQ(sched.layers[l].numNodes,
+                          ref.layers[l].numNodes);
+                EXPECT_EQ(sched.layers[l].vectorLen,
+                          ref.layers[l].vectorLen);
+                EXPECT_EQ(sched.layers[l].weights, ref.layers[l].weights);
+            }
+            EXPECT_EQ(sched.totalMacs(), plan.macsPerInference());
         }
-        EXPECT_EQ(sched.totalMacs(), plan.macsPerInference());
     }
 }
 

@@ -18,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/rng.hh"
@@ -228,6 +230,51 @@ TEST(RecurrentPlanFuzz, MacCountsAgreeAcrossAllPaths)
                       static_cast<int>(g.nodes().size()));
             EXPECT_EQ(plan.layerSpans().size(), 1u);
         }
+    }
+}
+
+TEST(RecurrentPlanFuzz, PackedLayerCountsDistinctSources)
+{
+    // The one packed layer's vectorLen is the number of distinct
+    // sources over every node's enabled in-edges, counted the way a
+    // sort + unique over the lowered source indices counts them:
+    // every source key that names no gene lowers to the same -1
+    // sentinel, so they count once between them.
+    constexpr int kGenomes = 300;
+    for (int i = 0; i < kGenomes; ++i) {
+        XorWow rng(deriveSeed(kFuzzBase ^ 0x5EC7, static_cast<uint64_t>(i)));
+        const NeatConfig cfg = fuzzConfig(rng);
+        Genome g = fuzzGenome(cfg, rng);
+        // Two more dangling source keys on some genomes, so several
+        // distinct keys share the sentinel.
+        if (i % 2 == 0) {
+            const int newest = g.nodes().keys().back();
+            for (int s : {-cfg.numInputs - 1, newest + 500}) {
+                ConnectionGene c;
+                c.key = {s, newest};
+                c.weight = rng.gaussian();
+                g.mutableConnections().emplace(c.key, c);
+            }
+        }
+        SCOPED_TRACE("vectorLen genome " + std::to_string(i));
+
+        constexpr int kSentinel = std::numeric_limits<int>::min();
+        std::vector<int> sources;
+        for (const auto &[ck, cg] : g.connections()) {
+            if (!cg.enabled || !g.nodes().contains(ck.second))
+                continue;
+            const bool resolvable =
+                (ck.first < 0 && ck.first >= -cfg.numInputs) ||
+                g.nodes().contains(ck.first);
+            sources.push_back(resolvable ? ck.first : kSentinel);
+        }
+        std::sort(sources.begin(), sources.end());
+        const auto distinct = static_cast<int>(
+            std::unique(sources.begin(), sources.end()) - sources.begin());
+
+        const auto plan = CompiledPlan::compileRecurrent(g, cfg);
+        ASSERT_EQ(plan.schedule().layers.size(), 1u);
+        EXPECT_EQ(plan.schedule().layers[0].vectorLen, distinct);
     }
 }
 
