@@ -18,13 +18,10 @@ const std::array<std::string,
         "sum", "product", "max", "min", "mean", "median", "maxabs",
 };
 
-} // namespace
-
+/** Every aggregation but Median: a pure read of `inputs`. */
 double
-aggregate(Aggregation a, const std::vector<double> &inputs)
+aggregateOrdered(Aggregation a, std::span<const double> inputs)
 {
-    if (inputs.empty())
-        return 0.0;
     switch (a) {
       case Aggregation::Sum: {
         double s = 0.0;
@@ -48,12 +45,6 @@ aggregate(Aggregation a, const std::vector<double> &inputs)
             s += x;
         return s / static_cast<double>(inputs.size());
       }
-      case Aggregation::Median: {
-        std::vector<double> v(inputs);
-        std::sort(v.begin(), v.end());
-        const size_t n = v.size();
-        return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-      }
       case Aggregation::MaxAbs: {
         double best = inputs.front();
         for (double x : inputs) {
@@ -65,6 +56,32 @@ aggregate(Aggregation a, const std::vector<double> &inputs)
       default:
         panic("unknown aggregation");
     }
+}
+
+} // namespace
+
+double
+aggregateInPlace(Aggregation a, std::span<double> inputs)
+{
+    if (inputs.empty())
+        return 0.0;
+    if (a != Aggregation::Median)
+        return aggregateOrdered(a, inputs);
+    std::sort(inputs.begin(), inputs.end());
+    const size_t n = inputs.size();
+    return n % 2 ? inputs[n / 2]
+                 : 0.5 * (inputs[n / 2 - 1] + inputs[n / 2]);
+}
+
+double
+aggregate(Aggregation a, const std::vector<double> &inputs)
+{
+    if (inputs.empty())
+        return 0.0;
+    if (a != Aggregation::Median)
+        return aggregateOrdered(a, inputs);
+    std::vector<double> sorted(inputs);
+    return aggregateInPlace(a, sorted);
 }
 
 const std::string &

@@ -8,6 +8,7 @@
 #define GENESYS_NEAT_AGGREGATIONS_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,13 @@ enum class Aggregation : uint8_t
 
 /** Apply an aggregation over weighted inputs; empty input yields 0. */
 double aggregate(Aggregation a, const std::vector<double> &inputs);
+
+/**
+ * As aggregate(), over a caller scratch buffer it may reorder: Median
+ * sorts `inputs` in place instead of a copy, so the compiled kernels
+ * aggregate without allocating. Same result bits as aggregate().
+ */
+double aggregateInPlace(Aggregation a, std::span<double> inputs);
 
 /** Human-readable name (e.g. "sum"). */
 const std::string &aggregationName(Aggregation a);

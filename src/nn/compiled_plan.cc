@@ -645,7 +645,7 @@ CompiledPlan::activateImpl(const std::vector<double> &inputs,
                 scratch.weighted.push_back(
                     (src[e] >= 0 ? values[src[e]] : 0.0) * w[e]);
             }
-            pre = neat::aggregate(agg[n], scratch.weighted);
+            pre = neat::aggregateInPlace(agg[n], scratch.weighted);
         }
         if constexpr (kTier == NumericsTier::HwFaithful)
             values[slot_of[n]] = hwact::activateQuantized(
@@ -725,7 +725,7 @@ CompiledPlan::activateRecurrentImpl(const std::vector<double> &inputs,
                 scratch.weighted.push_back(
                     (src[e] >= 0 ? prev[src[e]] : 0.0) * w[e]);
             }
-            pre = neat::aggregate(agg[n], scratch.weighted);
+            pre = neat::aggregateInPlace(agg[n], scratch.weighted);
         }
         if constexpr (kTier == NumericsTier::HwFaithful)
             curr[slot_of[n]] = hwact::activateQuantized(
@@ -969,7 +969,7 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
                              : 0.0) *
                         w[e]);
                 }
-                acc[l] = neat::aggregate(agg[n], scratch.weighted);
+                acc[l] = neat::aggregateInPlace(agg[n], scratch.weighted);
             }
         }
         const neat::Activation a = act[n];

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "common/rng.hh"
 #include "neat/activations.hh"
 #include "neat/aggregations.hh"
 
@@ -103,6 +106,27 @@ TEST(Aggregations, Median)
     EXPECT_DOUBLE_EQ(aggregate(Aggregation::Median, {3.0, 1.0, 2.0}), 2.0);
     EXPECT_DOUBLE_EQ(aggregate(Aggregation::Median, {4.0, 1.0, 2.0, 3.0}),
                      2.5);
+}
+
+TEST(Aggregations, InPlaceMatchesCopyingFormBitForBit)
+{
+    // aggregateInPlace may reorder its buffer (Median sorts it) but
+    // must return the same bits as the copying aggregate().
+    genesys::XorWow rng(17);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<double> v(static_cast<size_t>(trial % 9));
+        for (double &x : v)
+            x = trial % 4 == 0 ? static_cast<double>(rng.uniformInt(-2, 2))
+                               : rng.uniform(-3.0, 3.0);
+        for (int i = 0;
+             i < static_cast<int>(Aggregation::NumAggregations); ++i) {
+            const auto a = static_cast<Aggregation>(i);
+            std::vector<double> scratch = v;
+            EXPECT_EQ(std::bit_cast<uint64_t>(aggregateInPlace(a, scratch)),
+                      std::bit_cast<uint64_t>(aggregate(a, v)))
+                << aggregationName(a) << " trial " << trial;
+        }
+    }
 }
 
 TEST(Aggregations, MaxAbsKeepsSign)
