@@ -117,6 +117,41 @@ firstSourceOfLayer(std::vector<int32_t> &stamp, int32_t &sentinelStamp,
     return true;
 }
 
+/** Widest run of Sum nodes the serial kernels accumulate in lockstep. */
+constexpr int32_t kSumGroup = 4;
+
+/**
+ * Accumulate the Sum chains of the `G` consecutive nodes starting at
+ * `n` in lockstep: every node keeps its own accumulator and adds its
+ * own edges in CSR order, so each chain's additions happen in the
+ * same order as a one-node-at-a-time loop and the sums are
+ * bit-identical to it. Interleaving only hides the add latency of one
+ * chain behind the others. Stores the G sums in `pre`.
+ */
+template <int G>
+void
+sumChains(const double *rd, const int32_t *src, const double *w,
+          const int32_t *offs, int32_t n, double *pre)
+{
+    int32_t e0[G];
+    int32_t common = offs[n + 1] - offs[n];
+    for (int g = 0; g < G; ++g) {
+        e0[g] = offs[n + g];
+        common = std::min(common, offs[n + g + 1] - e0[g]);
+    }
+    double acc[G] = {};
+    for (int32_t i = 0; i < common; ++i) {
+        for (int g = 0; g < G; ++g)
+            acc[g] += rd[src[e0[g] + i]] * w[e0[g] + i];
+    }
+    // Each chain finishes its own tail past the shortest in-degree.
+    for (int g = 0; g < G; ++g) {
+        for (int32_t e = e0[g] + common; e < offs[n + g + 1]; ++e)
+            acc[g] += rd[src[e]] * w[e];
+        pre[g] = acc[g];
+    }
+}
+
 } // namespace
 
 /*
@@ -579,6 +614,60 @@ CompiledPlan::compileFor(const Genome &genome, const NeatConfig &cfg,
     return compileFor(genome, cfg, scratch, tier);
 }
 
+template <NumericsTier kTier>
+void
+CompiledPlan::activateSpan(LayerSpan span, const double *rd, double *wr,
+                           std::vector<double> &weighted) const
+{
+    // Raw pointers hoisted out of the loop: `weighted` escapes into
+    // neat::aggregateInPlace on the generic path, so indexing through
+    // the vectors would force the compiler to reload data pointers
+    // after every opaque call in the hot loop.
+    const double *const w = edgeWeight_.data();
+    const int32_t *const src = edgeSrc_.data();
+    const int32_t *const offs = edgeOffset_.data();
+    const int32_t *const slot_of = nodeSlot_.data();
+    const neat::Activation *const act = activation_.data();
+    const neat::Aggregation *const agg = aggregation_.data();
+    const double *const bias = bias_.data();
+    const double *const response = response_.data();
+
+    for (int32_t n = span.begin; n < span.end;) {
+        // A run of up to kSumGroup consecutive Sum nodes accumulates
+        // in lockstep; any other aggregation stages its weighted
+        // inputs and goes alone.
+        double pre[kSumGroup];
+        int32_t group = 0;
+        while (group < kSumGroup && n + group < span.end &&
+               agg[n + group] == neat::Aggregation::Sum)
+            ++group;
+        switch (group) {
+          case 4: sumChains<4>(rd, src, w, offs, n, pre); break;
+          case 3: sumChains<3>(rd, src, w, offs, n, pre); break;
+          case 2: sumChains<2>(rd, src, w, offs, n, pre); break;
+          case 1: sumChains<1>(rd, src, w, offs, n, pre); break;
+          default: {
+            weighted.clear();
+            for (int32_t e = offs[n]; e < offs[n + 1]; ++e)
+                weighted.push_back((src[e] >= 0 ? rd[src[e]] : 0.0) *
+                                   w[e]);
+            pre[0] = neat::aggregateInPlace(agg[n], weighted);
+            group = 1;
+          }
+        }
+        // Writes follow all of the group's reads, which is what lets
+        // a feed-forward span read and write one array.
+        for (int32_t g = 0; g < group; ++g, ++n) {
+            if constexpr (kTier == NumericsTier::HwFaithful)
+                wr[slot_of[n]] = hwact::activateQuantized(
+                    act[n], bias[n] + response[n] * pre[g], kHwQuantizer);
+            else
+                wr[slot_of[n]] =
+                    neat::activate(act[n], bias[n] + response[n] * pre[g]);
+        }
+    }
+}
+
 void
 CompiledPlan::activate(const std::vector<double> &inputs,
                        PlanScratch &scratch) const
@@ -608,10 +697,6 @@ CompiledPlan::activateImpl(const std::vector<double> &inputs,
     scratch.values.resize(static_cast<size_t>(numSlots_));
     scratch.outputs.resize(static_cast<size_t>(numOutputs_));
 
-    // Raw pointers hoisted out of the loop: scratch escapes into
-    // neat::aggregate on the generic path, so indexing through the
-    // vectors would force the compiler to reload data pointers after
-    // every opaque call in the hot loop.
     double *const values = scratch.values.data();
     std::copy(inputs.begin(), inputs.end(), values);
     if constexpr (kTier == NumericsTier::HwFaithful) {
@@ -620,40 +705,10 @@ CompiledPlan::activateImpl(const std::vector<double> &inputs,
         for (int i = 0; i < numInputs_; ++i)
             values[i] = kHwQuantizer(values[i]);
     }
-    const double *const w = edgeWeight_.data();
-    const int32_t *const src = edgeSrc_.data();
-    const int32_t *const offs = edgeOffset_.data();
-    const int32_t *const slot_of = nodeSlot_.data();
-    const neat::Activation *const act = activation_.data();
-    const neat::Aggregation *const agg = aggregation_.data();
-    const double *const bias = bias_.data();
-    const double *const response = response_.data();
-
-    const int n_nodes = static_cast<int>(nodeSlot_.size());
-    for (int n = 0; n < n_nodes; ++n) {
-        const int32_t e0 = offs[n];
-        const int32_t e1 = offs[n + 1];
-        double pre;
-        if (agg[n] == neat::Aggregation::Sum) {
-            double acc = 0.0;
-            for (int32_t e = e0; e < e1; ++e)
-                acc += values[src[e]] * w[e];
-            pre = acc;
-        } else {
-            scratch.weighted.clear();
-            for (int32_t e = e0; e < e1; ++e) {
-                scratch.weighted.push_back(
-                    (src[e] >= 0 ? values[src[e]] : 0.0) * w[e]);
-            }
-            pre = neat::aggregateInPlace(agg[n], scratch.weighted);
-        }
-        if constexpr (kTier == NumericsTier::HwFaithful)
-            values[slot_of[n]] = hwact::activateQuantized(
-                act[n], bias[n] + response[n] * pre, kHwQuantizer);
-        else
-            values[slot_of[n]] =
-                neat::activate(act[n], bias[n] + response[n] * pre);
-    }
+    // Nodes of one layer read only earlier layers, so each layer span
+    // reads and writes the same value array.
+    for (const LayerSpan &span : layerSpans_)
+        activateSpan<kTier>(span, values, values, scratch.weighted);
 
     double *const outputs = scratch.outputs.data();
     for (int o = 0; o < numOutputs_; ++o) {
@@ -700,40 +755,9 @@ CompiledPlan::activateRecurrentImpl(const std::vector<double> &inputs,
         curr[i] = in;
     }
 
-    const double *const w = edgeWeight_.data();
-    const int32_t *const src = edgeSrc_.data();
-    const int32_t *const offs = edgeOffset_.data();
-    const int32_t *const slot_of = nodeSlot_.data();
-    const neat::Activation *const act = activation_.data();
-    const neat::Aggregation *const agg = aggregation_.data();
-    const double *const bias = bias_.data();
-    const double *const response = response_.data();
-
-    const int n_nodes = static_cast<int>(nodeSlot_.size());
-    for (int n = 0; n < n_nodes; ++n) {
-        const int32_t e0 = offs[n];
-        const int32_t e1 = offs[n + 1];
-        double pre;
-        if (agg[n] == neat::Aggregation::Sum) {
-            double acc = 0.0;
-            for (int32_t e = e0; e < e1; ++e)
-                acc += prev[src[e]] * w[e];
-            pre = acc;
-        } else {
-            scratch.weighted.clear();
-            for (int32_t e = e0; e < e1; ++e) {
-                scratch.weighted.push_back(
-                    (src[e] >= 0 ? prev[src[e]] : 0.0) * w[e]);
-            }
-            pre = neat::aggregateInPlace(agg[n], scratch.weighted);
-        }
-        if constexpr (kTier == NumericsTier::HwFaithful)
-            curr[slot_of[n]] = hwact::activateQuantized(
-                act[n], bias[n] + response[n] * pre, kHwQuantizer);
-        else
-            curr[slot_of[n]] =
-                neat::activate(act[n], bias[n] + response[n] * pre);
-    }
+    // One span holds every node: all read the previous tick.
+    for (const LayerSpan &span : layerSpans_)
+        activateSpan<kTier>(span, prev, curr, scratch.weighted);
     std::swap(scratch.prev, scratch.curr);
 
     // After the swap, prev holds this tick's values.

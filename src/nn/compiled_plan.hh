@@ -305,6 +305,17 @@ class CompiledPlan
     void activateRecurrentImpl(const std::vector<double> &inputs,
                                PlanScratch &scratch) const;
 
+    /**
+     * The serial kernels' shared body: evaluate the nodes of `span`,
+     * reading source slots from `rd` and writing activations to `wr`
+     * (one array for feed-forward layers, the prev/curr frames for a
+     * recurrent tick). Runs of consecutive Sum nodes accumulate in
+     * lockstep, each node's chain in its own CSR order.
+     */
+    template <NumericsTier kTier>
+    void activateSpan(LayerSpan span, const double *rd, double *wr,
+                      std::vector<double> &weighted) const;
+
     /** Lane-width switch of activateBatch for one numerics tier. */
     template <NumericsTier kTier>
     void activateBatchDispatch(int lanes, const uint8_t *activeLanes,

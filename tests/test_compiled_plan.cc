@@ -252,6 +252,76 @@ TEST(CompiledPlanFuzz, MatchesInterpreterBitForBit)
 }
 
 /**
+ * A genome shaped to hit every edge of the serial kernel's lockstep
+ * Sum groups: 128 inputs, 1-11 nodes per layer, in-degrees of 1 edge,
+ * all 128 inputs or anything between, and Sum nodes mixed with other
+ * aggregations at a per-genome rate (rate 1.0 gives all-Sum layers,
+ * so full groups of 4 and every tail length 0-3 occur). Every hidden
+ * node feeds a random output, which puts that output in layer 2.
+ */
+constexpr int kWideInputs = 128;
+
+NeatConfig
+groupConfig(XorWow &rng)
+{
+    NeatConfig cfg;
+    cfg.numInputs = kWideInputs;
+    cfg.numOutputs = rng.uniformInt(1, 6);
+    return cfg;
+}
+
+Genome
+groupGenome(const NeatConfig &cfg, XorWow &rng)
+{
+    static constexpr double kSumRates[] = {1.0, 0.75, 0.4};
+    const double sum_rate = kSumRates[rng.uniformInt(3u)];
+    const auto &acts = allActivations();
+    Genome g(0);
+    auto add_node = [&](int key) {
+        NodeGene ng;
+        ng.key = key;
+        ng.bias = rng.uniform(-1.0, 1.0);
+        ng.response = rng.uniform(0.5, 1.5);
+        ng.activation = acts[rng.uniformInt(
+            static_cast<uint32_t>(acts.size()))];
+        ng.aggregation = rng.bernoulli(sum_rate)
+                             ? Aggregation::Sum
+                             : static_cast<Aggregation>(rng.uniformInt(
+                                   1, static_cast<int>(
+                                          Aggregation::NumAggregations) -
+                                          1));
+        g.mutableNodes().emplace(key, ng);
+    };
+    auto link = [&](int s, int d) {
+        ConnectionGene c;
+        c.key = {s, d};
+        c.weight = rng.gaussian();
+        g.mutableConnections().emplace(c.key, c);
+    };
+    auto feed_from_inputs = [&](int d) {
+        const int shape = rng.uniformInt(0, 2);
+        const int degree = shape == 0   ? 1
+                           : shape == 1 ? kWideInputs
+                                        : rng.uniformInt(2, kWideInputs - 1);
+        const int start = rng.uniformInt(0, kWideInputs - 1);
+        for (int k = 0; k < degree; ++k)
+            link(-1 - (start + k) % kWideInputs, d);
+    };
+    const int hidden = rng.uniformInt(0, 11 - cfg.numOutputs);
+    for (int key = 0; key < cfg.numOutputs + hidden; ++key)
+        add_node(key);
+    for (int h = cfg.numOutputs; h < cfg.numOutputs + hidden; ++h) {
+        feed_from_inputs(h);
+        link(h, rng.uniformInt(0, cfg.numOutputs - 1));
+    }
+    for (int o = 0; o < cfg.numOutputs; ++o) {
+        if (rng.bernoulli(0.9))
+            feed_from_inputs(o);
+    }
+    return g;
+}
+
+/**
  * Hostile variant of a fuzz genome for the schedule check: every
  * other node switched to a non-Sum aggregation (their out-of-graph
  * sources stay in the edge arrays as -1 sentinels), plus edges from
@@ -280,6 +350,51 @@ withDanglingSources(Genome g, const NeatConfig &cfg, XorWow &rng)
     if (rng.bernoulli(0.5))
         link(above + 1, 0);
     return g;
+}
+
+TEST(CompiledPlanFuzz, LockstepSumGroupsMatchSerialChains)
+{
+    // The serial kernel accumulates runs of up to 4 Sum nodes in
+    // lockstep. Each node's chain must still add its edges in CSR
+    // order: the outputs must equal the interpreter's (reference
+    // tier) and the one-lane batched kernel's, which keeps one chain
+    // per node (both tiers), bit for bit.
+    constexpr int kGenomes = 400;
+    constexpr int kTrials = 3;
+    for (int i = 0; i < kGenomes; ++i) {
+        XorWow rng(deriveSeed(kFuzzBase ^ 0x4C0C, static_cast<uint64_t>(i)));
+        const NeatConfig cfg = groupConfig(rng);
+        const Genome g = groupGenome(cfg, rng);
+        const auto net = FeedForwardNetwork::create(g, cfg);
+        for (NumericsTier tier :
+             {NumericsTier::Reference, NumericsTier::HwFaithful}) {
+            SCOPED_TRACE("group genome " + std::to_string(i) + " tier " +
+                         std::to_string(static_cast<int>(tier)));
+            const auto plan = CompiledPlan::compile(g, cfg, tier);
+            PlanScratch serial;
+            BatchScratch lane;
+            const uint8_t live = 1;
+            for (int t = 0; t < kTrials; ++t) {
+                std::vector<double> in(static_cast<size_t>(cfg.numInputs));
+                for (auto &x : in)
+                    x = rng.uniform(-2.0, 2.0);
+                plan.activate(in, serial);
+                plan.beginBatch(1, lane);
+                lane.inputs = in;
+                plan.activateBatch(1, &live, lane);
+                const auto expect = tier == NumericsTier::Reference
+                                        ? net.activate(in)
+                                        : lane.outputs;
+                ASSERT_EQ(serial.outputs.size(), expect.size());
+                for (size_t o = 0; o < expect.size(); ++o) {
+                    EXPECT_TRUE(bitEqual(serial.outputs[o], expect[o]))
+                        << "output " << o << " trial " << t;
+                    EXPECT_TRUE(bitEqual(serial.outputs[o], lane.outputs[o]))
+                        << "lane kernel, output " << o << " trial " << t;
+                }
+            }
+        }
+    }
 }
 
 TEST(CompiledPlanFuzz, ScheduleAgreesWithLevelizer)

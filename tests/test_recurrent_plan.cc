@@ -137,6 +137,62 @@ fuzzGenome(const NeatConfig &cfg, XorWow &rng)
     return g;
 }
 
+/**
+ * A recurrent genome shaped to hit every edge of the serial kernel's
+ * lockstep Sum groups. The one recurrent span holds all 1-11 nodes;
+ * 128 inputs give in-degrees from 1 edge to all 128 inputs, plus
+ * self-loops and output-to-hidden back edges. Sum nodes mix with
+ * other aggregations at a per-genome rate (rate 1.0 gives all-Sum
+ * spans, so full groups of 4 and every tail length 0-3 occur).
+ */
+constexpr int kWideInputs = 128;
+
+Genome
+groupGenome(const NeatConfig &cfg, XorWow &rng)
+{
+    static constexpr double kSumRates[] = {1.0, 0.75, 0.4};
+    const double sum_rate = kSumRates[rng.uniformInt(3u)];
+    const auto &acts = allActivations();
+    Genome g(0);
+    auto link = [&](int s, int d) {
+        ConnectionGene c;
+        c.key = {s, d};
+        c.weight = rng.gaussian();
+        g.mutableConnections().emplace(c.key, c);
+    };
+    const int nodes = rng.uniformInt(cfg.numOutputs, 11);
+    for (int key = 0; key < nodes; ++key) {
+        NodeGene ng;
+        ng.key = key;
+        ng.bias = rng.uniform(-1.0, 1.0);
+        ng.response = rng.uniform(0.5, 1.5);
+        ng.activation = acts[rng.uniformInt(
+            static_cast<uint32_t>(acts.size()))];
+        ng.aggregation = rng.bernoulli(sum_rate)
+                             ? Aggregation::Sum
+                             : static_cast<Aggregation>(rng.uniformInt(
+                                   1, static_cast<int>(
+                                          Aggregation::NumAggregations) -
+                                          1));
+        g.mutableNodes().emplace(key, ng);
+
+        const int shape = rng.uniformInt(0, 2);
+        const int degree = shape == 0   ? 1
+                           : shape == 1 ? kWideInputs
+                                        : rng.uniformInt(2, kWideInputs - 1);
+        const int start = rng.uniformInt(0, kWideInputs - 1);
+        for (int k = 0; k < degree; ++k)
+            link(-1 - (start + k) % kWideInputs, key);
+        if (rng.bernoulli(0.3))
+            link(key, key);
+        if (key > 0 && rng.bernoulli(0.5))
+            link(rng.uniformInt(0, key - 1), key);
+        if (key > 0 && rng.bernoulli(0.3))
+            link(key, rng.uniformInt(0, key - 1));
+    }
+    return g;
+}
+
 std::vector<double>
 randomInputs(const NeatConfig &cfg, XorWow &rng)
 {
@@ -275,6 +331,55 @@ TEST(RecurrentPlanFuzz, PackedLayerCountsDistinctSources)
         const auto plan = CompiledPlan::compileRecurrent(g, cfg);
         ASSERT_EQ(plan.schedule().layers.size(), 1u);
         EXPECT_EQ(plan.schedule().layers[0].vectorLen, distinct);
+    }
+}
+
+TEST(RecurrentPlanFuzz, LockstepSumGroupsMatchSerialChains)
+{
+    // The recurrent tick accumulates runs of up to 4 Sum nodes in
+    // lockstep. Each node's chain must still add its edges in CSR
+    // order: every tick must equal the interpreter's (reference
+    // tier) and the one-lane batched kernel's, which keeps one chain
+    // per node (both tiers), bit for bit.
+    constexpr int kGenomes = 400;
+    constexpr int kTicks = 4;
+    for (int i = 0; i < kGenomes; ++i) {
+        XorWow rng(deriveSeed(kFuzzBase ^ 0x4C0C, static_cast<uint64_t>(i)));
+        NeatConfig cfg;
+        cfg.numInputs = kWideInputs;
+        cfg.numOutputs = rng.uniformInt(1, 6);
+        cfg.feedForward = false;
+        const Genome g = groupGenome(cfg, rng);
+        for (NumericsTier tier :
+             {NumericsTier::Reference, NumericsTier::HwFaithful}) {
+            SCOPED_TRACE("group genome " + std::to_string(i) + " tier " +
+                         std::to_string(static_cast<int>(tier)));
+            auto net = RecurrentNetwork::create(g, cfg);
+            const auto plan = CompiledPlan::compileRecurrent(g, cfg, tier);
+            PlanScratch serial;
+            plan.reset(serial);
+            BatchScratch lane;
+            plan.beginBatch(1, lane);
+            const uint8_t live = 1;
+            for (int t = 0; t < kTicks; ++t) {
+                std::vector<double> in(static_cast<size_t>(cfg.numInputs));
+                for (auto &x : in)
+                    x = rng.uniform(-2.0, 2.0);
+                plan.activateRecurrent(in, serial);
+                lane.inputs = in;
+                plan.activateBatch(1, &live, lane);
+                const auto expect = tier == NumericsTier::Reference
+                                        ? net.activate(in)
+                                        : lane.outputs;
+                ASSERT_EQ(serial.outputs.size(), expect.size());
+                for (size_t o = 0; o < expect.size(); ++o) {
+                    EXPECT_TRUE(bitEqual(serial.outputs[o], expect[o]))
+                        << "tick " << t << " output " << o;
+                    EXPECT_TRUE(bitEqual(serial.outputs[o], lane.outputs[o]))
+                        << "lane kernel, tick " << t << " output " << o;
+                }
+            }
+        }
     }
 }
 
