@@ -705,34 +705,29 @@ class FixedLengthEnv final : public env::Environment
     int maxSteps() const override { return 120; }
     double targetFitness() const override { return 1e18; }
 
-    std::vector<double>
-    reset(uint64_t seed) override
+    void
+    resetInto(uint64_t seed, std::span<double> obs) override
     {
         resetBookkeeping();
         rng_ = XorWow(seed ^ 0xF17Eull);
         length_ = 40 + static_cast<int>(seed % 81);
-        return observe();
+        observe(obs);
     }
 
-    env::StepResult
-    step(const env::Action &) override
+    env::StepOutcome
+    stepInto(const env::Action &, std::span<double> obs) override
     {
         accumulate(1.0);
-        env::StepResult sr;
-        sr.reward = 1.0;
-        sr.done = stepsTaken_ >= length_;
-        sr.observation = observe();
-        return sr;
+        observe(obs);
+        return {1.0, stepsTaken_ >= length_};
     }
 
   private:
-    std::vector<double>
-    observe()
+    void
+    observe(std::span<double> obs)
     {
-        std::vector<double> obs(static_cast<size_t>(inputs_));
         for (auto &x : obs)
             x = rng_.uniform(-1.0, 1.0);
-        return obs;
     }
 
     int inputs_;

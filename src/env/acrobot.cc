@@ -30,9 +30,10 @@ Acrobot::name() const
     return n;
 }
 
-std::vector<double>
-Acrobot::reset(uint64_t seed)
+void
+Acrobot::resetInto(uint64_t seed, std::span<double> obs)
 {
+    checkObservationSpan(obs);
     XorWow rng(seed);
     theta1_ = rng.uniform(-0.1, 0.1);
     theta2_ = rng.uniform(-0.1, 0.1);
@@ -42,14 +43,18 @@ Acrobot::reset(uint64_t seed)
     succeeded_ = false;
     done_ = false;
     resetBookkeeping();
-    return observation();
+    observe(obs);
 }
 
-std::vector<double>
-Acrobot::observation() const
+void
+Acrobot::observe(std::span<double> obs) const
 {
-    return {std::cos(theta1_), std::sin(theta1_), std::cos(theta2_),
-            std::sin(theta2_), dtheta1_,           dtheta2_};
+    obs[0] = std::cos(theta1_);
+    obs[1] = std::sin(theta1_);
+    obs[2] = std::cos(theta2_);
+    obs[3] = std::sin(theta2_);
+    obs[4] = dtheta1_;
+    obs[5] = dtheta2_;
 }
 
 double
@@ -59,10 +64,11 @@ Acrobot::tipHeight() const
     return -std::cos(theta1_) - std::cos(theta1_ + theta2_);
 }
 
-StepResult
-Acrobot::step(const Action &action)
+StepOutcome
+Acrobot::stepInto(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
+    checkObservationSpan(obs);
     GENESYS_ASSERT(!action.continuous.empty(), "Acrobot needs a torque");
     const double torque =
         std::clamp(action.continuous[0], -1.0, 1.0);
@@ -107,8 +113,8 @@ Acrobot::step(const Action &action)
 
     bestHeight_ = std::max(bestHeight_, tipHeight());
 
-    StepResult r;
-    r.observation = observation();
+    StepOutcome r;
+    observe(obs);
     succeeded_ = tipHeight() > 1.0;
     r.reward = succeeded_ ? 0.0 : -1.0;
     accumulate(r.reward);

@@ -35,13 +35,14 @@ class Acrobot : public Environment
     double episodeFitness() const override;
     double targetFitness() const override { return 1.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
+    void resetInto(uint64_t seed, std::span<double> obs) override;
+    StepOutcome stepInto(const Action &action,
+                         std::span<double> obs) override;
 
     bool succeeded() const { return succeeded_; }
 
   private:
-    std::vector<double> observation() const;
+    void observe(std::span<double> obs) const;
     /** Height of the tip above the pivot, in [-2, 2]. */
     double tipHeight() const;
 

@@ -8,6 +8,23 @@
 namespace genesys::env
 {
 
+namespace
+{
+
+/**
+ * Observation scale: entry b holds b / 255.0. Constant evaluation
+ * rounds the division exactly as the runtime division does, so the
+ * lookup is bit-identical to dividing each byte.
+ */
+constexpr std::array<double, 256> kByteToUnit = [] {
+    std::array<double, 256> t{};
+    for (size_t b = 0; b < t.size(); ++b)
+        t[b] = static_cast<double>(b) / 255.0;
+    return t;
+}();
+
+} // namespace
+
 const std::string &
 atariVariantName(AtariVariant v)
 {
@@ -54,9 +71,10 @@ AtariRam::targetScore() const
     return 120.0;
 }
 
-std::vector<double>
-AtariRam::reset(uint64_t seed)
+void
+AtariRam::resetInto(uint64_t seed, std::span<double> obs)
 {
+    checkObservationSpan(obs);
     // Per-variant stream so each game plays out differently even
     // with the same seed.
     gameRng_.reseed(deriveSeed(seed, static_cast<uint64_t>(variant_) + 7));
@@ -86,7 +104,7 @@ AtariRam::reset(uint64_t seed)
     fireCooldown_ = 0;
     resetBookkeeping();
     refreshRam();
-    return observation();
+    observe(obs);
 }
 
 void
@@ -138,10 +156,11 @@ AtariRam::moveEnemies()
     }
 }
 
-StepResult
-AtariRam::step(const Action &action)
+StepOutcome
+AtariRam::stepInto(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
+    checkObservationSpan(obs);
     const int n_actions = actionSpace().n;
     GENESYS_ASSERT(action.discrete >= 0 && action.discrete < n_actions,
                    "invalid action " << action.discrete);
@@ -237,11 +256,8 @@ AtariRam::step(const Action &action)
     done_ = dead_ || stepsTaken_ >= maxSteps();
 
     refreshRam();
-    StepResult r;
-    r.observation = observation();
-    r.reward = reward;
-    r.done = done_;
-    return r;
+    observe(obs);
+    return {reward, done_};
 }
 
 void
@@ -281,14 +297,11 @@ AtariRam::refreshRam()
     }
 }
 
-std::vector<double>
-AtariRam::observation() const
+void
+AtariRam::observe(std::span<double> obs) const
 {
-    std::vector<double> obs;
-    obs.reserve(128);
-    for (uint8_t b : ram_)
-        obs.push_back(static_cast<double>(b) / 255.0);
-    return obs;
+    for (size_t i = 0; i < ram_.size(); ++i)
+        obs[i] = kByteToUnit[ram_[i]];
 }
 
 double

@@ -49,8 +49,9 @@ class AtariRam : public Environment
     double episodeFitness() const override;
     double targetFitness() const override { return 1.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
+    void resetInto(uint64_t seed, std::span<double> obs) override;
+    StepOutcome stepInto(const Action &action,
+                         std::span<double> obs) override;
 
     long score() const { return score_; }
     bool dead() const { return dead_; }
@@ -66,7 +67,8 @@ class AtariRam : public Environment
 
   private:
     void refreshRam();
-    std::vector<double> observation() const;
+    /** RAM bytes scaled to [0, 1]. */
+    void observe(std::span<double> obs) const;
     void moveEnemies();
     double targetScore() const;
 

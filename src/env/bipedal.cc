@@ -15,9 +15,10 @@ BipedalWalker::name() const
     return n;
 }
 
-std::vector<double>
-BipedalWalker::reset(uint64_t seed)
+void
+BipedalWalker::resetInto(uint64_t seed, std::span<double> obs)
 {
+    checkObservationSpan(obs);
     XorWow rng(seed);
     x_ = 0.0;
     y_ = hullHeight_ + thigh_ + shank_;
@@ -34,7 +35,7 @@ BipedalWalker::reset(uint64_t seed)
     done_ = false;
     torqueUsed_ = 0.0;
     resetBookkeeping();
-    return observation();
+    observe(obs);
 }
 
 double
@@ -45,23 +46,22 @@ BipedalWalker::footY(int leg) const
     return y_ - thigh_ * std::cos(a1) - shank_ * std::cos(a2);
 }
 
-std::vector<double>
-BipedalWalker::observation() const
+void
+BipedalWalker::observe(std::span<double> obs) const
 {
-    std::vector<double> obs;
-    obs.reserve(24);
+    size_t k = 0;
     // Hull state (gym layout: angle, angular vel, vx, vy).
-    obs.push_back(angle_);
-    obs.push_back(vAngle_);
-    obs.push_back(vx_);
-    obs.push_back(vy_);
+    obs[k++] = angle_;
+    obs[k++] = vAngle_;
+    obs[k++] = vx_;
+    obs[k++] = vy_;
     // Joints + contact per leg.
     for (int l = 0; l < 2; ++l) {
-        obs.push_back(hip_[l]);
-        obs.push_back(hipV_[l]);
-        obs.push_back(knee_[l]);
-        obs.push_back(kneeV_[l]);
-        obs.push_back(contact_[l] ? 1.0 : 0.0);
+        obs[k++] = hip_[l];
+        obs[k++] = hipV_[l];
+        obs[k++] = knee_[l];
+        obs[k++] = kneeV_[l];
+        obs[k++] = contact_[l] ? 1.0 : 0.0;
     }
     // 10 lidar rays fanned ahead-and-down; terrain is flat, so the
     // ranges are a function of hull height and ray angle.
@@ -70,15 +70,15 @@ BipedalWalker::observation() const
             0.15 + 1.2 * static_cast<double>(i) / 9.0; // from vertical
         const double c = std::cos(std::min(ray, 1.45));
         const double range = c > 0.05 ? std::min(y_ / c, 2.5) : 2.5;
-        obs.push_back(range);
+        obs[k++] = range;
     }
-    return obs;
 }
 
-StepResult
-BipedalWalker::step(const Action &action)
+StepOutcome
+BipedalWalker::stepInto(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
+    checkObservationSpan(obs);
     GENESYS_ASSERT(action.continuous.size() >= 4,
                    "BipedalWalker needs 4 torques");
 
@@ -157,8 +157,8 @@ BipedalWalker::step(const Action &action)
     accumulate(reward);
     done_ = fell_ || x_ >= goalDistance_ || stepsTaken_ >= maxSteps();
 
-    StepResult r;
-    r.observation = observation();
+    StepOutcome r;
+    observe(obs);
     r.reward = reward;
     r.done = done_;
     return r;

@@ -38,14 +38,15 @@ class BipedalWalker : public Environment
     double episodeFitness() const override;
     double targetFitness() const override { return 1.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
+    void resetInto(uint64_t seed, std::span<double> obs) override;
+    StepOutcome stepInto(const Action &action,
+                         std::span<double> obs) override;
 
     double hullX() const { return x_; }
     bool fell() const { return fell_; }
 
   private:
-    std::vector<double> observation() const;
+    void observe(std::span<double> obs) const;
     /** Foot height above ground for a leg (kinematics). */
     double footY(int leg) const;
 

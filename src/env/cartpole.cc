@@ -14,9 +14,10 @@ CartPole::name() const
     return n;
 }
 
-std::vector<double>
-CartPole::reset(uint64_t seed)
+void
+CartPole::resetInto(uint64_t seed, std::span<double> obs)
 {
+    checkObservationSpan(obs);
     XorWow rng(seed);
     x_ = rng.uniform(-0.05, 0.05);
     xDot_ = rng.uniform(-0.05, 0.05);
@@ -24,19 +25,23 @@ CartPole::reset(uint64_t seed)
     thetaDot_ = rng.uniform(-0.05, 0.05);
     done_ = false;
     resetBookkeeping();
-    return observation();
+    observe(obs);
 }
 
-std::vector<double>
-CartPole::observation() const
+void
+CartPole::observe(std::span<double> obs) const
 {
-    return {x_, xDot_, theta_, thetaDot_};
+    obs[0] = x_;
+    obs[1] = xDot_;
+    obs[2] = theta_;
+    obs[3] = thetaDot_;
 }
 
-StepResult
-CartPole::step(const Action &action)
+StepOutcome
+CartPole::stepInto(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
+    checkObservationSpan(obs);
 
     const double force = action.discrete == 1 ? forceMag_ : -forceMag_;
     const double cos_theta = std::cos(theta_);
@@ -59,8 +64,8 @@ CartPole::step(const Action &action)
     theta_ += tau_ * thetaDot_;
     thetaDot_ += tau_ * theta_acc;
 
-    StepResult r;
-    r.observation = observation();
+    StepOutcome r;
+    observe(obs);
     const bool failed = x_ < -xThreshold_ || x_ > xThreshold_ ||
                         theta_ < -thetaThreshold_ ||
                         theta_ > thetaThreshold_;

@@ -36,11 +36,12 @@ class CartPole : public Environment
      */
     double targetFitness() const override { return 100.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
+    void resetInto(uint64_t seed, std::span<double> obs) override;
+    StepOutcome stepInto(const Action &action,
+                         std::span<double> obs) override;
 
   private:
-    std::vector<double> observation() const;
+    void observe(std::span<double> obs) const;
 
     double x_ = 0.0;
     double xDot_ = 0.0;

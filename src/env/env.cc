@@ -7,15 +7,53 @@
 namespace genesys::env
 {
 
+std::vector<double>
+Environment::reset(uint64_t seed)
+{
+    std::vector<double> obs(static_cast<size_t>(observationSize()));
+    resetInto(seed, obs);
+    return obs;
+}
+
+StepResult
+Environment::step(const Action &action)
+{
+    StepResult r;
+    r.observation.resize(static_cast<size_t>(observationSize()));
+    const StepOutcome out = stepInto(action, r.observation);
+    r.reward = out.reward;
+    r.done = out.done;
+    return r;
+}
+
+void
+Environment::checkObservationSpan(std::span<const double> obs) const
+{
+    GENESYS_ASSERT(obs.size() == static_cast<size_t>(observationSize()),
+                   name() << " writes " << observationSize()
+                          << " observation values, buffer holds "
+                          << obs.size());
+}
+
 Action
 decodeAction(const ActionSpace &space, const std::vector<double> &outputs)
 {
-    GENESYS_ASSERT(!outputs.empty(), "cannot decode empty output vector");
     Action a;
+    decodeActionInto(space, outputs, a);
+    return a;
+}
+
+void
+decodeActionInto(const ActionSpace &space, std::span<const double> outputs,
+                 Action &a)
+{
+    GENESYS_ASSERT(!outputs.empty(), "cannot decode empty output vector");
+    a.discrete = 0;
+    a.continuous.clear();
     if (space.kind == ActionSpace::Kind::Discrete) {
         if (space.n == 2 && outputs.size() == 1) {
             a.discrete = outputs[0] > 0.5 ? 1 : 0;
-            return a;
+            return;
         }
         GENESYS_ASSERT(outputs.size() >= static_cast<size_t>(space.n),
                        "need " << space.n << " outputs, got "
@@ -43,7 +81,6 @@ decodeAction(const ActionSpace &space, const std::vector<double> &outputs)
                 std::clamp(mapped, space.low, space.high));
         }
     }
-    return a;
 }
 
 } // namespace genesys::env

@@ -10,6 +10,7 @@
 #define GENESYS_ENV_ENV_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,7 @@ struct Action
     std::vector<double> continuous;
 };
 
-/** One simulation step's outcome. */
+/** One simulation step's outcome, as Environment::step returns it. */
 struct StepResult
 {
     std::vector<double> observation;
@@ -51,8 +52,24 @@ struct StepResult
 };
 
 /**
+ * One simulation step's outcome from Environment::stepInto, which
+ * writes the observation into the caller's buffer instead.
+ */
+struct StepOutcome
+{
+    double reward = 0.0;
+    bool done = false;
+};
+
+/**
  * Abstract environment. Implementations are deterministic given the
  * seed passed to reset().
+ *
+ * Implementations provide the span primitives resetInto/stepInto,
+ * which write the observation into a caller-owned buffer of exactly
+ * observationSize() doubles; the episode loop reuses one buffer per
+ * lane, so a steady-state step allocates nothing. reset/step are
+ * vector-returning adapters over them, bit-identical by construction.
  */
 class Environment
 {
@@ -76,11 +93,25 @@ class Environment
     /** Episode step cap. */
     virtual int maxSteps() const = 0;
 
-    /** Start a new episode; returns the initial observation. */
-    virtual std::vector<double> reset(uint64_t seed) = 0;
+    /**
+     * Start a new episode; writes the initial observation into `obs`,
+     * which must hold exactly observationSize() doubles.
+     */
+    virtual void resetInto(uint64_t seed, std::span<double> obs) = 0;
 
-    /** Advance one step. Calling after done is an error. */
-    virtual StepResult step(const Action &action) = 0;
+    /**
+     * Advance one step, writing the new observation into `obs`
+     * (observationSize() doubles). Calling before the first reset or
+     * after done is an error.
+     */
+    virtual StepOutcome stepInto(const Action &action,
+                                 std::span<double> obs) = 0;
+
+    /** resetInto() into a fresh vector. */
+    std::vector<double> reset(uint64_t seed);
+
+    /** stepInto() into a fresh vector. */
+    StepResult step(const Action &action);
 
     /**
      * Fitness of the episode so far. Defaults to the cumulative
@@ -98,7 +129,10 @@ class Environment
     int stepsTaken() const { return stepsTaken_; }
 
   protected:
-    /** Book-keeping helper for subclasses' step() implementations. */
+    /** Fail loudly unless `obs` holds exactly observationSize() doubles. */
+    void checkObservationSpan(std::span<const double> obs) const;
+
+    /** Book-keeping helper for subclasses' stepInto() implementations. */
     void
     accumulate(double reward)
     {
@@ -126,6 +160,13 @@ class Environment
  */
 Action decodeAction(const ActionSpace &space,
                     const std::vector<double> &outputs);
+
+/**
+ * As decodeAction(), into `action`: the continuous vector is cleared
+ * and refilled, so a reused Action decodes without allocating.
+ */
+void decodeActionInto(const ActionSpace &space,
+                      std::span<const double> outputs, Action &action);
 
 } // namespace genesys::env
 

@@ -15,9 +15,10 @@ LunarLander::name() const
     return n;
 }
 
-std::vector<double>
-LunarLander::reset(uint64_t seed)
+void
+LunarLander::resetInto(uint64_t seed, std::span<double> obs)
 {
+    checkObservationSpan(obs);
     XorWow rng(seed);
     x_ = rng.uniform(-0.4, 0.4);
     y_ = 1.0;
@@ -31,17 +32,22 @@ LunarLander::reset(uint64_t seed)
     restSteps_ = 0;
     resetBookkeeping();
     prevShaping_ = shaping();
-    return observation();
+    observe(obs);
 }
 
-std::vector<double>
-LunarLander::observation() const
+void
+LunarLander::observe(std::span<double> obs) const
 {
     // Gym layout: x, y, vx, vy, angle, angular velocity, leg
     // contacts.
-    return {x_,      y_,      vx_,
-            vy_,     angle_,  vAngle_,
-            legLeft_ ? 1.0 : 0.0, legRight_ ? 1.0 : 0.0};
+    obs[0] = x_;
+    obs[1] = y_;
+    obs[2] = vx_;
+    obs[3] = vy_;
+    obs[4] = angle_;
+    obs[5] = vAngle_;
+    obs[6] = legLeft_ ? 1.0 : 0.0;
+    obs[7] = legRight_ ? 1.0 : 0.0;
 }
 
 double
@@ -54,10 +60,11 @@ LunarLander::shaping() const
            10.0 * (legRight_ ? 1.0 : 0.0);
 }
 
-StepResult
-LunarLander::step(const Action &action)
+StepOutcome
+LunarLander::stepInto(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
+    checkObservationSpan(obs);
     GENESYS_ASSERT(action.discrete >= 0 && action.discrete < 4,
                    "invalid LunarLander action " << action.discrete);
 
@@ -142,8 +149,8 @@ LunarLander::step(const Action &action)
     accumulate(reward);
     done_ = landed_ || crashed_ || stepsTaken_ >= maxSteps();
 
-    StepResult r;
-    r.observation = observation();
+    StepOutcome r;
+    observe(obs);
     r.reward = reward;
     r.done = done_;
     return r;

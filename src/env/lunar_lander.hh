@@ -38,14 +38,15 @@ class LunarLander : public Environment
     double episodeFitness() const override;
     double targetFitness() const override { return 1.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
+    void resetInto(uint64_t seed, std::span<double> obs) override;
+    StepOutcome stepInto(const Action &action,
+                         std::span<double> obs) override;
 
     bool landed() const { return landed_; }
     bool crashed() const { return crashed_; }
 
   private:
-    std::vector<double> observation() const;
+    void observe(std::span<double> obs) const;
     double shaping() const;
 
     // State: position, velocity, attitude, leg contacts.

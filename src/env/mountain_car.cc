@@ -15,9 +15,10 @@ MountainCar::name() const
     return n;
 }
 
-std::vector<double>
-MountainCar::reset(uint64_t seed)
+void
+MountainCar::resetInto(uint64_t seed, std::span<double> obs)
 {
+    checkObservationSpan(obs);
     XorWow rng(seed);
     position_ = rng.uniform(-0.6, -0.4);
     velocity_ = 0.0;
@@ -25,13 +26,15 @@ MountainCar::reset(uint64_t seed)
     reachedGoal_ = false;
     done_ = false;
     resetBookkeeping();
-    return {position_, velocity_};
+    obs[0] = position_;
+    obs[1] = velocity_;
 }
 
-StepResult
-MountainCar::step(const Action &action)
+StepOutcome
+MountainCar::stepInto(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
+    checkObservationSpan(obs);
     GENESYS_ASSERT(action.discrete >= 0 && action.discrete < 3,
                    "invalid MountainCar action " << action.discrete);
 
@@ -44,8 +47,9 @@ MountainCar::step(const Action &action)
         velocity_ = 0.0;
     maxPosition_ = std::max(maxPosition_, position_);
 
-    StepResult r;
-    r.observation = {position_, velocity_};
+    StepOutcome r;
+    obs[0] = position_;
+    obs[1] = velocity_;
     r.reward = -1.0; // gym's per-step penalty
     accumulate(r.reward);
     reachedGoal_ = position_ >= goalPosition_;

@@ -35,8 +35,9 @@ class MountainCar : public Environment
     double episodeFitness() const override;
     double targetFitness() const override { return 1.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
+    void resetInto(uint64_t seed, std::span<double> obs) override;
+    StepOutcome stepInto(const Action &action,
+                         std::span<double> obs) override;
 
     bool reachedGoal() const { return reachedGoal_; }
     double maxPosition() const { return maxPosition_; }

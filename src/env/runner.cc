@@ -32,14 +32,14 @@ runEpisodeWith(Environment &env, uint64_t seed, long macs_per_step,
     EpisodeResult result;
     const ActionSpace space = env.actionSpace();
 
-    std::vector<double> obs = env.reset(seed);
+    std::vector<double> obs(static_cast<size_t>(env.observationSize()));
+    Action action;
+    env.resetInto(seed, obs);
     bool done = false;
     while (!done) {
         const std::vector<double> &outputs = act(obs);
-        const Action action = decodeAction(space, outputs);
-        StepResult sr = env.step(action);
-        obs = std::move(sr.observation);
-        done = sr.done;
+        decodeActionInto(space, outputs, action);
+        done = env.stepInto(action, obs).done;
     }
     result.cumulativeReward = env.cumulativeReward();
     result.fitness = env.episodeFitness();
@@ -192,6 +192,10 @@ evaluateWave(const std::vector<WaveItem> &items,
 
     scratch.net.resize(num_lanes);
     scratch.obs.resize(num_lanes);
+    for (size_t l = 0; l < num_lanes; ++l)
+        scratch.obs[l].resize(
+            static_cast<size_t>(lanes[l]->observationSize()));
+    scratch.action.resize(num_lanes);
     scratch.item.assign(num_lanes, -1);
     scratch.executed.assign(num_lanes, 0);
 
@@ -205,7 +209,7 @@ evaluateWave(const std::vector<WaveItem> &items,
         scratch.item[l] = static_cast<int>(next);
         ++next;
         it.plan->reset(scratch.net[l]);
-        scratch.obs[l] = lanes[l]->reset(it.seed);
+        lanes[l]->resetInto(it.seed, scratch.obs[l]);
     };
     for (size_t l = 0; l < W; ++l)
         fillLane(l);
@@ -318,10 +322,10 @@ evaluateWave(const std::vector<WaveItem> &items,
                            "evaluateWave: lane " << l << " reached the"
                            " environment-step phase without a forward"
                            " pass this superstep");
-            StepResult sr = lanes[l]->step(
-                decodeAction(space, scratch.net[l].outputs));
-            scratch.obs[l] = std::move(sr.observation);
-            if (!sr.done)
+            decodeActionInto(space, scratch.net[l].outputs,
+                             scratch.action[l]);
+            if (!lanes[l]->stepInto(scratch.action[l], scratch.obs[l])
+                     .done)
                 continue;
             EpisodeResult &res = out.episodes[idx];
             res.cumulativeReward = lanes[l]->cumulativeReward();

@@ -194,17 +194,21 @@ struct WaveStats
 /**
  * Caller-owned mutable state for evaluateWave: per-lane plan
  * scratches (recurrent lane state lives here across supersteps),
- * observation buffers and item bindings, plus the staging buffers for
- * shared-plan grouped dispatch. Reusing one WaveScratch per worker
- * across calls makes the wave loop allocation-light once warm. Not
- * shareable across threads.
+ * observation buffers, decoded actions and item bindings, plus the
+ * staging buffers for shared-plan grouped dispatch. Reusing one
+ * WaveScratch per worker across calls makes the wave loop
+ * allocation-free once warm: a second call over the same items
+ * allocates only its result vector. Not shareable across threads.
  */
 struct WaveScratch
 {
     /** Per-lane plan activation state (index = lane). */
     std::vector<nn::PlanScratch> net;
-    /** Latest observation per lane. */
+    /** Latest observation per lane, written in place by the lane's
+     *  Environment::resetInto/stepInto. */
     std::vector<std::vector<double>> obs;
+    /** Decoded action per lane; reuses its continuous capacity. */
+    std::vector<Action> action;
     /** Item index driving each lane; -1 = idle. */
     std::vector<int> item;
     /** Per-superstep "already executed" marker (plan grouping). */

@@ -669,7 +669,7 @@ CompiledPlan::activateSpan(LayerSpan span, const double *rd, double *wr,
 }
 
 void
-CompiledPlan::activate(const std::vector<double> &inputs,
+CompiledPlan::activate(std::span<const double> inputs,
                        PlanScratch &scratch) const
 {
     if (recurrent_) {
@@ -684,7 +684,7 @@ CompiledPlan::activate(const std::vector<double> &inputs,
 
 template <NumericsTier kTier>
 void
-CompiledPlan::activateImpl(const std::vector<double> &inputs,
+CompiledPlan::activateImpl(std::span<const double> inputs,
                            PlanScratch &scratch) const
 {
     GENESYS_ASSERT(inputs.size() == static_cast<size_t>(numInputs_),
@@ -718,7 +718,7 @@ CompiledPlan::activateImpl(const std::vector<double> &inputs,
 }
 
 void
-CompiledPlan::activateRecurrent(const std::vector<double> &inputs,
+CompiledPlan::activateRecurrent(std::span<const double> inputs,
                                 PlanScratch &scratch) const
 {
     if (tier_ == NumericsTier::HwFaithful)
@@ -729,7 +729,7 @@ CompiledPlan::activateRecurrent(const std::vector<double> &inputs,
 
 template <NumericsTier kTier>
 void
-CompiledPlan::activateRecurrentImpl(const std::vector<double> &inputs,
+CompiledPlan::activateRecurrentImpl(std::span<const double> inputs,
                                     PlanScratch &scratch) const
 {
     GENESYS_ASSERT(recurrent_,

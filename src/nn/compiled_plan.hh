@@ -52,6 +52,7 @@
 #define GENESYS_NN_COMPILED_PLAN_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/feedforward.hh"
@@ -212,7 +213,7 @@ class CompiledPlan
      * `scratch.outputs`. Allocation-free once `scratch` has warmed
      * up. Thread-safe for concurrent callers with distinct scratches.
      */
-    void activate(const std::vector<double> &inputs,
+    void activate(std::span<const double> inputs,
                   PlanScratch &scratch) const;
 
     /**
@@ -221,7 +222,7 @@ class CompiledPlan
      * tick's outputs in `scratch.outputs`. Call reset() at episode
      * start. Only valid on recurrent plans.
      */
-    void activateRecurrent(const std::vector<double> &inputs,
+    void activateRecurrent(std::span<const double> inputs,
                            PlanScratch &scratch) const;
 
     /**
@@ -297,12 +298,12 @@ class CompiledPlan
     /** Serial feed-forward body, specialized per numerics tier so the
      *  Reference hot loop carries no tier branch. */
     template <NumericsTier kTier>
-    void activateImpl(const std::vector<double> &inputs,
+    void activateImpl(std::span<const double> inputs,
                       PlanScratch &scratch) const;
 
     /** Recurrent tick body, specialized per numerics tier. */
     template <NumericsTier kTier>
-    void activateRecurrentImpl(const std::vector<double> &inputs,
+    void activateRecurrentImpl(std::span<const double> inputs,
                                PlanScratch &scratch) const;
 
     /**

@@ -519,11 +519,12 @@ TEST(CompiledPlan, ScratchIsReusableAcrossPlans)
     std::vector<double> big_in(static_cast<size_t>(big.numInputs), 0.25);
     plan_big.activate(big_in, shared);
     const auto fresh_big = plan_big.activate(big_in);
-    plan_small.activate({1.0, 2.0}, shared);
+    const std::vector<double> small_in{1.0, 2.0};
+    plan_small.activate(small_in, shared);
     const auto small_out = shared.outputs;
     plan_big.activate(big_in, shared);
 
-    EXPECT_EQ(small_out, plan_small.activate({1.0, 2.0}));
+    EXPECT_EQ(small_out, plan_small.activate(small_in));
     EXPECT_EQ(shared.outputs, fresh_big);
 }
 
@@ -627,7 +628,8 @@ TEST(CompiledPlan, WrongInputCountThrows)
     cfg.numOutputs = 1;
     const auto plan = CompiledPlan::compile(handGenome(), cfg);
     PlanScratch scratch;
-    EXPECT_ANY_THROW(plan.activate({1.0}, scratch));
+    const std::vector<double> too_few{1.0};
+    EXPECT_ANY_THROW(plan.activate(too_few, scratch));
 }
 
 TEST(CompiledPlan, UnreachableOutputReadsZero)

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "env/acrobot.hh"
@@ -268,6 +273,70 @@ TEST_P(EnvContract, StepAfterDoneFailsLoudly)
 
     env->reset(3);
     EXPECT_NO_THROW(env->step(action)) << "reset starts a new episode";
+}
+
+TEST_P(EnvContract, SpanFormsMatchVectorAdapters)
+{
+    // resetInto/stepInto write exactly observationSize() finite values
+    // into the caller's buffer — guard cells on both sides stay
+    // untouched, and a NaN prefill shows any cell left unwritten —
+    // and every observation, reward and done flag equals what the
+    // vector adapters reset/step return for the same episode.
+    auto spans = makeEnvironment(GetParam());
+    auto vectors = makeEnvironment(GetParam());
+    const auto space = spans->actionSpace();
+    const auto width = static_cast<size_t>(spans->observationSize());
+    const double guard = -12345.5;
+    const double unwritten = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> buffer(width + 2);
+    const std::span<double> obs(buffer.data() + 1, width);
+
+    auto expectWritten = [&](const std::vector<double> &want,
+                             const std::string &what) {
+        EXPECT_EQ(buffer.front(), guard) << what;
+        EXPECT_EQ(buffer.back(), guard) << what;
+        ASSERT_EQ(want.size(), width) << what;
+        for (size_t i = 0; i < width; ++i) {
+            EXPECT_TRUE(std::isfinite(obs[i])) << what << " value " << i;
+            EXPECT_EQ(std::bit_cast<uint64_t>(obs[i]),
+                      std::bit_cast<uint64_t>(want[i]))
+                << what << " value " << i;
+        }
+    };
+    auto prefill = [&] {
+        std::fill(buffer.begin(), buffer.end(), unwritten);
+        buffer.front() = guard;
+        buffer.back() = guard;
+    };
+
+    XorWow policy(41);
+    std::vector<double> outputs(
+        static_cast<size_t>(spans->recommendedOutputs()));
+    Action action;
+    for (uint64_t seed : {6u, 7u}) {
+        prefill();
+        spans->resetInto(seed, obs);
+        expectWritten(vectors->reset(seed), "reset " + std::to_string(seed));
+        bool done = false;
+        for (int step = 0; !done && step < 200; ++step) {
+            for (double &o : outputs)
+                o = policy.uniform(-1.0, 1.0);
+            decodeActionInto(space, outputs, action);
+            prefill();
+            const StepOutcome got = spans->stepInto(action, obs);
+            const StepResult want = vectors->step(action);
+            expectWritten(want.observation,
+                          "step " + std::to_string(step));
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.reward),
+                      std::bit_cast<uint64_t>(want.reward));
+            EXPECT_EQ(got.done, want.done);
+            done = got.done;
+        }
+    }
+
+    // A buffer of the wrong size is a caller bug and fails loudly.
+    std::vector<double> narrow(width - 1);
+    EXPECT_THROW(spans->resetInto(1, narrow), std::logic_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(TableI, EnvContract,

@@ -496,16 +496,17 @@ TEST(RecurrentPlan, SelfLoopIntegratesInput)
         CompiledPlan::compileRecurrent(selfLoopGenome(1.0, 1.0), cfg);
     PlanScratch s;
     plan.reset(s);
+    const std::vector<double> one{1.0};
     // y[t] = y[t-1] + x[t] -> a running sum.
-    plan.activateRecurrent({1.0}, s);
+    plan.activateRecurrent(one, s);
     EXPECT_NEAR(s.outputs[0], 1.0, 1e-12);
-    plan.activateRecurrent({1.0}, s);
+    plan.activateRecurrent(one, s);
     EXPECT_NEAR(s.outputs[0], 2.0, 1e-12);
-    plan.activateRecurrent({1.0}, s);
+    plan.activateRecurrent(one, s);
     EXPECT_NEAR(s.outputs[0], 3.0, 1e-12);
 
     plan.reset(s);
-    plan.activateRecurrent({1.0}, s);
+    plan.activateRecurrent(one, s);
     EXPECT_NEAR(s.outputs[0], 1.0, 1e-12);
 }
 
@@ -532,13 +533,14 @@ TEST(RecurrentPlan, FeedForwardEntryPointsRejectWrongMode)
     const auto plan =
         CompiledPlan::compileRecurrent(selfLoopGenome(1.0, 1.0), cfg);
     PlanScratch s;
+    const std::vector<double> one{1.0};
     // Ticking without reset is a contract violation, not silent UB.
-    EXPECT_ANY_THROW(plan.activateRecurrent({1.0}, s));
+    EXPECT_ANY_THROW(plan.activateRecurrent(one, s));
 
     auto ffCfg = cfg;
     ffCfg.feedForward = true;
     const auto ff = CompiledPlan::compile(selfLoopGenome(1.0, 1.0), ffCfg);
-    EXPECT_ANY_THROW(ff.activateRecurrent({1.0}, s));
+    EXPECT_ANY_THROW(ff.activateRecurrent(one, s));
 }
 
 TEST(RecurrentPlan, PlanCacheServesRecurrentPlansWithCarryOver)
@@ -560,8 +562,9 @@ TEST(RecurrentPlan, PlanCacheServesRecurrentPlansWithCarryOver)
 
     PlanScratch s;
     p2->reset(s);
-    p2->activateRecurrent({1.0}, s);
+    const std::vector<double> one{1.0};
+    p2->activateRecurrent(one, s);
     EXPECT_NEAR(s.outputs[0], 1.0, 1e-12);
-    p2->activateRecurrent({1.0}, s);
+    p2->activateRecurrent(one, s);
     EXPECT_NEAR(s.outputs[0], 2.0, 1e-12);
 }
