@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "nn/compiled_plan.hh"
@@ -328,6 +329,27 @@ System::resumeFrom(const std::string &path)
         mismatch("numerics tier",
                  nn::numericsTierName(snap.numericsTier),
                  nn::numericsTierName(numericsTier_));
+
+    // Structure gate: the digest only proves the bytes are the ones
+    // written, not that they describe genomes this run can breed and
+    // compile. Every genome the population holds must pass
+    // Genome::validate under this run's config.
+    auto checkGenome = [&](const neat::Genome &g, const std::string &what) {
+        try {
+            g.validate(neatCfg_);
+        } catch (const std::logic_error &e) {
+            throw persist::SnapshotError("snapshot \"" + path + "\": " +
+                                         what + " is malformed: " +
+                                         e.what());
+        }
+    };
+    for (const auto &[gk, g] : snap.population.genomes)
+        checkGenome(g, "genome " + std::to_string(gk));
+    for (const auto &[sk, sp] : snap.population.species)
+        checkGenome(sp.representative,
+                    "representative of species " + std::to_string(sk));
+    if (snap.population.hasBest)
+        checkGenome(snap.population.bestGenome, "best genome");
 
     // Validated end to end — apply atomically.
     population_->restore(std::move(snap.population));

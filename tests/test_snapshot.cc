@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -462,6 +464,285 @@ TEST_F(SnapshotCorruptionTest, FailedResumeLeavesSystemUntouched)
     }
     EXPECT_EQ(digestReports(victim.reports()),
               digestReports(control.reports()));
+}
+
+// --- structure-aware fuzz: the parser meets hostile payloads -----------------
+// The corruption tests above mostly prove the digest works: a flipped
+// byte is rejected before any chunk is parsed. This loop mutates the
+// payload with knowledge of its layout — chunk tags, sizes and
+// bodies, element counts, gene keys — and then *recomputes* the
+// payload size and FNV digest in the header, so every input reaches
+// the chunk parsers and System::resumeFrom. Each input must either be
+// rejected with a SnapshotError or restore a state whose genomes all
+// pass Genome::validate; anything else (another exception, a crash,
+// a sanitizer report) fails. Seeded and deterministic, with a fixed
+// iteration budget, so it runs under ASan/UBSan in every CI pass.
+
+namespace
+{
+
+uint64_t
+fuzzFnv1a(const std::vector<uint8_t> &bytes, size_t from)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (size_t i = from; i < bytes.size(); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+uint64_t
+getLe(const std::vector<uint8_t> &b, size_t at, int width)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < width; ++i)
+        v |= static_cast<uint64_t>(b[at + static_cast<size_t>(i)]) << (8 * i);
+    return v;
+}
+
+void
+putLe(std::vector<uint8_t> &b, size_t at, int width, uint64_t v)
+{
+    for (int i = 0; i < width; ++i)
+        b[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+constexpr size_t kFuzzHeaderBytes = 24;
+
+/** Where one chunk sits in the file: its size field and its body. */
+struct ChunkAt
+{
+    size_t tagAt;
+    size_t body;
+    size_t size;
+};
+
+std::vector<ChunkAt>
+chunksOf(const std::vector<uint8_t> &file)
+{
+    std::vector<ChunkAt> chunks;
+    for (size_t at = kFuzzHeaderBytes; at + 12 <= file.size();) {
+        const size_t size = static_cast<size_t>(getLe(file, at + 4, 8));
+        chunks.push_back({at, at + 12, size});
+        at += 12 + size;
+    }
+    return chunks;
+}
+
+/** A little-endian integer field the fuzz rewrites: offset and width. */
+struct Field
+{
+    size_t at;
+    int width;
+};
+
+/**
+ * Element counts and gene keys of a well-formed snapshot, found by
+ * walking the POPL genome layout (key, deletions, fitness flag and
+ * value, then counted node genes of 22 bytes and connection genes of
+ * 17) and the fixed positions of the other chunks' counts.
+ */
+void
+findFields(const std::vector<uint8_t> &file, std::vector<Field> &counts,
+           std::vector<Field> &keys)
+{
+    auto tag_is = [&](const ChunkAt &c, const char *t) {
+        return std::memcmp(file.data() + c.tagAt, t, 4) == 0;
+    };
+    for (const ChunkAt &c : chunksOf(file)) {
+        if (tag_is(c, "SPCS"))
+            counts.push_back({c.body + 4, 8});
+        else if (tag_is(c, "RNGS") || tag_is(c, "TRCE"))
+            counts.push_back({c.body, 4});
+        else if (tag_is(c, "METR"))
+            counts.push_back({c.body, 8});
+        if (!tag_is(c, "POPL"))
+            continue;
+        counts.push_back({c.body + 4, 8});
+        const uint64_t genomes = getLe(file, c.body + 4, 8);
+        size_t at = c.body + 12;
+        for (uint64_t g = 0; g < genomes; ++g) {
+            keys.push_back({at, 4});
+            at += 17;
+            counts.push_back({at, 8});
+            const uint64_t nodes = getLe(file, at, 8);
+            at += 8;
+            for (uint64_t n = 0; n < nodes; ++n, at += 22)
+                keys.push_back({at, 4});
+            counts.push_back({at, 8});
+            const uint64_t conns = getLe(file, at, 8);
+            at += 8;
+            for (uint64_t k = 0; k < conns; ++k, at += 17) {
+                keys.push_back({at, 4});
+                keys.push_back({at + 4, 4});
+            }
+        }
+    }
+}
+
+/** Apply one structure-aware mutation to `file` (header excluded). */
+void
+mutateSnapshot(std::vector<uint8_t> &file, const std::vector<Field> &counts,
+               const std::vector<Field> &keys, XorWow &rng)
+{
+    const std::vector<ChunkAt> chunks = chunksOf(file);
+    if (chunks.empty())
+        return;
+    const ChunkAt &c =
+        chunks[rng.uniformInt(static_cast<uint32_t>(chunks.size()))];
+    const bool body_in_file = c.body + c.size <= file.size();
+    auto in_file = [&](const Field &f) {
+        return f.at + static_cast<size_t>(f.width) <= file.size();
+    };
+    switch (rng.uniformInt(6u)) {
+      case 0: // one payload byte anywhere in a chunk body
+        if (body_in_file && c.size > 0)
+            file[c.body + rng.uniformInt(static_cast<uint32_t>(c.size))] =
+                static_cast<uint8_t>(rng.uniformInt(256u));
+        break;
+      case 1: { // an element count
+        const Field &f =
+            counts[rng.uniformInt(static_cast<uint32_t>(counts.size()))];
+        if (!in_file(f))
+            break;
+        const uint64_t v = getLe(file, f.at, f.width);
+        const uint64_t choices[] = {0,          v + 1,      v - 1,
+                                    2 * v + 1,  0xFFFFFFFFu, 1ull << 62,
+                                    rng.next64()};
+        putLe(file, f.at, f.width, choices[rng.uniformInt(7u)]);
+        break;
+      }
+      case 2: { // a genome, node or connection key, near the valid range
+        const Field &f =
+            keys[rng.uniformInt(static_cast<uint32_t>(keys.size()))];
+        if (in_file(f))
+            putLe(file, f.at, f.width,
+                  static_cast<uint32_t>(rng.uniformInt(-8, 40)));
+        break;
+      }
+      case 3: { // a chunk's declared size, body left as is
+        const uint64_t choices[] = {0, c.size + 1, c.size - 1,
+                                    c.size + 1000, ~0ull, rng.next64()};
+        putLe(file, c.tagAt + 4, 8, choices[rng.uniformInt(6u)]);
+        break;
+      }
+      case 4: { // grow or shrink a body, framing kept consistent
+        if (!body_in_file)
+            break;
+        const size_t end = c.body + c.size;
+        if (rng.bernoulli(0.5) && c.size > 0) {
+            const size_t cut = 1 + rng.uniformInt(static_cast<uint32_t>(
+                                       std::min<size_t>(c.size, 64)));
+            file.erase(file.begin() + static_cast<std::ptrdiff_t>(end - cut),
+                       file.begin() + static_cast<std::ptrdiff_t>(end));
+            putLe(file, c.tagAt + 4, 8, c.size - cut);
+        } else {
+            const size_t grow = 1 + rng.uniformInt(64u);
+            file.insert(file.begin() + static_cast<std::ptrdiff_t>(end),
+                        grow, static_cast<uint8_t>(rng.uniformInt(256u)));
+            putLe(file, c.tagAt + 4, 8, c.size + grow);
+        }
+        break;
+      }
+      default: { // drop, duplicate or retag a whole chunk
+        if (!body_in_file)
+            break;
+        const auto from = file.begin() + static_cast<std::ptrdiff_t>(c.tagAt);
+        const auto to =
+            file.begin() + static_cast<std::ptrdiff_t>(c.body + c.size);
+        const uint32_t how = rng.uniformInt(3u);
+        if (how == 0) {
+            file.erase(from, to);
+        } else if (how == 1) {
+            const std::vector<uint8_t> copy(from, to);
+            file.insert(to, copy.begin(), copy.end());
+        } else {
+            const ChunkAt &other =
+                chunks[rng.uniformInt(static_cast<uint32_t>(chunks.size()))];
+            const uint64_t tag = rng.bernoulli(0.5)
+                                     ? getLe(file, other.tagAt, 4)
+                                     : rng.next32();
+            putLe(file, c.tagAt, 4, tag);
+        }
+        break;
+      }
+    }
+}
+
+} // namespace
+
+TEST(SnapshotFuzz, HostilePayloadsAreRejectedOrRestoreValidGenomes)
+{
+    constexpr int kIterations = 400;
+    const fs::path dir = scratchDir("fuzz");
+    core::SystemConfig cfg = smallSystemConfig();
+    cfg.numThreads = 1;
+    cfg.checkpointDir = dir.string();
+    {
+        core::System sys(cfg);
+        ASSERT_FALSE(sys.stepGeneration());
+        ASSERT_FALSE(sys.stepGeneration());
+    }
+    std::vector<uint8_t> pristine;
+    {
+        std::ifstream is(dir / persist::snapshotFileName(2),
+                         std::ios::binary);
+        pristine.assign(std::istreambuf_iterator<char>(is),
+                        std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(pristine.size(), kFuzzHeaderBytes);
+    std::vector<Field> counts, keys;
+    findFields(pristine, counts, keys);
+    ASSERT_FALSE(counts.empty());
+    ASSERT_FALSE(keys.empty());
+
+    cfg.checkpointDir.clear();
+    const std::string path = (dir / "fuzz.gsnap").string();
+    XorWow rng(0xF022);
+    int rejected = 0, restored = 0;
+    for (int it = 0; it < kIterations; ++it) {
+        SCOPED_TRACE("fuzz iteration " + std::to_string(it));
+        std::vector<uint8_t> file = pristine;
+        const int rounds = rng.uniformInt(1, 3);
+        for (int m = 0; m < rounds; ++m)
+            mutateSnapshot(file, counts, keys, rng);
+        putLe(file, 8, 8, file.size() - kFuzzHeaderBytes);
+        putLe(file, 16, 8, fuzzFnv1a(file, kFuzzHeaderBytes));
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os.write(reinterpret_cast<const char *>(file.data()),
+                     static_cast<std::streamsize>(file.size()));
+        }
+
+        core::System sys(cfg);
+        try {
+            sys.resumeFrom(path);
+        } catch (const persist::SnapshotError &) {
+            ++rejected;
+            continue;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "not a SnapshotError: " << e.what();
+            continue;
+        }
+        ++restored;
+        const neat::NeatConfig &ncfg = sys.neatConfig();
+        const neat::Population &pop = sys.population();
+        try {
+            for (const auto &[gk, g] : pop.genomes())
+                g.validate(ncfg);
+            for (const auto &[sk, sp] : pop.species().species())
+                sp.representative.validate(ncfg);
+            if (pop.hasBest())
+                pop.bestGenome().validate(ncfg);
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "restored an invalid genome: " << e.what();
+        }
+    }
+    // Both outcomes occur, so the budget is not spent on one of them.
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(restored, 0);
+    fs::remove_all(dir);
 }
 
 // --- provenance validation ---------------------------------------------------
