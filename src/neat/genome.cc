@@ -494,18 +494,16 @@ Genome::validate(const NeatConfig &cfg) const
             ++in_deg[index_of(ck.second)];
 
         // Seed with every vertex that has no stored in-edge (inputs
-        // always qualify: destinations are node keys).
-        std::vector<char> resolved(nv, 0);
+        // always qualify: destinations are node keys). Each vertex is
+        // pushed once, when its count reaches zero, so a vertex is
+        // resolved exactly when its in_deg ends at zero.
         std::vector<int> stack; // vertex keys
-        for (int i = 0; i < num_inputs; ++i) {
-            resolved[static_cast<size_t>(i)] = 1;
+        stack.reserve(nv);
+        for (int i = 0; i < num_inputs; ++i)
             stack.push_back(i - num_inputs);
-        }
         for (size_t i = 0; i < nkeys.size(); ++i) {
-            if (in_deg[static_cast<size_t>(num_inputs) + i] == 0) {
-                resolved[static_cast<size_t>(num_inputs) + i] = 1;
+            if (in_deg[static_cast<size_t>(num_inputs) + i] == 0)
                 stack.push_back(nkeys[i]);
-            }
         }
         while (!stack.empty()) {
             const int v = stack.back();
@@ -517,16 +515,15 @@ Genome::validate(const NeatConfig &cfg) const
                 ConnKey{v, std::numeric_limits<int>::min()});
             for (; it != ckeys.end() && it->first == v; ++it) {
                 const size_t dst = index_of(it->second);
-                if (--in_deg[dst] == 0) {
-                    resolved[dst] = 1;
+                if (--in_deg[dst] == 0)
                     stack.push_back(it->second);
-                }
             }
         }
+        const auto resolved = [&](size_t v) { return in_deg[v] == 0; };
         bool cyclic = false;
         for (const ConnKey &ck : ckeys) {
-            if (!resolved[index_of(ck.first)] &&
-                !resolved[index_of(ck.second)]) {
+            if (!resolved(index_of(ck.first)) &&
+                !resolved(index_of(ck.second))) {
                 cyclic = true;
                 break;
             }
@@ -539,7 +536,7 @@ Genome::validate(const NeatConfig &cfg) const
             // cycle — not merely behind one.
             std::vector<char> core(nv, 0);
             for (size_t v = 0; v < nv; ++v)
-                core[v] = !resolved[v];
+                core[v] = !resolved(v);
             for (bool changed = true; changed;) {
                 changed = false;
                 std::vector<int> out_in_core(nv, 0);
