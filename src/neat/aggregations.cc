@@ -20,7 +20,7 @@ const std::array<std::string,
 
 /** Every aggregation but Median: a pure read of `inputs`. */
 double
-aggregateOrdered(Aggregation a, std::span<const double> inputs)
+aggregateReadOnly(Aggregation a, std::span<const double> inputs)
 {
     switch (a) {
       case Aggregation::Sum: {
@@ -66,7 +66,7 @@ aggregateInPlace(Aggregation a, std::span<double> inputs)
     if (inputs.empty())
         return 0.0;
     if (a != Aggregation::Median)
-        return aggregateOrdered(a, inputs);
+        return aggregateReadOnly(a, inputs);
     std::sort(inputs.begin(), inputs.end());
     const size_t n = inputs.size();
     return n % 2 ? inputs[n / 2]
@@ -79,7 +79,7 @@ aggregate(Aggregation a, const std::vector<double> &inputs)
     if (inputs.empty())
         return 0.0;
     if (a != Aggregation::Median)
-        return aggregateOrdered(a, inputs);
+        return aggregateReadOnly(a, inputs);
     std::vector<double> sorted(inputs);
     return aggregateInPlace(a, sorted);
 }

@@ -495,8 +495,7 @@ Genome::validate(const NeatConfig &cfg) const
 
         // Seed with every vertex that has no stored in-edge (inputs
         // always qualify: destinations are node keys). Each vertex is
-        // pushed once, when its count reaches zero, so a vertex is
-        // resolved exactly when its in_deg ends at zero.
+        // pushed once, when its count reaches zero.
         std::vector<int> stack; // vertex keys
         stack.reserve(nv);
         for (int i = 0; i < num_inputs; ++i)
@@ -505,9 +504,11 @@ Genome::validate(const NeatConfig &cfg) const
             if (in_deg[static_cast<size_t>(num_inputs) + i] == 0)
                 stack.push_back(nkeys[i]);
         }
+        size_t resolved_count = 0;
         while (!stack.empty()) {
             const int v = stack.back();
             stack.pop_back();
+            ++resolved_count;
             // Out-edges of v are the contiguous (v, *) range of the
             // sorted connection-key array.
             auto it = std::lower_bound(
@@ -519,24 +520,17 @@ Genome::validate(const NeatConfig &cfg) const
                     stack.push_back(it->second);
             }
         }
-        const auto resolved = [&](size_t v) { return in_deg[v] == 0; };
-        bool cyclic = false;
-        for (const ConnKey &ck : ckeys) {
-            if (!resolved(index_of(ck.first)) &&
-                !resolved(index_of(ck.second))) {
-                cyclic = true;
-                break;
-            }
-        }
-        if (cyclic) {
+        // Kahn's countdown resolves every vertex of an acyclic graph,
+        // so any vertex left over means a cycle.
+        if (resolved_count != nv) {
             // The forward pass leaves cycles *and* everything
-            // downstream of them unresolved. Peel vertices with no
-            // outgoing edge into the unresolved core (failure path
-            // only), so the edge reported below actually lies on a
-            // cycle — not merely behind one.
+            // downstream of them unresolved (a nonzero count). Peel
+            // vertices with no outgoing edge into the unresolved core
+            // (failure path only), so the edge reported below
+            // actually lies on a cycle — not merely behind one.
             std::vector<char> core(nv, 0);
             for (size_t v = 0; v < nv; ++v)
-                core[v] = !resolved(v);
+                core[v] = in_deg[v] != 0;
             for (bool changed = true; changed;) {
                 changed = false;
                 std::vector<int> out_in_core(nv, 0);
