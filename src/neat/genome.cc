@@ -452,7 +452,7 @@ Genome::validate(const NeatConfig &cfg) const
         GENESYS_ASSERT(i == 0 || nkeys[i - 1] < nkeys[i],
                        "node keys not strictly ascending");
     }
-    for (int out : outputKeys(cfg)) {
+    for (int out = 0; out < cfg.numOutputs; ++out) { // outputKeys(cfg)
         GENESYS_ASSERT(nodes_.count(out),
                        "output node " << out << " missing");
     }
@@ -489,26 +489,27 @@ Genome::validate(const NeatConfig &cfg) const
                        nkeys.begin());
         };
         const size_t nv = static_cast<size_t>(num_inputs) + nkeys.size();
-        std::vector<int> in_deg(nv, 0);
+        // One buffer: per-vertex in-degree counts, then the stack of
+        // vertex keys. Each vertex is pushed once, when its count
+        // reaches zero, so the stack never holds more than nv keys.
+        std::vector<int> work(2 * nv, 0);
+        int *const in_deg = work.data();
+        int *const stack = in_deg + nv;
         for (const ConnKey &ck : ckeys)
             ++in_deg[index_of(ck.second)];
 
         // Seed with every vertex that has no stored in-edge (inputs
-        // always qualify: destinations are node keys). Each vertex is
-        // pushed once, when its count reaches zero.
-        std::vector<int> stack; // vertex keys
-        stack.reserve(nv);
+        // always qualify: destinations are node keys).
+        size_t top = 0;
         for (int i = 0; i < num_inputs; ++i)
-            stack.push_back(i - num_inputs);
+            stack[top++] = i - num_inputs;
         for (size_t i = 0; i < nkeys.size(); ++i) {
             if (in_deg[static_cast<size_t>(num_inputs) + i] == 0)
-                stack.push_back(nkeys[i]);
+                stack[top++] = nkeys[i];
         }
-        size_t resolved_count = 0;
-        while (!stack.empty()) {
-            const int v = stack.back();
-            stack.pop_back();
-            ++resolved_count;
+        size_t resolved_count = top;
+        while (top > 0) {
+            const int v = stack[--top];
             // Out-edges of v are the contiguous (v, *) range of the
             // sorted connection-key array.
             auto it = std::lower_bound(
@@ -516,8 +517,10 @@ Genome::validate(const NeatConfig &cfg) const
                 ConnKey{v, std::numeric_limits<int>::min()});
             for (; it != ckeys.end() && it->first == v; ++it) {
                 const size_t dst = index_of(it->second);
-                if (--in_deg[dst] == 0)
-                    stack.push_back(it->second);
+                if (--in_deg[dst] == 0) {
+                    stack[top++] = it->second;
+                    ++resolved_count;
+                }
             }
         }
         // Kahn's countdown resolves every vertex of an acyclic graph,

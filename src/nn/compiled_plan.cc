@@ -655,8 +655,6 @@ CompiledPlan::activateSpan(LayerSpan span, const double *rd, double *wr,
             group = 1;
           }
         }
-        // Writes follow all of the group's reads, which is what lets
-        // a feed-forward span read and write one array.
         for (int32_t g = 0; g < group; ++g, ++n) {
             if constexpr (kTier == NumericsTier::HwFaithful)
                 wr[slot_of[n]] = hwact::activateQuantized(
