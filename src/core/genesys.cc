@@ -30,10 +30,10 @@ secondsSince(Clock::time_point t0)
 
 System::System(SystemConfig cfg)
     : cfg_(std::move(cfg)), spec_(workload(cfg_.envName)),
-      neatCfg_(neatConfigFor(spec_)),
-      env_(env::makeEnvironment(cfg_.envName)),
-      soc_(cfg_.soc, cfg_.energy)
+      neatCfg_(neatConfigFor(spec_)), soc_(cfg_.soc, cfg_.energy)
 {
+    const auto wall0 = Clock::now();
+    env_ = env::makeEnvironment(cfg_.envName);
     if (cfg_.maxGenerations > 0)
         spec_.maxGenerations = cfg_.maxGenerations;
     if (cfg_.episodesPerEval > 0)
@@ -63,7 +63,11 @@ System::System(SystemConfig cfg)
         std::filesystem::create_directories(cfg_.checkpointDir);
 
     population_ = std::make_unique<neat::Population>(neatCfg_, cfg_.seed);
+    startup_.populationSeconds =
+        population_->lastStepPhases().reproduceSeconds;
+    startup_.speciateSeconds = population_->lastStepPhases().speciateSeconds;
 
+    const auto engine0 = Clock::now();
     // Batched evaluation engine: one private environment instance per
     // worker; waves sized to the EvE PE array so batch statistics map
     // 1:1 onto PE-array waves.
@@ -92,6 +96,16 @@ System::System(SystemConfig cfg)
             engine->runParallel(count,
                                 [&body](std::size_t i, int) { body(i); });
         });
+    startup_.engineSeconds = secondsSince(engine0);
+    startup_.wallSeconds = secondsSince(wall0);
+
+    if (auto *reg = obs::MetricsRegistry::active()) {
+        reg->gauge("startup.population_seconds")
+            .set(startup_.populationSeconds);
+        reg->gauge("startup.speciate_seconds").set(startup_.speciateSeconds);
+        reg->gauge("startup.engine_seconds").set(startup_.engineSeconds);
+        reg->gauge("startup.wall_seconds").set(startup_.wallSeconds);
+    }
 }
 
 System::~System() = default;
@@ -297,7 +311,11 @@ System::writeCheckpoint()
 void
 System::resumeFrom(const std::string &path)
 {
+    const auto wall0 = Clock::now();
+    ResumePhases phases;
     persist::SystemSnapshot snap = persist::readSnapshotFile(path);
+    phases.readSeconds = secondsSince(wall0);
+    const auto validate0 = Clock::now();
 
     // Provenance gate: a snapshot only resumes the run that wrote it.
     // Everything below is config the snapshot's state is a pure
@@ -351,11 +369,25 @@ System::resumeFrom(const std::string &path)
     if (snap.population.hasBest)
         checkGenome(snap.population.bestGenome, "best genome");
 
+    phases.validateSeconds = secondsSince(validate0);
+
     // Validated end to end — apply atomically.
+    const auto restore0 = Clock::now();
     population_->restore(std::move(snap.population));
-    if (auto *reg = obs::MetricsRegistry::active())
+    auto *reg = obs::MetricsRegistry::active();
+    if (reg)
         reg->restoreCounters(snap.counters);
     solved_ = false;
+    phases.restoreSeconds = secondsSince(restore0);
+    phases.wallSeconds = secondsSince(wall0);
+    resume_ = phases;
+
+    if (reg) {
+        reg->gauge("resume.read_seconds").set(resume_.readSeconds);
+        reg->gauge("resume.validate_seconds").set(resume_.validateSeconds);
+        reg->gauge("resume.restore_seconds").set(resume_.restoreSeconds);
+        reg->gauge("resume.wall_seconds").set(resume_.wallSeconds);
+    }
 }
 
 RunSummary

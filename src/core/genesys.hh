@@ -130,6 +130,39 @@ struct PhaseBreakdown
     double barrierIdleFraction = 0.0;
 };
 
+/**
+ * Wall-clock breakdown of System construction. Measured like
+ * PhaseBreakdown, and published as startup.*_seconds gauges when a
+ * metrics registry is active.
+ */
+struct StartupPhases
+{
+    /** Creating the generation-0 population. */
+    double populationSeconds = 0.0;
+    /** Speciating it for the first time. */
+    double speciateSeconds = 0.0;
+    /** Building the evaluation engine and starting its pool. */
+    double engineSeconds = 0.0;
+    /** The whole constructor, from its first statement. */
+    double wallSeconds = 0.0;
+};
+
+/**
+ * Wall-clock breakdown of one successful System::resumeFrom call,
+ * published as resume.*_seconds gauges when a registry is active.
+ */
+struct ResumePhases
+{
+    /** Reading, digest-checking and parsing the snapshot file. */
+    double readSeconds = 0.0;
+    /** Provenance checks and Genome::validate on every genome. */
+    double validateSeconds = 0.0;
+    /** Applying the snapshot to the population and the counters. */
+    double restoreSeconds = 0.0;
+    /** The whole resumeFrom() call. */
+    double wallSeconds = 0.0;
+};
+
 /** Per-generation record: algorithm stats + hardware stats. */
 struct GenerationReport
 {
@@ -198,6 +231,11 @@ class System
     /** The resolved numerics tier (config + GENESYS_NUMERICS). */
     nn::NumericsTier numericsTier() const { return numericsTier_; }
 
+    /** Where construction spent its wall-clock. */
+    const StartupPhases &startupPhases() const { return startup_; }
+    /** The last successful resumeFrom()'s phases (zeros before one). */
+    const ResumePhases &lastResumePhases() const { return resume_; }
+
     /** Replay the current best genome; returns its episode fitness. */
     env::EpisodeResult replayBest(uint64_t seed);
 
@@ -236,6 +274,8 @@ class System
     std::unique_ptr<exec::EvalEngine> engine_;
     hw::GenesysSoc soc_;
     std::vector<GenerationReport> reports_;
+    StartupPhases startup_;
+    ResumePhases resume_;
     bool solved_ = false;
     /** Resolved once in the constructor; used by replay + snapshots. */
     nn::NumericsTier numericsTier_ = nn::NumericsTier::Reference;

@@ -57,35 +57,54 @@ Genome::createNew(int key, const NeatConfig &cfg, NodeIndexer &indexer,
                   XorWow &rng)
 {
     Genome g(key);
+    const std::vector<int> inputs = inputKeys(cfg);
+    const std::vector<int> outputs = outputKeys(cfg);
+    const size_t num_hidden = static_cast<size_t>(cfg.numHidden);
 
-    for (int out : outputKeys(cfg)) {
+    // Node keys come out ascending (outputs, then fresh indexer keys
+    // past them), so every emplace appends.
+    g.nodes_.reserve(outputs.size() + num_hidden);
+    for (int out : outputs) {
         g.nodes_.emplace(out, NodeGene::createNew(out, cfg, rng));
         indexer.bump(out);
     }
     std::vector<int> hidden;
-    for (int i = 0; i < cfg.numHidden; ++i) {
+    hidden.reserve(num_hidden);
+    for (size_t i = 0; i < num_hidden; ++i) {
         const int nk = indexer.next();
         hidden.push_back(nk);
         g.nodes_.emplace(nk, NodeGene::createNew(nk, cfg, rng));
     }
 
+    // Connections are drawn input-major with inputs -1, -2, ..., which
+    // is descending key order: emplacing each as drawn would insert at
+    // the front of the sorted map every time. Draw them in that same
+    // order (the RNG stream fixes which weight lands on which key),
+    // then sort once.
+    std::vector<std::pair<ConnKey, ConnectionGene>> drawn;
+    const size_t direct =
+        cfg.initialConnection == InitialConnection::Unconnected
+            ? 0
+            : inputs.size() * outputs.size();
+    drawn.reserve(direct +
+                  num_hidden * (inputs.size() + outputs.size()));
     auto add_conn = [&](int src, int dst) {
         const ConnKey ck{src, dst};
-        g.connections_.emplace(ck, ConnectionGene::createNew(ck, cfg, rng));
+        drawn.emplace_back(ck, ConnectionGene::createNew(ck, cfg, rng));
     };
 
     switch (cfg.initialConnection) {
       case InitialConnection::Unconnected:
         break;
       case InitialConnection::FullDirect:
-        for (int in : inputKeys(cfg)) {
-            for (int out : outputKeys(cfg))
+        for (int in : inputs) {
+            for (int out : outputs)
                 add_conn(in, out);
         }
         break;
       case InitialConnection::PartialDirect:
-        for (int in : inputKeys(cfg)) {
-            for (int out : outputKeys(cfg)) {
+        for (int in : inputs) {
+            for (int out : outputs) {
                 if (rng.bernoulli(cfg.partialConnectionProb))
                     add_conn(in, out);
             }
@@ -96,11 +115,13 @@ Genome::createNew(int key, const NeatConfig &cfg, NodeIndexer &indexer,
     // Wire any requested initial hidden nodes input->hidden->output so
     // they are live from the start.
     for (int h : hidden) {
-        for (int in : inputKeys(cfg))
+        for (int in : inputs)
             add_conn(in, h);
-        for (int out : outputKeys(cfg))
+        for (int out : outputs)
             add_conn(h, out);
     }
+    g.connections_.assign(std::move(drawn));
+    g.connections_.dcheckInvariants("Genome::createNew");
     return g;
 }
 

@@ -16,6 +16,14 @@ namespace genesys::neat
 namespace
 {
 
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
 /**
  * Checked-build walk of the speciation result: every species member
  * must name a live genome, and the species together must partition
@@ -81,8 +89,14 @@ replaceNonFiniteFitness(std::vector<double> &fits)
 Population::Population(const NeatConfig &cfg, uint64_t seed)
     : cfg_(cfg), reproduction_(cfg_), speciesSet_(cfg_), rng_(seed)
 {
+    // Creating generation 0 is its breeding, so it lands in
+    // lastStepPhases() as the reproduce phase until the first step.
+    const auto r0 = Clock::now();
     population_ = reproduction_.createNewPopulation(rng_);
+    lastPhases_.reproduceSeconds = secondsSince(r0);
+    const auto s0 = Clock::now();
     speciesSet_.speciate(population_, generation_);
+    lastPhases_.speciateSeconds = secondsSince(s0);
     dcheckSpeciesPartition(speciesSet_, population_);
 }
 
@@ -209,12 +223,6 @@ Population::stepBatch(const BatchFitnessFn &fitness)
     if (stats.bestFitness >= cfg_.fitnessThreshold)
         return true;
 
-    using Clock = std::chrono::steady_clock;
-    auto seconds_since = [](Clock::time_point t0) {
-        return std::chrono::duration<double>(Clock::now() - t0)
-            .count();
-    };
-
     // Breed generation n+1 (steps 7-10: Gene Selector + EvE). This
     // and speciation below are the serial generation-barrier phases;
     // their wall-clock lands in lastStepPhases() (and on the span
@@ -236,7 +244,7 @@ Population::stepBatch(const BatchFitnessFn &fitness)
         }
         population_ = std::move(next);
     }
-    lastPhases_.reproduceSeconds = seconds_since(r0);
+    lastPhases_.reproduceSeconds = secondsSince(r0);
     traces_.push_back(std::move(trace_out));
     trimTraces();
 
@@ -247,7 +255,7 @@ Population::stepBatch(const BatchFitnessFn &fitness)
         speciesSet_.speciate(population_, generation_, executor_);
     }
     dcheckSpeciesPartition(speciesSet_, population_);
-    lastPhases_.speciateSeconds = seconds_since(s0);
+    lastPhases_.speciateSeconds = secondsSince(s0);
     return false;
 }
 

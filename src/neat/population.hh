@@ -172,7 +172,9 @@ class Population
 
     /**
      * Phase wall-clock of the most recent step()/stepBatch() call
-     * (zeros when the step solved and bred nothing).
+     * (zeros when the step solved and bred nothing). Before the first
+     * step it holds the constructor's: creating generation 0 and its
+     * first speciation. restore() zeroes it.
      */
     const StepPhaseTimes &lastStepPhases() const { return lastPhases_; }
 

@@ -75,25 +75,17 @@ const uint32_t kChunkMetrics = fourcc("METR");
 class ByteWriter
 {
   public:
+    /** Size the buffer for `bytes` in total (see payloadSizeHint). */
+    void reserve(size_t bytes) { buf_.reserve(bytes); }
+
     void
     u8(uint8_t v)
     {
         buf_.push_back(v);
     }
 
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+    void u32(uint32_t v) { le(v); }
+    void u64(uint64_t v) { le(v); }
 
     void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
     void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
@@ -130,6 +122,17 @@ class ByteWriter
     const std::vector<uint8_t> &bytes() const { return buf_; }
 
   private:
+    /** Append `v` little-endian with one resize. */
+    template <typename U>
+    void
+    le(U v)
+    {
+        const size_t at = buf_.size();
+        buf_.resize(at + sizeof(U));
+        for (size_t i = 0; i < sizeof(U); ++i)
+            buf_[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+
     std::vector<uint8_t> buf_;
 };
 
@@ -442,6 +445,50 @@ readRngState(ByteReader &r)
     return s;
 }
 
+/** Encoded size of one genome: fixed fields plus its genes. */
+size_t
+genomeBytes(const neat::Genome &g)
+{
+    // key, node deletions, has-fitness, fitness, two gene counts.
+    constexpr size_t kFixed = 4 + 4 + 1 + 8 + 8 + 8;
+    return kFixed + 22 * g.numNodeGenes() + 17 * g.numConnectionGenes();
+}
+
+/**
+ * Payload bytes writeSnapshotFile will emit for `snap`, so the writer
+ * reserves once instead of doubling its way up to a multi-megabyte
+ * buffer. Mirrors the write* codecs; if the two ever disagree the
+ * buffer simply grows, the bytes do not change.
+ */
+size_t
+payloadSizeHint(const SystemSnapshot &snap)
+{
+    constexpr size_t kChunkFrame = 4 + 8;
+    size_t n = 8 * kChunkFrame;
+    n += 8 + snap.envName.size() + 8 + 3 * 4 + 1 + 1; // CFG0
+    n += 4 + 8;                                       // POPL header
+    for (const auto &[gk, g] : snap.population.genomes)
+        n += genomeBytes(g);
+    n += 4 + 8; // SPCS header
+    for (const auto &[sk, sp] : snap.population.species) {
+        n += 3 * 4 + genomeBytes(sp.representative) + 8 +
+             4 * sp.memberKeys.size() + 1 + 8 + 8 +
+             8 * sp.fitnessHistory.size() + 8;
+    }
+    n += 4 + 4;                                                // RPRO
+    n += 4 + 8 + std::strlen(kEvolutionRngStream) + 6 * 4 + 1 + 8; // RNGS
+    n += 1 + (snap.population.hasBest
+                  ? genomeBytes(snap.population.bestGenome)
+                  : 0); // BEST
+    n += 4;             // TRCE header
+    for (const neat::EvolutionTrace &t : snap.population.traces)
+        n += 4 + 8 + 93 * t.children.size();
+    n += 8; // METR header
+    for (const auto &[name, value] : snap.counters)
+        n += 8 + name.size() + 8;
+    return n;
+}
+
 } // namespace
 
 // --- public API -------------------------------------------------------------
@@ -495,6 +542,7 @@ void
 writeSnapshotFile(const SystemSnapshot &snap, const std::string &path)
 {
     ByteWriter w;
+    w.reserve(payloadSizeHint(snap));
 
     size_t c = w.beginChunk(kChunkConfig);
     w.str(snap.envName);
@@ -597,11 +645,45 @@ writeSnapshotFile(const SystemSnapshot &snap, const std::string &path)
 SystemSnapshot
 readSnapshotFile(const std::string &path)
 {
+    // Size the path before allocating anything: a directory or a
+    // device has no meaningful size to read into.
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::file_status st = fs::status(path, ec);
+    if (st.type() == fs::file_type::not_found) {
+        throw SnapshotError("cannot open snapshot file \"" + path +
+                            "\": no such file");
+    }
+    if (ec) {
+        throw SnapshotError("cannot open snapshot file \"" + path +
+                            "\": " + ec.message());
+    }
+    if (!fs::is_regular_file(st)) {
+        throw SnapshotError("cannot open snapshot file \"" + path +
+                            "\": not a regular file");
+    }
+    const std::uintmax_t size = fs::file_size(path, ec);
+    if (ec) {
+        throw SnapshotError("cannot size snapshot file \"" + path +
+                            "\": " + ec.message());
+    }
     std::ifstream is(path, std::ios::binary);
     if (!is)
         throw SnapshotError("cannot open snapshot file \"" + path + "\"");
-    std::vector<uint8_t> file((std::istreambuf_iterator<char>(is)),
-                              std::istreambuf_iterator<char>());
+    return readSnapshot(is, size, path);
+}
+
+SystemSnapshot
+readSnapshot(std::istream &in, std::uintmax_t size, const std::string &path)
+{
+    std::vector<uint8_t> file(static_cast<size_t>(size));
+    in.read(reinterpret_cast<char *>(file.data()),
+            static_cast<std::streamsize>(file.size()));
+    if (static_cast<std::uintmax_t>(in.gcount()) != size) {
+        throw SnapshotError("short read of snapshot \"" + path + "\": " +
+                            std::to_string(in.gcount()) + " of " +
+                            std::to_string(size) + " bytes");
+    }
 
     if (file.size() < kHeaderBytes) {
         throw SnapshotError(

@@ -40,6 +40,7 @@
 #define GENESYS_PERSIST_SNAPSHOT_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -108,12 +109,22 @@ void writeSnapshotFile(const SystemSnapshot &snap,
                        const std::string &path);
 
 /**
- * Parse and fully validate the snapshot at `path`. Throws
- * SnapshotError (with a distinct message per failure mode: missing
- * file, truncation, bad magic, unsupported version, digest mismatch,
- * malformed chunk) without side effects.
+ * Parse and fully validate the snapshot at `path`. The file's size is
+ * queried once and the file read in one call into storage of exactly
+ * that size. Throws SnapshotError (with a distinct message per
+ * failure mode: missing path, not a regular file, unsizable file,
+ * short read, truncation, bad magic, unsupported version, digest
+ * mismatch, malformed chunk) without side effects.
  */
 SystemSnapshot readSnapshotFile(const std::string &path);
+
+/**
+ * readSnapshotFile's reader once the file is open: read exactly
+ * `size` bytes from `in` (fewer is a short-read SnapshotError), then
+ * parse and validate them. `path` only names the source in messages.
+ */
+SystemSnapshot readSnapshot(std::istream &in, std::uintmax_t size,
+                            const std::string &path);
 
 /** Canonical file name for a checkpoint of generation `generation`. */
 std::string snapshotFileName(int generation);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "neat/genome.hh"
 
 using namespace genesys;
@@ -21,6 +24,74 @@ smallConfig()
     cfg.numInputs = 3;
     cfg.numOutputs = 2;
     return cfg;
+}
+
+/**
+ * Oracle for Genome::createNew: the same draws in the same order,
+ * with every gene emplaced into the sorted maps as it is drawn.
+ */
+Genome
+createByEmplace(int key, const NeatConfig &cfg, NodeIndexer &indexer,
+                XorWow &rng)
+{
+    Genome g(key);
+    for (int out : Genome::outputKeys(cfg)) {
+        g.mutableNodes().emplace(out, NodeGene::createNew(out, cfg, rng));
+        indexer.bump(out);
+    }
+    std::vector<int> hidden;
+    for (int i = 0; i < cfg.numHidden; ++i) {
+        const int nk = indexer.next();
+        hidden.push_back(nk);
+        g.mutableNodes().emplace(nk, NodeGene::createNew(nk, cfg, rng));
+    }
+    auto add_conn = [&](int src, int dst) {
+        const ConnKey ck{src, dst};
+        g.mutableConnections().emplace(
+            ck, ConnectionGene::createNew(ck, cfg, rng));
+    };
+    if (cfg.initialConnection != InitialConnection::Unconnected) {
+        for (int in : Genome::inputKeys(cfg)) {
+            for (int out : Genome::outputKeys(cfg)) {
+                if (cfg.initialConnection == InitialConnection::FullDirect ||
+                    rng.bernoulli(cfg.partialConnectionProb))
+                    add_conn(in, out);
+            }
+        }
+    }
+    for (int h : hidden) {
+        for (int in : Genome::inputKeys(cfg))
+            add_conn(in, h);
+        for (int out : Genome::outputKeys(cfg))
+            add_conn(h, out);
+    }
+    return g;
+}
+
+void
+expectSameGenes(const Genome &got, const Genome &want)
+{
+    ASSERT_EQ(got.nodes().keys(), want.nodes().keys());
+    for (size_t i = 0; i < got.numNodeGenes(); ++i) {
+        const NodeGene &a = got.nodes().valueAt(i);
+        const NodeGene &b = want.nodes().valueAt(i);
+        EXPECT_EQ(a.key, b.key);
+        EXPECT_EQ(std::bit_cast<uint64_t>(a.bias),
+                  std::bit_cast<uint64_t>(b.bias));
+        EXPECT_EQ(std::bit_cast<uint64_t>(a.response),
+                  std::bit_cast<uint64_t>(b.response));
+        EXPECT_EQ(a.activation, b.activation);
+        EXPECT_EQ(a.aggregation, b.aggregation);
+    }
+    ASSERT_EQ(got.connections().keys(), want.connections().keys());
+    for (size_t i = 0; i < got.numConnectionGenes(); ++i) {
+        const ConnectionGene &a = got.connections().valueAt(i);
+        const ConnectionGene &b = want.connections().valueAt(i);
+        EXPECT_EQ(a.key, b.key);
+        EXPECT_EQ(std::bit_cast<uint64_t>(a.weight),
+                  std::bit_cast<uint64_t>(b.weight));
+        EXPECT_EQ(a.enabled, b.enabled);
+    }
 }
 
 } // namespace
@@ -85,6 +156,52 @@ TEST(Genome, CreateNewWithHiddenNodesIsWired)
     EXPECT_EQ(g.numConnectionGenes(),
               6u + 2u * 3u + 2u * 2u);
     g.validate(cfg);
+}
+
+TEST(Genome, CreateNewMatchesDrawOrderEmplace)
+{
+    // createNew draws into a buffer and sorts once; the result must be
+    // the genome that emplacing each gene as drawn builds, down to the
+    // bits, and leave the RNG and the node indexer where it leaves
+    // them.
+    const struct
+    {
+        InitialConnection mode;
+        const char *name;
+    } modes[] = {{InitialConnection::FullDirect, "FullDirect"},
+                 {InitialConnection::PartialDirect, "PartialDirect"},
+                 {InitialConnection::Unconnected, "Unconnected"}};
+    for (const auto &m : modes) {
+        for (int hidden : {0, 2}) {
+            SCOPED_TRACE(std::string(m.name) + ", numHidden " +
+                         std::to_string(hidden));
+            NeatConfig cfg;
+            cfg.numInputs = 24;
+            cfg.numOutputs = 5;
+            cfg.numHidden = hidden;
+            cfg.initialConnection = m.mode;
+            cfg.partialConnectionProb = 0.5;
+            XorWow rng(100 + static_cast<uint64_t>(hidden));
+            XorWow ref_rng = rng;
+            NodeIndexer idx(cfg.numOutputs), ref_idx(cfg.numOutputs);
+            for (int k = 0; k < 3; ++k) {
+                const Genome got = Genome::createNew(k, cfg, idx, rng);
+                const Genome want =
+                    createByEmplace(k, cfg, ref_idx, ref_rng);
+                expectSameGenes(got, want);
+                got.validate(cfg);
+            }
+            const XorWowState a = rng.saveState();
+            const XorWowState b = ref_rng.saveState();
+            for (int i = 0; i < 5; ++i)
+                EXPECT_EQ(a.state[i], b.state[i]);
+            EXPECT_EQ(a.weyl, b.weyl);
+            EXPECT_EQ(a.hasCachedGaussian, b.hasCachedGaussian);
+            EXPECT_EQ(std::bit_cast<uint64_t>(a.cachedGaussian),
+                      std::bit_cast<uint64_t>(b.cachedGaussian));
+            EXPECT_EQ(idx.peek(), ref_idx.peek());
+        }
+    }
 }
 
 TEST(Genome, CrossoverHomologousKeysOnlyFromFitter)

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "core/genesys.hh"
 #include "hw/gene_encoding.hh"
@@ -312,6 +313,84 @@ TEST(SnapshotFile, FileNameIsStable)
     EXPECT_EQ(persist::snapshotFileName(3), "snapshot-gen-000003.gsnap");
     EXPECT_EQ(persist::snapshotFileName(123456),
               "snapshot-gen-123456.gsnap");
+}
+
+namespace
+{
+
+/** The SnapshotError message readSnapshotFile gives for `path`. */
+std::string
+readErrorFor(const std::string &path)
+{
+    try {
+        (void)persist::readSnapshotFile(path);
+    } catch (const persist::SnapshotError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected SnapshotError for " << path;
+    return "";
+}
+
+} // namespace
+
+TEST(SnapshotFile, DirectoryIsASnapshotError)
+{
+    const fs::path dir = scratchDir("snapdir");
+    const std::string msg = readErrorFor(dir.string());
+    EXPECT_NE(msg.find("not a regular file"), std::string::npos) << msg;
+    fs::remove_all(dir);
+}
+
+TEST(SnapshotFile, MissingPathIsASnapshotError)
+{
+    const fs::path dir = scratchDir("snapmissing");
+    const std::string msg =
+        readErrorFor((dir / "absent" / "snap.gsnap").string());
+    EXPECT_NE(msg.find("cannot open"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("no such file"), std::string::npos) << msg;
+    fs::remove_all(dir);
+}
+
+TEST(SnapshotFile, ShortReadIsASnapshotError)
+{
+    // A source that delivers fewer bytes than its size query promised
+    // (a file truncated between the query and the read) is reported
+    // as a short read, not parsed as a truncated snapshot.
+    const fs::path dir = scratchDir("snapshort");
+    neat::NeatConfig cfg;
+    cfg.populationSize = 6;
+    persist::SystemSnapshot snap;
+    snap.envName = "CartPole_v0";
+    snap.populationSize = cfg.populationSize;
+    snap.numInputs = cfg.numInputs;
+    snap.numOutputs = cfg.numOutputs;
+    snap.population = neat::Population(cfg, 9).capture();
+    const std::string path = (dir / persist::snapshotFileName(0)).string();
+    persist::writeSnapshotFile(snap, path);
+
+    std::ifstream is(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(is),
+                            std::istreambuf_iterator<char>()};
+    const std::uintmax_t size = bytes.size();
+    {
+        std::istringstream whole(bytes);
+        EXPECT_EQ(persist::readSnapshot(whole, size, path)
+                      .population.genomes.size(),
+                  6u);
+    }
+    std::istringstream cut(bytes.substr(0, bytes.size() - 100));
+    try {
+        (void)persist::readSnapshot(cut, size, path);
+        ADD_FAILURE() << "expected SnapshotError for a short read";
+    } catch (const persist::SnapshotError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("short read"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::to_string(size - 100) + " of " +
+                           std::to_string(size) + " bytes"),
+                  std::string::npos)
+            << msg;
+    }
+    fs::remove_all(dir);
 }
 
 // --- corruption: distinct errors, no crash, no partial mutation -------------

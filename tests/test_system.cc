@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/experiment.hh"
 #include "hw/eve_pe.hh"
 #include "hw/gene_merge.hh"
 #include "hw/gene_split.hh"
+#include "obs/metrics.hh"
+#include "persist/snapshot.hh"
 
 using namespace genesys;
 using namespace genesys::core;
@@ -109,6 +113,59 @@ TEST(SystemTest, TweakNeatHookApplies)
     cfg.tweakNeat = [](neat::NeatConfig &n) { n.populationSize = 42; };
     System sys(cfg);
     EXPECT_EQ(sys.population().genomes().size(), 42u);
+}
+
+TEST(SystemTest, StartupAndResumePhasesAreMeasuredAndPublished)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "genesys-test-startup-phases";
+    fs::remove_all(dir);
+    obs::MetricsRegistry reg;
+    obs::MetricsRegistry::install(&reg);
+
+    SystemConfig cfg;
+    cfg.envName = "CartPole_v0";
+    cfg.maxGenerations = 2;
+    cfg.episodesPerEval = 1;
+    cfg.seed = 17;
+    cfg.numThreads = 2;
+    cfg.checkpointDir = dir.string();
+    cfg.tweakNeat = [](neat::NeatConfig &n) {
+        n.populationSize = 30;
+        n.fitnessThreshold = 1e18;
+    };
+    {
+        System sys(cfg);
+        const StartupPhases &p = sys.startupPhases();
+        EXPECT_GT(p.populationSeconds, 0.0);
+        EXPECT_GT(p.speciateSeconds, 0.0);
+        EXPECT_GT(p.engineSeconds, 0.0);
+        EXPECT_LE(p.populationSeconds + p.speciateSeconds +
+                      p.engineSeconds,
+                  p.wallSeconds);
+        EXPECT_EQ(reg.gauge("startup.population_seconds").value(),
+                  p.populationSeconds);
+        EXPECT_EQ(reg.gauge("startup.wall_seconds").value(),
+                  p.wallSeconds);
+        EXPECT_EQ(sys.lastResumePhases().wallSeconds, 0.0);
+        sys.run();
+    }
+
+    cfg.checkpointDir.clear();
+    System resumed(cfg);
+    resumed.resumeFrom((dir / persist::snapshotFileName(2)).string());
+    const ResumePhases &r = resumed.lastResumePhases();
+    EXPECT_GT(r.readSeconds, 0.0);
+    EXPECT_GT(r.validateSeconds, 0.0);
+    EXPECT_GT(r.restoreSeconds, 0.0);
+    EXPECT_LE(r.readSeconds + r.validateSeconds + r.restoreSeconds,
+              r.wallSeconds);
+    EXPECT_EQ(reg.gauge("resume.read_seconds").value(), r.readSeconds);
+    EXPECT_EQ(reg.gauge("resume.wall_seconds").value(), r.wallSeconds);
+
+    obs::MetricsRegistry::install(nullptr);
+    fs::remove_all(dir);
 }
 
 TEST(ExperimentTest, RunWorkloadBuildsSeries)

@@ -15,6 +15,10 @@
  * items than lanes, so lanes refill) and three episodes per genome
  * (E = 3, items sorted by plan, so lanes share a plan and run grouped
  * batched dispatches).
+ *
+ * The same counter checks that Genome::createNew sizes its storage up
+ * front: building a genome makes as many allocations at 1024 inputs
+ * as at 8, so no gene array grows one insert at a time.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +33,7 @@
 
 #include "common/rng.hh"
 #include "env/runner.hh"
+#include "neat/genome.hh"
 #include "nn/compiled_plan.hh"
 
 namespace
@@ -74,8 +79,39 @@ operator new[](std::size_t n, std::align_val_t a)
 {
     return countedAlloc(n, static_cast<std::size_t>(a));
 }
+// The nothrow forms as well (std::stable_sort's temporary buffer uses
+// them): left to a sanitizer runtime, they would come from its heap
+// and the free() below would be a mismatched deallocation.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    try {
+        return countedAlloc(n, 0);
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    try {
+        return countedAlloc(n, 0);
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
 void
 operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
@@ -255,3 +291,38 @@ TEST_P(WaveAllocations, SecondCallAllocatesOnlyItsResult)
 
 INSTANTIATE_TEST_SUITE_P(AllEnvs, WaveAllocations,
                          ::testing::ValuesIn(allCases()), caseName);
+
+namespace
+{
+
+/** Allocations made by one FullDirect createNew at `inputs` inputs. */
+long
+createNewAllocations(int inputs, int hidden)
+{
+    neat::NeatConfig cfg;
+    cfg.numInputs = inputs;
+    cfg.numOutputs = 6;
+    cfg.numHidden = hidden;
+    neat::NodeIndexer idx(cfg.numOutputs);
+    XorWow rng(5);
+    gAllocs.store(0);
+    gCounting.store(true);
+    const neat::Genome g = neat::Genome::createNew(0, cfg, idx, rng);
+    gCounting.store(false);
+    EXPECT_EQ(g.numConnectionGenes(),
+              static_cast<size_t>(inputs * cfg.numOutputs +
+                                  hidden * (inputs + cfg.numOutputs)));
+    return gAllocs.load();
+}
+
+} // namespace
+
+TEST(CreateNewAllocations, IndependentOfInputCount)
+{
+    for (int hidden : {0, 2}) {
+        const long small = createNewAllocations(8, hidden);
+        const long large = createNewAllocations(1024, hidden);
+        EXPECT_EQ(small, large) << "numHidden " << hidden;
+        EXPECT_GT(small, 0);
+    }
+}
