@@ -171,24 +171,21 @@ WaveStats::occupancy() const
                              : 0.0;
 }
 
-WaveResult
-evaluateWave(const std::vector<WaveItem> &items,
-             const std::vector<Environment *> &lanes,
-             WaveScratch &scratch)
+WaveStats
+evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
+             WaveScratch &scratch, std::span<EpisodeResult> results)
 {
     GENESYS_ASSERT(!lanes.empty(),
                    "evaluateWave needs at least one environment lane");
-    WaveResult out;
-    out.episodes.resize(items.size());
-    if (items.empty())
-        return out;
-    for (const WaveItem &it : items)
-        GENESYS_ASSERT(it.plan != nullptr,
-                       "evaluateWave item carries no compiled plan");
-
+    const size_t group = static_cast<size_t>(source.groupSize());
+    GENESYS_ASSERT(group >= 1, "evaluateWave source claims groups of "
+                                   << group << " items");
+    WaveStats stats;
     const ActionSpace space = lanes.front()->actionSpace();
     const size_t num_lanes = lanes.size();
-    const size_t W = std::min(num_lanes, items.size());
+    // Idle lanes a claim waits for: a whole group where it fits, so a
+    // genome's episodes start side by side and dispatch as one group.
+    const size_t claim_at = std::min(group, num_lanes);
 
     scratch.net.resize(num_lanes);
     scratch.obs.resize(num_lanes);
@@ -196,43 +193,71 @@ evaluateWave(const std::vector<WaveItem> &items,
         scratch.obs[l].resize(
             static_cast<size_t>(lanes[l]->observationSize()));
     scratch.action.resize(num_lanes);
-    scratch.item.assign(num_lanes, -1);
+    scratch.lane.assign(num_lanes, WaveItem{});
     scratch.executed.assign(num_lanes, 0);
+    scratch.claimed.resize(group);
 
-    // Bind item `next` to lane `l`: reset the lane's recurrent state
-    // and its environment. The lane first activates on the *next*
+    // Bind idle lanes, lowest first, to the claimed group's remaining
+    // items, claiming the next group once this one is used up and
+    // enough lanes are idle. Binding resets the lane's recurrent state
+    // and its environment; the lane first activates on the *next*
     // superstep — exactly when a freshly filled PE would join the BSP
     // lockstep.
-    size_t next = 0;
-    auto fillLane = [&](size_t l) {
-        const WaveItem &it = items[next];
-        scratch.item[l] = static_cast<int>(next);
-        ++next;
-        it.plan->reset(scratch.net[l]);
-        lanes[l]->resetInto(it.seed, scratch.obs[l]);
+    size_t next_claimed = group; // the claimed group is used up
+    bool dry = false;
+    size_t live = 0;
+    auto fill = [&](bool refill) {
+        size_t l = 0;
+        while (live < num_lanes && !dry) {
+            if (next_claimed == group) {
+                if (num_lanes - live < claim_at)
+                    return;
+                if (!source.claim(scratch.claimed)) {
+                    dry = true;
+                    return;
+                }
+                next_claimed = 0;
+            }
+            const WaveItem &it = scratch.claimed[next_claimed++];
+            GENESYS_ASSERT(it.plan != nullptr,
+                           "evaluateWave item carries no compiled plan");
+            GENESYS_ASSERT(it.slot < results.size(),
+                           "evaluateWave item slot " << it.slot
+                               << " outside " << results.size()
+                               << " results");
+            while (scratch.lane[l].plan != nullptr)
+                ++l;
+            scratch.lane[l] = it;
+            it.plan->reset(scratch.net[l]);
+            lanes[l]->resetInto(it.seed, scratch.obs[l]);
+            ++live;
+            if (refill) {
+                ++stats.refills;
+                // Timeline marker: a lane turned over mid-wave — the
+                // scheduler event that keeps occupancy near 1.
+                obs::traceInstant("wave.refill", "wave");
+            }
+        }
     };
-    for (size_t l = 0; l < W; ++l)
-        fillLane(l);
+    fill(false);
 
-    size_t live = W;
     while (live > 0) {
-        ++out.stats.supersteps;
-        out.stats.laneSlotSteps += static_cast<long>(num_lanes);
-        out.stats.activeLaneSteps += static_cast<long>(live);
+        ++stats.supersteps;
+        stats.laneSlotSteps += static_cast<long>(num_lanes);
+        stats.activeLaneSteps += static_cast<long>(live);
 
         // --- forward pass: every live lane's plan on its observation.
         // Live lanes sharing a feed-forward plan execute as one
-        // grouped activateBatch (gathered in lane order, so callers
-        // that sort items by plan get contiguous CSR accumulation
-        // across the group); recurrent lanes keep their cross-tick
-        // state in the per-lane scratch and dispatch individually.
+        // grouped activateBatch (gathered in lane order, so a claimed
+        // group's lanes get contiguous CSR accumulation); recurrent
+        // lanes keep their cross-tick state in the per-lane scratch and
+        // dispatch individually.
         std::fill(scratch.executed.begin(), scratch.executed.end(),
                   uint8_t{0});
-        for (size_t l = 0; l < W; ++l) {
-            if (scratch.item[l] < 0 || scratch.executed[l])
+        for (size_t l = 0; l < num_lanes; ++l) {
+            if (scratch.lane[l].plan == nullptr || scratch.executed[l])
                 continue;
-            const nn::CompiledPlan &plan =
-                *items[static_cast<size_t>(scratch.item[l])].plan;
+            const nn::CompiledPlan &plan = *scratch.lane[l].plan;
             GENESYS_ASSERT(scratch.obs[l].size() == plan.numInputs(),
                            "observation size "
                                << scratch.obs[l].size()
@@ -241,15 +266,13 @@ evaluateWave(const std::vector<WaveItem> &items,
             scratch.groupLanes.clear();
             scratch.groupLanes.push_back(static_cast<int>(l));
             if (!plan.isRecurrent()) {
-                for (size_t m = l + 1; m < W; ++m) {
-                    if (scratch.item[m] >= 0 && !scratch.executed[m] &&
-                        items[static_cast<size_t>(scratch.item[m])]
-                                .plan == &plan)
+                for (size_t m = l + 1; m < num_lanes; ++m) {
+                    if (scratch.lane[m].plan == &plan &&
+                        !scratch.executed[m])
                         scratch.groupLanes.push_back(
                             static_cast<int>(m));
                 }
             }
-
             if (scratch.groupLanes.size() == 1) {
                 // activate() forwards recurrent plans to the tick
                 // dispatch itself.
@@ -287,7 +310,7 @@ evaluateWave(const std::vector<WaveItem> &items,
             scratch.groupActive.assign(Gz, 1);
             plan.activateBatch(G, scratch.groupActive.data(),
                                scratch.groupNet);
-            out.stats.groupedLaneActivations += G;
+            stats.groupedLaneActivations += G;
             // Scatter each lane's output column into its per-lane
             // scratch so the environment-step phase below reads one
             // uniform location regardless of dispatch shape.
@@ -309,43 +332,71 @@ evaluateWave(const std::vector<WaveItem> &items,
 
         // --- environment step: each live lane advances its own
         // episode, in lane order. A terminating lane records its
-        // result and is refilled from the pending queue (or parked
-        // when the queue is dry).
-        for (size_t l = 0; l < W; ++l) {
-            if (scratch.item[l] < 0)
+        // result and is refilled in place (or parked when no claim
+        // fits). A lane bound earlier in this loop has not run its
+        // forward pass yet; it joins on the next superstep.
+        for (size_t l = 0; l < num_lanes; ++l) {
+            if (scratch.lane[l].plan == nullptr || !scratch.executed[l])
                 continue;
-            const size_t idx = static_cast<size_t>(scratch.item[l]);
-            GENESYS_DCHECK_RANGE(idx, size_t{0}, items.size(),
-                                 "evaluateWave: lane bound to an item"
-                                 " index outside the wave");
-            GENESYS_DCHECK(scratch.executed[l],
-                           "evaluateWave: lane " << l << " reached the"
-                           " environment-step phase without a forward"
-                           " pass this superstep");
+            const WaveItem &it = scratch.lane[l];
             decodeActionInto(space, scratch.net[l].outputs,
                              scratch.action[l]);
             if (!lanes[l]->stepInto(scratch.action[l], scratch.obs[l])
                      .done)
                 continue;
-            EpisodeResult &res = out.episodes[idx];
+            EpisodeResult &res = results[it.slot];
             res.cumulativeReward = lanes[l]->cumulativeReward();
             res.fitness = lanes[l]->episodeFitness();
             res.steps = lanes[l]->stepsTaken();
             res.inferences = res.steps; // one pass per step
-            res.macs =
-                items[idx].plan->macsPerInference() * res.inferences;
-            if (next < items.size()) {
-                fillLane(l);
-                ++out.stats.refills;
-                // Timeline marker: a lane turned over mid-wave — the
-                // scheduler event that keeps occupancy near 1.
-                obs::traceInstant("wave.refill", "wave");
-            } else {
-                scratch.item[l] = -1;
-                --live;
-            }
+            res.macs = it.plan->macsPerInference() * res.inferences;
+            scratch.lane[l] = WaveItem{};
+            --live;
+            fill(true);
         }
     }
+    return stats;
+}
+
+namespace
+{
+
+/** A fixed item list, one item per claim, each into its own slot. */
+class ItemListSource final : public WaveSource
+{
+  public:
+    explicit ItemListSource(const std::vector<WaveItem> &items)
+        : items_(items)
+    {
+    }
+
+    int groupSize() const override { return 1; }
+
+    bool claim(std::span<WaveItem> group) override
+    {
+        if (next_ == items_.size())
+            return false;
+        group[0] = items_[next_];
+        group[0].slot = next_++;
+        return true;
+    }
+
+  private:
+    const std::vector<WaveItem> &items_;
+    size_t next_ = 0;
+};
+
+} // namespace
+
+WaveResult
+evaluateWave(const std::vector<WaveItem> &items,
+             const std::vector<Environment *> &lanes,
+             WaveScratch &scratch)
+{
+    WaveResult out;
+    out.episodes.resize(items.size());
+    ItemListSource source(items);
+    out.stats = evaluateWave(source, lanes, scratch, out.episodes);
     return out;
 }
 

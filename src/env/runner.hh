@@ -9,8 +9,10 @@
 #ifndef GENESYS_ENV_RUNNER_HH
 #define GENESYS_ENV_RUNNER_HH
 
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "env/env.hh"
 #include "nn/compiled_plan.hh"
@@ -160,12 +162,43 @@ struct WaveItem
     const nn::CompiledPlan *plan = nullptr;
     /** Episode seed — fully determines the episode given the plan. */
     uint64_t seed = 0;
+    /**
+     * Index of the item's EpisodeResult in the result storage of the
+     * pull form of evaluateWave. The vector form numbers items in
+     * order and ignores this field.
+     */
+    std::size_t slot = 0;
+};
+
+/**
+ * The work queue the pull form of evaluateWave draws from. Items come
+ * a group at a time — one genome's episodes — so a group starts side
+ * by side and its same-plan lanes share grouped dispatches. Several
+ * episode loops (one per worker) may draw from one source at once.
+ */
+class WaveSource
+{
+  public:
+    WaveSource() = default;
+    WaveSource(const WaveSource &) = delete;
+    WaveSource &operator=(const WaveSource &) = delete;
+    virtual ~WaveSource() = default;
+
+    /** Items per claim (a genome's episode count), >= 1. */
+    virtual int groupSize() const = 0;
+
+    /**
+     * Claim the next group: write groupSize() items into `group` and
+     * return true, or return false once the source is exhausted (and
+     * on every later call).
+     */
+    virtual bool claim(std::span<WaveItem> group) = 0;
 };
 
 /**
  * Lane-occupancy accounting for one evaluateWave call — the
- * observable form of the PE-array utilization the heterogeneous wave
- * path exists to raise. One "lane slot step" is one lane for one BSP
+ * observable form of the PE-array utilization the refilling episode
+ * loop exists to raise. One "lane slot step" is one lane for one BSP
  * superstep; occupancy is the fraction of those slots that held a
  * live episode.
  */
@@ -177,7 +210,10 @@ struct WaveStats
     long laneSlotSteps = 0;
     /** Live-lane slots summed over supersteps (<= laneSlotSteps). */
     long activeLaneSteps = 0;
-    /** Episodes started on a lane freed mid-wave (the refill queue). */
+    /**
+     * Episodes started on a lane freed mid-wave — every start after
+     * the first superstep's fill.
+     */
     long refills = 0;
     /**
      * Live lanes executed through a shared-plan grouped
@@ -197,7 +233,8 @@ struct WaveStats
  * observation buffers, decoded actions and item bindings, plus the
  * staging buffers for shared-plan grouped dispatch. Reusing one
  * WaveScratch per worker across calls makes the wave loop
- * allocation-free once warm: a second call over the same items
+ * allocation-free once warm: a second pull-form call allocates
+ * nothing, and a second vector-form call over the same items
  * allocates only its result vector. Not shareable across threads.
  */
 struct WaveScratch
@@ -209,8 +246,10 @@ struct WaveScratch
     std::vector<std::vector<double>> obs;
     /** Decoded action per lane; reuses its continuous capacity. */
     std::vector<Action> action;
-    /** Item index driving each lane; -1 = idle. */
-    std::vector<int> item;
+    /** Item driving each lane; a null plan marks an idle lane. */
+    std::vector<WaveItem> lane;
+    /** The latest claimed group, handed to lanes as they idle. */
+    std::vector<WaveItem> claimed;
     /** Per-superstep "already executed" marker (plan grouping). */
     std::vector<uint8_t> executed;
     /** Lanes gathered into the current shared-plan group. */
@@ -233,25 +272,39 @@ struct WaveResult
  * Evaluate a queue of episodes in BSP lockstep waves — the engine's
  * only episode loop, and the software mirror of the paper's PE array
  * keeping every PE busy, with the same or a *different* genome in
- * each lane. The first lanes.size() items fill the lanes; every
- * superstep activates each live lane's plan on its observation and
- * steps its environment, and a lane whose episode terminates is
- * immediately refilled from the pending item queue, so lane occupancy
- * stays near 1 until the queue drains (WaveStats reports it). A
- * single lane degenerates to the serial one-episode-at-a-time loop.
- * Lanes whose items share one feed-forward plan are executed as a
- * single grouped activateBatch dispatch (lanes scanned in order, so
- * items sorted by plan keep the per-edge CSR accumulation contiguous
- * across the group); recurrent plans and singleton groups dispatch
- * per lane.
+ * each lane. Idle lanes draw items from `source`; every superstep
+ * activates each live lane's plan on its observation and steps its
+ * environment, and a lane whose episode terminates is refilled in
+ * place, so lane occupancy stays near 1 until the source runs dry
+ * (the returned WaveStats report it). A single lane degenerates to
+ * the serial one-episode-at-a-time loop.
+ *
+ * A new group is claimed only when min(groupSize(), lanes.size())
+ * lanes are idle, and it fills the idle lanes in lane order (items
+ * left over wait for the next lanes to free). So a group of E
+ * episodes on E or more lanes starts in one superstep and stays in
+ * lockstep, and at one item per group any idle lane claims. Lanes
+ * whose items share one feed-forward plan are executed as a single
+ * grouped activateBatch dispatch (lanes scanned in order, so a
+ * group's lanes keep the per-edge CSR accumulation contiguous);
+ * recurrent plans and singleton groups dispatch per lane.
  *
  * `lanes` are distinct same-named environment instances (an
  * exec::EnvPool worker shard); `scratch` is the caller's reusable
- * wave scratch. Each item's EpisodeResult is bit-identical, field for
- * field, to running that (plan, seed) episode alone through
- * EpisodeRunner::runEpisode — lane packing, grouping and refill never
- * reassociate a lane's arithmetic or reorder its environment
- * stepping.
+ * wave scratch; each item's outcome is written to `results[slot]`.
+ * Each EpisodeResult is bit-identical, field for field, to running
+ * that (plan, seed) episode alone through EpisodeRunner::runEpisode —
+ * lane packing, grouping, refill and claim order never reassociate a
+ * lane's arithmetic or reorder its environment stepping.
+ */
+WaveStats
+evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
+             WaveScratch &scratch, std::span<EpisodeResult> results);
+
+/**
+ * The pull form over a fixed item list, one item per claim: the
+ * first lanes.size() items fill the lanes and each freed lane takes
+ * the next. Returns one result per item, in item order.
  */
 WaveResult
 evaluateWave(const std::vector<WaveItem> &items,

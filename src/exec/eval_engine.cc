@@ -1,6 +1,7 @@
 #include "exec/eval_engine.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -100,13 +101,12 @@ EvalEngine::perGenomeSeeds(uint64_t base)
 namespace
 {
 
-/** Default lane width of a worker's heterogeneous wave shard. */
-constexpr int kDefaultWaveLanes = 8;
+/** Default lane width of a worker shard at one episode per genome. */
+constexpr int kDefaultWaveLanes = 2;
 
 /**
- * The single multi-genome chunking predicate — shard sizing
- * (resolveShardLanes) and chunk sizing (evaluateWaves) must agree, so
- * both read this, as does usesHeterogeneousWaves.
+ * Does `waveLanes` size the shards? Shard sizing (resolveShardLanes)
+ * and usesHeterogeneousWaves both read this one predicate.
  */
 bool
 wavesActive(const EvalEngineConfig &cfg)
@@ -126,7 +126,7 @@ resolveWaveLanes(const EvalEngineConfig &cfg)
 
 /**
  * Environment lanes per worker shard, i.e. the width of every
- * evaluateWave call: `waveLanes` when chunks span many genomes, one
+ * evaluateWave call: `waveLanes` at one episode per genome, one
  * genome's E episodes side by side when batching, and a single lane
  * (one episode at a time) when batching is off.
  */
@@ -254,6 +254,8 @@ EvalEngine::publishMetrics(const std::vector<GenomeEvalResult> &results)
     m->counter("wave.grouped_lane_activations")
         .add(lastBatch_.waveGroupedLaneActivations);
     m->gauge("wave.lane_occupancy").set(lastBatch_.laneOccupancy());
+    m->gauge("eval.worker_busy_max_ms").set(lastBatch_.workerBusyMaxMs);
+    m->gauge("eval.worker_busy_mean_ms").set(lastBatch_.workerBusyMeanMs);
 
     // Plan-cache lifetime counters, differenced so the registry's
     // counters track per-run increments exactly.
@@ -283,6 +285,63 @@ EvalEngine::publishMetrics(const std::vector<GenomeEvalResult> &results)
     m->counter("eval.episodes").add(episodes);
 }
 
+namespace
+{
+
+/**
+ * The generation's work queue: one atomic cursor over the batch,
+ * drawn from by every worker's episode loop. Claiming genome g
+ * fetches its plan through the cache — compiling it on first claim —
+ * and hands out its E episodes, whose results go to slots
+ * g * E .. g * E + E - 1. Which worker claims which genome never
+ * changes a result: each episode is a pure function of (plan, seed).
+ */
+class GenomeQueue final : public env::WaveSource
+{
+  public:
+    GenomeQueue(const std::vector<neat::GenomeHandle> &batch,
+                const neat::NeatConfig &cfg,
+                const EvalEngine::SeedFn &seedFor, int episodes,
+                nn::NumericsTier tier, nn::PlanCache &cache,
+                std::vector<GenomeEvalResult> &results)
+        : batch_(batch), cfg_(cfg), seedFor_(seedFor),
+          episodes_(episodes), tier_(tier), cache_(cache),
+          results_(results)
+    {
+    }
+
+    int groupSize() const override { return episodes_; }
+
+    bool claim(std::span<env::WaveItem> group) override
+    {
+        const std::size_t g =
+            cursor_.fetch_add(1, std::memory_order_relaxed);
+        if (g >= batch_.size())
+            return false;
+        const neat::GenomeHandle &h = batch_[g];
+        GenomeEvalResult &r = results_[g];
+        r.genomeKey = h.key;
+        r.plan = cache_.acquire(h.key, *h.genome, cfg_, tier_);
+        const std::size_t E = static_cast<std::size_t>(episodes_);
+        for (std::size_t e = 0; e < E; ++e)
+            group[e] = {r.plan.get(),
+                        seedFor_(h.key, static_cast<int>(e)), g * E + e};
+        return true;
+    }
+
+  private:
+    const std::vector<neat::GenomeHandle> &batch_;
+    const neat::NeatConfig &cfg_;
+    const EvalEngine::SeedFn &seedFor_;
+    const int episodes_;
+    const nn::NumericsTier tier_;
+    nn::PlanCache &cache_;
+    std::vector<GenomeEvalResult> &results_;
+    std::atomic<std::size_t> cursor_{0};
+};
+
+} // namespace
+
 void
 EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
                           const neat::NeatConfig &cfg,
@@ -292,108 +351,64 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
     if (batch.empty())
         return;
 
-    // Phase 1 — compile. Plans must exist before lanes can be packed
-    // (a wave dispatches per-lane plans), so the compile fan-out runs
-    // as its own parallel pass. The cache guarantees one compile per
-    // genome and elite carry-over; each compiled plan is immutable
-    // and shared read-only by all of its episodes and by workload
-    // accounting.
-    runParallel(batch.size(), [&](std::size_t i, int) {
-        const neat::GenomeHandle &h = batch[i];
-        results[i].genomeKey = h.key;
-        results[i].plan = planCache_.acquire(h.key, *h.genome, cfg,
-                                             cfg_.numericsTier);
+    // One pass, one barrier: every worker runs one episode loop over
+    // its private lane shard, claiming genomes from the shared queue
+    // until it runs dry. A genome compiles on claim (the cache keeps
+    // elites' plans across generations), so compiling overlaps other
+    // workers' episodes, and a worker stuck on long episodes simply
+    // claims fewer genomes instead of gating the generation.
+    const std::size_t E = static_cast<std::size_t>(cfg_.episodes);
+    episodeSlots_.resize(batch.size() * E);
+    GenomeQueue queue(batch, cfg, seedFor, cfg_.episodes,
+                      cfg_.numericsTier, planCache_, results);
+    const std::size_t workers = static_cast<std::size_t>(pool_.size());
+    std::vector<env::WaveStats> passStats(workers);
+    runParallel(workers, [&](std::size_t pass, int worker) {
+        obs::Span span("eval.worker", "evaluate", worker);
+        passStats[pass] = env::evaluateWave(
+            queue, envs_.shard(worker),
+            waveScratch_[static_cast<std::size_t>(worker)],
+            episodeSlots_);
     });
 
-    // Phase 2 — rolling waves. The batch splits into contiguous
-    // chunks claimed by the workers; each chunk's episodes run
-    // through one rolling wave over the claiming worker's private
-    // lane shard (env::evaluateWave), refilling freed lanes from the
-    // chunk's pending queue. Each chunk touches only its own results
-    // slots and its worker's shard, so the episode loop is lock-free.
-    // Every (genome, episode) outcome is a pure function of (plan,
-    // seed), so the chunking never affects results, only which shard
-    // computes them.
-    //
-    // The mode decides only the chunk size. Without multi-genome
-    // waves a chunk is one genome: its E episodes fill the shard's E
-    // lanes (or run one after another on a single lane when batching
-    // is off). With them, the chunk count balances two pressures:
-    // more chunks even out the tail when episode lengths cluster
-    // unevenly across the batch (a worker stuck with the long-episode
-    // chunk would otherwise gate the generation), while a chunk needs
-    // a refill queue several waves deep to keep lane occupancy high
-    // (the drain tail costs about one wave per chunk). So: one chunk
-    // per worker by default, split finer — up to 4 per worker — only
-    // while every chunk keeps at least ~8 waves of items.
-    std::size_t chunks = batch.size();
-    if (wavesActive(cfg_)) {
-        const std::size_t pool = static_cast<std::size_t>(pool_.size());
-        const std::size_t minChunk =
-            8 * static_cast<std::size_t>(cfg_.waveLanes);
-        chunks = pool;
-        if (batch.size() / minChunk > chunks)
-            chunks = std::min(batch.size() / minChunk, pool * 4);
-        chunks = std::min(chunks, batch.size());
-    }
-    const std::size_t per = (batch.size() + chunks - 1) / chunks;
-    const int episodes = cfg_.episodes;
-    std::vector<env::WaveStats> chunkStats(chunks);
-    runParallel(chunks, [&](std::size_t c, int worker) {
-        const std::size_t lo = c * per;
-        const std::size_t hi =
-            std::min(batch.size(), lo + per);
-        if (lo >= hi)
-            return;
-        obs::Span span("eval.wave_chunk", "evaluate",
-                       static_cast<int64_t>(hi - lo));
-        // Items ordered by (genome, episode): a genome's episodes are
-        // adjacent, so at episodes > 1 same-plan lanes pack next to
-        // each other and group into one batched dispatch.
-        std::vector<env::WaveItem> items;
-        items.reserve((hi - lo) * static_cast<std::size_t>(episodes));
-        for (std::size_t i = lo; i < hi; ++i)
-            for (int e = 0; e < episodes; ++e)
-                items.push_back({results[i].plan.get(),
-                                 seedFor(batch[i].key, e)});
-
-        env::WaveResult wave = env::evaluateWave(
-            items, envs_.shard(worker),
-            waveScratch_[static_cast<std::size_t>(worker)]);
-        chunkStats[c] = wave.stats;
-
-        // Assemble each genome's EvalDetail from its episode slice,
-        // accumulating in episode order — the exact order of the
-        // serial evaluateDetailed loop, so the mean and totals are
-        // bit-identical, not merely equal up to reassociation.
-        std::size_t k = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-            env::EvalDetail &d = results[i].detail;
-            d = env::EvalDetail{};
-            d.episodes.reserve(static_cast<std::size_t>(episodes));
-            double total = 0.0;
-            for (int e = 0; e < episodes; ++e, ++k) {
-                env::EpisodeResult &res = wave.episodes[k];
-                total += res.fitness;
-                d.inferences += res.inferences;
-                d.macs += res.macs;
-                d.maxEpisodeSteps =
-                    std::max(d.maxEpisodeSteps, res.steps);
-                d.episodes.push_back(std::move(res));
-            }
-            d.fitness = total / static_cast<double>(episodes);
+    // Assemble each genome's EvalDetail from its episode slots, in
+    // genome order and accumulating in episode order — the exact order
+    // of the serial evaluateDetailed loop, so the mean and totals are
+    // bit-identical, not merely equal up to reassociation.
+    for (std::size_t g = 0; g < batch.size(); ++g) {
+        env::EvalDetail &d = results[g].detail;
+        d = env::EvalDetail{};
+        d.episodes.reserve(E);
+        double total = 0.0;
+        for (std::size_t e = 0; e < E; ++e) {
+            const env::EpisodeResult &res = episodeSlots_[g * E + e];
+            total += res.fitness;
+            d.inferences += res.inferences;
+            d.macs += res.macs;
+            d.maxEpisodeSteps = std::max(d.maxEpisodeSteps, res.steps);
+            d.episodes.push_back(res);
         }
-    });
+        d.fitness = total / static_cast<double>(E);
+    }
 
     lastBatch_.laneCount = envs_.lanesPerWorker();
-    for (const env::WaveStats &s : chunkStats) {
+    uint64_t busyMax = 0;
+    uint64_t busySum = 0;
+    for (std::size_t w = 0; w < workers; ++w) {
+        const env::WaveStats &s = passStats[w];
         lastBatch_.waveSupersteps += s.supersteps;
         lastBatch_.waveLaneSlotSteps += s.laneSlotSteps;
         lastBatch_.waveActiveLaneSteps += s.activeLaneSteps;
         lastBatch_.waveRefills += s.refills;
         lastBatch_.waveGroupedLaneActivations +=
             s.groupedLaneActivations;
+        const uint64_t busy = pool_.jobBusyNs(static_cast<int>(w));
+        busyMax = std::max(busyMax, busy);
+        busySum += busy;
     }
+    lastBatch_.workerBusyMaxMs = static_cast<double>(busyMax) * 1e-6;
+    lastBatch_.workerBusyMeanMs = static_cast<double>(busySum) * 1e-6 /
+                                  static_cast<double>(workers);
 }
 
 } // namespace genesys::exec

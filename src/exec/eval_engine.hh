@@ -2,19 +2,22 @@
  * @file
  * EvalEngine — the parallel batched evaluation engine (the software
  * analogue of GeneSys' population-level parallelism, Table III). A
- * whole NEAT generation is submitted as one batch; a persistent
- * thread pool fans the genomes out across workers, each of which
- * owns a private shard of environment instances (EnvPool), so the
- * episode hot loop takes no locks. Every generation runs through one
- * episode loop, env::evaluateWave: a worker steps a chunk of episodes
- * in BSP lockstep waves across its shard's lanes, refilling a lane as
- * soon as its episode ends — mirroring the paper's PE-array wave
- * execution. The configuration only decides how many genomes a chunk
- * holds (see EvalEngineConfig::heterogeneousLanes). Episode seeds
- * come from a SplitMix-style per-(genome, episode) mixer, which makes
- * results a pure function of (genome, seed) — bit-identical whether
- * the batch runs on 1 thread or N, and in whatever order workers
- * claim items.
+ * whole NEAT generation is submitted as one batch and evaluated in
+ * one pass with one barrier: a persistent thread pool runs one
+ * episode loop (env::evaluateWave) per worker, each over a private
+ * shard of environment instances (EnvPool), so the episode hot loop
+ * takes no locks. The loops draw from one generation-wide atomic
+ * cursor over the genomes. A worker with enough idle lanes claims the
+ * next genome, compiles its plan on claim (nn::PlanCache — elites keep
+ * theirs) and starts the genome's episodes on its own lanes, stepping
+ * them in BSP lockstep and refilling a lane as soon as its episode
+ * ends — mirroring the paper's PE-array wave execution, where every
+ * PE stays busy on some genome. Episode results land in per-(genome,
+ * episode) slots and each genome's EvalDetail is assembled after the
+ * pass, in genome order. Episode seeds come from a SplitMix-style
+ * per-(genome, episode) mixer, which makes results a pure function of
+ * (genome, seed) — bit-identical whether the batch runs on 1 thread
+ * or N, and whichever worker claims which genome.
  *
  * The engine also records how the batch would map onto the EvE
  * PE-array: genomes are grouped into waves of `waveWidth` (one PE
@@ -77,10 +80,9 @@ struct BatchStats
 
     /**
      * Measured lane occupancy of the episode loop (env::evaluateWave),
-     * aggregated across every chunk's rolling wave. `laneCount` is
-     * the lane width of each worker shard; the remaining counters
-     * aggregate the per-chunk WaveStats — see env::WaveStats for
-     * field semantics.
+     * aggregated across every worker's loop. `laneCount` is the lane
+     * width of each worker shard; the remaining counters sum the
+     * per-worker WaveStats — see env::WaveStats for field semantics.
      */
     int laneCount = 0;
     long waveSupersteps = 0;
@@ -88,6 +90,16 @@ struct BatchStats
     long waveActiveLaneSteps = 0;
     long waveRefills = 0;
     long waveGroupedLaneActivations = 0;
+
+    /**
+     * Busy time of each worker within the evaluation pass: the
+     * slowest worker's and the mean over all workers, in ms (two
+     * clock reads per worker per generation — ThreadPool::jobBusyNs).
+     * Equal at one thread; max well above mean means the generation
+     * waited on a straggler.
+     */
+    double workerBusyMaxMs = 0.0;
+    double workerBusyMeanMs = 0.0;
 
     /** Total BSP supersteps across all waves (waves run back to back). */
     long lockstepSteps() const;
@@ -131,19 +143,20 @@ struct EvalEngineConfig
      */
     bool batchEpisodes = true;
     /**
-     * Chunk the batch across genomes: each worker's wave packs one
-     * episode each of up to `waveLanes` *different* genomes and
-     * refills a freed lane from its chunk's pending queue, so
-     * measured lane occupancy (BatchStats::laneOccupancy) stays near
-     * 1. Applies when `episodes == 1` and `batchEpisodes` is set;
-     * otherwise every chunk is a single genome. Results are
-     * bit-identical either way.
+     * Give each worker `waveLanes` lanes at `episodes == 1` (with
+     * `batchEpisodes` set): the worker claims a genome whenever a lane
+     * frees, so its lanes hold episodes of different genomes. Off,
+     * or at `episodes > 1`, a shard holds one genome's episodes.
+     * Results are bit-identical either way.
      */
     bool heterogeneousLanes = true;
     /**
-     * Lane width of each worker's shard when chunks span genomes
-     * (0 = 8). The engine-wide lane count is numThreads * waveLanes.
-     * Resolved to 1 when they do not.
+     * Lanes per worker shard when `heterogeneousLanes` applies
+     * (0 = 2, the best of 1, 2 and 8 on the AirRaid benchmark of
+     * record: few plans in flight stay cache-resident and the drain
+     * tail is short). The engine-wide lane count is numThreads *
+     * waveLanes. Resolved to 1 when `heterogeneousLanes` does not
+     * apply.
      */
     int waveLanes = 0;
     /**
@@ -235,10 +248,10 @@ class EvalEngine
     uint64_t workerBusyNs() const { return pool_.busyNs(); }
 
     /**
-     * Do this engine's wave chunks span many genomes? True iff
-     * batching is enabled, `heterogeneousLanes` is set and the config
-     * evaluates one episode per genome; otherwise each chunk is one
-     * genome.
+     * Is `heterogeneousLanes` in effect? True iff batching is
+     * enabled, `heterogeneousLanes` is set and the config evaluates
+     * one episode per genome; the shard is then `waveLanes` wide,
+     * otherwise it holds one genome's episodes.
      */
     bool usesHeterogeneousWaves() const;
 
@@ -258,8 +271,9 @@ class EvalEngine
 
   private:
     /**
-     * The episode loop: compile every genome's plan, then run the
-     * batch's episodes through env::evaluateWave in per-worker chunks.
+     * The evaluation pass: every worker's episode loop claims genomes
+     * from one queue, compiling each on claim; then each genome's
+     * EvalDetail is assembled from its episode slots.
      */
     void evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
                        const neat::NeatConfig &cfg,
@@ -287,11 +301,12 @@ class EvalEngine
     long seenRaces_ = 0;
     long seenCompileNs_ = 0;
     /**
-     * One wave scratch per worker, reused across chunks and
-     * generations, so the runner's lane buffers stop allocating once
-     * they have warmed up.
+     * One wave scratch per worker, reused across generations, so the
+     * runner's lane buffers stop allocating once they have warmed up.
      */
     std::vector<env::WaveScratch> waveScratch_;
+    /** Per-(genome, episode) results of the current pass. */
+    std::vector<env::EpisodeResult> episodeSlots_;
 };
 
 } // namespace genesys::exec

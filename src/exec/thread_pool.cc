@@ -35,6 +35,7 @@ ThreadPool::resolveThreads(int requested)
 ThreadPool::ThreadPool(int threads)
 {
     const int n = resolveThreads(threads);
+    jobBusyNs_.assign(static_cast<std::size_t>(n), 0);
     threads_.reserve(static_cast<std::size_t>(n - 1));
     for (int w = 1; w < n; ++w)
         threads_.emplace_back([this, w] { workerLoop(w); });
@@ -51,7 +52,7 @@ ThreadPool::~ThreadPool()
         t.join();
 }
 
-void
+std::size_t
 ThreadPool::drain(int worker)
 {
     // Worker ids are dense: 0 is the caller, 1..threads_.size() the
@@ -65,12 +66,14 @@ ThreadPool::drain(int worker)
     // advances and read here after observing that advance (or, for
     // the caller, in its own posting frame), so the reads are ordered.
     const std::size_t count = jobCount_;
+    std::size_t ran = 0;
     for (;;) {
         const std::size_t item =
             cursor_.fetch_add(1, std::memory_order_relaxed);
         if (item >= count)
-            break;
+            return ran;
         jobBody_(item, worker);
+        ++ran;
     }
 }
 
@@ -83,8 +86,13 @@ ThreadPool::drainTimed(int worker)
     // tracer reduces it to one predicted branch.
     obs::Span span("pool.drain", "pool", worker);
     const uint64_t t0 = nowNs();
-    drain(worker);
-    busyNs_.fetch_add(nowNs() - t0, std::memory_order_relaxed);
+    const std::size_t ran = drain(worker);
+    const uint64_t busy = nowNs() - t0;
+    busyNs_.fetch_add(busy, std::memory_order_relaxed);
+    // A worker that woke after the job drained ran nothing and may
+    // still be here after the caller returned: it leaves its entry.
+    if (ran > 0)
+        jobBusyNs_[static_cast<std::size_t>(worker)] = busy;
 }
 
 void
@@ -136,7 +144,8 @@ ThreadPool::parallelFor(std::size_t count,
         const uint64_t t0 = nowNs();
         for (std::size_t i = 0; i < count; ++i)
             body(i, 0);
-        busyNs_.fetch_add(nowNs() - t0, std::memory_order_relaxed);
+        jobBusyNs_[0] = nowNs() - t0;
+        busyNs_.fetch_add(jobBusyNs_[0], std::memory_order_relaxed);
         return;
     }
 
@@ -150,6 +159,7 @@ ThreadPool::parallelFor(std::size_t count,
         done_.wait(lock, [&] { return busyWorkers_ == 0; });
         jobCount_ = count;
         jobBody_ = body;
+        std::fill(jobBusyNs_.begin(), jobBusyNs_.end(), uint64_t{0});
         cursor_.store(0, std::memory_order_relaxed);
         ++jobId_;
     }

@@ -83,9 +83,21 @@ class ThreadPool
         return waitNs_.load(std::memory_order_relaxed);
     }
 
+    /**
+     * Nanoseconds `worker` spent inside the most recent non-empty
+     * parallelFor's bodies — the same two clock reads busyNs() sums —
+     * or 0 if it claimed no item. Read it after that parallelFor
+     * returns; the spread across workers is the job's load imbalance.
+     */
+    uint64_t jobBusyNs(int worker) const
+    {
+        return jobBusyNs_[static_cast<std::size_t>(worker)];
+    }
+
   private:
     void workerLoop(int worker);
-    void drain(int worker);
+    /** Run items off the cursor; returns how many this worker ran. */
+    std::size_t drain(int worker);
     /** drain() plus busy accounting and a "pool.drain" span. */
     void drainTimed(int worker);
 
@@ -106,6 +118,13 @@ class ThreadPool
 
     std::atomic<uint64_t> busyNs_{0};
     std::atomic<uint64_t> waitNs_{0};
+    /**
+     * Per-worker busy time of the current job. Reset under the mutex
+     * when a job is posted; a worker writes only its own entry, and
+     * only after claiming an item, i.e. while registered busy, so the
+     * caller's reads after the join are ordered by the mutex.
+     */
+    std::vector<uint64_t> jobBusyNs_;
 };
 
 } // namespace genesys::exec

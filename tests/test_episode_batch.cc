@@ -88,7 +88,7 @@ expectDetailIdentical(const env::EvalDetail &a, const env::EvalDetail &b)
 TEST(EpisodeBatchTest, SamePlanWaveMatchesSerialAndInterpreter)
 {
     // One genome's episodes as same-plan wave items — what the engine
-    // submits when a chunk is a single genome. The genome-level
+    // runs on a shard at E > 1. The genome-level
     // interpreter, the serial compiled loop and the wave at every
     // width must agree bit for bit.
     const std::vector<uint64_t> seeds{11, 22, 33, 44, 55, 66, 77, 88,
@@ -155,8 +155,8 @@ evaluateEngine(const neat::NeatConfig &cfg,
 
 TEST(EpisodeBatchTest, EngineEpisodeLanesMatchSerialAcrossThreads)
 {
-    // E = 5: every chunk is one genome, its episodes side by side on
-    // five lanes (batchEpisodes) or one after another on one lane.
+    // E = 5: a claim is one genome, its episodes side by side on five
+    // lanes (batchEpisodes) or one after another on one lane.
     for (const bool feed_forward : {true, false}) {
         const auto [cfg, genomes] = makeGenomes(16, 47, feed_forward);
         const auto reference =
@@ -178,9 +178,9 @@ TEST(EpisodeBatchTest, EngineEpisodeLanesMatchSerialAcrossThreads)
 
 TEST(EpisodeBatchTest, EnginePoolShardsSizedToEpisodeLanes)
 {
-    // episodes > 1 runs one genome per chunk: waveLanes resolves to 1
-    // and each shard holds one lane per episode, or a single lane when
-    // batching is off.
+    // At episodes > 1 a shard holds one genome's episodes: waveLanes
+    // resolves to 1 and each shard holds one lane per episode, or a
+    // single lane when batching is off.
     const auto [cfg, genomes] = makeGenomes(2, 89);
     EvalEngineConfig ecfg;
     ecfg.envName = "CartPole_v0";

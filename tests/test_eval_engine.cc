@@ -14,6 +14,7 @@
 #include "exec/eval_engine.hh"
 #include "exec/env_pool.hh"
 #include "exec/thread_pool.hh"
+#include "obs/metrics.hh"
 
 using namespace genesys;
 using namespace genesys::exec;
@@ -329,6 +330,37 @@ TEST(EvalEngineTest, BatchStatsMapOntoWaves)
     EXPECT_GT(stats.meanOccupancy(), 0.8); // 10 of 12 slots
     EXPECT_LE(stats.lockstepEfficiency(), 1.0);
     EXPECT_GT(stats.lockstepEfficiency(), 0.0);
+}
+
+TEST(EvalEngineTest, WorkerBusyGaugesPopulated)
+{
+    // The imbalance gauges: each worker's busy time in the evaluation
+    // pass, as a max and a mean — equal with one worker — mirrored
+    // into the active metrics registry.
+    const auto [cfg, genomes] = makeGenomes(24, 19);
+    obs::MetricsRegistry reg;
+    obs::MetricsRegistry::install(&reg);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        EvalEngineConfig ecfg;
+        ecfg.envName = "CartPole_v0";
+        ecfg.numThreads = threads;
+        ecfg.episodes = 1;
+        EvalEngine engine(ecfg);
+        engine.evaluateGeneration(handlesOf(genomes), cfg,
+                                  EvalEngine::sharedEpisodeSeeds(2));
+        const BatchStats &stats = engine.lastBatchStats();
+        EXPECT_GT(stats.workerBusyMeanMs, 0.0);
+        EXPECT_GE(stats.workerBusyMaxMs, stats.workerBusyMeanMs);
+        if (threads == 1) {
+            EXPECT_EQ(stats.workerBusyMaxMs, stats.workerBusyMeanMs);
+        }
+        EXPECT_EQ(reg.gauge("eval.worker_busy_max_ms").value(),
+                  stats.workerBusyMaxMs);
+        EXPECT_EQ(reg.gauge("eval.worker_busy_mean_ms").value(),
+                  stats.workerBusyMeanMs);
+    }
+    obs::MetricsRegistry::install(nullptr);
 }
 
 // --- engine edges: tiny batches, bad genomes, bad configs --------------------

@@ -22,11 +22,11 @@
  *
  * and update the constants below, noting why in the commit.
  *
- * Every configuration must reproduce its constant under each chunking
- * of the episode loop — multi-genome waves (the default), one genome
- * per chunk (heterogeneousLanes = false) and one lane per worker
- * (batchEpisodes = false) — the strongest cross-chunking identity
- * statement in the tree.
+ * Every configuration must reproduce its constant under each lane
+ * configuration of the episode loop — waveLanes-wide shards (the
+ * default), heterogeneousLanes = false and batchEpisodes = false —
+ * whichever worker claims which genome: the strongest cross-schedule
+ * identity statement in the tree.
  *
  * GENESYS_NUMERICS, by contrast, IS pinned per test: the numerics
  * tiers are intentionally different lowerings with different bit
@@ -253,8 +253,8 @@ digestResumedRun(const std::string &envName, bool feed_forward,
 
 /**
  * Check one configuration against its golden digest at 1 thread, and
- * that 8 threads and the other two episode-loop chunkings (at 1
- * thread) reproduce the same bits. When GENESYS_PRINT_DIGESTS
+ * that 8 threads and the other two episode-loop lane configurations
+ * (at 1 thread) reproduce the same bits. When GENESYS_PRINT_DIGESTS
  * is set, print the measured value for regeneration instead of
  * relying on the failure output.
  */

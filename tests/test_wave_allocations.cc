@@ -16,6 +16,10 @@
  * (E = 3, items sorted by plan, so lanes share a plan and run grouped
  * batched dispatches).
  *
+ * The pull form the engine runs writes into caller-owned results, so
+ * its second run over a warm scratch may allocate nothing at all,
+ * claims included (WavePullAllocations).
+ *
  * The same counter checks that Genome::createNew sizes its storage up
  * front: building a genome makes as many allocations at 1024 inputs
  * as at 8, so no gene array grows one insert at a time.
@@ -291,6 +295,100 @@ TEST_P(WaveAllocations, SecondCallAllocatesOnlyItsResult)
 
 INSTANTIATE_TEST_SUITE_P(AllEnvs, WaveAllocations,
                          ::testing::ValuesIn(allCases()), caseName);
+
+namespace
+{
+
+/**
+ * The engine's claim pattern without the engine: groups of
+ * `groupSize` episodes of one plan, handed out in order, each item
+ * into its own result slot.
+ */
+class GroupSource final : public env::WaveSource
+{
+  public:
+    GroupSource(const std::vector<nn::CompiledPlan> &plans, int items,
+                int groupSize)
+        : plans_(plans), items_(items), groupSize_(groupSize)
+    {
+    }
+
+    int groupSize() const override { return groupSize_; }
+
+    bool claim(std::span<env::WaveItem> group) override
+    {
+        if (next_ >= items_)
+            return false;
+        const auto &plan = plans_[static_cast<size_t>(next_ / groupSize_) %
+                                  plans_.size()];
+        for (auto &it : group) {
+            it = {&plan, deriveSeed(7, static_cast<uint64_t>(next_)),
+                  static_cast<size_t>(next_)};
+            ++next_;
+        }
+        return true;
+    }
+
+  private:
+    const std::vector<nn::CompiledPlan> &plans_;
+    int items_;
+    int groupSize_;
+    int next_ = 0;
+};
+
+} // namespace
+
+TEST(WavePullAllocations, WarmLoopAllocatesNothing)
+{
+    // Claiming a group, binding its lanes and writing results into
+    // caller-owned storage allocate nothing once the scratch is warm —
+    // at one episode per claim and at whole-genome claims of 4, with
+    // more items than lanes so every path refills.
+    for (const std::string name : {"CartPole_v0", "AirRaid-ram-v0"}) {
+        std::vector<std::unique_ptr<env::Environment>> owned;
+        std::vector<env::Environment *> lanes;
+        for (int l = 0; l < kLanes; ++l) {
+            owned.push_back(env::makeEnvironment(name));
+            lanes.push_back(owned.back().get());
+        }
+        const auto [cfg, genomes] =
+            makeGenomes(*lanes.front(), /*feed_forward=*/true, 11);
+        std::vector<nn::CompiledPlan> plans;
+        for (const auto &g : genomes)
+            plans.push_back(nn::CompiledPlan::compileFor(g, cfg));
+
+        for (int items : {8, 64}) {
+            for (int group : {1, 4}) {
+                SCOPED_TRACE(name + " items " + std::to_string(items) +
+                             " group " + std::to_string(group));
+                std::vector<env::EpisodeResult> warm(
+                    static_cast<size_t>(items));
+                std::vector<env::EpisodeResult> steady(warm.size());
+                env::WaveScratch scratch;
+                GroupSource first(plans, items, group);
+                env::evaluateWave(first, lanes, scratch, warm);
+
+                GroupSource second(plans, items, group);
+                gAllocs.store(0);
+                gCounting.store(true);
+                const env::WaveStats stats =
+                    env::evaluateWave(second, lanes, scratch, steady);
+                gCounting.store(false);
+
+                EXPECT_EQ(gAllocs.load(), 0)
+                    << "a warm pull-form evaluateWave allocates nothing";
+                EXPECT_GT(stats.refills, 0);
+                for (size_t i = 0; i < warm.size(); ++i) {
+                    EXPECT_EQ(std::bit_cast<uint64_t>(steady[i].fitness),
+                              std::bit_cast<uint64_t>(warm[i].fitness))
+                        << "item " << i;
+                    EXPECT_EQ(steady[i].steps, warm[i].steps);
+                    EXPECT_GT(steady[i].steps, 0);
+                }
+            }
+        }
+    }
+}
 
 namespace
 {

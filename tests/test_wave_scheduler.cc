@@ -1,16 +1,17 @@
 /**
  * @file
  * Differential tests for the engine's episode loop, env::evaluateWave:
- * the lane kernel and every engine chunking built on it must be
+ * the lane kernel and every engine configuration built on it must be
  * bit-identical to the serial one-episode-at-a-time loop — episode for
  * episode, genome for genome, and down to whole-run RunSummary digests
- * — across lane widths, at 1 and 8 threads, for feed-forward and
- * recurrent populations. Waves of many genomes (a different plan per
- * lane) are covered here; waves of one genome's episodes (same plan in
- * every lane) are covered by test_episode_batch. The suite also locks
- * the loop's observability: occupancy counters populated on every
- * configuration, refill accounting exact, shared-plan lanes grouped
- * into batched dispatches.
+ * — across lane widths and thread counts, whichever worker claims
+ * which genome, for feed-forward and recurrent populations. Waves of
+ * many genomes (a different plan per lane) are covered here; waves of
+ * one genome's episodes (same plan in every lane) are covered by
+ * test_episode_batch. The suite also locks the loop's observability:
+ * occupancy counters populated on every configuration, refill
+ * accounting exact, shared-plan lanes grouped into batched dispatches,
+ * one compile per genome whoever claims it.
  */
 
 #include <gtest/gtest.h>
@@ -237,7 +238,7 @@ TEST(WaveSchedulerTest, EmptyAndUndersubscribedWaves)
     EXPECT_EQ(wave.stats.activeLaneSteps, wave.stats.supersteps);
 }
 
-// --- engine level: chunkings vs the one-lane serial configuration ------------
+// --- engine level: lane widths vs the one-lane serial configuration ----------
 
 namespace
 {
@@ -320,27 +321,35 @@ TEST(WaveSchedulerTest, OccupancyCountersObservableAndHigh)
     EXPECT_GT(stats.laneOccupancy(), 0.75);
     EXPECT_LE(stats.laneOccupancy(), 1.0);
 
-    // One genome per chunk at E = 1 runs on one-lane shards: the
+    // heterogeneousLanes off at E = 1 runs one-lane shards: the
     // counters are still measured, and a lone lane is always live.
+    // Each worker's lane claims genome after genome from the shared
+    // queue, so it refills by design; only its first episode is not a
+    // refill, whichever genomes it happens to claim.
     EvalEngineConfig scfg = ecfg;
     scfg.heterogeneousLanes = false;
     EvalEngine single_engine(scfg);
     EXPECT_FALSE(single_engine.usesHeterogeneousWaves());
-    single_engine.evaluateGeneration(handlesOf(genomes), cfg,
-                                     EvalEngine::sharedEpisodeSeeds(3));
+    const auto results = single_engine.evaluateGeneration(
+        handlesOf(genomes), cfg, EvalEngine::sharedEpisodeSeeds(3));
+    long inferences = 0;
+    for (const auto &r : results)
+        inferences += r.detail.inferences;
     const BatchStats &single = single_engine.lastBatchStats();
     EXPECT_EQ(single.laneCount, 1);
     EXPECT_GT(single.waveLaneSlotSteps, 0);
     EXPECT_EQ(single.waveLaneSlotSteps, single.waveSupersteps);
-    EXPECT_EQ(single.waveRefills, 0);
+    EXPECT_EQ(single.waveActiveLaneSteps, single.waveLaneSlotSteps);
+    EXPECT_EQ(single.waveActiveLaneSteps, inferences);
+    EXPECT_LT(single.waveRefills, static_cast<long>(genomes.size()));
     EXPECT_EQ(single.laneOccupancy(), 1.0);
 }
 
 TEST(WaveSchedulerTest, WaveShardSizingAndFallback)
 {
-    // episodes > 1 falls back to one genome per chunk (episode lanes
-    // are covered by test_episode_batch); episodes == 1 activates
-    // waves.
+    // At episodes > 1 a shard holds one genome's episodes (episode
+    // lanes are covered by test_episode_batch); episodes == 1 sizes
+    // shards by waveLanes.
     EvalEngineConfig ecfg;
     ecfg.envName = "CartPole_v0";
     ecfg.numThreads = 1;
@@ -350,13 +359,172 @@ TEST(WaveSchedulerTest, WaveShardSizingAndFallback)
     ecfg.waveLanes = 16;
     EXPECT_FALSE(EvalEngine(ecfg).usesHeterogeneousWaves());
 
-    // The default lane width is 8.
+    // The default lane width is 2.
     EvalEngineConfig wcfg = ecfg;
     wcfg.episodes = 1;
     wcfg.waveLanes = 0;
     EvalEngine wave_engine(wcfg);
     EXPECT_TRUE(wave_engine.usesHeterogeneousWaves());
-    EXPECT_EQ(wave_engine.config().waveLanes, 8);
+    EXPECT_EQ(wave_engine.config().waveLanes, 2);
+}
+
+// --- claim order: skewed batches through the shared genome queue ------------
+
+namespace
+{
+
+/** The serial oracle: each genome's plan run one episode at a time. */
+env::EvalDetail
+serialDetail(const neat::NeatConfig &cfg, const neat::Genome &genome,
+             int key, int episodes, const EvalEngine::SeedFn &seedFor)
+{
+    const auto plan = nn::CompiledPlan::compileFor(genome, cfg);
+    std::vector<uint64_t> seeds;
+    for (int e = 0; e < episodes; ++e)
+        seeds.push_back(seedFor(key, e));
+    auto env = env::makeEnvironment("CartPole_v0");
+    env::EpisodeRunner runner(*env, seeds.front(), episodes);
+    return runner.evaluateDetailed(plan, seeds);
+}
+
+/**
+ * A skewed CartPole batch: a few hand-set balancing controllers, whose
+ * episodes all run to the 200-step limit, spread among many
+ * mutation-grown genomes whose episodes all end within a few steps.
+ * Whoever claims a balancer holds its lanes ~20x longer than a short
+ * genome, so a static split would gate the generation on that worker.
+ */
+std::pair<neat::NeatConfig, std::vector<neat::Genome>>
+makeSkewedGenomes(bool feed_forward, const EvalEngine::SeedFn &seedFor)
+{
+    auto [cfg, pool] = makeGenomes(200, 97, feed_forward);
+    std::vector<neat::Genome> shorts;
+    for (size_t i = 0; i < pool.size() && shorts.size() < 40; ++i) {
+        if (serialDetail(cfg, pool[i], static_cast<int>(i), 3, seedFor)
+                .maxEpisodeSteps <= 12)
+            shorts.push_back(std::move(pool[i]));
+    }
+    EXPECT_EQ(shorts.size(), 40u);
+
+    // Push right when the pole leans or swings right: a linear
+    // controller on (x, x_dot, theta, theta_dot) into one sigmoid
+    // output, each balancer a slightly different plan.
+    neat::NodeIndexer idx(cfg.numOutputs);
+    XorWow rng(5);
+    std::vector<neat::Genome> batch;
+    for (size_t i = 0; i < shorts.size(); ++i) {
+        if (i % 10 == 3) {
+            neat::Genome g = neat::Genome::createNew(0, cfg, idx, rng);
+            const double gain = 1.0 + 0.1 * static_cast<double>(i);
+            const double w[] = {0.1, 0.5, 10.0, 2.0};
+            for (int in = 0; in < 4; ++in)
+                g.mutableConnections().at({-1 - in, 0}).weight =
+                    gain * w[in];
+            g.mutableNodes().at(0).bias = 0.0;
+            for (const auto &e :
+                 serialDetail(cfg, g, static_cast<int>(batch.size()), 3,
+                              seedFor)
+                     .episodes)
+                EXPECT_EQ(e.steps, 200) << "balancer " << i;
+            batch.push_back(std::move(g));
+        }
+        batch.push_back(std::move(shorts[i]));
+    }
+    return {cfg, std::move(batch)};
+}
+
+} // namespace
+
+TEST(WaveSchedulerTest, SkewedBatchIndependentOfClaimOrder)
+{
+    // Results, compiles and counters must not depend on which worker
+    // claims which genome. At E = 1 `lanes` is the shard width
+    // (waveLanes); at E = 3 a shard holds one genome's episodes, so
+    // lanes == 1 runs them on one lane (batching off) and wider shards
+    // hold E = 3 lanes.
+    const auto seedFor = EvalEngine::perGenomeSeeds(41);
+    for (const bool feed_forward : {true, false}) {
+        const auto [cfg, genomes] = makeSkewedGenomes(feed_forward, seedFor);
+        // Generation 2 keeps every other genome (same key, so its plan
+        // carries over) and replaces the rest under fresh keys.
+        std::vector<neat::GenomeHandle> gen1 = handlesOf(genomes);
+        std::vector<neat::GenomeHandle> gen2;
+        long fresh = 0;
+        for (size_t i = 0; i < gen1.size(); ++i) {
+            if (i % 2 == 0) {
+                gen2.push_back(gen1[i]);
+            } else {
+                gen2.push_back({1000 + gen1[i].key, gen1[i].genome});
+                ++fresh;
+            }
+        }
+
+        for (const int episodes : {1, 3}) {
+            std::vector<std::vector<env::EvalDetail>> oracle(2);
+            for (int gen = 0; gen < 2; ++gen) {
+                for (const auto &h : gen == 0 ? gen1 : gen2)
+                    oracle[static_cast<size_t>(gen)].push_back(
+                        serialDetail(cfg, *h.genome, h.key, episodes,
+                                     seedFor));
+            }
+            for (const int threads : {1, 2, 3, 8}) {
+                for (const int lanes : {1, 3, 8}) {
+                    SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
+                                 " E " + std::to_string(episodes) +
+                                 " threads " + std::to_string(threads) +
+                                 " lanes " + std::to_string(lanes));
+                    EvalEngineConfig ecfg;
+                    ecfg.envName = "CartPole_v0";
+                    ecfg.numThreads = threads;
+                    ecfg.episodes = episodes;
+                    ecfg.batchEpisodes = lanes > 1;
+                    ecfg.waveLanes = lanes;
+                    EvalEngine engine(ecfg);
+                    long compiles = 0;
+                    for (int gen = 0; gen < 2; ++gen) {
+                        const auto &handles = gen == 0 ? gen1 : gen2;
+                        const auto results = engine.evaluateGeneration(
+                            handles, cfg, seedFor);
+                        const auto &expect =
+                            oracle[static_cast<size_t>(gen)];
+                        ASSERT_EQ(results.size(), expect.size());
+                        long inferences = 0;
+                        long lockstep = 0;
+                        for (size_t i = 0; i < expect.size(); ++i) {
+                            EXPECT_EQ(results[i].genomeKey, handles[i].key);
+                            expectDetailIdentical(results[i].detail,
+                                                  expect[i]);
+                            inferences += expect[i].inferences;
+                            lockstep += expect[i].maxEpisodeSteps;
+                        }
+
+                        // One compile per genome not carried over, and
+                        // no two workers ever compile the same genome.
+                        const long grown =
+                            engine.planCache().compiles() - compiles;
+                        compiles = engine.planCache().compiles();
+                        const long not_carried =
+                            gen == 0 ? static_cast<long>(handles.size())
+                                     : fresh;
+                        EXPECT_EQ(grown, not_carried);
+                        EXPECT_EQ(engine.planCache().racesDiscarded(), 0);
+
+                        const BatchStats &stats = engine.lastBatchStats();
+                        EXPECT_EQ(stats.waveActiveLaneSteps, inferences);
+                        EXPECT_EQ(stats.waveLaneSlotSteps,
+                                  stats.waveSupersteps * stats.laneCount);
+                        // A genome's E episodes fill an E-lane shard
+                        // together and no other genome joins until all
+                        // have ended: each genome costs exactly its
+                        // longest episode in supersteps.
+                        if (episodes > 1 && stats.laneCount == episodes) {
+                            EXPECT_EQ(stats.waveSupersteps, lockstep);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 // --- system level: whole-run RunSummary digests ------------------------------
@@ -420,7 +588,7 @@ expectRunsIdentical(
 
 TEST(WaveSchedulerTest, SystemDigestsIdenticalAcrossChunkings)
 {
-    // E = 1 compares multi-genome waves with one-lane serial chunks;
+    // E = 1 compares multi-lane shards with one-lane serial shards;
     // E > 1 episode lanes are covered by test_episode_batch.
     for (const bool feed_forward : {true, false}) {
         const auto ref = runSystem(1, /*batch=*/false, feed_forward);
