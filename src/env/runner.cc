@@ -249,7 +249,7 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
         // --- forward pass: every live lane's plan on its observation.
         // Live lanes sharing a feed-forward plan execute as one
         // grouped activateBatch (gathered in lane order, so a claimed
-        // group's lanes get contiguous CSR accumulation); recurrent
+        // group's lanes get contiguous per-row accumulation); recurrent
         // lanes keep their cross-tick state in the per-lane scratch and
         // dispatch individually.
         std::fill(scratch.executed.begin(), scratch.executed.end(),

@@ -286,7 +286,7 @@ struct WaveResult
  * lockstep, and at one item per group any idle lane claims. Lanes
  * whose items share one feed-forward plan are executed as a single
  * grouped activateBatch dispatch (lanes scanned in order, so a
- * group's lanes keep the per-edge CSR accumulation contiguous);
+ * group's lanes keep the per-row tile accumulation contiguous);
  * recurrent plans and singleton groups dispatch per lane.
  *
  * `lanes` are distinct same-named environment instances (an

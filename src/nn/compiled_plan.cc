@@ -1,6 +1,9 @@
 #include "nn/compiled_plan.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <utility>
 
 #include "common/check.hh"
 #include "common/fixed_point.hh"
@@ -80,76 +83,249 @@ compressKeys(const Genome &genome, int num_inputs, CompileScratch &s)
     }
 }
 
-/** Compressed index of `key`, -1 when not in the graph. */
+/**
+ * Compressed index of `key`, -1 when not in the graph. Input keys
+ * -numInputs..-1 sit at indices 0..numInputs-1, so they map directly.
+ * Node keys are unique, ascending and never negative, so node key k
+ * sits at most k places into the node range, and exactly k when keys
+ * 0..k are all present — true of every output key, the destination of
+ * most edges.
+ */
 int32_t
 indexOf(const CompileScratch &s, int num_inputs, int key)
 {
+    if (key < 0)
+        return key >= -num_inputs ? key + num_inputs : -1;
+    const auto guess = static_cast<size_t>(num_inputs) +
+                       static_cast<size_t>(key);
+    if (guess < s.keys.size() && s.keys[guess] == key)
+        return static_cast<int32_t>(guess);
     if (!s.keyToIndex.empty()) {
-        const auto pos = static_cast<size_t>(key + num_inputs);
-        // Out-of-range keys are dangling references (below the
-        // input range or above every node key): not in the graph.
-        if (key < -num_inputs || pos >= s.keyToIndex.size())
-            return -1;
-        return s.keyToIndex[pos];
+        // Above every node key: a dangling reference.
+        return guess < s.keyToIndex.size() ? s.keyToIndex[guess] : -1;
     }
-    auto it = std::lower_bound(s.keys.begin(), s.keys.end(), key);
-    if (it == s.keys.end() || *it != key)
+    const auto first = s.keys.begin() + num_inputs;
+    const auto last = guess < s.keys.size()
+                          ? s.keys.begin() + static_cast<ptrdiff_t>(guess)
+                          : s.keys.end();
+    auto it = std::lower_bound(first, last, key);
+    if (it == last || *it != key)
         return -1;
     return static_cast<int32_t>(it - s.keys.begin());
 }
 
-/**
- * Mark vertex `src` as a source of layer `layer`; true the first time
- * the layer sees it. Counting these gives PackedLayer::vectorLen (the
- * distinct sources feeding the layer) in O(edges) with no per-layer
- * sort. The out-of-graph sentinel -1 has its own mark, so it counts
- * as one more distinct source.
- */
-bool
-firstSourceOfLayer(std::vector<int32_t> &stamp, int32_t &sentinelStamp,
-                   int32_t src, int32_t layer)
+/** Stamp the resolvable sources of vertex `v` with block `block`. */
+void
+stampSources(CompileScratch &s, int32_t v, int32_t block)
 {
-    int32_t &mark =
-        src >= 0 ? stamp[static_cast<size_t>(src)] : sentinelStamp;
-    if (mark == layer)
-        return false;
-    mark = layer;
-    return true;
+    for (int32_t e = s.inOff[static_cast<size_t>(v)];
+         e < s.inOff[static_cast<size_t>(v) + 1]; ++e) {
+        const int32_t src = s.inSrc[static_cast<size_t>(e)];
+        if (src >= 0)
+            s.sourceStamp[static_cast<size_t>(src)] = block;
+    }
 }
 
-/** Widest run of Sum nodes the serial kernels accumulate in lockstep. */
-constexpr int32_t kSumGroup = 4;
+/**
+ * Write the tile of the `width` Sum-node vertices `verts`. Their
+ * resolvable sources go into a bitmap, which read back in order gives
+ * the rows as the ascending union, so every node meets its own edges
+ * in its own order. Per row: the source slot, the mask of columns
+ * with a real edge, and those columns' weights (the caller
+ * zero-filled the block, so pads stay +0.0). Leaves the bitmap clear
+ * and overwrites s.sourceStamp with each source's row. Returns the
+ * number of rows.
+ */
+int32_t
+emitTile(CompileScratch &s, const int32_t *verts, int width,
+         NumericsTier tier, const FixedPointCodec &codec, int32_t *rowSlot,
+         uint8_t *rowMask, double *weights)
+{
+    // Raw pointers: the byte-wide mask stores may alias anything, so
+    // indexing through the vectors would reload their data pointers
+    // after every store.
+    const int32_t *const in_off = s.inOff.data();
+    const int32_t *const in_src = s.inSrc.data();
+    const double *const in_w = s.inW.data();
+    const int32_t *const slot_of = s.slotOf.data();
+    int32_t *const row_of = s.sourceStamp.data();
+    uint64_t *const row_bits = s.rowBits.data();
+    const size_t num_words = s.rowBits.size();
+
+    size_t lo = num_words;
+    size_t hi = 0;
+    for (int k = 0; k < width; ++k) {
+        // An in-list ascends, so gather each word's bits in a register
+        // and store it once.
+        size_t word = num_words;
+        uint64_t bits = 0;
+        for (int32_t e = in_off[verts[k]]; e < in_off[verts[k] + 1]; ++e) {
+            const int32_t src = in_src[e];
+            if (src < 0)
+                continue;
+            if (static_cast<size_t>(src) / 64 != word) {
+                if (bits != 0)
+                    row_bits[word] |= bits;
+                word = static_cast<size_t>(src) / 64;
+                bits = 0;
+                lo = std::min(lo, word);
+                hi = std::max(hi, word);
+            }
+            bits |= uint64_t{1} << (src % 64);
+        }
+        if (bits != 0)
+            row_bits[word] |= bits;
+    }
+    int32_t rows = 0;
+    for (size_t word = lo; word <= hi && lo < num_words; ++word) {
+        for (uint64_t bits = std::exchange(row_bits[word], 0); bits != 0;
+             bits &= bits - 1) {
+            const auto v = word * 64 + static_cast<size_t>(
+                                           std::countr_zero(bits));
+            row_of[v] = rows;
+            rowSlot[rows] = slot_of[v];
+            rowMask[rows] = 0;
+            ++rows;
+        }
+    }
+    for (int k = 0; k < width; ++k) {
+        for (int32_t e = in_off[verts[k]]; e < in_off[verts[k] + 1]; ++e) {
+            const int32_t src = in_src[e];
+            if (src < 0)
+                continue;
+            const int32_t r = row_of[src];
+            rowMask[r] = static_cast<uint8_t>(rowMask[r] | 1u << k);
+            weights[static_cast<size_t>(r) * width + k] =
+                lowerAttr(in_w[e], tier, codec);
+        }
+    }
+    return rows;
+}
+
+/** Two doubles in one 16-byte vector: an SSE2 register on x86-64. */
+using Pair = double __attribute__((vector_size(16)));
+/** Per-element compare results of two Pairs. */
+using PairMask = int64_t __attribute__((vector_size(16)));
+
+/** Is any of the first N sums NaN? Two compares per vector. */
+template <int N>
+[[gnu::always_inline]] inline bool
+anyNaN(const double *sums)
+{
+    PairMask nan = {};
+    for (int i = 0; i + 1 < N; i += 2) {
+        Pair p;
+        std::memcpy(&p, sums + i, sizeof p);
+        nan |= p != p;
+    }
+    if constexpr (N % 2 != 0)
+        return (nan[0] | nan[1]) != 0 || sums[N - 1] != sums[N - 1];
+    return (nan[0] | nan[1]) != 0;
+}
 
 /**
- * Accumulate the Sum chains of the `G` consecutive nodes starting at
- * `n` in lockstep: every node keeps its own accumulator and adds its
- * own edges in CSR order, so each chain's additions happen in the
- * same order as a one-node-at-a-time loop and the sums are
- * bit-identical to it. Interleaving only hides the add latency of one
- * chain behind the others. Stores the G sums in `pre`.
+ * The serial tile kernel: the sums of a W-column tile of `numRows`
+ * rows. Each row's input is loaded once and multiplies a row of
+ * weights two columns per vector. Every column adds its cells in row
+ * order, which is its node's edge order, so a column's sum is the
+ * node's one-edge-at-a-time sum bit for bit unless a pad met a
+ * non-finite input (see maskedTileSums). Returns whether any sum is
+ * NaN.
  */
-template <int G>
-void
-sumChains(const double *rd, const int32_t *src, const double *w,
-          const int32_t *offs, int32_t n, double *pre)
+template <int W>
+bool
+tileSums(const double *rd, const int32_t *rows, int32_t numRows,
+         const double *w, double *sums)
 {
-    int32_t e0[G];
-    int32_t common = offs[n + 1] - offs[n];
-    for (int g = 0; g < G; ++g) {
-        e0[g] = offs[n + g];
-        common = std::min(common, offs[n + g + 1] - e0[g]);
+    constexpr int kPairs = W / 2;
+    Pair acc[kPairs > 0 ? kPairs : 1] = {};
+    double odd = 0.0;
+    for (int32_t r = 0; r < numRows; ++r) {
+        const double x = rd[rows[r]];
+        const Pair xx = {x, x};
+        const double *const wr = w + static_cast<size_t>(r) * W;
+        for (int p = 0; p < kPairs; ++p) {
+            Pair wp;
+            std::memcpy(&wp, wr + 2 * p, sizeof wp);
+            acc[p] += xx * wp;
+        }
+        if constexpr (W % 2 != 0)
+            odd += x * wr[W - 1];
     }
-    double acc[G] = {};
-    for (int32_t i = 0; i < common; ++i) {
-        for (int g = 0; g < G; ++g)
-            acc[g] += rd[src[e0[g] + i]] * w[e0[g] + i];
+    for (int p = 0; p < kPairs; ++p)
+        std::memcpy(sums + 2 * p, &acc[p], sizeof acc[p]);
+    if constexpr (W % 2 != 0)
+        sums[W - 1] = odd;
+    return anyNaN<W>(sums);
+}
+
+/**
+ * A tile's sums with its pads masked out, `lanes` lanes per slot,
+ * into sums[column * lanes + lane]. A pad multiplies its row's input
+ * by +0.0, which is NaN for an infinite or NaN input, so a tile whose
+ * fast sums hold a NaN is recomputed here: this adds exactly each
+ * node's own edges, in order, as the interpreters do.
+ */
+void
+maskedTileSums(const double *rd, const int32_t *rows, const uint8_t *masks,
+               int32_t numRows, const double *w, int width, size_t lanes,
+               double *sums)
+{
+    std::fill(sums, sums + static_cast<size_t>(width) * lanes, 0.0);
+    for (int32_t r = 0; r < numRows; ++r) {
+        const double *const sv = rd + static_cast<size_t>(rows[r]) * lanes;
+        const double *const wr = w + static_cast<size_t>(r) * width;
+        for (int k = 0; k < width; ++k) {
+            if ((masks[r] >> k & 1u) == 0)
+                continue;
+            for (size_t l = 0; l < lanes; ++l)
+                sums[static_cast<size_t>(k) * lanes + l] += sv[l] * wr[k];
+        }
     }
-    // Each chain finishes its own tail past the shortest in-degree.
-    for (int g = 0; g < G; ++g) {
-        for (int32_t e = e0[g] + common; e < offs[n + g + 1]; ++e)
-            acc[g] += rd[src[e]] * w[e];
-        pre[g] = acc[g];
+}
+
+/**
+ * The batched tile kernel for C adjacent columns of a tile `width`
+ * wide (`w` points at the first column): one pass over the rows with
+ * C x kLanes running sums in registers, into
+ * sums[column * kLanes + lane]. Per lane, a column adds its cells in
+ * the same row order as tileSums. Returns whether any sum is NaN.
+ */
+template <int kLanes, int C>
+[[gnu::always_inline]] inline bool
+tileColumnLanes(const double *rd, const int32_t *rows, int32_t numRows,
+                const double *w, int width, double *sums)
+{
+    double acc[C][kLanes] = {};
+    for (int32_t r = 0; r < numRows; ++r) {
+        const double *const __restrict sv =
+            rd + static_cast<size_t>(rows[r]) * kLanes;
+        const double *const wr = w + static_cast<size_t>(r) * width;
+        for (int c = 0; c < C; ++c) {
+            const double we = wr[c];
+            for (int l = 0; l < kLanes; ++l)
+                acc[c][l] += sv[l] * we;
+        }
     }
+    for (int c = 0; c < C; ++c) {
+        for (int l = 0; l < kLanes; ++l)
+            sums[c * kLanes + l] = acc[c][l];
+    }
+    return anyNaN<C * kLanes>(sums);
+}
+
+/** tileColumnLanes for a runtime column count in [1, C]. */
+template <int kLanes, int C>
+[[gnu::always_inline]] inline bool
+tileColumnsUpTo(int cols, const double *rd, const int32_t *rows,
+                int32_t numRows, const double *w, int width, double *sums)
+{
+    if constexpr (C > 1) {
+        if (cols < C)
+            return tileColumnsUpTo<kLanes, C - 1>(cols, rd, rows, numRows,
+                                                  w, width, sums);
+    }
+    return tileColumnLanes<kLanes, C>(rd, rows, numRows, w, width, sums);
 }
 
 } // namespace
@@ -174,7 +350,6 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
     plan.tier_ = tier;
     plan.numInputs_ = cfg.numInputs;
     plan.numOutputs_ = cfg.numOutputs;
-    const FixedPointCodec codec(kHwIntBits, kHwFracBits);
 
     const int num_inputs = cfg.numInputs;
     compressKeys(genome, num_inputs, s);
@@ -185,36 +360,35 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
     // by destination later come out in ascending source order — the
     // interpreter's per-node link order, which activate() must
     // reproduce for bit-identical accumulation. This is a single
-    // contiguous walk over the connection SoA array.
+    // contiguous walk over the connection SoA array, which also counts
+    // the degrees. In-degree counts every enabled in-edge — including
+    // ones from unresolvable sources, which must block the node
+    // forever (they never count down).
     s.edgeSrc.clear();
     s.edgeDst.clear();
     s.edgeWeight.clear();
     s.edgeSrc.reserve(genome.connections().size());
     s.edgeDst.reserve(genome.connections().size());
     s.edgeWeight.reserve(genome.connections().size());
+    s.inDeg.assign(static_cast<size_t>(num_vertices), 0);
+    s.outDeg.assign(static_cast<size_t>(num_vertices), 0);
     for (const neat::ConnectionGene &cg : genome.connections().values()) {
         if (!cg.enabled)
             continue;
         const int32_t dst = indexOf(s, num_inputs, cg.key.second);
         if (dst < 0)
             continue; // dangling destination: nothing to evaluate
-        s.edgeSrc.push_back(indexOf(s, num_inputs, cg.key.first));
+        const int32_t src = indexOf(s, num_inputs, cg.key.first);
+        s.edgeSrc.push_back(src);
         s.edgeDst.push_back(dst);
         s.edgeWeight.push_back(cg.weight);
+        ++s.inDeg[static_cast<size_t>(dst)];
+        if (src >= 0)
+            ++s.outDeg[static_cast<size_t>(src)];
     }
     const size_t num_edges = s.edgeDst.size();
 
     // --- adjacency (CSR over compressed indices) --------------------------
-    s.inDeg.assign(static_cast<size_t>(num_vertices), 0);
-    s.outDeg.assign(static_cast<size_t>(num_vertices), 0);
-    for (size_t e = 0; e < num_edges; ++e) {
-        // In-degree counts every enabled in-edge — including ones
-        // from unresolvable sources, which must block the node
-        // forever (they never count down).
-        ++s.inDeg[static_cast<size_t>(s.edgeDst[e])];
-        if (s.edgeSrc[e] >= 0)
-            ++s.outDeg[static_cast<size_t>(s.edgeSrc[e])];
-    }
     s.inOff.assign(static_cast<size_t>(num_vertices) + 1, 0);
     s.outOff.assign(static_cast<size_t>(num_vertices) + 1, 0);
     for (int v = 0; v < num_vertices; ++v) {
@@ -226,13 +400,15 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
             s.outDeg[static_cast<size_t>(v)];
     }
     // In-lists keep (source index, weight) in edge order — ascending
-    // source per destination. Out-lists only need targets.
+    // source per destination. Out-lists only need targets, and edge
+    // order already groups them: resolvable source indices ascend
+    // with the source keys.
     s.inSrc.resize(num_edges);
     s.inW.resize(num_edges);
     s.outDst.resize(
         static_cast<size_t>(s.outOff[static_cast<size_t>(num_vertices)]));
     s.inFill = s.inOff;
-    s.outFill = s.outOff;
+    size_t out_fill = 0;
     for (size_t e = 0; e < num_edges; ++e) {
         const int32_t src = s.edgeSrc[e];
         const int32_t dst = s.edgeDst[e];
@@ -241,8 +417,7 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
         s.inSrc[slot] = src;
         s.inW[slot] = s.edgeWeight[e];
         if (src >= 0)
-            s.outDst[static_cast<size_t>(
-                s.outFill[static_cast<size_t>(src)]++)] = dst;
+            s.outDst[out_fill++] = dst;
     }
 
     // --- backward reachability from the outputs ---------------------------
@@ -302,9 +477,8 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
         }
         std::swap(s.frontier, s.next);
     }
-    const size_t num_waves = s.waveOffs.size() - 1;
 
-    // --- lowering: slots, SoA node tables, CSR edges, schedule ------------
+    // --- lowering: slots, then node tables, tiles and schedule ------------
     // Slot assignment matches FeedForwardNetwork::create: input key
     // -i-1 gets slot i, then layered nodes in emission order.
     s.slotOf.assign(static_cast<size_t>(num_vertices), -1);
@@ -314,67 +488,7 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
     for (int32_t idx : s.waveNodes)
         s.slotOf[static_cast<size_t>(idx)] = next_slot++;
     plan.numSlots_ = next_slot;
-
-    const size_t n_nodes = s.waveNodes.size();
-    plan.activation_.reserve(n_nodes);
-    plan.aggregation_.reserve(n_nodes);
-    plan.bias_.reserve(n_nodes);
-    plan.response_.reserve(n_nodes);
-    plan.nodeSlot_.reserve(n_nodes);
-    plan.edgeOffset_.reserve(n_nodes + 1);
-    plan.edgeOffset_.push_back(0);
-    plan.edgeSrc_.reserve(num_edges);
-    plan.edgeWeight_.reserve(num_edges);
-    plan.layerSpans_.reserve(num_waves);
-    plan.schedule_.layers.reserve(num_waves);
-    s.sourceStamp.assign(static_cast<size_t>(num_vertices), -1);
-    int32_t sentinel_stamp = -1;
-
-    int32_t span_begin = 0;
-    for (size_t w = 0; w < num_waves; ++w) {
-        const int32_t w0 = s.waveOffs[w];
-        const int32_t w1 = s.waveOffs[w + 1];
-        const auto layer = static_cast<int32_t>(w);
-        PackedLayer packed;
-        packed.numNodes = static_cast<int>(w1 - w0);
-        for (int32_t wi = w0; wi < w1; ++wi) {
-            const int32_t idx = s.waveNodes[static_cast<size_t>(wi)];
-            const neat::NodeGene *ng = s.genes[static_cast<size_t>(idx)];
-            GENESYS_ASSERT(ng != nullptr,
-                           "layered vertex "
-                               << s.keys[static_cast<size_t>(idx)]
-                               << " missing gene");
-            plan.activation_.push_back(ng->activation);
-            plan.aggregation_.push_back(ng->aggregation);
-            plan.bias_.push_back(lowerAttr(ng->bias, tier, codec));
-            plan.response_.push_back(lowerAttr(ng->response, tier, codec));
-            plan.nodeSlot_.push_back(s.slotOf[static_cast<size_t>(idx)]);
-
-            for (int32_t e = s.inOff[static_cast<size_t>(idx)];
-                 e < s.inOff[static_cast<size_t>(idx) + 1]; ++e) {
-                const int32_t src = s.inSrc[static_cast<size_t>(e)];
-                ++plan.macs_;
-                ++packed.weights;
-                if (firstSourceOfLayer(s.sourceStamp, sentinel_stamp, src,
-                                       layer))
-                    ++packed.vectorLen;
-                const int32_t src_slot =
-                    src >= 0 ? s.slotOf[static_cast<size_t>(src)] : -1;
-                if (src_slot < 0 &&
-                    ng->aggregation == neat::Aggregation::Sum)
-                    continue; // see edgeSrc_ docs
-                plan.edgeSrc_.push_back(src_slot);
-                plan.edgeWeight_.push_back(lowerAttr(
-                    s.inW[static_cast<size_t>(e)], tier, codec));
-            }
-            plan.edgeOffset_.push_back(
-                static_cast<int32_t>(plan.edgeSrc_.size()));
-        }
-        const auto span_end = span_begin + static_cast<int32_t>(w1 - w0);
-        plan.layerSpans_.push_back({span_begin, span_end});
-        span_begin = span_end;
-        plan.schedule_.layers.push_back(packed);
-    }
+    plan.lowerNodes(s, tier);
 
     plan.outputSlot_.assign(static_cast<size_t>(cfg.numOutputs), -1);
     for (int o = 0; o < cfg.numOutputs; ++o) {
@@ -383,7 +497,7 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
             plan.outputSlot_[static_cast<size_t>(o)] =
                 s.slotOf[static_cast<size_t>(idx)];
     }
-    plan.dcheckCompiled("CompiledPlan::compile");
+    plan.dcheckCompiled("CompiledPlan::compile", s);
     return plan;
 }
 
@@ -407,7 +521,6 @@ CompiledPlan::compileRecurrent(const Genome &genome,
     plan.tier_ = tier;
     plan.numInputs_ = cfg.numInputs;
     plan.numOutputs_ = cfg.numOutputs;
-    const FixedPointCodec codec(kHwIntBits, kHwFracBits);
 
     const int num_inputs = cfg.numInputs;
     compressKeys(genome, num_inputs, s);
@@ -462,57 +575,20 @@ CompiledPlan::compileRecurrent(const Genome &genome,
     }
 
     // --- lowering: every node, ascending key, one wave per tick ----------
-    plan.activation_.reserve(static_cast<size_t>(n_nodes));
-    plan.aggregation_.reserve(static_cast<size_t>(n_nodes));
-    plan.bias_.reserve(static_cast<size_t>(n_nodes));
-    plan.response_.reserve(static_cast<size_t>(n_nodes));
-    plan.nodeSlot_.reserve(static_cast<size_t>(n_nodes));
-    plan.edgeOffset_.reserve(static_cast<size_t>(n_nodes) + 1);
-    plan.edgeOffset_.push_back(0);
-    plan.edgeSrc_.reserve(kept_edges);
-    plan.edgeWeight_.reserve(kept_edges);
-    s.sourceStamp.assign(static_cast<size_t>(num_vertices), -1);
-    int32_t sentinel_stamp = -1;
-    int vector_len = 0; // distinct sources of the one packed layer
-    for (int32_t idx = num_inputs; idx < num_vertices; ++idx) {
-        const neat::NodeGene *ng = s.genes[static_cast<size_t>(idx)];
-        plan.activation_.push_back(ng->activation);
-        plan.aggregation_.push_back(ng->aggregation);
-        plan.bias_.push_back(lowerAttr(ng->bias, tier, codec));
-        plan.response_.push_back(lowerAttr(ng->response, tier, codec));
-        plan.nodeSlot_.push_back(slot_of_vertex(idx));
-
-        for (int32_t e = s.inOff[static_cast<size_t>(idx)];
-             e < s.inOff[static_cast<size_t>(idx) + 1]; ++e) {
-            const int32_t src = s.inSrc[static_cast<size_t>(e)];
-            ++plan.macs_;
-            if (firstSourceOfLayer(s.sourceStamp, sentinel_stamp, src, 0))
-                ++vector_len;
-            const int32_t src_slot = src >= 0 ? slot_of_vertex(src) : -1;
-            if (src_slot < 0 && ng->aggregation == neat::Aggregation::Sum)
-                continue; // see edgeSrc_ docs
-            plan.edgeSrc_.push_back(src_slot);
-            plan.edgeWeight_.push_back(
-                lowerAttr(s.inW[static_cast<size_t>(e)], tier, codec));
-        }
-        plan.edgeOffset_.push_back(
-            static_cast<int32_t>(plan.edgeSrc_.size()));
+    // The whole graph is simultaneously ready (every node reads the
+    // previous tick), so ADAM sees a single M x K step per inference
+    // with M = all nodes and K = the distinct sources feeding them.
+    s.slotOf.resize(static_cast<size_t>(num_vertices));
+    s.waveNodes.clear();
+    for (int32_t v = 0; v < num_vertices; ++v) {
+        s.slotOf[static_cast<size_t>(v)] = slot_of_vertex(v);
+        if (v >= num_inputs)
+            s.waveNodes.push_back(v);
     }
+    s.waveOffs.assign(1, 0);
     if (n_nodes > 0)
-        plan.layerSpans_.push_back({0, n_nodes});
-
-    // One packed layer per tick: the whole graph is simultaneously
-    // ready (every node reads the previous tick), so ADAM sees a
-    // single M x K step per inference with M = all nodes and K = the
-    // distinct sources feeding them. totalMacs == macsPerInference by
-    // construction — the invariant the hw cost model relies on.
-    if (n_nodes > 0) {
-        PackedLayer packed;
-        packed.numNodes = n_nodes;
-        packed.weights = plan.macs_;
-        packed.vectorLen = vector_len;
-        plan.schedule_.layers.push_back(packed);
-    }
+        s.waveOffs.push_back(n_nodes);
+    plan.lowerNodes(s, tier);
 
     plan.outputSlot_.assign(static_cast<size_t>(cfg.numOutputs), -1);
     for (int o = 0; o < cfg.numOutputs; ++o) {
@@ -521,44 +597,273 @@ CompiledPlan::compileRecurrent(const Genome &genome,
             plan.outputSlot_[static_cast<size_t>(o)] =
                 slot_of_vertex(idx);
     }
-    plan.dcheckCompiled("CompiledPlan::compileRecurrent");
+    plan.dcheckCompiled("CompiledPlan::compileRecurrent", s);
     return plan;
 }
 
+/*
+ * Both lowerings end here. Pass 1 walks every in-edge once for the
+ * schedule (MACs, distinct sources per layer) and grows the tiles
+ * greedily: the next Sum node joins the open tile while the tile
+ * stays at most kTileWidth wide and its real edges fill at least half
+ * of rows x width, so padded work stays under 2x the real MACs.
+ * Knowing every block's rows and cells, pass 2 sizes the plan's
+ * arrays exactly once and writes them.
+ */
 void
-CompiledPlan::dcheckCompiled(const char *what) const
+CompiledPlan::lowerNodes(CompileScratch &s, NumericsTier tier)
+{
+    const FixedPointCodec codec(kHwIntBits, kHwFracBits);
+    const size_t n_nodes = s.waveNodes.size();
+    const size_t num_waves = s.waveOffs.size() - 1;
+    const auto is_sum = [&s](int32_t v) {
+        return s.genes[static_cast<size_t>(v)]->aggregation ==
+               neat::Aggregation::Sum;
+    };
+
+    // --- pass 1: schedule, layer spans, block boundaries ------------------
+    // Blocks get increasing ids, and each resolvable source is stamped
+    // with the last block that read it, so one stamp answers both
+    // questions: a source is new to its layer when its stamp predates
+    // the layer's first block (PackedLayer::vectorLen counts distinct
+    // sources, the out-of-graph sentinel as one more), and new to the
+    // open tile when its stamp is not the tile's id.
+    s.sourceStamp.assign(s.keys.size(), -1);
+    s.rowBits.assign((s.keys.size() + 63) / 64, 0);
+    s.blockStart.clear();
+    int32_t sentinel_stamp = -1;
+    int32_t next_block = 0;
+    size_t rows = 0;
+    size_t cells = 0;
+    layerSpans_.reserve(num_waves);
+    schedule_.layers.reserve(num_waves);
+    for (size_t w = 0; w < num_waves; ++w) {
+        const int32_t w0 = s.waveOffs[w];
+        const int32_t w1 = s.waveOffs[w + 1];
+        const int32_t layer_first = next_block;
+        PackedLayer packed;
+        packed.numNodes = static_cast<int>(w1 - w0);
+        // The open tile; tiles never span layers.
+        int32_t tile = -1;
+        long width = 0;
+        long tile_rows = 0;
+        long tile_real = 0;
+        const auto close_tile = [&] {
+            rows += static_cast<size_t>(tile_rows);
+            cells += static_cast<size_t>(tile_rows * width);
+            width = 0;
+            tile_rows = 0;
+        };
+        for (int32_t i = w0; i < w1; ++i) {
+            const int32_t v = s.waveNodes[static_cast<size_t>(i)];
+            GENESYS_ASSERT(s.genes[static_cast<size_t>(v)] != nullptr,
+                           "layered vertex "
+                               << s.keys[static_cast<size_t>(v)]
+                               << " missing gene");
+            const int32_t e0 = s.inOff[static_cast<size_t>(v)];
+            const int32_t e1 = s.inOff[static_cast<size_t>(v) + 1];
+            const bool sum = is_sum(v);
+            // A Sum node may join the open tile; any other node opens
+            // a block of its own.
+            const bool joins = sum && width > 0 && width < kTileWidth;
+            const int32_t block = joins ? tile : next_block++;
+            long real = 0;
+            long fresh = 0;
+            for (int32_t e = e0; e < e1; ++e) {
+                const int32_t src = s.inSrc[static_cast<size_t>(e)];
+                int32_t &stamp = src >= 0
+                                     ? s.sourceStamp[static_cast<size_t>(src)]
+                                     : sentinel_stamp;
+                packed.vectorLen += stamp < layer_first;
+                fresh += src >= 0 && stamp != block;
+                real += src >= 0;
+                stamp = block;
+            }
+            macs_ += e1 - e0;
+            packed.weights += e1 - e0;
+            if (!sum) {
+                close_tile();
+                s.blockStart.push_back(i);
+                rows += static_cast<size_t>(e1 - e0);
+                cells += static_cast<size_t>(e1 - e0);
+                continue;
+            }
+            if (joins &&
+                2 * (tile_real + real) >= (tile_rows + fresh) * (width + 1)) {
+                ++width;
+                tile_rows += fresh;
+                tile_real += real;
+                continue;
+            }
+            close_tile();
+            s.blockStart.push_back(i);
+            tile = block;
+            if (joins) {
+                // Rejected: this node opens the next tile instead.
+                tile = next_block++;
+                stampSources(s, v, tile);
+            }
+            // A node never lists one source twice: its rows are its
+            // resolvable in-degree.
+            tile_rows = real;
+            tile_real = real;
+            width = 1;
+        }
+        close_tile();
+        layerSpans_.push_back({w0, w1});
+        schedule_.layers.push_back(packed);
+    }
+    s.blockStart.push_back(static_cast<int32_t>(n_nodes));
+
+    // --- pass 2: node tables and blocks, each sized once ------------------
+    activation_.reserve(n_nodes);
+    aggregation_.reserve(n_nodes);
+    bias_.reserve(n_nodes);
+    response_.reserve(n_nodes);
+    for (int32_t v : s.waveNodes) {
+        const neat::NodeGene *ng = s.genes[static_cast<size_t>(v)];
+        activation_.push_back(ng->activation);
+        aggregation_.push_back(ng->aggregation);
+        bias_.push_back(lowerAttr(ng->bias, tier, codec));
+        response_.push_back(lowerAttr(ng->response, tier, codec));
+    }
+    const size_t num_blocks = s.blockStart.size() - 1;
+    blocks_.resize(num_blocks + 1);
+    edgeSrc_.resize(rows);
+    edgeMask_.resize(rows);
+    edgeWeight_.resize(cells); // zero-filled: every pad is +0.0
+    int32_t row = 0;
+    int32_t weight = 0;
+    for (size_t b = 0; b < num_blocks; ++b) {
+        const int32_t first = s.blockStart[b];
+        const int width = s.blockStart[b + 1] - first;
+        blocks_[b] = {first, row, weight};
+        const int32_t *const verts = s.waveNodes.data() + first;
+        if (is_sum(verts[0])) {
+            const int32_t tile_rows =
+                emitTile(s, verts, width, tier, codec, edgeSrc_.data() + row,
+                         edgeMask_.data() + row, edgeWeight_.data() + weight);
+            row += tile_rows;
+            weight += tile_rows * width;
+            continue;
+        }
+        for (int32_t e = s.inOff[static_cast<size_t>(verts[0])];
+             e < s.inOff[static_cast<size_t>(verts[0]) + 1]; ++e, ++row) {
+            const int32_t src = s.inSrc[static_cast<size_t>(e)];
+            edgeSrc_[static_cast<size_t>(row)] =
+                src >= 0 ? s.slotOf[static_cast<size_t>(src)] : -1;
+            edgeMask_[static_cast<size_t>(row)] = 1;
+            edgeWeight_[static_cast<size_t>(weight++)] =
+                lowerAttr(s.inW[static_cast<size_t>(e)], tier, codec);
+        }
+    }
+    blocks_[num_blocks] = {static_cast<int32_t>(n_nodes), row, weight};
+    GENESYS_ASSERT(static_cast<size_t>(row) == rows &&
+                       static_cast<size_t>(weight) == cells,
+                   "tile sizing diverged: " << row << " rows, " << weight
+                                            << " cells emitted, " << rows
+                                            << ", " << cells << " sized");
+}
+
+void
+CompiledPlan::dcheckCompiled(const char *what, const CompileScratch &s) const
 {
 #ifdef GENESYS_CHECKED
     if (!checksEnabled())
         return;
-    const size_t n_nodes = nodeSlot_.size();
-    const auto slots = static_cast<size_t>(numSlots_);
-    GENESYS_DCHECK(edgeOffset_.size() == n_nodes + 1 &&
-                       edgeOffset_.front() == 0,
-                   what << ": CSR offset array must hold numNodes + 1"
-                        << " entries starting at 0");
-    GENESYS_DCHECK(edgeSrc_.size() == edgeWeight_.size() &&
-                       static_cast<size_t>(edgeOffset_.back()) ==
-                           edgeSrc_.size(),
-                   what << ": CSR edge arrays diverge from the final"
-                        << " offset");
-    for (size_t n = 0; n < n_nodes; ++n) {
-        GENESYS_DCHECK(edgeOffset_[n] <= edgeOffset_[n + 1],
-                       what << ": CSR offsets not monotone at node "
-                            << n);
-        GENESYS_DCHECK_RANGE(static_cast<size_t>(nodeSlot_[n]),
-                             static_cast<size_t>(numInputs_), slots,
-                             what << ": destination slot of node " << n);
-    }
-    for (size_t e = 0; e < edgeSrc_.size(); ++e) {
-        // -1 is the out-of-graph sentinel kept for non-Sum
-        // aggregations; anything else must be a readable slot.
-        GENESYS_DCHECK(edgeSrc_[e] == -1 ||
-                           (edgeSrc_[e] >= 0 &&
-                            static_cast<size_t>(edgeSrc_[e]) < slots),
-                       what << ": edge " << e << " reads slot "
-                            << edgeSrc_[e] << " outside [-1, "
-                            << numSlots_ << ")");
+    const auto n_nodes = static_cast<int32_t>(activation_.size());
+    GENESYS_DCHECK(!blocks_.empty() && blocks_.front().node == 0 &&
+                       blocks_.front().row == 0 &&
+                       blocks_.front().weight == 0 &&
+                       blocks_.back().node == n_nodes &&
+                       static_cast<size_t>(blocks_.back().row) ==
+                           edgeSrc_.size() &&
+                       edgeMask_.size() == edgeSrc_.size() &&
+                       static_cast<size_t>(blocks_.back().weight) ==
+                           edgeWeight_.size(),
+                   what << ": blocks must start at 0 and end at the node,"
+                        << " row and weight totals");
+    // Source order is vertex order; a slot names its vertex through
+    // the slot assignment the lowering used.
+    const auto vertex_of = [&](int32_t slot) {
+        return slot < numInputs_
+                   ? numInputs_ - 1 - slot
+                   : s.waveNodes[static_cast<size_t>(slot - numInputs_)];
+    };
+    for (size_t b = 0; b + 1 < blocks_.size(); ++b) {
+        const Block &blk = blocks_[b];
+        const Block &next = blocks_[b + 1];
+        const int32_t width = next.node - blk.node;
+        const int32_t rows = next.row - blk.row;
+        GENESYS_DCHECK(width >= 1 && rows >= 0 &&
+                           next.weight - blk.weight == rows * width,
+                       what << ": block " << b << " holds " << width
+                            << " nodes, " << rows << " rows and "
+                            << next.weight - blk.weight << " weights");
+        const bool sum = aggregation_[static_cast<size_t>(blk.node)] ==
+                         neat::Aggregation::Sum;
+        if (!sum) {
+            GENESYS_DCHECK(width == 1, what << ": non-Sum block " << b
+                                            << " is " << width << " wide");
+            for (int32_t r = blk.row; r < next.row; ++r) {
+                const int32_t slot = edgeSrc_[static_cast<size_t>(r)];
+                GENESYS_DCHECK(slot >= -1 && slot < numSlots_,
+                               what << ": row " << r << " reads slot "
+                                    << slot << " outside [-1, "
+                                    << numSlots_ << ")");
+            }
+            continue;
+        }
+        GENESYS_DCHECK(width <= kTileWidth,
+                       what << ": tile " << b << " is " << width
+                            << " wide");
+        long real = 0;
+        for (int32_t k = 0; k < width; ++k) {
+            const auto n = static_cast<size_t>(blk.node + k);
+            GENESYS_DCHECK(aggregation_[n] == neat::Aggregation::Sum,
+                           what << ": tile " << b << " holds non-Sum node "
+                                << n);
+            long in_degree = 0;
+            const int32_t v = s.waveNodes[n];
+            for (int32_t e = s.inOff[static_cast<size_t>(v)];
+                 e < s.inOff[static_cast<size_t>(v) + 1]; ++e)
+                in_degree += s.inSrc[static_cast<size_t>(e)] >= 0;
+            long popcount = 0;
+            for (int32_t r = blk.row; r < next.row; ++r)
+                popcount += edgeMask_[static_cast<size_t>(r)] >> k & 1u;
+            GENESYS_DCHECK(popcount == in_degree,
+                           what << ": column " << k << " of tile " << b
+                                << " marks " << popcount << " edges of "
+                                << in_degree);
+            real += popcount;
+        }
+        for (int32_t r = blk.row; r < next.row; ++r) {
+            const int32_t slot = edgeSrc_[static_cast<size_t>(r)];
+            GENESYS_DCHECK(slot >= 0 && slot < numSlots_,
+                           what << ": tile row " << r << " reads slot "
+                                << slot << " outside [0, " << numSlots_
+                                << ")");
+            GENESYS_DCHECK(r == blk.row ||
+                               vertex_of(edgeSrc_[static_cast<size_t>(
+                                   r - 1)]) < vertex_of(slot),
+                           what << ": tile " << b << " rows not in"
+                                << " strictly ascending source order at"
+                                << " row " << r);
+            const uint8_t mask = edgeMask_[static_cast<size_t>(r)];
+            for (int32_t k = 0; k < width; ++k) {
+                const double wt = edgeWeight_[static_cast<size_t>(
+                    blk.weight + (r - blk.row) * width + k)];
+                GENESYS_DCHECK((mask >> k & 1u) != 0 ||
+                                   std::bit_cast<uint64_t>(wt) == 0,
+                               what << ": pad (" << r << ", " << k
+                                    << ") of tile " << b << " holds "
+                                    << wt << ", not +0.0");
+            }
+        }
+        GENESYS_DCHECK(static_cast<long>(rows) * width - real <= real,
+                       what << ": tile " << b << " pads "
+                            << static_cast<long>(rows) * width - real
+                            << " cells around " << real << " edges");
     }
     int32_t covered = 0;
     for (const LayerSpan &span : layerSpans_) {
@@ -567,18 +872,19 @@ CompiledPlan::dcheckCompiled(const char *what) const
                             << " contiguously");
         covered = span.end;
     }
-    GENESYS_DCHECK(static_cast<size_t>(covered) == n_nodes,
+    GENESYS_DCHECK(covered == n_nodes,
                    what << ": layer spans cover " << covered << " of "
                         << n_nodes << " nodes");
     for (size_t o = 0; o < outputSlot_.size(); ++o) {
         GENESYS_DCHECK(outputSlot_[o] == -1 ||
                            (outputSlot_[o] >= 0 &&
-                            static_cast<size_t>(outputSlot_[o]) < slots),
+                            outputSlot_[o] < numSlots_),
                        what << ": output " << o << " reads slot "
                             << outputSlot_[o]);
     }
 #else
     (void)what;
+    (void)s;
 #endif
 }
 
@@ -616,52 +922,62 @@ CompiledPlan::compileFor(const Genome &genome, const NeatConfig &cfg,
 
 template <NumericsTier kTier>
 void
-CompiledPlan::activateSpan(LayerSpan span, const double *rd, double *wr,
-                           std::vector<double> &weighted) const
+CompiledPlan::activateBlocks(const double *rd, double *wr,
+                             std::vector<double> &weighted) const
 {
     // Raw pointers hoisted out of the loop: `weighted` escapes into
     // neat::aggregateInPlace on the generic path, so indexing through
     // the vectors would force the compiler to reload data pointers
     // after every opaque call in the hot loop.
+    const Block *const blk = blocks_.data();
     const double *const w = edgeWeight_.data();
     const int32_t *const src = edgeSrc_.data();
-    const int32_t *const offs = edgeOffset_.data();
-    const int32_t *const slot_of = nodeSlot_.data();
+    const uint8_t *const mask = edgeMask_.data();
     const neat::Activation *const act = activation_.data();
     const neat::Aggregation *const agg = aggregation_.data();
     const double *const bias = bias_.data();
     const double *const response = response_.data();
+    double *const out = wr + numInputs_;
 
-    for (int32_t n = span.begin; n < span.end;) {
-        // A run of up to kSumGroup consecutive Sum nodes accumulates
-        // in lockstep; any other aggregation stages its weighted
-        // inputs and goes alone.
-        double pre[kSumGroup];
-        int32_t group = 0;
-        while (group < kSumGroup && n + group < span.end &&
-               agg[n + group] == neat::Aggregation::Sum)
-            ++group;
-        switch (group) {
-          case 4: sumChains<4>(rd, src, w, offs, n, pre); break;
-          case 3: sumChains<3>(rd, src, w, offs, n, pre); break;
-          case 2: sumChains<2>(rd, src, w, offs, n, pre); break;
-          case 1: sumChains<1>(rd, src, w, offs, n, pre); break;
-          default: {
+    const size_t num_blocks = blocks_.size() - 1;
+    for (size_t b = 0; b < num_blocks; ++b) {
+        const int32_t n = blk[b].node;
+        const int width = blk[b + 1].node - n;
+        const int32_t r0 = blk[b].row;
+        const int32_t rows = blk[b + 1].row - r0;
+        const double *const wt = w + blk[b].weight;
+        double pre[kTileWidth];
+        if (agg[n] == neat::Aggregation::Sum) {
+            const int32_t *const tr = src + r0;
+            bool nan = false;
+            switch (width) {
+              case 1: tileSums<1>(rd, tr, rows, wt, pre); break;
+              case 2: nan = tileSums<2>(rd, tr, rows, wt, pre); break;
+              case 3: nan = tileSums<3>(rd, tr, rows, wt, pre); break;
+              case 4: nan = tileSums<4>(rd, tr, rows, wt, pre); break;
+              case 5: nan = tileSums<5>(rd, tr, rows, wt, pre); break;
+              case 6: nan = tileSums<6>(rd, tr, rows, wt, pre); break;
+              case 7: nan = tileSums<7>(rd, tr, rows, wt, pre); break;
+              default: nan = tileSums<8>(rd, tr, rows, wt, pre); break;
+            }
+            // A one-column tile has no pads, so its NaN is the node's.
+            if (nan)
+                maskedTileSums(rd, tr, mask + r0, rows, wt, width, 1, pre);
+        } else {
             weighted.clear();
-            for (int32_t e = offs[n]; e < offs[n + 1]; ++e)
-                weighted.push_back((src[e] >= 0 ? rd[src[e]] : 0.0) *
-                                   w[e]);
+            for (int32_t r = r0; r < r0 + rows; ++r)
+                weighted.push_back((src[r] >= 0 ? rd[src[r]] : 0.0) *
+                                   wt[r - r0]);
             pre[0] = neat::aggregateInPlace(agg[n], weighted);
-            group = 1;
-          }
         }
-        for (int32_t g = 0; g < group; ++g, ++n) {
+        for (int k = 0; k < width; ++k) {
+            const int32_t m = n + k;
             if constexpr (kTier == NumericsTier::HwFaithful)
-                wr[slot_of[n]] = hwact::activateQuantized(
-                    act[n], bias[n] + response[n] * pre[g], kHwQuantizer);
+                out[m] = hwact::activateQuantized(
+                    act[m], bias[m] + response[m] * pre[k], kHwQuantizer);
             else
-                wr[slot_of[n]] =
-                    neat::activate(act[n], bias[n] + response[n] * pre[g]);
+                out[m] =
+                    neat::activate(act[m], bias[m] + response[m] * pre[k]);
         }
     }
 }
@@ -703,10 +1019,9 @@ CompiledPlan::activateImpl(std::span<const double> inputs,
         for (int i = 0; i < numInputs_; ++i)
             values[i] = kHwQuantizer(values[i]);
     }
-    // Nodes of one layer read only earlier layers, so each layer span
-    // reads and writes the same value array.
-    for (const LayerSpan &span : layerSpans_)
-        activateSpan<kTier>(span, values, values, scratch.weighted);
+    // Nodes of one layer read only earlier layers, so the blocks, in
+    // layer order, read and write the same value array.
+    activateBlocks<kTier>(values, values, scratch.weighted);
 
     double *const outputs = scratch.outputs.data();
     for (int o = 0; o < numOutputs_; ++o) {
@@ -753,9 +1068,8 @@ CompiledPlan::activateRecurrentImpl(std::span<const double> inputs,
         curr[i] = in;
     }
 
-    // One span holds every node: all read the previous tick.
-    for (const LayerSpan &span : layerSpans_)
-        activateSpan<kTier>(span, prev, curr, scratch.weighted);
+    // Every node reads the previous tick.
+    activateBlocks<kTier>(prev, curr, scratch.weighted);
     std::swap(scratch.prev, scratch.curr);
 
     // After the swap, prev holds this tick's values.
@@ -793,7 +1107,7 @@ CompiledPlan::beginBatch(int lanes, BatchScratch &scratch) const
     const size_t L = static_cast<size_t>(lanes);
     scratch.inputs.resize(static_cast<size_t>(numInputs_) * L);
     scratch.outputs.resize(static_cast<size_t>(numOutputs_) * L);
-    scratch.acc.resize(L);
+    scratch.acc.resize(static_cast<size_t>(kTileWidth) * L);
     if (recurrent_) {
         scratch.prev.assign(static_cast<size_t>(numSlots_) * L, 0.0);
         scratch.curr.assign(static_cast<size_t>(numSlots_) * L, 0.0);
@@ -807,9 +1121,9 @@ CompiledPlan::beginBatch(int lanes, BatchScratch &scratch) const
  * serial paths (per node, edges accumulate in the same sequence), so
  * each lane is bit-identical to a serial activate() fed the same
  * inputs — lane interleaving never reassociates a lane's arithmetic.
- * The Sum accumulation runs branch-free across all lanes (stale
- * inactive-lane values are accumulated and discarded); the expensive
- * per-node activation (libm) is masked to active lanes.
+ * Tiles accumulate branch-free across all lanes (stale inactive-lane
+ * values are accumulated and discarded); the expensive per-node
+ * activation (libm) is masked to active lanes.
  */
 void
 CompiledPlan::activateBatch(int lanes, const uint8_t *activeLanes,
@@ -889,10 +1203,10 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
     // The accumulator is the one buffer the size ASSERTs above do not
     // cover; a caller that resized the lane buffers by hand instead of
     // through beginBatch() would overrun it silently.
-    GENESYS_DCHECK(scratch.acc.size() >= L,
-                   "activateBatch: accumulator sized for "
-                       << scratch.acc.size() << " lanes, need " << L
-                       << " — call beginBatch first");
+    GENESYS_DCHECK(scratch.acc.size() >= kTileWidth * L,
+                   "activateBatch: accumulator holds "
+                       << scratch.acc.size() << " sums, need "
+                       << kTileWidth * L << " — call beginBatch first");
 
     // Read/write frames: feed-forward lanes read and write one values
     // array; recurrent lanes read the previous tick and write the
@@ -916,15 +1230,16 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
     if (recurrent_)
         std::copy(rd, rd + in_count, wr);
 
+    const Block *const blk = blocks_.data();
     const double *const w = edgeWeight_.data();
     const int32_t *const src = edgeSrc_.data();
-    const int32_t *const offs = edgeOffset_.data();
-    const int32_t *const slot_of = nodeSlot_.data();
+    const uint8_t *const mask = edgeMask_.data();
     const neat::Activation *const act = activation_.data();
     const neat::Aggregation *const agg = aggregation_.data();
     const double *const bias = bias_.data();
     const double *const response = response_.data();
     double *const acc = scratch.acc.data();
+    double *const out = wr + static_cast<size_t>(numInputs_) * L;
 
     // One mask scan per batch step (not per node): lanes retire
     // monotonically within an episode wave, and the all-active fast
@@ -933,82 +1248,87 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
     for (size_t l = 0; l < L; ++l)
         all_active &= activeLanes[l] != 0;
 
-    const int n_nodes = static_cast<int>(nodeSlot_.size());
-    for (int n = 0; n < n_nodes; ++n) {
-        const int32_t e0 = offs[n];
-        const int32_t e1 = offs[n + 1];
+    // Columns per pass over a tile's rows: C x kLanes running sums
+    // stay within eight 16-byte registers.
+    constexpr int kCols =
+        kLanes > 0 ? std::clamp(16 / std::max(kLanes, 1), 1, 4) : 1;
+    const size_t num_blocks = blocks_.size() - 1;
+    for (size_t b = 0; b < num_blocks; ++b) {
+        const int32_t n = blk[b].node;
+        const int width = blk[b + 1].node - n;
+        const int32_t r0 = blk[b].row;
+        const int32_t rows = blk[b + 1].row - r0;
+        const double *const wt = w + blk[b].weight;
         if (agg[n] == neat::Aggregation::Sum) {
-            // Summation order per lane is exactly the serial edge
-            // order in both branches — only where the running sums
-            // live differs, so the change is invisible to the
-            // bit-identity contract.
+            // Per lane, each column adds its cells in row order in
+            // both branches, exactly as the serial tile kernel does.
+            bool nan = false;
             if constexpr (kLanes > 0) {
-                // Fixed width: a stack array of kLanes running sums
-                // fully unrolls, so the accumulators stay in vector
-                // registers across the whole edge loop instead of
-                // round-tripping through memory per edge (the
-                // store-to-load chain was the batched path's largest
-                // cost on dense genomes). The final copy into the
-                // shared accumulator keeps the activation step a
-                // single call site below, which GCC needs to inline
-                // it (a two-site helper gets outlined and costs more
-                // than the 8 stores here save).
-                double lacc[kLanes] = {};
-                for (int32_t e = e0; e < e1; ++e) {
-                    const double we = w[e];
-                    const double *const __restrict sv =
-                        rd + static_cast<size_t>(src[e]) *
-                                 static_cast<size_t>(kLanes);
-                    for (int l = 0; l < kLanes; ++l)
-                        lacc[l] += sv[l] * we;
-                }
-                for (int l = 0; l < kLanes; ++l)
-                    acc[l] = lacc[l];
+                for (int c = 0; c < width; c += kCols)
+                    nan |= tileColumnsUpTo<kLanes, kCols>(
+                        std::min(kCols, width - c), rd, src + r0, rows,
+                        wt + c, width, acc + static_cast<size_t>(c) * L);
             } else {
-                // Generic width: accumulate in the lane-sized scratch
-                // vector. __restrict: the accumulator is distinct
-                // from every value array by construction, which
-                // unlocks vectorization of the lane loop.
-                double *const __restrict accr = acc;
-                std::fill(accr, accr + L, 0.0);
-                for (int32_t e = e0; e < e1; ++e) {
-                    const double we = w[e];
-                    const double *const __restrict sv =
-                        rd + static_cast<size_t>(src[e]) * L;
+                // Generic width: one column at a time in the lane-sized
+                // slices of the shared accumulator. __restrict: the
+                // accumulator is distinct from every value array by
+                // construction, which unlocks vectorization of the
+                // lane loop.
+                for (int c = 0; c < width; ++c) {
+                    double *const __restrict accr =
+                        acc + static_cast<size_t>(c) * L;
+                    std::fill(accr, accr + L, 0.0);
+                    for (int32_t r = 0; r < rows; ++r) {
+                        const double we =
+                            wt[static_cast<size_t>(r) * width + c];
+                        const double *const __restrict sv =
+                            rd + static_cast<size_t>(src[r0 + r]) * L;
+                        for (size_t l = 0; l < L; ++l)
+                            accr[l] += sv[l] * we;
+                    }
                     for (size_t l = 0; l < L; ++l)
-                        accr[l] += sv[l] * we;
+                        nan |= accr[l] != accr[l];
                 }
             }
+            // A one-column tile has no pads, so its NaN is the node's.
+            if (nan && width > 1)
+                maskedTileSums(rd, src + r0, mask + r0, rows, wt, width, L,
+                               acc);
         } else {
             for (size_t l = 0; l < L; ++l) {
                 if (!activeLanes[l])
                     continue;
                 scratch.weighted.clear();
-                for (int32_t e = e0; e < e1; ++e) {
+                for (int32_t r = r0; r < r0 + rows; ++r) {
                     scratch.weighted.push_back(
-                        (src[e] >= 0
-                             ? rd[static_cast<size_t>(src[e]) * L + l]
+                        (src[r] >= 0
+                             ? rd[static_cast<size_t>(src[r]) * L + l]
                              : 0.0) *
-                        w[e]);
+                        wt[r - r0]);
                 }
                 acc[l] = neat::aggregateInPlace(agg[n], scratch.weighted);
             }
         }
-        const neat::Activation a = act[n];
-        const double b = bias[n];
-        const double r = response[n];
-        double *const dst = wr + static_cast<size_t>(slot_of[n]) * L;
-        if constexpr (kTier == NumericsTier::HwFaithful) {
-            // Branch-free hw approximation + Limit & Quantize across
-            // the whole lane vector — the step the reference tier
-            // cannot vectorize because of the per-lane libm call.
-            hwact::activateLanesQuantized<kLanes>(
-                a, b, r, acc, activeLanes, all_active, dst,
-                static_cast<int>(L), kHwQuantizer);
-        } else {
-            for (size_t l = 0; l < L; ++l) {
-                if (activeLanes[l])
-                    dst[l] = neat::activate(a, b + r * acc[l]);
+        for (int k = 0; k < width; ++k) {
+            const int32_t m = n + k;
+            const neat::Activation a = act[m];
+            const double bm = bias[m];
+            const double rm = response[m];
+            const double *const sums = acc + static_cast<size_t>(k) * L;
+            double *const dst = out + static_cast<size_t>(m) * L;
+            if constexpr (kTier == NumericsTier::HwFaithful) {
+                // Branch-free hw approximation + Limit & Quantize
+                // across the whole lane vector — the step the reference
+                // tier cannot vectorize because of the per-lane libm
+                // call.
+                hwact::activateLanesQuantized<kLanes>(
+                    a, bm, rm, sums, activeLanes, all_active, dst,
+                    static_cast<int>(L), kHwQuantizer);
+            } else {
+                for (size_t l = 0; l < L; ++l) {
+                    if (activeLanes[l])
+                        dst[l] = neat::activate(a, bm + rm * sums[l]);
+                }
             }
         }
     }

@@ -7,10 +7,22 @@
  * ready vertices into dense matrix-vector products (Section IV-D). A
  * CompiledPlan is the software mirror of that lowering: a genome is
  * compiled **once** into flat contiguous arrays — slot-indexed
- * values, levelized layer spans, CSR-style weight/source arrays, and
- * per-node activation/bias/response tables — and activate() executes
- * the levelized layers as dense inner loops with no maps, no
- * allocation, and a caller-provided scratch buffer.
+ * values, levelized layer spans, per-node activation/bias/response
+ * tables and the weight blocks below — and activate() executes the
+ * levelized layers as dense inner loops with no maps, no allocation,
+ * and a caller-provided scratch buffer.
+ *
+ * Like ADAM, the plan packs each layer's Sum nodes into dense tiles:
+ * up to kTileWidth consecutive Sum nodes share one zero-padded,
+ * row-major weight block whose rows are the union of their sources.
+ * The kernels load each row's input once and accumulate every node
+ * of the tile from it, two nodes per 16-byte vector in the serial
+ * path. Padding is exact: an accumulator starts at +0.0 and, under
+ * round-to-nearest, a sum that starts at +0 never becomes -0, so
+ * adding a pad's x * +0.0 = +-0 leaves it unchanged bit for bit. The
+ * one exception is a non-finite x, whose pad product is NaN; a tile
+ * whose sums come out NaN is recomputed with its pads masked out.
+ * Other aggregations keep one CSR-style block per node.
  *
  * A plan is immutable after compile(), so it is safe to share
  * read-only across exec::EvalEngine workers; all mutable state lives
@@ -106,7 +118,7 @@ struct BatchScratch
     std::vector<double> outputs;
     /** Weighted-input staging for non-Sum aggregations (one lane). */
     std::vector<double> weighted;
-    /** Per-lane pre-activation accumulator. */
+    /** Pre-activation sums, [tile column][lane]: kTileWidth x lanes. */
     std::vector<double> acc;
 };
 
@@ -129,7 +141,7 @@ struct CompileScratch
     std::vector<double> edgeWeight;
     // CSR adjacency.
     std::vector<int32_t> inDeg, outDeg;
-    std::vector<int32_t> inOff, outOff, inFill, outFill;
+    std::vector<int32_t> inOff, outOff, inFill;
     std::vector<int32_t> inSrc, outDst;
     std::vector<double> inW;
     // Reachability + levelization.
@@ -138,14 +150,22 @@ struct CompileScratch
     /** Flattened waves: wave w spans waveNodes[waveOffs[w] .. waveOffs[w+1]). */
     std::vector<int32_t> waveNodes, waveOffs;
     std::vector<int32_t> slotOf, remaining;
-    /** Per-vertex mark of the last layer that counted it as a source. */
+    /** Per-vertex id of the last block that read it as a source;
+     *  while a tile is written, the vertex's row in it. */
     std::vector<int32_t> sourceStamp;
+    /** One bit per vertex: the sources of the tile being written. */
+    std::vector<uint64_t> rowBits;
+    /** Execution position of each block's first node, then numNodes. */
+    std::vector<int32_t> blockStart;
 };
 
 /** A genome lowered to flat arrays, executable without the genome. */
 class CompiledPlan
 {
   public:
+    /** Most Sum nodes one tile packs: four 16-byte vectors per row. */
+    static constexpr int kTileWidth = 8;
+
     /** Node-index range [begin, end) of one topological layer. */
     struct LayerSpan
     {
@@ -208,7 +228,7 @@ class CompiledPlan
 
     /**
      * Evaluate the plan. Feed-forward plans run every levelized layer
-     * as a dense inner loop over the CSR edge arrays; recurrent plans
+     * as dense inner loops over its weight blocks; recurrent plans
      * advance one tick (see activateRecurrent). Leaves the outputs in
      * `scratch.outputs`. Allocation-free once `scratch` has warmed
      * up. Thread-safe for concurrent callers with distinct scratches.
@@ -266,7 +286,7 @@ class CompiledPlan
     /** Evaluated nodes (layered for feed-forward, all for recurrent). */
     int numNodes() const
     {
-        return static_cast<int>(nodeSlot_.size());
+        return static_cast<int>(activation_.size());
     }
 
     /**
@@ -307,15 +327,15 @@ class CompiledPlan
                                PlanScratch &scratch) const;
 
     /**
-     * The serial kernels' shared body: evaluate the nodes of `span`,
-     * reading source slots from `rd` and writing activations to `wr`
-     * (one array for feed-forward layers, the prev/curr frames for a
-     * recurrent tick). Runs of consecutive Sum nodes accumulate in
-     * lockstep, each node's chain in its own CSR order.
+     * The serial kernels' shared body: evaluate every node, block by
+     * block, reading source slots from `rd` and writing activations to
+     * `wr` (one array for feed-forward plans, the prev/curr frames for
+     * a recurrent tick). Each node adds its edges in ascending source
+     * order, as the interpreters do.
      */
     template <NumericsTier kTier>
-    void activateSpan(LayerSpan span, const double *rd, double *wr,
-                      std::vector<double> &weighted) const;
+    void activateBlocks(const double *rd, double *wr,
+                        std::vector<double> &weighted) const;
 
     /** Lane-width switch of activateBatch for one numerics tier. */
     template <NumericsTier kTier>
@@ -324,11 +344,11 @@ class CompiledPlan
 
     /**
      * The batched kernel body, specialized on a compile-time lane
-     * count (kLanes > 0) so the per-edge lane loop fully unrolls and
-     * vectorizes without per-edge trip-count setup; kLanes == 0 is
-     * the any-width fallback reading the runtime `lanes`. kTier
-     * selects the activation step: reference libm (masked per lane)
-     * or the branch-free hw approximation + Limit & Quantize, which
+     * count (kLanes > 0) so the per-row lane loops fully unroll and
+     * the running sums stay in registers; kLanes == 0 is the
+     * any-width fallback reading the runtime `lanes`. kTier selects
+     * the activation step: reference libm (masked per lane) or the
+     * branch-free hw approximation + Limit & Quantize, which
      * vectorizes across the lane dimension.
      */
     template <int kLanes, NumericsTier kTier>
@@ -336,13 +356,26 @@ class CompiledPlan
                            BatchScratch &scratch) const;
 
     /**
-     * Full post-compile structure walk (checked builds only): CSR
-     * edge offsets monotone and covering the edge arrays, every edge
-     * source and node/output slot inside [0, numSlots), layer spans
-     * contiguous and covering every node. Runs once per compile, so
-     * its O(edges) cost never touches the activate hot path.
+     * The lowering shared by both modes: node tables, blocks, layer
+     * spans and schedule for the nodes of `s.waveNodes`, layer by
+     * layer as `s.waveOffs` delimits them, reading in-edges from the
+     * scratch CSR (`inOff`/`inSrc`/`inW`) and slots from `s.slotOf`.
+     * Node n lands in value slot numInputs + n.
      */
-    void dcheckCompiled(const char *what) const;
+    void lowerNodes(CompileScratch &s, NumericsTier tier);
+
+    /**
+     * Full post-compile structure walk (checked builds only): blocks
+     * cover every node once, every Sum node sits in a Sum-only tile of
+     * at most kTileWidth columns, tile rows are readable slots in
+     * strictly ascending source order, each column's mask popcount is
+     * its node's resolvable in-degree, pads are +0.0 and at most as
+     * many as the real cells; layer spans contiguous and covering
+     * every node. `s` is the scratch the plan was lowered from. Runs
+     * once per compile, so its O(cells) cost never touches the
+     * activate hot path.
+     */
+    void dcheckCompiled(const char *what, const CompileScratch &s) const;
 
     int numInputs_ = 0;
     int numOutputs_ = 0;
@@ -351,26 +384,43 @@ class CompiledPlan
     bool recurrent_ = false;
     NumericsTier tier_ = NumericsTier::Reference;
 
-    // Per-node tables, structure-of-arrays in execution order.
+    // Per-node tables, structure-of-arrays in execution order. Node n
+    // writes value slot numInputs_ + n.
     std::vector<neat::Activation> activation_;
     std::vector<neat::Aggregation> aggregation_;
     std::vector<double> bias_;
     std::vector<double> response_;
-    /** Destination value slot of each node. */
-    std::vector<int32_t> nodeSlot_;
 
-    // CSR edge arrays: node n reads edges
-    // [edgeOffset_[n], edgeOffset_[n+1]).
-    std::vector<int32_t> edgeOffset_; // numNodes + 1 entries
     /**
-     * Source value slot per edge. Sum-aggregated nodes carry only
-     * resolvable sources (the interpreters' fast paths skip the rest,
-     * so dropping them at compile time is bit-identical and keeps the
-     * inner loop branch-free in practice); other aggregations keep a
-     * -1 sentinel per out-of-graph source, which contributes an
-     * explicit 0-valued operand exactly like the interpreters.
+     * One unit of kernel work: a tile of 1..kTileWidth consecutive Sum
+     * nodes, or one node with another aggregation. Block b covers
+     * nodes [node, next.node), rows [row, next.row) of edgeSrc_ and
+     * edgeMask_, and the rows x width weights from `weight` on; the
+     * last entry is a sentinel holding the three totals.
+     */
+    struct Block
+    {
+        int32_t node = 0;
+        int32_t row = 0;
+        int32_t weight = 0;
+    };
+    std::vector<Block> blocks_; // numBlocks + 1 entries
+
+    /**
+     * Source value slot per block row. A tile's rows are the union of
+     * its nodes' resolvable sources in ascending source order (the
+     * interpreters' per-node link order), so each node meets its own
+     * edges in its own order; out-of-graph sources are dropped, as the
+     * interpreters' Sum fast paths skip them. A non-Sum node's rows are
+     * its edges in link order, with a -1 sentinel per out-of-graph
+     * source that contributes an explicit 0-valued operand exactly like
+     * the interpreters.
      */
     std::vector<int32_t> edgeSrc_;
+    /** Per row, bit k set when the block's column k has a real edge
+     *  there; the rest are pads. Read only to recompute a NaN tile. */
+    std::vector<uint8_t> edgeMask_;
+    /** Per block, a row-major rows x width weight matrix; pads +0.0. */
     std::vector<double> edgeWeight_;
 
     std::vector<LayerSpan> layerSpans_;

@@ -19,13 +19,17 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "common/rng.hh"
 #include "nn/compiled_plan.hh"
 #include "nn/levelize.hh"
+#include "nn/recurrent.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -252,11 +256,11 @@ TEST(CompiledPlanFuzz, MatchesInterpreterBitForBit)
 }
 
 /**
- * A genome shaped to hit every edge of the serial kernel's lockstep
- * Sum groups: 128 inputs, 1-11 nodes per layer, in-degrees of 1 edge,
- * all 128 inputs or anything between, and Sum nodes mixed with other
- * aggregations at a per-genome rate (rate 1.0 gives all-Sum layers,
- * so full groups of 4 and every tail length 0-3 occur). Every hidden
+ * A genome shaped for the Sum tiles at wide in-degrees: 128 inputs,
+ * 1-11 nodes per layer, in-degrees of 1 edge, all 128 inputs or
+ * anything between, and Sum nodes mixed with other aggregations at a
+ * per-genome rate (rate 1.0 gives all-Sum layers, so runs of up to 8
+ * Sum nodes meet the tile width and density limits). Every hidden
  * node feeds a random output, which puts that output in layer 2.
  */
 constexpr int kWideInputs = 128;
@@ -354,11 +358,10 @@ withDanglingSources(Genome g, const NeatConfig &cfg, XorWow &rng)
 
 TEST(CompiledPlanFuzz, LockstepSumGroupsMatchSerialChains)
 {
-    // The serial kernel accumulates runs of up to 4 Sum nodes in
-    // lockstep. Each node's chain must still add its edges in CSR
-    // order: the outputs must equal the interpreter's (reference
-    // tier) and the one-lane batched kernel's, which keeps one chain
-    // per node (both tiers), bit for bit.
+    // The kernels pack runs of up to 8 Sum nodes into tiles. Each
+    // node must still add its edges in its own order: the outputs must
+    // equal the interpreter's (reference tier) and the one-lane
+    // batched kernel's (both tiers), bit for bit.
     constexpr int kGenomes = 400;
     constexpr int kTrials = 3;
     for (int i = 0; i < kGenomes; ++i) {
@@ -391,6 +394,219 @@ TEST(CompiledPlanFuzz, LockstepSumGroupsMatchSerialChains)
                         << "output " << o << " trial " << t;
                     EXPECT_TRUE(bitEqual(serial.outputs[o], lane.outputs[o]))
                         << "lane kernel, output " << o << " trial " << t;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * A genome shaped for the tile kernels: 16 inputs, up to 8 outputs and
+ * up to 8 hidden nodes, so a layer holds 1-8 consecutive Sum nodes and
+ * tiles of every width occur. A node's sources are a random subset of
+ * the inputs (any density), all of them, or exactly half of a shared
+ * row set, which makes the tile exactly half padding. Hidden nodes
+ * feed outputs; in recurrent genomes they also feed each other and
+ * some nodes have no in-edges at all. Zero weights come in both signs,
+ * and biases of +-0 with an Identity activation make the sign of a
+ * zero sum visible in the output. Most nodes aggregate with Sum; the
+ * rest break Sum runs into separate tiles.
+ */
+constexpr int kTileInputs = 16;
+
+Genome
+tileGenome(const NeatConfig &cfg, XorWow &rng)
+{
+    const int hidden = rng.uniformInt(0, 8);
+    const bool recurrent = !cfg.feedForward;
+    const bool zero_weights = rng.bernoulli(0.15);
+    const auto &acts = allActivations();
+    Genome g(0);
+    auto add_node = [&](int key) {
+        NodeGene ng;
+        ng.key = key;
+        ng.bias = rng.bernoulli(0.5) ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
+                                     : rng.uniform(-1.0, 1.0);
+        ng.response = rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.5, 1.5);
+        ng.activation = rng.bernoulli(0.5)
+                            ? Activation::Identity
+                            : acts[rng.uniformInt(
+                                  static_cast<uint32_t>(acts.size()))];
+        ng.aggregation =
+            rng.bernoulli(0.9)
+                ? Aggregation::Sum
+                : static_cast<Aggregation>(rng.uniformInt(
+                      1, static_cast<int>(Aggregation::NumAggregations) - 1));
+        g.mutableNodes().emplace(key, ng);
+    };
+    auto weight = [&] {
+        if (zero_weights || rng.bernoulli(0.15))
+            return rng.bernoulli(0.5) ? 0.0 : -0.0;
+        return rng.gaussian();
+    };
+    auto link = [&](int s, int d) {
+        ConnectionGene c;
+        c.key = {s, d};
+        c.weight = weight();
+        g.mutableConnections().emplace(c.key, c);
+    };
+    // The shared row set of the exactly-half shape: an even count.
+    const int half_rows = 2 * rng.uniformInt(1, kTileInputs / 2);
+    const int half_start = rng.uniformInt(0, kTileInputs - 1);
+    auto feed_from_inputs = [&](int d) {
+        switch (rng.uniformInt(0, 3)) {
+          case 0: // a random subset, any density
+            for (int i = 1; i <= kTileInputs; ++i) {
+                if (rng.bernoulli(0.4))
+                    link(-i, d);
+            }
+            break;
+          case 1: // every input
+            for (int i = 1; i <= kTileInputs; ++i)
+                link(-i, d);
+            break;
+          default: { // half of the shared rows: tiles exactly half pad
+            const int offset = rng.uniformInt(0, 1);
+            for (int r = offset; r < half_rows; r += 2)
+                link(-1 - (half_start + r) % kTileInputs, d);
+          }
+        }
+    };
+    for (int key = 0; key < cfg.numOutputs + hidden; ++key)
+        add_node(key);
+    for (int h = cfg.numOutputs; h < cfg.numOutputs + hidden; ++h) {
+        if (recurrent && rng.bernoulli(0.2))
+            continue; // in-degree 0: a column of pads only
+        feed_from_inputs(h);
+        if (recurrent && rng.bernoulli(0.5))
+            link(cfg.numOutputs + rng.uniformInt(0, hidden - 1), h);
+    }
+    for (int o = 0; o < cfg.numOutputs; ++o) {
+        if (rng.bernoulli(0.9))
+            feed_from_inputs(o);
+        for (int h = cfg.numOutputs; h < cfg.numOutputs + hidden; ++h) {
+            if (rng.bernoulli(0.3))
+                link(h, o);
+        }
+    }
+    return g;
+}
+
+/**
+ * Bit equality, except that any NaN matches any NaN. Which NaN an
+ * operation on two NaNs returns depends on operand order (x86 keeps
+ * the first operand's), and a compiler may commute an addition, so
+ * NaN payloads are not part of the bit-identity contract.
+ */
+::testing::AssertionResult
+sameValue(double a, double b)
+{
+    if (std::isnan(a) && std::isnan(b))
+        return ::testing::AssertionSuccess();
+    return bitEqual(a, b);
+}
+
+/**
+ * Tile-kernel inputs: mostly finite, with -0.0, +-inf and NaN mixed in
+ * on a share of trials, so they land on rows some columns only pad.
+ */
+std::vector<double>
+hostileInputs(XorWow &rng)
+{
+    std::vector<double> in(kTileInputs);
+    const bool hostile = rng.bernoulli(0.6);
+    const bool negative_zero = rng.bernoulli(0.1);
+    for (double &x : in) {
+        x = negative_zero ? -0.0 : rng.uniform(-2.0, 2.0);
+        if (!hostile)
+            continue;
+        switch (rng.uniformInt(0, 9)) {
+          case 0: x = std::numeric_limits<double>::infinity(); break;
+          case 1: x = -std::numeric_limits<double>::infinity(); break;
+          case 2: x = std::numeric_limits<double>::quiet_NaN(); break;
+          case 3: x = -0.0; break;
+          default: break;
+        }
+    }
+    return in;
+}
+
+TEST(CompiledPlanFuzz, TilesMatchOraclesOnHostileValues)
+{
+    // A pad adds x * +0.0, which is +-0 for finite x and NaN for an
+    // infinite or NaN x, so tiles are exact only because their sums
+    // start at +0.0 and a NaN tile is recomputed without its pads. For
+    // feed-forward and recurrent genomes in both tiers: the serial
+    // kernel against the interpreter (reference tier), and
+    // activateBatch at 1 and 4 lanes against the serial kernel, lane
+    // by lane and tick by tick, bit for bit (a NaN only has to meet a
+    // NaN, see sameValue).
+    constexpr int kGenomes = 300;
+    constexpr int kTicks = 4;
+    constexpr int kLanes = 4;
+    for (int i = 0; i < kGenomes; ++i) {
+        XorWow rng(deriveSeed(kFuzzBase ^ 0x711E, static_cast<uint64_t>(i)));
+        NeatConfig cfg;
+        cfg.numInputs = kTileInputs;
+        cfg.numOutputs = rng.uniformInt(1, 8);
+        cfg.feedForward = i % 2 == 0;
+        const Genome g = tileGenome(cfg, rng);
+        for (NumericsTier tier :
+             {NumericsTier::Reference, NumericsTier::HwFaithful}) {
+            SCOPED_TRACE("tile genome " + std::to_string(i) + " tier " +
+                         std::to_string(static_cast<int>(tier)) +
+                         (cfg.feedForward ? " feed-forward" : " recurrent"));
+            const auto plan = CompiledPlan::compileFor(g, cfg, tier);
+            std::optional<FeedForwardNetwork> ff;
+            std::optional<RecurrentNetwork> rec;
+            if (cfg.feedForward)
+                ff.emplace(FeedForwardNetwork::create(g, cfg));
+            else
+                rec.emplace(RecurrentNetwork::create(g, cfg));
+            // One serial oracle per batched lane: lane 0 of the 1-lane
+            // batch runs lane 0's stream.
+            std::vector<PlanScratch> serial(kLanes);
+            for (PlanScratch &s : serial)
+                plan.reset(s);
+            BatchScratch one;
+            BatchScratch four;
+            plan.beginBatch(1, one);
+            plan.beginBatch(kLanes, four);
+            const std::vector<uint8_t> live(kLanes, 1);
+            for (int t = 0; t < kTicks; ++t) {
+                for (int l = 0; l < kLanes; ++l) {
+                    const std::vector<double> in = hostileInputs(rng);
+                    plan.activate(in, serial[static_cast<size_t>(l)]);
+                    for (int x = 0; x < kTileInputs; ++x)
+                        four.inputs[static_cast<size_t>(x) * kLanes +
+                                    static_cast<size_t>(l)] =
+                            in[static_cast<size_t>(x)];
+                    if (l == 0)
+                        one.inputs = in;
+                    if (l != 0 || tier != NumericsTier::Reference)
+                        continue;
+                    const auto expect =
+                        ff ? ff->activate(in) : rec->activate(in);
+                    for (size_t o = 0; o < expect.size(); ++o) {
+                        EXPECT_TRUE(
+                            sameValue(serial[0].outputs[o], expect[o]))
+                            << "interpreter, tick " << t << " output " << o;
+                    }
+                }
+                plan.activateBatch(1, live.data(), one);
+                plan.activateBatch(kLanes, live.data(), four);
+                for (size_t o = 0; o < one.outputs.size(); ++o) {
+                    EXPECT_TRUE(sameValue(one.outputs[o],
+                                          serial[0].outputs[o]))
+                        << "1 lane, tick " << t << " output " << o;
+                    for (int l = 0; l < kLanes; ++l) {
+                        EXPECT_TRUE(sameValue(
+                            four.outputs[o * kLanes +
+                                         static_cast<size_t>(l)],
+                            serial[static_cast<size_t>(l)].outputs[o]))
+                            << kLanes << " lanes, lane " << l << " tick "
+                            << t << " output " << o;
+                    }
                 }
             }
         }

@@ -13,6 +13,8 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "env/acrobot.hh"
 #include "env/atari_ram.hh"
@@ -611,4 +613,65 @@ TEST(AtariRamTest, FitnessNormalizedToTarget)
     AtariRam env(AtariVariant::Asterix);
     env.reset(19);
     EXPECT_LT(env.episodeFitness(), 0.05);
+}
+
+namespace
+{
+
+/**
+ * FNV-1a over the bit patterns of every observation and reward of a
+ * fixed-seed episode played by a seeded random policy, several
+ * episodes deep, so any change to the RAM layout or its derived
+ * bytes changes the digest.
+ */
+uint64_t
+atariTrajectoryDigest(AtariVariant variant)
+{
+    uint64_t h = 0xCBF29CE484222325ULL;
+    auto mix = [&h](double v) {
+        uint64_t bits = std::bit_cast<uint64_t>(v);
+        for (int b = 0; b < 8; ++b, bits >>= 8) {
+            h ^= bits & 0xFF;
+            h *= 0x100000001B3ULL;
+        }
+    };
+    AtariRam env(variant);
+    const auto n = static_cast<uint32_t>(env.actionSpace().n);
+    std::vector<double> obs(128);
+    XorWow policy(23);
+    for (uint64_t episode = 0; episode < 4; ++episode) {
+        env.resetInto(31 + episode, obs);
+        for (double v : obs)
+            mix(v);
+        bool done = false;
+        while (!done) {
+            const StepOutcome out = env.stepInto(
+                {static_cast<int>(policy.uniformInt(n)), {}}, obs);
+            for (double v : obs)
+                mix(v);
+            mix(out.reward);
+            done = out.done;
+        }
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(AtariRamTest, ObservationTrajectoriesArePinned)
+{
+    // Pins every byte the four variants expose, the derived bytes
+    // 64..127 included, so a rewrite of the RAM hash must reproduce
+    // the old observations exactly.
+    const std::pair<AtariVariant, uint64_t> pinned[] = {
+        {AtariVariant::AirRaid, 0x5913c07c484435b7ULL},
+        {AtariVariant::Alien, 0x49f4a2b1a065e324ULL},
+        {AtariVariant::Amidar, 0x1dfa7df1183331b1ULL},
+        {AtariVariant::Asterix, 0x97e73874a42c43c3ULL},
+    };
+    for (const auto &[variant, digest] : pinned) {
+        EXPECT_EQ(atariTrajectoryDigest(variant), digest)
+            << atariVariantName(variant) << " digest 0x" << std::hex
+            << atariTrajectoryDigest(variant);
+    }
 }

@@ -138,12 +138,12 @@ fuzzGenome(const NeatConfig &cfg, XorWow &rng)
 }
 
 /**
- * A recurrent genome shaped to hit every edge of the serial kernel's
- * lockstep Sum groups. The one recurrent span holds all 1-11 nodes;
- * 128 inputs give in-degrees from 1 edge to all 128 inputs, plus
- * self-loops and output-to-hidden back edges. Sum nodes mix with
- * other aggregations at a per-genome rate (rate 1.0 gives all-Sum
- * spans, so full groups of 4 and every tail length 0-3 occur).
+ * A recurrent genome shaped for the Sum tiles at wide in-degrees. The
+ * one recurrent span holds all 1-11 nodes; 128 inputs give
+ * in-degrees from 1 edge to all 128 inputs, plus self-loops and
+ * output-to-hidden back edges. Sum nodes mix with other aggregations
+ * at a per-genome rate (rate 1.0 gives all-Sum spans, so runs of up
+ * to 8 Sum nodes meet the tile width and density limits).
  */
 constexpr int kWideInputs = 128;
 
@@ -336,11 +336,10 @@ TEST(RecurrentPlanFuzz, PackedLayerCountsDistinctSources)
 
 TEST(RecurrentPlanFuzz, LockstepSumGroupsMatchSerialChains)
 {
-    // The recurrent tick accumulates runs of up to 4 Sum nodes in
-    // lockstep. Each node's chain must still add its edges in CSR
-    // order: every tick must equal the interpreter's (reference
-    // tier) and the one-lane batched kernel's, which keeps one chain
-    // per node (both tiers), bit for bit.
+    // The recurrent tick packs runs of up to 8 Sum nodes into tiles.
+    // Each node must still add its edges in its own order: every tick
+    // must equal the interpreter's (reference tier) and the one-lane
+    // batched kernel's (both tiers), bit for bit.
     constexpr int kGenomes = 400;
     constexpr int kTicks = 4;
     for (int i = 0; i < kGenomes; ++i) {

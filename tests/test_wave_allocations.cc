@@ -34,6 +34,7 @@
 #include <new>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "common/rng.hh"
 #include "env/runner.hh"
@@ -422,5 +423,58 @@ TEST(CreateNewAllocations, IndependentOfInputCount)
         const long large = createNewAllocations(1024, hidden);
         EXPECT_EQ(small, large) << "numHidden " << hidden;
         EXPECT_GT(small, 0);
+    }
+}
+
+namespace
+{
+
+/**
+ * Allocations made by compiling one fixed genome of `envName`'s
+ * default config through a warm CompileScratch: everything the
+ * compiler needs beyond the plan's own arrays must come from the
+ * scratch.
+ */
+long
+warmCompileAllocations(const std::string &envName, nn::NumericsTier tier)
+{
+    const auto env = env::makeEnvironment(envName);
+    neat::NeatConfig cfg = env::configForEnvironment(*env);
+    cfg.nodeAddProb = 0.5;
+    neat::NodeIndexer idx(cfg.numOutputs);
+    XorWow rng(29);
+    neat::Genome g = neat::Genome::createNew(0, cfg, idx, rng);
+    for (int m = 0; m < 12; ++m)
+        g.mutate(cfg, idx, rng);
+    nn::CompileScratch scratch;
+    const nn::CompiledPlan warm =
+        nn::CompiledPlan::compileFor(g, cfg, scratch, tier);
+    gAllocs.store(0);
+    gCounting.store(true);
+    const nn::CompiledPlan plan =
+        nn::CompiledPlan::compileFor(g, cfg, scratch, tier);
+    gCounting.store(false);
+    EXPECT_EQ(plan.macsPerInference(), warm.macsPerInference());
+    EXPECT_GT(plan.numNodes(), cfg.numOutputs) << envName;
+    return gAllocs.load();
+}
+
+} // namespace
+
+TEST(CompileAllocations, WarmScratchAllocatesOnlyThePlan)
+{
+    // The counts a warm compile made before the Sum nodes were lowered
+    // into tiles; the tile layout must not raise them.
+    const std::pair<std::string, long> pinned[] = {
+        {"AirRaid-ram-v0", 11},
+        {"LunarLander_v2", 12},
+    };
+    for (const auto &[name, count] : pinned) {
+        for (nn::NumericsTier tier :
+             {nn::NumericsTier::Reference, nn::NumericsTier::HwFaithful}) {
+            const long allocs = warmCompileAllocations(name, tier);
+            EXPECT_LE(allocs, count)
+                << name << " tier " << static_cast<int>(tier);
+        }
     }
 }
