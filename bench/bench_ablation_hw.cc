@@ -34,7 +34,6 @@
 #include "neat/weight_tuner.hh"
 #include "nn/compiled_plan.hh"
 #include "nn/cppn.hh"
-#include "nn/levelize.hh"
 
 using namespace genesys;
 using namespace genesys::core;
@@ -68,8 +67,7 @@ naiveAllocationReads(const neat::EvolutionTrace &trace, int num_pe)
 /**
  * inputs -> hidden -> outputs fully connected, random weights — the
  * same pinned topology family bench_micro_kernels times, so the
- * cross-check below prices the exact shapes behind the eval-path
- * speedup claims.
+ * cross-check below prices the exact shapes its tier pair runs.
  */
 neat::Genome
 denseBenchGenome(const neat::NeatConfig &cfg, int hidden, uint64_t seed)
@@ -193,12 +191,13 @@ main()
         t.setHeader({"format", "frac bits", "replay fitness",
                      "fitness loss"});
         auto env = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner runner(*env, 1234, 1);
-        const double base =
-            runner
-                .runEpisode(nn::FeedForwardNetwork::create(best, ncfg),
-                            1234)
+        nn::PlanScratch scratch;
+        auto replay = [&](const neat::Genome &g) {
+            return env::runEpisode(*env, nn::CompiledPlan::compile(g, ncfg),
+                                   scratch, 1234)
                 .fitness;
+        };
+        const double base = replay(best);
         t.addRow({"float64", "-", Table::num(base, 1), "0.0%"});
 
         for (int frac : {12, 10, 8, 6, 4, 2}) {
@@ -210,12 +209,7 @@ main()
             }
             for (auto &&[ck, cg] : quant.mutableConnections())
                 cg.weight = q.quantize(cg.weight);
-            const double f =
-                runner
-                    .runEpisode(
-                        nn::FeedForwardNetwork::create(quant, ncfg),
-                        1234)
-                    .fitness;
+            const double f = replay(quant);
             t.addRow({"Q" + std::to_string(16 - frac) + "." +
                           std::to_string(frac),
                       Table::integer(frac), Table::num(f, 1),
@@ -243,9 +237,12 @@ main()
         const auto &ncfg = msys.neatConfig();
 
         auto envp = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner runner(*envp, 777, 2);
+        const std::vector<uint64_t> seeds{deriveSeed(777, 0),
+                                          deriveSeed(777, 1)};
         auto fit = [&](const neat::Genome &g) {
-            return runner.evaluate(g, ncfg);
+            return env::evaluateDetailed(
+                       *envp, nn::CompiledPlan::compileFor(g, ncfg), seeds)
+                .fitness;
         };
 
         XorWow rng(14);
@@ -320,7 +317,7 @@ main()
         // systolic-array cycles at the paper's 200 MHz; the HwFaithful
         // software tier executes the same Q6.10-quantized arithmetic
         // on the host, over schedules derived from the same
-        // topological layers (scheduleForLayers — shared by
+        // topological layers (CompiledPlan::schedule() — shared by
         // construction). Dividing model cycles by measured seconds
         // per pass gives the host clock at which the software tier
         // "emulates" ADAM. The check is the TREND, not the absolute:
@@ -346,8 +343,7 @@ main()
             const auto plan = nn::CompiledPlan::compile(
                 g, ncfg, nn::NumericsTier::HwFaithful);
             const long cycles =
-                adam.simulateGenome(nn::levelize(g, ncfg))
-                    .totalCycles();
+                adam.simulateGenome(plan.schedule()).totalCycles();
 
             std::vector<double> in(
                 static_cast<size_t>(ncfg.numInputs), 0.5);

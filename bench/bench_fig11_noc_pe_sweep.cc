@@ -12,6 +12,7 @@
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "hw/eve.hh"
+#include "nn/compiled_plan.hh"
 
 using namespace genesys;
 using namespace genesys::core;
@@ -68,7 +69,7 @@ main()
             const auto &g =
                 sys.population().genomes().begin()->second;
             inference.emplace_back(
-                nn::levelize(g, sys.neatConfig()),
+                nn::CompiledPlan::compile(g, sys.neatConfig()).schedule(),
                 sys.reports().back().inferenceSteps /
                     static_cast<long>(
                         sys.population().genomes().size()));

@@ -1,8 +1,10 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the hot kernels of the
- * library: genome crossover/mutation, network evaluation,
- * levelization, stream alignment and the functional EvE PE.
+ * library, one per layer: genome crossover/mutation/distance, compiled
+ * plan activation and compilation, the numerics tiers, the wave
+ * scheduler, recurrent lanes, the functional EvE PE and the telemetry
+ * tax.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,8 +19,6 @@
 #include "hw/gene_split.hh"
 #include "nn/compiled_plan.hh"
 #include "nn/hw_activations.hh"
-#include "nn/levelize.hh"
-#include "nn/recurrent.hh"
 #include "obs/telemetry.hh"
 
 using namespace genesys;
@@ -49,10 +49,9 @@ grownGenome(const NeatConfig &cfg, int mutations, uint64_t seed)
 
 /**
  * Dense genome with exactly `hidden` hidden nodes in one layer
- * (inputs -> hidden -> outputs, fully connected), random weights.
- * The interpreter-vs-compiled comparison runs on this shape so the
- * "64-hidden-node genome" speedup claim is pinned to a known
- * topology rather than whatever mutation happened to grow.
+ * (inputs -> hidden -> outputs, fully connected), random weights, so
+ * the 64-hidden-node benchmarks run on a known topology rather than
+ * whatever mutation happened to grow.
  */
 Genome
 denseGenome(const NeatConfig &cfg, int hidden, uint64_t seed)
@@ -87,39 +86,18 @@ denseGenome(const NeatConfig &cfg, int hidden, uint64_t seed)
     return g;
 }
 
-/**
- * Bit-for-bit output equality between the interpreter and the
- * compiled plan — the differential contract, re-checked in the bench
- * binary itself so the speedup numbers are only ever printed for
- * matching paths.
- */
-void
-assertPathsMatch(const nn::FeedForwardNetwork &net,
-                 const nn::CompiledPlan &plan, const NeatConfig &cfg,
-                 uint64_t seed)
-{
-    XorWow rng(seed);
-    nn::PlanScratch scratch;
-    for (int t = 0; t < 16; ++t) {
-        std::vector<double> in(static_cast<size_t>(cfg.numInputs));
-        for (auto &x : in)
-            x = rng.uniform(-3.0, 3.0);
-        const auto expect = net.activate(in);
-        plan.activate(in, scratch);
-        GENESYS_ASSERT(scratch.outputs.size() == expect.size(),
-                       "output count mismatch");
-        for (size_t o = 0; o < expect.size(); ++o) {
-            GENESYS_ASSERT(
-                std::bit_cast<uint64_t>(scratch.outputs[o]) ==
-                    std::bit_cast<uint64_t>(expect[o]),
-                "interpreter/compiled outputs diverge at output "
-                    << o << ": " << expect[o] << " vs "
-                    << scratch.outputs[o]);
-        }
-    }
-}
-
 } // namespace
+
+constexpr int kCmpInputs = 8;
+constexpr int kCmpHidden = 64;
+constexpr int kCmpOutputs = 4;
+constexpr int kCmpLanes = 8;
+constexpr uint64_t kCmpSeed = 42;
+
+// Atari-RAM scale: Table I's RAM environments observe 128 bytes, so
+// their policies carry 128 inputs and the per-step cost is
+// accumulate-bound.
+constexpr int kAtariInputs = 128;
 
 static void
 BM_GenomeCrossover(benchmark::State &state)
@@ -165,310 +143,6 @@ BM_GenomeDistance(benchmark::State &state)
         benchmark::DoNotOptimize(a.distance(b, cfg));
 }
 BENCHMARK(BM_GenomeDistance)->Arg(4)->Arg(128);
-
-static void
-BM_NetworkActivate(benchmark::State &state)
-{
-    const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
-    const auto g = grownGenome(cfg, 20, 8);
-    const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    std::vector<double> inputs(net.numInputs(), 0.5);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(net.activate(inputs));
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) *
-        net.macsPerInference());
-}
-BENCHMARK(BM_NetworkActivate)->Arg(4)->Arg(24)->Arg(128);
-
-// --- interpreter vs compiled plan -------------------------------------------
-// All comparisons run on the same 64-hidden-node dense genome
-// (8 inputs, 4 outputs, 768 connections) and assert bit-identical
-// outputs before timing anything.
-//
-// Two views, both printing steps/s as items_per_second:
-//
-//  * BM_ActivateStep*: one warm forward pass. Both paths pay the same
-//    irreducible math (libm exp per sigmoid node, per-node ordered
-//    accumulation — fixed by the bit-identity contract), so this
-//    isolates interpreter overhead only.
-//
-//  * BM_EvalPath*: what a genome actually costs per generation in the
-//    engine — the per-genome phenotype work plus `steps` forward
-//    passes. The interpreter path is the seed hot path:
-//    FeedForwardNetwork::create per evaluation (env/runner.cc) plus
-//    the separate nn::levelize the System ran per genome for the
-//    hardware model (core/genesys.cc). The compiled path is one
-//    CompiledPlan::compile, cached per generation, whose schedule()
-//    replaces the levelize call outright. The Arg is the episode
-//    length; CartPole episodes run ~10-60 steps for most of a run
-//    (the 200-step cap is only reached by solved policies).
-
-constexpr int kCmpInputs = 8;
-constexpr int kCmpHidden = 64;
-constexpr int kCmpOutputs = 4;
-constexpr uint64_t kCmpSeed = 42;
-
-static void
-BM_ActivateStepInterpreter64Hidden(benchmark::State &state)
-{
-    const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
-    const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
-    assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
-
-    std::vector<double> inputs(net.numInputs(), 0.5);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(net.activate(inputs));
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations())); // steps/s
-    state.counters["macs_per_step"] =
-        static_cast<double>(net.macsPerInference());
-}
-BENCHMARK(BM_ActivateStepInterpreter64Hidden);
-
-static void
-BM_ActivateStepCompiled64Hidden(benchmark::State &state)
-{
-    const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
-    const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
-    assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
-
-    std::vector<double> inputs(plan.numInputs(), 0.5);
-    nn::PlanScratch scratch;
-    for (auto _ : state) {
-        plan.activate(inputs, scratch);
-        benchmark::DoNotOptimize(scratch.outputs.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations())); // steps/s
-    state.counters["macs_per_step"] =
-        static_cast<double>(plan.macsPerInference());
-}
-BENCHMARK(BM_ActivateStepCompiled64Hidden);
-
-static void
-BM_EvalPathInterpreter64Hidden(benchmark::State &state)
-{
-    const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
-    {
-        const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
-        assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
-    }
-    const auto steps = static_cast<int>(state.range(0));
-    std::vector<double> inputs(static_cast<size_t>(kCmpInputs), 0.5);
-    for (auto _ : state) {
-        // The seed per-genome work: rebuild the phenotype, levelize
-        // separately for the hardware model, then run the episode.
-        const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto sched = nn::levelize(g, cfg);
-        benchmark::DoNotOptimize(sched.totalMacs());
-        for (int s = 0; s < steps; ++s)
-            benchmark::DoNotOptimize(net.activate(inputs));
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            steps); // steps/s
-}
-BENCHMARK(BM_EvalPathInterpreter64Hidden)->Arg(25)->Arg(50)->Arg(100)->Arg(200);
-
-static void
-BM_EvalPathCompiled64Hidden(benchmark::State &state)
-{
-    const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
-    {
-        const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
-        assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
-    }
-    const auto steps = static_cast<int>(state.range(0));
-    std::vector<double> inputs(static_cast<size_t>(kCmpInputs), 0.5);
-    nn::PlanScratch scratch;
-    for (auto _ : state) {
-        // The compiled per-genome work: one compile (the plan cache
-        // guarantees it runs once per generation); schedule() is a
-        // field read, not a second graph walk.
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
-        benchmark::DoNotOptimize(plan.schedule().totalMacs());
-        for (int s = 0; s < steps; ++s) {
-            plan.activate(inputs, scratch);
-            benchmark::DoNotOptimize(scratch.outputs.data());
-        }
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            steps); // steps/s
-}
-BENCHMARK(BM_EvalPathCompiled64Hidden)->Arg(25)->Arg(50)->Arg(100)->Arg(200);
-
-// --- batched episode lanes ---------------------------------------------------
-// The per-genome episode-batching axis: one shared plan, kLanes
-// concurrent episode lanes, the per-edge accumulation loop running
-// contiguously across lanes (CompiledPlan::activateBatch). Serial and
-// batched variants both retire kLanes * steps forward passes per
-// iteration (plus the one per-generation compile), so items_per_second
-// compares directly: batched / serial = the episode-batching speedup
-// the engine realizes per genome.
-
-constexpr int kCmpLanes = 8;
-
-namespace
-{
-
-/** Batched lanes must match serial activations before any timing. */
-void
-assertBatchMatchesSerial(const nn::CompiledPlan &plan,
-                         const NeatConfig &cfg, uint64_t seed)
-{
-    XorWow rng(seed);
-    nn::PlanScratch serial;
-    nn::BatchScratch batch;
-    plan.beginBatch(kCmpLanes, batch);
-    std::vector<uint8_t> active(kCmpLanes, 1);
-    for (int t = 0; t < 4; ++t) {
-        std::vector<std::vector<double>> lane_in(kCmpLanes);
-        for (int l = 0; l < kCmpLanes; ++l) {
-            lane_in[static_cast<size_t>(l)].resize(
-                static_cast<size_t>(cfg.numInputs));
-            for (auto &x : lane_in[static_cast<size_t>(l)])
-                x = rng.uniform(-3.0, 3.0);
-            for (int i = 0; i < cfg.numInputs; ++i)
-                batch.inputs[static_cast<size_t>(i) * kCmpLanes +
-                             static_cast<size_t>(l)] =
-                    lane_in[static_cast<size_t>(l)][static_cast<size_t>(i)];
-        }
-        plan.activateBatch(kCmpLanes, active.data(), batch);
-        for (int l = 0; l < kCmpLanes; ++l) {
-            plan.activate(lane_in[static_cast<size_t>(l)], serial);
-            for (size_t o = 0; o < serial.outputs.size(); ++o) {
-                GENESYS_ASSERT(
-                    std::bit_cast<uint64_t>(
-                        batch.outputs[o * kCmpLanes +
-                                      static_cast<size_t>(l)]) ==
-                        std::bit_cast<uint64_t>(serial.outputs[o]),
-                    "batched/serial outputs diverge at lane "
-                        << l << " output " << o);
-            }
-        }
-    }
-}
-
-} // namespace
-
-namespace
-{
-
-/** Serial baseline: compile once, run kCmpLanes episodes one at a time. */
-void
-evalPathSerialEpisodes(benchmark::State &state, const NeatConfig &cfg,
-                       const Genome &g)
-{
-    {
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
-        assertBatchMatchesSerial(plan, cfg, kCmpSeed + 2);
-    }
-    const auto steps = static_cast<int>(state.range(0));
-    std::vector<double> inputs(static_cast<size_t>(cfg.numInputs), 0.5);
-    nn::PlanScratch scratch;
-    nn::CompileScratch compile_scratch;
-    for (auto _ : state) {
-        // kCmpLanes episodes, one at a time — the engine's episode
-        // loop before batching.
-        const auto plan =
-            nn::CompiledPlan::compile(g, cfg, compile_scratch);
-        for (int e = 0; e < kCmpLanes; ++e) {
-            for (int s = 0; s < steps; ++s) {
-                plan.activate(inputs, scratch);
-                benchmark::DoNotOptimize(scratch.outputs.data());
-            }
-        }
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            steps * kCmpLanes); // steps/s
-}
-
-/** Batched path: the same kCmpLanes episodes in BSP lockstep. */
-void
-evalPathBatchedEpisodes(benchmark::State &state, const NeatConfig &cfg,
-                        const Genome &g)
-{
-    {
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
-        assertBatchMatchesSerial(plan, cfg, kCmpSeed + 2);
-    }
-    const auto steps = static_cast<int>(state.range(0));
-    nn::BatchScratch scratch;
-    nn::CompileScratch compile_scratch;
-    std::vector<uint8_t> active(kCmpLanes, 1);
-    for (auto _ : state) {
-        const auto plan =
-            nn::CompiledPlan::compile(g, cfg, compile_scratch);
-        plan.beginBatch(kCmpLanes, scratch);
-        std::fill(scratch.inputs.begin(), scratch.inputs.end(), 0.5);
-        for (int s = 0; s < steps; ++s) {
-            plan.activateBatch(kCmpLanes, active.data(), scratch);
-            benchmark::DoNotOptimize(scratch.outputs.data());
-        }
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            steps * kCmpLanes); // steps/s
-}
-
-} // namespace
-
-static void
-BM_EvalPathSerialEpisodes64Hidden(benchmark::State &state)
-{
-    const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    evalPathSerialEpisodes(state, cfg,
-                           denseGenome(cfg, kCmpHidden, kCmpSeed));
-}
-BENCHMARK(BM_EvalPathSerialEpisodes64Hidden)->Arg(25)->Arg(50)->Arg(100);
-
-static void
-BM_EvalPathBatchedEpisodes64Hidden(benchmark::State &state)
-{
-    const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    evalPathBatchedEpisodes(state, cfg,
-                            denseGenome(cfg, kCmpHidden, kCmpSeed));
-}
-BENCHMARK(BM_EvalPathBatchedEpisodes64Hidden)->Arg(25)->Arg(50)->Arg(100);
-
-// Atari-RAM scale: Table I's RAM environments observe 128 bytes, so
-// their policies carry 128 inputs — there the per-step cost is
-// accumulate-bound (8.4k edges vs 68 libm calls on this shape) and
-// episode batching pays off hardest. The 8-input CartPole-scale pair
-// above bounds the other end, where per-lane libm activation calls
-// (fixed by the bit-identity contract) cap the gain.
-
-constexpr int kAtariInputs = 128;
-constexpr int kAtariOutputs = 6;
-
-static void
-BM_EvalPathSerialEpisodesAtariScale(benchmark::State &state)
-{
-    const auto cfg = benchConfig(kAtariInputs, kAtariOutputs);
-    evalPathSerialEpisodes(state, cfg,
-                           denseGenome(cfg, kCmpHidden, kCmpSeed));
-}
-BENCHMARK(BM_EvalPathSerialEpisodesAtariScale)->Arg(25)->Arg(50)->Arg(100);
-
-static void
-BM_EvalPathBatchedEpisodesAtariScale(benchmark::State &state)
-{
-    const auto cfg = benchConfig(kAtariInputs, kAtariOutputs);
-    evalPathBatchedEpisodes(state, cfg,
-                            denseGenome(cfg, kCmpHidden, kCmpSeed));
-}
-BENCHMARK(BM_EvalPathBatchedEpisodesAtariScale)->Arg(25)->Arg(50)->Arg(100);
 
 // --- numerics tiers: float reference vs hw-faithful fixed point --------------
 // The perf claim of the HwFaithful tier (nn/numerics.hh): replacing
@@ -556,8 +230,7 @@ evalPathTiered(benchmark::State &state, nn::NumericsTier tier)
     // PlanCache compiles each genome once per generation while the
     // eval path runs episodesPerEval x ~hundreds of env steps against
     // that plan, so the steady-state step cost is the number the tier
-    // comparison is about (BM_EvalPathCompiled* above covers the
-    // compile+run combination).
+    // comparison is about (BM_CompilePlan* below time the compile).
     const auto plan = nn::CompiledPlan::compile(g, cfg, tier);
     plan.beginBatch(kCmpLanes, scratch);
     for (auto _ : state) {
@@ -800,9 +473,8 @@ assertWaveMatchesSerial(const WaveWorkload &w)
     FixedLengthEnv serial_env(w.cfg.numInputs);
     nn::PlanScratch pscratch;
     for (size_t i = 0; i < w.plans.size(); ++i) {
-        env::EpisodeRunner runner(serial_env, w.seeds[i], 1);
         const auto expect =
-            runner.runEpisode(w.plans[i], pscratch, w.seeds[i]);
+            env::runEpisode(serial_env, w.plans[i], pscratch, w.seeds[i]);
         const auto &got = wave.episodes[i];
         GENESYS_ASSERT(
             std::bit_cast<uint64_t>(got.fitness) ==
@@ -853,12 +525,10 @@ BM_EvalPathWaveHeterogeneousAtariScale(benchmark::State &state)
 }
 BENCHMARK(BM_EvalPathWaveHeterogeneousAtariScale);
 
-// --- recurrent: interpreter vs compiled plan ---------------------------------
+// --- recurrent lanes ---------------------------------------------------------
 // The 64-hidden dense genome augmented with recurrent structure: a
 // self-loop on every fourth hidden node plus an output->hidden back
-// edge, evaluated with stateful tick semantics. Equality is asserted
-// tick for tick before timing — the recurrent bit-identity contract,
-// enforced in the bench binary itself.
+// edge, evaluated with stateful tick semantics.
 
 namespace
 {
@@ -880,86 +550,6 @@ recurrentBenchGenome(const NeatConfig &cfg)
     g.mutableConnections().emplace(back.key, back);
     return g;
 }
-
-void
-assertRecurrentPathsMatch(nn::RecurrentNetwork &net,
-                          const nn::CompiledPlan &plan,
-                          const NeatConfig &cfg, uint64_t seed)
-{
-    XorWow rng(seed);
-    nn::PlanScratch scratch;
-    net.reset();
-    plan.reset(scratch);
-    GENESYS_ASSERT(plan.macsPerInference() == net.macsPerInference(),
-                   "recurrent MAC counts diverge: plan "
-                       << plan.macsPerInference() << " vs interpreter "
-                       << net.macsPerInference());
-    for (int t = 0; t < 16; ++t) {
-        std::vector<double> in(static_cast<size_t>(cfg.numInputs));
-        for (auto &x : in)
-            x = rng.uniform(-3.0, 3.0);
-        const auto expect = net.activate(in);
-        plan.activateRecurrent(in, scratch);
-        for (size_t o = 0; o < expect.size(); ++o) {
-            GENESYS_ASSERT(std::bit_cast<uint64_t>(scratch.outputs[o]) ==
-                               std::bit_cast<uint64_t>(expect[o]),
-                           "recurrent interpreter/compiled outputs "
-                           "diverge at output "
-                               << o << " tick " << t);
-        }
-    }
-}
-
-} // namespace
-
-static void
-BM_RecurrentStepInterpreter64Hidden(benchmark::State &state)
-{
-    auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    cfg.feedForward = false;
-    const auto g = recurrentBenchGenome(cfg);
-    auto net = nn::RecurrentNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compileRecurrent(g, cfg);
-    assertRecurrentPathsMatch(net, plan, cfg, kCmpSeed + 3);
-
-    std::vector<double> inputs(net.numInputs(), 0.5);
-    net.reset();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(net.activate(inputs));
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations())); // ticks/s
-    state.counters["macs_per_step"] =
-        static_cast<double>(net.macsPerInference());
-}
-BENCHMARK(BM_RecurrentStepInterpreter64Hidden);
-
-static void
-BM_RecurrentStepCompiled64Hidden(benchmark::State &state)
-{
-    auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    cfg.feedForward = false;
-    const auto g = recurrentBenchGenome(cfg);
-    auto net = nn::RecurrentNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compileRecurrent(g, cfg);
-    assertRecurrentPathsMatch(net, plan, cfg, kCmpSeed + 3);
-
-    std::vector<double> inputs(plan.numInputs(), 0.5);
-    nn::PlanScratch scratch;
-    plan.reset(scratch);
-    for (auto _ : state) {
-        plan.activateRecurrent(inputs, scratch);
-        benchmark::DoNotOptimize(scratch.outputs.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations())); // ticks/s
-    state.counters["macs_per_step"] =
-        static_cast<double>(plan.macsPerInference());
-}
-BENCHMARK(BM_RecurrentStepCompiled64Hidden);
-
-namespace
-{
 
 /**
  * Batched recurrent lanes must match per-lane serial state ticks bit
@@ -1020,8 +610,7 @@ BM_RecurrentStepBatchedLanes64Hidden(benchmark::State &state)
     // The lanes variant of the recurrent step: kCmpLanes episodes of
     // one recurrent plan advance one tick per activateBatch, the
     // per-edge accumulation running contiguously across lanes.
-    // Reported per lane-tick, so the ratio to
-    // BM_RecurrentStepCompiled64Hidden is the recurrent batching win.
+    // Reported per lane-tick.
     auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
     cfg.feedForward = false;
     const auto g = recurrentBenchGenome(cfg);
@@ -1047,14 +636,11 @@ BENCHMARK(BM_RecurrentStepBatchedLanes64Hidden);
 static void
 BM_ActivateCompiledGrown(benchmark::State &state)
 {
-    // The compiled path on the same mutation-grown genomes
-    // BM_NetworkActivate runs, for a like-for-like comparison at
-    // every size.
+    // One warm forward pass on a mutation-grown genome at each input
+    // width, reported per MAC.
     const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
     const auto g = grownGenome(cfg, 20, 8);
-    const auto net = nn::FeedForwardNetwork::create(g, cfg);
     const auto plan = nn::CompiledPlan::compile(g, cfg);
-    assertPathsMatch(net, plan, cfg, 8);
 
     std::vector<double> inputs(plan.numInputs(), 0.5);
     nn::PlanScratch scratch;
@@ -1080,41 +666,14 @@ BM_CompilePlan(benchmark::State &state)
 BENCHMARK(BM_CompilePlan)->Arg(4)->Arg(128);
 
 static void
-BM_CompilePlan64Hidden(benchmark::State &state)
-{
-    // Plan compile on the pinned 64-hidden dense genome (the genome
-    // every interpreter-vs-compiled comparison above runs on): the
-    // number the flat-genome/SoA refactor is measured by. ~39 us with
-    // std::map gene storage + per-edge binary search, ~16 us flat.
-    const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
-    {
-        const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
-        assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(nn::CompiledPlan::compile(g, cfg));
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(g.numGenes()));
-}
-BENCHMARK(BM_CompilePlan64Hidden);
-
-static void
 BM_CompilePlan64HiddenReusedScratch(benchmark::State &state)
 {
-    // The production compile path: one per-thread CompileScratch
-    // reused across compiles (the plan cache's thread_local), so the
-    // ~15 working vectors allocate once and steady-state compilation
-    // is allocation-free. Compare against BM_CompilePlan64Hidden for
-    // the allocation overhead the scratch removes.
+    // The production compile path on the pinned 64-hidden dense
+    // genome: one per-thread CompileScratch reused across compiles
+    // (the plan cache's thread_local), so the ~15 working vectors
+    // allocate once and steady-state compilation is allocation-free.
     const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
     const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
-    {
-        const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
-        assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
-    }
     nn::CompileScratch scratch;
     for (auto _ : state)
         benchmark::DoNotOptimize(
@@ -1123,26 +682,6 @@ BM_CompilePlan64HiddenReusedScratch(benchmark::State &state)
                             static_cast<int64_t>(g.numGenes()));
 }
 BENCHMARK(BM_CompilePlan64HiddenReusedScratch);
-
-static void
-BM_NetworkCreate(benchmark::State &state)
-{
-    const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
-    const auto g = grownGenome(cfg, 20, 9);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(nn::FeedForwardNetwork::create(g, cfg));
-}
-BENCHMARK(BM_NetworkCreate)->Arg(4)->Arg(128);
-
-static void
-BM_Levelize(benchmark::State &state)
-{
-    const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
-    const auto g = grownGenome(cfg, 20, 10);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(nn::levelize(g, cfg));
-}
-BENCHMARK(BM_Levelize)->Arg(4)->Arg(128);
 
 static void
 BM_EncodeGenome(benchmark::State &state)

@@ -15,7 +15,7 @@
 #include "common/table.hh"
 #include "core/genesys.hh"
 #include "env/atari_ram.hh"
-#include "nn/feedforward.hh"
+#include "nn/compiled_plan.hh"
 
 using namespace genesys;
 
@@ -57,8 +57,7 @@ main(int argc, char **argv)
 
     // Replay the champion and print its score trace.
     const auto &best = sys.population().bestGenome();
-    const auto net =
-        nn::FeedForwardNetwork::create(best, sys.neatConfig());
+    const auto plan = nn::CompiledPlan::compile(best, sys.neatConfig());
     env::AtariRam env(variant);
     auto obs = env.reset(99);
     bool done = false;
@@ -66,7 +65,7 @@ main(int argc, char **argv)
     std::cout << "\nchampion replay:\n";
     while (!done) {
         const auto action = env::decodeAction(env.actionSpace(),
-                                              net.activate(obs));
+                                              plan.activate(obs));
         const auto r = env.step(action);
         obs = r.observation;
         done = r.done;

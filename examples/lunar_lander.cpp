@@ -16,7 +16,7 @@
 #include "common/table.hh"
 #include "core/genesys.hh"
 #include "env/lunar_lander.hh"
-#include "nn/feedforward.hh"
+#include "nn/compiled_plan.hh"
 
 using namespace genesys;
 
@@ -87,8 +87,7 @@ main(int argc, char **argv)
     // first successful descent (policies are stochastic-environment
     // specialists, so also report the success rate).
     const auto &best = sys.population().bestGenome();
-    const auto net =
-        nn::FeedForwardNetwork::create(best, sys.neatConfig());
+    const auto plan = nn::CompiledPlan::compile(best, sys.neatConfig());
     int landings = 0;
     uint64_t shown_seed = 0;
     for (uint64_t seed = 100; seed < 110; ++seed) {
@@ -97,7 +96,7 @@ main(int argc, char **argv)
         bool done = false;
         while (!done) {
             const auto a = env::decodeAction(probe.actionSpace(),
-                                             net.activate(obs));
+                                             plan.activate(obs));
             const auto r = probe.step(a);
             obs = r.observation;
             done = r.done;
@@ -117,7 +116,7 @@ main(int argc, char **argv)
     int frame = 0;
     while (!done) {
         const auto action =
-            env::decodeAction(env.actionSpace(), net.activate(obs));
+            env::decodeAction(env.actionSpace(), plan.activate(obs));
         const auto r = env.step(action);
         if (frame % 30 == 0) {
             std::cout << "t=" << frame << "  x=" << Table::num(obs[0], 2)

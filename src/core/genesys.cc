@@ -422,8 +422,7 @@ System::replayBest(uint64_t seed)
     const auto plan = nn::CompiledPlan::compileFor(
         population_->bestGenome(), neatCfg_, numericsTier_);
     nn::PlanScratch scratch;
-    env::EpisodeRunner runner(*env_, seed, 1);
-    return runner.runEpisode(plan, scratch, seed);
+    return env::runEpisode(*env_, plan, scratch, seed);
 }
 
 } // namespace genesys::core

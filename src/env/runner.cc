@@ -16,69 +16,13 @@
 namespace genesys::env
 {
 
-namespace
-{
-
-/**
- * The episode loop, parameterized over the policy: `act(obs)` returns
- * the network outputs for one observation (by value for the
- * interpreter, by reference into the scratch for compiled plans).
- */
-template <typename ActFn>
 EpisodeResult
-runEpisodeWith(Environment &env, uint64_t seed, long macs_per_step,
-               ActFn &&act)
-{
-    EpisodeResult result;
-    const ActionSpace space = env.actionSpace();
-
-    std::vector<double> obs(static_cast<size_t>(env.observationSize()));
-    Action action;
-    env.resetInto(seed, obs);
-    bool done = false;
-    while (!done) {
-        const std::vector<double> &outputs = act(obs);
-        decodeActionInto(space, outputs, action);
-        done = env.stepInto(action, obs).done;
-    }
-    result.cumulativeReward = env.cumulativeReward();
-    result.fitness = env.episodeFitness();
-    result.steps = env.stepsTaken();
-    result.inferences = result.steps; // one forward pass per step
-    result.macs = macs_per_step * result.inferences;
-    return result;
-}
-
-} // namespace
-
-EpisodeResult
-EpisodeRunner::runEpisode(const nn::FeedForwardNetwork &net, uint64_t seed)
-{
-    return runEpisodeWith(
-        *env_, seed, net.macsPerInference(),
-        [&net](const std::vector<double> &obs) {
-            return net.activate(obs);
-        });
-}
-
-EpisodeResult
-EpisodeRunner::runEpisode(nn::RecurrentNetwork &net, uint64_t seed)
-{
-    net.reset(); // episodes never share recurrent state
-    return runEpisodeWith(
-        *env_, seed, net.macsPerInference(),
-        [&net](const std::vector<double> &obs) {
-            return net.activate(obs);
-        });
-}
-
-EpisodeResult
-EpisodeRunner::runEpisode(const nn::CompiledPlan &plan,
-                          nn::PlanScratch &scratch, uint64_t seed)
+runEpisode(Environment &env, const nn::CompiledPlan &plan,
+           nn::PlanScratch &scratch, uint64_t seed)
 {
     plan.reset(scratch); // clears recurrent state; no-op feed-forward
-    return runEpisodeWith(
-        *env_, seed, plan.macsPerInference(),
+    return detail::runEpisodeWith(
+        env, seed, plan.macsPerInference(),
         [&plan, &scratch](const std::vector<double> &obs)
             -> const std::vector<double> & {
             plan.activate(obs, scratch);
@@ -86,80 +30,13 @@ EpisodeRunner::runEpisode(const nn::CompiledPlan &plan,
         });
 }
 
-double
-EpisodeRunner::evaluate(const neat::Genome &genome,
-                        const neat::NeatConfig &cfg)
-{
-    double total = 0.0;
-    auto accumulate = [&](auto &&episode) {
-        for (int e = 0; e < episodes_; ++e)
-            total += episode(deriveSeed(baseSeed_,
-                                        static_cast<uint64_t>(e)))
-                         .fitness;
-    };
-    if (cfg.feedForward) {
-        const auto net = nn::FeedForwardNetwork::create(genome, cfg);
-        accumulate([&](uint64_t s) { return runEpisode(net, s); });
-    } else {
-        auto net = nn::RecurrentNetwork::create(genome, cfg);
-        accumulate([&](uint64_t s) { return runEpisode(net, s); });
-    }
-    return total / static_cast<double>(episodes_);
-}
-
-namespace
-{
-
-/** Accumulate an EvalDetail: `episode(seed)` runs one episode. */
-template <typename EpisodeFn>
 EvalDetail
-evaluateDetailedWith(const std::vector<uint64_t> &episodeSeeds,
-                     EpisodeFn &&episode)
-{
-    GENESYS_ASSERT(!episodeSeeds.empty(),
-                   "evaluateDetailed needs at least one episode seed");
-    EvalDetail detail;
-    detail.episodes.reserve(episodeSeeds.size());
-    double total = 0.0;
-    for (uint64_t seed : episodeSeeds) {
-        EpisodeResult res = episode(seed);
-        total += res.fitness;
-        detail.inferences += res.inferences;
-        detail.macs += res.macs;
-        detail.maxEpisodeSteps =
-            std::max(detail.maxEpisodeSteps, res.steps);
-        detail.episodes.push_back(std::move(res));
-    }
-    detail.fitness = total / static_cast<double>(episodeSeeds.size());
-    return detail;
-}
-
-} // namespace
-
-EvalDetail
-EpisodeRunner::evaluateDetailed(const neat::Genome &genome,
-                                const neat::NeatConfig &cfg,
-                                const std::vector<uint64_t> &episodeSeeds)
-{
-    if (!cfg.feedForward) {
-        auto net = nn::RecurrentNetwork::create(genome, cfg);
-        return evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
-            return runEpisode(net, seed);
-        });
-    }
-    const auto net = nn::FeedForwardNetwork::create(genome, cfg);
-    return evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
-        return runEpisode(net, seed);
-    });
-}
-
-EvalDetail
-EpisodeRunner::evaluateDetailed(const nn::CompiledPlan &plan,
-                                const std::vector<uint64_t> &episodeSeeds)
+evaluateDetailed(Environment &env, const nn::CompiledPlan &plan,
+                 const std::vector<uint64_t> &episodeSeeds)
 {
     nn::PlanScratch scratch; // warmed once, reused by every episode
-    return evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
-        return runEpisode(plan, scratch, seed);
+    return detail::evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
+        return runEpisode(env, plan, scratch, seed);
     });
 }
 

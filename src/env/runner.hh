@@ -9,15 +9,14 @@
 #ifndef GENESYS_ENV_RUNNER_HH
 #define GENESYS_ENV_RUNNER_HH
 
+#include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <span>
 
+#include "common/logging.hh"
 #include "env/env.hh"
 #include "nn/compiled_plan.hh"
-#include "nn/feedforward.hh"
-#include "nn/recurrent.hh"
 
 namespace genesys::env
 {
@@ -31,9 +30,9 @@ struct EpisodeResult
     /**
      * Network evaluations performed. The policy runs exactly one
      * forward pass per environment step, so this always equals
-     * `steps` — the invariant is enforced in runEpisode() (assigned
-     * from the step count, not counted separately) and documented
-     * only here.
+     * `steps` — the invariant is enforced in the episode loops
+     * (assigned from the step count, not counted separately) and
+     * documented only here.
      */
     long inferences = 0;
     /** Total MACs executed by the policy network. */
@@ -55,102 +54,85 @@ struct EvalDetail
     std::vector<EpisodeResult> episodes;
 };
 
-/**
- * Runs episodes of one environment. Episode seeds are derived from
- * (base seed, episode index) so evaluation is reproducible and every
- * genome in a generation sees the same episode set — the population
- * is ranked on a level playing field.
- */
-class EpisodeRunner
+namespace detail
 {
-  public:
-    /** Borrow an environment owned elsewhere. */
-    EpisodeRunner(Environment &env, uint64_t base_seed, int episodes = 1)
-        : env_(&env), baseSeed_(base_seed), episodes_(episodes)
-    {
+
+/**
+ * The serial episode loop, parameterized over the policy: reset `env`
+ * from `seed`, then step it with the action decoded from `act(obs)`
+ * (the policy's outputs for one observation) until the episode ends.
+ * runEpisode binds it to a compiled plan; the reference interpreters
+ * of the test oracle run through it too.
+ */
+template <typename ActFn>
+EpisodeResult
+runEpisodeWith(Environment &env, uint64_t seed, long macs_per_step,
+               ActFn &&act)
+{
+    EpisodeResult result;
+    const ActionSpace space = env.actionSpace();
+
+    std::vector<double> obs(static_cast<size_t>(env.observationSize()));
+    Action action;
+    env.resetInto(seed, obs);
+    bool done = false;
+    while (!done) {
+        const std::vector<double> &outputs = act(obs);
+        decodeActionInto(space, outputs, action);
+        done = env.stepInto(action, obs).done;
     }
+    result.cumulativeReward = env.cumulativeReward();
+    result.fitness = env.episodeFitness();
+    result.steps = env.stepsTaken();
+    result.inferences = result.steps; // one forward pass per step
+    result.macs = macs_per_step * result.inferences;
+    return result;
+}
 
-    /**
-     * Own the environment outright — for callers that want a
-     * self-contained evaluator with no external environment to keep
-     * alive (the engine's per-worker shards use the borrowing form
-     * with exec::EnvPool instead). Episodes touch no state shared
-     * with other runners ("const-safe" with respect to everything
-     * but the owned environment).
-     */
-    EpisodeRunner(std::unique_ptr<Environment> env, uint64_t base_seed,
-                  int episodes = 1)
-        : owned_(std::move(env)), env_(owned_.get()),
-          baseSeed_(base_seed), episodes_(episodes)
-    {
+/** Accumulate an EvalDetail: `episode(seed)` runs one episode. */
+template <typename EpisodeFn>
+EvalDetail
+evaluateDetailedWith(const std::vector<uint64_t> &episodeSeeds,
+                     EpisodeFn &&episode)
+{
+    GENESYS_ASSERT(!episodeSeeds.empty(),
+                   "evaluateDetailed needs at least one episode seed");
+    EvalDetail detail;
+    detail.episodes.reserve(episodeSeeds.size());
+    double total = 0.0;
+    for (uint64_t seed : episodeSeeds) {
+        EpisodeResult res = episode(seed);
+        total += res.fitness;
+        detail.inferences += res.inferences;
+        detail.macs += res.macs;
+        detail.maxEpisodeSteps =
+            std::max(detail.maxEpisodeSteps, res.steps);
+        detail.episodes.push_back(std::move(res));
     }
+    detail.fitness = total / static_cast<double>(episodeSeeds.size());
+    return detail;
+}
 
-    /**
-     * Run one episode with an explicit seed through the feed-forward
-     * interpreter phenotype (the reference implementation).
-     */
-    EpisodeResult runEpisode(const nn::FeedForwardNetwork &net,
-                             uint64_t seed);
+} // namespace detail
 
-    /**
-     * Run one episode through the recurrent interpreter (the
-     * reference for recurrent plans). The network state is reset at
-     * episode start, then each environment step advances one tick.
-     */
-    EpisodeResult runEpisode(nn::RecurrentNetwork &net, uint64_t seed);
+/**
+ * Run one episode of `env` from `seed` through a compiled plan, for
+ * feed-forward and recurrent plans alike (recurrent state is reset at
+ * episode start and ticked per environment step). The plan is
+ * read-only shared state; all mutable evaluation state lives in
+ * `scratch`, so concurrent episodes can share one plan.
+ */
+EpisodeResult runEpisode(Environment &env, const nn::CompiledPlan &plan,
+                         nn::PlanScratch &scratch, uint64_t seed);
 
-    /**
-     * Run one episode through a compiled plan — the fast path for
-     * both feed-forward and recurrent plans (recurrent state is reset
-     * at episode start and ticked per environment step). The plan is
-     * read-only shared state; all mutable evaluation state lives in
-     * `scratch`, so concurrent runners can share one plan.
-     * Bit-identical to the matching interpreter overload.
-     */
-    EpisodeResult runEpisode(const nn::CompiledPlan &plan,
-                             nn::PlanScratch &scratch, uint64_t seed);
-
-    /**
-     * Evaluate a genome: mean fitness over the configured episode
-     * count, through the interpreter phenotype matching the config
-     * (feed-forward or recurrent).
-     */
-    double evaluate(const neat::Genome &genome,
-                    const neat::NeatConfig &cfg);
-
-    /**
-     * Evaluate a genome over explicit per-episode seeds, keeping the
-     * per-episode results and workload totals the hardware model
-     * needs. Reads only the genome/config and mutates only the
-     * runner's environment. Builds the interpreter phenotype for the
-     * config's mode — the reference path the compiled plans are
-     * diffed against.
-     */
-    EvalDetail evaluateDetailed(const neat::Genome &genome,
-                                const neat::NeatConfig &cfg,
-                                const std::vector<uint64_t> &episodeSeeds);
-
-    /**
-     * Evaluate an already-compiled plan over explicit per-episode
-     * seeds — the serial episode loop: one plan, many episodes, one
-     * scratch, zero phenotype rebuilds.
-     */
-    EvalDetail evaluateDetailed(const nn::CompiledPlan &plan,
-                                const std::vector<uint64_t> &episodeSeeds);
-
-    /** Change the episode seeds (e.g. per generation). */
-    void setBaseSeed(uint64_t s) { baseSeed_ = s; }
-
-    int episodes() const { return episodes_; }
-    Environment &environment() { return *env_; }
-    bool ownsEnvironment() const { return owned_ != nullptr; }
-
-  private:
-    std::unique_ptr<Environment> owned_; ///< null when borrowing
-    Environment *env_;
-    uint64_t baseSeed_;
-    int episodes_;
-};
+/**
+ * Evaluate a compiled plan over explicit per-episode seeds, keeping
+ * the per-episode results and workload totals the hardware model
+ * needs — the serial episode loop: one plan, many episodes, one
+ * scratch. Mutates only `env`.
+ */
+EvalDetail evaluateDetailed(Environment &env, const nn::CompiledPlan &plan,
+                            const std::vector<uint64_t> &episodeSeeds);
 
 /**
  * One unit of wave work: a single episode of a single compiled plan.
@@ -293,7 +275,7 @@ struct WaveResult
  * exec::EnvPool worker shard); `scratch` is the caller's reusable
  * wave scratch; each item's outcome is written to `results[slot]`.
  * Each EpisodeResult is bit-identical, field for field, to running
- * that (plan, seed) episode alone through EpisodeRunner::runEpisode —
+ * that (plan, seed) episode alone through runEpisode —
  * lane packing, grouping, refill and claim order never reassociate a
  * lane's arithmetic or reorder its environment stepping.
  */

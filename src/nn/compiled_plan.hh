@@ -26,9 +26,10 @@
  *
  * A plan is immutable after compile(), so it is safe to share
  * read-only across exec::EvalEngine workers; all mutable state lives
- * in the caller's PlanScratch / BatchScratch. Outputs are
- * bit-identical to the interpreter reference implementations
- * (FeedForwardNetwork / RecurrentNetwork): the plan preserves the
+ * in the caller's PlanScratch / BatchScratch. The plan is the
+ * library's only phenotype. Its outputs are bit-identical to the
+ * reference interpreters (FeedForwardNetwork / RecurrentNetwork),
+ * which live with the tests in tests/oracle/: the plan preserves the
  * interpreter's node order, per-node link order and accumulation
  * order exactly, which the differential fuzz harnesses in
  * tests/test_compiled_plan.cc and tests/test_recurrent_plan.cc lock
@@ -48,8 +49,7 @@
  *    tick's values, held in double-buffered prev/curr slot arrays in
  *    the scratch. activateRecurrent() advances one tick; reset()
  *    clears the state at episode boundaries. Bit-identical to the
- *    nn::RecurrentNetwork interpreter, which is kept as the
- *    differential reference.
+ *    test oracle's RecurrentNetwork interpreter.
  *
  * Both modes also expose a batched entry point (activateBatch):
  * one shared plan evaluated across N independent episode lanes, the
@@ -67,12 +67,15 @@
 #include <span>
 #include <vector>
 
-#include "nn/feedforward.hh"
+#include "neat/genome.hh"
 #include "nn/levelize.hh"
 #include "nn/numerics.hh"
 
 namespace genesys::nn
 {
+
+using neat::Genome;
+using neat::NeatConfig;
 
 /**
  * Caller-owned mutable state for CompiledPlan::activate. Reusing one

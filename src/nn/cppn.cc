@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "nn/feedforward.hh"
+#include "nn/compiled_plan.hh"
 
 namespace genesys::nn
 {
@@ -93,7 +93,7 @@ expandCppn(const Genome &cppn, const NeatConfig &cppn_cfg,
 {
     GENESYS_ASSERT(cppn_cfg.numInputs == 4 && cppn_cfg.numOutputs == 1,
                    "CPPN must map (x1,y1,x2,y2) -> weight");
-    const auto net = nn::FeedForwardNetwork::create(cppn, cppn_cfg);
+    const auto net = nn::CompiledPlan::compile(cppn, cppn_cfg);
     const auto layout = substrateLayout(sub);
 
     Genome phenotype(cppn.key());

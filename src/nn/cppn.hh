@@ -71,8 +71,8 @@ SubstrateLayout substrateLayout(const SubstrateConfig &sub);
  * adjacent-sheet node pair, query the CPPN at (x1, y1, x2, y2); if
  * the response magnitude exceeds the threshold, express a connection
  * whose weight is the scaled remainder (standard HyperNEAT rule).
- * The result is an ordinary genome evaluable by FeedForwardNetwork
- * and schedulable on ADAM.
+ * The result is an ordinary genome, compiled and scheduled on ADAM
+ * like any other.
  */
 Genome expandCppn(const Genome &cppn, const NeatConfig &cppn_cfg,
                   const SubstrateConfig &sub);

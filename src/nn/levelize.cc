@@ -1,7 +1,5 @@
 #include "nn/levelize.hh"
 
-#include <set>
-
 namespace genesys::nn
 {
 
@@ -39,39 +37,6 @@ InferenceSchedule::meanDensity() const
     if (cells == 0)
         return 0.0;
     return static_cast<double>(totalMacs()) / static_cast<double>(cells);
-}
-
-InferenceSchedule
-levelize(const Genome &genome, const NeatConfig &cfg)
-{
-    return scheduleForLayers(genome, analyzeGenome(genome, cfg).layers);
-}
-
-InferenceSchedule
-scheduleForLayers(const Genome &genome,
-                  const std::vector<std::vector<int>> &layers)
-{
-    InferenceSchedule sched;
-    for (const auto &layer : layers) {
-        PackedLayer pl;
-        pl.numNodes = static_cast<int>(layer.size());
-
-        // The packed input vector holds every distinct source the
-        // layer's nodes read; the CPU gathers those node values
-        // ("picking the ready node values to create input vectors",
-        // Section IV-D).
-        std::set<int> sources;
-        std::set<int> members(layer.begin(), layer.end());
-        for (const auto &[ck, cg] : genome.connections()) {
-            if (!cg.enabled || !members.count(ck.second))
-                continue;
-            sources.insert(ck.first);
-            ++pl.weights;
-        }
-        pl.vectorLen = static_cast<int>(sources.size());
-        sched.layers.push_back(pl);
-    }
-    return sched;
 }
 
 } // namespace genesys::nn

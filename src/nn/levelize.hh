@@ -1,9 +1,12 @@
 /**
  * @file
- * Levelization ("vectorize", Section IV-D): the System CPU routine
- * that packs ready vertices of the irregular NEAT graph into well
- * formed vectors so ADAM can evaluate them as dense matrix-vector
- * products on its systolic array.
+ * The packed inference schedule ADAM executes ("vectorize", Section
+ * IV-D): the System CPU packs the ready vertices of the irregular
+ * NEAT graph into well formed vectors so ADAM can evaluate them as
+ * dense matrix-vector products on its systolic array.
+ * CompiledPlan::compile builds this schedule from the same layers it
+ * lowers for execution (CompiledPlan::schedule()), so the software
+ * plan and the ADAM cost model agree by construction.
  */
 
 #ifndef GENESYS_NN_LEVELIZE_HH
@@ -11,7 +14,6 @@
 
 #include <vector>
 
-#include "nn/feedforward.hh"
 
 namespace genesys::nn
 {
@@ -53,19 +55,6 @@ struct InferenceSchedule
     /** Mean density across layers, weighted by matrix size. */
     double meanDensity() const;
 };
-
-/** Build the packed schedule for a genome. */
-InferenceSchedule levelize(const Genome &genome, const NeatConfig &cfg);
-
-/**
- * Build the packed schedule from an already-computed topological
- * layering (see analyzeGenome). CompiledPlan::compile uses this so
- * the software execution plan and the ADAM cost model are derived
- * from the same layers by construction.
- */
-InferenceSchedule
-scheduleForLayers(const Genome &genome,
-                  const std::vector<std::vector<int>> &layers);
 
 } // namespace genesys::nn
 

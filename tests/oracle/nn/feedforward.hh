@@ -1,6 +1,9 @@
 /**
  * @file
- * Feed-forward phenotype: builds an evaluable network from a genome.
+ * Feed-forward interpreter phenotype: builds an evaluable network
+ * from a genome. Test-only oracle: the library runs every genome as
+ * an nn::CompiledPlan, and the differential suites check each plan
+ * against this interpreter bit for bit.
  *
  * NEAT genomes are irregular acyclic graphs, so inference "is
  * basically processing an acyclic directed graph" (Section III-C2).
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "neat/genome.hh"
+#include "nn/levelize.hh"
 
 namespace genesys::nn
 {
@@ -44,10 +48,9 @@ struct NodeEval
  * Combined result of the two graph walks every phenotype consumer
  * needs: the required-node set (backward reachability from the
  * outputs) and the topological layering of those nodes. Computed
- * together from one adjacency build so FeedForwardNetwork::create,
- * levelize() and CompiledPlan::compile each pay for the analysis
- * exactly once instead of re-scanning the connection genes per layer
- * and per candidate node.
+ * together from one adjacency build so FeedForwardNetwork::create and
+ * levelize() each pay for the analysis exactly once.
+ * CompiledPlan::compile runs the same walks over its dense arrays.
  */
 struct GenomeAnalysis
 {
@@ -114,6 +117,17 @@ class FeedForwardNetwork
     /** Slot of each output key (-1 when unreachable). */
     std::vector<int> outputSlots_;
 };
+
+/**
+ * Build the packed ADAM schedule of a genome from its analyzeGenome
+ * layers: the reference for CompiledPlan::schedule().
+ */
+InferenceSchedule levelize(const Genome &genome, const NeatConfig &cfg);
+
+/** Build the packed schedule from an already-computed layering. */
+InferenceSchedule
+scheduleForLayers(const Genome &genome,
+                  const std::vector<std::vector<int>> &layers);
 
 } // namespace genesys::nn
 

@@ -9,8 +9,8 @@
  * The paper's experiments use feed-forward genomes; recurrent support
  * is the natural extension for partially-observable environments.
  *
- * This interpreter is the *reference implementation*: production
- * evaluation lowers recurrent genomes to flat plans
+ * This interpreter is a test-only *reference implementation*: the
+ * library lowers recurrent genomes to flat plans
  * (nn::CompiledPlan::compileRecurrent) that must match it bit for
  * bit, which tests/test_recurrent_plan.cc fuzzes — the same role
  * FeedForwardNetwork plays for feed-forward plans.

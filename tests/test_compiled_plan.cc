@@ -221,14 +221,55 @@ referenceLayers(const Genome &genome, const NeatConfig &cfg)
 
 // --- the differential fuzz ---------------------------------------------------
 
+/**
+ * The pinned genome the micro-kernel benchmarks time: 8 inputs -> 64
+ * hidden -> 4 outputs, fully connected, biases and weights drawn from
+ * XorWow(42) in node order.
+ */
+Genome
+pinnedDenseGenome(const NeatConfig &cfg)
+{
+    XorWow rng(42);
+    Genome g(0);
+    auto node = [&](int key) {
+        NodeGene n;
+        n.key = key;
+        n.bias = rng.gaussian();
+        g.mutableNodes().emplace(key, n);
+    };
+    auto link = [&](int src, int dst) {
+        ConnectionGene c;
+        c.key = {src, dst};
+        c.weight = rng.gaussian();
+        g.mutableConnections().emplace(c.key, c);
+    };
+    for (int o = 0; o < cfg.numOutputs; ++o)
+        node(o);
+    for (int h = 0; h < 64; ++h) {
+        const int key = cfg.numOutputs + h;
+        node(key);
+        for (int i = 0; i < cfg.numInputs; ++i)
+            link(-i - 1, key);
+        for (int o = 0; o < cfg.numOutputs; ++o)
+            link(key, o);
+    }
+    return g;
+}
+
 TEST(CompiledPlanFuzz, MatchesInterpreterBitForBit)
 {
     constexpr int kGenomes = 1000;
-    for (int i = 0; i < kGenomes; ++i) {
+    NeatConfig dense_cfg;
+    dense_cfg.numInputs = 8;
+    dense_cfg.numOutputs = 4;
+    // The random genomes, then the pinned dense one.
+    for (int i = 0; i <= kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase, static_cast<uint64_t>(i)));
         const bool allow_cycles = i % 4 == 3;
-        const NeatConfig cfg = fuzzConfig(rng, allow_cycles);
-        const Genome g = fuzzGenome(cfg, rng, allow_cycles);
+        const NeatConfig cfg =
+            i < kGenomes ? fuzzConfig(rng, allow_cycles) : dense_cfg;
+        const Genome g = i < kGenomes ? fuzzGenome(cfg, rng, allow_cycles)
+                                      : pinnedDenseGenome(cfg);
         SCOPED_TRACE("fuzz genome " + std::to_string(i));
 
         const auto net = FeedForwardNetwork::create(g, cfg);

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "core/genesys.hh"
+#include "env/reference_eval.hh"
 #include "env/runner.hh"
 #include "exec/eval_engine.hh"
 #include "nn/compiled_plan.hh"
@@ -102,11 +103,9 @@ TEST(EpisodeBatchTest, SamePlanWaveMatchesSerialAndInterpreter)
             ASSERT_EQ(plan.isRecurrent(), !feed_forward);
 
             auto env = env::makeEnvironment("CartPole_v0");
-            env::EpisodeRunner runner(*env, seeds.front(),
-                                      static_cast<int>(seeds.size()));
-            const auto serial = runner.evaluateDetailed(plan, seeds);
-            expectDetailIdentical(serial,
-                                  runner.evaluateDetailed(g, cfg, seeds));
+            const auto serial = env::evaluateDetailed(*env, plan, seeds);
+            expectDetailIdentical(
+                serial, oracle::evaluateDetailed(*env, g, cfg, seeds));
 
             std::vector<env::WaveItem> items;
             for (uint64_t seed : seeds)

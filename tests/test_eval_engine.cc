@@ -256,36 +256,6 @@ TEST(EvalEngineTest, NoCrossEpisodeStateLeakage)
     EXPECT_EQ(batched[7].detail.inferences, alone[0].detail.inferences);
 }
 
-// --- owning EpisodeRunner ---------------------------------------------------
-
-TEST(EpisodeRunnerTest, OwningRunnerMatchesBorrowingRunner)
-{
-    const auto [cfg, genomes] = makeGenomes(1, 29);
-    const std::vector<uint64_t> seeds{101, 202, 303};
-
-    env::EpisodeRunner owning(env::makeEnvironment("CartPole_v0"), 1,
-                              3);
-    EXPECT_TRUE(owning.ownsEnvironment());
-    const auto a = owning.evaluateDetailed(genomes[0], cfg, seeds);
-
-    auto env = env::makeEnvironment("CartPole_v0");
-    env::EpisodeRunner borrowing(*env, 1, 3);
-    EXPECT_FALSE(borrowing.ownsEnvironment());
-    const auto b = borrowing.evaluateDetailed(genomes[0], cfg, seeds);
-
-    EXPECT_EQ(a.fitness, b.fitness);
-    EXPECT_EQ(a.inferences, b.inferences);
-    EXPECT_EQ(a.macs, b.macs);
-    EXPECT_EQ(a.maxEpisodeSteps, b.maxEpisodeSteps);
-    ASSERT_EQ(a.episodes.size(), 3u);
-    for (size_t e = 0; e < a.episodes.size(); ++e) {
-        EXPECT_EQ(a.episodes[e].fitness, b.episodes[e].fitness);
-        EXPECT_EQ(a.episodes[e].steps, b.episodes[e].steps);
-        // The invariant documented on EpisodeResult::inferences.
-        EXPECT_EQ(a.episodes[e].inferences, a.episodes[e].steps);
-    }
-}
-
 // --- batch statistics -------------------------------------------------------
 
 TEST(EvalEngineTest, BatchStatsMapOntoWaves)

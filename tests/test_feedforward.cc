@@ -9,7 +9,7 @@
 
 #include <cmath>
 
-#include "nn/levelize.hh"
+#include "nn/feedforward.hh"
 
 using namespace genesys;
 using namespace genesys::neat;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for action decoding and the episode runner.
+ * Tests for action decoding and the serial episode loop.
  */
 
 #include <gtest/gtest.h>
@@ -65,9 +65,11 @@ TEST(EpisodeRunner, DeterministicEvaluation)
     neat::NodeIndexer idx(cfg.numOutputs);
     XorWow rng(1);
     const auto g = neat::Genome::createNew(0, cfg, idx, rng);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
 
-    EpisodeRunner r1(env, 42, 2), r2(env, 42, 2);
-    EXPECT_DOUBLE_EQ(r1.evaluate(g, cfg), r2.evaluate(g, cfg));
+    const std::vector<uint64_t> seeds{deriveSeed(42, 0), deriveSeed(42, 1)};
+    EXPECT_DOUBLE_EQ(evaluateDetailed(env, plan, seeds).fitness,
+                     evaluateDetailed(env, plan, seeds).fitness);
 }
 
 TEST(EpisodeRunner, CountsInferencesAndMacs)
@@ -77,11 +79,11 @@ TEST(EpisodeRunner, CountsInferencesAndMacs)
     neat::NodeIndexer idx(cfg.numOutputs);
     XorWow rng(2);
     const auto g = neat::Genome::createNew(0, cfg, idx, rng);
-    const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    EpisodeRunner runner(env, 3, 1);
-    const auto res = runner.runEpisode(net, 17);
+    const auto plan = nn::CompiledPlan::compile(g, cfg);
+    nn::PlanScratch scratch;
+    const auto res = runEpisode(env, plan, scratch, 17);
     EXPECT_EQ(res.inferences, res.steps);
-    EXPECT_EQ(res.macs, res.steps * net.macsPerInference());
+    EXPECT_EQ(res.macs, res.steps * plan.macsPerInference());
     EXPECT_GT(res.steps, 0);
 }
 
