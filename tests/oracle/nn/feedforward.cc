@@ -1,6 +1,7 @@
 #include "nn/feedforward.hh"
 
 #include <algorithm>
+#include <set>
 
 #include "common/logging.hh"
 #include "neat/activations.hh"
@@ -210,15 +211,8 @@ FeedForwardNetwork::macsPerInference() const
 InferenceSchedule
 levelize(const Genome &genome, const NeatConfig &cfg)
 {
-    return scheduleForLayers(genome, analyzeGenome(genome, cfg).layers);
-}
-
-InferenceSchedule
-scheduleForLayers(const Genome &genome,
-                  const std::vector<std::vector<int>> &layers)
-{
     InferenceSchedule sched;
-    for (const auto &layer : layers) {
+    for (const auto &layer : analyzeGenome(genome, cfg).layers) {
         PackedLayer pl;
         pl.numNodes = static_cast<int>(layer.size());
 

@@ -124,11 +124,6 @@ class FeedForwardNetwork
  */
 InferenceSchedule levelize(const Genome &genome, const NeatConfig &cfg);
 
-/** Build the packed schedule from an already-computed layering. */
-InferenceSchedule
-scheduleForLayers(const Genome &genome,
-                  const std::vector<std::vector<int>> &layers);
-
 } // namespace genesys::nn
 
 #endif // GENESYS_NN_FEEDFORWARD_HH

@@ -330,6 +330,7 @@ TEST(WaveSchedulerTest, OccupancyCountersObservableAndHigh)
     EXPECT_GT(stats.waveRefills, 0);
     EXPECT_EQ(stats.waveLaneSlotSteps, stats.waveSupersteps * kLanes);
     EXPECT_EQ(stats.waveActiveLaneSteps, wave_inferences);
+    EXPECT_LE(stats.laneOccupancy(), 1.0);
     EXPECT_LE(stats.waveLaneSlotSteps - stats.waveActiveLaneSteps,
               kThreads * (kLanes - 1) * max_episode_steps);
 
