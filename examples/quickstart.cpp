@@ -108,6 +108,7 @@ main(int argc, char **argv)
         for (const auto &r : sys.reports()) {
             mean.evaluateSeconds += r.phases.evaluateSeconds;
             mean.reproduceSeconds += r.phases.reproduceSeconds;
+            mean.breedSeconds += r.phases.breedSeconds;
             mean.speciateSeconds += r.phases.speciateSeconds;
             mean.reportSeconds += r.phases.reportSeconds;
             mean.wallSeconds += r.phases.wallSeconds;
@@ -119,7 +120,8 @@ main(int argc, char **argv)
         const double n = static_cast<double>(sys.reports().size());
         std::cout << "phase breakdown (mean ms/gen): evaluate "
                   << mean.evaluateSeconds * 1e3 / n << "  reproduce "
-                  << mean.reproduceSeconds * 1e3 / n << "  speciate "
+                  << mean.reproduceSeconds * 1e3 / n << " (breed "
+                  << mean.breedSeconds * 1e3 / n << ")  speciate "
                   << mean.speciateSeconds * 1e3 / n << "  report "
                   << mean.reportSeconds * 1e3 / n << "  wall "
                   << mean.wallSeconds * 1e3 / n

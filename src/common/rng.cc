@@ -1,7 +1,5 @@
 #include "common/rng.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace genesys
@@ -67,27 +65,11 @@ XorWow::loadState(const XorWowState &s)
     cachedGaussian_ = s.cachedGaussian;
 }
 
-uint32_t
-XorWow::uniformInt(uint32_t n)
+void
+XorWow::emptyRange()
 {
-    // The Lemire rejection below computes -n % n, which divides by
-    // zero for n == 0. That is reachable from choiceIndex() on an
-    // empty container — make it a clear fatal error instead of UB.
-    if (n == 0)
-        fatal("XorWow::uniformInt(0): empty range "
-              "(choiceIndex on an empty container?)");
-    // Lemire's multiply-shift rejection method for unbiased bounded
-    // integers.
-    uint64_t m = static_cast<uint64_t>(next32()) * n;
-    uint32_t l = static_cast<uint32_t>(m);
-    if (l < n) {
-        uint32_t t = -n % n;
-        while (l < t) {
-            m = static_cast<uint64_t>(next32()) * n;
-            l = static_cast<uint32_t>(m);
-        }
-    }
-    return static_cast<uint32_t>(m >> 32);
+    fatal("XorWow::uniformInt(0): empty range "
+          "(choiceIndex on an empty container?)");
 }
 
 int
@@ -95,31 +77,6 @@ XorWow::uniformInt(int lo, int hi)
 {
     return lo + static_cast<int>(
         uniformInt(static_cast<uint32_t>(hi - lo + 1)));
-}
-
-double
-XorWow::gaussian()
-{
-    if (hasCachedGaussian_) {
-        hasCachedGaussian_ = false;
-        return cachedGaussian_;
-    }
-    double u1 = 0.0;
-    do {
-        u1 = uniform();
-    } while (u1 <= 1e-300);
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    cachedGaussian_ = r * std::sin(theta);
-    hasCachedGaussian_ = true;
-    return r * std::cos(theta);
-}
-
-double
-XorWow::gaussian(double mean, double stdev)
-{
-    return mean + stdev * gaussian();
 }
 
 } // namespace genesys

@@ -12,6 +12,7 @@
 #ifndef GENESYS_COMMON_RNG_HH
 #define GENESYS_COMMON_RNG_HH
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -100,16 +101,61 @@ class XorWow
     }
 
     /** Uniform integer in [0, n). n == 0 is a fatal error. */
-    uint32_t uniformInt(uint32_t n);
+    uint32_t
+    uniformInt(uint32_t n)
+    {
+        // The Lemire rejection below computes -n % n, which divides by
+        // zero for n == 0. That is reachable from choiceIndex() on an
+        // empty container — make it a clear fatal error instead of UB.
+        if (n == 0)
+            emptyRange();
+        // Lemire's multiply-shift rejection method for unbiased
+        // bounded integers.
+        uint64_t m = static_cast<uint64_t>(next32()) * n;
+        uint32_t l = static_cast<uint32_t>(m);
+        if (l < n) {
+            const uint32_t t = -n % n;
+            while (l < t) {
+                m = static_cast<uint64_t>(next32()) * n;
+                l = static_cast<uint32_t>(m);
+            }
+        }
+        return static_cast<uint32_t>(m >> 32);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
     int uniformInt(int lo, int hi);
 
-    /** Standard normal via Box-Muller (cached second variate). */
-    double gaussian();
+    /**
+     * Standard normal via Box-Muller (cached second variate). Inline,
+     * like the other draws, so the gene loops that call it make no
+     * calls except to libm.
+     */
+    double
+    gaussian()
+    {
+        if (hasCachedGaussian_) {
+            hasCachedGaussian_ = false;
+            return cachedGaussian_;
+        }
+        double u1 = 0.0;
+        do {
+            u1 = uniform();
+        } while (u1 <= 1e-300);
+        const double u2 = uniform();
+        const double r = std::sqrt(-2.0 * std::log(u1));
+        const double theta = 2.0 * M_PI * u2;
+        cachedGaussian_ = r * std::sin(theta);
+        hasCachedGaussian_ = true;
+        return r * std::cos(theta);
+    }
 
     /** Normal with given mean and standard deviation. */
-    double gaussian(double mean, double stdev);
+    double
+    gaussian(double mean, double stdev)
+    {
+        return mean + stdev * gaussian();
+    }
 
     /** Bernoulli trial: true with probability p. */
     bool bernoulli(double p) { return uniform() < p; }
@@ -152,6 +198,9 @@ class XorWow
     void loadState(const XorWowState &s);
 
   private:
+    /** uniformInt(0): a fatal error, out of line. */
+    [[noreturn]] static void emptyRange();
+
     uint32_t state_[5];
     uint32_t weyl_;
     bool hasCachedGaussian_;

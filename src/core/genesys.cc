@@ -224,6 +224,7 @@ System::stepGeneration()
     // worker-seconds. All always-on, telemetry or not.
     const neat::StepPhaseTimes &pp = population_->lastStepPhases();
     report.phases.reproduceSeconds = pp.reproduceSeconds;
+    report.phases.breedSeconds = pp.breedSeconds;
     report.phases.speciateSeconds = pp.speciateSeconds;
     report.phases.wallSeconds = secondsSince(wall0);
     report.phases.planCompileCpuSeconds =
@@ -247,6 +248,7 @@ System::stepGeneration()
             .set(report.phases.evaluateSeconds);
         reg->gauge("phase.reproduce_seconds")
             .set(report.phases.reproduceSeconds);
+        reg->gauge("phase.breed_seconds").set(report.phases.breedSeconds);
         reg->gauge("phase.speciate_seconds")
             .set(report.phases.speciateSeconds);
         reg->gauge("phase.report_seconds")

@@ -108,6 +108,11 @@ struct PhaseBreakdown
     double evaluateSeconds = 0.0;
     /** Breeding the next generation (serial barrier phase). */
     double reproduceSeconds = 0.0;
+    /**
+     * The parallel child pass inside reproduceSeconds: crossover and
+     * mutation of every bred child, on the engine's workers.
+     */
+    double breedSeconds = 0.0;
     /** Re-speciating the bred population (serial barrier phase). */
     double speciateSeconds = 0.0;
     /** Workload accounting + SoC simulation. */

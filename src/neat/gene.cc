@@ -1,7 +1,5 @@
 #include "neat/gene.hh"
 
-#include <cmath>
-
 namespace genesys::neat
 {
 
@@ -17,43 +15,6 @@ NodeGene::createNew(int key, const NeatConfig &cfg, XorWow &rng)
     return g;
 }
 
-double
-NodeGene::distance(const NodeGene &other) const
-{
-    double d = std::fabs(bias - other.bias) +
-               std::fabs(response - other.response);
-    if (activation != other.activation)
-        d += 1.0;
-    if (aggregation != other.aggregation)
-        d += 1.0;
-    return d;
-}
-
-NodeGene
-NodeGene::crossover(const NodeGene &other, XorWow &rng,
-                    double bias_toward_self) const
-{
-    NodeGene child;
-    child.key = key;
-    child.bias = rng.uniform() < bias_toward_self ? bias : other.bias;
-    child.response =
-        rng.uniform() < bias_toward_self ? response : other.response;
-    child.activation =
-        rng.uniform() < bias_toward_self ? activation : other.activation;
-    child.aggregation =
-        rng.uniform() < bias_toward_self ? aggregation : other.aggregation;
-    return child;
-}
-
-void
-NodeGene::mutate(const NeatConfig &cfg, XorWow &rng)
-{
-    bias = cfg.bias.mutateValue(bias, rng);
-    response = cfg.response.mutateValue(response, rng);
-    activation = cfg.activation.mutateValue(activation, rng);
-    aggregation = cfg.aggregation.mutateValue(aggregation, rng);
-}
-
 ConnectionGene
 ConnectionGene::createNew(ConnKey key, const NeatConfig &cfg, XorWow &rng)
 {
@@ -62,34 +23,6 @@ ConnectionGene::createNew(ConnKey key, const NeatConfig &cfg, XorWow &rng)
     g.weight = cfg.weight.initValue(rng);
     g.enabled = cfg.enabled.initValue(rng);
     return g;
-}
-
-double
-ConnectionGene::distance(const ConnectionGene &other) const
-{
-    double d = std::fabs(weight - other.weight);
-    if (enabled != other.enabled)
-        d += 1.0;
-    return d;
-}
-
-ConnectionGene
-ConnectionGene::crossover(const ConnectionGene &other, XorWow &rng,
-                          double bias_toward_self) const
-{
-    ConnectionGene child;
-    child.key = key;
-    child.weight = rng.uniform() < bias_toward_self ? weight : other.weight;
-    child.enabled =
-        rng.uniform() < bias_toward_self ? enabled : other.enabled;
-    return child;
-}
-
-void
-ConnectionGene::mutate(const NeatConfig &cfg, XorWow &rng)
-{
-    weight = cfg.weight.mutateValue(weight, rng);
-    enabled = cfg.enabled.mutateValue(enabled, rng);
 }
 
 } // namespace genesys::neat

@@ -12,6 +12,7 @@
 #ifndef GENESYS_NEAT_GENE_HH
 #define GENESYS_NEAT_GENE_HH
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -44,20 +45,54 @@ struct NodeGene
      * Homologous-gene distance used by genome compatibility
      * (|Δbias| + |Δresponse| + activation mismatch + aggregation
      * mismatch, scaled by the weight coefficient at the caller).
+     * Adding 0.0 for a match is exact: the sum of two fabs() is never
+     * -0.0.
      */
-    double distance(const NodeGene &other) const;
+    double
+    distance(const NodeGene &other) const
+    {
+        return std::fabs(bias - other.bias) +
+               std::fabs(response - other.response) +
+               (activation != other.activation ? 1.0 : 0.0) +
+               (aggregation != other.aggregation ? 1.0 : 0.0);
+    }
 
     /**
      * Gene-level crossover: each attribute picked uniformly from one
      * of the two parents — the hardware Crossover Engine's
      * per-attribute parent select (Fig 7). `bias_toward_self` is the
-     * programmable selection bias (default 0.5).
+     * programmable selection bias (default 0.5). One draw per
+     * attribute, in field order; each pick is a mask select, so the
+     * random bits never reach a branch.
      */
-    NodeGene crossover(const NodeGene &other, XorWow &rng,
-                       double bias_toward_self = 0.5) const;
+    NodeGene
+    crossover(const NodeGene &other, XorWow &rng,
+              double bias_toward_self = 0.5) const
+    {
+        const bool self_bias = rng.uniform() < bias_toward_self;
+        const bool self_response = rng.uniform() < bias_toward_self;
+        const bool self_activation = rng.uniform() < bias_toward_self;
+        const bool self_aggregation = rng.uniform() < bias_toward_self;
+        NodeGene child;
+        child.key = key;
+        child.bias = maskSelect(self_bias, bias, other.bias);
+        child.response = maskSelect(self_response, response, other.response);
+        child.activation =
+            maskSelect(self_activation, activation, other.activation);
+        child.aggregation =
+            maskSelect(self_aggregation, aggregation, other.aggregation);
+        return child;
+    }
 
     /** Attribute (non-structural) mutation per the config specs. */
-    void mutate(const NeatConfig &cfg, XorWow &rng);
+    void
+    mutate(const NeatConfig &cfg, XorWow &rng)
+    {
+        bias = cfg.bias.mutateValue(bias, rng);
+        response = cfg.response.mutateValue(response, rng);
+        activation = cfg.activation.mutateValue(activation, rng);
+        aggregation = cfg.aggregation.mutateValue(aggregation, rng);
+    }
 };
 
 /** A synapse gene, keyed by (source, destination). */
@@ -70,14 +105,37 @@ struct ConnectionGene
     static ConnectionGene createNew(ConnKey key, const NeatConfig &cfg,
                                     XorWow &rng);
 
-    /** |Δweight| + enabled mismatch. */
-    double distance(const ConnectionGene &other) const;
+    /** |Δweight| + enabled mismatch (see NodeGene::distance). */
+    double
+    distance(const ConnectionGene &other) const
+    {
+        return std::fabs(weight - other.weight) +
+               (enabled != other.enabled ? 1.0 : 0.0);
+    }
 
-    /** Per-attribute uniform crossover (see NodeGene::crossover). */
-    ConnectionGene crossover(const ConnectionGene &other, XorWow &rng,
-                             double bias_toward_self = 0.5) const;
+    /**
+     * Per-attribute uniform crossover (see NodeGene::crossover): the
+     * weight draw, then the enabled draw.
+     */
+    ConnectionGene
+    crossover(const ConnectionGene &other, XorWow &rng,
+              double bias_toward_self = 0.5) const
+    {
+        const bool self_weight = rng.uniform() < bias_toward_self;
+        const bool self_enabled = rng.uniform() < bias_toward_self;
+        ConnectionGene child;
+        child.key = key;
+        child.weight = maskSelect(self_weight, weight, other.weight);
+        child.enabled = maskSelect(self_enabled, enabled, other.enabled);
+        return child;
+    }
 
-    void mutate(const NeatConfig &cfg, XorWow &rng);
+    void
+    mutate(const NeatConfig &cfg, XorWow &rng)
+    {
+        weight = cfg.weight.mutateValue(weight, rng);
+        enabled = cfg.enabled.mutateValue(enabled, rng);
+    }
 };
 
 } // namespace genesys::neat

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <span>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -134,7 +135,40 @@ Genome::crossover(int child_key, const Genome &parent1,
     return child;
 }
 
-void
+namespace
+{
+
+/**
+ * One crossover merge over a gene map pair. The child starts as a
+ * copy of parent1, which drives the merge (its key order fixes the
+ * RNG stream): genes only in parent1 stay cloned, homologous genes
+ * are crossed over in place, and genes only in parent2 are not
+ * inherited, only counted. Returns that parent2-only count.
+ */
+template <typename Key, typename Gene>
+size_t
+crossGenes(FlatGeneMap<Key, Gene> &child,
+           const FlatGeneMap<Key, Gene> &parent1,
+           const FlatGeneMap<Key, Gene> &parent2, XorWow &rng,
+           long &crossed)
+{
+    child = parent1;
+    const std::span<Gene> genes = child.mutableValues();
+    const auto &v2 = parent2.values();
+    size_t only2 = 0;
+    mergeJoinSorted(
+        parent1.keys(), parent2.keys(),
+        [&](size_t i, size_t j) {
+            genes[i] = genes[i].crossover(v2[j], rng);
+            ++crossed;
+        },
+        [](size_t) {}, [&](size_t) { ++only2; });
+    return only2;
+}
+
+} // namespace
+
+size_t
 Genome::crossoverInto(Genome &child, const Genome &parent1,
                       const Genome &parent2, XorWow &rng,
                       MutationCounts *counts)
@@ -143,51 +177,23 @@ Genome::crossoverInto(Genome &child, const Genome &parent1,
                    "crossover target genome " << child.key()
                                               << " already has genes");
 
-    // Merge-join over the sorted key arrays: parent1 drives (its key
-    // order fixes the RNG stream, exactly as the old map iteration
-    // did), parent2 advances a cursor instead of paying a lookup per
-    // gene. Parent2-only (excess/disjoint) genes are not inherited.
-    {
-        const auto &k1 = parent1.nodes_.keys();
-        const auto &v1 = parent1.nodes_.values();
-        const auto &v2 = parent2.nodes_.values();
-        child.nodes_.reserve(k1.size());
-        mergeJoinSorted(
-            k1, parent2.nodes_.keys(),
-            [&](size_t i, size_t j) {
-                child.nodes_.emplace(k1[i], v1[i].crossover(v2[j], rng));
-                if (counts)
-                    ++counts->crossoverOps;
-            },
-            [&](size_t i) {
-                child.nodes_.emplace(k1[i], v1[i]);
-                if (counts)
-                    ++counts->cloneOps;
-            },
-            [](size_t) {});
-    }
-    {
-        const auto &k1 = parent1.connections_.keys();
-        const auto &v1 = parent1.connections_.values();
-        const auto &v2 = parent2.connections_.values();
-        child.connections_.reserve(k1.size());
-        mergeJoinSorted(
-            k1, parent2.connections_.keys(),
-            [&](size_t i, size_t j) {
-                child.connections_.emplace(
-                    k1[i], v1[i].crossover(v2[j], rng));
-                if (counts)
-                    ++counts->crossoverOps;
-            },
-            [&](size_t i) {
-                child.connections_.emplace(k1[i], v1[i]);
-                if (counts)
-                    ++counts->cloneOps;
-            },
-            [](size_t) {});
+    // The stream runs on a local copy of the generator, so its state
+    // can live in registers instead of being stored after every draw.
+    XorWow local = rng;
+    long crossed = 0;
+    const size_t only2 =
+        crossGenes(child.nodes_, parent1.nodes_, parent2.nodes_, local,
+                   crossed) +
+        crossGenes(child.connections_, parent1.connections_,
+                   parent2.connections_, local, crossed);
+    rng = local;
+    if (counts) {
+        counts->crossoverOps += crossed;
+        counts->cloneOps += static_cast<long>(parent1.numGenes()) - crossed;
     }
     child.nodes_.dcheckInvariants("Genome::crossover nodes");
     child.connections_.dcheckInvariants("Genome::crossover connections");
+    return parent1.numGenes() + only2;
 }
 
 MutationCounts
@@ -228,21 +234,25 @@ Genome::mutate(const NeatConfig &cfg, NodeIndexer &indexer, XorWow &rng)
             counts.deleteOps += mutateDeleteConnection(rng);
     }
 
-    // Attribute perturbation pass over every gene (Fig 3(d)
-    // "Mutation: Perturb"). One gene-op per gene, matching the
-    // hardware's gene-per-cycle streaming; the flat gene arrays make
-    // this a contiguous walk.
-    for (NodeGene &ng : nodes_.mutableValues()) {
-        ng.mutate(cfg, rng);
-        ++counts.perturbOps;
-    }
-    for (ConnectionGene &cg : connections_.mutableValues()) {
-        cg.mutate(cfg, rng);
-        ++counts.perturbOps;
-    }
+    counts.perturbOps += perturb(cfg, rng);
     nodes_.dcheckInvariants("Genome::mutate nodes");
     connections_.dcheckInvariants("Genome::mutate connections");
     return counts;
+}
+
+long
+Genome::perturb(const NeatConfig &cfg, XorWow &rng)
+{
+    // One gene-op per gene, matching the hardware's gene-per-cycle
+    // streaming; the flat gene arrays make this a contiguous walk, on
+    // a register-resident copy of the generator (see crossoverInto).
+    XorWow local = rng;
+    for (NodeGene &ng : nodes_.mutableValues())
+        ng.mutate(cfg, local);
+    for (ConnectionGene &cg : connections_.mutableValues())
+        cg.mutate(cfg, local);
+    rng = local;
+    return static_cast<long>(numGenes());
 }
 
 long
@@ -297,19 +307,19 @@ bool
 Genome::mutateAddConnection(const NeatConfig &cfg, XorWow &rng)
 {
     // Destination: any hidden or output node. Source: any node or
-    // input pin. The node key array is already the sorted candidate
-    // list — only the source list (which appends the input pins)
-    // needs a copy.
-    const std::vector<int> &out_candidates = nodes_.keys();
-    if (out_candidates.empty())
+    // input pin, drawn as one index over the node keys followed by
+    // the pins -1, -2, ..., -numInputs (no candidate list is built).
+    const std::vector<int> &node_keys = nodes_.keys();
+    if (node_keys.empty())
         return false;
 
-    std::vector<int> in_candidates = out_candidates;
-    for (int in : inputKeys(cfg))
-        in_candidates.push_back(in);
-
-    const int src = in_candidates[rng.choiceIndex(in_candidates)];
-    const int dst = out_candidates[rng.choiceIndex(out_candidates)];
+    const auto num_nodes = static_cast<uint32_t>(node_keys.size());
+    const uint32_t src_index =
+        rng.uniformInt(num_nodes + static_cast<uint32_t>(cfg.numInputs));
+    const int src = src_index < num_nodes
+                        ? node_keys[src_index]
+                        : -static_cast<int>(src_index - num_nodes) - 1;
+    const int dst = node_keys[rng.uniformInt(num_nodes)];
     const ConnKey key{src, dst};
 
     if (connections_.count(key))
@@ -410,56 +420,47 @@ Genome::renumberNewNodes(int first_local, NodeIndexer &indexer)
     return added;
 }
 
+namespace
+{
+
+/**
+ * Compatibility terms of one gene map pair: homologous attribute
+ * distance plus `disjoint_coefficient` per gene in only one of them,
+ * over the larger gene count. The homologous terms are summed in
+ * ascending key order, so the double is the same on every call.
+ */
+template <typename Key, typename Gene>
+double
+geneDistance(const FlatGeneMap<Key, Gene> &a, const FlatGeneMap<Key, Gene> &b,
+             double weight_coefficient, double disjoint_coefficient)
+{
+    if (a.empty() && b.empty())
+        return 0.0;
+    long disjoint = 0;
+    double d = 0.0;
+    const auto &va = a.values();
+    const auto &vb = b.values();
+    mergeJoinSorted(
+        a.keys(), b.keys(),
+        [&](size_t i, size_t j) {
+            d += va[i].distance(vb[j]) * weight_coefficient;
+        },
+        [&](size_t) { ++disjoint; }, [&](size_t) { ++disjoint; });
+    return (d + disjoint_coefficient * static_cast<double>(disjoint)) /
+           static_cast<double>(std::max(a.size(), b.size()));
+}
+
+} // namespace
+
 double
 Genome::distance(const Genome &other, const NeatConfig &cfg) const
 {
-    // Merge-join over both sorted key arrays: one linear pass counts
-    // the disjoint genes on both sides and accumulates homologous
-    // attribute distance in ascending key order — the same summation
-    // order (hence bit-identical doubles) as the old per-key map
-    // lookups.
-    double node_distance = 0.0;
-    if (!nodes_.empty() || !other.nodes_.empty()) {
-        long disjoint = 0;
-        double d = 0.0;
-        const auto &va = nodes_.values();
-        const auto &vb = other.nodes_.values();
-        mergeJoinSorted(
-            nodes_.keys(), other.nodes_.keys(),
-            [&](size_t i, size_t j) {
-                d += va[i].distance(vb[j]) *
-                     cfg.compatibilityWeightCoefficient;
-            },
-            [&](size_t) { ++disjoint; }, [&](size_t) { ++disjoint; });
-        const double max_nodes = static_cast<double>(
-            std::max(nodes_.size(), other.nodes_.size()));
-        node_distance =
-            (d + cfg.compatibilityDisjointCoefficient *
-                     static_cast<double>(disjoint)) /
-            max_nodes;
-    }
-
-    double conn_distance = 0.0;
-    if (!connections_.empty() || !other.connections_.empty()) {
-        long disjoint = 0;
-        double d = 0.0;
-        const auto &va = connections_.values();
-        const auto &vb = other.connections_.values();
-        mergeJoinSorted(
-            connections_.keys(), other.connections_.keys(),
-            [&](size_t i, size_t j) {
-                d += va[i].distance(vb[j]) *
-                     cfg.compatibilityWeightCoefficient;
-            },
-            [&](size_t) { ++disjoint; }, [&](size_t) { ++disjoint; });
-        const double max_conns = static_cast<double>(
-            std::max(connections_.size(), other.connections_.size()));
-        conn_distance =
-            (d + cfg.compatibilityDisjointCoefficient *
-                     static_cast<double>(disjoint)) /
-            max_conns;
-    }
-    return node_distance + conn_distance;
+    // One merge-join per gene kind counts the disjoint genes on both
+    // sides and accumulates homologous attribute distance.
+    const double wc = cfg.compatibilityWeightCoefficient;
+    const double dc = cfg.compatibilityDisjointCoefficient;
+    return geneDistance(nodes_, other.nodes_, wc, dc) +
+           geneDistance(connections_, other.connections_, wc, dc);
 }
 
 void

@@ -155,11 +155,13 @@ class Genome
      * crossover() into a caller-constructed child with no genes yet,
      * which keeps whatever capacity the caller reserved in its gene
      * arrays (reproduction reserves on the thread that will own the
-     * genome, then breeds on a worker).
+     * genome, then breeds on a worker). Returns the aligned stream
+     * length: the size of the union of both parents' gene keys, which
+     * the same merge counts.
      */
-    static void crossoverInto(Genome &child, const Genome &parent1,
-                              const Genome &parent2, XorWow &rng,
-                              MutationCounts *counts = nullptr);
+    static size_t crossoverInto(Genome &child, const Genome &parent1,
+                                const Genome &parent2, XorWow &rng,
+                                MutationCounts *counts = nullptr);
 
     // --- mutation -----------------------------------------------------------
     /**
@@ -168,6 +170,13 @@ class Genome
      */
     MutationCounts mutate(const NeatConfig &cfg, NodeIndexer &indexer,
                           XorWow &rng);
+
+    /**
+     * Attribute perturbation pass over every gene, node genes first,
+     * then connection genes (Fig 3(d) "Mutation: Perturb"); the last
+     * step of mutate(). Returns the gene-ops, one per gene.
+     */
+    long perturb(const NeatConfig &cfg, XorWow &rng);
 
     /**
      * Split a random enabled connection with a new node (Fig 3(d)

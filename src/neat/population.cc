@@ -245,6 +245,7 @@ Population::stepBatch(const BatchFitnessFn &fitness)
         population_ = std::move(next);
     }
     lastPhases_.reproduceSeconds = secondsSince(r0);
+    lastPhases_.breedSeconds = reproduction_.lastBreedSeconds();
     traces_.push_back(std::move(trace_out));
     trimTraces();
 

@@ -53,6 +53,12 @@ struct StepPhaseTimes
 {
     /** Breeding the next generation (Gene Selector + EvE). */
     double reproduceSeconds = 0.0;
+    /**
+     * The part of reproduceSeconds spent in the parallel child pass
+     * (crossover and mutation of every bred child); the rest is the
+     * serial plan and commit.
+     */
+    double breedSeconds = 0.0;
     /** Re-speciating the bred population. */
     double speciateSeconds = 0.0;
 };

@@ -1,6 +1,7 @@
 #include "neat/reproduction.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "common/check.hh"
@@ -8,32 +9,6 @@
 
 namespace genesys::neat
 {
-
-namespace
-{
-
-/** Keys of `b` absent from `a` (both arrays sorted): one merge pass. */
-template <typename Key>
-size_t
-countMissing(const std::vector<Key> &a, const std::vector<Key> &b)
-{
-    size_t n = 0;
-    mergeJoinSorted(
-        a, b, [](size_t, size_t) {}, [](size_t) {},
-        [&n](size_t) { ++n; });
-    return n;
-}
-
-/** Size of the union of two genomes' gene keys (aligned stream). */
-size_t
-alignedStreamLength(const Genome &a, const Genome &b)
-{
-    return a.numNodeGenes() + a.numConnectionGenes() +
-           countMissing(a.nodes().keys(), b.nodes().keys()) +
-           countMissing(a.connections().keys(), b.connections().keys());
-}
-
-} // namespace
 
 Reproduction::Reproduction(const NeatConfig &cfg)
     : cfg_(cfg), stagnation_(cfg),
@@ -110,6 +85,7 @@ Reproduction::reproduce(SpeciesSet &species,
 {
     trace.generation = generation;
     trace.children.clear();
+    lastBreedSeconds_ = 0.0;
 
     // Stagnation pass: drop species that have not improved.
     std::vector<int> remaining;
@@ -291,6 +267,7 @@ Reproduction::reproduce(SpeciesSet &species,
         child.mutableConnections().reserve(
             p.parent1->numConnectionGenes() + 3);
     }
+    const auto breed0 = std::chrono::steady_clock::now();
     forEachIndex(exec, planned.size(), [&](size_t j) {
         const Planned &p = planned[j];
         ChildRecord &rec = trace.children[p.record];
@@ -300,13 +277,15 @@ Reproduction::reproduce(SpeciesSet &species,
 
         rec.parent1Genes = p.parent1->numGenes();
         rec.parent2Genes = p.parent2->numGenes();
-        rec.alignedStreamLen = alignedStreamLength(*p.parent1, *p.parent2);
-        Genome::crossoverInto(child, *p.parent1, *p.parent2, child_rng,
-                              &rec.ops);
+        rec.alignedStreamLen = Genome::crossoverInto(
+            child, *p.parent1, *p.parent2, child_rng, &rec.ops);
         rec.ops += child.mutate(cfg_, local_nodes, child_rng);
         rec.childNodeGenes = child.numNodeGenes();
         rec.childConnGenes = child.numConnectionGenes();
     });
+    lastBreedSeconds_ = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - breed0)
+                            .count();
 
     // Phase 3, commit (serial, in child order): the nodes each child
     // added get their final keys from the shared indexer, so issued

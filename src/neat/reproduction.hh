@@ -57,6 +57,14 @@ class Reproduction
                  const std::vector<int> &previous_sizes, int pop_size,
                  int min_species_size);
 
+    /**
+     * Wall-clock of the last reproduce() call's parallel breed pass
+     * (phase 2: every child's crossover and mutation); 0 when that
+     * call ended before it (complete extinction). Timing only:
+     * nothing in evolution reads it.
+     */
+    double lastBreedSeconds() const { return lastBreedSeconds_; }
+
     NodeIndexer &nodeIndexer() { return nodeIndexer_; }
     const NodeIndexer &nodeIndexer() const { return nodeIndexer_; }
 
@@ -78,6 +86,7 @@ class Reproduction
 
   private:
     int nextGenomeKey_ = 0;
+    double lastBreedSeconds_ = 0.0;
 
     const NeatConfig &cfg_;
     Stagnation stagnation_;

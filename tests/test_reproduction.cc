@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 
 #include "exec/thread_pool.hh"
 #include "neat/population.hh"
@@ -31,6 +33,26 @@ reproConfig()
     cfg.survivalThreshold = 0.2;
     cfg.maxStagnation = 50;
     return cfg;
+}
+
+/**
+ * |node-key union| + |connection-key union| of two genomes: the
+ * aligned gene stream EvE feeds the PE for a child of `a` and `b`.
+ */
+size_t
+keyUnionSize(const Genome &a, const Genome &b)
+{
+    std::vector<int> nodes;
+    std::set_union(a.nodes().keys().begin(), a.nodes().keys().end(),
+                   b.nodes().keys().begin(), b.nodes().keys().end(),
+                   std::back_inserter(nodes));
+    std::vector<ConnKey> conns;
+    std::set_union(a.connections().keys().begin(),
+                   a.connections().keys().end(),
+                   b.connections().keys().begin(),
+                   b.connections().keys().end(),
+                   std::back_inserter(conns));
+    return nodes.size() + conns.size();
 }
 
 } // namespace
@@ -175,10 +197,8 @@ TEST_F(ReproFixture, TraceRecordsStreamLengths)
             continue;
         EXPECT_EQ(c.parent1Genes, pop.at(c.parent1Key).numGenes());
         EXPECT_EQ(c.parent2Genes, pop.at(c.parent2Key).numGenes());
-        EXPECT_GE(c.alignedStreamLen,
-                  std::max(c.parent1Genes, c.parent2Genes));
-        EXPECT_LE(c.alignedStreamLen,
-                  c.parent1Genes + c.parent2Genes);
+        EXPECT_EQ(c.alignedStreamLen,
+                  keyUnionSize(pop.at(c.parent1Key), pop.at(c.parent2Key)));
         EXPECT_GT(c.childGenes(), 0u);
         EXPECT_GT(c.ops.total(), 0);
     }
@@ -455,4 +475,40 @@ TEST(ParallelBreeding, FeedForwardIsExecutorIndependent)
 TEST(ParallelBreeding, RecurrentIsExecutorIndependent)
 {
     expectExecutorIndependent(false);
+}
+
+TEST(ParallelBreeding, AlignedStreamIsTheKeyUnion)
+{
+    // Three generations of forced structural mutation diverge the
+    // genomes, so parents share some keys but not all; every bred
+    // child's aligned stream must then be exactly the union of its
+    // parents' keys (the EvE cycle model consumes it).
+    const NeatConfig cfg = forcedStructureConfig(true);
+    Population pop(cfg, 7);
+    const auto fitness = [](const std::vector<GenomeHandle> &batch) {
+        std::vector<double> fits;
+        for (const GenomeHandle &h : batch)
+            fits.push_back(structuralFitness(*h.genome));
+        return fits;
+    };
+    for (int gen = 0; gen < 3; ++gen)
+        ASSERT_FALSE(pop.stepBatch(fitness));
+
+    const std::map<int, Genome> parents = pop.genomes();
+    ASSERT_FALSE(pop.stepBatch(fitness));
+    long bred = 0;
+    long diverged = 0;
+    for (const ChildRecord &rec : pop.traces().back().children) {
+        if (rec.isElite)
+            continue;
+        const Genome &p1 = parents.at(rec.parent1Key);
+        const Genome &p2 = parents.at(rec.parent2Key);
+        const size_t want = keyUnionSize(p1, p2);
+        EXPECT_EQ(rec.alignedStreamLen, want) << "child " << rec.childKey;
+        ++bred;
+        if (want > std::max(p1.numGenes(), p2.numGenes()))
+            ++diverged;
+    }
+    EXPECT_GT(bred, 0);
+    EXPECT_GT(diverged, 0) << "no parent pair had diverged structurally";
 }

@@ -460,6 +460,9 @@ TEST(TelemetryTest, PhaseBreakdownIsSane)
         // The evaluate interval nests inside the wall interval.
         EXPECT_LE(r.phases.evaluateSeconds, r.phases.wallSeconds);
         EXPECT_GE(r.phases.reproduceSeconds, 0.0);
+        // Every generation bred children, inside the reproduce phase.
+        EXPECT_GT(r.phases.breedSeconds, 0.0);
+        EXPECT_LE(r.phases.breedSeconds, r.phases.reproduceSeconds);
         EXPECT_GE(r.phases.speciateSeconds, 0.0);
         EXPECT_GE(r.phases.reportSeconds, 0.0);
         EXPECT_GE(r.phases.barrierIdleFraction, 0.0);

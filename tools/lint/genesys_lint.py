@@ -168,6 +168,7 @@ WALLCLOCK_ALLOWED_PREFIXES = ("src/obs/",)
 WALLCLOCK_ALLOWED_FILES = (
     "src/core/genesys.cc",     # generation phase wall-clock
     "src/neat/population.cc",  # reproduce/speciate phase timing
+    "src/neat/reproduction.cc",  # breed pass timing
     "src/nn/plan_cache.cc",    # compileNs accounting
     "src/exec/thread_pool.cc", # busy/wait accounting
 )
@@ -202,8 +203,8 @@ def check_wall_clock(ctx):
                 ctx.path, lineno, None,
                 "wall-clock read outside the timing/telemetry allowlist "
                 "(src/obs/, phase timing in genesys.cc/population.cc/"
-                "plan_cache.cc/thread_pool.cc); results must never "
-                "depend on time")
+                "reproduction.cc/plan_cache.cc/thread_pool.cc); results "
+                "must never depend on time")
 
 
 def check_unordered_container(ctx):
