@@ -193,7 +193,7 @@ main()
         auto env = env::makeEnvironment("CartPole_v0");
         nn::PlanScratch scratch;
         auto replay = [&](const neat::Genome &g) {
-            return env::runEpisode(*env, nn::CompiledPlan::compile(g, ncfg),
+            return env::runEpisode(*env, nn::CompiledPlan::compileFor(g, ncfg),
                                    scratch, 1234)
                 .fitness;
         };
@@ -340,7 +340,7 @@ main()
         double sink = 0.0;
         for (int hidden : {16, 64, 128}) {
             const auto g = denseBenchGenome(ncfg, hidden, 99);
-            const auto plan = nn::CompiledPlan::compile(
+            const auto plan = nn::CompiledPlan::compileFor(
                 g, ncfg, nn::NumericsTier::HwFaithful);
             const long cycles =
                 adam.simulateGenome(plan.schedule()).totalCycles();

@@ -69,7 +69,7 @@ main()
             const auto &g =
                 sys.population().genomes().begin()->second;
             inference.emplace_back(
-                nn::CompiledPlan::compile(g, sys.neatConfig()).schedule(),
+                nn::CompiledPlan::compileFor(g, sys.neatConfig()).schedule(),
                 sys.reports().back().inferenceSteps /
                     static_cast<long>(
                         sys.population().genomes().size()));

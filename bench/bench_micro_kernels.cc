@@ -3,8 +3,8 @@
  * Microbenchmarks (google-benchmark) for the hot kernels of the
  * library, one per layer: genome crossover/mutation/distance, compiled
  * plan activation and compilation, the numerics tiers, the wave
- * scheduler, recurrent lanes, the functional EvE PE and the telemetry
- * tax.
+ * scheduler, the recurrent step, the functional EvE PE and the
+ * telemetry tax.
  */
 
 #include <benchmark/benchmark.h>
@@ -91,7 +91,9 @@ denseGenome(const NeatConfig &cfg, int hidden, uint64_t seed)
 constexpr int kCmpInputs = 8;
 constexpr int kCmpHidden = 64;
 constexpr int kCmpOutputs = 4;
-constexpr int kCmpLanes = 8;
+/** The widest group the wave loop forms on the benchmark workloads:
+ *  the episodes of one genome at episodesPerEval == 4. */
+constexpr int kCmpLanes = 4;
 constexpr uint64_t kCmpSeed = 42;
 
 // Atari-RAM scale: Table I's RAM environments observe 128 bytes, so
@@ -152,7 +154,7 @@ BENCHMARK(BM_GenomeDistance)->Arg(4)->Arg(128);
 // batched eval path (one compile + steps x kCmpLanes lockstep
 // passes) under each tier on the 8-input 64-hidden dense genome —
 // the activation-bound end of the spectrum, where the reference
-// tier's masked libm loop is the floor. Before timing, the harness
+// tier's per-lane libm loop is the floor. Before timing, the harness
 // asserts the hw tier's contract: batched output bits == serial
 // output bits within the tier, and hw-vs-float output divergence
 // inside the documented approximation bound.
@@ -171,14 +173,13 @@ void
 assertHwTierConsistent(const NeatConfig &cfg, const Genome &g,
                        uint64_t seed)
 {
-    const auto ref = nn::CompiledPlan::compile(g, cfg);
-    const auto hw = nn::CompiledPlan::compile(
+    const auto ref = nn::CompiledPlan::compileFor(g, cfg);
+    const auto hw = nn::CompiledPlan::compileFor(
         g, cfg, nn::NumericsTier::HwFaithful);
     XorWow rng(seed);
     nn::PlanScratch ref_s, hw_s;
     nn::BatchScratch batch;
     hw.beginBatch(kCmpLanes, batch);
-    std::vector<uint8_t> active(kCmpLanes, 1);
     for (int t = 0; t < 4; ++t) {
         std::vector<std::vector<double>> lane_in(kCmpLanes);
         for (int l = 0; l < kCmpLanes; ++l) {
@@ -192,7 +193,7 @@ assertHwTierConsistent(const NeatConfig &cfg, const Genome &g,
                     lane_in[static_cast<size_t>(l)]
                            [static_cast<size_t>(i)];
         }
-        hw.activateBatch(kCmpLanes, active.data(), batch);
+        hw.activateBatch(kCmpLanes, batch);
         for (int l = 0; l < kCmpLanes; ++l) {
             hw.activate(lane_in[static_cast<size_t>(l)], hw_s);
             ref.activate(lane_in[static_cast<size_t>(l)], ref_s);
@@ -225,18 +226,17 @@ evalPathTiered(benchmark::State &state, nn::NumericsTier tier)
     assertHwTierConsistent(cfg, g, kCmpSeed + 3);
     const auto steps = static_cast<int>(state.range(0));
     nn::BatchScratch scratch;
-    std::vector<uint8_t> active(kCmpLanes, 1);
     // Compile once, outside the timing loop: in the engine the
     // PlanCache compiles each genome once per generation while the
     // eval path runs episodesPerEval x ~hundreds of env steps against
     // that plan, so the steady-state step cost is the number the tier
     // comparison is about (BM_CompilePlan* below time the compile).
-    const auto plan = nn::CompiledPlan::compile(g, cfg, tier);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg, tier);
     plan.beginBatch(kCmpLanes, scratch);
     for (auto _ : state) {
         std::fill(scratch.inputs.begin(), scratch.inputs.end(), 0.5);
         for (int s = 0; s < steps; ++s) {
-            plan.activateBatch(kCmpLanes, active.data(), scratch);
+            plan.activateBatch(kCmpLanes, scratch);
             benchmark::DoNotOptimize(scratch.outputs.data());
         }
         benchmark::ClobberMemory();
@@ -283,11 +283,9 @@ BM_ActivationScalarVsVectorized(benchmark::State &state)
     alignas(64) double acc[kLanes];
     alignas(64) double dst_s[kLanes];
     alignas(64) double dst_v[kLanes];
-    uint8_t active[kLanes];
     XorWow rng(kCmpSeed + 4);
     for (int l = 0; l < kLanes; ++l) {
         acc[l] = rng.uniform(-3.0, 3.0);
-        active[l] = 1;
         dst_s[l] = dst_v[l] = 0.0;
     }
     // Gate 1: the vectorized hw kernel must reproduce the scalar hw
@@ -295,8 +293,7 @@ BM_ActivationScalarVsVectorized(benchmark::State &state)
     // approximation must stay within the documented bound of the
     // libm reference it replaces.
     nn::hwact::activateLanesQuantized<kLanes>(
-        neat::Activation::Sigmoid, 0.3, 0.9, acc, active, true, dst_v,
-        kLanes, q);
+        neat::Activation::Sigmoid, 0.3, 0.9, acc, dst_v, kLanes, q);
     for (int l = 0; l < kLanes; ++l) {
         const double x = 0.3 + 0.9 * acc[l];
         GENESYS_ASSERT(
@@ -315,8 +312,8 @@ BM_ActivationScalarVsVectorized(benchmark::State &state)
     for (auto _ : state) {
         if (vectorized) {
             nn::hwact::activateLanesQuantized<kLanes>(
-                neat::Activation::Sigmoid, 0.3, 0.9, acc, active,
-                true, dst_v, kLanes, q);
+                neat::Activation::Sigmoid, 0.3, 0.9, acc, dst_v, kLanes,
+                q);
             benchmark::DoNotOptimize(dst_v);
         } else {
             for (int l = 0; l < kLanes; ++l)
@@ -426,7 +423,7 @@ struct WaveWorkload
             genomes.push_back(denseGenome(
                 cfg, kCmpHidden, kCmpSeed + static_cast<uint64_t>(i)));
             plans.push_back(
-                nn::CompiledPlan::compile(genomes.back(), cfg));
+                nn::CompiledPlan::compileFor(genomes.back(), cfg));
             seeds.push_back(1000 + 37 * static_cast<uint64_t>(i));
         }
     }
@@ -525,7 +522,7 @@ BM_EvalPathWaveHeterogeneousAtariScale(benchmark::State &state)
 }
 BENCHMARK(BM_EvalPathWaveHeterogeneousAtariScale);
 
-// --- recurrent lanes ---------------------------------------------------------
+// --- recurrent step ----------------------------------------------------------
 // The 64-hidden dense genome augmented with recurrent structure: a
 // self-loop on every fourth hidden node plus an output->hidden back
 // edge, evaluated with stateful tick semantics.
@@ -551,87 +548,34 @@ recurrentBenchGenome(const NeatConfig &cfg)
     return g;
 }
 
-/**
- * Batched recurrent lanes must match per-lane serial state ticks bit
- * for bit — including the cross-tick prev/curr state each lane
- * carries — before any lanes-variant timing is reported.
- */
-void
-assertRecurrentBatchMatchesSerial(const nn::CompiledPlan &plan,
-                                  const NeatConfig &cfg, uint64_t seed)
-{
-    constexpr int L = kCmpLanes;
-    XorWow rng(seed);
-    std::vector<nn::PlanScratch> serial(L);
-    for (auto &s : serial)
-        plan.reset(s);
-    nn::BatchScratch batch;
-    plan.beginBatch(L, batch);
-    std::vector<uint8_t> active(L, 1);
-    for (int t = 0; t < 6; ++t) {
-        std::vector<std::vector<double>> lane_in(L);
-        for (int l = 0; l < L; ++l) {
-            lane_in[static_cast<size_t>(l)].resize(
-                static_cast<size_t>(cfg.numInputs));
-            for (auto &x : lane_in[static_cast<size_t>(l)])
-                x = rng.uniform(-3.0, 3.0);
-            for (int i = 0; i < cfg.numInputs; ++i)
-                batch.inputs[static_cast<size_t>(i) * L +
-                             static_cast<size_t>(l)] =
-                    lane_in[static_cast<size_t>(l)]
-                           [static_cast<size_t>(i)];
-        }
-        plan.activateBatch(L, active.data(), batch);
-        for (int l = 0; l < L; ++l) {
-            plan.activateRecurrent(lane_in[static_cast<size_t>(l)],
-                                   serial[static_cast<size_t>(l)]);
-            for (size_t o = 0;
-                 o < serial[static_cast<size_t>(l)].outputs.size();
-                 ++o) {
-                GENESYS_ASSERT(
-                    std::bit_cast<uint64_t>(
-                        batch.outputs[o * L +
-                                      static_cast<size_t>(l)]) ==
-                        std::bit_cast<uint64_t>(
-                            serial[static_cast<size_t>(l)]
-                                .outputs[o]),
-                    "recurrent batched/serial outputs diverge at lane "
-                        << l << " output " << o << " tick " << t);
-            }
-        }
-    }
-}
-
 } // namespace
 
 static void
-BM_RecurrentStepBatchedLanes64Hidden(benchmark::State &state)
+BM_RecurrentStep64Hidden(benchmark::State &state)
 {
-    // The lanes variant of the recurrent step: kCmpLanes episodes of
-    // one recurrent plan advance one tick per activateBatch, the
-    // per-edge accumulation running contiguously across lanes.
-    // Reported per lane-tick.
+    // The recurrent step the engine runs: one lane ticks through
+    // activate(), its cross-tick state in the lane's PlanScratch.
+    // Plan-vs-interpreter equality lives in the ctest fuzz suites.
+    // Reported per tick.
     auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
     cfg.feedForward = false;
     const auto g = recurrentBenchGenome(cfg);
-    const auto plan = nn::CompiledPlan::compileRecurrent(g, cfg);
-    assertRecurrentBatchMatchesSerial(plan, cfg, kCmpSeed + 4);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
 
-    nn::BatchScratch scratch;
-    plan.beginBatch(kCmpLanes, scratch);
-    std::fill(scratch.inputs.begin(), scratch.inputs.end(), 0.5);
-    std::vector<uint8_t> active(kCmpLanes, 1);
+    nn::PlanScratch scratch;
+    plan.reset(scratch);
+    const std::vector<double> inputs(plan.numInputs(), 0.5);
     for (auto _ : state) {
-        plan.activateBatch(kCmpLanes, active.data(), scratch);
+        plan.activate(inputs, scratch);
         benchmark::DoNotOptimize(scratch.outputs.data());
         benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            kCmpLanes); // lane-ticks/s
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations())); // ticks/s
     state.counters["macs_per_step"] =
         static_cast<double>(plan.macsPerInference());
 }
-BENCHMARK(BM_RecurrentStepBatchedLanes64Hidden);
+BENCHMARK(BM_RecurrentStep64Hidden);
 
 static void
 BM_ActivateCompiledGrown(benchmark::State &state)
@@ -640,7 +584,7 @@ BM_ActivateCompiledGrown(benchmark::State &state)
     // width, reported per MAC.
     const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
     const auto g = grownGenome(cfg, 20, 8);
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
 
     std::vector<double> inputs(plan.numInputs(), 0.5);
     nn::PlanScratch scratch;
@@ -661,7 +605,7 @@ BM_CompilePlan(benchmark::State &state)
     const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
     const auto g = grownGenome(cfg, 20, 9);
     for (auto _ : state)
-        benchmark::DoNotOptimize(nn::CompiledPlan::compile(g, cfg));
+        benchmark::DoNotOptimize(nn::CompiledPlan::compileFor(g, cfg));
 }
 BENCHMARK(BM_CompilePlan)->Arg(4)->Arg(128);
 
@@ -677,7 +621,7 @@ BM_CompilePlan64HiddenReusedScratch(benchmark::State &state)
     nn::CompileScratch scratch;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            nn::CompiledPlan::compile(g, cfg, scratch));
+            nn::CompiledPlan::compileFor(g, cfg, scratch));
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(g.numGenes()));
 }

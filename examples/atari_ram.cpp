@@ -55,17 +55,22 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    // Replay the champion and print its score trace.
+    // Replay the champion, compiled as the run evaluated it, and print
+    // its score trace.
     const auto &best = sys.population().bestGenome();
-    const auto plan = nn::CompiledPlan::compile(best, sys.neatConfig());
+    const auto plan = nn::CompiledPlan::compileFor(best, sys.neatConfig(),
+                                                   sys.numericsTier());
+    nn::PlanScratch scratch;
+    plan.reset(scratch);
     env::AtariRam env(variant);
     auto obs = env.reset(99);
     bool done = false;
     long last_score = 0;
     std::cout << "\nchampion replay:\n";
     while (!done) {
-        const auto action = env::decodeAction(env.actionSpace(),
-                                              plan.activate(obs));
+        plan.activate(obs, scratch);
+        const auto action =
+            env::decodeAction(env.actionSpace(), scratch.outputs);
         const auto r = env.step(action);
         obs = r.observation;
         done = r.done;

@@ -87,16 +87,20 @@ main(int argc, char **argv)
     // first successful descent (policies are stochastic-environment
     // specialists, so also report the success rate).
     const auto &best = sys.population().bestGenome();
-    const auto plan = nn::CompiledPlan::compile(best, sys.neatConfig());
+    const auto plan = nn::CompiledPlan::compileFor(best, sys.neatConfig(),
+                                                   sys.numericsTier());
+    nn::PlanScratch scratch;
     int landings = 0;
     uint64_t shown_seed = 0;
     for (uint64_t seed = 100; seed < 110; ++seed) {
         env::LunarLander probe;
+        plan.reset(scratch);
         auto obs = probe.reset(seed);
         bool done = false;
         while (!done) {
-            const auto a = env::decodeAction(probe.actionSpace(),
-                                             plan.activate(obs));
+            plan.activate(obs, scratch);
+            const auto a =
+                env::decodeAction(probe.actionSpace(), scratch.outputs);
             const auto r = probe.step(a);
             obs = r.observation;
             done = r.done;
@@ -111,12 +115,14 @@ main(int argc, char **argv)
               << "/10 fresh episodes landed\n\n";
 
     env::LunarLander env;
+    plan.reset(scratch);
     auto obs = env.reset(shown_seed ? shown_seed : 100);
     bool done = false;
     int frame = 0;
     while (!done) {
+        plan.activate(obs, scratch);
         const auto action =
-            env::decodeAction(env.actionSpace(), plan.activate(obs));
+            env::decodeAction(env.actionSpace(), scratch.outputs);
         const auto r = env.step(action);
         if (frame % 30 == 0) {
             std::cout << "t=" << frame << "  x=" << Table::num(obs[0], 2)

@@ -59,8 +59,15 @@ System::System(SystemConfig cfg)
     // not at the first generation barrier.
     persist::applyCheckpointFromEnv(cfg_.checkpointDir,
                                     cfg_.checkpointEveryN);
-    if (!cfg_.checkpointDir.empty())
+    if (!cfg_.checkpointDir.empty()) {
+        if (cfg_.checkpointEveryN <= 0) {
+            fatal("bad SystemConfig::checkpointEveryN " +
+                  std::to_string(cfg_.checkpointEveryN) +
+                  " with a checkpoint directory set (expected a "
+                  "positive integer)");
+        }
         std::filesystem::create_directories(cfg_.checkpointDir);
+    }
 
     population_ = std::make_unique<neat::Population>(neatCfg_, cfg_.seed);
     startup_.populationSeconds =
@@ -279,7 +286,6 @@ System::stepGeneration()
     // quiescent — snapshot it here. Nothing to checkpoint when
     // solved: the run is over.
     if (!done && !cfg_.checkpointDir.empty() &&
-        cfg_.checkpointEveryN > 0 &&
         population_->generation() % cfg_.checkpointEveryN == 0) {
         writeCheckpoint();
     }

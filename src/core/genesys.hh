@@ -89,7 +89,11 @@ struct SystemConfig
      * uninterrupted run bit-identically — see System::resumeFrom.
      */
     std::string checkpointDir;
-    /** Write a snapshot every N generations (default: every one). */
+    /**
+     * Write a snapshot every N generations (default: every one). Must
+     * be positive when checkpointDir is set; System's constructor
+     * rejects anything else.
+     */
     int checkpointEveryN = 1;
     /** Optional NEAT overrides applied after the workload defaults. */
     std::function<void(neat::NeatConfig &)> tweakNeat;
@@ -106,14 +110,20 @@ struct PhaseBreakdown
 {
     /** Batched fitness evaluation (exec::EvalEngine). */
     double evaluateSeconds = 0.0;
-    /** Breeding the next generation (serial barrier phase). */
+    /**
+     * Breeding the next generation: the serial selection and commit
+     * steps around a child pass that runs on the engine's workers.
+     */
     double reproduceSeconds = 0.0;
     /**
      * The parallel child pass inside reproduceSeconds: crossover and
      * mutation of every bred child, on the engine's workers.
      */
     double breedSeconds = 0.0;
-    /** Re-speciating the bred population (serial barrier phase). */
+    /**
+     * Re-speciating the bred population; its distance pass runs on
+     * the engine's workers.
+     */
     double speciateSeconds = 0.0;
     /** Workload accounting + SoC simulation. */
     double reportSeconds = 0.0;
@@ -125,12 +135,13 @@ struct PhaseBreakdown
      */
     double planCompileCpuSeconds = 0.0;
     /**
-     * Fraction of the generation's worker-seconds the evaluation
-     * lanes spent *outside* evaluation bodies — the measured
-     * generation-barrier idle cost (ROADMAP item 1 baseline):
-     * 1 - busyNsDelta / (wallSeconds * numThreads), clamped to
-     * [0, 1]. Near 0 means evaluation dominates; it grows as the
-     * serial reproduce/speciate/report phases eat the generation.
+     * Fraction of the generation's worker-seconds the pool's workers
+     * spent *outside* parallel bodies — evaluation, breeding and
+     * speciation all count as busy — the measured generation-barrier
+     * idle cost: 1 - busyNsDelta / (wallSeconds * numThreads),
+     * clamped to [0, 1]. It grows with the serial steps between the
+     * parallel passes (selection, commit, report) and with workers
+     * waiting on a straggler.
      */
     double barrierIdleFraction = 0.0;
 };

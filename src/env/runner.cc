@@ -151,8 +151,7 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
                 }
             }
             if (scratch.groupLanes.size() == 1) {
-                // activate() forwards recurrent plans to the tick
-                // dispatch itself.
+                // activate() runs a recurrent plan's tick itself.
                 plan.activate(scratch.obs[l], scratch.net[l]);
                 scratch.executed[l] = 1;
                 continue;
@@ -184,9 +183,7 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
                                 static_cast<size_t>(g)] =
                         scratch.obs[lane][static_cast<size_t>(i)];
             }
-            scratch.groupActive.assign(Gz, 1);
-            plan.activateBatch(G, scratch.groupActive.data(),
-                               scratch.groupNet);
+            plan.activateBatch(G, scratch.groupNet);
             stats.groupedLaneActivations += G;
             // Scatter each lane's output column into its per-lane
             // scratch so the environment-step phase below reads one

@@ -236,8 +236,6 @@ struct WaveScratch
     std::vector<uint8_t> executed;
     /** Lanes gathered into the current shared-plan group. */
     std::vector<int> groupLanes;
-    /** All-live mask for grouped dispatch. */
-    std::vector<uint8_t> groupActive;
     /** Batch buffers for shared-plan grouped dispatch. */
     nn::BatchScratch groupNet;
 };

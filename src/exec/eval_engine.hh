@@ -22,8 +22,10 @@
  * The engine also records how the batch would map onto the EvE
  * PE-array: genomes are grouped into waves of `waveWidth` (one PE
  * per genome), each wave running in BSP lockstep until its longest
- * episode finishes. These BatchStats feed the hw::GenesysSoc
- * generation model.
+ * episode finishes. These BatchStats are reported, not modelled:
+ * core::System surfaces them through GenerationReport::batches and
+ * the metrics registry, while hw::GenesysSoc::simulateGeneration
+ * reads only the evolution trace and the plans' inference work.
  */
 
 #ifndef GENESYS_EXEC_EVAL_ENGINE_HH
@@ -241,7 +243,9 @@ class EvalEngine
 
     /**
      * Aggregate nanoseconds the pool's workers (caller included)
-     * spent inside evaluation bodies — see ThreadPool::busyNs().
+     * spent inside parallel bodies — see ThreadPool::busyNs(). That
+     * covers evaluation and, once core::System installs the engine as
+     * the population's executor, breeding and speciation too.
      * core::System differences this across a generation to compute
      * the barrier-idle fraction.
      */

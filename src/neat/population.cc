@@ -224,9 +224,10 @@ Population::stepBatch(const BatchFitnessFn &fitness)
         return true;
 
     // Breed generation n+1 (steps 7-10: Gene Selector + EvE). This
-    // and speciation below are the serial generation-barrier phases;
-    // their wall-clock lands in lastStepPhases() (and on the span
-    // timeline) so the barrier-idle fraction is a measured number.
+    // and speciation below sit between two evaluations; their
+    // parallel passes run on the executor when one is installed.
+    // Their wall-clock lands in lastStepPhases() (and on the span
+    // timeline) so each phase is a measured number.
     EvolutionTrace trace_out;
     const auto r0 = Clock::now();
     {

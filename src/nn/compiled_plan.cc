@@ -331,7 +331,7 @@ tileColumnsUpTo(int cols, const double *rd, const int32_t *rows,
 } // namespace
 
 /*
- * compile() re-implements the analyzeGenome walks over dense
+ * compileFeedForward() re-implements the analyzeGenome walks over dense
  * index-compressed arrays instead of std::map adjacency — it runs
  * once per genome per generation and its cost is the plan cache's
  * only fixed overhead, so it avoids per-edge map lookups entirely.
@@ -343,8 +343,8 @@ tileColumnsUpTo(int cols, const double *rd, const int32_t *rows,
  * invariant).
  */
 CompiledPlan
-CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
-                      CompileScratch &s, NumericsTier tier)
+CompiledPlan::compileFeedForward(const Genome &genome, const NeatConfig &cfg,
+                                 CompileScratch &s, NumericsTier tier)
 {
     CompiledPlan plan;
     plan.tier_ = tier;
@@ -497,7 +497,7 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
             plan.outputSlot_[static_cast<size_t>(o)] =
                 s.slotOf[static_cast<size_t>(idx)];
     }
-    plan.dcheckCompiled("CompiledPlan::compile", s);
+    plan.dcheckCompiled("CompiledPlan::compileFeedForward", s);
     return plan;
 }
 
@@ -889,27 +889,12 @@ CompiledPlan::dcheckCompiled(const char *what, const CompileScratch &s) const
 }
 
 CompiledPlan
-CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
-                      NumericsTier tier)
-{
-    CompileScratch scratch;
-    return compile(genome, cfg, scratch, tier);
-}
-
-CompiledPlan
-CompiledPlan::compileRecurrent(const Genome &genome, const NeatConfig &cfg,
-                               NumericsTier tier)
-{
-    CompileScratch scratch;
-    return compileRecurrent(genome, cfg, scratch, tier);
-}
-
-CompiledPlan
 CompiledPlan::compileFor(const Genome &genome, const NeatConfig &cfg,
                          CompileScratch &scratch, NumericsTier tier)
 {
-    return cfg.feedForward ? compile(genome, cfg, scratch, tier)
-                           : compileRecurrent(genome, cfg, scratch, tier);
+    return cfg.feedForward
+               ? compileFeedForward(genome, cfg, scratch, tier)
+               : compileRecurrent(genome, cfg, scratch, tier);
 }
 
 CompiledPlan
@@ -986,10 +971,6 @@ void
 CompiledPlan::activate(std::span<const double> inputs,
                        PlanScratch &scratch) const
 {
-    if (recurrent_) {
-        activateRecurrent(inputs, scratch);
-        return;
-    }
     if (tier_ == NumericsTier::HwFaithful)
         activateImpl<NumericsTier::HwFaithful>(inputs, scratch);
     else
@@ -1004,76 +985,44 @@ CompiledPlan::activateImpl(std::span<const double> inputs,
     GENESYS_ASSERT(inputs.size() == static_cast<size_t>(numInputs_),
                    "expected " << numInputs_ << " inputs, got "
                                << inputs.size());
-
-    // No zero-fill: every slot read below is an input slot or the
-    // destination of an earlier node, both written before the read
-    // (out-of-graph sources are either compiled out or sentinels).
-    scratch.values.resize(static_cast<size_t>(numSlots_));
+    if (recurrent_) {
+        GENESYS_ASSERT(scratch.prev.size() == static_cast<size_t>(numSlots_),
+                       "recurrent scratch not reset for this plan — call "
+                       "reset() before the first tick");
+    } else {
+        // No zero-fill: every slot read below is an input slot or the
+        // destination of an earlier node, both written before the read
+        // (out-of-graph sources are either compiled out or sentinels).
+        scratch.values.resize(static_cast<size_t>(numSlots_));
+    }
     scratch.outputs.resize(static_cast<size_t>(numOutputs_));
 
-    double *const values = scratch.values.data();
-    std::copy(inputs.begin(), inputs.end(), values);
-    if constexpr (kTier == NumericsTier::HwFaithful) {
-        // Sensor latch: observations enter the datapath through the
-        // same Q6.10 Limit & Quantize stage every node output passes.
-        for (int i = 0; i < numInputs_; ++i)
-            values[i] = kHwQuantizer(values[i]);
-    }
-    // Nodes of one layer read only earlier layers, so the blocks, in
-    // layer order, read and write the same value array.
-    activateBlocks<kTier>(values, values, scratch.weighted);
-
-    double *const outputs = scratch.outputs.data();
-    for (int o = 0; o < numOutputs_; ++o) {
-        const int32_t slot = outputSlot_[static_cast<size_t>(o)];
-        outputs[o] = slot >= 0 ? values[slot] : 0.0;
-    }
-}
-
-void
-CompiledPlan::activateRecurrent(std::span<const double> inputs,
-                                PlanScratch &scratch) const
-{
-    if (tier_ == NumericsTier::HwFaithful)
-        activateRecurrentImpl<NumericsTier::HwFaithful>(inputs, scratch);
-    else
-        activateRecurrentImpl<NumericsTier::Reference>(inputs, scratch);
-}
-
-template <NumericsTier kTier>
-void
-CompiledPlan::activateRecurrentImpl(std::span<const double> inputs,
-                                    PlanScratch &scratch) const
-{
-    GENESYS_ASSERT(recurrent_,
-                   "activateRecurrent on a feed-forward plan");
-    GENESYS_ASSERT(inputs.size() == static_cast<size_t>(numInputs_),
-                   "expected " << numInputs_ << " inputs, got "
-                               << inputs.size());
-    GENESYS_ASSERT(scratch.prev.size() == static_cast<size_t>(numSlots_),
-                   "recurrent scratch not reset for this plan — call "
-                   "reset() before the first tick");
-    scratch.outputs.resize(static_cast<size_t>(numOutputs_));
-
-    double *const prev = scratch.prev.data();
-    double *const curr = scratch.curr.data();
-    // Inputs are visible in the *previous* frame so this tick's node
-    // updates read them (standard NEAT recurrent evaluation); the
-    // current frame keeps them too so they survive the swap.
+    // Read/write frames. Nodes of one feed-forward layer read only
+    // earlier layers, so the blocks, in layer order, read and write
+    // one value array. A recurrent tick reads the previous tick's
+    // frame and writes the current one, then swaps them.
+    double *const rd =
+        recurrent_ ? scratch.prev.data() : scratch.values.data();
+    double *const wr = recurrent_ ? scratch.curr.data() : rd;
     for (int i = 0; i < numInputs_; ++i) {
         double in = inputs[static_cast<size_t>(i)];
+        // Sensor latch: observations enter the datapath through the
+        // same Q6.10 Limit & Quantize stage every node output passes.
         if constexpr (kTier == NumericsTier::HwFaithful)
-            in = kHwQuantizer(in); // sensor Limit & Quantize
-        prev[i] = in;
-        curr[i] = in;
+            in = kHwQuantizer(in);
+        rd[i] = in;
     }
+    // A recurrent tick's current frame keeps the inputs too, so they
+    // survive the swap.
+    if (recurrent_)
+        std::copy(rd, rd + numInputs_, wr);
 
-    // Every node reads the previous tick.
-    activateBlocks<kTier>(prev, curr, scratch.weighted);
-    std::swap(scratch.prev, scratch.curr);
+    activateBlocks<kTier>(rd, wr, scratch.weighted);
+    if (recurrent_)
+        std::swap(scratch.prev, scratch.curr);
 
-    // After the swap, prev holds this tick's values.
-    const double *const settled = scratch.prev.data();
+    const double *const settled =
+        recurrent_ ? scratch.prev.data() : scratch.values.data();
     double *const outputs = scratch.outputs.data();
     for (int o = 0; o < numOutputs_; ++o) {
         const int32_t slot = outputSlot_[static_cast<size_t>(o)];
@@ -1106,101 +1055,71 @@ CompiledPlan::beginBatch(int lanes, BatchScratch &scratch) const
                                   << lanes);
     const size_t L = static_cast<size_t>(lanes);
     scratch.inputs.resize(static_cast<size_t>(numInputs_) * L);
+    scratch.values.resize(static_cast<size_t>(numSlots_) * L);
     scratch.outputs.resize(static_cast<size_t>(numOutputs_) * L);
     scratch.acc.resize(static_cast<size_t>(kTileWidth) * L);
-    if (recurrent_) {
-        scratch.prev.assign(static_cast<size_t>(numSlots_) * L, 0.0);
-        scratch.curr.assign(static_cast<size_t>(numSlots_) * L, 0.0);
-    } else {
-        scratch.values.resize(static_cast<size_t>(numSlots_) * L);
-    }
 }
 
 /*
  * The batched kernel: identical per-lane operation order to the
- * serial paths (per node, edges accumulate in the same sequence), so
+ * serial path (per node, edges accumulate in the same sequence), so
  * each lane is bit-identical to a serial activate() fed the same
  * inputs — lane interleaving never reassociates a lane's arithmetic.
- * Tiles accumulate branch-free across all lanes (stale inactive-lane
- * values are accumulated and discarded); the expensive per-node
- * activation (libm) is masked to active lanes.
  */
 void
-CompiledPlan::activateBatch(int lanes, const uint8_t *activeLanes,
-                            BatchScratch &scratch) const
+CompiledPlan::activateBatch(int lanes, BatchScratch &scratch) const
 {
+    GENESYS_ASSERT(!recurrent_,
+                   "activateBatch on a recurrent plan: recurrent lanes "
+                   "run through activate()");
     if (tier_ == NumericsTier::HwFaithful)
-        activateBatchDispatch<NumericsTier::HwFaithful>(
-            lanes, activeLanes, scratch);
+        activateBatchDispatch<NumericsTier::HwFaithful>(lanes, scratch);
     else
-        activateBatchDispatch<NumericsTier::Reference>(
-            lanes, activeLanes, scratch);
+        activateBatchDispatch<NumericsTier::Reference>(lanes, scratch);
 }
 
 template <NumericsTier kTier>
 void
-CompiledPlan::activateBatchDispatch(int lanes,
-                                    const uint8_t *activeLanes,
-                                    BatchScratch &scratch) const
+CompiledPlan::activateBatchDispatch(int lanes, BatchScratch &scratch) const
 {
-    // Dispatch to a fixed-width instantiation when the lane count is
-    // a common small width: with the trip count known at compile time
-    // the per-edge lane loop unrolls into straight vector code. The
-    // engine's defaults (episodes per evaluation) land in this range.
+    // The wave loop groups the episodes of one genome, so a group is
+    // 2..episodesPerEval lanes wide: fixed-width instantiations there
+    // let the per-edge lane loop unroll into straight vector code.
     switch (lanes) {
-      case 1:
-        return activateBatchImpl<1, kTier>(lanes, activeLanes, scratch);
       case 2:
-        return activateBatchImpl<2, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<2, kTier>(lanes, scratch);
       case 3:
-        return activateBatchImpl<3, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<3, kTier>(lanes, scratch);
       case 4:
-        return activateBatchImpl<4, kTier>(lanes, activeLanes, scratch);
-      case 5:
-        return activateBatchImpl<5, kTier>(lanes, activeLanes, scratch);
-      case 6:
-        return activateBatchImpl<6, kTier>(lanes, activeLanes, scratch);
-      case 7:
-        return activateBatchImpl<7, kTier>(lanes, activeLanes, scratch);
-      case 8:
-        return activateBatchImpl<8, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<4, kTier>(lanes, scratch);
       default:
-        return activateBatchImpl<0, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<0, kTier>(lanes, scratch);
     }
 }
 
 template <int kLanes, NumericsTier kTier>
 void
-CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
-                                BatchScratch &scratch) const
+CompiledPlan::activateBatchImpl(int lanes, BatchScratch &scratch) const
 {
     const size_t L =
         kLanes > 0 ? static_cast<size_t>(kLanes)
                    : static_cast<size_t>(lanes);
+    // The slot count is the one dimension that varies per genome
+    // (inputs/outputs are environment-fixed), so the value array is
+    // exactly the buffer a plan switch without beginBatch would
+    // overrun — check it with the lane buffers.
     GENESYS_ASSERT(lanes > 0 &&
                        scratch.inputs.size() ==
                            static_cast<size_t>(numInputs_) * L &&
+                       scratch.values.size() ==
+                           static_cast<size_t>(numSlots_) * L &&
                        scratch.outputs.size() ==
                            static_cast<size_t>(numOutputs_) * L,
                    "batch scratch not sized for " << lanes
-                                                  << " lanes — call "
-                                                     "beginBatch first");
-    // The slot count is the one dimension that varies per genome
-    // (inputs/outputs are environment-fixed), so the value arrays are
-    // exactly the buffers a plan-switch without beginBatch would
-    // overrun — check them explicitly.
-    if (recurrent_) {
-        GENESYS_ASSERT(scratch.prev.size() ==
-                           static_cast<size_t>(numSlots_) * L,
-                       "recurrent batch scratch not sized — call "
-                       "beginBatch first");
-    } else {
-        GENESYS_ASSERT(scratch.values.size() ==
-                           static_cast<size_t>(numSlots_) * L,
-                       "batch scratch not sized for this plan — call "
-                       "beginBatch first");
-    }
-    // The accumulator is the one buffer the size ASSERTs above do not
+                                                  << " lanes of this plan"
+                                                     " — call beginBatch "
+                                                     "first");
+    // The accumulator is the one buffer the size ASSERT above does not
     // cover; a caller that resized the lane buffers by hand instead of
     // through beginBatch() would overrun it silently.
     GENESYS_DCHECK(scratch.acc.size() >= kTileWidth * L,
@@ -1208,27 +1127,17 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
                        << scratch.acc.size() << " sums, need "
                        << kTileWidth * L << " — call beginBatch first");
 
-    // Read/write frames: feed-forward lanes read and write one values
-    // array; recurrent lanes read the previous tick and write the
-    // current one, then swap.
-    double *const rd =
-        recurrent_ ? scratch.prev.data() : scratch.values.data();
-    double *const wr =
-        recurrent_ ? scratch.curr.data() : scratch.values.data();
-
-    // Latch inputs: input i occupies slot i in both modes. Inactive
-    // lanes latch stale inputs into stale slots — never consumed.
+    // Latch inputs: input i occupies slot i.
+    double *const values = scratch.values.data();
     const size_t in_count = static_cast<size_t>(numInputs_) * L;
     std::copy(scratch.inputs.begin(), scratch.inputs.begin() + in_count,
-              rd);
+              values);
     if constexpr (kTier == NumericsTier::HwFaithful) {
         // Sensor Limit & Quantize, applied after the latch so the
         // caller's input buffer stays untouched.
         for (size_t i = 0; i < in_count; ++i)
-            rd[i] = kHwQuantizer(rd[i]);
+            values[i] = kHwQuantizer(values[i]);
     }
-    if (recurrent_)
-        std::copy(rd, rd + in_count, wr);
 
     const Block *const blk = blocks_.data();
     const double *const w = edgeWeight_.data();
@@ -1239,14 +1148,7 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
     const double *const bias = bias_.data();
     const double *const response = response_.data();
     double *const acc = scratch.acc.data();
-    double *const out = wr + static_cast<size_t>(numInputs_) * L;
-
-    // One mask scan per batch step (not per node): lanes retire
-    // monotonically within an episode wave, and the all-active fast
-    // path in the activation step needs only this bool.
-    bool all_active = true;
-    for (size_t l = 0; l < L; ++l)
-        all_active &= activeLanes[l] != 0;
+    double *const out = values + static_cast<size_t>(numInputs_) * L;
 
     // Columns per pass over a tile's rows: C x kLanes running sums
     // stay within eight 16-byte registers.
@@ -1266,12 +1168,12 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
             if constexpr (kLanes > 0) {
                 for (int c = 0; c < width; c += kCols)
                     nan |= tileColumnsUpTo<kLanes, kCols>(
-                        std::min(kCols, width - c), rd, src + r0, rows,
+                        std::min(kCols, width - c), values, src + r0, rows,
                         wt + c, width, acc + static_cast<size_t>(c) * L);
             } else {
                 // Generic width: one column at a time in the lane-sized
                 // slices of the shared accumulator. __restrict: the
-                // accumulator is distinct from every value array by
+                // accumulator is distinct from the value array by
                 // construction, which unlocks vectorization of the
                 // lane loop.
                 for (int c = 0; c < width; ++c) {
@@ -1282,7 +1184,7 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
                         const double we =
                             wt[static_cast<size_t>(r) * width + c];
                         const double *const __restrict sv =
-                            rd + static_cast<size_t>(src[r0 + r]) * L;
+                            values + static_cast<size_t>(src[r0 + r]) * L;
                         for (size_t l = 0; l < L; ++l)
                             accr[l] += sv[l] * we;
                     }
@@ -1292,17 +1194,15 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
             }
             // A one-column tile has no pads, so its NaN is the node's.
             if (nan && width > 1)
-                maskedTileSums(rd, src + r0, mask + r0, rows, wt, width, L,
-                               acc);
+                maskedTileSums(values, src + r0, mask + r0, rows, wt, width,
+                               L, acc);
         } else {
             for (size_t l = 0; l < L; ++l) {
-                if (!activeLanes[l])
-                    continue;
                 scratch.weighted.clear();
                 for (int32_t r = r0; r < r0 + rows; ++r) {
                     scratch.weighted.push_back(
                         (src[r] >= 0
-                             ? rd[static_cast<size_t>(src[r]) * L + l]
+                             ? values[static_cast<size_t>(src[r]) * L + l]
                              : 0.0) *
                         wt[r - r0]);
                 }
@@ -1322,27 +1222,21 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
                 // tier cannot vectorize because of the per-lane libm
                 // call.
                 hwact::activateLanesQuantized<kLanes>(
-                    a, bm, rm, sums, activeLanes, all_active, dst,
-                    static_cast<int>(L), kHwQuantizer);
+                    a, bm, rm, sums, dst, static_cast<int>(L),
+                    kHwQuantizer);
             } else {
-                for (size_t l = 0; l < L; ++l) {
-                    if (activeLanes[l])
-                        dst[l] = neat::activate(a, bm + rm * sums[l]);
-                }
+                for (size_t l = 0; l < L; ++l)
+                    dst[l] = neat::activate(a, bm + rm * sums[l]);
             }
         }
     }
 
-    if (recurrent_)
-        std::swap(scratch.prev, scratch.curr);
-    const double *const settled =
-        recurrent_ ? scratch.prev.data() : scratch.values.data();
     double *const outputs = scratch.outputs.data();
     for (int o = 0; o < numOutputs_; ++o) {
         const int32_t slot = outputSlot_[static_cast<size_t>(o)];
         for (size_t l = 0; l < L; ++l) {
             outputs[static_cast<size_t>(o) * L + l] =
-                slot >= 0 ? settled[static_cast<size_t>(slot) * L + l]
+                slot >= 0 ? values[static_cast<size_t>(slot) * L + l]
                           : 0.0;
         }
     }

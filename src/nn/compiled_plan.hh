@@ -24,7 +24,7 @@
  * whose sums come out NaN is recomputed with its pads masked out.
  * Other aggregations keep one CSR-style block per node.
  *
- * A plan is immutable after compile(), so it is safe to share
+ * A plan is immutable after compileFor(), so it is safe to share
  * read-only across exec::EvalEngine workers; all mutable state lives
  * in the caller's PlanScratch / BatchScratch. The plan is the
  * library's only phenotype. Its outputs are bit-identical to the
@@ -36,28 +36,31 @@
  * down.
  *
  * Plans come in two modes, so every genome — acyclic or cyclic — runs
- * through the same execution substrate:
+ * through the same execution substrate. compileFor() picks the mode
+ * from NeatConfig::feedForward and is the one compile entry point:
  *
- *  * Feed-forward (compile()): levelized layers, each activate() is
- *    one stateless forward pass. A genome containing cycles compiles
- *    to the same phenotype the feed-forward interpreter builds —
- *    cycle members never become "ready", so they (and everything
- *    downstream) stay unevaluated and read as 0.
+ *  * Feed-forward: levelized layers, each activate() is one stateless
+ *    forward pass. A genome containing cycles compiles to the same
+ *    phenotype the feed-forward interpreter builds — cycle members
+ *    never become "ready", so they (and everything downstream) stay
+ *    unevaluated and read as 0.
  *
- *  * Recurrent (compileRecurrent(), NeatConfig::feedForward ==
- *    false): every node gene updates every tick from the *previous*
- *    tick's values, held in double-buffered prev/curr slot arrays in
- *    the scratch. activateRecurrent() advances one tick; reset()
- *    clears the state at episode boundaries. Bit-identical to the
- *    test oracle's RecurrentNetwork interpreter.
+ *  * Recurrent (NeatConfig::feedForward == false): every node gene
+ *    updates every tick from the *previous* tick's values, held in
+ *    double-buffered prev/curr slot arrays in the scratch. activate()
+ *    advances one tick; reset() clears the state at episode
+ *    boundaries. Bit-identical to the test oracle's RecurrentNetwork
+ *    interpreter.
  *
- * Both modes also expose a batched entry point (activateBatch):
- * one shared plan evaluated across N independent episode lanes, the
- * per-edge accumulation loop running contiguously across the lane
- * dimension — the software mirror of the EvE PE-array stepping a wave
- * of episodes in BSP lockstep. Each lane's floating-point operation
- * order is exactly the serial order, so batched results stay
- * bit-identical to the serial path lane for lane.
+ * Feed-forward plans also run batched (activateBatch): one shared
+ * plan evaluated across G live episode lanes, the per-edge
+ * accumulation loop running contiguously across the lane dimension —
+ * the software mirror of the EvE PE-array stepping a wave of episodes
+ * in BSP lockstep. env::evaluateWave is its one caller: it groups the
+ * live lanes that share a feed-forward plan and regroups them every
+ * superstep as their episodes end. Each lane's floating-point
+ * operation order is exactly the serial order, so batched results
+ * stay bit-identical to activate() lane for lane.
  */
 
 #ifndef GENESYS_NN_COMPILED_PLAN_HH
@@ -101,22 +104,18 @@ struct PlanScratch
 
 /**
  * Caller-owned mutable state for CompiledPlan::activateBatch: one
- * shared plan, L independent episode lanes. Every array is laid out
- * lane-minor — element [i][lane] lives at i * lanes + lane — so the
- * per-edge accumulation loop walks contiguous memory across lanes.
- * Size the buffers with beginBatch(); like PlanScratch, one
- * BatchScratch must not be shared across threads.
+ * shared feed-forward plan, L independent episode lanes. Every array
+ * is laid out lane-minor — element [i][lane] lives at i * lanes +
+ * lane — so the per-edge accumulation loop walks contiguous memory
+ * across lanes. Size the buffers with beginBatch(); like PlanScratch,
+ * one BatchScratch must not be shared across threads.
  */
 struct BatchScratch
 {
     /** Network inputs, [input i][lane]: caller fills before each call. */
     std::vector<double> inputs;
-    /** Feed-forward value slots, [slot][lane]. */
+    /** Value slots, [slot][lane]. */
     std::vector<double> values;
-    /** Recurrent prev-tick slots, [slot][lane]. */
-    std::vector<double> prev;
-    /** Recurrent curr-tick slots, [slot][lane]. */
-    std::vector<double> curr;
     /** Output activations, [output o][lane]. */
     std::vector<double> outputs;
     /** Weighted-input staging for non-Sum aggregations (one lane). */
@@ -126,7 +125,7 @@ struct BatchScratch
 };
 
 /**
- * Reusable buffers for CompiledPlan::compile/compileRecurrent.
+ * Reusable buffers for CompiledPlan::compileFor.
  * Compilation is allocation-bound (~15 small vectors per compile);
  * keeping one scratch per thread and passing it to every compile
  * makes steady-state compilation allocation-free. The fields are an
@@ -177,42 +176,14 @@ class CompiledPlan
     };
 
     /**
-     * Lower `genome` into a flat feed-forward execution plan. Under
-     * NumericsTier::HwFaithful the lowering additionally quantizes
-     * every bias/response/weight through the Q6.10 codec and the
-     * activate paths run the hw approximation + Limit & Quantize
-     * kernels (see nn/numerics.hh); the default Reference tier is the
-     * bit-identical float path every existing caller gets unchanged.
-     */
-    static CompiledPlan
-    compile(const Genome &genome, const NeatConfig &cfg,
-            NumericsTier tier = NumericsTier::Reference);
-    /** As compile(), reusing the caller's per-thread scratch. */
-    static CompiledPlan
-    compile(const Genome &genome, const NeatConfig &cfg,
-            CompileScratch &scratch,
-            NumericsTier tier = NumericsTier::Reference);
-
-    /**
-     * Lower `genome` (cycles allowed) into a flat recurrent plan:
-     * every node gene updates each tick from the previous tick's
-     * values, matching nn::RecurrentNetwork bit for bit (Reference
-     * tier; HwFaithful quantizes as compile() does).
-     */
-    static CompiledPlan
-    compileRecurrent(const Genome &genome, const NeatConfig &cfg,
-                     NumericsTier tier = NumericsTier::Reference);
-    /** As compileRecurrent(), reusing the caller's scratch. */
-    static CompiledPlan
-    compileRecurrent(const Genome &genome, const NeatConfig &cfg,
-                     CompileScratch &scratch,
-                     NumericsTier tier = NumericsTier::Reference);
-
-    /**
-     * The mode-dispatching entry point: feed-forward lowering for
-     * NeatConfig::feedForward configs, recurrent lowering otherwise —
-     * so every consumer (PlanCache, replay, the engine) runs all
-     * genomes through one compiled substrate.
+     * Lower `genome` into a flat execution plan: levelized layers for
+     * NeatConfig::feedForward configs, a recurrent tick otherwise — so
+     * every consumer (PlanCache, replay, the engine) runs all genomes
+     * through one compiled substrate. Under NumericsTier::HwFaithful
+     * the lowering additionally quantizes every bias/response/weight
+     * through the Q6.10 codec and the activate paths run the hw
+     * approximation + Limit & Quantize kernels (see nn/numerics.hh);
+     * the default Reference tier is the bit-identical float path.
      */
     static CompiledPlan
     compileFor(const Genome &genome, const NeatConfig &cfg,
@@ -231,22 +202,15 @@ class CompiledPlan
 
     /**
      * Evaluate the plan. Feed-forward plans run every levelized layer
-     * as dense inner loops over its weight blocks; recurrent plans
-     * advance one tick (see activateRecurrent). Leaves the outputs in
-     * `scratch.outputs`. Allocation-free once `scratch` has warmed
-     * up. Thread-safe for concurrent callers with distinct scratches.
+     * as dense inner loops over its weight blocks. Recurrent plans
+     * advance one tick: latch `inputs` and update every node from the
+     * previous tick's values (scratch.prev); call reset() at episode
+     * start, or this panics. Leaves the outputs in `scratch.outputs`.
+     * Allocation-free once `scratch` has warmed up. Thread-safe for
+     * concurrent callers with distinct scratches.
      */
     void activate(std::span<const double> inputs,
                   PlanScratch &scratch) const;
-
-    /**
-     * Advance a recurrent plan one tick: latch `inputs`, update every
-     * node from the previous tick's values (scratch.prev), leave this
-     * tick's outputs in `scratch.outputs`. Call reset() at episode
-     * start. Only valid on recurrent plans.
-     */
-    void activateRecurrent(std::span<const double> inputs,
-                           PlanScratch &scratch) const;
 
     /**
      * Clear the recurrent state in `scratch` (start of an episode) —
@@ -260,24 +224,22 @@ class CompiledPlan
     std::vector<double> activate(const std::vector<double> &inputs) const;
 
     /**
-     * Size `scratch` for `lanes` concurrent episode lanes and clear
-     * any recurrent state. Call once per episode wave, before the
-     * first activateBatch().
+     * Size `scratch` for `lanes` episode lanes of this plan. Call
+     * before activateBatch() whenever the plan or the lane count
+     * changes.
      */
     void beginBatch(int lanes, BatchScratch &scratch) const;
 
     /**
-     * Evaluate all `lanes` episode lanes in lockstep: reads
-     * scratch.inputs ([input][lane]), leaves scratch.outputs
-     * ([output][lane]). `activeLanes[lane]` masks finished episodes —
-     * inactive lanes are carried through the accumulation loops
-     * branch-free but skip the per-node activation write, so their
-     * slots go stale and are never consumed. Each active lane's
-     * result is bit-identical to a serial activate() fed the same
-     * inputs. Recurrent plans advance every active lane one tick.
+     * Evaluate `lanes` live episode lanes of a feed-forward plan in
+     * lockstep: reads scratch.inputs ([input][lane]), leaves
+     * scratch.outputs ([output][lane]). Each lane's result is
+     * bit-identical to a serial activate() fed the same inputs.
+     * Widths 2-4 run fixed-width kernels, any other width the generic
+     * one. Panics on a recurrent plan: recurrent lanes keep their
+     * state per lane and run through activate().
      */
-    void activateBatch(int lanes, const uint8_t *activeLanes,
-                       BatchScratch &scratch) const;
+    void activateBatch(int lanes, BatchScratch &scratch) const;
 
     size_t numInputs() const { return static_cast<size_t>(numInputs_); }
     size_t numOutputs() const
@@ -318,16 +280,29 @@ class CompiledPlan
     }
 
   private:
-    /** Serial feed-forward body, specialized per numerics tier so the
-     *  Reference hot loop carries no tier branch. */
+    /**
+     * The feed-forward lowering: levelized layers of the nodes on an
+     * enabled path into the outputs. Requires a structurally valid
+     * genome (no dangling connection endpoints).
+     */
+    static CompiledPlan
+    compileFeedForward(const Genome &genome, const NeatConfig &cfg,
+                       CompileScratch &scratch, NumericsTier tier);
+
+    /**
+     * The recurrent lowering (cycles allowed): every node gene updates
+     * each tick from the previous tick's values, matching
+     * RecurrentNetwork bit for bit.
+     */
+    static CompiledPlan
+    compileRecurrent(const Genome &genome, const NeatConfig &cfg,
+                     CompileScratch &scratch, NumericsTier tier);
+
+    /** Serial body of both modes, specialized per numerics tier so
+     *  the Reference hot loop carries no tier branch. */
     template <NumericsTier kTier>
     void activateImpl(std::span<const double> inputs,
                       PlanScratch &scratch) const;
-
-    /** Recurrent tick body, specialized per numerics tier. */
-    template <NumericsTier kTier>
-    void activateRecurrentImpl(std::span<const double> inputs,
-                               PlanScratch &scratch) const;
 
     /**
      * The serial kernels' shared body: evaluate every node, block by
@@ -342,21 +317,19 @@ class CompiledPlan
 
     /** Lane-width switch of activateBatch for one numerics tier. */
     template <NumericsTier kTier>
-    void activateBatchDispatch(int lanes, const uint8_t *activeLanes,
-                               BatchScratch &scratch) const;
+    void activateBatchDispatch(int lanes, BatchScratch &scratch) const;
 
     /**
      * The batched kernel body, specialized on a compile-time lane
      * count (kLanes > 0) so the per-row lane loops fully unroll and
      * the running sums stay in registers; kLanes == 0 is the
      * any-width fallback reading the runtime `lanes`. kTier selects
-     * the activation step: reference libm (masked per lane) or the
-     * branch-free hw approximation + Limit & Quantize, which
-     * vectorizes across the lane dimension.
+     * the activation step: reference libm per lane or the branch-free
+     * hw approximation + Limit & Quantize, which vectorizes across
+     * the lane dimension.
      */
     template <int kLanes, NumericsTier kTier>
-    void activateBatchImpl(int lanes, const uint8_t *activeLanes,
-                           BatchScratch &scratch) const;
+    void activateBatchImpl(int lanes, BatchScratch &scratch) const;
 
     /**
      * The lowering shared by both modes: node tables, blocks, layer

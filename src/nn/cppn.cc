@@ -93,7 +93,11 @@ expandCppn(const Genome &cppn, const NeatConfig &cppn_cfg,
 {
     GENESYS_ASSERT(cppn_cfg.numInputs == 4 && cppn_cfg.numOutputs == 1,
                    "CPPN must map (x1,y1,x2,y2) -> weight");
-    const auto net = nn::CompiledPlan::compile(cppn, cppn_cfg);
+    // A CPPN is queried as a stateless function of the coordinates,
+    // so it always lowers feed-forward.
+    NeatConfig ff_cfg = cppn_cfg;
+    ff_cfg.feedForward = true;
+    const auto net = nn::CompiledPlan::compileFor(cppn, ff_cfg);
     const auto layout = substrateLayout(sub);
 
     Genome phenotype(cppn.key());

@@ -301,37 +301,22 @@ activateQuantized(neat::Activation a, double x,
 
 /**
  * The batched activation step: approximate, quantize and store one
- * node's output across all lanes. Computes every lane unmasked (the
- * functors are total on finite inputs, and stale inactive-lane
- * values are never consumed); the store is a plain vector store when
- * every lane is active (the overwhelmingly common case — lanes only
- * go inactive as episodes retire at different steps) and a per-lane
- * blend otherwise, so the loop body stays branch-free and vectorizes
- * either way. `all_active` is passed in so the caller scans the mask
- * once per batch step, not once per node. Both branches evaluate the
- * identical expression for active lanes, so the fast path cannot
- * perturb bit-identity. kLanes > 0 fixes the trip count at compile
- * time, matching the fixed-width activateBatchImpl instantiations.
+ * node's output across all lanes. The loop body is branch-free, so
+ * it vectorizes across the lane dimension, and it evaluates the same
+ * expression as activateQuantized, so every lane is bit-identical to
+ * the scalar path. kLanes > 0 fixes the trip count at compile time,
+ * matching the fixed-width activateBatchImpl instantiations.
  */
 template <int kLanes>
 inline void
 activateLanesQuantized(neat::Activation a, double bias, double response,
-                       const double *__restrict acc,
-                       const uint8_t *__restrict active,
-                       bool all_active, double *__restrict dst,
+                       const double *__restrict acc, double *__restrict dst,
                        int lanes, const FixedPointQuantizer &q)
 {
     const int L = kLanes > 0 ? kLanes : lanes;
     dispatch(a, [&](auto op) {
-        if (all_active) {
-            for (int l = 0; l < L; ++l)
-                dst[l] = q(op(bias + response * acc[l]));
-        } else {
-            for (int l = 0; l < L; ++l) {
-                const double v = q(op(bias + response * acc[l]));
-                dst[l] = active[l] ? v : dst[l];
-            }
-        }
+        for (int l = 0; l < L; ++l)
+            dst[l] = q(op(bias + response * acc[l]));
     });
 }
 

@@ -11,8 +11,8 @@
  *
  * This interpreter is a test-only *reference implementation*: the
  * library lowers recurrent genomes to flat plans
- * (nn::CompiledPlan::compileRecurrent) that must match it bit for
- * bit, which tests/test_recurrent_plan.cc fuzzes — the same role
+ * (nn::CompiledPlan::compileFor with feedForward == false) that must
+ * match it bit for bit, which tests/test_recurrent_plan.cc fuzzes — the same role
  * FeedForwardNetwork plays for feed-forward plans.
  */
 

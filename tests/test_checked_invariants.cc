@@ -59,7 +59,7 @@ struct PlanFixture
         NodeIndexer indexer(cfg.numOutputs);
         XorWow rng(0x5eedULL);
         genome = Genome::createNew(0, cfg, indexer, rng);
-        plan = CompiledPlan::compile(genome, cfg);
+        plan = CompiledPlan::compileFor(genome, cfg);
     }
 };
 
@@ -93,7 +93,6 @@ TEST(CheckedInvariants, MisSizedBatchAccumulatorPanics)
     PlanFixture fx;
     BatchScratch scratch;
     fx.plan.beginBatch(4, scratch);
-    const std::vector<uint8_t> active(4, 1);
     // Shrink the one buffer activateBatch's always-on size ASSERTs do
     // not cover; only the DCHECK stands between this and an overrun.
     scratch.acc.resize(2);
@@ -103,7 +102,7 @@ TEST(CheckedInvariants, MisSizedBatchAccumulatorPanics)
                         "compiled in and enabled";
     }
     EXPECT_THROW(
-        fx.plan.activateBatch(4, active.data(), scratch),
+        fx.plan.activateBatch(4, scratch),
         std::logic_error);
 }
 
@@ -112,8 +111,7 @@ TEST(CheckedInvariants, WellFormedBatchPasses)
     PlanFixture fx;
     BatchScratch scratch;
     fx.plan.beginBatch(4, scratch);
-    const std::vector<uint8_t> active(4, 1);
-    fx.plan.activateBatch(4, active.data(), scratch);
+    fx.plan.activateBatch(4, scratch);
     EXPECT_EQ(scratch.outputs.size(), fx.plan.numOutputs() * 4);
 }
 

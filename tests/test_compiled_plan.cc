@@ -77,6 +77,19 @@ fuzzConfig(XorWow &rng, bool allow_cycles)
 }
 
 /**
+ * The feed-forward plan of `g`. fuzzConfig grows cyclic genomes under
+ * feedForward == false; their feed-forward lowering must leave the
+ * cycles unevaluated exactly as the interpreter does.
+ */
+CompiledPlan
+feedForwardPlan(const Genome &g, NeatConfig cfg,
+                NumericsTier tier = NumericsTier::Reference)
+{
+    cfg.feedForward = true;
+    return CompiledPlan::compileFor(g, cfg, tier);
+}
+
+/**
  * Random genome: mutation-grown, then structurally perturbed with the
  * hostile shapes the plan compiler must survive — disabled
  * connections, dangling hidden nodes (no inputs / no outputs), and
@@ -273,7 +286,7 @@ TEST(CompiledPlanFuzz, MatchesInterpreterBitForBit)
         SCOPED_TRACE("fuzz genome " + std::to_string(i));
 
         const auto net = FeedForwardNetwork::create(g, cfg);
-        const auto plan = CompiledPlan::compile(g, cfg);
+        const auto plan = feedForwardPlan(g, cfg);
 
         ASSERT_EQ(plan.numInputs(), net.numInputs());
         ASSERT_EQ(plan.numOutputs(), net.numOutputs());
@@ -414,10 +427,9 @@ TEST(CompiledPlanFuzz, LockstepSumGroupsMatchSerialChains)
              {NumericsTier::Reference, NumericsTier::HwFaithful}) {
             SCOPED_TRACE("group genome " + std::to_string(i) + " tier " +
                          std::to_string(static_cast<int>(tier)));
-            const auto plan = CompiledPlan::compile(g, cfg, tier);
+            const auto plan = CompiledPlan::compileFor(g, cfg, tier);
             PlanScratch serial;
             BatchScratch lane;
-            const uint8_t live = 1;
             for (int t = 0; t < kTrials; ++t) {
                 std::vector<double> in(static_cast<size_t>(cfg.numInputs));
                 for (auto &x : in)
@@ -425,7 +437,7 @@ TEST(CompiledPlanFuzz, LockstepSumGroupsMatchSerialChains)
                 plan.activate(in, serial);
                 plan.beginBatch(1, lane);
                 lane.inputs = in;
-                plan.activateBatch(1, &live, lane);
+                plan.activateBatch(1, lane);
                 const auto expect = tier == NumericsTier::Reference
                                         ? net.activate(in)
                                         : lane.outputs;
@@ -578,10 +590,10 @@ TEST(CompiledPlanFuzz, TilesMatchOraclesOnHostileValues)
     // infinite or NaN x, so tiles are exact only because their sums
     // start at +0.0 and a NaN tile is recomputed without its pads. For
     // feed-forward and recurrent genomes in both tiers: the serial
-    // kernel against the interpreter (reference tier), and
-    // activateBatch at 1 and 4 lanes against the serial kernel, lane
-    // by lane and tick by tick, bit for bit (a NaN only has to meet a
-    // NaN, see sameValue).
+    // kernel against the interpreter (reference tier), and, for
+    // feed-forward plans, activateBatch at 1 and 4 lanes against the
+    // serial kernel, lane by lane and tick by tick, bit for bit (a NaN
+    // only has to meet a NaN, see sameValue).
     constexpr int kGenomes = 300;
     constexpr int kTicks = 4;
     constexpr int kLanes = 4;
@@ -613,7 +625,6 @@ TEST(CompiledPlanFuzz, TilesMatchOraclesOnHostileValues)
             BatchScratch four;
             plan.beginBatch(1, one);
             plan.beginBatch(kLanes, four);
-            const std::vector<uint8_t> live(kLanes, 1);
             for (int t = 0; t < kTicks; ++t) {
                 for (int l = 0; l < kLanes; ++l) {
                     const std::vector<double> in = hostileInputs(rng);
@@ -634,8 +645,10 @@ TEST(CompiledPlanFuzz, TilesMatchOraclesOnHostileValues)
                             << "interpreter, tick " << t << " output " << o;
                     }
                 }
-                plan.activateBatch(1, live.data(), one);
-                plan.activateBatch(kLanes, live.data(), four);
+                if (!cfg.feedForward)
+                    continue;
+                plan.activateBatch(1, one);
+                plan.activateBatch(kLanes, four);
                 for (size_t o = 0; o < one.outputs.size(); ++o) {
                     EXPECT_TRUE(sameValue(one.outputs[o],
                                           serial[0].outputs[o]))
@@ -670,7 +683,7 @@ TEST(CompiledPlanFuzz, ScheduleAgreesWithLevelizer)
         for (const Genome *g : {&grown, &hostile}) {
             SCOPED_TRACE("schedule genome " + std::to_string(i) +
                          (g == &hostile ? " (dangling sources)" : ""));
-            const auto plan = CompiledPlan::compile(*g, cfg);
+            const auto plan = feedForwardPlan(*g, cfg);
             const auto ref = levelize(*g, cfg);
             const InferenceSchedule &sched = plan.schedule();
             ASSERT_EQ(sched.layers.size(), ref.layers.size());
@@ -743,7 +756,7 @@ TEST(CompiledPlan, EvaluatesHandGenomeExactly)
     NeatConfig cfg;
     cfg.numInputs = 2;
     cfg.numOutputs = 1;
-    const auto plan = CompiledPlan::compile(handGenome(), cfg);
+    const auto plan = CompiledPlan::compileFor(handGenome(), cfg);
     const auto out = plan.activate({1.0, 2.0});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_DOUBLE_EQ(out[0], 0.5 * (2.0 + 6.0) - 2.0);
@@ -765,12 +778,12 @@ TEST(CompiledPlan, ScratchIsReusableAcrossPlans)
     NeatConfig small;
     small.numInputs = 2;
     small.numOutputs = 1;
-    const auto plan_small = CompiledPlan::compile(handGenome(), small);
+    const auto plan_small = CompiledPlan::compileFor(handGenome(), small);
 
     XorWow rng(deriveSeed(kFuzzBase, 77));
     const NeatConfig big = fuzzConfig(rng, false);
     const Genome g = fuzzGenome(big, rng, false);
-    const auto plan_big = CompiledPlan::compile(g, big);
+    const auto plan_big = CompiledPlan::compileFor(g, big);
 
     PlanScratch shared;
     std::vector<double> big_in(static_cast<size_t>(big.numInputs), 0.25);
@@ -788,9 +801,10 @@ TEST(CompiledPlan, ScratchIsReusableAcrossPlans)
 TEST(CompiledPlan, CompileScratchReuseIsBitIdentical)
 {
     // One CompileScratch driven through many differently-shaped
-    // genomes must produce plans identical to fresh-scratch compiles:
-    // stale buffer contents never leak into a later plan. This is the
-    // per-thread reuse pattern the plan cache runs in production.
+    // genomes and both lowerings must produce plans identical to
+    // fresh-scratch compiles: stale buffer contents never leak into a
+    // later plan. This is the per-thread reuse pattern the plan cache
+    // runs in production.
     constexpr int kGenomes = 200;
     CompileScratch shared;
     for (int i = 0; i < kGenomes; ++i) {
@@ -800,78 +814,80 @@ TEST(CompiledPlan, CompileScratchReuseIsBitIdentical)
         const Genome g = fuzzGenome(cfg, rng, allow_cycles);
         SCOPED_TRACE("scratch genome " + std::to_string(i));
 
-        const auto fresh = CompiledPlan::compile(g, cfg);
-        const auto reused = CompiledPlan::compile(g, cfg, shared);
+        for (const bool feed_forward : {true, false}) {
+            NeatConfig mode = cfg;
+            mode.feedForward = feed_forward;
+            const auto fresh = CompiledPlan::compileFor(g, mode);
+            const auto reused = CompiledPlan::compileFor(g, mode, shared);
 
-        ASSERT_EQ(reused.numSlots(), fresh.numSlots());
-        ASSERT_EQ(reused.numNodes(), fresh.numNodes());
-        EXPECT_EQ(reused.macsPerInference(), fresh.macsPerInference());
-        ASSERT_EQ(reused.layerSpans().size(), fresh.layerSpans().size());
+            ASSERT_EQ(reused.isRecurrent(), !feed_forward);
+            ASSERT_EQ(reused.numSlots(), fresh.numSlots());
+            ASSERT_EQ(reused.numNodes(), fresh.numNodes());
+            EXPECT_EQ(reused.macsPerInference(), fresh.macsPerInference());
+            ASSERT_EQ(reused.layerSpans().size(),
+                      fresh.layerSpans().size());
 
-        PlanScratch sa, sb;
-        for (int t = 0; t < 3; ++t) {
-            std::vector<double> in(static_cast<size_t>(cfg.numInputs));
-            for (auto &x : in)
-                x = rng.uniform(-5.0, 5.0);
-            fresh.activate(in, sa);
-            reused.activate(in, sb);
-            ASSERT_EQ(sb.outputs.size(), sa.outputs.size());
-            for (size_t o = 0; o < sa.outputs.size(); ++o)
-                EXPECT_TRUE(bitEqual(sb.outputs[o], sa.outputs[o]))
-                    << "output " << o << " trial " << t;
+            PlanScratch sa, sb;
+            fresh.reset(sa);
+            reused.reset(sb);
+            for (int t = 0; t < 3; ++t) {
+                std::vector<double> in(static_cast<size_t>(cfg.numInputs));
+                for (auto &x : in)
+                    x = rng.uniform(-5.0, 5.0);
+                fresh.activate(in, sa);
+                reused.activate(in, sb);
+                ASSERT_EQ(sb.outputs.size(), sa.outputs.size());
+                for (size_t o = 0; o < sa.outputs.size(); ++o)
+                    EXPECT_TRUE(bitEqual(sb.outputs[o], sa.outputs[o]))
+                        << (feed_forward ? "feed-forward" : "recurrent")
+                        << " output " << o << " trial " << t;
+            }
         }
     }
 }
 
-TEST(CompiledPlanBatch, FeedForwardLanesMatchSerialWithMasks)
+TEST(CompiledPlanBatch, FeedForwardLanesMatchSerialAtEveryWidth)
 {
-    // The batched feed-forward kernel: every lane must match a serial
-    // activate() of the same inputs bit for bit, with retired lanes
-    // masked out and the survivors unperturbed.
+    // The batched kernel at the widths it runs. The wave loop regroups
+    // a genome's live lanes every superstep, so one scratch sees the
+    // group shrink 5, 4, 3, 2 as episodes end (the generic kernel,
+    // then the fixed-width ones); 9 and 11 lanes take the generic
+    // kernel again. Every lane must match a serial activate() of the
+    // same inputs bit for bit, in both tiers.
     constexpr int kGenomes = 200;
-    constexpr int kLanes = 5;
-    constexpr int kTicks = 4;
+    constexpr int kWidths[] = {5, 4, 3, 2, 9, 11};
     for (int i = 0; i < kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase ^ 0xBA7C, static_cast<uint64_t>(i)));
         const bool allow_cycles = i % 4 == 3;
         const NeatConfig cfg = fuzzConfig(rng, allow_cycles);
         const Genome g = fuzzGenome(cfg, rng, allow_cycles);
-        SCOPED_TRACE("batch genome " + std::to_string(i));
-
-        const auto plan = CompiledPlan::compile(g, cfg);
-        ASSERT_FALSE(plan.isRecurrent());
-
-        BatchScratch batch;
-        plan.beginBatch(kLanes, batch);
-        std::vector<uint8_t> active(kLanes, 1);
-        PlanScratch serial;
-        for (int t = 0; t < kTicks; ++t) {
-            // Retire one lane per tick, from the back.
-            if (t > 0)
-                active[static_cast<size_t>(kLanes - t)] = 0;
-            std::vector<std::vector<double>> lane_in(kLanes);
-            for (int l = 0; l < kLanes; ++l) {
-                lane_in[static_cast<size_t>(l)].resize(
-                    static_cast<size_t>(cfg.numInputs));
-                for (auto &x : lane_in[static_cast<size_t>(l)])
-                    x = rng.uniform(-5.0, 5.0);
-                for (int x = 0; x < cfg.numInputs; ++x)
-                    batch.inputs[static_cast<size_t>(x) * kLanes +
-                                 static_cast<size_t>(l)] =
-                        lane_in[static_cast<size_t>(l)]
-                               [static_cast<size_t>(x)];
-            }
-            plan.activateBatch(kLanes, active.data(), batch);
-            for (int l = 0; l < kLanes; ++l) {
-                if (!active[static_cast<size_t>(l)])
-                    continue;
-                plan.activate(lane_in[static_cast<size_t>(l)], serial);
-                for (size_t o = 0; o < serial.outputs.size(); ++o) {
-                    EXPECT_TRUE(bitEqual(
-                        batch.outputs[o * kLanes + static_cast<size_t>(l)],
-                        serial.outputs[o]))
-                        << "lane " << l << " tick " << t << " output "
-                        << o;
+        for (NumericsTier tier :
+             {NumericsTier::Reference, NumericsTier::HwFaithful}) {
+            SCOPED_TRACE("batch genome " + std::to_string(i) + " tier " +
+                         std::to_string(static_cast<int>(tier)));
+            const auto plan = feedForwardPlan(g, cfg, tier);
+            BatchScratch batch;
+            PlanScratch serial;
+            for (const int lanes : kWidths) {
+                const auto L = static_cast<size_t>(lanes);
+                plan.beginBatch(lanes, batch);
+                std::vector<std::vector<double>> lane_in(L);
+                for (size_t l = 0; l < L; ++l) {
+                    lane_in[l].resize(static_cast<size_t>(cfg.numInputs));
+                    for (auto &x : lane_in[l])
+                        x = rng.uniform(-5.0, 5.0);
+                    for (size_t x = 0; x < lane_in[l].size(); ++x)
+                        batch.inputs[x * L + l] = lane_in[l][x];
+                }
+                plan.activateBatch(lanes, batch);
+                for (size_t l = 0; l < L; ++l) {
+                    plan.activate(lane_in[l], serial);
+                    for (size_t o = 0; o < serial.outputs.size(); ++o) {
+                        EXPECT_TRUE(bitEqual(batch.outputs[o * L + l],
+                                             serial.outputs[o]))
+                            << lanes << " lanes, lane " << l << " output "
+                            << o;
+                    }
                 }
             }
         }
@@ -883,7 +899,7 @@ TEST(CompiledPlan, WrongInputCountThrows)
     NeatConfig cfg;
     cfg.numInputs = 2;
     cfg.numOutputs = 1;
-    const auto plan = CompiledPlan::compile(handGenome(), cfg);
+    const auto plan = CompiledPlan::compileFor(handGenome(), cfg);
     PlanScratch scratch;
     const std::vector<double> too_few{1.0};
     EXPECT_ANY_THROW(plan.activate(too_few, scratch));
@@ -907,7 +923,7 @@ TEST(CompiledPlan, UnreachableOutputReadsZero)
     c.weight = 1.0;
     g.mutableConnections().emplace(c.key, c);
 
-    const auto plan = CompiledPlan::compile(g, cfg);
+    const auto plan = CompiledPlan::compileFor(g, cfg);
     const auto out = plan.activate({3.0});
     EXPECT_DOUBLE_EQ(out[0], 3.0);
     EXPECT_DOUBLE_EQ(out[1], 0.0);

@@ -326,7 +326,7 @@ TEST(FlatGenome, SparseNodeKeysCompileThroughTheBinarySearchPath)
     add(-1, 0);
 
     const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     for (int t = 0; t < 8; ++t) {
         const std::vector<double> in{rng.uniform(-2.0, 2.0),
                                      rng.uniform(-2.0, 2.0)};

@@ -2,15 +2,14 @@
  * @file
  * Differential test harness for recurrent compiled plans.
  *
- * nn::CompiledPlan::compileRecurrent must be bit-identical to the
- * nn::RecurrentNetwork interpreter — across ticks, across reset(),
- * and across batched lanes — because the engine's cross-thread and
- * batched-vs-serial determinism contracts are built on exact
- * equality. The harness fuzzes ~1k random cyclic genomes through both
- * paths with multi-tick stateful episodes, pins the MAC accounting
- * (interpreter == plan == plan schedule — the hw cost model
- * invariant), and checks the batched kernel lane for lane against
- * serial ticking, including per-lane termination masks.
+ * A recurrent nn::CompiledPlan (compileFor with feedForward == false)
+ * must be bit-identical to the nn::RecurrentNetwork interpreter —
+ * across ticks and across reset() — because the engine's
+ * cross-thread determinism contract is built on exact equality. The
+ * harness fuzzes ~1k random cyclic genomes through both paths with
+ * multi-tick stateful episodes, pins the MAC accounting (interpreter
+ * == plan == plan schedule — the hw cost model invariant), and checks
+ * that the plan rejects the calls a recurrent plan does not serve.
  *
  * Every genome derives from deriveSeed(kFuzzBase, index) via
  * common::rng, so any failure names a reproducible genome index.
@@ -218,8 +217,7 @@ TEST(RecurrentPlanFuzz, MatchesInterpreterAcrossTicksAndReset)
         SCOPED_TRACE("fuzz genome " + std::to_string(i));
 
         auto net = RecurrentNetwork::create(g, cfg);
-        const auto plan =
-            CompiledPlan::compileRecurrent(g, cfg, compile_scratch);
+        const auto plan = CompiledPlan::compileFor(g, cfg, compile_scratch);
 
         ASSERT_TRUE(plan.isRecurrent());
         ASSERT_EQ(plan.numInputs(), net.numInputs());
@@ -242,8 +240,7 @@ TEST(RecurrentPlanFuzz, MatchesInterpreterAcrossTicksAndReset)
             plan.reset(scratch);
             for (int t = 0; t < kTicks; ++t) {
                 const auto expect = net.activate(stream[static_cast<size_t>(t)]);
-                plan.activateRecurrent(stream[static_cast<size_t>(t)],
-                                       scratch);
+                plan.activate(stream[static_cast<size_t>(t)], scratch);
                 ASSERT_EQ(scratch.outputs.size(), expect.size());
                 for (size_t o = 0; o < expect.size(); ++o) {
                     EXPECT_TRUE(bitEqual(scratch.outputs[o], expect[o]))
@@ -274,7 +271,7 @@ TEST(RecurrentPlanFuzz, MacCountsAgreeAcrossAllPaths)
         SCOPED_TRACE("mac genome " + std::to_string(i));
 
         const auto net = RecurrentNetwork::create(g, cfg);
-        const auto plan = CompiledPlan::compileRecurrent(g, cfg);
+        const auto plan = CompiledPlan::compileFor(g, cfg);
 
         EXPECT_EQ(plan.macsPerInference(), net.macsPerInference());
         EXPECT_EQ(plan.schedule().totalMacs(), plan.macsPerInference());
@@ -328,7 +325,7 @@ TEST(RecurrentPlanFuzz, PackedLayerCountsDistinctSources)
         const auto distinct = static_cast<int>(
             std::unique(sources.begin(), sources.end()) - sources.begin());
 
-        const auto plan = CompiledPlan::compileRecurrent(g, cfg);
+        const auto plan = CompiledPlan::compileFor(g, cfg);
         ASSERT_EQ(plan.schedule().layers.size(), 1u);
         EXPECT_EQ(plan.schedule().layers[0].vectorLen, distinct);
     }
@@ -338,8 +335,7 @@ TEST(RecurrentPlanFuzz, LockstepSumGroupsMatchSerialChains)
 {
     // The recurrent tick packs runs of up to 8 Sum nodes into tiles.
     // Each node must still add its edges in its own order: every tick
-    // must equal the interpreter's (reference tier) and the one-lane
-    // batched kernel's (both tiers), bit for bit.
+    // must equal the interpreter's, bit for bit.
     constexpr int kGenomes = 400;
     constexpr int kTicks = 4;
     for (int i = 0; i < kGenomes; ++i) {
@@ -349,103 +345,21 @@ TEST(RecurrentPlanFuzz, LockstepSumGroupsMatchSerialChains)
         cfg.numOutputs = rng.uniformInt(1, 6);
         cfg.feedForward = false;
         const Genome g = groupGenome(cfg, rng);
-        for (NumericsTier tier :
-             {NumericsTier::Reference, NumericsTier::HwFaithful}) {
-            SCOPED_TRACE("group genome " + std::to_string(i) + " tier " +
-                         std::to_string(static_cast<int>(tier)));
-            auto net = RecurrentNetwork::create(g, cfg);
-            const auto plan = CompiledPlan::compileRecurrent(g, cfg, tier);
-            PlanScratch serial;
-            plan.reset(serial);
-            BatchScratch lane;
-            plan.beginBatch(1, lane);
-            const uint8_t live = 1;
-            for (int t = 0; t < kTicks; ++t) {
-                std::vector<double> in(static_cast<size_t>(cfg.numInputs));
-                for (auto &x : in)
-                    x = rng.uniform(-2.0, 2.0);
-                plan.activateRecurrent(in, serial);
-                lane.inputs = in;
-                plan.activateBatch(1, &live, lane);
-                const auto expect = tier == NumericsTier::Reference
-                                        ? net.activate(in)
-                                        : lane.outputs;
-                ASSERT_EQ(serial.outputs.size(), expect.size());
-                for (size_t o = 0; o < expect.size(); ++o) {
-                    EXPECT_TRUE(bitEqual(serial.outputs[o], expect[o]))
-                        << "tick " << t << " output " << o;
-                    EXPECT_TRUE(bitEqual(serial.outputs[o], lane.outputs[o]))
-                        << "lane kernel, tick " << t << " output " << o;
-                }
-            }
-        }
-    }
-}
-
-TEST(RecurrentPlanFuzz, BatchedLanesMatchSerialWithMasks)
-{
-    // The batched kernel drives L lanes with distinct input streams
-    // and retires them at different ticks; every lane must match a
-    // serial plan run of the same stream bit for bit, and a lane's
-    // retirement must not perturb the survivors.
-    constexpr int kGenomes = 200;
-    constexpr int kLanes = 4;
-    constexpr int kTicks = 6;
-    for (int i = 0; i < kGenomes; ++i) {
-        XorWow rng(deriveSeed(kFuzzBase ^ 0x1234, static_cast<uint64_t>(i)));
-        const NeatConfig cfg = fuzzConfig(rng);
-        const Genome g = fuzzGenome(cfg, rng);
-        SCOPED_TRACE("batch genome " + std::to_string(i));
-
-        const auto plan = CompiledPlan::compileRecurrent(g, cfg);
-
-        // Lane l retires after kTicks - l ticks.
-        std::vector<std::vector<std::vector<double>>> streams(kLanes);
-        for (int l = 0; l < kLanes; ++l) {
-            for (int t = 0; t < kTicks - l; ++t)
-                streams[static_cast<size_t>(l)].push_back(
-                    randomInputs(cfg, rng));
-        }
-
-        // Serial references.
-        std::vector<std::vector<std::vector<double>>> expect(kLanes);
+        SCOPED_TRACE("group genome " + std::to_string(i));
+        auto net = RecurrentNetwork::create(g, cfg);
+        const auto plan = CompiledPlan::compileFor(g, cfg);
         PlanScratch serial;
-        for (int l = 0; l < kLanes; ++l) {
-            plan.reset(serial);
-            for (const auto &in : streams[static_cast<size_t>(l)]) {
-                plan.activateRecurrent(in, serial);
-                expect[static_cast<size_t>(l)].push_back(serial.outputs);
-            }
-        }
-
-        BatchScratch batch;
-        plan.beginBatch(kLanes, batch);
-        std::vector<uint8_t> active(kLanes, 1);
+        plan.reset(serial);
         for (int t = 0; t < kTicks; ++t) {
-            for (int l = 0; l < kLanes; ++l) {
-                if (!active[static_cast<size_t>(l)])
-                    continue;
-                const auto &in =
-                    streams[static_cast<size_t>(l)][static_cast<size_t>(t)];
-                for (size_t x = 0; x < in.size(); ++x)
-                    batch.inputs[x * kLanes +
-                                 static_cast<size_t>(l)] = in[x];
-            }
-            plan.activateBatch(kLanes, active.data(), batch);
-            for (int l = 0; l < kLanes; ++l) {
-                if (!active[static_cast<size_t>(l)])
-                    continue;
-                const auto &want =
-                    expect[static_cast<size_t>(l)][static_cast<size_t>(t)];
-                for (size_t o = 0; o < want.size(); ++o) {
-                    EXPECT_TRUE(bitEqual(
-                        batch.outputs[o * kLanes + static_cast<size_t>(l)],
-                        want[o]))
-                        << "lane " << l << " tick " << t << " output "
-                        << o;
-                }
-                if (t + 1 >= kTicks - l)
-                    active[static_cast<size_t>(l)] = 0; // retire
+            std::vector<double> in(static_cast<size_t>(cfg.numInputs));
+            for (auto &x : in)
+                x = rng.uniform(-2.0, 2.0);
+            plan.activate(in, serial);
+            const auto expect = net.activate(in);
+            ASSERT_EQ(serial.outputs.size(), expect.size());
+            for (size_t o = 0; o < expect.size(); ++o) {
+                EXPECT_TRUE(bitEqual(serial.outputs[o], expect[o]))
+                    << "tick " << t << " output " << o;
             }
         }
     }
@@ -492,20 +406,20 @@ TEST(RecurrentPlan, SelfLoopIntegratesInput)
 {
     const auto cfg = recConfig();
     const auto plan =
-        CompiledPlan::compileRecurrent(selfLoopGenome(1.0, 1.0), cfg);
+        CompiledPlan::compileFor(selfLoopGenome(1.0, 1.0), cfg);
     PlanScratch s;
     plan.reset(s);
     const std::vector<double> one{1.0};
     // y[t] = y[t-1] + x[t] -> a running sum.
-    plan.activateRecurrent(one, s);
+    plan.activate(one, s);
     EXPECT_NEAR(s.outputs[0], 1.0, 1e-12);
-    plan.activateRecurrent(one, s);
+    plan.activate(one, s);
     EXPECT_NEAR(s.outputs[0], 2.0, 1e-12);
-    plan.activateRecurrent(one, s);
+    plan.activate(one, s);
     EXPECT_NEAR(s.outputs[0], 3.0, 1e-12);
 
     plan.reset(s);
-    plan.activateRecurrent(one, s);
+    plan.activate(one, s);
     EXPECT_NEAR(s.outputs[0], 1.0, 1e-12);
 }
 
@@ -530,16 +444,17 @@ TEST(RecurrentPlan, FeedForwardEntryPointsRejectWrongMode)
 {
     const auto cfg = recConfig();
     const auto plan =
-        CompiledPlan::compileRecurrent(selfLoopGenome(1.0, 1.0), cfg);
+        CompiledPlan::compileFor(selfLoopGenome(1.0, 1.0), cfg);
     PlanScratch s;
     const std::vector<double> one{1.0};
     // Ticking without reset is a contract violation, not silent UB.
-    EXPECT_ANY_THROW(plan.activateRecurrent(one, s));
+    EXPECT_ANY_THROW(plan.activate(one, s));
 
-    auto ffCfg = cfg;
-    ffCfg.feedForward = true;
-    const auto ff = CompiledPlan::compile(selfLoopGenome(1.0, 1.0), ffCfg);
-    EXPECT_ANY_THROW(ff.activateRecurrent(one, s));
+    // Recurrent lanes keep their state per lane, so the batched
+    // kernel serves feed-forward plans only.
+    BatchScratch batch;
+    plan.beginBatch(2, batch);
+    EXPECT_ANY_THROW(plan.activateBatch(2, batch));
 }
 
 TEST(RecurrentPlan, PlanCacheServesRecurrentPlansWithCarryOver)
@@ -562,8 +477,8 @@ TEST(RecurrentPlan, PlanCacheServesRecurrentPlansWithCarryOver)
     PlanScratch s;
     p2->reset(s);
     const std::vector<double> one{1.0};
-    p2->activateRecurrent(one, s);
+    p2->activate(one, s);
     EXPECT_NEAR(s.outputs[0], 1.0, 1e-12);
-    p2->activateRecurrent(one, s);
+    p2->activate(one, s);
     EXPECT_NEAR(s.outputs[0], 2.0, 1e-12);
 }

@@ -79,7 +79,7 @@ TEST(EpisodeRunner, CountsInferencesAndMacs)
     neat::NodeIndexer idx(cfg.numOutputs);
     XorWow rng(2);
     const auto g = neat::Genome::createNew(0, cfg, idx, rng);
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     nn::PlanScratch scratch;
     const auto res = runEpisode(env, plan, scratch, 17);
     EXPECT_EQ(res.inferences, res.steps);

@@ -987,3 +987,27 @@ TEST(CheckpointEnv, GarbageEveryIsFatal)
                  std::runtime_error);
     unsetenv("GENESYS_CHECKPOINT_EVERY");
 }
+
+TEST(CheckpointEnv, NonPositiveConfigEveryIsFatal)
+{
+    // The config field gets the same check as the environment
+    // variable: with a directory set, a zero or negative interval
+    // would create the directory and then never write a snapshot.
+    unsetenv("GENESYS_CHECKPOINT_DIR");
+    unsetenv("GENESYS_CHECKPOINT_EVERY");
+    const fs::path root = scratchDir("every0");
+    const fs::path dir = root / "ckpt";
+    for (int every : {0, -3}) {
+        core::SystemConfig cfg = smallSystemConfig();
+        cfg.checkpointDir = dir.string();
+        cfg.checkpointEveryN = every;
+        EXPECT_THROW(core::System sys(cfg), std::runtime_error)
+            << "checkpointEveryN " << every;
+    }
+    EXPECT_FALSE(fs::exists(dir));
+    // Without a directory the interval is unused.
+    core::SystemConfig off = smallSystemConfig();
+    off.checkpointEveryN = 0;
+    EXPECT_NO_THROW(core::System sys(off));
+    fs::remove_all(root);
+}
