@@ -192,16 +192,12 @@ EvalEngine::evaluateGeneration(const std::vector<neat::GenomeHandle> &batch,
     obs::Span batch_span("eval.batch", "evaluate",
                          static_cast<int64_t>(batch.size()));
 
-    // New generation: keep plans for keys that survived (elites are
+    // New generation: one plan slot per batch position. Elites are
     // copied unchanged under the same key — the paper's "genome stays
-    // resident in the Genome Buffer, no EvE work"), drop the rest so
-    // the cache stays bounded at the batch size. Elite genomes are
-    // therefore never recompiled.
-    std::vector<int> batchKeys;
-    batchKeys.reserve(batch.size());
-    for (const neat::GenomeHandle &h : batch)
-        batchKeys.push_back(h.key);
-    planCache_.beginGeneration(batchKeys);
+    // resident in the Genome Buffer, no EvE work" — so their slots
+    // start filled with last generation's plan; every other plan is
+    // dropped. Elite genomes are therefore never recompiled.
+    planCache_.beginGeneration(batch);
 
     lastBatch_ = BatchStats{};
     evaluateWaves(batch, cfg, seedFor, results);
@@ -262,17 +258,14 @@ EvalEngine::publishMetrics(const std::vector<GenomeEvalResult> &results)
     const long compiles = planCache_.compiles();
     const long hits = planCache_.hits();
     const long carried = planCache_.carriedOver();
-    const long races = planCache_.racesDiscarded();
     const long compile_ns = planCache_.compileNs();
     m->counter("plan.compiles").add(compiles - seenCompiles_);
     m->counter("plan.cache_hits").add(hits - seenHits_);
     m->counter("plan.carried_over").add(carried - seenCarriedOver_);
-    m->counter("plan.races_discarded").add(races - seenRaces_);
     m->counter("plan.compile_ns").add(compile_ns - seenCompileNs_);
     seenCompiles_ = compiles;
     seenHits_ = hits;
     seenCarriedOver_ = carried;
-    seenRaces_ = races;
     seenCompileNs_ = compile_ns;
 
     long episodes = 0;
@@ -291,9 +284,9 @@ namespace
 /**
  * The generation's work queue: one atomic cursor over the batch,
  * drawn from by every worker's episode loop. Claiming genome g
- * fetches its plan through the cache — compiling it on first claim —
- * and hands out its E episodes, whose results go to slots
- * g * E .. g * E + E - 1. Which worker claims which genome never
+ * fetches its plan from plan slot g — compiling it unless it is an
+ * elite's carried-over plan — and hands out its E episodes, whose
+ * results go to slots g * E .. g * E + E - 1. Which worker claims which genome never
  * changes a result: each episode is a pure function of (plan, seed).
  */
 class GenomeQueue final : public env::WaveSource
@@ -321,7 +314,7 @@ class GenomeQueue final : public env::WaveSource
         const neat::GenomeHandle &h = batch_[g];
         GenomeEvalResult &r = results_[g];
         r.genomeKey = h.key;
-        r.plan = cache_.acquire(h.key, *h.genome, cfg_, tier_);
+        r.plan = cache_.acquire(g, *h.genome, cfg_, tier_);
         const std::size_t E = static_cast<std::size_t>(episodes_);
         for (std::size_t e = 0; e < E; ++e)
             group[e] = {r.plan.get(),
@@ -353,10 +346,10 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
 
     // One pass, one barrier: every worker runs one episode loop over
     // its private lane shard, claiming genomes from the shared queue
-    // until it runs dry. A genome compiles on claim (the cache keeps
-    // elites' plans across generations), so compiling overlaps other
-    // workers' episodes, and a worker stuck on long episodes simply
-    // claims fewer genomes instead of gating the generation.
+    // until it runs dry. A genome compiles on claim (elites' slots
+    // start filled), so compiling overlaps other workers' episodes,
+    // and a worker stuck on long episodes simply claims fewer genomes
+    // instead of gating the generation.
     const std::size_t E = static_cast<std::size_t>(cfg_.episodes);
     episodeSlots_.resize(batch.size() * E);
     GenomeQueue queue(batch, cfg, seedFor, cfg_.episodes,

@@ -8,13 +8,14 @@
  * shard of environment instances (EnvPool), so the episode hot loop
  * takes no locks. The loops draw from one generation-wide atomic
  * cursor over the genomes. A worker with enough idle lanes claims the
- * next genome, compiles its plan on claim (nn::PlanCache — elites keep
- * theirs) and starts the genome's episodes on its own lanes, stepping
- * them in BSP lockstep and refilling a lane as soon as its episode
- * ends — mirroring the paper's PE-array wave execution, where every
- * PE stays busy on some genome. Episode results land in per-(genome,
- * episode) slots and each genome's EvalDetail is assembled after the
- * pass, in genome order. Episode seeds come from a SplitMix-style
+ * next genome, compiles its plan on claim into the genome's slot of
+ * nn::PlanCache (elites' slots start filled) and starts the genome's
+ * episodes on its own lanes, stepping them in BSP lockstep and
+ * refilling a lane as soon as its episode ends — mirroring the
+ * paper's PE-array wave execution, where every PE stays busy on some
+ * genome. Episode results land in per-(genome, episode) slots and
+ * each genome's EvalDetail is assembled after the pass, in genome
+ * order. Episode seeds come from a SplitMix-style
  * per-(genome, episode) mixer, which makes results a pure function of
  * (genome, seed) — bit-identical whether the batch runs on 1 thread
  * or N, and whichever worker claims which genome.
@@ -229,10 +230,10 @@ class EvalEngine
     const BatchStats &lastBatchStats() const { return lastBatch_; }
 
     /**
-     * The plan cache: pruned at the top of every evaluateGeneration
-     * call to the submitted keys, so its size is bounded by the
-     * generation's batch size while elite genomes (same key as the
-     * previous generation) keep their compiled plan across
+     * The plan slots: reset at the top of every evaluateGeneration
+     * call to one slot per submitted genome, so its size is bounded
+     * by the generation's batch size while elite genomes (same key as
+     * the previous generation) keep their compiled plan across
      * generations — zero recompiles for elites.
      */
     const nn::PlanCache &planCache() const { return planCache_; }
@@ -302,7 +303,6 @@ class EvalEngine
     long seenCompiles_ = 0;
     long seenHits_ = 0;
     long seenCarriedOver_ = 0;
-    long seenRaces_ = 0;
     long seenCompileNs_ = 0;
     /**
      * One wave scratch per worker, reused across generations, so the

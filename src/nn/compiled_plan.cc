@@ -1039,15 +1039,6 @@ CompiledPlan::reset(PlanScratch &scratch) const
     scratch.curr.assign(static_cast<size_t>(numSlots_), 0.0);
 }
 
-std::vector<double>
-CompiledPlan::activate(const std::vector<double> &inputs) const
-{
-    PlanScratch scratch;
-    reset(scratch);
-    activate(inputs, scratch);
-    return std::move(scratch.outputs);
-}
-
 void
 CompiledPlan::beginBatch(int lanes, BatchScratch &scratch) const
 {

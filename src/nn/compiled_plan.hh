@@ -219,10 +219,6 @@ class CompiledPlan
      */
     void reset(PlanScratch &scratch) const;
 
-    /** Convenience form: allocates a scratch and returns the outputs
-     *  (for recurrent plans: one tick from a freshly reset state). */
-    std::vector<double> activate(const std::vector<double> &inputs) const;
-
     /**
      * Size `scratch` for `lanes` episode lanes of this plan. Call
      * before activateBatch() whenever the plan or the lane count

@@ -98,6 +98,7 @@ expandCppn(const Genome &cppn, const NeatConfig &cppn_cfg,
     NeatConfig ff_cfg = cppn_cfg;
     ff_cfg.feedForward = true;
     const auto net = nn::CompiledPlan::compileFor(cppn, ff_cfg);
+    PlanScratch scratch;
     const auto layout = substrateLayout(sub);
 
     Genome phenotype(cppn.key());
@@ -132,7 +133,9 @@ expandCppn(const Genome &cppn, const NeatConfig &cppn_cfg,
             for (size_t j = 0; j < layout.layers[l + 1].size(); ++j) {
                 const auto [x1, y1] = layout.layers[l][i];
                 const auto [x2, y2] = layout.layers[l + 1][j];
-                const double w = net.activate({x1, y1, x2, y2})[0];
+                const double query[] = {x1, y1, x2, y2};
+                net.activate(query, scratch);
+                const double w = scratch.outputs[0];
                 // Map the (sigmoid-range or tanh-range) response to
                 // [-1, 1] around 0.5 if needed, then threshold.
                 const double centered =

@@ -45,127 +45,78 @@ PlanCache::fingerprintOf(const neat::Genome &genome)
 }
 
 void
-PlanCache::beginGeneration()
+PlanCache::beginGeneration(std::span<const neat::GenomeHandle> batch)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    plans_.clear();
-}
+    std::vector<Slot> previous;
+    previous.swap(slots_);
+    // The batch's keys come in any order: sort the previous table by
+    // key to look each one up.
+    std::ranges::sort(previous, {}, &Slot::key);
 
-void
-PlanCache::beginGeneration(const std::vector<int> &survivingKeys)
-{
-    std::vector<int> sorted = survivingKeys;
-    std::sort(sorted.begin(), sorted.end());
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = plans_.begin(); it != plans_.end();) {
-        if (std::binary_search(sorted.begin(), sorted.end(),
-                               it->first.first)) {
-            ++carriedOver_;
-            ++it;
-        } else {
-            it = plans_.erase(it);
-        }
+    slots_.resize(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        Slot &slot = slots_[i];
+        slot.key = batch[i].key;
+        slot.fingerprint = fingerprintOf(*batch[i].genome);
+        const auto kept =
+            std::ranges::lower_bound(previous, slot.key, {}, &Slot::key);
+        if (kept == previous.end() || kept->key != slot.key ||
+            !kept->plan)
+            continue;
+        GENESYS_ASSERT(kept->fingerprint == slot.fingerprint,
+                       "plan carried over on key "
+                           << slot.key
+                           << " for a structurally different genome "
+                              "— genome keys must be unique for a "
+                              "cache's lifetime");
+        slot.plan = kept->plan;
+        ++carriedOver_;
     }
 }
 
 std::shared_ptr<const CompiledPlan>
-PlanCache::acquire(int genomeKey, const neat::Genome &genome,
+PlanCache::acquire(std::size_t slot, const neat::Genome &genome,
                    const neat::NeatConfig &cfg, NumericsTier tier)
 {
-    const uint64_t fp = fingerprintOf(genome);
-    const std::pair<int, NumericsTier> key{genomeKey, tier};
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = plans_.find(key);
-        if (it != plans_.end()) {
-            GENESYS_ASSERT(it->second.fingerprint == fp,
-                           "plan cache hit on key "
-                               << genomeKey
-                               << " for a structurally different "
-                                  "genome — genome keys must be "
-                                  "unique for a cache's lifetime");
-            ++hits_;
-            return it->second.plan;
-        }
+    GENESYS_ASSERT(slot < slots_.size(),
+                   "plan slot " << slot << " outside a generation of "
+                                << slots_.size());
+    Slot &s = slots_[slot];
+    if (s.plan) {
+        GENESYS_ASSERT(s.plan->numericsTier() == tier,
+                       "plan slot " << slot
+                                    << " holds a plan of another "
+                                       "numerics tier");
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return s.plan;
     }
     // One compile scratch per thread: steady-state compilation is
     // allocation-free, and workers never contend on compile buffers.
-    // compileFor dispatches on cfg.feedForward, so recurrent genomes
-    // lower to recurrent plans under the same cache/carry-over rules.
     // genesys-lint: allow(global-state, per-thread compile scratch) - keeps
     // steady-state compiles allocation-free; holds no cross-compile data.
     thread_local CompileScratch compile_scratch;
     const auto c0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const CompiledPlan> plan;
     {
-        obs::Span span("plan.compile", "compile", genomeKey);
-        plan = std::make_shared<const CompiledPlan>(
-            CompiledPlan::compileFor(genome, cfg, compile_scratch,
-                                     tier));
+        obs::Span span("plan.compile", "compile", s.key);
+        s.plan = std::make_shared<const CompiledPlan>(
+            CompiledPlan::compileFor(genome, cfg, compile_scratch, tier));
     }
-    const long spent_ns = static_cast<long>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - c0)
-            .count());
-    std::lock_guard<std::mutex> lock(mutex_);
-    compileNs_ += spent_ns;
-    auto [it, inserted] = plans_.emplace(key, Entry{std::move(plan), fp});
-    // Only the winning insert is a compile that exists; a racing
-    // thread's duplicate is discarded and must not inflate the
-    // observability counter.
-    if (inserted) {
-        ++compiles_;
-    } else {
-        GENESYS_ASSERT(it->second.fingerprint == fp,
-                       "racing compiles for key "
-                           << genomeKey
-                           << " saw structurally different genomes");
-        ++racesDiscarded_;
-    }
-    return it->second.plan;
+    compileNs_.fetch_add(
+        static_cast<long>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - c0)
+                .count()),
+        std::memory_order_relaxed);
+    compiles_.fetch_add(1, std::memory_order_relaxed);
+    return s.plan;
 }
 
 size_t
 PlanCache::size() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return plans_.size();
-}
-
-long
-PlanCache::compiles() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return compiles_;
-}
-
-long
-PlanCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-long
-PlanCache::carriedOver() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return carriedOver_;
-}
-
-long
-PlanCache::racesDiscarded() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return racesDiscarded_;
-}
-
-long
-PlanCache::compileNs() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return compileNs_;
+    return static_cast<size_t>(
+        std::count_if(slots_.begin(), slots_.end(),
+                      [](const Slot &s) { return s.plan != nullptr; }));
 }
 
 } // namespace genesys::nn

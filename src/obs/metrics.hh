@@ -5,7 +5,7 @@
  * text dump. The registry is the durable, queryable side of the
  * telemetry subsystem (obs::Tracer is the timeline side): the
  * evaluation engine folds its BatchStats occupancy counters and the
- * PlanCache compile/hit/carry-over counters in here, and
+ * plan slots' compile/hit/carry-over counters in here, and
  * core::System adds the per-generation phase wall-clock gauges.
  *
  * Concurrency: counters are lock-free atomics (exact under any

@@ -757,7 +757,10 @@ TEST(CompiledPlan, EvaluatesHandGenomeExactly)
     cfg.numInputs = 2;
     cfg.numOutputs = 1;
     const auto plan = CompiledPlan::compileFor(handGenome(), cfg);
-    const auto out = plan.activate({1.0, 2.0});
+    PlanScratch s;
+    const std::vector<double> in{1.0, 2.0};
+    plan.activate(in, s);
+    const auto &out = s.outputs;
     ASSERT_EQ(out.size(), 1u);
     EXPECT_DOUBLE_EQ(out[0], 0.5 * (2.0 + 6.0) - 2.0);
     EXPECT_EQ(plan.macsPerInference(), 4);
@@ -788,14 +791,17 @@ TEST(CompiledPlan, ScratchIsReusableAcrossPlans)
     PlanScratch shared;
     std::vector<double> big_in(static_cast<size_t>(big.numInputs), 0.25);
     plan_big.activate(big_in, shared);
-    const auto fresh_big = plan_big.activate(big_in);
+    PlanScratch fresh_big;
+    plan_big.activate(big_in, fresh_big);
     const std::vector<double> small_in{1.0, 2.0};
     plan_small.activate(small_in, shared);
     const auto small_out = shared.outputs;
     plan_big.activate(big_in, shared);
 
-    EXPECT_EQ(small_out, plan_small.activate(small_in));
-    EXPECT_EQ(shared.outputs, fresh_big);
+    PlanScratch fresh_small;
+    plan_small.activate(small_in, fresh_small);
+    EXPECT_EQ(small_out, fresh_small.outputs);
+    EXPECT_EQ(shared.outputs, fresh_big.outputs);
 }
 
 TEST(CompiledPlan, CompileScratchReuseIsBitIdentical)
@@ -924,7 +930,10 @@ TEST(CompiledPlan, UnreachableOutputReadsZero)
     g.mutableConnections().emplace(c.key, c);
 
     const auto plan = CompiledPlan::compileFor(g, cfg);
-    const auto out = plan.activate({3.0});
+    PlanScratch s;
+    const std::vector<double> in{3.0};
+    plan.activate(in, s);
+    const auto &out = s.outputs;
     EXPECT_DOUBLE_EQ(out[0], 3.0);
     EXPECT_DOUBLE_EQ(out[1], 0.0);
 }

@@ -327,10 +327,12 @@ TEST(FlatGenome, SparseNodeKeysCompileThroughTheBinarySearchPath)
 
     const auto net = nn::FeedForwardNetwork::create(g, cfg);
     const auto plan = nn::CompiledPlan::compileFor(g, cfg);
+    nn::PlanScratch s;
     for (int t = 0; t < 8; ++t) {
         const std::vector<double> in{rng.uniform(-2.0, 2.0),
                                      rng.uniform(-2.0, 2.0)};
-        EXPECT_EQ(plan.activate(in), net.activate(in));
+        plan.activate(in, s);
+        EXPECT_EQ(s.outputs, net.activate(in));
     }
 }
 

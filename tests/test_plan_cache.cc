@@ -3,15 +3,14 @@
  * Tests for the compiled-plan cache and its behaviour under the
  * parallel evaluation engine: one compile per genome — ever, since
  * elite plans carry across generations — read-only plan sharing
- * across 1/2/8 worker threads with bit-identical results, race-free
- * compile counters, and a cache bounded by the population size (no
- * leak across generations).
+ * across 1/2/8 worker threads with bit-identical results, each plan
+ * on its own genome's slot whatever order keys arrive in, and a table
+ * bounded by the population size (no leak across generations).
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
-#include <thread>
 
 #include "core/genesys.hh"
 #include "exec/eval_engine.hh"
@@ -61,6 +60,8 @@ TEST(PlanCacheTest, CompilesOnceAndSharesThePlan)
 {
     const auto [cfg, genomes] = makeGenomes(3, 41);
     PlanCache cache;
+    cache.beginGeneration(handlesOf(genomes));
+    EXPECT_EQ(cache.size(), 0u);
 
     const auto a = cache.acquire(0, genomes[0], cfg);
     const auto b = cache.acquire(0, genomes[0], cfg);
@@ -79,13 +80,16 @@ TEST(PlanCacheTest, BeginGenerationDropsEveryPlan)
 {
     const auto [cfg, genomes] = makeGenomes(2, 43);
     PlanCache cache;
+    cache.beginGeneration(handlesOf(genomes));
     cache.acquire(0, genomes[0], cfg);
     cache.acquire(1, genomes[1], cfg);
     ASSERT_EQ(cache.size(), 2u);
 
-    cache.beginGeneration();
+    // No key survives, so no slot starts filled.
+    cache.beginGeneration(std::vector<neat::GenomeHandle>{
+        {10, &genomes[0]}, {11, &genomes[1]}});
     EXPECT_EQ(cache.size(), 0u);
-    // Same key again is a fresh compile, not a stale hit.
+    EXPECT_EQ(cache.carriedOver(), 0);
     cache.acquire(0, genomes[0], cfg);
     EXPECT_EQ(cache.compiles(), 3);
 }
@@ -97,69 +101,44 @@ TEST(PlanCacheTest, PlanOutlivesCacheEviction)
     // die under them.
     const auto [cfg, genomes] = makeGenomes(1, 47);
     PlanCache cache;
+    cache.beginGeneration(handlesOf(genomes));
     const auto plan = cache.acquire(0, genomes[0], cfg);
-    const auto expect = plan->activate({0.1, 0.2, 0.3, 0.4});
-    cache.beginGeneration();
-    EXPECT_EQ(plan->activate({0.1, 0.2, 0.3, 0.4}), expect);
+    const std::vector<double> in{0.1, 0.2, 0.3, 0.4};
+    PlanScratch s;
+    plan->activate(in, s);
+    const auto expect = s.outputs;
+    cache.beginGeneration(std::vector<neat::GenomeHandle>{});
+    plan->activate(in, s);
+    EXPECT_EQ(s.outputs, expect);
 }
 
 TEST(PlanCacheTest, BeginGenerationCarriesOverSurvivingKeys)
 {
     const auto [cfg, genomes] = makeGenomes(3, 67);
     PlanCache cache;
+    cache.beginGeneration(handlesOf(genomes));
     const auto p0 = cache.acquire(0, genomes[0], cfg);
     cache.acquire(1, genomes[1], cfg);
     cache.acquire(2, genomes[2], cfg);
     ASSERT_EQ(cache.compiles(), 3);
 
-    // Keys 0 and 5 survive into the next generation; only 0 is
-    // cached, so one plan is carried over and the rest are dropped.
-    cache.beginGeneration(std::vector<int>{0, 5});
+    // Key 0 survives into the next generation at slot 1, behind a
+    // fresh key 5; everything else is dropped.
+    cache.beginGeneration(std::vector<neat::GenomeHandle>{
+        {5, &genomes[1]}, {0, &genomes[0]}});
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.carriedOver(), 1);
 
-    // The surviving key is a hit on the same plan object — an elite
-    // costs zero recompiles.
-    const auto again = cache.acquire(0, genomes[0], cfg);
+    // The surviving key's slot is a hit on the same plan object — an
+    // elite costs zero recompiles.
+    const auto again = cache.acquire(1, genomes[0], cfg);
     EXPECT_EQ(again.get(), p0.get());
     EXPECT_EQ(cache.compiles(), 3);
     EXPECT_EQ(cache.hits(), 1);
 
-    // A dropped key compiles afresh.
-    cache.acquire(1, genomes[1], cfg);
+    // The fresh key compiles.
+    cache.acquire(0, genomes[1], cfg);
     EXPECT_EQ(cache.compiles(), 4);
-}
-
-TEST(PlanCacheTest, RacingCompilesOnOneKeyCountAsOneCompile)
-{
-    // N threads race acquire() on the same fresh key: every thread
-    // must get the same shared plan, and the compile counter must
-    // report exactly one cache-entering compile — losers are tallied
-    // as discarded races (or late hits), never as compiles.
-    const auto [cfg, genomes] = makeGenomes(1, 71);
-    PlanCache cache;
-
-    constexpr int kThreads = 16;
-    std::vector<std::shared_ptr<const CompiledPlan>> plans(kThreads);
-    {
-        std::vector<std::thread> workers;
-        workers.reserve(kThreads);
-        for (int t = 0; t < kThreads; ++t) {
-            workers.emplace_back([&, t] {
-                plans[static_cast<size_t>(t)] =
-                    cache.acquire(0, genomes[0], cfg);
-            });
-        }
-        for (auto &w : workers)
-            w.join();
-    }
-    for (int t = 1; t < kThreads; ++t)
-        EXPECT_EQ(plans[static_cast<size_t>(t)].get(), plans[0].get());
-    EXPECT_EQ(cache.compiles(), 1);
-    EXPECT_EQ(cache.size(), 1u);
-    // Every acquire is accounted for exactly once.
-    EXPECT_EQ(cache.hits() + cache.compiles() + cache.racesDiscarded(),
-              kThreads);
 }
 
 TEST(PlanCacheTest, HitOnAStructurallyDifferentGenomeIsAnError)
@@ -171,8 +150,24 @@ TEST(PlanCacheTest, HitOnAStructurallyDifferentGenomeIsAnError)
     const auto [cfg, genomes] = makeGenomes(2, 79);
     ASSERT_NE(genomes[0].numGenes(), genomes[1].numGenes());
     PlanCache cache;
+    cache.beginGeneration(
+        std::vector<neat::GenomeHandle>{{0, &genomes[0]}});
     cache.acquire(0, genomes[0], cfg);
-    EXPECT_ANY_THROW(cache.acquire(0, genomes[1], cfg));
+    EXPECT_ANY_THROW(cache.beginGeneration(
+        std::vector<neat::GenomeHandle>{{0, &genomes[1]}}));
+}
+
+TEST(PlanCacheTest, CarriedPlanUnderAnotherTierIsAnError)
+{
+    // One table serves one numerics tier: a carried-over Reference
+    // plan must never be served to a hw-tier consumer.
+    const auto [cfg, genomes] = makeGenomes(1, 83);
+    PlanCache cache;
+    cache.beginGeneration(handlesOf(genomes));
+    cache.acquire(0, genomes[0], cfg);
+    cache.beginGeneration(handlesOf(genomes));
+    EXPECT_ANY_THROW(
+        cache.acquire(0, genomes[0], cfg, NumericsTier::HwFaithful));
 }
 
 // --- cache under the parallel engine -----------------------------------------
@@ -315,7 +310,60 @@ TEST(PlanCacheEngineTest, FullEvolutionLoopNeverRecompilesAnyGenome)
     // With cfg.elitism = 2 elites per species surviving each of the 5
     // reproductions, plans were carried across generations.
     EXPECT_GE(engine.planCache().carriedOver(), 5);
-    EXPECT_EQ(engine.planCache().racesDiscarded(), 0);
+}
+
+TEST(PlanCacheEngineTest, UnsortedKeysKeepEachPlanOnItsGenome)
+{
+    // Three generations whose keys arrive descending, then scattered,
+    // then descending again, with elites moving to other batch
+    // positions (genome 3 is an elite twice). Every result's plan must
+    // be its own genome's plan, and only the elites carry over.
+    const auto [cfg, genomes] = makeGenomes(12, 89);
+    const int n = static_cast<int>(genomes.size());
+    const auto handle = [&genomes = genomes](int key, int j) {
+        return neat::GenomeHandle{key, &genomes[static_cast<size_t>(j)]};
+    };
+    std::vector<std::vector<neat::GenomeHandle>> gens(3);
+    for (int j = 0; j < n; ++j)
+        gens[0].push_back(handle(1000 - j, j));
+    for (const int j : {7, 3, 11, 0, 9, 5, 1, 10, 2, 8, 4, 6})
+        gens[1].push_back(handle(j == 3 || j == 9 ? 1000 - j : 2000 + j, j));
+    for (int j = n - 1; j >= 0; --j)
+        gens[2].push_back(handle(j == 3   ? 1000 - j
+                                 : j == 0 ? 2000 + j
+                                          : 3000 + j,
+                                 j));
+
+    EvalEngineConfig ecfg;
+    ecfg.envName = "CartPole_v0";
+    ecfg.numThreads = 4;
+    ecfg.episodes = 1;
+    EvalEngine engine(ecfg);
+
+    XorWow rng(97);
+    PlanScratch got;
+    PlanScratch want;
+    for (const auto &handles : gens) {
+        const auto results = engine.evaluateGeneration(
+            handles, cfg, EvalEngine::sharedEpisodeSeeds(3));
+        ASSERT_EQ(results.size(), handles.size());
+        for (size_t i = 0; i < handles.size(); ++i) {
+            SCOPED_TRACE("key " + std::to_string(handles[i].key));
+            EXPECT_EQ(results[i].genomeKey, handles[i].key);
+            const auto fresh =
+                CompiledPlan::compileFor(*handles[i].genome, cfg);
+            for (int t = 0; t < 4; ++t) {
+                const std::vector<double> in{
+                    rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+                    rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
+                results[i].plan->activate(in, got);
+                fresh.activate(in, want);
+                EXPECT_EQ(got.outputs, want.outputs);
+            }
+        }
+    }
+    EXPECT_EQ(engine.planCache().carriedOver(), 4);
+    EXPECT_EQ(engine.planCache().compiles(), 3L * n - 4);
 }
 
 TEST(PlanCacheEngineTest, SharedPlansBitIdenticalAcross128Threads)

@@ -437,7 +437,10 @@ TEST(RecurrentPlan, CompileForDispatchesOnConfigMode)
     // Feed-forward lowering of a cyclic genome: the cycle never
     // becomes ready, the output reads 0 (documented fallback
     // semantics, unchanged).
-    EXPECT_DOUBLE_EQ(ff.activate({1.0})[0], 0.0);
+    PlanScratch s;
+    const std::vector<double> one{1.0};
+    ff.activate(one, s);
+    EXPECT_DOUBLE_EQ(s.outputs[0], 0.0);
 }
 
 TEST(RecurrentPlan, FeedForwardEntryPointsRejectWrongMode)
@@ -463,13 +466,16 @@ TEST(RecurrentPlan, PlanCacheServesRecurrentPlansWithCarryOver)
     const Genome g = selfLoopGenome(1.0, 1.0);
 
     PlanCache cache;
-    const auto p1 = cache.acquire(7, g, cfg);
+    cache.beginGeneration(std::vector<neat::GenomeHandle>{{7, &g}});
+    const auto p1 = cache.acquire(0, g, cfg);
     ASSERT_TRUE(p1->isRecurrent());
     EXPECT_EQ(cache.compiles(), 1);
 
-    // Same key next generation (an elite): carried over, no recompile.
-    cache.beginGeneration({7});
-    const auto p2 = cache.acquire(7, g, cfg);
+    // Same key next generation (an elite), now behind a fresh key:
+    // carried over, no recompile.
+    cache.beginGeneration(
+        std::vector<neat::GenomeHandle>{{8, &g}, {7, &g}});
+    const auto p2 = cache.acquire(1, g, cfg);
     EXPECT_EQ(p2.get(), p1.get());
     EXPECT_EQ(cache.compiles(), 1);
     EXPECT_EQ(cache.carriedOver(), 1);
