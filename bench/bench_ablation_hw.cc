@@ -191,10 +191,11 @@ main()
         t.setHeader({"format", "frac bits", "replay fitness",
                      "fitness loss"});
         auto env = env::makeEnvironment("CartPole_v0");
-        nn::PlanScratch scratch;
+        env::WaveScratch scratch;
         auto replay = [&](const neat::Genome &g) {
-            return env::runEpisode(*env, nn::CompiledPlan::compileFor(g, ncfg),
-                                   scratch, 1234)
+            const auto plan = nn::CompiledPlan::compileFor(g, ncfg);
+            return env::evaluateWave({{&plan, 1234}}, {env.get()}, scratch)
+                .episodes.front()
                 .fitness;
         };
         const double base = replay(best);
@@ -237,11 +238,14 @@ main()
         const auto &ncfg = msys.neatConfig();
 
         auto envp = env::makeEnvironment("CartPole_v0");
-        const std::vector<uint64_t> seeds{deriveSeed(777, 0),
-                                          deriveSeed(777, 1)};
+        env::WaveScratch scratch;
         auto fit = [&](const neat::Genome &g) {
-            return env::evaluateDetailed(
-                       *envp, nn::CompiledPlan::compileFor(g, ncfg), seeds)
+            const auto plan = nn::CompiledPlan::compileFor(g, ncfg);
+            const std::vector<env::WaveItem> items{
+                {&plan, deriveSeed(777, 0)}, {&plan, deriveSeed(777, 1)}};
+            return env::reduceEpisodes(
+                       env::evaluateWave(items, {envp.get()}, scratch)
+                           .episodes)
                 .fitness;
         };
 

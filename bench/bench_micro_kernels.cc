@@ -13,6 +13,7 @@
 
 #include "common/logging.hh"
 #include "core/workloads.hh"
+#include "env/reference_eval.hh"
 #include "env/runner.hh"
 #include "exec/eval_engine.hh"
 #include "hw/eve_pe.hh"
@@ -453,9 +454,9 @@ waveLanes(std::vector<std::unique_ptr<env::Environment>> &owned,
 
 /**
  * The wave contract, checked before timing: every wave episode
- * bit-identical to the serial loop, and measured lane occupancy at
- * least 0.9 — the acceptance bar for the cross-genome scheduler at
- * episodesPerEval == 1. Returns the measured total environment steps
+ * bit-identical to the test oracle's serial loop, and measured lane
+ * occupancy at least 0.9 — the acceptance bar for the cross-genome
+ * scheduler at episodesPerEval == 1. Returns the measured total environment steps
  * across the workload, so items_per_second counts env-steps without
  * re-deriving the episode lengths.
  */
@@ -470,8 +471,8 @@ assertWaveMatchesSerial(const WaveWorkload &w)
     FixedLengthEnv serial_env(w.cfg.numInputs);
     nn::PlanScratch pscratch;
     for (size_t i = 0; i < w.plans.size(); ++i) {
-        const auto expect =
-            env::runEpisode(serial_env, w.plans[i], pscratch, w.seeds[i]);
+        const auto expect = oracle::runEpisode(serial_env, w.plans[i],
+                                               pscratch, w.seeds[i]);
         const auto &got = wave.episodes[i];
         GENESYS_ASSERT(
             std::bit_cast<uint64_t>(got.fitness) ==

@@ -40,12 +40,10 @@ main(int argc, char **argv)
     core::System sys(cfg);
 
     // Self-identifying log header: which correctness tooling this
-    // binary carries (GENESYS_CHECKED build flag + env toggle, the
-    // sanitizer it was compiled under, if any) and the numerics tier
-    // the run resolved (config + GENESYS_NUMERICS override).
-    std::cout << "build: checked="
-              << (checkedBuild() ? (checksEnabled() ? "on" : "built-but-off")
-                                 : "off")
+    // binary carries (GENESYS_CHECKED build flag, the sanitizer it
+    // was compiled under, if any) and the numerics tier the run
+    // resolved (config + GENESYS_NUMERICS override).
+    std::cout << "build: checked=" << (checkedBuild() ? "on" : "off")
               << " sanitizer=" << sanitizerName()
               << " numerics=" << nn::numericsTierName(sys.numericsTier())
               << "\n";

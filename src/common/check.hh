@@ -6,8 +6,7 @@
  * GENESYS_DCHECK guards the expensive ones — full-structure walks,
  * per-lane bounds in inner loops — that would tax the steady-state
  * path. They exist only when the GENESYS_CHECKED CMake option defines
- * the macro of the same name; a checked build can still disable them
- * at runtime with GENESYS_CHECKED=0 in the environment.
+ * the macro of the same name, and a checked build always runs them.
  *
  * Checks must never alter observable behavior: a checked build that
  * passes must produce bit-identical golden digests to a release
@@ -60,21 +59,6 @@ sanitizerName()
 #endif
 }
 
-#ifdef GENESYS_CHECKED
-/**
- * Whether DCHECKs fire at runtime. Reads the GENESYS_CHECKED
- * environment variable once (absent/1/on/true/yes enable, 0/off/false/no
- * disable, anything else is a fatal configuration error).
- */
-bool checksEnabled();
-#else
-constexpr bool
-checksEnabled()
-{
-    return false;
-}
-#endif
-
 namespace detail
 {
 
@@ -99,7 +83,7 @@ dcheckInRange(V v, L lo, H hi)
 /** Check an invariant; msg may be an ostream chain. */
 #define GENESYS_DCHECK(cond, msg)                                          \
     do {                                                                   \
-        if (::genesys::checksEnabled() && !(cond)) {                       \
+        if (!(cond)) {                                                     \
             std::ostringstream _gsy_oss;                                   \
             _gsy_oss << "dcheck failed: " #cond ": " << msg;               \
             ::genesys::panic(_gsy_oss.str());                              \
@@ -112,14 +96,12 @@ dcheckInRange(V v, L lo, H hi)
  */
 #define GENESYS_DCHECK_RANGE(val, lo, hi, what)                            \
     do {                                                                   \
-        if (::genesys::checksEnabled()) {                                  \
-            const auto _gsy_v = (val);                                     \
-            if (!::genesys::detail::dcheckInRange(_gsy_v, (lo), (hi))) {   \
-                std::ostringstream _gsy_oss;                               \
-                _gsy_oss << "dcheck failed: " << what << ": " << _gsy_v    \
-                         << " outside [" << (lo) << ", " << (hi) << ")";   \
-                ::genesys::panic(_gsy_oss.str());                          \
-            }                                                              \
+        const auto _gsy_v = (val);                                         \
+        if (!::genesys::detail::dcheckInRange(_gsy_v, (lo), (hi))) {       \
+            std::ostringstream _gsy_oss;                                   \
+            _gsy_oss << "dcheck failed: " << what << ": " << _gsy_v        \
+                     << " outside [" << (lo) << ", " << (hi) << ")";       \
+            ::genesys::panic(_gsy_oss.str());                              \
         }                                                                  \
     } while (0)
 

@@ -94,13 +94,6 @@ struct Series
 {
     std::string name;
     std::vector<double> values;
-
-    void
-    resizeAtLeast(size_t n)
-    {
-        if (values.size() < n)
-            values.resize(n, 0.0);
-    }
 };
 
 /** Element-wise mean of several series (ragged lengths allowed). */

@@ -426,11 +426,13 @@ System::replayBest(uint64_t seed)
     GENESYS_ASSERT(population_->hasBest(), "no best genome yet");
     obs::Span span("replay_best", "phase");
     // compileFor: recurrent configs replay through a recurrent plan,
-    // under the same numerics tier the run evaluated with.
+    // under the same numerics tier the run evaluated with. The episode
+    // runs on the engine's loop, one item on one lane.
     const auto plan = nn::CompiledPlan::compileFor(
         population_->bestGenome(), neatCfg_, numericsTier_);
-    nn::PlanScratch scratch;
-    return env::runEpisode(*env_, plan, scratch, seed);
+    env::WaveScratch scratch;
+    return env::evaluateWave({{&plan, seed}}, {env_.get()}, scratch)
+        .episodes.front();
 }
 
 } // namespace genesys::core

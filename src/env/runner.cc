@@ -16,28 +16,22 @@
 namespace genesys::env
 {
 
-EpisodeResult
-runEpisode(Environment &env, const nn::CompiledPlan &plan,
-           nn::PlanScratch &scratch, uint64_t seed)
-{
-    plan.reset(scratch); // clears recurrent state; no-op feed-forward
-    return detail::runEpisodeWith(
-        env, seed, plan.macsPerInference(),
-        [&plan, &scratch](const std::vector<double> &obs)
-            -> const std::vector<double> & {
-            plan.activate(obs, scratch);
-            return scratch.outputs;
-        });
-}
-
 EvalDetail
-evaluateDetailed(Environment &env, const nn::CompiledPlan &plan,
-                 const std::vector<uint64_t> &episodeSeeds)
+reduceEpisodes(std::span<const EpisodeResult> episodes)
 {
-    nn::PlanScratch scratch; // warmed once, reused by every episode
-    return detail::evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
-        return runEpisode(env, plan, scratch, seed);
-    });
+    GENESYS_ASSERT(!episodes.empty(),
+                   "reduceEpisodes needs at least one episode");
+    EvalDetail detail;
+    detail.episodes.assign(episodes.begin(), episodes.end());
+    double total = 0.0;
+    for (const EpisodeResult &res : episodes) {
+        total += res.fitness;
+        detail.inferences += res.inferences;
+        detail.macs += res.macs;
+        detail.maxEpisodeSteps = std::max(detail.maxEpisodeSteps, res.steps);
+    }
+    detail.fitness = total / static_cast<double>(episodes.size());
+    return detail;
 }
 
 double

@@ -3,7 +3,11 @@
  * Episode runner: closes the loop between a genome's phenotype and an
  * environment (steps 2-5 of the walkthrough in Section IV-B), and
  * adapts episode outcomes into NEAT fitness values (step 6, "reward
- * to fitness").
+ * to fitness"). evaluateWave is the library's one episode loop: the
+ * engine runs every generation through its pull form, and one-off
+ * replays run through its vector form on a single lane. The serial
+ * one-episode-at-a-time loop it is diffed against lives in the test
+ * oracle (tests/oracle/env/reference_eval.hh).
  */
 
 #ifndef GENESYS_ENV_RUNNER_HH
@@ -30,7 +34,7 @@ struct EpisodeResult
     /**
      * Network evaluations performed. The policy runs exactly one
      * forward pass per environment step, so this always equals
-     * `steps` — the invariant is enforced in the episode loops
+     * `steps` — the invariant is enforced in the episode loop
      * (assigned from the step count, not counted separately) and
      * documented only here.
      */
@@ -54,85 +58,16 @@ struct EvalDetail
     std::vector<EpisodeResult> episodes;
 };
 
-namespace detail
-{
-
 /**
- * The serial episode loop, parameterized over the policy: reset `env`
- * from `seed`, then step it with the action decoded from `act(obs)`
- * (the policy's outputs for one observation) until the episode ends.
- * runEpisode binds it to a compiled plan; the reference interpreters
- * of the test oracle run through it too.
+ * Reduce one genome's episode results to its EvalDetail — step 6 of
+ * the walkthrough, "reward to fitness". Fitness is the mean episode
+ * fitness, summed in episode order and then divided by the count;
+ * inferences and MACs are totals, and maxEpisodeSteps is the longest
+ * episode. The engine and the test oracle both reduce through here,
+ * so a genome's fitness bits depend only on its episode results.
+ * Needs at least one episode.
  */
-template <typename ActFn>
-EpisodeResult
-runEpisodeWith(Environment &env, uint64_t seed, long macs_per_step,
-               ActFn &&act)
-{
-    EpisodeResult result;
-    const ActionSpace space = env.actionSpace();
-
-    std::vector<double> obs(static_cast<size_t>(env.observationSize()));
-    Action action;
-    env.resetInto(seed, obs);
-    bool done = false;
-    while (!done) {
-        const std::vector<double> &outputs = act(obs);
-        decodeActionInto(space, outputs, action);
-        done = env.stepInto(action, obs).done;
-    }
-    result.cumulativeReward = env.cumulativeReward();
-    result.fitness = env.episodeFitness();
-    result.steps = env.stepsTaken();
-    result.inferences = result.steps; // one forward pass per step
-    result.macs = macs_per_step * result.inferences;
-    return result;
-}
-
-/** Accumulate an EvalDetail: `episode(seed)` runs one episode. */
-template <typename EpisodeFn>
-EvalDetail
-evaluateDetailedWith(const std::vector<uint64_t> &episodeSeeds,
-                     EpisodeFn &&episode)
-{
-    GENESYS_ASSERT(!episodeSeeds.empty(),
-                   "evaluateDetailed needs at least one episode seed");
-    EvalDetail detail;
-    detail.episodes.reserve(episodeSeeds.size());
-    double total = 0.0;
-    for (uint64_t seed : episodeSeeds) {
-        EpisodeResult res = episode(seed);
-        total += res.fitness;
-        detail.inferences += res.inferences;
-        detail.macs += res.macs;
-        detail.maxEpisodeSteps =
-            std::max(detail.maxEpisodeSteps, res.steps);
-        detail.episodes.push_back(std::move(res));
-    }
-    detail.fitness = total / static_cast<double>(episodeSeeds.size());
-    return detail;
-}
-
-} // namespace detail
-
-/**
- * Run one episode of `env` from `seed` through a compiled plan, for
- * feed-forward and recurrent plans alike (recurrent state is reset at
- * episode start and ticked per environment step). The plan is
- * read-only shared state; all mutable evaluation state lives in
- * `scratch`, so concurrent episodes can share one plan.
- */
-EpisodeResult runEpisode(Environment &env, const nn::CompiledPlan &plan,
-                         nn::PlanScratch &scratch, uint64_t seed);
-
-/**
- * Evaluate a compiled plan over explicit per-episode seeds, keeping
- * the per-episode results and workload totals the hardware model
- * needs — the serial episode loop: one plan, many episodes, one
- * scratch. Mutates only `env`.
- */
-EvalDetail evaluateDetailed(Environment &env, const nn::CompiledPlan &plan,
-                            const std::vector<uint64_t> &episodeSeeds);
+EvalDetail reduceEpisodes(std::span<const EpisodeResult> episodes);
 
 /**
  * One unit of wave work: a single episode of a single compiled plan.
@@ -273,7 +208,7 @@ struct WaveResult
  * exec::EnvPool worker shard); `scratch` is the caller's reusable
  * wave scratch; each item's outcome is written to `results[slot]`.
  * Each EpisodeResult is bit-identical, field for field, to running
- * that (plan, seed) episode alone through runEpisode —
+ * that (plan, seed) episode alone on a single lane —
  * lane packing, grouping, refill and claim order never reassociate a
  * lane's arithmetic or reorder its environment stepping.
  */

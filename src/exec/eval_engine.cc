@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <span>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -364,25 +365,9 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
             episodeSlots_);
     });
 
-    // Assemble each genome's EvalDetail from its episode slots, in
-    // genome order and accumulating in episode order — the exact order
-    // of the serial evaluateDetailed loop, so the mean and totals are
-    // bit-identical, not merely equal up to reassociation.
-    for (std::size_t g = 0; g < batch.size(); ++g) {
-        env::EvalDetail &d = results[g].detail;
-        d = env::EvalDetail{};
-        d.episodes.reserve(E);
-        double total = 0.0;
-        for (std::size_t e = 0; e < E; ++e) {
-            const env::EpisodeResult &res = episodeSlots_[g * E + e];
-            total += res.fitness;
-            d.inferences += res.inferences;
-            d.macs += res.macs;
-            d.maxEpisodeSteps = std::max(d.maxEpisodeSteps, res.steps);
-            d.episodes.push_back(res);
-        }
-        d.fitness = total / static_cast<double>(E);
-    }
+    const std::span<const env::EpisodeResult> slots(episodeSlots_);
+    for (std::size_t g = 0; g < batch.size(); ++g)
+        results[g].detail = env::reduceEpisodes(slots.subspan(g * E, E));
 
     lastBatch_.laneCount = envs_.lanesPerWorker();
     uint64_t busyMax = 0;

@@ -13,9 +13,10 @@
  * episodes on its own lanes, stepping them in BSP lockstep and
  * refilling a lane as soon as its episode ends — mirroring the
  * paper's PE-array wave execution, where every PE stays busy on some
- * genome. Episode results land in per-(genome, episode) slots and
- * each genome's EvalDetail is assembled after the pass, in genome
- * order. Episode seeds come from a SplitMix-style
+ * genome. Episode results land in per-(genome, episode) slots, and
+ * after the pass env::reduceEpisodes turns each genome's slots into
+ * its EvalDetail — the same reduction the test oracle's serial loop
+ * ends in. Episode seeds come from a SplitMix-style
  * per-(genome, episode) mixer, which makes results a pure function of
  * (genome, seed) — bit-identical whether the batch runs on 1 thread
  * or N, and whichever worker claims which genome.

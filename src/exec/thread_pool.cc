@@ -108,12 +108,9 @@ ThreadPool::workerLoop(int worker)
     for (;;) {
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            const uint64_t w0 = nowNs();
             wake_.wait(lock, [&] {
                 return stopping_ || jobId_ != last_job;
             });
-            waitNs_.fetch_add(nowNs() - w0,
-                              std::memory_order_relaxed);
             if (stopping_)
                 return;
             last_job = jobId_;

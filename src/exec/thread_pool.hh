@@ -74,16 +74,6 @@ class ThreadPool
     }
 
     /**
-     * Aggregate nanoseconds spawned workers spent parked between
-     * jobs (condition-variable wait). The caller thread is not
-     * counted — its between-job time is the serial phases.
-     */
-    uint64_t waitNs() const
-    {
-        return waitNs_.load(std::memory_order_relaxed);
-    }
-
-    /**
      * Nanoseconds `worker` spent inside the most recent non-empty
      * parallelFor's bodies — the same two clock reads busyNs() sums —
      * or 0 if it claimed no item. Read it after that parallelFor
@@ -117,7 +107,6 @@ class ThreadPool
     int busyWorkers_ = 0;
 
     std::atomic<uint64_t> busyNs_{0};
-    std::atomic<uint64_t> waitNs_{0};
     /**
      * Per-worker busy time of the current job. Reset under the mutex
      * when a job is posted; a worker writes only its own entry, and

@@ -42,15 +42,4 @@ GenesysSoc::simulateGeneration(
     return s;
 }
 
-long
-GenesysSoc::populationFootprintBytes(
-    const std::vector<GenomeInferenceWork> &inference, long total_genes)
-{
-    // GeneSys stores genomes (8 B per gene), not matrices; the
-    // schedules argument is kept for signature symmetry with the
-    // GPU footprint models.
-    (void)inference;
-    return total_genes * 8;
-}
-
 } // namespace genesys::hw

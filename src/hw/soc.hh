@@ -70,11 +70,6 @@ class GenesysSoc
                        const std::vector<GenomeInferenceWork> &inference,
                        long generation_bytes = 0) const;
 
-    /** Memory footprint of a generation: its genomes (Fig 10(d)). */
-    static long populationFootprintBytes(
-        const std::vector<GenomeInferenceWork> &inference,
-        long total_genes);
-
     const SocParams &soc() const { return soc_; }
     const EnergyModel &energy() const { return energyModel_; }
     const EveEngine &eve() const { return eve_; }

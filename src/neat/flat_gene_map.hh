@@ -343,15 +343,13 @@ class FlatGeneMap
      * Walk the full structure verifying the parallel-array invariant:
      * keys_ strictly ascending, and (for gene types that embed their
      * key) values_[i].key agreeing with keys_[i]. O(n), so DCHECK-only
-     * — a no-op unless this is a GENESYS_CHECKED build with checks
-     * enabled. `what` names the call site in the panic message.
+     * — a no-op unless this is a GENESYS_CHECKED build. `what` names
+     * the call site in the panic message.
      */
     void
     dcheckInvariants(const char *what) const
     {
 #ifdef GENESYS_CHECKED
-        if (!checksEnabled())
-            return;
         GENESYS_DCHECK(keys_.size() == values_.size(),
                        what << ": parallel arrays diverge (" << keys_.size()
                             << " keys, " << values_.size() << " genes)");

@@ -33,7 +33,7 @@ void
 dcheckSpeciesPartition(const SpeciesSet &species,
                        const std::map<int, Genome> &population)
 {
-    if (!checksEnabled())
+    if (!checkedBuild())
         return;
     size_t member_total = 0;
     for (const auto &[sk, sp] : species.species()) {
@@ -169,20 +169,6 @@ Population::restore(PopulationSnapshot snapshot)
 }
 
 bool
-Population::step(const FitnessFn &fitness)
-{
-    // Scalar fallback: adapt to the batched path one genome at a
-    // time, preserving ascending-key evaluation order.
-    return stepBatch([&fitness](const std::vector<GenomeHandle> &batch) {
-        std::vector<double> out;
-        out.reserve(batch.size());
-        for (const GenomeHandle &h : batch)
-            out.push_back(fitness(*h.genome));
-        return out;
-    });
-}
-
-bool
 Population::stepBatch(const BatchFitnessFn &fitness)
 {
     lastPhases_ = StepPhaseTimes{};
@@ -259,38 +245,6 @@ Population::stepBatch(const BatchFitnessFn &fitness)
     dcheckSpeciesPartition(speciesSet_, population_);
     lastPhases_.speciateSeconds = secondsSince(s0);
     return false;
-}
-
-RunResult
-Population::run(const FitnessFn &fitness, int max_generations)
-{
-    return runBatch(
-        [&fitness](const std::vector<GenomeHandle> &batch) {
-            std::vector<double> out;
-            out.reserve(batch.size());
-            for (const GenomeHandle &h : batch)
-                out.push_back(fitness(*h.genome));
-            return out;
-        },
-        max_generations);
-}
-
-RunResult
-Population::runBatch(const BatchFitnessFn &fitness, int max_generations)
-{
-    RunResult result;
-    for (int i = 0; i < max_generations; ++i) {
-        if (stepBatch(fitness)) {
-            result.solved = true;
-            break;
-        }
-    }
-    result.generations = generation_ + (result.solved ? 1 : 0);
-    if (hasBest_) {
-        result.bestFitness = bestGenome_.fitness();
-        result.bestGenome = bestGenome_;
-    }
-    return result;
 }
 
 } // namespace genesys::neat

@@ -3,7 +3,9 @@
  * The NEAT population loop (Fig 3(b)): evaluate fitness, check the
  * target, reproduce, speciate — while recording the per-generation
  * statistics and evolution traces that drive every characterization
- * figure (Figs 4, 5, 11(a)) and the hardware model.
+ * figure (Figs 4, 5, 11(a)) and the hardware model. A generation
+ * advances through Population::stepBatch, which hands the whole
+ * unevaluated generation to the caller's batched fitness callback.
  */
 
 #ifndef GENESYS_NEAT_POPULATION_HH
@@ -43,9 +45,9 @@ struct GenerationStats
 };
 
 /**
- * Wall-clock of the serial evolution phases inside one step() /
- * stepBatch() call — the generation-barrier work during which the
- * evaluation lanes idle. Always measured (two steady_clock pairs per
+ * Wall-clock of the serial evolution phases inside one stepBatch()
+ * call — the generation-barrier work during which the evaluation
+ * lanes idle. Always measured (two steady_clock pairs per
  * generation, nowhere near a hot path); the span tracer additionally
  * records the same phases on the timeline when installed.
  */
@@ -96,16 +98,6 @@ struct PopulationSnapshot
     std::vector<EvolutionTrace> traces;
 };
 
-/** Outcome of Population::run(). */
-struct RunResult
-{
-    bool solved = false;
-    int generations = 0;
-    double bestFitness = 0.0;
-    /** Best genome seen across the whole run. */
-    Genome bestGenome;
-};
-
 /**
  * A handle into the population: the genome's key plus a borrowed
  * pointer, valid for the duration of one batch-evaluation call.
@@ -118,20 +110,15 @@ struct GenomeHandle
 
 /**
  * A NEAT population. Fitness evaluation is supplied by the caller as
- * a callback (in GeneSys, that callback is ADAM + the environment
- * instances; see core/genesys.hh). Two callback shapes exist: the
- * scalar FitnessFn (one genome at a time — the simple fallback) and
- * the batched BatchFitnessFn, which receives the whole unevaluated
- * generation at once so the caller can fan it out across workers
- * (exec::EvalEngine) the way GeneSys streams the population through
- * the PE array.
+ * one callback shape, BatchFitnessFn: it receives the whole
+ * unevaluated generation at once so the caller can fan it out across
+ * workers (exec::EvalEngine) the way GeneSys streams the population
+ * through the PE array (in GeneSys, that callback is ADAM + the
+ * environment instances; see core/genesys.hh).
  */
 class Population
 {
   public:
-    /** Per-genome fitness function. */
-    using FitnessFn = std::function<double(const Genome &)>;
-
     /**
      * Whole-generation fitness function: receives every unevaluated
      * genome (in ascending key order) and must return one fitness
@@ -143,27 +130,15 @@ class Population
     Population(const NeatConfig &cfg, uint64_t seed);
 
     /**
-     * Evaluate the current generation, record stats, and — unless the
-     * fitness threshold is reached — breed the next generation.
-     * Returns true if the threshold was reached.
-     */
-    bool step(const FitnessFn &fitness);
-
-    /**
-     * Like step(), but hands the whole unevaluated generation to the
-     * callback in one batch (population-level parallelism). Both
-     * funnel through here: a non-finite fitness (NaN, ±inf) is
+     * Evaluate the current generation by handing every unevaluated
+     * genome to the callback in one batch (population-level
+     * parallelism), record stats, and — unless the fitness threshold
+     * is reached — breed the next generation. Returns true if the
+     * threshold was reached. A non-finite fitness (NaN, ±inf) is
      * replaced by the lowest finite fitness of the batch (0.0 if none
      * is finite) and counted in the `fitness.non_finite` metric.
      */
     bool stepBatch(const BatchFitnessFn &fitness);
-
-    /** Run up to `max_generations` steps or until solved. */
-    RunResult run(const FitnessFn &fitness, int max_generations);
-
-    /** Batched variant of run(). */
-    RunResult runBatch(const BatchFitnessFn &fitness,
-                       int max_generations);
 
     // --- inspection -----------------------------------------------------
     const std::map<int, Genome> &genomes() const { return population_; }
@@ -177,7 +152,7 @@ class Population
     const std::vector<EvolutionTrace> &traces() const { return traces_; }
 
     /**
-     * Phase wall-clock of the most recent step()/stepBatch() call
+     * Phase wall-clock of the most recent stepBatch() call
      * (zeros when the step solved and bred nothing). Before the first
      * step it holds the constructor's: creating generation 0 and its
      * first speciation. restore() zeroes it.
@@ -190,7 +165,8 @@ class Population
 
     /**
      * Keep only the last `n` traces (bounds memory on long runs).
-     * Takes effect immediately and is enforced after every step().
+     * Takes effect immediately and is enforced after every
+     * stepBatch().
      */
     void
     setTraceWindow(size_t n)

@@ -292,7 +292,7 @@ Reproduction::reproduce(SpeciesSet &species,
     // keys stay contiguous across the generation.
     for (Genome &child : children) {
         child.renumberNewNodes(first_local_node, nodeIndexer_);
-        if (checksEnabled())
+        if (checkedBuild())
             child.validate(cfg_);
         const int key = child.key();
         new_population.emplace(key, std::move(child));

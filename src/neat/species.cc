@@ -144,8 +144,6 @@ SpeciesSet::speciate(const std::map<int, Genome> &population, int generation,
     // Step 3: rebuild the species map.
     genomeToSpecies_.clear();
     std::map<int, Species> updated;
-    double distance_sum = 0.0;
-    long distance_count = 0;
     for (const auto &[sk, repKey] : newRepresentatives) {
         Species sp;
         auto old = species_.find(sk);
@@ -160,18 +158,11 @@ SpeciesSet::speciate(const std::map<int, Genome> &population, int generation,
         sp.memberKeys = newMembers.at(sk);
         sp.fitness.reset();
         sp.adjustedFitness = 0.0;
-        for (int mk : sp.memberKeys) {
+        for (int mk : sp.memberKeys)
             genomeToSpecies_[mk] = sk;
-            distance_sum += distances.distance(sp.representative,
-                                               population.at(mk));
-            ++distance_count;
-        }
         updated.emplace(sk, std::move(sp));
     }
     species_ = std::move(updated);
-    lastMeanDistance_ =
-        distance_count ? distance_sum / static_cast<double>(distance_count)
-                       : 0.0;
 }
 
 int
@@ -191,7 +182,6 @@ SpeciesSet::restore(std::map<int, Species> species, int next_species_key)
         for (int mk : sp.memberKeys)
             genomeToSpecies_[mk] = sk;
     }
-    lastMeanDistance_ = 0.0;
 }
 
 void

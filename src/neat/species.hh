@@ -114,15 +114,11 @@ class SpeciesSet
      */
     void restore(std::map<int, Species> species, int next_species_key);
 
-    /** Mean/max genomic distance observed in the last speciation. */
-    double lastMeanDistance() const { return lastMeanDistance_; }
-
   private:
     const NeatConfig &cfg_;
     std::map<int, Species> species_;
     std::map<int, int> genomeToSpecies_;
     int nextSpeciesKey_ = 1;
-    double lastMeanDistance_ = 0.0;
 };
 
 } // namespace genesys::neat

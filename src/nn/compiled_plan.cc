@@ -769,8 +769,6 @@ void
 CompiledPlan::dcheckCompiled(const char *what, const CompileScratch &s) const
 {
 #ifdef GENESYS_CHECKED
-    if (!checksEnabled())
-        return;
     const auto n_nodes = static_cast<int32_t>(activation_.size());
     GENESYS_DCHECK(!blocks_.empty() && blocks_.front().node == 0 &&
                        blocks_.front().row == 0 &&

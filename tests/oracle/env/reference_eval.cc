@@ -10,24 +10,89 @@ namespace genesys::oracle
 namespace
 {
 
+/**
+ * The serial episode loop, parameterized over the policy: reset `env`
+ * from `seed`, then step it with the action decoded from `act(obs)`
+ * (the policy's outputs for one observation) until the episode ends.
+ */
+template <typename ActFn>
+env::EpisodeResult
+runEpisodeWith(env::Environment &env, uint64_t seed, long macs_per_step,
+               ActFn &&act)
+{
+    env::EpisodeResult result;
+    const env::ActionSpace space = env.actionSpace();
+
+    std::vector<double> obs(static_cast<size_t>(env.observationSize()));
+    env::Action action;
+    env.resetInto(seed, obs);
+    bool done = false;
+    while (!done) {
+        const std::vector<double> &outputs = act(obs);
+        env::decodeActionInto(space, outputs, action);
+        done = env.stepInto(action, obs).done;
+    }
+    result.cumulativeReward = env.cumulativeReward();
+    result.fitness = env.episodeFitness();
+    result.steps = env.stepsTaken();
+    result.inferences = result.steps; // one forward pass per step
+    result.macs = macs_per_step * result.inferences;
+    return result;
+}
+
+/** Run `episode(seed)` for every seed in order, then reduce. */
+template <typename EpisodeFn>
+env::EvalDetail
+evaluateDetailedWith(const std::vector<uint64_t> &episodeSeeds,
+                     EpisodeFn &&episode)
+{
+    std::vector<env::EpisodeResult> episodes;
+    episodes.reserve(episodeSeeds.size());
+    for (uint64_t seed : episodeSeeds)
+        episodes.push_back(episode(seed));
+    return env::reduceEpisodes(episodes);
+}
+
 template <typename Net>
 env::EvalDetail
 evaluateWith(env::Environment &env, Net &net,
              const std::vector<uint64_t> &episodeSeeds)
 {
-    return env::detail::evaluateDetailedWith(
-        episodeSeeds, [&](uint64_t seed) {
-            if constexpr (std::is_same_v<Net, nn::RecurrentNetwork>)
-                net.reset(); // episodes never share recurrent state
-            return env::detail::runEpisodeWith(
-                env, seed, net.macsPerInference(),
-                [&net](const std::vector<double> &obs) {
-                    return net.activate(obs);
-                });
-        });
+    return evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
+        if constexpr (std::is_same_v<Net, nn::RecurrentNetwork>)
+            net.reset(); // episodes never share recurrent state
+        return runEpisodeWith(env, seed, net.macsPerInference(),
+                              [&net](const std::vector<double> &obs) {
+                                  return net.activate(obs);
+                              });
+    });
 }
 
 } // namespace
+
+env::EpisodeResult
+runEpisode(env::Environment &env, const nn::CompiledPlan &plan,
+           nn::PlanScratch &scratch, uint64_t seed)
+{
+    plan.reset(scratch); // clears recurrent state; no-op feed-forward
+    return runEpisodeWith(
+        env, seed, plan.macsPerInference(),
+        [&plan, &scratch](const std::vector<double> &obs)
+            -> const std::vector<double> & {
+            plan.activate(obs, scratch);
+            return scratch.outputs;
+        });
+}
+
+env::EvalDetail
+evaluateDetailed(env::Environment &env, const nn::CompiledPlan &plan,
+                 const std::vector<uint64_t> &episodeSeeds)
+{
+    nn::PlanScratch scratch; // warmed once, reused by every episode
+    return evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
+        return runEpisode(env, plan, scratch, seed);
+    });
+}
 
 env::EvalDetail
 evaluateDetailed(env::Environment &env, const neat::Genome &genome,

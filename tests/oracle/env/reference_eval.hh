@@ -1,9 +1,16 @@
 /**
  * @file
- * Genome-level evaluation through the reference interpreters: the
- * oracle the compiled-plan episode paths (env::evaluateDetailed,
- * env::evaluateWave, the engine) are diffed against. Runs on the
- * library's own serial episode loop, so only the phenotype differs.
+ * The serial episode loop and genome-level evaluation through the
+ * reference interpreters: the oracle the library's one episode loop,
+ * env::evaluateWave, and the engine built on it are diffed against.
+ *
+ * The loop runs one episode at a time, one policy at a time: reset
+ * the environment from the episode seed, then step it with the
+ * action decoded from the policy's outputs until the episode ends.
+ * runEpisode and the plan form of evaluateDetailed drive it with a
+ * compiled plan; the genome form drives the same loop with the
+ * interpreters, so only the phenotype differs. Every form reduces its
+ * episodes with env::reduceEpisodes, the reduction the engine uses.
  */
 
 #ifndef GENESYS_ORACLE_ENV_REFERENCE_EVAL_HH
@@ -16,6 +23,25 @@
 
 namespace genesys::oracle
 {
+
+/**
+ * Run one episode of `env` from `seed` through a compiled plan, for
+ * feed-forward and recurrent plans alike (recurrent state is reset at
+ * episode start and ticked per environment step). All mutable
+ * evaluation state lives in `scratch`.
+ */
+env::EpisodeResult runEpisode(env::Environment &env,
+                              const nn::CompiledPlan &plan,
+                              nn::PlanScratch &scratch, uint64_t seed);
+
+/**
+ * Evaluate a compiled plan over explicit per-episode seeds, one
+ * episode after another on `env` with one scratch. Mutates only
+ * `env`.
+ */
+env::EvalDetail evaluateDetailed(env::Environment &env,
+                                 const nn::CompiledPlan &plan,
+                                 const std::vector<uint64_t> &episodeSeeds);
 
 /**
  * Evaluate `genome` over explicit per-episode seeds through the

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -76,11 +75,8 @@ TEST(CheckedInvariants, CorruptedEmbeddedGeneKeyPanics)
     // Desynchronize the embedded key from the sorted key array — the
     // corruption mutableValues() callers are trusted never to commit.
     map.mutableValueAt(1).key = 99;
-    // checksEnabled(), not checkedBuild(): a checked build run with
-    // GENESYS_CHECKED=0 in the environment must behave like release.
-    if (!checksEnabled()) {
-        // Macros compile out (or are toggled off): the corruption
-        // must go unnoticed.
+    if (!checkedBuild()) {
+        // Macros compile out: the corruption must go unnoticed.
         map.dcheckInvariants("checks disabled");
         return;
     }
@@ -96,10 +92,10 @@ TEST(CheckedInvariants, MisSizedBatchAccumulatorPanics)
     // Shrink the one buffer activateBatch's always-on size ASSERTs do
     // not cover; only the DCHECK stands between this and an overrun.
     scratch.acc.resize(2);
-    if (!checksEnabled()) {
+    if (!checkedBuild()) {
         GTEST_SKIP() << "accumulator overrun is only caught (and only "
                         "safe to provoke) with GENESYS_CHECKED "
-                        "compiled in and enabled";
+                        "compiled in";
     }
     EXPECT_THROW(
         fx.plan.activateBatch(4, scratch),
@@ -137,17 +133,11 @@ TEST(CheckedInvariants, MutateAndCrossoverKeepInvariants)
     child.connections().dcheckInvariants("crossover child conns");
 }
 
-TEST(CheckedInvariants, BuildFlagAndEnvToggleAgree)
+TEST(CheckedInvariants, CheckedBuildFollowsBuildFlag)
 {
 #ifdef GENESYS_CHECKED
     EXPECT_TRUE(checkedBuild());
-    // checksEnabled() honors the GENESYS_CHECKED env var; under the
-    // test harness it is unset, so checks default on.
-    if (getenv("GENESYS_CHECKED") == nullptr) {
-        EXPECT_TRUE(checksEnabled());
-    }
 #else
     EXPECT_FALSE(checkedBuild());
-    EXPECT_FALSE(checksEnabled());
 #endif
 }

@@ -103,7 +103,7 @@ TEST(EpisodeBatchTest, SamePlanWaveMatchesSerialAndInterpreter)
             ASSERT_EQ(plan.isRecurrent(), !feed_forward);
 
             auto env = env::makeEnvironment("CartPole_v0");
-            const auto serial = env::evaluateDetailed(*env, plan, seeds);
+            const auto serial = oracle::evaluateDetailed(*env, plan, seeds);
             expectDetailIdentical(
                 serial, oracle::evaluateDetailed(*env, g, cfg, seeds));
 

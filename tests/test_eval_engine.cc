@@ -14,6 +14,7 @@
 #include "exec/eval_engine.hh"
 #include "exec/env_pool.hh"
 #include "exec/thread_pool.hh"
+#include "neat/per_genome.hh"
 #include "obs/metrics.hh"
 
 using namespace genesys;
@@ -442,11 +443,12 @@ TEST(PopulationTraceWindowTest, WindowEnforcedEveryStep)
     neat::Population pop(cfg, 17);
     pop.setTraceWindow(2);
 
-    auto fitness = [](const neat::Genome &g) {
-        return static_cast<double>(g.numConnectionGenes());
-    };
+    const auto fitness =
+        neat::oracle::perGenome([](const neat::Genome &g) {
+            return static_cast<double>(g.numConnectionGenes());
+        });
     for (int i = 0; i < 6; ++i) {
-        pop.step(fitness);
+        pop.stepBatch(fitness);
         EXPECT_LE(pop.traces().size(), 2u) << "after step " << i;
     }
     EXPECT_EQ(pop.traces().size(), 2u);

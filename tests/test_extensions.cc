@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "hw/energy_model.hh"
+#include "neat/per_genome.hh"
 #include "neat/population.hh"
 #include "neat/weight_tuner.hh"
 #include "nn/recurrent.hh"
@@ -316,8 +317,9 @@ TEST(WeightTuner, ImprovesEvolvedXorSolution)
     };
 
     Population pop(cfg, 9);
+    const auto batch_fitness = neat::oracle::perGenome(xor_fitness);
     for (int i = 0; i < 8; ++i)
-        pop.step(xor_fitness);
+        pop.stepBatch(batch_fitness);
     const Genome seed = pop.bestGenome();
 
     XorWow rng(10);

@@ -55,9 +55,11 @@
 
 #include "core/genesys.hh"
 #include "nn/numerics.hh"
+#include "nn/scoped_numerics_env.hh"
 #include "persist/snapshot.hh"
 
 using namespace genesys;
+using oracle::ScopedNumericsEnv;
 
 namespace
 {
@@ -77,37 +79,6 @@ fold(uint64_t &h, double v)
 {
     fold(h, std::bit_cast<uint64_t>(v));
 }
-
-/**
- * Pin GENESYS_NUMERICS for the lifetime of one digest run, restoring
- * the previous state after. Pinning through the env hook (rather than
- * only SystemConfig) both isolates the constants from an ambient CI
- * override and keeps the hook itself on the golden path.
- */
-class ScopedNumericsEnv
-{
-  public:
-    explicit ScopedNumericsEnv(nn::NumericsTier tier)
-    {
-        const char *prev = std::getenv("GENESYS_NUMERICS");
-        had_ = prev != nullptr;
-        if (had_)
-            prev_ = prev;
-        setenv("GENESYS_NUMERICS", nn::numericsTierName(tier).c_str(),
-               1);
-    }
-    ~ScopedNumericsEnv()
-    {
-        if (had_)
-            setenv("GENESYS_NUMERICS", prev_.c_str(), 1);
-        else
-            unsetenv("GENESYS_NUMERICS");
-    }
-
-  private:
-    bool had_ = false;
-    std::string prev_;
-};
 
 /** The fixed configuration every golden run uses. */
 core::SystemConfig

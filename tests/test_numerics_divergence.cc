@@ -29,8 +29,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -44,44 +42,15 @@
 #include "nn/compiled_plan.hh"
 #include "nn/hw_activations.hh"
 #include "nn/numerics.hh"
+#include "nn/scoped_numerics_env.hh"
 
 using namespace genesys;
+using oracle::ScopedNumericsEnv;
 using neat::Genome;
 using neat::NeatConfig;
 
 namespace
 {
-
-/**
- * Pin GENESYS_NUMERICS for one test. The CI matrix exports the
- * variable suite-wide (core::System applies it AFTER SystemConfig),
- * so any test comparing the two tiers through System must pin each
- * run's tier explicitly or the ambient override would collapse both
- * runs onto one tier.
- */
-class ScopedNumericsEnv
-{
-  public:
-    explicit ScopedNumericsEnv(const char *value)
-    {
-        const char *prev = getenv("GENESYS_NUMERICS");
-        had_ = prev != nullptr;
-        if (had_)
-            prev_ = prev;
-        setenv("GENESYS_NUMERICS", value, 1);
-    }
-    ~ScopedNumericsEnv()
-    {
-        if (had_)
-            setenv("GENESYS_NUMERICS", prev_.c_str(), 1);
-        else
-            unsetenv("GENESYS_NUMERICS");
-    }
-
-  private:
-    bool had_ = false;
-    std::string prev_;
-};
 
 NeatConfig
 planConfig(int inputs, int outputs)

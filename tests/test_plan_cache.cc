@@ -291,19 +291,19 @@ TEST(PlanCacheEngineTest, FullEvolutionLoopNeverRecompilesAnyGenome)
 
     neat::Population pop(cfg, 2027);
     std::set<int> distinct_keys;
-    pop.runBatch(
-        [&](const std::vector<neat::GenomeHandle> &batch) {
-            for (const auto &h : batch)
-                distinct_keys.insert(h.key);
-            const auto results = engine.evaluateGeneration(
-                batch, cfg, EvalEngine::sharedEpisodeSeeds(9));
-            std::vector<double> fits;
-            fits.reserve(results.size());
-            for (const auto &r : results)
-                fits.push_back(r.detail.fitness);
-            return fits;
-        },
-        6);
+    const auto fitness = [&](const std::vector<neat::GenomeHandle> &batch) {
+        for (const auto &h : batch)
+            distinct_keys.insert(h.key);
+        const auto results = engine.evaluateGeneration(
+            batch, cfg, EvalEngine::sharedEpisodeSeeds(9));
+        std::vector<double> fits;
+        fits.reserve(results.size());
+        for (const auto &r : results)
+            fits.push_back(r.detail.fitness);
+        return fits;
+    };
+    for (int gen = 0; gen < 6; ++gen)
+        ASSERT_FALSE(pop.stepBatch(fitness));
 
     EXPECT_EQ(engine.planCache().compiles(),
               static_cast<long>(distinct_keys.size()));

@@ -8,12 +8,14 @@
 
 #include <cmath>
 
+#include "neat/per_genome.hh"
 #include "neat/population.hh"
 #include "nn/feedforward.hh"
 #include "obs/metrics.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
+using genesys::neat::oracle::perGenome;
 
 namespace
 {
@@ -65,7 +67,8 @@ TEST(Population, StepRecordsStats)
 {
     const auto cfg = xorConfig();
     Population pop(cfg, 2);
-    pop.step([&cfg](const Genome &g) { return xorFitness(g, cfg); });
+    pop.stepBatch(
+        perGenome([&cfg](const Genome &g) { return xorFitness(g, cfg); }));
     ASSERT_EQ(pop.history().size(), 1u);
     const auto &s = pop.history().front();
     EXPECT_EQ(s.generation, 0);
@@ -83,14 +86,15 @@ TEST(Population, SolvesXor)
     bool solved = false;
     for (uint64_t seed : {11ULL, 17ULL, 23ULL}) {
         Population pop(cfg, seed);
-        const auto result = pop.run(
-            [&cfg](const Genome &g) { return xorFitness(g, cfg); }, 150);
-        if (result.solved) {
-            solved = true;
-            EXPECT_GE(result.bestFitness, 3.9);
+        const auto fit =
+            perGenome([&cfg](const Genome &g) { return xorFitness(g, cfg); });
+        for (int gen = 0; gen < 150 && !solved; ++gen)
+            solved = pop.stepBatch(fit);
+        if (solved) {
+            EXPECT_GE(pop.bestGenome().fitness(), 3.9);
             // The solution must actually compute XOR.
             const auto net =
-                nn::FeedForwardNetwork::create(result.bestGenome, cfg);
+                nn::FeedForwardNetwork::create(pop.bestGenome(), cfg);
             EXPECT_GT(net.activate({0, 1})[0], 0.5);
             EXPECT_GT(net.activate({1, 0})[0], 0.5);
             EXPECT_LT(net.activate({0, 0})[0], 0.5);
@@ -105,10 +109,11 @@ TEST(Population, DeterministicGivenSeed)
 {
     const auto cfg = xorConfig();
     Population a(cfg, 99), b(cfg, 99);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit =
+        perGenome([&cfg](const Genome &g) { return xorFitness(g, cfg); });
     for (int i = 0; i < 5; ++i) {
-        a.step(fit);
-        b.step(fit);
+        a.stepBatch(fit);
+        b.stepBatch(fit);
     }
     ASSERT_EQ(a.history().size(), b.history().size());
     for (size_t i = 0; i < a.history().size(); ++i) {
@@ -124,10 +129,11 @@ TEST(Population, DifferentSeedsDiverge)
 {
     const auto cfg = xorConfig();
     Population a(cfg, 1), b(cfg, 2);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit =
+        perGenome([&cfg](const Genome &g) { return xorFitness(g, cfg); });
     for (int i = 0; i < 3; ++i) {
-        a.step(fit);
-        b.step(fit);
+        a.stepBatch(fit);
+        b.stepBatch(fit);
     }
     // Gene totals almost surely differ after mutations.
     EXPECT_NE(a.history().back().totalGenes,
@@ -138,9 +144,10 @@ TEST(Population, TracesMatchGenerations)
 {
     const auto cfg = xorConfig();
     Population pop(cfg, 3);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit =
+        perGenome([&cfg](const Genome &g) { return xorFitness(g, cfg); });
     for (int i = 0; i < 4; ++i)
-        pop.step(fit);
+        pop.stepBatch(fit);
     // 4 steps of an unsolved run -> 4 reproduction events... unless
     // solved early; tolerate both but sizes must be consistent.
     EXPECT_EQ(pop.traces().size(),
@@ -154,9 +161,10 @@ TEST(Population, TraceWindowBoundsMemory)
     const auto cfg = xorConfig();
     Population pop(cfg, 4);
     pop.setTraceWindow(2);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit =
+        perGenome([&cfg](const Genome &g) { return xorFitness(g, cfg); });
     for (int i = 0; i < 5; ++i)
-        pop.step(fit);
+        pop.stepBatch(fit);
     EXPECT_LE(pop.traces().size(), 2u);
 }
 
@@ -164,9 +172,10 @@ TEST(Population, GeneCountGrowsFromMinimalTopology)
 {
     const auto cfg = xorConfig();
     Population pop(cfg, 5);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit =
+        perGenome([&cfg](const Genome &g) { return xorFitness(g, cfg); });
     for (int i = 0; i < 10; ++i)
-        pop.step(fit);
+        pop.stepBatch(fit);
     // Networks start minimal (Section III-B) and complexify
     // (Fig 4(b)).
     const long first = pop.history().front().totalGenes;
@@ -180,19 +189,21 @@ TEST(Population, AllGenomesEvaluatedEachGeneration)
     const auto cfg = xorConfig();
     Population pop(cfg, 6);
     int evals = 0;
-    pop.step([&](const Genome &) { return static_cast<double>(evals++); });
+    pop.stepBatch(perGenome(
+        [&](const Genome &) { return static_cast<double>(evals++); }));
     EXPECT_EQ(evals, 150);
 }
 
-TEST(Population, RunStopsAtThreshold)
+TEST(Population, StepStopsAtThreshold)
 {
     auto cfg = xorConfig();
     cfg.fitnessThreshold = 0.5;
     Population pop(cfg, 7);
-    const auto result =
-        pop.run([](const Genome &) { return 1.0; }, 50);
-    EXPECT_TRUE(result.solved);
-    EXPECT_EQ(result.generations, 1);
+    EXPECT_TRUE(pop.stepBatch(perGenome([](const Genome &) { return 1.0; })));
+    // A solving step records the generation and breeds nothing.
+    EXPECT_EQ(pop.history().size(), 1u);
+    EXPECT_EQ(pop.generation(), 0);
+    EXPECT_TRUE(pop.traces().empty());
 }
 
 TEST(Population, NonFiniteFitnessRanksLowestAndRunContinues)

@@ -1,12 +1,18 @@
 /**
  * @file
- * Tests for action decoding and the serial episode loop.
+ * Tests for action decoding, the episode-to-fitness reduction, and
+ * the library's episode loop on one lane against the oracle's serial
+ * loop.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <stdexcept>
+
 #include "env/cartpole.hh"
 #include "env/mountain_car.hh"
+#include "env/reference_eval.hh"
 #include "env/runner.hh"
 
 using namespace genesys;
@@ -58,33 +64,95 @@ TEST(DecodeAction, TooFewOutputsThrows)
     EXPECT_ANY_THROW(decodeAction(space, {0.1, 0.2}));
 }
 
-TEST(EpisodeRunner, DeterministicEvaluation)
+TEST(ReduceEpisodes, MeanFitnessTotalsAndLongestEpisode)
+{
+    std::vector<EpisodeResult> episodes(3);
+    episodes[0] = {1.0, 0.1, 4, 4, 40};
+    episodes[1] = {2.0, 0.2, 9, 9, 90};
+    episodes[2] = {3.0, 0.7, 2, 2, 20};
+    const EvalDetail d = reduceEpisodes(episodes);
+    // Summed in episode order, then divided: (0.1 + 0.2) + 0.7.
+    EXPECT_EQ(std::bit_cast<uint64_t>(d.fitness),
+              std::bit_cast<uint64_t>(((0.1 + 0.2) + 0.7) / 3.0));
+    EXPECT_EQ(d.inferences, 15);
+    EXPECT_EQ(d.macs, 150);
+    EXPECT_EQ(d.maxEpisodeSteps, 9);
+    ASSERT_EQ(d.episodes.size(), 3u);
+    EXPECT_EQ(d.episodes[1].steps, 9);
+}
+
+TEST(ReduceEpisodes, NoEpisodesPanics)
+{
+    EXPECT_THROW(reduceEpisodes({}), std::logic_error);
+}
+
+namespace
+{
+
+/** One CartPole genome's plan, evaluated on the wave loop's one lane. */
+struct OneLane
 {
     CartPole env;
-    auto cfg = configForEnvironment(env);
-    neat::NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(1);
-    const auto g = neat::Genome::createNew(0, cfg, idx, rng);
-    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
+    neat::NeatConfig cfg = configForEnvironment(env);
+    nn::CompiledPlan plan;
+    WaveScratch scratch;
 
+    explicit OneLane(uint64_t seed)
+    {
+        neat::NodeIndexer idx(cfg.numOutputs);
+        XorWow rng(seed);
+        plan = nn::CompiledPlan::compileFor(
+            neat::Genome::createNew(0, cfg, idx, rng), cfg);
+    }
+
+    EvalDetail
+    evaluate(const std::vector<uint64_t> &seeds)
+    {
+        std::vector<WaveItem> items;
+        for (uint64_t s : seeds)
+            items.push_back({&plan, s});
+        return reduceEpisodes(
+            evaluateWave(items, {&env}, scratch).episodes);
+    }
+};
+
+} // namespace
+
+TEST(EpisodeRunner, DeterministicEvaluation)
+{
+    OneLane lane(1);
     const std::vector<uint64_t> seeds{deriveSeed(42, 0), deriveSeed(42, 1)};
-    EXPECT_DOUBLE_EQ(evaluateDetailed(env, plan, seeds).fitness,
-                     evaluateDetailed(env, plan, seeds).fitness);
+    const EvalDetail a = lane.evaluate(seeds);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.fitness),
+              std::bit_cast<uint64_t>(lane.evaluate(seeds).fitness));
+
+    // The same episodes through the oracle's serial loop.
+    CartPole serial_env;
+    const EvalDetail b =
+        oracle::evaluateDetailed(serial_env, lane.plan, seeds);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.fitness),
+              std::bit_cast<uint64_t>(b.fitness));
+    EXPECT_EQ(a.inferences, b.inferences);
+    EXPECT_EQ(a.macs, b.macs);
+    EXPECT_EQ(a.maxEpisodeSteps, b.maxEpisodeSteps);
 }
 
 TEST(EpisodeRunner, CountsInferencesAndMacs)
 {
-    CartPole env;
-    auto cfg = configForEnvironment(env);
-    neat::NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(2);
-    const auto g = neat::Genome::createNew(0, cfg, idx, rng);
-    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
-    nn::PlanScratch scratch;
-    const auto res = runEpisode(env, plan, scratch, 17);
+    OneLane lane(2);
+    const EpisodeResult res = lane.evaluate({17}).episodes.front();
     EXPECT_EQ(res.inferences, res.steps);
-    EXPECT_EQ(res.macs, res.steps * plan.macsPerInference());
+    EXPECT_EQ(res.macs, res.steps * lane.plan.macsPerInference());
     EXPECT_GT(res.steps, 0);
+
+    CartPole serial_env;
+    nn::PlanScratch scratch;
+    const EpisodeResult serial =
+        oracle::runEpisode(serial_env, lane.plan, scratch, 17);
+    EXPECT_EQ(res.steps, serial.steps);
+    EXPECT_EQ(res.macs, serial.macs);
+    EXPECT_EQ(std::bit_cast<uint64_t>(res.fitness),
+              std::bit_cast<uint64_t>(serial.fitness));
 }
 
 TEST(ConfigForEnvironment, MatchesSpaces)

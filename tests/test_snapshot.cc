@@ -18,6 +18,7 @@
 
 #include "core/genesys.hh"
 #include "hw/gene_encoding.hh"
+#include "neat/per_genome.hh"
 #include "obs/metrics.hh"
 #include "persist/snapshot.hh"
 
@@ -202,14 +203,14 @@ TEST(PopulationSnapshot, RestoredPopulationEvolvesBitIdentically)
     cfg.fitnessThreshold = 1e18;
 
     // Any deterministic pure function of the genome works as fitness.
-    const auto fitness = [](const neat::Genome &g) {
+    const auto fitness = neat::oracle::perGenome([](const neat::Genome &g) {
         return static_cast<double>(g.numGenes()) * 0.125 +
                static_cast<double>(g.key() % 7) * 0.0625;
-    };
+    });
 
     neat::Population a(cfg, 99);
     for (int i = 0; i < 4; ++i)
-        ASSERT_FALSE(a.step(fitness));
+        ASSERT_FALSE(a.stepBatch(fitness));
 
     const neat::PopulationSnapshot snap = a.capture();
     neat::Population b(cfg, 12345); // different seed; restore overwrites
@@ -217,8 +218,8 @@ TEST(PopulationSnapshot, RestoredPopulationEvolvesBitIdentically)
 
     EXPECT_EQ(b.generation(), a.generation());
     for (int i = 0; i < 4; ++i) {
-        ASSERT_FALSE(a.step(fitness));
-        ASSERT_FALSE(b.step(fitness));
+        ASSERT_FALSE(a.stepBatch(fitness));
+        ASSERT_FALSE(b.stepBatch(fitness));
         const neat::GenerationStats &sa = a.history().back();
         const neat::GenerationStats &sb = b.history().back();
         EXPECT_EQ(sa.generation, sb.generation);
@@ -243,9 +244,9 @@ TEST(SnapshotFile, WriteReadRoundTrip)
     cfg.populationSize = 12;
     cfg.fitnessThreshold = 1e18;
     neat::Population pop(cfg, 5);
-    pop.step([](const neat::Genome &g) {
+    pop.stepBatch(neat::oracle::perGenome([](const neat::Genome &g) {
         return static_cast<double>(g.numGenes());
-    });
+    }));
 
     persist::SystemSnapshot snap;
     snap.envName = "CartPole_v0";

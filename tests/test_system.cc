@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
+#include <string>
 
 #include "core/experiment.hh"
+#include "env/reference_eval.hh"
+#include "nn/scoped_numerics_env.hh"
 #include "hw/eve_pe.hh"
 #include "hw/gene_merge.hh"
 #include "hw/gene_split.hh"
@@ -166,6 +170,55 @@ TEST(SystemTest, StartupAndResumePhasesAreMeasuredAndPublished)
 
     obs::MetricsRegistry::install(nullptr);
     fs::remove_all(dir);
+}
+
+TEST(SystemTest, ReplayBestMatchesSerialOracle)
+{
+    // replayBest runs the champion on the wave loop's one lane. It
+    // must equal the oracle's serial loop over the same genome,
+    // compiled under the run's config and tier — for recurrent runs
+    // too, whose state the replay must reset at episode start.
+    for (const bool feed_forward : {true, false}) {
+        for (const nn::NumericsTier tier :
+             {nn::NumericsTier::Reference, nn::NumericsTier::HwFaithful}) {
+            SCOPED_TRACE(std::string(feed_forward ? "ff " : "rec ") +
+                         nn::numericsTierName(tier));
+            // Pinned: an ambient GENESYS_NUMERICS would override
+            // cfg.numericsTier.
+            oracle::ScopedNumericsEnv pin(tier);
+            SystemConfig cfg;
+            cfg.envName = "CartPole_v0";
+            cfg.maxGenerations = 3;
+            cfg.seed = 21;
+            cfg.numericsTier = tier;
+            cfg.simulateHardware = false;
+            cfg.tweakNeat = [feed_forward](neat::NeatConfig &n) {
+                n.populationSize = 40;
+                n.feedForward = feed_forward;
+            };
+            System sys(cfg);
+            sys.run();
+            ASSERT_EQ(sys.numericsTier(), tier);
+
+            const auto plan = nn::CompiledPlan::compileFor(
+                sys.population().bestGenome(), sys.neatConfig(), tier);
+            ASSERT_EQ(plan.isRecurrent(), !feed_forward);
+            auto serial_env = env::makeEnvironment(cfg.envName);
+            // One scratch across seeds: the oracle resets it per
+            // episode, so a replay that leaked state would diverge.
+            nn::PlanScratch scratch;
+            for (const uint64_t seed : {5ULL, 1234ULL, 5ULL}) {
+                const env::EpisodeResult got = sys.replayBest(seed);
+                const env::EpisodeResult want =
+                    oracle::runEpisode(*serial_env, plan, scratch, seed);
+                EXPECT_EQ(std::bit_cast<uint64_t>(got.fitness),
+                          std::bit_cast<uint64_t>(want.fitness))
+                    << "seed " << seed;
+                EXPECT_EQ(got.steps, want.steps) << "seed " << seed;
+                EXPECT_EQ(got.macs, want.macs) << "seed " << seed;
+            }
+        }
+    }
 }
 
 TEST(ExperimentTest, RunWorkloadBuildsSeries)

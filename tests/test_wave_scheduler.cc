@@ -20,6 +20,7 @@
 #include <memory>
 
 #include "core/genesys.hh"
+#include "env/reference_eval.hh"
 #include "env/runner.hh"
 #include "exec/eval_engine.hh"
 #include "nn/compiled_plan.hh"
@@ -123,7 +124,7 @@ TEST(WaveSchedulerTest, HeterogeneousWaveMatchesSerialAcrossWidths)
             items.push_back({&plans[i], seed});
             nn::PlanScratch scratch;
             expect.push_back(
-                env::runEpisode(*serial_env, plans[i], scratch, seed));
+                oracle::runEpisode(*serial_env, plans[i], scratch, seed));
         }
 
         for (int width : {1, 2, 5, 8, 16}) {
@@ -198,7 +199,7 @@ TEST(WaveSchedulerTest, SharedPlanLanesGroupIntoBatchedDispatch)
     for (size_t i = 0; i < plans.size(); ++i) {
         auto serial_env = env::makeEnvironment("CartPole_v0");
         const auto serial =
-            env::evaluateDetailed(*serial_env, plans[i], seeds[i]);
+            oracle::evaluateDetailed(*serial_env, plans[i], seeds[i]);
         for (size_t e = 0; e < seeds[i].size(); ++e, ++k) {
             SCOPED_TRACE("plan " + std::to_string(i) + " episode " +
                          std::to_string(e));
@@ -230,7 +231,7 @@ TEST(WaveSchedulerTest, EmptyAndUndersubscribedWaves)
     auto serial_env = env::makeEnvironment("CartPole_v0");
     nn::PlanScratch pscratch;
     expectEpisodeIdentical(
-        wave.episodes[0], env::runEpisode(*serial_env, plan, pscratch, 5));
+        wave.episodes[0], oracle::runEpisode(*serial_env, plan, pscratch, 5));
     EXPECT_EQ(wave.stats.refills, 0);
     EXPECT_EQ(wave.stats.laneSlotSteps, wave.stats.supersteps * 8);
     EXPECT_EQ(wave.stats.activeLaneSteps, wave.stats.supersteps);
@@ -396,7 +397,7 @@ serialDetail(const neat::NeatConfig &cfg, const neat::Genome &genome,
     for (int e = 0; e < episodes; ++e)
         seeds.push_back(seedFor(key, e));
     auto env = env::makeEnvironment("CartPole_v0");
-    return env::evaluateDetailed(*env, plan, seeds);
+    return oracle::evaluateDetailed(*env, plan, seeds);
 }
 
 /**
