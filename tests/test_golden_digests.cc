@@ -47,10 +47,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "core/genesys.hh"
@@ -103,6 +105,27 @@ goldenConfig(const std::string &envName, bool feed_forward, int threads,
     return cfg;
 }
 
+/**
+ * The golden CartPole feed-forward configuration made to speciate:
+ * a tight compatibility threshold, short stagnation and no solve, for
+ * 16 generations. Every other golden run keeps one species
+ * throughout; this one spawns new species, re-picks representatives
+ * and removes stagnant species.
+ */
+core::SystemConfig
+manySpeciesConfig(int threads)
+{
+    core::SystemConfig cfg = goldenConfig("CartPole_v0", true, threads);
+    cfg.maxGenerations = 16;
+    cfg.tweakNeat = [base = cfg.tweakNeat](neat::NeatConfig &ncfg) {
+        base(ncfg);
+        ncfg.compatibilityThreshold = 1.5;
+        ncfg.maxStagnation = 3;
+        ncfg.fitnessThreshold = std::numeric_limits<double>::infinity();
+    };
+    return cfg;
+}
+
 /** Digest a run's summary + per-generation reports. */
 uint64_t
 digestFields(const core::RunSummary &s,
@@ -133,30 +156,60 @@ digestFields(const core::RunSummary &s,
     return h;
 }
 
+/** A run's summary and per-generation reports: what the digests read. */
+struct RunRecord
+{
+    core::RunSummary summary;
+    std::vector<core::GenerationReport> reports;
+};
+
+/** digestFields plus the species count of every generation. */
+uint64_t
+digestWithSpecies(const RunRecord &rec)
+{
+    uint64_t h = digestFields(rec.summary, rec.reports);
+    for (const core::GenerationReport &r : rec.reports)
+        fold(h, static_cast<uint64_t>(r.algo.numSpecies));
+    return h;
+}
+
+/** Run `cfg` to its horizon in one System. */
+RunRecord
+runFresh(const core::SystemConfig &cfg, nn::NumericsTier tier)
+{
+    ScopedNumericsEnv pin(tier);
+    core::System sys(cfg);
+    RunRecord rec;
+    rec.summary = sys.run();
+    rec.reports = sys.reports();
+    return rec;
+}
+
 /** Run a fixed 6-generation system and digest its observable state. */
 uint64_t
 digestRun(const std::string &envName, bool feed_forward, int threads,
           nn::NumericsTier tier, bool batchEpisodes = true,
           bool heterogeneousLanes = true)
 {
-    ScopedNumericsEnv pin(tier);
-    core::System sys(goldenConfig(envName, feed_forward, threads,
-                                  batchEpisodes, heterogeneousLanes));
-    const core::RunSummary s = sys.run();
-    return digestFields(s, sys.reports());
+    const RunRecord rec =
+        runFresh(goldenConfig(envName, feed_forward, threads,
+                              batchEpisodes, heterogeneousLanes),
+                 tier);
+    return digestFields(rec.summary, rec.reports);
 }
 
 /**
- * The same 6-generation run, interrupted at the `split` generation
- * barrier: the first System checkpoints and is destroyed, a second
- * one resumes from the snapshot file and runs the remaining horizon.
- * Digests the exact fields digestRun does, so the committed constants
+ * The run of `cfg`, interrupted at the `split` generation barrier:
+ * the first System checkpoints and is destroyed, a second one resumes
+ * from the snapshot file and runs the remaining horizon. The record
+ * it returns is the uninterrupted run's, so the committed constants
  * double as the resumed-run oracle — the strongest statement that
- * save/load crosses the boundary bit-identically.
+ * save/load crosses the boundary bit-identically. `tag` names the
+ * checkpoint directory.
  */
-uint64_t
-digestResumedRun(const std::string &envName, bool feed_forward,
-                 int threads, int split, nn::NumericsTier tier)
+RunRecord
+runResumed(const core::SystemConfig &cfg, int split, nn::NumericsTier tier,
+           const std::string &tag)
 {
     ScopedNumericsEnv pin(tier);
     namespace fs = std::filesystem;
@@ -165,20 +218,19 @@ digestResumedRun(const std::string &envName, bool feed_forward,
     // build trees' ctest runs) never share a checkpoint directory;
     // tier-qualified so the Reference and HwFaithful variants of one
     // configuration never share one either.
-    dn << "genesys-golden-ckpt-" << envName
-       << (feed_forward ? "-ff-" : "-rec-") << threads << '-'
+    dn << "genesys-golden-ckpt-" << tag << '-' << cfg.numThreads << '-'
        << nn::numericsTierName(tier) << '-' << ::getpid();
     const fs::path dir = fs::temp_directory_path() / dn.str();
     fs::remove_all(dir);
 
-    core::SystemConfig cfg = goldenConfig(envName, feed_forward, threads);
-    cfg.checkpointDir = dir.string();
+    core::SystemConfig first = cfg;
+    first.checkpointDir = dir.string();
 
     std::vector<core::GenerationReport> reports;
     bool solved = false;
     double best_fitness = 0.0;
     {
-        core::System a(cfg);
+        core::System a(first);
         for (int g = 0; g < split && !solved; ++g)
             solved = a.stepGeneration();
         reports = a.reports();
@@ -187,15 +239,14 @@ digestResumedRun(const std::string &envName, bool feed_forward,
     } // first "process" dies here
 
     EXPECT_FALSE(solved)
-        << envName << " solved before the split generation " << split
+        << tag << " solved before the split generation " << split
         << "; the save/load boundary was not exercised — lower split";
     if (!solved) {
         const std::string snap =
             (dir / persist::snapshotFileName(split)).string();
         EXPECT_TRUE(fs::exists(snap)) << "missing checkpoint " << snap;
         core::SystemConfig rest = cfg;
-        rest.checkpointDir.clear();
-        rest.maxGenerations = 6 - split; // the remaining horizon
+        rest.maxGenerations = cfg.maxGenerations - split;
         core::System b(rest);
         b.resumeFrom(snap);
         const core::RunSummary sb = b.run();
@@ -209,7 +260,8 @@ digestResumedRun(const std::string &envName, bool feed_forward,
     // Reconstruct the uninterrupted run's summary: run() derives it
     // from the best genome and the report list, both of which carry
     // across the boundary.
-    core::RunSummary s;
+    RunRecord rec;
+    core::RunSummary &s = rec.summary;
     s.solved = solved;
     s.generations = static_cast<int>(reports.size());
     s.bestFitness = best_fitness;
@@ -219,7 +271,19 @@ digestResumedRun(const std::string &envName, bool feed_forward,
         s.totalEvolutionSeconds += r.hw.evolutionSeconds;
         s.totalInferenceSeconds += r.hw.inferenceSeconds();
     }
-    return digestFields(s, reports);
+    rec.reports = std::move(reports);
+    return rec;
+}
+
+/** digestRun's fields for the same run interrupted at `split`. */
+uint64_t
+digestResumedRun(const std::string &envName, bool feed_forward,
+                 int threads, int split, nn::NumericsTier tier)
+{
+    const RunRecord rec = runResumed(
+        goldenConfig(envName, feed_forward, threads), split, tier,
+        envName + (feed_forward ? "-ff" : "-rec"));
+    return digestFields(rec.summary, rec.reports);
 }
 
 /**
@@ -299,6 +363,59 @@ TEST(GoldenDigestTest, AtariRamFeedForward)
 TEST(GoldenDigestTest, AtariRamRecurrent)
 {
     expectGolden("AirRaid-ram-v0", false, 0x8cd2f0b7e7b2976aull);
+}
+
+TEST(GoldenDigestTest, CartPoleManySpecies)
+{
+    constexpr uint64_t kGolden = 0xdeed1e52fe75c27eull;
+    const RunRecord rec =
+        runFresh(manySpeciesConfig(1), nn::NumericsTier::Reference);
+    const uint64_t d1 = digestWithSpecies(rec);
+    if (std::getenv("GENESYS_PRINT_DIGESTS") != nullptr) {
+        printf("golden digest %-16s %s %-9s: 0x%016llxull\n",
+               "many-species", "ff ", "reference",
+               static_cast<unsigned long long>(d1));
+        for (const core::GenerationReport &r : rec.reports)
+            printf("  generation %d: %d species\n", r.algo.generation,
+                   r.algo.numSpecies);
+    }
+    EXPECT_EQ(d1, kGolden)
+        << "many-species CartPole digest drifted; if the change is "
+           "intentional, regenerate with GENESYS_PRINT_DIGESTS=1 "
+           "./tests/test_golden_digests";
+    EXPECT_EQ(digestWithSpecies(runFresh(manySpeciesConfig(8),
+                                         nn::NumericsTier::Reference)),
+              d1)
+        << "many-species digest differs at 8 threads";
+
+    // The configuration must keep covering what it was added for:
+    // several species, and stagnation removing some of them.
+    ASSERT_EQ(rec.reports.size(), 16u);
+    int most = 0;
+    bool removed = false;
+    for (size_t g = 0; g < rec.reports.size(); ++g) {
+        most = std::max(most, rec.reports[g].algo.numSpecies);
+        if (g > 0 && rec.reports[g].algo.numSpecies <
+                         rec.reports[g - 1].algo.numSpecies)
+            removed = true;
+    }
+    EXPECT_GE(most, 3);
+    EXPECT_TRUE(removed);
+}
+
+TEST(GoldenDigestTest, ResumedCartPoleManySpecies)
+{
+    // Split at the generation-10 barrier: that generation's
+    // reproduction removes four stagnant species, so the verdict
+    // rests on the stagnation state the checkpoint carried.
+    for (int threads : {1, 8}) {
+        const RunRecord rec =
+            runResumed(manySpeciesConfig(threads), 10,
+                       nn::NumericsTier::Reference, "many-species");
+        EXPECT_EQ(digestWithSpecies(rec), 0xdeed1e52fe75c27eull)
+            << "many-species resumed digest differs at " << threads
+            << " threads: checkpoint/resume is not bit-identical";
+    }
 }
 
 TEST(GoldenDigestTest, ResumedCartPoleFeedForward)
