@@ -81,7 +81,7 @@ struct PopulationSnapshot
     int generation = 0;
     /** The evolution RNG stream, incl. the gaussian cache. */
     XorWowState rngState;
-    /** Species partition incl. stagnation (fitness) histories. */
+    /** Species partition incl. each species' stagnation state. */
     std::map<int, Species> species;
     int nextSpeciesKey = 1;
     /** Reproduction's genome-key and node-id issuers. */

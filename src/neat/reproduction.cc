@@ -88,19 +88,13 @@ Reproduction::reproduce(SpeciesSet &species,
     lastBreedSeconds_ = 0.0;
 
     // Stagnation pass: drop species that have not improved.
-    std::vector<int> remaining;
-    std::vector<double> all_fitnesses;
-    for (const auto &[sk, stagnant] :
+    std::vector<SpeciesStanding> remaining;
+    for (const SpeciesStanding &st :
          stagnation_.update(species, population, generation)) {
-        if (stagnant) {
-            species.remove(sk);
-        } else {
-            remaining.push_back(sk);
-            for (double f :
-                 species.species().at(sk).memberFitnesses(population)) {
-                all_fitnesses.push_back(f);
-            }
-        }
+        if (st.stagnant)
+            species.remove(st.key);
+        else
+            remaining.push_back(st);
     }
     if (remaining.empty())
         return {}; // complete extinction
@@ -108,24 +102,20 @@ Reproduction::reproduce(SpeciesSet &species,
     // Fitness sharing: each species' mean fitness, normalized into
     // [0,1] across the population, is its reproductive share
     // (Section II-D "Fitness sharing").
-    const double min_f =
-        *std::min_element(all_fitnesses.begin(), all_fitnesses.end());
-    const double max_f =
-        *std::max_element(all_fitnesses.begin(), all_fitnesses.end());
+    double min_f = remaining.front().memberMin;
+    double max_f = remaining.front().memberMax;
+    for (const SpeciesStanding &st : remaining) {
+        min_f = std::min(min_f, st.memberMin);
+        max_f = std::max(max_f, st.memberMax);
+    }
     const double fitness_range = std::max(1.0, max_f - min_f);
 
     std::vector<double> adjusted;
     std::vector<int> prev_sizes;
-    for (int sk : remaining) {
-        Species &sp = species.mutableSpecies().at(sk);
-        const auto fits = sp.memberFitnesses(population);
-        double msf = 0.0;
-        for (double f : fits)
-            msf += f;
-        msf /= static_cast<double>(fits.size());
-        sp.adjustedFitness = (msf - min_f) / fitness_range;
-        adjusted.push_back(sp.adjustedFitness);
-        prev_sizes.push_back(static_cast<int>(sp.memberKeys.size()));
+    for (const SpeciesStanding &st : remaining) {
+        adjusted.push_back((st.memberMean - min_f) / fitness_range);
+        prev_sizes.push_back(static_cast<int>(
+            species.species().at(st.key).memberKeys.size()));
     }
 
     const int min_species_size = std::max(cfg_.minSpeciesSize, cfg_.elitism);
@@ -172,7 +162,7 @@ Reproduction::reproduce(SpeciesSet &species,
     };
     std::vector<Planned> planned;
     for (size_t si = 0; si < remaining.size(); ++si) {
-        const Species &sp = species.species().at(remaining[si]);
+        const Species &sp = species.species().at(remaining[si].key);
         int spawn = spawns[si];
 
         // Rank members by fitness (descending; key as tiebreak for

@@ -8,67 +8,67 @@
 namespace genesys::neat
 {
 
-double
-Stagnation::speciesFitness(const std::vector<double> &member_fitnesses) const
-{
-    GENESYS_ASSERT(!member_fitnesses.empty(), "species with no members");
-    switch (cfg_.speciesFitnessFunc) {
-      case SpeciesFitnessFunc::Max:
-        return *std::max_element(member_fitnesses.begin(),
-                                 member_fitnesses.end());
-      case SpeciesFitnessFunc::Mean: {
-        double s = 0.0;
-        for (double f : member_fitnesses)
-            s += f;
-        return s / static_cast<double>(member_fitnesses.size());
-      }
-      default:
-        panic("unknown species fitness function");
-    }
-}
-
-std::vector<std::pair<int, bool>>
+std::vector<SpeciesStanding>
 Stagnation::update(SpeciesSet &species,
                    const std::map<int, Genome> &population,
                    int generation) const
 {
-    std::vector<std::pair<int, double>> speciesData; // key, fitness
+    std::vector<SpeciesStanding> standings;
+    standings.reserve(species.count());
     for (auto &[sk, sp] : species.mutableSpecies()) {
-        const double prev_best =
-            sp.fitnessHistory.empty()
-                ? -std::numeric_limits<double>::infinity()
-                : *std::max_element(sp.fitnessHistory.begin(),
-                                    sp.fitnessHistory.end());
-        const double f = speciesFitness(sp.memberFitnesses(population));
-        sp.fitness = f;
-        sp.fitnessHistory.push_back(f);
-        sp.adjustedFitness = 0.0;
-        if (f > prev_best)
+        GENESYS_ASSERT(!sp.memberKeys.empty(),
+                       "species " << sk << " has no members");
+        SpeciesStanding st;
+        st.key = sk;
+        st.memberMin = std::numeric_limits<double>::infinity();
+        st.memberMax = -std::numeric_limits<double>::infinity();
+        double sum = 0.0;
+        for (int mk : sp.memberKeys) {
+            auto it = population.find(mk);
+            GENESYS_ASSERT(it != population.end(),
+                           "species member " << mk << " not in population");
+            GENESYS_ASSERT(it->second.hasFitness(),
+                           "species member " << mk << " has no fitness");
+            const double f = it->second.fitness();
+            sum += f;
+            st.memberMin = std::min(st.memberMin, f);
+            st.memberMax = std::max(st.memberMax, f);
+        }
+        st.memberMean = sum / static_cast<double>(sp.memberKeys.size());
+        switch (cfg_.speciesFitnessFunc) {
+          case SpeciesFitnessFunc::Max:
+            st.fitness = st.memberMax;
+            break;
+          case SpeciesFitnessFunc::Mean:
+            st.fitness = st.memberMean;
+            break;
+          default:
+            panic("unknown species fitness function");
+        }
+        if (st.fitness > sp.bestFitness) {
+            sp.bestFitness = st.fitness;
             sp.lastImprovedGeneration = generation;
-        speciesData.emplace_back(sk, f);
+        }
+        st.stagnant =
+            (generation - sp.lastImprovedGeneration) > cfg_.maxStagnation;
+        standings.push_back(st);
     }
 
     // Ascending fitness so the best species are considered for
     // protection last.
-    std::sort(speciesData.begin(), speciesData.end(),
-              [](const auto &a, const auto &b) { return a.second < b.second; });
+    std::sort(standings.begin(), standings.end(),
+              [](const SpeciesStanding &a, const SpeciesStanding &b) {
+                  return a.fitness < b.fitness;
+              });
 
-    std::vector<std::pair<int, bool>> result;
-    const long num_species = static_cast<long>(speciesData.size());
-    for (long i = 0; i < num_species; ++i) {
-        const auto &[sk, f] = speciesData[static_cast<size_t>(i)];
-        const Species &sp = species.species().at(sk);
-        const long remaining = num_species - i;
-        bool stagnant = false;
-        // The top `speciesElitism` species (by fitness) are never
-        // marked stagnant.
-        if (remaining > cfg_.speciesElitism) {
-            stagnant = (generation - sp.lastImprovedGeneration) >
-                       cfg_.maxStagnation;
-        }
-        result.emplace_back(sk, stagnant);
-    }
-    return result;
+    // The top `speciesElitism` species (by fitness) are never marked
+    // stagnant.
+    const size_t protect =
+        std::min(standings.size(),
+                 static_cast<size_t>(std::max(0, cfg_.speciesElitism)));
+    for (size_t i = standings.size() - protect; i < standings.size(); ++i)
+        standings[i].stagnant = false;
+    return standings;
 }
 
 } // namespace genesys::neat

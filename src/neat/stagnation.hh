@@ -8,13 +8,29 @@
 #ifndef GENESYS_NEAT_STAGNATION_HH
 #define GENESYS_NEAT_STAGNATION_HH
 
-#include <utility>
 #include <vector>
 
 #include "neat/species.hh"
 
 namespace genesys::neat
 {
+
+/**
+ * One species' standing in a generation: its fitness, its members'
+ * fitness summary (reproduction's fitness sharing reads these, so
+ * member fitnesses are read once per generation) and the verdict.
+ */
+struct SpeciesStanding
+{
+    int key = -1;
+    /** Species fitness, per cfg.speciesFitnessFunc. */
+    double fitness = 0.0;
+    /** Mean member fitness, summed in member order. */
+    double memberMean = 0.0;
+    double memberMin = 0.0;
+    double memberMax = 0.0;
+    bool stagnant = false;
+};
 
 /** Stagnation policy over a SpeciesSet. */
 class Stagnation
@@ -23,17 +39,16 @@ class Stagnation
     explicit Stagnation(const NeatConfig &cfg) : cfg_(cfg) {}
 
     /**
-     * Update species fitness / history and flag stagnant species.
-     * Returns (species key, is_stagnant) pairs sorted by ascending
+     * Score every species from its members' fitnesses, advance its
+     * best fitness and last-improved generation, and flag stagnant
+     * species. Returns one standing per species, sorted by ascending
      * species fitness, matching neat-python's DefaultStagnation.
      */
-    std::vector<std::pair<int, bool>>
+    std::vector<SpeciesStanding>
     update(SpeciesSet &species, const std::map<int, Genome> &population,
            int generation) const;
 
   private:
-    double speciesFitness(const std::vector<double> &member_fitnesses) const;
-
     const NeatConfig &cfg_;
 };
 

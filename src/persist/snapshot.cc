@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <map>
 #include <sstream>
 
 #include "common/check.hh"
@@ -332,18 +333,12 @@ void
 writeSpecies(ByteWriter &w, const neat::Species &sp)
 {
     w.i32(sp.key);
-    w.i32(sp.createdGeneration);
     w.i32(sp.lastImprovedGeneration);
+    w.f64(sp.bestFitness);
     writeGenome(w, sp.representative);
     w.u64(sp.memberKeys.size());
     for (int mk : sp.memberKeys)
         w.i32(mk);
-    w.u8(sp.fitness.has_value() ? 1 : 0);
-    w.f64(sp.fitness.value_or(0.0));
-    w.u64(sp.fitnessHistory.size());
-    for (double f : sp.fitnessHistory)
-        w.f64(f);
-    w.f64(sp.adjustedFitness);
 }
 
 neat::Species
@@ -351,22 +346,13 @@ readSpecies(ByteReader &r)
 {
     neat::Species sp;
     sp.key = r.i32("species key");
-    sp.createdGeneration = r.i32("species created generation");
     sp.lastImprovedGeneration = r.i32("species last-improved generation");
+    sp.bestFitness = r.f64("species best fitness");
     sp.representative = readGenome(r);
     const size_t members = r.count("species member", 4);
     sp.memberKeys.reserve(members);
     for (size_t i = 0; i < members; ++i)
         sp.memberKeys.push_back(r.i32("species member key"));
-    const bool has_fitness = r.u8("species has-fitness flag") != 0;
-    const double fitness = r.f64("species fitness");
-    if (has_fitness)
-        sp.fitness = fitness;
-    const size_t history = r.count("species fitness history entry", 8);
-    sp.fitnessHistory.reserve(history);
-    for (size_t i = 0; i < history; ++i)
-        sp.fitnessHistory.push_back(r.f64("species fitness history"));
-    sp.adjustedFitness = r.f64("species adjusted fitness");
     return sp;
 }
 
@@ -471,9 +457,8 @@ payloadSizeHint(const SystemSnapshot &snap)
         n += genomeBytes(g);
     n += 4 + 8; // SPCS header
     for (const auto &[sk, sp] : snap.population.species) {
-        n += 3 * 4 + genomeBytes(sp.representative) + 8 +
-             4 * sp.memberKeys.size() + 1 + 8 + 8 +
-             8 * sp.fitnessHistory.size() + 8;
+        n += 2 * 4 + 8 + genomeBytes(sp.representative) + 8 +
+             4 * sp.memberKeys.size();
     }
     n += 4 + 4;                                                // RPRO
     n += 4 + 8 + std::strlen(kEvolutionRngStream) + 6 * 4 + 1 + 8; // RNGS
@@ -879,17 +864,48 @@ readSnapshot(std::istream &in, std::uintmax_t size, const std::string &path)
         }
     }
 
-    // Cross-chunk sanity: species member lists must reference genomes
-    // the population chunk actually holds.
+    // Cross-chunk sanity: the species must partition the population,
+    // as every speciation leaves them: each species keyed below the
+    // next species key and non-empty, each member a genome the
+    // population chunk holds, each genome in exactly one species.
+    // Reproduction breeds from this partition, so a genome listed
+    // twice would breed twice and one listed nowhere never.
+    const auto &genomes = snap.population.genomes;
+    std::map<int, int> homeOf; // genome key -> species key
     for (const auto &[sk, sp] : snap.population.species) {
+        if (sk >= snap.population.nextSpeciesKey) {
+            throw SnapshotError(
+                "malformed snapshot \"" + path + "\": species key " +
+                std::to_string(sk) + " is not below the next species key " +
+                std::to_string(snap.population.nextSpeciesKey));
+        }
+        if (sp.memberKeys.empty()) {
+            throw SnapshotError("malformed snapshot \"" + path +
+                                "\": species " + std::to_string(sk) +
+                                " has no members");
+        }
         for (int mk : sp.memberKeys) {
-            if (snap.population.genomes.find(mk) ==
-                snap.population.genomes.end()) {
+            if (genomes.find(mk) == genomes.end()) {
                 throw SnapshotError(
                     "malformed snapshot \"" + path + "\": species " +
                     std::to_string(sk) + " references genome " +
                     std::to_string(mk) + " absent from the population");
             }
+            const auto [home, fresh] = homeOf.emplace(mk, sk);
+            if (!fresh) {
+                throw SnapshotError(
+                    "malformed snapshot \"" + path + "\": genome " +
+                    std::to_string(mk) + " is a member of species " +
+                    std::to_string(home->second) + " and again of species " +
+                    std::to_string(sk));
+            }
+        }
+    }
+    for (const auto &[gk, g] : genomes) {
+        if (homeOf.find(gk) == homeOf.end()) {
+            throw SnapshotError("malformed snapshot \"" + path +
+                                "\": genome " + std::to_string(gk) +
+                                " belongs to no species");
         }
     }
     if (snap.population.genomes.empty()) {

@@ -63,8 +63,12 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Current snapshot format version (see versioning policy above). */
-constexpr uint32_t kSnapshotVersion = 2;
+/**
+ * Current snapshot format version (see versioning policy above).
+ * Version 3 stores each species as key, last-improved generation,
+ * best fitness so far, representative and member keys.
+ */
+constexpr uint32_t kSnapshotVersion = 3;
 
 /**
  * Everything a resumed run needs to continue bit-identically from

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "core/genesys.hh"
@@ -286,7 +287,9 @@ TEST(SnapshotFile, WriteReadRoundTrip)
         ASSERT_TRUE(back.population.species.count(sk));
         const neat::Species &bsp = back.population.species.at(sk);
         EXPECT_EQ(bsp.memberKeys, sp.memberKeys);
-        EXPECT_EQ(bsp.fitnessHistory, sp.fitnessHistory);
+        EXPECT_EQ(bsp.key, sp.key);
+        EXPECT_EQ(std::bit_cast<uint64_t>(bsp.bestFitness),
+                  std::bit_cast<uint64_t>(sp.bestFitness));
         EXPECT_EQ(bsp.lastImprovedGeneration, sp.lastImprovedGeneration);
         expectGenomesBitIdentical(sp.representative, bsp.representative);
     }
@@ -520,6 +523,67 @@ TEST_F(SnapshotCorruptionTest, DistinctMessagesPerFailureMode)
     EXPECT_NE(m1, m3);
 }
 
+TEST_F(SnapshotCorruptionTest, DuplicatedSpeciesMember)
+{
+    // A checksum-valid file whose species list one genome twice. No
+    // speciation produces it, and breeding from it would give that
+    // genome two elite records and leave the population short.
+    persist::SystemSnapshot snap = persist::readSnapshotFile(path_);
+    ASSERT_FALSE(snap.population.species.empty());
+    std::vector<int> &members =
+        snap.population.species.begin()->second.memberKeys;
+    ASSERT_FALSE(members.empty());
+    const int twice = members.front();
+    members.push_back(twice);
+    const std::string p = (dir_ / "dup.gsnap").string();
+    persist::writeSnapshotFile(snap, p);
+    const std::string msg = errorFor(p);
+    EXPECT_NE(msg.find("genome " + std::to_string(twice) +
+                       " is a member of species"),
+              std::string::npos)
+        << msg;
+}
+
+TEST_F(SnapshotCorruptionTest, GenomeInNoSpecies)
+{
+    persist::SystemSnapshot snap = persist::readSnapshotFile(path_);
+    ASSERT_FALSE(snap.population.species.empty());
+    std::vector<int> &members =
+        snap.population.species.begin()->second.memberKeys;
+    ASSERT_GE(members.size(), 2u);
+    const int orphan = members.back();
+    members.pop_back();
+    const std::string p = (dir_ / "orphan.gsnap").string();
+    persist::writeSnapshotFile(snap, p);
+    const std::string msg = errorFor(p);
+    EXPECT_NE(msg.find("genome " + std::to_string(orphan) +
+                       " belongs to no species"),
+              std::string::npos)
+        << msg;
+}
+
+TEST_F(SnapshotCorruptionTest, EmptySpeciesAndUnissuedSpeciesKey)
+{
+    // Stagnation cannot score a species with no members, and the next
+    // speciation would issue a species key the file already holds.
+    persist::SystemSnapshot snap = persist::readSnapshotFile(path_);
+    ASSERT_FALSE(snap.population.species.empty());
+    persist::SystemSnapshot empty = snap;
+    empty.population.species.begin()->second.memberKeys.clear();
+    const std::string p1 = (dir_ / "empty.gsnap").string();
+    persist::writeSnapshotFile(empty, p1);
+    const std::string m1 = errorFor(p1);
+    EXPECT_NE(m1.find("has no members"), std::string::npos) << m1;
+
+    snap.population.nextSpeciesKey = snap.population.species.rbegin()->first;
+    const std::string p2 = (dir_ / "key.gsnap").string();
+    persist::writeSnapshotFile(snap, p2);
+    const std::string m2 = errorFor(p2);
+    EXPECT_NE(m2.find("is not below the next species key"),
+              std::string::npos)
+        << m2;
+}
+
 TEST_F(SnapshotCorruptionTest, FailedResumeLeavesSystemUntouched)
 {
     // A System that survives a failed resumeFrom must keep running
@@ -554,7 +618,8 @@ TEST_F(SnapshotCorruptionTest, FailedResumeLeavesSystemUntouched)
 // payload size and FNV digest in the header, so every input reaches
 // the chunk parsers and System::resumeFrom. Each input must either be
 // rejected with a SnapshotError or restore a state whose genomes all
-// pass Genome::validate; anything else (another exception, a crash,
+// pass Genome::validate and whose species partition those genomes,
+// each exactly once; anything else (another exception, a crash,
 // a sanitizer report) fails. Seeded and deterministic, with a fixed
 // iteration budget, so it runs under ASan/UBSan in every CI pass.
 
@@ -618,44 +683,62 @@ struct Field
 };
 
 /**
- * Element counts and gene keys of a well-formed snapshot, found by
- * walking the POPL genome layout (key, deletions, fitness flag and
- * value, then counted node genes of 22 bytes and connection genes of
- * 17) and the fixed positions of the other chunks' counts.
+ * Element counts and keys of a well-formed snapshot, found by walking
+ * the genome layout (key, deletions, fitness flag and value, then
+ * counted node genes of 22 bytes and connection genes of 17) through
+ * POPL and through SPCS (per species: key, last-improved generation,
+ * best fitness, representative genome, counted member keys, kept
+ * apart in `members`), plus the fixed positions of the other chunks'
+ * counts.
  */
 void
 findFields(const std::vector<uint8_t> &file, std::vector<Field> &counts,
-           std::vector<Field> &keys)
+           std::vector<Field> &keys, std::vector<Field> &members)
 {
     auto tag_is = [&](const ChunkAt &c, const char *t) {
         return std::memcmp(file.data() + c.tagAt, t, 4) == 0;
     };
+    // Record one genome's fields; returns the offset just past it.
+    auto walk_genome = [&](size_t at) {
+        keys.push_back({at, 4});
+        at += 17;
+        counts.push_back({at, 8});
+        const uint64_t nodes = getLe(file, at, 8);
+        at += 8;
+        for (uint64_t n = 0; n < nodes; ++n, at += 22)
+            keys.push_back({at, 4});
+        counts.push_back({at, 8});
+        const uint64_t conns = getLe(file, at, 8);
+        at += 8;
+        for (uint64_t k = 0; k < conns; ++k, at += 17) {
+            keys.push_back({at, 4});
+            keys.push_back({at + 4, 4});
+        }
+        return at;
+    };
     for (const ChunkAt &c : chunksOf(file)) {
-        if (tag_is(c, "SPCS"))
-            counts.push_back({c.body + 4, 8});
-        else if (tag_is(c, "RNGS") || tag_is(c, "TRCE"))
+        if (tag_is(c, "RNGS") || tag_is(c, "TRCE"))
             counts.push_back({c.body, 4});
         else if (tag_is(c, "METR"))
             counts.push_back({c.body, 8});
-        if (!tag_is(c, "POPL"))
-            continue;
-        counts.push_back({c.body + 4, 8});
-        const uint64_t genomes = getLe(file, c.body + 4, 8);
-        size_t at = c.body + 12;
-        for (uint64_t g = 0; g < genomes; ++g) {
-            keys.push_back({at, 4});
-            at += 17;
-            counts.push_back({at, 8});
-            const uint64_t nodes = getLe(file, at, 8);
-            at += 8;
-            for (uint64_t n = 0; n < nodes; ++n, at += 22)
+        if (tag_is(c, "POPL")) {
+            counts.push_back({c.body + 4, 8});
+            const uint64_t genomes = getLe(file, c.body + 4, 8);
+            size_t at = c.body + 12;
+            for (uint64_t g = 0; g < genomes; ++g)
+                at = walk_genome(at);
+        } else if (tag_is(c, "SPCS")) {
+            counts.push_back({c.body + 4, 8});
+            const uint64_t species = getLe(file, c.body + 4, 8);
+            size_t at = c.body + 12;
+            for (uint64_t s = 0; s < species; ++s) {
                 keys.push_back({at, 4});
-            counts.push_back({at, 8});
-            const uint64_t conns = getLe(file, at, 8);
-            at += 8;
-            for (uint64_t k = 0; k < conns; ++k, at += 17) {
-                keys.push_back({at, 4});
-                keys.push_back({at + 4, 4});
+                at = walk_genome(at + 16);
+                counts.push_back({at, 8});
+                const uint64_t member_count = getLe(file, at, 8);
+                at += 8;
+                for (uint64_t m = 0; m < member_count; ++m, at += 4)
+                    members.push_back({at, 4});
             }
         }
     }
@@ -664,7 +747,8 @@ findFields(const std::vector<uint8_t> &file, std::vector<Field> &counts,
 /** Apply one structure-aware mutation to `file` (header excluded). */
 void
 mutateSnapshot(std::vector<uint8_t> &file, const std::vector<Field> &counts,
-               const std::vector<Field> &keys, XorWow &rng)
+               const std::vector<Field> &keys,
+               const std::vector<Field> &members, XorWow &rng)
 {
     const std::vector<ChunkAt> chunks = chunksOf(file);
     if (chunks.empty())
@@ -675,7 +759,7 @@ mutateSnapshot(std::vector<uint8_t> &file, const std::vector<Field> &counts,
     auto in_file = [&](const Field &f) {
         return f.at + static_cast<size_t>(f.width) <= file.size();
     };
-    switch (rng.uniformInt(6u)) {
+    switch (rng.uniformInt(7u)) {
       case 0: // one payload byte anywhere in a chunk body
         if (body_in_file && c.size > 0)
             file[c.body + rng.uniformInt(static_cast<uint32_t>(c.size))] =
@@ -723,6 +807,16 @@ mutateSnapshot(std::vector<uint8_t> &file, const std::vector<Field> &counts,
                         grow, static_cast<uint8_t>(rng.uniformInt(256u)));
             putLe(file, c.tagAt + 4, 8, c.size + grow);
         }
+        break;
+      }
+      case 5: { // one species member key over another: a genome listed
+                // twice and another in no species
+        const Field &from =
+            members[rng.uniformInt(static_cast<uint32_t>(members.size()))];
+        const Field &to =
+            members[rng.uniformInt(static_cast<uint32_t>(members.size()))];
+        if (in_file(from) && in_file(to))
+            putLe(file, to.at, 4, getLe(file, from.at, 4));
         break;
       }
       default: { // drop, duplicate or retag a whole chunk
@@ -773,9 +867,11 @@ TEST(SnapshotFuzz, HostilePayloadsAreRejectedOrRestoreValidGenomes)
     }
     ASSERT_GT(pristine.size(), kFuzzHeaderBytes);
     std::vector<Field> counts, keys;
-    findFields(pristine, counts, keys);
+    std::vector<Field> members;
+    findFields(pristine, counts, keys, members);
     ASSERT_FALSE(counts.empty());
     ASSERT_FALSE(keys.empty());
+    ASSERT_GE(members.size(), 2u);
 
     cfg.checkpointDir.clear();
     const std::string path = (dir / "fuzz.gsnap").string();
@@ -786,7 +882,7 @@ TEST(SnapshotFuzz, HostilePayloadsAreRejectedOrRestoreValidGenomes)
         std::vector<uint8_t> file = pristine;
         const int rounds = rng.uniformInt(1, 3);
         for (int m = 0; m < rounds; ++m)
-            mutateSnapshot(file, counts, keys, rng);
+            mutateSnapshot(file, counts, keys, members, rng);
         putLe(file, 8, 8, file.size() - kFuzzHeaderBytes);
         putLe(file, 16, 8, fuzzFnv1a(file, kFuzzHeaderBytes));
         {
@@ -813,6 +909,15 @@ TEST(SnapshotFuzz, HostilePayloadsAreRejectedOrRestoreValidGenomes)
                 g.validate(ncfg);
             for (const auto &[sk, sp] : pop.species().species())
                 sp.representative.validate(ncfg);
+            // The species partition the genomes: each exactly once.
+            std::map<int, int> listed;
+            for (const auto &[sk, sp] : pop.species().species()) {
+                for (int mk : sp.memberKeys)
+                    ++listed[mk];
+            }
+            EXPECT_EQ(listed.size(), pop.genomes().size());
+            for (const auto &[gk, g] : pop.genomes())
+                EXPECT_EQ(listed[gk], 1) << "genome " << gk;
             if (pop.hasBest())
                 pop.bestGenome().validate(ncfg);
         } catch (const std::exception &e) {

@@ -1,12 +1,16 @@
 /**
  * @file
- * Tests for speciation and the distance cache (Section II-D).
+ * Tests for speciation (Section II-D).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "neat/reproduction.hh"
 #include "neat/species.hh"
+#include "neat/stagnation.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -38,18 +42,6 @@ makePopulation(const NeatConfig &cfg, int n, uint64_t seed)
 
 } // namespace
 
-TEST(DistanceCache, CachesSymmetricPairs)
-{
-    const auto cfg = speciesConfig();
-    auto pop = makePopulation(cfg, 2, 1);
-    DistanceCache cache(cfg);
-    const double d1 = cache.distance(pop.at(0), pop.at(1));
-    const double d2 = cache.distance(pop.at(1), pop.at(0));
-    EXPECT_DOUBLE_EQ(d1, d2);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-}
-
 TEST(SpeciesSet, EveryGenomeAssignedExactlyOnce)
 {
     const auto cfg = speciesConfig();
@@ -62,7 +54,6 @@ TEST(SpeciesSet, EveryGenomeAssignedExactlyOnce)
         for (int mk : sp.memberKeys) {
             EXPECT_TRUE(seen.insert(mk).second)
                 << "genome " << mk << " in two species";
-            EXPECT_EQ(set.speciesOf(mk), sk);
         }
     }
     EXPECT_EQ(seen.size(), pop.size());
@@ -123,7 +114,11 @@ TEST(SpeciesSet, RemoveDropsMembers)
     const int member = set.species().at(sk).memberKeys.front();
     set.remove(sk);
     EXPECT_FALSE(set.species().count(sk));
-    EXPECT_EQ(set.speciesOf(member), -1);
+    for (const auto &[other, sp] : set.species()) {
+        EXPECT_EQ(std::count(sp.memberKeys.begin(), sp.memberKeys.end(),
+                             member),
+                  0);
+    }
 }
 
 TEST(SpeciesSet, RepresentativeIsAMember)
@@ -147,11 +142,15 @@ TEST(SpeciesSet, MemberFitnessesReadFromPopulation)
         g.setFitness(gk * 1.0);
     SpeciesSet set(cfg);
     set.speciate(pop, 0);
-    double total = 0.0;
-    for (const auto &[sk, sp] : set.species()) {
-        for (double f : sp.memberFitnesses(pop))
-            total += f;
+    double lowest = 1e9, highest = -1e9, total = 0.0;
+    for (const SpeciesStanding &st : Stagnation(cfg).update(set, pop, 0)) {
+        lowest = std::min(lowest, st.memberMin);
+        highest = std::max(highest, st.memberMax);
+        const size_t members = set.species().at(st.key).memberKeys.size();
+        total += st.memberMean * static_cast<double>(members);
     }
+    EXPECT_DOUBLE_EQ(lowest, 0.0);
+    EXPECT_DOUBLE_EQ(highest, 4.0);
     EXPECT_DOUBLE_EQ(total, 0.0 + 1 + 2 + 3 + 4);
 }
 
@@ -161,6 +160,5 @@ TEST(SpeciesSet, UnevaluatedMemberFitnessThrows)
     auto pop = makePopulation(cfg, 3, 9);
     SpeciesSet set(cfg);
     set.speciate(pop, 0);
-    const auto &sp = set.species().begin()->second;
-    EXPECT_ANY_THROW(sp.memberFitnesses(pop));
+    EXPECT_ANY_THROW(Stagnation(cfg).update(set, pop, 0));
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "neat/stagnation.hh"
 
 using namespace genesys;
@@ -47,8 +50,8 @@ TEST_F(StagnationFixture, ImprovingSpeciesNeverStagnant)
     Stagnation stag(cfg);
     for (int gen = 0; gen < 10; ++gen) {
         setFitness(static_cast<double>(gen)); // always improving
-        for (const auto &[sk, stagnant] : stag.update(set, pop, gen))
-            EXPECT_FALSE(stagnant) << "generation " << gen;
+        for (const SpeciesStanding &st : stag.update(set, pop, gen))
+            EXPECT_FALSE(st.stagnant) << "generation " << gen;
     }
 }
 
@@ -61,8 +64,8 @@ TEST_F(StagnationFixture, FlatFitnessStagnatesAfterThreshold)
     bool stagnated = false;
     int stagnated_at = -1;
     for (int gen = 0; gen < 8 && !stagnated; ++gen) {
-        for (const auto &[sk, s] : stag.update(set, pop, gen)) {
-            if (s) {
+        for (const SpeciesStanding &st : stag.update(set, pop, gen)) {
+            if (st.stagnant) {
                 stagnated = true;
                 stagnated_at = gen;
             }
@@ -83,8 +86,8 @@ TEST_F(StagnationFixture, SpeciesElitismProtectsBest)
     for (int gen = 0; gen < 8; ++gen) {
         const auto result = stag.update(set, pop, gen);
         // With a single species and elitism 1, it can never stagnate.
-        for (const auto &[sk, s] : result)
-            EXPECT_FALSE(s);
+        for (const SpeciesStanding &st : result)
+            EXPECT_FALSE(st.stagnant);
     }
 }
 
@@ -98,38 +101,39 @@ TEST_F(StagnationFixture, SpeciesFitnessMaxVersusMean)
 
     cfg.speciesFitnessFunc = SpeciesFitnessFunc::Max;
     Stagnation max_stag(cfg);
-    max_stag.update(set, pop, 0);
     double max_val = 0.0;
-    for (const auto &[sk, sp] : set.species())
-        max_val = std::max(max_val, sp.fitness.value());
+    for (const SpeciesStanding &st : max_stag.update(set, pop, 0))
+        max_val = std::max(max_val, st.fitness);
     EXPECT_DOUBLE_EQ(max_val, 10.0);
 
     SpeciesSet set2(cfg);
     set2.speciate(pop, 0);
     cfg.speciesFitnessFunc = SpeciesFitnessFunc::Mean;
     Stagnation mean_stag(cfg);
-    mean_stag.update(set2, pop, 0);
     // With a single species the mean is 5.0; with several, each
     // species' mean is between 0 and 10.
-    for (const auto &[sk, sp] : set2.species()) {
-        EXPECT_GE(sp.fitness.value(), 0.0);
-        EXPECT_LE(sp.fitness.value(), 10.0);
+    for (const SpeciesStanding &st : mean_stag.update(set2, pop, 0)) {
+        EXPECT_EQ(st.fitness, st.memberMean);
+        EXPECT_GE(st.fitness, 0.0);
+        EXPECT_LE(st.fitness, 10.0);
     }
 }
 
-TEST_F(StagnationFixture, HistoryTracksFitness)
+TEST_F(StagnationFixture, BestFitnessTracksImprovement)
 {
     SpeciesSet set(cfg);
     set.speciate(pop, 0);
     Stagnation stag(cfg);
+    for (const auto &[sk, sp] : set.species())
+        EXPECT_EQ(sp.bestFitness, -std::numeric_limits<double>::infinity());
     setFitness(1.0);
     stag.update(set, pop, 0);
     setFitness(2.0);
     stag.update(set, pop, 1);
+    setFitness(1.5); // worse: the best and its generation stay
+    stag.update(set, pop, 2);
     for (const auto &[sk, sp] : set.species()) {
-        ASSERT_EQ(sp.fitnessHistory.size(), 2u);
-        EXPECT_DOUBLE_EQ(sp.fitnessHistory[0], 1.0);
-        EXPECT_DOUBLE_EQ(sp.fitnessHistory[1], 2.0);
+        EXPECT_DOUBLE_EQ(sp.bestFitness, 2.0);
         EXPECT_EQ(sp.lastImprovedGeneration, 1);
     }
 }
