@@ -40,7 +40,18 @@ XorWow::reseed(uint64_t seed)
     }
     weyl_ = static_cast<uint32_t>(splitMix64(sm));
     hasCachedGaussian_ = false;
+    skippedPair_ = false;
+    wordPending_ = false;
     cachedGaussian_ = 0.0;
+    pendingU1_ = 0.0;
+}
+
+double
+XorWow::sineVariate(double u1, double u2)
+{
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * M_PI * u2;
+    return r * std::sin(theta);
 }
 
 XorWowState
@@ -50,8 +61,9 @@ XorWow::saveState() const
     for (int i = 0; i < 5; ++i)
         s.state[i] = state_[i];
     s.weyl = weyl_;
-    s.hasCachedGaussian = hasCachedGaussian_;
-    s.cachedGaussian = cachedGaussian_;
+    s.hasCachedGaussian = hasCachedGaussian_ || skippedPair_;
+    s.cachedGaussian = wordPending_ ? sineVariate(pendingU1_, cachedGaussian_)
+                                    : cachedGaussian_;
     return s;
 }
 
@@ -62,6 +74,8 @@ XorWow::loadState(const XorWowState &s)
         state_[i] = s.state[i];
     weyl_ = s.weyl;
     hasCachedGaussian_ = s.hasCachedGaussian;
+    skippedPair_ = false;
+    wordPending_ = false;
     cachedGaussian_ = s.cachedGaussian;
 }
 

@@ -129,7 +129,7 @@ class XorWow
     /**
      * Standard normal via Box-Muller (cached second variate). Inline,
      * like the other draws, so the gene loops that call it make no
-     * calls except to libm.
+     * calls except to libm (and to sineVariate for a skipped pair).
      */
     double
     gaussian()
@@ -138,22 +138,60 @@ class XorWow
             hasCachedGaussian_ = false;
             return cachedGaussian_;
         }
-        double u1 = 0.0;
-        do {
-            u1 = uniform();
-        } while (u1 <= 1e-300);
-        const double u2 = uniform();
+        if (skippedPair_) {
+            skippedPair_ = false;
+            wordPending_ = false;
+            cachedGaussian_ = sineVariate(pendingU1_, cachedGaussian_);
+            return cachedGaussian_;
+        }
+        const auto [u1, u2] = boxMullerUniforms();
         const double r = std::sqrt(-2.0 * std::log(u1));
         const double theta = 2.0 * M_PI * u2;
         cachedGaussian_ = r * std::sin(theta);
         hasCachedGaussian_ = true;
+        wordPending_ = false;
         return r * std::cos(theta);
     }
 
-    /** Normal with given mean and standard deviation. */
+    /**
+     * Advance the stream exactly as gaussian() does, without the
+     * Box-Muller math. A pair drawn here keeps its two uniforms; the
+     * sine variate is computed only if something reads it (a later
+     * gaussian(), or saveState()), so every observable state matches
+     * the one gaussian() leaves, down to the stale cache word.
+     */
+    void
+    skipGaussian()
+    {
+        if (hasCachedGaussian_) {
+            hasCachedGaussian_ = false;
+            return;
+        }
+        if (skippedPair_) {
+            skippedPair_ = false;
+            return;
+        }
+        const auto [u1, u2] = boxMullerUniforms();
+        pendingU1_ = u1;
+        cachedGaussian_ = u2;
+        skippedPair_ = true;
+        wordPending_ = true;
+    }
+
+    /**
+     * Normal with given mean and standard deviation. A zero stdev
+     * skips the variate when `mean + 0 * g == mean` holds bit for bit
+     * for every finite g: mean finite and not -0.0 (-0.0 + +0.0 is
+     * +0.0).
+     */
     double
     gaussian(double mean, double stdev)
     {
+        const bool negative_zero = mean == 0.0 && std::signbit(mean);
+        if (stdev == 0.0 && std::isfinite(mean) && !negative_zero) {
+            skipGaussian();
+            return mean;
+        }
         return mean + stdev * gaussian();
     }
 
@@ -201,10 +239,45 @@ class XorWow
     /** uniformInt(0): a fatal error, out of line. */
     [[noreturn]] static void emptyRange();
 
+    /** The two uniforms one Box-Muller pair consumes, in draw order. */
+    std::pair<double, double>
+    boxMullerUniforms()
+    {
+        double u1 = 0.0;
+        do {
+            u1 = uniform();
+        } while (u1 <= 1e-300);
+        return {u1, uniform()};
+    }
+
+    /**
+     * The sine variate of a skipped pair. Out of line and static, so
+     * the gene loops that inline gaussian() neither grow by the libm
+     * calls nor pass the generator's address anywhere, and keep their
+     * copy of it in registers.
+     */
+    static double sineVariate(double u1, double u2);
+
     uint32_t state_[5];
     uint32_t weyl_;
+    /** cachedGaussian_ is a variate the next gaussian() returns. */
     bool hasCachedGaussian_;
+    /**
+     * The pair skipGaussian() drew last still owes its sine variate
+     * to the next gaussian() or skipGaussian(). Kept apart from
+     * hasCachedGaussian_, so a cache hit, the gene loops' common path,
+     * tests one flag.
+     */
+    bool skippedPair_;
+    /**
+     * The cache word is not computed yet: it holds a skipped pair's
+     * second uniform, and pendingU1_ its first. Set with skippedPair_,
+     * and still set after a skip consumes that pair (the stale word
+     * saveState() reports is its sine variate).
+     */
+    bool wordPending_;
     double cachedGaussian_;
+    double pendingU1_;
 };
 
 /** SplitMix64 step: used to expand seeds and derive sub-stream seeds. */

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "nn/compiled_plan.hh"
@@ -69,11 +71,6 @@ System::System(SystemConfig cfg)
         std::filesystem::create_directories(cfg_.checkpointDir);
     }
 
-    population_ = std::make_unique<neat::Population>(neatCfg_, cfg_.seed);
-    startup_.populationSeconds =
-        population_->lastStepPhases().reproduceSeconds;
-    startup_.speciateSeconds = population_->lastStepPhases().speciateSeconds;
-
     const auto engine0 = Clock::now();
     // Batched evaluation engine: one private environment instance per
     // worker; waves sized to the EvE PE array so batch statistics map
@@ -93,17 +90,22 @@ System::System(SystemConfig cfg)
     exec::applyNumericsFromEnv(ecfg);
     numericsTier_ = ecfg.numericsTier;
     engine_ = std::make_unique<exec::EvalEngine>(std::move(ecfg));
+    startup_.engineSeconds = secondsSince(engine0);
 
     // Breeding and speciation fan out over the same workers, between
-    // evaluations, as EvE's PE array breeds one child per PE.
-    population_->setExecutor(
+    // evaluations, as EvE's PE array breeds one child per PE. The
+    // engine comes first so generation 0's speciation does too.
+    population_ = std::make_unique<neat::Population>(
+        neatCfg_, cfg_.seed,
         [engine = engine_.get()](
             std::size_t count,
             const std::function<void(std::size_t)> &body) {
             engine->runParallel(count,
                                 [&body](std::size_t i, int) { body(i); });
         });
-    startup_.engineSeconds = secondsSince(engine0);
+    startup_.populationSeconds =
+        population_->lastStepPhases().reproduceSeconds;
+    startup_.speciateSeconds = population_->lastStepPhases().speciateSeconds;
     startup_.wallSeconds = secondsSince(wall0);
 
     if (auto *reg = obs::MetricsRegistry::active()) {
@@ -359,23 +361,44 @@ System::resumeFrom(const std::string &path)
     // Structure gate: the digest only proves the bytes are the ones
     // written, not that they describe genomes this run can breed and
     // compile. Every genome the population holds must pass
-    // Genome::validate under this run's config.
-    auto checkGenome = [&](const neat::Genome &g, const std::string &what) {
-        try {
-            g.validate(neatCfg_);
-        } catch (const std::logic_error &e) {
-            throw persist::SnapshotError("snapshot \"" + path + "\": " +
-                                         what + " is malformed: " +
-                                         e.what());
-        }
+    // Genome::validate under this run's config. The checks run on the
+    // engine's workers; of several failures, the one reported is the
+    // first in the serial order: genomes by key, then species
+    // representatives, then the best genome.
+    struct Check
+    {
+        const neat::Genome *genome;
+        std::string_view what;
+        std::optional<int> key;
     };
+    std::vector<Check> checks;
+    checks.reserve(snap.population.genomes.size() +
+                   snap.population.species.size() + 1);
     for (const auto &[gk, g] : snap.population.genomes)
-        checkGenome(g, "genome " + std::to_string(gk));
+        checks.push_back({&g, "genome", gk});
     for (const auto &[sk, sp] : snap.population.species)
-        checkGenome(sp.representative,
-                    "representative of species " + std::to_string(sk));
+        checks.push_back({&sp.representative, "representative of species", sk});
     if (snap.population.hasBest)
-        checkGenome(snap.population.bestGenome, "best genome");
+        checks.push_back({&snap.population.bestGenome, "best genome", {}});
+    std::vector<std::optional<std::string>> failures(checks.size());
+    engine_->runParallel(checks.size(), [&](std::size_t i, int) {
+        try {
+            checks[i].genome->validate(neatCfg_);
+        } catch (const std::logic_error &e) {
+            failures[i] = e.what();
+        }
+    });
+    for (size_t i = 0; i < checks.size(); ++i) {
+        if (!failures[i])
+            continue;
+        std::string what(checks[i].what);
+        if (checks[i].key) {
+            what += ' ';
+            what += std::to_string(*checks[i].key);
+        }
+        throw persist::SnapshotError("snapshot \"" + path + "\": " + what +
+                                     " is malformed: " + *failures[i]);
+    }
 
     phases.validateSeconds = secondsSince(validate0);
 

@@ -238,6 +238,23 @@ class FlatGeneMap
         }
     }
 
+    /**
+     * Replace the contents with `n` entries that `fill(keys, genes)`
+     * writes in place, into spans over the resized arrays. It must
+     * write every slot, in any order, leaving the keys strictly
+     * ascending: for a layout whose key order is a closed form, this
+     * streams each gene straight into its slot with no sort.
+     */
+    template <typename Fill>
+    void
+    assignInPlace(std::size_t n, Fill fill)
+    {
+        clear();
+        keys_.resize(n);
+        values_.resize(n);
+        fill(std::span<Key>(keys_), std::span<Gene>(values_));
+    }
+
     /** Insert or overwrite. */
     std::pair<iterator, bool>
     insert_or_assign(const Key &key, Gene gene)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <span>
 
 #include "common/check.hh"
@@ -58,70 +57,97 @@ Genome::createNew(int key, const NeatConfig &cfg, NodeIndexer &indexer,
                   XorWow &rng)
 {
     Genome g(key);
-    const std::vector<int> inputs = inputKeys(cfg);
-    const std::vector<int> outputs = outputKeys(cfg);
+    const size_t num_inputs = static_cast<size_t>(cfg.numInputs);
+    const size_t num_outputs = static_cast<size_t>(cfg.numOutputs);
     const size_t num_hidden = static_cast<size_t>(cfg.numHidden);
+    // The draws run on a register-resident copy of the generator (see
+    // crossoverInto).
+    XorWow local = rng;
 
     // Node keys come out ascending (outputs, then fresh indexer keys
     // past them), so every emplace appends.
-    g.nodes_.reserve(outputs.size() + num_hidden);
-    for (int out : outputs) {
-        g.nodes_.emplace(out, NodeGene::createNew(out, cfg, rng));
+    g.nodes_.reserve(num_outputs + num_hidden);
+    for (int out = 0; out < cfg.numOutputs; ++out) {
+        g.nodes_.emplace(out, NodeGene::createNew(out, cfg, local));
         indexer.bump(out);
     }
-    std::vector<int> hidden;
-    hidden.reserve(num_hidden);
-    for (size_t i = 0; i < num_hidden; ++i) {
+    const int first_hidden = indexer.peek();
+    for (size_t j = 0; j < num_hidden; ++j) {
         const int nk = indexer.next();
-        hidden.push_back(nk);
-        g.nodes_.emplace(nk, NodeGene::createNew(nk, cfg, rng));
+        g.nodes_.emplace(nk, NodeGene::createNew(nk, cfg, local));
     }
 
-    // Connections are drawn input-major with inputs -1, -2, ..., which
-    // is descending key order: emplacing each as drawn would insert at
-    // the front of the sorted map every time. Draw them in that same
-    // order (the RNG stream fixes which weight lands on which key),
-    // then sort once.
-    std::vector<std::pair<ConnKey, ConnectionGene>> drawn;
-    const size_t direct =
-        cfg.initialConnection == InitialConnection::Unconnected
-            ? 0
-            : inputs.size() * outputs.size();
-    drawn.reserve(direct +
-                  num_hidden * (inputs.size() + outputs.size()));
-    auto add_conn = [&](int src, int dst) {
-        const ConnKey ck{src, dst};
-        drawn.emplace_back(ck, ConnectionGene::createNew(ck, cfg, rng));
-    };
-
-    switch (cfg.initialConnection) {
-      case InitialConnection::Unconnected:
-        break;
-      case InitialConnection::FullDirect:
-        for (int in : inputs) {
-            for (int out : outputs)
-                add_conn(in, out);
-        }
-        break;
-      case InitialConnection::PartialDirect:
-        for (int in : inputs) {
-            for (int out : outputs) {
-                if (rng.bernoulli(cfg.partialConnectionProb))
+    // Connections are drawn input-major (inputs -1, -2, ..., each to
+    // every output), then per hidden node from every input and to
+    // every output; the RNG stream fixes which weight lands on which
+    // key. Hidden wiring keeps initial hidden nodes live from the
+    // start.
+    if (cfg.initialConnection == InitialConnection::PartialDirect) {
+        // Which keys exist depends on the draws, so collect and sort.
+        std::vector<std::pair<ConnKey, ConnectionGene>> drawn;
+        drawn.reserve(num_inputs * (num_outputs + num_hidden) +
+                      num_hidden * num_outputs);
+        auto add_conn = [&](int src, int dst) {
+            const ConnKey ck{src, dst};
+            drawn.emplace_back(ck, ConnectionGene::createNew(ck, cfg, local));
+        };
+        for (int in = -1; in >= -cfg.numInputs; --in) {
+            for (int out = 0; out < cfg.numOutputs; ++out) {
+                if (local.bernoulli(cfg.partialConnectionProb))
                     add_conn(in, out);
             }
         }
-        break;
+        for (size_t j = 0; j < num_hidden; ++j) {
+            const int h = first_hidden + static_cast<int>(j);
+            for (int in = -1; in >= -cfg.numInputs; --in)
+                add_conn(in, h);
+            for (int out = 0; out < cfg.numOutputs; ++out)
+                add_conn(h, out);
+        }
+        g.connections_.assign(std::move(drawn));
+    } else {
+        // Unconnected and FullDirect fix the key set, so each draw is
+        // written straight into its sorted slot. In key order, input
+        // -a-1 owns row num_inputs-1-a: its direct connections to the
+        // outputs, then one to each hidden node. The hidden-to-output
+        // connections follow all input rows, hidden node by hidden
+        // node.
+        const size_t direct =
+            cfg.initialConnection == InitialConnection::FullDirect
+                ? num_outputs
+                : 0;
+        const size_t row = direct + num_hidden;
+        const size_t hidden_base = num_inputs * row;
+        g.connections_.assignInPlace(
+            hidden_base + num_hidden * num_outputs,
+            [&](std::span<ConnKey> keys, std::span<ConnectionGene> genes) {
+                auto put = [&](size_t slot, int src, int dst) {
+                    keys[slot] = {src, dst};
+                    genes[slot] =
+                        ConnectionGene::createNew(keys[slot], cfg, local);
+                };
+                const auto row_of = [&](size_t a) {
+                    return (num_inputs - 1 - a) * row;
+                };
+                const auto input_key = [](size_t a) {
+                    return -static_cast<int>(a) - 1;
+                };
+                for (size_t a = 0; a < num_inputs; ++a) {
+                    for (size_t o = 0; o < direct; ++o)
+                        put(row_of(a) + o, input_key(a),
+                            static_cast<int>(o));
+                }
+                for (size_t j = 0; j < num_hidden; ++j) {
+                    const int h = first_hidden + static_cast<int>(j);
+                    for (size_t a = 0; a < num_inputs; ++a)
+                        put(row_of(a) + direct + j, input_key(a), h);
+                    for (size_t o = 0; o < num_outputs; ++o)
+                        put(hidden_base + j * num_outputs + o, h,
+                            static_cast<int>(o));
+                }
+            });
     }
-
-    // Wire any requested initial hidden nodes input->hidden->output so
-    // they are live from the start.
-    for (int h : hidden) {
-        for (int in : inputs)
-            add_conn(in, h);
-        for (int out : outputs)
-            add_conn(h, out);
-    }
-    g.connections_.assign(std::move(drawn));
+    rng = local;
     g.connections_.dcheckInvariants("Genome::createNew");
     return g;
 }
@@ -593,10 +619,21 @@ Genome::createsCycle(const ConnGeneMap &connections, ConnKey test)
 
     // DFS from `out`; a path back to `in` means the new edge closes a
     // cycle. Out-edges of a node are a contiguous range of the sorted
-    // key array, so no adjacency structure is built.
+    // key array, so no adjacency structure is built. The stack and the
+    // sorted visited set live in per-thread scratch, so an attempt
+    // allocates nothing once the scratch has grown to the genome.
+    // genesys-lint: allow(global-state, per-thread DFS scratch) - emptied
+    // on entry; holds no data from one call to the next.
+    thread_local struct
+    {
+        std::vector<int> stack;
+        std::vector<int> visited;
+    } scratch;
+    std::vector<int> &stack = scratch.stack;
+    std::vector<int> &visited = scratch.visited;
+    stack.assign(1, out);
+    visited.assign(1, out);
     const auto &keys = connections.keys();
-    std::set<int> visited{out};
-    std::vector<int> stack{out};
     while (!stack.empty()) {
         const int v = stack.back();
         stack.pop_back();
@@ -607,8 +644,12 @@ Genome::createsCycle(const ConnGeneMap &connections, ConnKey test)
             const int b = it->second;
             if (b == in)
                 return true;
-            if (visited.insert(b).second)
+            const auto at =
+                std::lower_bound(visited.begin(), visited.end(), b);
+            if (at == visited.end() || *at != b) {
+                visited.insert(at, b);
                 stack.push_back(b);
+            }
         }
     }
     return false;

@@ -86,8 +86,9 @@ replaceNonFiniteFitness(std::vector<double> &fits)
 
 } // namespace
 
-Population::Population(const NeatConfig &cfg, uint64_t seed)
-    : cfg_(cfg), reproduction_(cfg_), speciesSet_(cfg_), rng_(seed)
+Population::Population(const NeatConfig &cfg, uint64_t seed, Executor exec)
+    : cfg_(cfg), reproduction_(cfg_), speciesSet_(cfg_), rng_(seed),
+      executor_(std::move(exec))
 {
     // Creating generation 0 is its breeding, so it lands in
     // lastStepPhases() as the reproduce phase until the first step.
@@ -95,7 +96,7 @@ Population::Population(const NeatConfig &cfg, uint64_t seed)
     population_ = reproduction_.createNewPopulation(rng_);
     lastPhases_.reproduceSeconds = secondsSince(r0);
     const auto s0 = Clock::now();
-    speciesSet_.speciate(population_, generation_);
+    speciesSet_.speciate(population_, generation_, executor_);
     lastPhases_.speciateSeconds = secondsSince(s0);
     dcheckSpeciesPartition(speciesSet_, population_);
 }

@@ -127,7 +127,14 @@ class Population
     using BatchFitnessFn = std::function<std::vector<double>(
         const std::vector<GenomeHandle> &)>;
 
-    Population(const NeatConfig &cfg, uint64_t seed);
+    /**
+     * Create and speciate generation 0. `exec` is the executor that
+     * breeding and speciation fan out through (see neat/executor.hh),
+     * generation 0's speciation included. Unset, both run as plain
+     * loops on the calling thread; results are bit-identical either
+     * way.
+     */
+    Population(const NeatConfig &cfg, uint64_t seed, Executor exec = {});
 
     /**
      * Evaluate the current generation by handing every unevaluated
@@ -174,13 +181,6 @@ class Population
         traceWindow_ = n;
         trimTraces();
     }
-
-    /**
-     * Install the executor that breeding and speciation fan out
-     * through (see neat/executor.hh). Unset, both run as plain loops
-     * on the calling thread; results are bit-identical either way.
-     */
-    void setExecutor(Executor exec) { executor_ = std::move(exec); }
 
     XorWow &rng() { return rng_; }
     const XorWow &rng() const { return rng_; }

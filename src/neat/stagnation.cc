@@ -55,11 +55,12 @@ Stagnation::update(SpeciesSet &species,
     }
 
     // Ascending fitness so the best species are considered for
-    // protection last.
-    std::sort(standings.begin(), standings.end(),
-              [](const SpeciesStanding &a, const SpeciesStanding &b) {
-                  return a.fitness < b.fitness;
-              });
+    // protection last. Stable, so species of equal fitness stay in
+    // key order whatever their number and the standard library.
+    std::stable_sort(standings.begin(), standings.end(),
+                     [](const SpeciesStanding &a, const SpeciesStanding &b) {
+                         return a.fitness < b.fitness;
+                     });
 
     // The top `speciesElitism` species (by fitness) are never marked
     // stagnant.

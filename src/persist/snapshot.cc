@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
+#include <span>
 #include <sstream>
 
 #include "common/check.hh"
@@ -30,14 +31,36 @@ constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;
 /** The one RNG stream a snapshot currently carries (see RNGS chunk). */
 constexpr const char *kEvolutionRngStream = "population.evolution";
 
+/**
+ * The payload digest: four FNV-1a lanes, each absorbing every fourth
+ * little-endian 64-bit word of the 32-byte blocks, so the four
+ * multiply chains run side by side; then the lanes are folded in
+ * order and the tail of fewer than 32 bytes is absorbed byte by byte.
+ * Every step is a bijection of the running value for a fixed input,
+ * and of the input for a fixed running value, so changing any single
+ * byte changes the digest.
+ */
 uint64_t
-fnv1a(const uint8_t *data, size_t n)
+payloadDigest(const uint8_t *data, size_t n)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
+    static_assert(std::endian::native == std::endian::little,
+                  "the digest reads payload words in native order");
+    constexpr uint64_t kBasis = 0xcbf29ce484222325ull;
+    constexpr uint64_t kPrime = 0x100000001b3ull;
+    uint64_t lane[4] = {kBasis, kBasis ^ 1, kBasis ^ 2, kBasis ^ 3};
+    size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        for (size_t k = 0; k < 4; ++k) {
+            uint64_t w;
+            std::memcpy(&w, data + i + 8 * k, 8);
+            lane[k] = (lane[k] ^ w) * kPrime;
+        }
     }
+    uint64_t h = lane[0];
+    for (size_t k = 1; k < 4; ++k)
+        h = (h ^ lane[k]) * kPrime;
+    for (; i < n; ++i)
+        h = (h ^ data[i]) * kPrime;
     return h;
 }
 
@@ -137,6 +160,16 @@ class ByteWriter
     std::vector<uint8_t> buf_;
 };
 
+/** The little-endian `U` at `at`, inside a record already claimed. */
+template <typename U>
+U
+loadLe(const uint8_t *at)
+{
+    U v;
+    std::memcpy(&v, at, sizeof(U));
+    return v;
+}
+
 /**
  * Bounds-checked little-endian reader over a byte span. Every overrun
  * throws SnapshotError naming the field — a malformed chunk can never
@@ -175,6 +208,20 @@ class ByteReader
         for (int i = 0; i < 8; ++i)
             v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
         return v;
+    }
+
+    /**
+     * Claim the next `n` bytes as one fixed-size record, bounds-checked
+     * once under the record's name; its fields decode from the
+     * returned pointer with loadLe.
+     */
+    const uint8_t *
+    record(size_t n, const char *what)
+    {
+        need(n, what);
+        const uint8_t *at = data_ + pos_;
+        pos_ += n;
+        return at;
     }
 
     int32_t i32(const char *what) { return static_cast<int32_t>(u32(what)); }
@@ -248,6 +295,38 @@ class ByteReader
 
 // --- genome / species / trace codecs ---------------------------------------
 
+/** Encoded bytes of one node gene and one connection gene. */
+constexpr size_t kNodeGeneBytes = 22;
+constexpr size_t kConnGeneBytes = 17;
+
+/**
+ * Fill `genes` with `count` genes, each decoded by `decode(gene)`
+ * (which returns its key) straight into its slot. A writer emits
+ * keys strictly ascending; a tampered stream that does not is put in
+ * order as emplacing its genes one by one would (sorted, the first of
+ * equal keys kept).
+ */
+template <typename Key, typename Gene, typename Decode>
+void
+readGenes(neat::FlatGeneMap<Key, Gene> &genes, size_t count, Decode decode)
+{
+    bool ascending = true;
+    genes.assignInPlace(
+        count, [&](std::span<Key> keys, std::span<Gene> values) {
+            for (size_t i = 0; i < count; ++i) {
+                keys[i] = decode(values[i]);
+                ascending = ascending && (i == 0 || keys[i - 1] < keys[i]);
+            }
+        });
+    if (ascending)
+        return;
+    std::vector<std::pair<Key, Gene>> entries;
+    entries.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        entries.emplace_back(genes.keyAt(i), genes.valueAt(i));
+    genes.assign(std::move(entries));
+}
+
 void
 writeGenome(ByteWriter &w, const neat::Genome &g)
 {
@@ -283,16 +362,18 @@ readGenome(ByteReader &r)
     if (has_fitness)
         g.setFitness(fitness);
 
+    // Gene records have a fixed size, so each is bounds-checked once.
+    // The counts are checked against the bytes left first, so a gene
+    // record never overruns its chunk.
     // Node gene: key 4 + bias 8 + response 8 + activation 1 + aggregation 1.
-    const size_t node_count = r.count("node gene", 22);
-    g.mutableNodes().reserve(node_count);
-    for (size_t i = 0; i < node_count; ++i) {
-        neat::NodeGene ng;
-        ng.key = r.i32("node key");
-        ng.bias = r.f64("node bias");
-        ng.response = r.f64("node response");
-        const uint8_t act = r.u8("node activation");
-        const uint8_t agg = r.u8("node aggregation");
+    const size_t node_count = r.count("node gene", kNodeGeneBytes);
+    readGenes(g.mutableNodes(), node_count, [&](neat::NodeGene &ng) {
+        const uint8_t *rec = r.record(kNodeGeneBytes, "node gene");
+        ng.key = static_cast<int32_t>(loadLe<uint32_t>(rec));
+        ng.bias = std::bit_cast<double>(loadLe<uint64_t>(rec + 4));
+        ng.response = std::bit_cast<double>(loadLe<uint64_t>(rec + 12));
+        const uint8_t act = rec[20];
+        const uint8_t agg = rec[21];
         if (act >= static_cast<uint8_t>(neat::Activation::NumActivations))
             throw SnapshotError("malformed snapshot: node " +
                                 std::to_string(ng.key) +
@@ -305,25 +386,20 @@ readGenome(ByteReader &r)
                                 std::to_string(agg));
         ng.activation = static_cast<neat::Activation>(act);
         ng.aggregation = static_cast<neat::Aggregation>(agg);
-        g.mutableNodes().emplace(ng.key, ng);
-    }
+        return ng.key;
+    });
 
     // Connection gene: src 4 + dst 4 + weight 8 + enabled 1.
-    const size_t conn_count = r.count("connection gene", 17);
-    g.mutableConnections().reserve(conn_count);
-    for (size_t i = 0; i < conn_count; ++i) {
-        neat::ConnectionGene cg;
-        const int src = r.i32("connection source");
-        const int dst = r.i32("connection destination");
-        cg.key = {src, dst};
-        cg.weight = r.f64("connection weight");
-        cg.enabled = r.u8("connection enabled") != 0;
-        g.mutableConnections().emplace(cg.key, cg);
-    }
-    // A snapshot writer emits genes in ascending key order; emplace
-    // keeps whatever order arrives, so a tampered byte stream could
-    // otherwise smuggle in a gene whose embedded key disagrees with
-    // its sort position.
+    const size_t conn_count = r.count("connection gene", kConnGeneBytes);
+    auto &conns = g.mutableConnections();
+    readGenes(conns, conn_count, [&](neat::ConnectionGene &cg) {
+        const uint8_t *rec = r.record(kConnGeneBytes, "connection gene");
+        cg.key = {static_cast<int32_t>(loadLe<uint32_t>(rec)),
+                  static_cast<int32_t>(loadLe<uint32_t>(rec + 4))};
+        cg.weight = std::bit_cast<double>(loadLe<uint64_t>(rec + 8));
+        cg.enabled = rec[16] != 0;
+        return cg.key;
+    });
     g.nodes().dcheckInvariants("persist::readGenome nodes");
     g.connections().dcheckInvariants("persist::readGenome connections");
     return g;
@@ -437,7 +513,8 @@ genomeBytes(const neat::Genome &g)
 {
     // key, node deletions, has-fitness, fitness, two gene counts.
     constexpr size_t kFixed = 4 + 4 + 1 + 8 + 8 + 8;
-    return kFixed + 22 * g.numNodeGenes() + 17 * g.numConnectionGenes();
+    return kFixed + kNodeGeneBytes * g.numNodeGenes() +
+           kConnGeneBytes * g.numConnectionGenes();
 }
 
 /**
@@ -604,7 +681,7 @@ writeSnapshotFile(const SystemSnapshot &snap, const std::string &path)
         uint8_t header[4 + 8 + 8];
         const uint32_t version = kSnapshotVersion;
         const uint64_t size = payload.size();
-        const uint64_t digest = fnv1a(payload.data(), payload.size());
+        const uint64_t digest = payloadDigest(payload.data(), payload.size());
         for (int i = 0; i < 4; ++i)
             header[i] = static_cast<uint8_t>(version >> (8 * i));
         for (int i = 0; i < 8; ++i)
@@ -706,7 +783,7 @@ readSnapshot(std::istream &in, std::uintmax_t size, const std::string &path)
             std::to_string(actual));
     }
     const uint8_t *payload = file.data() + kHeaderBytes;
-    const uint64_t computed = fnv1a(payload, actual);
+    const uint64_t computed = payloadDigest(payload, actual);
     if (computed != digest) {
         std::ostringstream oss;
         oss << "corrupted snapshot \"" << path

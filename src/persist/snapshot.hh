@@ -9,7 +9,9 @@
  *     [0..3]   magic "GSNP"
  *     [4..7]   u32 format version (kSnapshotVersion)
  *     [8..15]  u64 payload size in bytes
- *     [16..23] u64 FNV-1a digest of the payload
+ *     [16..23] u64 digest of the payload: four FNV-1a lanes over
+ *              its little-endian 64-bit words, folded, then the
+ *              byte tail
  *     [24.. ]  payload: a sequence of chunks
  *
  * Each chunk is `u32 tag | u64 size | size bytes`. Loads validate the
@@ -66,9 +68,11 @@ class SnapshotError : public std::runtime_error
 /**
  * Current snapshot format version (see versioning policy above).
  * Version 3 stores each species as key, last-improved generation,
- * best fitness so far, representative and member keys.
+ * best fitness so far, representative and member keys. Version 4
+ * keeps that layout and replaces the byte-serial FNV-1a payload
+ * digest with the four-lane word-wide one.
  */
-constexpr uint32_t kSnapshotVersion = 3;
+constexpr uint32_t kSnapshotVersion = 4;
 
 /**
  * Everything a resumed run needs to continue bit-identically from

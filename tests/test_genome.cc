@@ -9,6 +9,7 @@
 #include <bit>
 #include <string>
 
+#include "neat/create_new.hh"
 #include "neat/genome.hh"
 
 using namespace genesys;
@@ -24,48 +25,6 @@ smallConfig()
     cfg.numInputs = 3;
     cfg.numOutputs = 2;
     return cfg;
-}
-
-/**
- * Oracle for Genome::createNew: the same draws in the same order,
- * with every gene emplaced into the sorted maps as it is drawn.
- */
-Genome
-createByEmplace(int key, const NeatConfig &cfg, NodeIndexer &indexer,
-                XorWow &rng)
-{
-    Genome g(key);
-    for (int out : Genome::outputKeys(cfg)) {
-        g.mutableNodes().emplace(out, NodeGene::createNew(out, cfg, rng));
-        indexer.bump(out);
-    }
-    std::vector<int> hidden;
-    for (int i = 0; i < cfg.numHidden; ++i) {
-        const int nk = indexer.next();
-        hidden.push_back(nk);
-        g.mutableNodes().emplace(nk, NodeGene::createNew(nk, cfg, rng));
-    }
-    auto add_conn = [&](int src, int dst) {
-        const ConnKey ck{src, dst};
-        g.mutableConnections().emplace(
-            ck, ConnectionGene::createNew(ck, cfg, rng));
-    };
-    if (cfg.initialConnection != InitialConnection::Unconnected) {
-        for (int in : Genome::inputKeys(cfg)) {
-            for (int out : Genome::outputKeys(cfg)) {
-                if (cfg.initialConnection == InitialConnection::FullDirect ||
-                    rng.bernoulli(cfg.partialConnectionProb))
-                    add_conn(in, out);
-            }
-        }
-    }
-    for (int h : hidden) {
-        for (int in : Genome::inputKeys(cfg))
-            add_conn(in, h);
-        for (int out : Genome::outputKeys(cfg))
-            add_conn(h, out);
-    }
-    return g;
 }
 
 void
@@ -158,12 +117,14 @@ TEST(Genome, CreateNewWithHiddenNodesIsWired)
     g.validate(cfg);
 }
 
-TEST(Genome, CreateNewMatchesDrawOrderEmplace)
+TEST(Genome, CreateNewMatchesSortedConstruction)
 {
-    // createNew draws into a buffer and sorts once; the result must be
-    // the genome that emplacing each gene as drawn builds, down to the
-    // bits, and leave the RNG and the node indexer where it leaves
-    // them.
+    // createNew writes each connection into its closed-form slot (or,
+    // for PartialDirect, sorts once) and skips the Box-Muller math of
+    // zero-stdev attributes; the result must be the genome the
+    // draw-collect-sort oracle builds with every variate drawn, down
+    // to the bits, and leave the RNG and the node indexer where it
+    // leaves them.
     const struct
     {
         InitialConnection mode;
@@ -173,33 +134,46 @@ TEST(Genome, CreateNewMatchesDrawOrderEmplace)
                  {InitialConnection::Unconnected, "Unconnected"}};
     for (const auto &m : modes) {
         for (int hidden : {0, 2}) {
-            SCOPED_TRACE(std::string(m.name) + ", numHidden " +
-                         std::to_string(hidden));
-            NeatConfig cfg;
-            cfg.numInputs = 24;
-            cfg.numOutputs = 5;
-            cfg.numHidden = hidden;
-            cfg.initialConnection = m.mode;
-            cfg.partialConnectionProb = 0.5;
-            XorWow rng(100 + static_cast<uint64_t>(hidden));
-            XorWow ref_rng = rng;
-            NodeIndexer idx(cfg.numOutputs), ref_idx(cfg.numOutputs);
-            for (int k = 0; k < 3; ++k) {
-                const Genome got = Genome::createNew(k, cfg, idx, rng);
-                const Genome want =
-                    createByEmplace(k, cfg, ref_idx, ref_rng);
-                expectSameGenes(got, want);
-                got.validate(cfg);
+            // Stdev 1 draws every weight; stdev 0 with mean 0, as
+            // configForEnvironment sets it, skips them all; mean -0.0
+            // must not be skipped.
+            for (double weight_mean : {0.0, -0.0, 0.75}) {
+                for (double weight_stdev : {1.0, 0.0}) {
+                    SCOPED_TRACE(std::string(m.name) + ", numHidden " +
+                                 std::to_string(hidden) + ", weight N(" +
+                                 std::to_string(weight_mean) + ", " +
+                                 std::to_string(weight_stdev) + ")");
+                    NeatConfig cfg;
+                    cfg.numInputs = 24;
+                    cfg.numOutputs = 5;
+                    cfg.numHidden = hidden;
+                    cfg.initialConnection = m.mode;
+                    cfg.partialConnectionProb = 0.5;
+                    cfg.weight.initMean = weight_mean;
+                    cfg.weight.initStdev = weight_stdev;
+                    XorWow rng(100 + static_cast<uint64_t>(hidden));
+                    XorWow ref_rng = rng;
+                    NodeIndexer idx(cfg.numOutputs),
+                        ref_idx(cfg.numOutputs);
+                    for (int k = 0; k < 3; ++k) {
+                        const Genome got =
+                            Genome::createNew(k, cfg, idx, rng);
+                        const Genome want =
+                            oracle::createNew(k, cfg, ref_idx, ref_rng);
+                        expectSameGenes(got, want);
+                        got.validate(cfg);
+                    }
+                    const XorWowState a = rng.saveState();
+                    const XorWowState b = ref_rng.saveState();
+                    for (int i = 0; i < 5; ++i)
+                        EXPECT_EQ(a.state[i], b.state[i]);
+                    EXPECT_EQ(a.weyl, b.weyl);
+                    EXPECT_EQ(a.hasCachedGaussian, b.hasCachedGaussian);
+                    EXPECT_EQ(std::bit_cast<uint64_t>(a.cachedGaussian),
+                              std::bit_cast<uint64_t>(b.cachedGaussian));
+                    EXPECT_EQ(idx.peek(), ref_idx.peek());
+                }
             }
-            const XorWowState a = rng.saveState();
-            const XorWowState b = ref_rng.saveState();
-            for (int i = 0; i < 5; ++i)
-                EXPECT_EQ(a.state[i], b.state[i]);
-            EXPECT_EQ(a.weyl, b.weyl);
-            EXPECT_EQ(a.hasCachedGaussian, b.hasCachedGaussian);
-            EXPECT_EQ(std::bit_cast<uint64_t>(a.cachedGaussian),
-                      std::bit_cast<uint64_t>(b.cachedGaussian));
-            EXPECT_EQ(idx.peek(), ref_idx.peek());
         }
     }
 }

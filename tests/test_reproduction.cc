@@ -392,8 +392,7 @@ struct BreedRun
 BreedRun
 breed(const NeatConfig &cfg, const Executor &exec)
 {
-    Population pop(cfg, 20261016);
-    pop.setExecutor(exec);
+    Population pop(cfg, 20261016, exec);
     BreedRun run;
     const auto fitness = [](const std::vector<GenomeHandle> &batch) {
         std::vector<double> fits;

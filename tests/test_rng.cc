@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.hh"
 
@@ -227,6 +232,79 @@ TEST(XorWow, SaveStateDoesNotPerturbStream)
     for (int i = 0; i < 10; ++i) {
         (void)a.saveState();
         EXPECT_EQ(a.gaussian(), b.gaussian());
+    }
+}
+
+namespace
+{
+
+void
+expectSameState(const XorWow &a, const XorWow &b, const std::string &at)
+{
+    const XorWowState x = a.saveState();
+    const XorWowState y = b.saveState();
+    for (int i = 0; i < 5; ++i)
+        ASSERT_EQ(x.state[i], y.state[i]) << at;
+    ASSERT_EQ(x.weyl, y.weyl) << at;
+    ASSERT_EQ(x.hasCachedGaussian, y.hasCachedGaussian) << at;
+    ASSERT_EQ(std::bit_cast<uint64_t>(x.cachedGaussian),
+              std::bit_cast<uint64_t>(y.cachedGaussian))
+        << at;
+}
+
+} // namespace
+
+TEST(XorWow, SkippedVariatesMatchAStreamThatNeverSkips)
+{
+    // `skipping` takes every skip the library offers: skipGaussian(),
+    // and gaussian(m, 0) for the means where m + 0 * g == m holds.
+    // `full` draws every variate through gaussian() and computes
+    // m + 0 * g itself. After every call of a random interleaving the
+    // two must agree on the value and on the whole saved state, the
+    // stale cache word of a consumed pair included.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double means[] = {0.0, -0.0, 1.5, inf, -inf,
+                            std::numeric_limits<double>::quiet_NaN()};
+    XorWow ops(0x5C1F);
+    XorWow skipping(77), full(77);
+    std::vector<XorWowState> saved{full.saveState()};
+    for (int step = 0; step < 20000; ++step) {
+        const std::string at = "step " + std::to_string(step);
+        switch (ops.uniformInt(6u)) {
+          case 0:
+            ASSERT_EQ(std::bit_cast<uint64_t>(skipping.gaussian()),
+                      std::bit_cast<uint64_t>(full.gaussian()))
+                << at;
+            break;
+          case 1: {
+            const double m = means[ops.uniformInt(6u)];
+            const double stdev = ops.bernoulli(0.5) ? 0.0 : -0.0;
+            const double want = m + stdev * full.gaussian();
+            ASSERT_EQ(std::bit_cast<uint64_t>(skipping.gaussian(m, stdev)),
+                      std::bit_cast<uint64_t>(want))
+                << at;
+            break;
+          }
+          case 2:
+            skipping.skipGaussian();
+            (void)full.gaussian();
+            break;
+          case 3:
+            saved.push_back(full.saveState());
+            ASSERT_NO_FATAL_FAILURE(expectSameState(skipping, full, at));
+            break;
+          case 4: {
+            const XorWowState &s =
+                saved[ops.uniformInt(static_cast<uint32_t>(saved.size()))];
+            skipping.loadState(s);
+            full.loadState(s);
+            break;
+          }
+          default:
+            ASSERT_EQ(skipping.next32(), full.next32()) << at;
+            break;
+        }
+        ASSERT_NO_FATAL_FAILURE(expectSameState(skipping, full, at));
     }
 }
 

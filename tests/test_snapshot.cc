@@ -193,6 +193,45 @@ TEST(LosslessGenomeCodec, RejectsInvalidActivationId)
                  persist::SnapshotError);
 }
 
+TEST(LosslessGenomeCodec, OutOfOrderGenesDecodeAsEmplacedInOrder)
+{
+    // Genes are decoded straight into their slots when the keys ascend,
+    // as a writer emits them. A tampered stream gets what emplacing
+    // each gene in turn gives: sorted by key, the first of equal keys
+    // kept.
+    neat::NeatConfig cfg;
+    cfg.numInputs = 4;
+    cfg.numOutputs = 2;
+    neat::NodeIndexer idx(cfg.numOutputs);
+    XorWow rng(17);
+    const neat::Genome g = neat::Genome::createNew(3, cfg, idx, rng);
+    ASSERT_EQ(g.numConnectionGenes(), 8u);
+    const auto bytes = persist::encodeGenomeLossless(g);
+    // key 4 + deletions 4 + has-fitness 1 + fitness 8 + node count 8,
+    // the node records, then the connection count.
+    const size_t conns = 25 + 22 * g.numNodeGenes() + 8;
+    const size_t last = conns + 17 * (g.numConnectionGenes() - 1);
+
+    auto swapped = bytes;
+    std::swap_ranges(swapped.begin() + static_cast<std::ptrdiff_t>(conns),
+                     swapped.begin() + static_cast<std::ptrdiff_t>(conns + 17),
+                     swapped.begin() + static_cast<std::ptrdiff_t>(last));
+    expectGenomesBitIdentical(persist::decodeGenomeLossless(swapped), g);
+
+    // The second connection's key over the first's: the first stays,
+    // the second record is dropped.
+    auto duplicated = bytes;
+    std::copy_n(duplicated.begin() + static_cast<std::ptrdiff_t>(conns), 8,
+                duplicated.begin() + static_cast<std::ptrdiff_t>(conns + 17));
+    const neat::Genome back = persist::decodeGenomeLossless(duplicated);
+    ASSERT_EQ(back.numConnectionGenes(), g.numConnectionGenes() - 1);
+    const neat::ConnKey first = g.connections().keyAt(0);
+    EXPECT_EQ(std::bit_cast<uint64_t>(back.connections().at(first).weight),
+              std::bit_cast<uint64_t>(g.connections().valueAt(0).weight));
+    EXPECT_FALSE(back.connections().contains(g.connections().keyAt(1)));
+    back.connections().dcheckInvariants("decoded duplicate");
+}
+
 // --- population capture / restore -------------------------------------------
 
 TEST(PopulationSnapshot, RestoredPopulationEvolvesBitIdentically)
@@ -505,6 +544,63 @@ TEST_F(SnapshotCorruptionTest, VersionBumpedHeader)
         << msg;
 }
 
+TEST_F(SnapshotCorruptionTest, PreviousVersionIsRejected)
+{
+    // Version 3 had the byte-serial digest; its files are not read.
+    auto v = bytes_;
+    v[4] = 3;
+    const std::string msg = errorFor(writeVariant("v3.gsnap", v));
+    EXPECT_NE(msg.find("unsupported snapshot version 3"), std::string::npos)
+        << msg;
+}
+
+TEST_F(SnapshotCorruptionTest, MalformedGenomesReportTheSerialOrderFirst)
+{
+    // Genome::validate runs on the engine's workers. With several
+    // malformed genomes, the one reported must be the one a serial
+    // walk meets first (genomes by key, then species representatives,
+    // then the best genome), with the same message, at any thread
+    // count.
+    persist::SystemSnapshot snap = persist::readSnapshotFile(path_);
+    ASSERT_GE(snap.population.genomes.size(), 3u);
+    auto it = snap.population.genomes.begin();
+    ++it;
+    const int first_bad = it->first;
+    // A missing output node, and in a later genome a dangling
+    // connection destination.
+    it->second.mutableNodes().erase(0);
+    neat::Genome &last = snap.population.genomes.rbegin()->second;
+    neat::ConnectionGene dangling;
+    dangling.key = {-1, 999999};
+    last.mutableConnections().emplace(dangling.key, dangling);
+    snap.population.species.begin()->second.representative.mutableNodes()
+        .erase(0);
+    const std::string p = (dir_ / "two-bad.gsnap").string();
+    persist::writeSnapshotFile(snap, p);
+
+    const std::string want = "snapshot \"" + p + "\": genome " +
+                             std::to_string(first_bad) +
+                             " is malformed: ";
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        core::SystemConfig cfg = smallSystemConfig();
+        cfg.numThreads = threads;
+        core::System sys(cfg);
+        for (int rep = 0; rep < 5; ++rep) {
+            try {
+                sys.resumeFrom(p);
+                ADD_FAILURE() << "expected SnapshotError";
+            } catch (const persist::SnapshotError &e) {
+                const std::string msg = e.what();
+                EXPECT_EQ(msg.rfind(want, 0), 0u) << msg;
+                EXPECT_NE(msg.find("output node 0 missing"),
+                          std::string::npos)
+                    << msg;
+            }
+        }
+    }
+}
+
 TEST_F(SnapshotCorruptionTest, DistinctMessagesPerFailureMode)
 {
     // The three ISSUE failure modes must be told apart by message.
@@ -610,12 +706,83 @@ TEST_F(SnapshotCorruptionTest, FailedResumeLeavesSystemUntouched)
               digestReports(control.reports()));
 }
 
+TEST(SnapshotDigest, CatchesEverySingleByteChange)
+{
+    // A hand-built snapshot small enough to change every payload byte
+    // every way that matters: each single-bit flip and the complement
+    // of each byte, in the four-lane words and in the byte tail past
+    // the last 32-byte block, must fail the digest check.
+    neat::NeatConfig ncfg;
+    ncfg.numInputs = 3;
+    ncfg.numOutputs = 1;
+    neat::NodeIndexer idx(ncfg.numOutputs);
+    XorWow rng(5);
+    persist::SystemSnapshot snap;
+    snap.envName = "CartPole_v0";
+    snap.seed = 11;
+    snap.populationSize = 1;
+    snap.numInputs = ncfg.numInputs;
+    snap.numOutputs = ncfg.numOutputs;
+    snap.population.genomes.emplace(
+        0, neat::Genome::createNew(0, ncfg, idx, rng));
+    neat::Species sp;
+    sp.key = 1;
+    sp.representative = snap.population.genomes.at(0);
+    sp.memberKeys = {0};
+    snap.population.species.emplace(1, sp);
+    snap.population.nextSpeciesKey = 2;
+    snap.population.nextGenomeKey = 1;
+    snap.population.nextNodeKey = idx.peek();
+    snap.population.rngState = rng.saveState();
+
+    const fs::path dir = scratchDir("digest");
+    const std::string path = (dir / "small.gsnap").string();
+    persist::writeSnapshotFile(snap, path);
+    std::string bytes;
+    {
+        std::ifstream is(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+    }
+    fs::remove_all(dir);
+    constexpr size_t kHeader = 24;
+    const size_t payload = bytes.size() - kHeader;
+    ASSERT_GE(payload, 64u);
+    ASSERT_NE(payload % 32, 0u) << "no byte tail to test";
+    {
+        std::istringstream pristine(bytes);
+        EXPECT_EQ(persist::readSnapshot(pristine, bytes.size(), path)
+                      .population.genomes.size(),
+                  1u);
+    }
+    for (size_t at = kHeader; at < bytes.size(); ++at) {
+        for (int mask : {1, 2, 4, 8, 16, 32, 64, 128, 255}) {
+            std::string changed = bytes;
+            changed[at] = static_cast<char>(changed[at] ^ mask);
+            std::istringstream in(changed);
+            try {
+                (void)persist::readSnapshot(in, changed.size(), path);
+                ADD_FAILURE() << "byte " << at << " ^ " << mask
+                              << " passed the digest";
+                return;
+            } catch (const persist::SnapshotError &e) {
+                if (std::string(e.what()).find("digest mismatch") ==
+                    std::string::npos) {
+                    ADD_FAILURE() << "byte " << at << " ^ " << mask << ": "
+                                  << e.what();
+                    return;
+                }
+            }
+        }
+    }
+}
+
 // --- structure-aware fuzz: the parser meets hostile payloads -----------------
 // The corruption tests above mostly prove the digest works: a flipped
 // byte is rejected before any chunk is parsed. This loop mutates the
 // payload with knowledge of its layout — chunk tags, sizes and
 // bodies, element counts, gene keys — and then *recomputes* the
-// payload size and FNV digest in the header, so every input reaches
+// payload size and digest in the header, so every input reaches
 // the chunk parsers and System::resumeFrom. Each input must either be
 // rejected with a SnapshotError or restore a state whose genomes all
 // pass Genome::validate and whose species partition those genomes,
@@ -626,14 +793,32 @@ TEST_F(SnapshotCorruptionTest, FailedResumeLeavesSystemUntouched)
 namespace
 {
 
+/**
+ * The version-4 payload digest of bytes[from..], written out from the
+ * format's description: four FNV-1a lanes over the little-endian
+ * 64-bit words of each 32-byte block, folded in lane order, then the
+ * byte tail.
+ */
 uint64_t
-fuzzFnv1a(const std::vector<uint8_t> &bytes, size_t from)
+fuzzDigest(const std::vector<uint8_t> &bytes, size_t from)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = from; i < bytes.size(); ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ull;
+    constexpr uint64_t kBasis = 0xcbf29ce484222325ull;
+    constexpr uint64_t kPrime = 0x100000001b3ull;
+    uint64_t lane[4] = {kBasis, kBasis ^ 1, kBasis ^ 2, kBasis ^ 3};
+    size_t i = from;
+    for (; i + 32 <= bytes.size(); i += 32) {
+        for (size_t k = 0; k < 4; ++k) {
+            uint64_t w = 0;
+            for (size_t b = 0; b < 8; ++b)
+                w |= static_cast<uint64_t>(bytes[i + 8 * k + b]) << (8 * b);
+            lane[k] = (lane[k] ^ w) * kPrime;
+        }
     }
+    uint64_t h = lane[0];
+    for (size_t k = 1; k < 4; ++k)
+        h = (h ^ lane[k]) * kPrime;
+    for (; i < bytes.size(); ++i)
+        h = (h ^ bytes[i]) * kPrime;
     return h;
 }
 
@@ -884,7 +1069,7 @@ TEST(SnapshotFuzz, HostilePayloadsAreRejectedOrRestoreValidGenomes)
         for (int m = 0; m < rounds; ++m)
             mutateSnapshot(file, counts, keys, members, rng);
         putLe(file, 8, 8, file.size() - kFuzzHeaderBytes);
-        putLe(file, 16, 8, fuzzFnv1a(file, kFuzzHeaderBytes));
+        putLe(file, 16, 8, fuzzDigest(file, kFuzzHeaderBytes));
         {
             std::ofstream os(path, std::ios::binary | std::ios::trunc);
             os.write(reinterpret_cast<const char *>(file.data()),

@@ -137,3 +137,43 @@ TEST_F(StagnationFixture, BestFitnessTracksImprovement)
         EXPECT_EQ(sp.lastImprovedGeneration, 1);
     }
 }
+
+TEST_F(StagnationFixture, TiedSpeciesKeepKeyOrderPastInsertionSortSize)
+{
+    // 24 species of equal fitness: more than the 16 elements below
+    // which libstdc++'s std::sort falls back to insertion sort, so an
+    // unstable sort would order the ties by its partitioning. Sorted
+    // stably, ties stay in species-key order and speciesElitism
+    // protects the highest keys.
+    constexpr int kSpecies = 24;
+    cfg.speciesElitism = 3;
+    NodeIndexer idx(cfg.numOutputs);
+    XorWow rng(7);
+    std::map<int, Genome> many;
+    std::map<int, Species> species;
+    for (int i = 0; i < kSpecies; ++i) {
+        Genome g = Genome::createNew(i, cfg, idx, rng);
+        g.setFitness(1.0);
+        Species sp;
+        sp.key = 3 * i + 1;
+        // Best fitness never beaten since generation 0: every species
+        // is past maxStagnation unless protected.
+        sp.bestFitness = 2.0;
+        sp.representative = g;
+        sp.memberKeys = {i};
+        species.emplace(sp.key, std::move(sp));
+        many.emplace(i, std::move(g));
+    }
+    SpeciesSet set(cfg);
+    set.restore(std::move(species), 3 * kSpecies + 1);
+    Stagnation stag(cfg);
+    const std::vector<SpeciesStanding> standings = stag.update(set, many, 10);
+    ASSERT_EQ(standings.size(), static_cast<size_t>(kSpecies));
+    for (int i = 0; i < kSpecies; ++i) {
+        EXPECT_EQ(standings[static_cast<size_t>(i)].key, 3 * i + 1)
+            << "position " << i;
+        EXPECT_EQ(standings[static_cast<size_t>(i)].stagnant,
+                  i < kSpecies - cfg.speciesElitism)
+            << "species " << 3 * i + 1;
+    }
+}
