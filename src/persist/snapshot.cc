@@ -32,13 +32,28 @@ constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;
 constexpr const char *kEvolutionRngStream = "population.evolution";
 
 /**
- * The payload digest: four FNV-1a lanes, each absorbing every fourth
+ * One digest step: FNV-1a's xor-multiply, then an xorshift that feeds
+ * the high half back down. A multiply mod 2^64 only carries a change
+ * toward higher bits, so without the shift a change confined to the
+ * top bits of words would never reach the low bits of the digest, and
+ * two flips of the same top bit would cancel exactly.
+ */
+constexpr uint64_t
+digestStep(uint64_t h, uint64_t v)
+{
+    constexpr uint64_t kPrime = 0x100000001b3ull;
+    h = (h ^ v) * kPrime;
+    return h ^ (h >> 32);
+}
+
+/**
+ * The payload digest: four lanes, each absorbing every fourth
  * little-endian 64-bit word of the 32-byte blocks, so the four
- * multiply chains run side by side; then the lanes are folded in
- * order and the tail of fewer than 32 bytes is absorbed byte by byte.
- * Every step is a bijection of the running value for a fixed input,
- * and of the input for a fixed running value, so changing any single
- * byte changes the digest.
+ * multiply chains run side by side; then the lanes are absorbed in
+ * order into a fresh running value, and the tail of fewer than 32
+ * bytes is absorbed byte by byte. Every step is a bijection of the
+ * running value for a fixed input, and of the input for a fixed
+ * running value, so changing any single byte changes the digest.
  */
 uint64_t
 payloadDigest(const uint8_t *data, size_t n)
@@ -46,21 +61,20 @@ payloadDigest(const uint8_t *data, size_t n)
     static_assert(std::endian::native == std::endian::little,
                   "the digest reads payload words in native order");
     constexpr uint64_t kBasis = 0xcbf29ce484222325ull;
-    constexpr uint64_t kPrime = 0x100000001b3ull;
     uint64_t lane[4] = {kBasis, kBasis ^ 1, kBasis ^ 2, kBasis ^ 3};
     size_t i = 0;
     for (; i + 32 <= n; i += 32) {
         for (size_t k = 0; k < 4; ++k) {
             uint64_t w;
             std::memcpy(&w, data + i + 8 * k, 8);
-            lane[k] = (lane[k] ^ w) * kPrime;
+            lane[k] = digestStep(lane[k], w);
         }
     }
-    uint64_t h = lane[0];
-    for (size_t k = 1; k < 4; ++k)
-        h = (h ^ lane[k]) * kPrime;
+    uint64_t h = kBasis;
+    for (size_t k = 0; k < 4; ++k)
+        h = digestStep(h, lane[k]);
     for (; i < n; ++i)
-        h = (h ^ data[i]) * kPrime;
+        h = digestStep(h, data[i]);
     return h;
 }
 
@@ -302,29 +316,21 @@ constexpr size_t kConnGeneBytes = 17;
 /**
  * Fill `genes` with `count` genes, each decoded by `decode(gene)`
  * (which returns its key) straight into its slot. A writer emits
- * keys strictly ascending; a tampered stream that does not is put in
- * order as emplacing its genes one by one would (sorted, the first of
- * equal keys kept).
+ * keys strictly ascending; a stream that does not is rejected.
  */
 template <typename Key, typename Gene, typename Decode>
 void
 readGenes(neat::FlatGeneMap<Key, Gene> &genes, size_t count, Decode decode)
 {
-    bool ascending = true;
     genes.assignInPlace(
         count, [&](std::span<Key> keys, std::span<Gene> values) {
             for (size_t i = 0; i < count; ++i) {
                 keys[i] = decode(values[i]);
-                ascending = ascending && (i == 0 || keys[i - 1] < keys[i]);
+                if (i > 0 && !(keys[i - 1] < keys[i]))
+                    throw SnapshotError(
+                        "malformed snapshot: gene keys not ascending");
             }
         });
-    if (ascending)
-        return;
-    std::vector<std::pair<Key, Gene>> entries;
-    entries.reserve(count);
-    for (size_t i = 0; i < count; ++i)
-        entries.emplace_back(genes.keyAt(i), genes.valueAt(i));
-    genes.assign(std::move(entries));
 }
 
 void

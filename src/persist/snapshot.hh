@@ -9,9 +9,10 @@
  *     [0..3]   magic "GSNP"
  *     [4..7]   u32 format version (kSnapshotVersion)
  *     [8..15]  u64 payload size in bytes
- *     [16..23] u64 digest of the payload: four FNV-1a lanes over
- *              its little-endian 64-bit words, folded, then the
- *              byte tail
+ *     [16..23] u64 digest of the payload: four lanes of FNV-1a
+ *              steps, each followed by an xorshift, over its
+ *              little-endian 64-bit words, folded, then the byte
+ *              tail
  *     [24.. ]  payload: a sequence of chunks
  *
  * Each chunk is `u32 tag | u64 size | size bytes`. Loads validate the

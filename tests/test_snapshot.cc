@@ -193,12 +193,10 @@ TEST(LosslessGenomeCodec, RejectsInvalidActivationId)
                  persist::SnapshotError);
 }
 
-TEST(LosslessGenomeCodec, OutOfOrderGenesDecodeAsEmplacedInOrder)
+TEST(LosslessGenomeCodec, RejectsGeneKeysNotAscending)
 {
-    // Genes are decoded straight into their slots when the keys ascend,
-    // as a writer emits them. A tampered stream gets what emplacing
-    // each gene in turn gives: sorted by key, the first of equal keys
-    // kept.
+    // A writer emits gene keys strictly ascending; a stream whose keys
+    // are swapped or repeated is malformed and rejected, not repaired.
     neat::NeatConfig cfg;
     cfg.numInputs = 4;
     cfg.numOutputs = 2;
@@ -211,25 +209,33 @@ TEST(LosslessGenomeCodec, OutOfOrderGenesDecodeAsEmplacedInOrder)
     // the node records, then the connection count.
     const size_t conns = 25 + 22 * g.numNodeGenes() + 8;
     const size_t last = conns + 17 * (g.numConnectionGenes() - 1);
+    const auto expectRejected = [](const std::vector<uint8_t> &b) {
+        try {
+            (void)persist::decodeGenomeLossless(b);
+            ADD_FAILURE() << "decoded";
+        } catch (const persist::SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find("gene keys not ascending"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
 
     auto swapped = bytes;
     std::swap_ranges(swapped.begin() + static_cast<std::ptrdiff_t>(conns),
                      swapped.begin() + static_cast<std::ptrdiff_t>(conns + 17),
                      swapped.begin() + static_cast<std::ptrdiff_t>(last));
-    expectGenomesBitIdentical(persist::decodeGenomeLossless(swapped), g);
+    expectRejected(swapped);
 
-    // The second connection's key over the first's: the first stays,
-    // the second record is dropped.
+    // The first connection's key over the second's.
     auto duplicated = bytes;
     std::copy_n(duplicated.begin() + static_cast<std::ptrdiff_t>(conns), 8,
                 duplicated.begin() + static_cast<std::ptrdiff_t>(conns + 17));
-    const neat::Genome back = persist::decodeGenomeLossless(duplicated);
-    ASSERT_EQ(back.numConnectionGenes(), g.numConnectionGenes() - 1);
-    const neat::ConnKey first = g.connections().keyAt(0);
-    EXPECT_EQ(std::bit_cast<uint64_t>(back.connections().at(first).weight),
-              std::bit_cast<uint64_t>(g.connections().valueAt(0).weight));
-    EXPECT_FALSE(back.connections().contains(g.connections().keyAt(1)));
-    back.connections().dcheckInvariants("decoded duplicate");
+    expectRejected(duplicated);
+
+    // The first node's key over the second's.
+    auto node_dup = bytes;
+    std::copy_n(node_dup.begin() + 25, 4, node_dup.begin() + 25 + 22);
+    expectRejected(node_dup);
 }
 
 // --- population capture / restore -------------------------------------------
@@ -706,12 +712,20 @@ TEST_F(SnapshotCorruptionTest, FailedResumeLeavesSystemUntouched)
               digestReports(control.reports()));
 }
 
-TEST(SnapshotDigest, CatchesEverySingleByteChange)
+namespace
 {
-    // A hand-built snapshot small enough to change every payload byte
-    // every way that matters: each single-bit flip and the complement
-    // of each byte, in the four-lane words and in the byte tail past
-    // the last 32-byte block, must fail the digest check.
+
+/** The 24-byte file header that precedes the digested payload. */
+constexpr size_t kDigestHeaderBytes = 24;
+
+/**
+ * The file bytes of a hand-built one-genome snapshot, small enough to
+ * change every payload byte, with a byte tail past the last 32-byte
+ * block. `path` is the name the reads below report.
+ */
+std::string
+smallSnapshotBytes(const std::string &path)
+{
     neat::NeatConfig ncfg;
     ncfg.numInputs = 3;
     ncfg.numOutputs = 1;
@@ -735,8 +749,6 @@ TEST(SnapshotDigest, CatchesEverySingleByteChange)
     snap.population.nextNodeKey = idx.peek();
     snap.population.rngState = rng.saveState();
 
-    const fs::path dir = scratchDir("digest");
-    const std::string path = (dir / "small.gsnap").string();
     persist::writeSnapshotFile(snap, path);
     std::string bytes;
     {
@@ -744,35 +756,83 @@ TEST(SnapshotDigest, CatchesEverySingleByteChange)
         bytes.assign(std::istreambuf_iterator<char>(is),
                      std::istreambuf_iterator<char>());
     }
+    std::istringstream pristine(bytes);
+    EXPECT_EQ(persist::readSnapshot(pristine, bytes.size(), path)
+                  .population.genomes.size(),
+              1u);
+    return bytes;
+}
+
+/** Whether reading `bytes` fails the digest check; else a test failure. */
+bool
+failsDigest(const std::string &bytes, const std::string &path,
+            const std::string &what)
+{
+    std::istringstream in(bytes);
+    try {
+        (void)persist::readSnapshot(in, bytes.size(), path);
+        ADD_FAILURE() << what << " passed the digest";
+        return false;
+    } catch (const persist::SnapshotError &e) {
+        if (std::string(e.what()).find("digest mismatch") ==
+            std::string::npos) {
+            ADD_FAILURE() << what << ": " << e.what();
+            return false;
+        }
+    }
+    return true;
+}
+
+} // namespace
+
+TEST(SnapshotDigest, CatchesEverySingleByteChange)
+{
+    // Each single-bit flip and the complement of each payload byte, in
+    // the four-lane words and in the byte tail past the last 32-byte
+    // block, must fail the digest check.
+    const fs::path dir = scratchDir("digest");
+    const std::string path = (dir / "small.gsnap").string();
+    const std::string bytes = smallSnapshotBytes(path);
     fs::remove_all(dir);
-    constexpr size_t kHeader = 24;
-    const size_t payload = bytes.size() - kHeader;
+    const size_t payload = bytes.size() - kDigestHeaderBytes;
     ASSERT_GE(payload, 64u);
     ASSERT_NE(payload % 32, 0u) << "no byte tail to test";
-    {
-        std::istringstream pristine(bytes);
-        EXPECT_EQ(persist::readSnapshot(pristine, bytes.size(), path)
-                      .population.genomes.size(),
-                  1u);
-    }
-    for (size_t at = kHeader; at < bytes.size(); ++at) {
+    for (size_t at = kDigestHeaderBytes; at < bytes.size(); ++at) {
         for (int mask : {1, 2, 4, 8, 16, 32, 64, 128, 255}) {
             std::string changed = bytes;
             changed[at] = static_cast<char>(changed[at] ^ mask);
-            std::istringstream in(changed);
-            try {
-                (void)persist::readSnapshot(in, changed.size(), path);
-                ADD_FAILURE() << "byte " << at << " ^ " << mask
-                              << " passed the digest";
+            if (!failsDigest(changed, path,
+                             "byte " + std::to_string(at) + " ^ " +
+                                 std::to_string(mask)))
                 return;
-            } catch (const persist::SnapshotError &e) {
-                if (std::string(e.what()).find("digest mismatch") ==
-                    std::string::npos) {
-                    ADD_FAILURE() << "byte " << at << " ^ " << mask << ": "
-                                  << e.what();
-                    return;
-                }
-            }
+        }
+    }
+}
+
+TEST(SnapshotDigest, CatchesPairedTopBitFlips)
+{
+    // A multiply only carries a change toward higher bits, so a digest
+    // built from xor-multiply steps alone lets any two flips of bit 63
+    // of payload words cancel. Every pair of words in the 32-byte
+    // blocks, same lane or not, last block included, must fail.
+    const fs::path dir = scratchDir("digest-pairs");
+    const std::string path = (dir / "small.gsnap").string();
+    const std::string bytes = smallSnapshotBytes(path);
+    fs::remove_all(dir);
+    const size_t words = (bytes.size() - kDigestHeaderBytes) / 32 * 4;
+    ASSERT_GE(words, 8u);
+    const auto topByte = [](size_t word) {
+        return kDigestHeaderBytes + 8 * word + 7;
+    };
+    for (size_t a = 0; a < words; ++a) {
+        for (size_t b = a + 1; b < words; ++b) {
+            std::string changed = bytes;
+            changed[topByte(a)] = static_cast<char>(changed[topByte(a)] ^ 0x80);
+            changed[topByte(b)] = static_cast<char>(changed[topByte(b)] ^ 0x80);
+            if (!failsDigest(changed, path,
+                             "bit 63 of words " + std::to_string(a) +
+                                 " and " + std::to_string(b)))
+                return;
         }
     }
 }
@@ -795,15 +855,20 @@ namespace
 
 /**
  * The version-4 payload digest of bytes[from..], written out from the
- * format's description: four FNV-1a lanes over the little-endian
- * 64-bit words of each 32-byte block, folded in lane order, then the
- * byte tail.
+ * format's description: each step is FNV-1a's xor-multiply followed
+ * by `h ^= h >> 32`; four lanes take the little-endian 64-bit words
+ * of each 32-byte block, are absorbed in lane order into a fresh
+ * running value, then the byte tail is absorbed.
  */
 uint64_t
 fuzzDigest(const std::vector<uint8_t> &bytes, size_t from)
 {
     constexpr uint64_t kBasis = 0xcbf29ce484222325ull;
     constexpr uint64_t kPrime = 0x100000001b3ull;
+    const auto step = [](uint64_t h, uint64_t v) {
+        h = (h ^ v) * kPrime;
+        return h ^ (h >> 32);
+    };
     uint64_t lane[4] = {kBasis, kBasis ^ 1, kBasis ^ 2, kBasis ^ 3};
     size_t i = from;
     for (; i + 32 <= bytes.size(); i += 32) {
@@ -811,14 +876,14 @@ fuzzDigest(const std::vector<uint8_t> &bytes, size_t from)
             uint64_t w = 0;
             for (size_t b = 0; b < 8; ++b)
                 w |= static_cast<uint64_t>(bytes[i + 8 * k + b]) << (8 * b);
-            lane[k] = (lane[k] ^ w) * kPrime;
+            lane[k] = step(lane[k], w);
         }
     }
-    uint64_t h = lane[0];
-    for (size_t k = 1; k < 4; ++k)
-        h = (h ^ lane[k]) * kPrime;
+    uint64_t h = kBasis;
+    for (size_t k = 0; k < 4; ++k)
+        h = step(h, lane[k]);
     for (; i < bytes.size(); ++i)
-        h = (h ^ bytes[i]) * kPrime;
+        h = step(h, bytes[i]);
     return h;
 }
 
