@@ -112,9 +112,12 @@ main()
     cfg.envName = "Alien-ram-v0";
     cfg.maxGenerations = 5;
     cfg.seed = 71;
+    // The population holds only the latest trace, so keep each
+    // generation's as it is bred.
     System sys(cfg);
-    sys.run();
-    const auto &traces = sys.population().traces();
+    std::vector<neat::EvolutionTrace> traces;
+    for (int g = 0; g < cfg.maxGenerations && !sys.stepGeneration(); ++g)
+        traces.push_back(sys.population().traces().back());
     const EnergyModel energy;
 
     // --- Ablation 1: PE allocation policy -------------------------------------

@@ -60,11 +60,12 @@ main()
             cfg.envName = env;
             cfg.maxGenerations = spec.maxGenerations;
             cfg.seed = seed++;
+            // The population holds only the latest trace, so keep
+            // each generation's as it is bred.
             System sys(cfg);
-            sys.run();
-            // Steal the population's recorded traces.
-            for (const auto &tr : sys.population().traces())
-                traces.push_back(tr);
+            for (int g = 0;
+                 g < cfg.maxGenerations && !sys.stepGeneration(); ++g)
+                traces.push_back(sys.population().traces().back());
             // And a representative inference schedule.
             const auto &g =
                 sys.population().genomes().begin()->second;

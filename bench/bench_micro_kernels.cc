@@ -19,7 +19,6 @@
 #include "hw/eve_pe.hh"
 #include "hw/gene_split.hh"
 #include "nn/compiled_plan.hh"
-#include "nn/hw_activations.hh"
 #include "obs/telemetry.hh"
 
 using namespace genesys;
@@ -92,9 +91,6 @@ denseGenome(const NeatConfig &cfg, int hidden, uint64_t seed)
 constexpr int kCmpInputs = 8;
 constexpr int kCmpHidden = 64;
 constexpr int kCmpOutputs = 4;
-/** The widest group the wave loop forms on the benchmark workloads:
- *  the episodes of one genome at episodesPerEval == 4. */
-constexpr int kCmpLanes = 4;
 constexpr uint64_t kCmpSeed = 42;
 
 // Atari-RAM scale: Table I's RAM environments observe 128 bytes, so
@@ -148,17 +144,13 @@ BM_GenomeDistance(benchmark::State &state)
 BENCHMARK(BM_GenomeDistance)->Arg(4)->Arg(128);
 
 // --- numerics tiers: float reference vs hw-faithful fixed point --------------
-// The perf claim of the HwFaithful tier (nn/numerics.hh): replacing
-// the per-lane libm activation calls with branch-free polynomial
-// kernels + Limit & Quantize lets the batched activation step
-// vectorize across episode lanes. The pair below runs the SAME
-// batched eval path (one compile + steps x kCmpLanes lockstep
-// passes) under each tier on the 8-input 64-hidden dense genome —
-// the activation-bound end of the spectrum, where the reference
-// tier's per-lane libm loop is the floor. Before timing, the harness
-// asserts the hw tier's contract: batched output bits == serial
-// output bits within the tier, and hw-vs-float output divergence
-// inside the documented approximation bound.
+// The pair below runs the same eval path (one compile + steps serial
+// activate() calls) under each tier on the 8-input 64-hidden dense
+// genome — the activation-bound end of the spectrum, where the
+// reference tier's libm calls dominate. Before timing, the harness
+// asserts that hw-vs-float output divergence stays inside the
+// documented approximation bound; the hw plan's bit identity to the
+// hw-tier interpreter is fuzzed in the ctest suites.
 
 namespace
 {
@@ -169,7 +161,7 @@ namespace
  *  (tests/test_numerics_divergence.cc). */
 constexpr double kTierDivergenceBound = 0.08;
 
-/** Assert hw serial==batch bit-identity and hw-vs-float proximity. */
+/** Assert hw-vs-float output proximity on random inputs. */
 void
 assertHwTierConsistent(const NeatConfig &cfg, const Genome &g,
                        uint64_t seed)
@@ -179,46 +171,24 @@ assertHwTierConsistent(const NeatConfig &cfg, const Genome &g,
         g, cfg, nn::NumericsTier::HwFaithful);
     XorWow rng(seed);
     nn::PlanScratch ref_s, hw_s;
-    nn::BatchScratch batch;
-    hw.beginBatch(kCmpLanes, batch);
-    for (int t = 0; t < 4; ++t) {
-        std::vector<std::vector<double>> lane_in(kCmpLanes);
-        for (int l = 0; l < kCmpLanes; ++l) {
-            lane_in[static_cast<size_t>(l)].resize(
-                static_cast<size_t>(cfg.numInputs));
-            for (auto &x : lane_in[static_cast<size_t>(l)])
-                x = rng.uniform(-3.0, 3.0);
-            for (int i = 0; i < cfg.numInputs; ++i)
-                batch.inputs[static_cast<size_t>(i) * kCmpLanes +
-                             static_cast<size_t>(l)] =
-                    lane_in[static_cast<size_t>(l)]
-                           [static_cast<size_t>(i)];
-        }
-        hw.activateBatch(kCmpLanes, batch);
-        for (int l = 0; l < kCmpLanes; ++l) {
-            hw.activate(lane_in[static_cast<size_t>(l)], hw_s);
-            ref.activate(lane_in[static_cast<size_t>(l)], ref_s);
-            for (size_t o = 0; o < hw_s.outputs.size(); ++o) {
-                GENESYS_ASSERT(
-                    std::bit_cast<uint64_t>(
-                        batch.outputs[o * kCmpLanes +
-                                      static_cast<size_t>(l)]) ==
-                        std::bit_cast<uint64_t>(hw_s.outputs[o]),
-                    "hw tier batched/serial outputs diverge at lane "
-                        << l << " output " << o);
-                const double dv =
-                    hw_s.outputs[o] - ref_s.outputs[o];
-                GENESYS_ASSERT(
-                    (dv < 0 ? -dv : dv) <= kTierDivergenceBound,
-                    "hw tier diverges from float beyond bound at "
-                        << "output " << o << ": " << hw_s.outputs[o]
-                        << " vs " << ref_s.outputs[o]);
-            }
+    std::vector<double> in(static_cast<size_t>(cfg.numInputs));
+    for (int t = 0; t < 16; ++t) {
+        for (auto &x : in)
+            x = rng.uniform(-3.0, 3.0);
+        hw.activate(in, hw_s);
+        ref.activate(in, ref_s);
+        for (size_t o = 0; o < hw_s.outputs.size(); ++o) {
+            const double dv = hw_s.outputs[o] - ref_s.outputs[o];
+            GENESYS_ASSERT(
+                (dv < 0 ? -dv : dv) <= kTierDivergenceBound,
+                "hw tier diverges from float beyond bound at "
+                    << "output " << o << ": " << hw_s.outputs[o]
+                    << " vs " << ref_s.outputs[o]);
         }
     }
 }
 
-/** The batched eval path under one tier (shared by the pair below). */
+/** The eval path under one tier (shared by the pair below). */
 void
 evalPathTiered(benchmark::State &state, nn::NumericsTier tier)
 {
@@ -226,24 +196,23 @@ evalPathTiered(benchmark::State &state, nn::NumericsTier tier)
     const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
     assertHwTierConsistent(cfg, g, kCmpSeed + 3);
     const auto steps = static_cast<int>(state.range(0));
-    nn::BatchScratch scratch;
+    nn::PlanScratch scratch;
+    const std::vector<double> in(static_cast<size_t>(kCmpInputs), 0.5);
     // Compile once, outside the timing loop: in the engine the
     // PlanCache compiles each genome once per generation while the
     // eval path runs episodesPerEval x ~hundreds of env steps against
     // that plan, so the steady-state step cost is the number the tier
     // comparison is about (BM_CompilePlan* below time the compile).
     const auto plan = nn::CompiledPlan::compileFor(g, cfg, tier);
-    plan.beginBatch(kCmpLanes, scratch);
     for (auto _ : state) {
-        std::fill(scratch.inputs.begin(), scratch.inputs.end(), 0.5);
         for (int s = 0; s < steps; ++s) {
-            plan.activateBatch(kCmpLanes, scratch);
+            plan.activate(in, scratch);
             benchmark::DoNotOptimize(scratch.outputs.data());
         }
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            steps * kCmpLanes); // steps/s
+                            steps); // steps/s
 }
 
 } // namespace
@@ -261,74 +230,6 @@ BM_EvalPathHwFaithful64Hidden(benchmark::State &state)
     evalPathTiered(state, nn::NumericsTier::HwFaithful);
 }
 BENCHMARK(BM_EvalPathHwFaithful64Hidden)->Arg(25)->Arg(50)->Arg(100);
-
-// The activation step in isolation — the libm-floor claim as a
-// measured artifact. Arg(0) times the reference step: a per-lane
-// loop of scalar libm sigmoid calls (neat::activate), which GCC
-// cannot vectorize across lanes because of the libm call. Arg(1)
-// times the hw tier's lane kernel: branch-free rational sigmoid +
-// Limit & Quantize across the whole lane vector. Two gates run
-// before timing: the hw lane kernel must match the hw scalar
-// dispatch bit for bit (the shared-functor contract), and hw-vs-libm
-// divergence must stay inside the documented per-activation bound.
-
-static void
-BM_ActivationScalarVsVectorized(benchmark::State &state)
-{
-    constexpr int kLanes = 8;
-    // Per-activation approximation bound for the sigmoid functor
-    // (tanhCore error ~2.4e-2 halved, plus Q6.10 rounding).
-    constexpr double kActDivergenceBound = 1.3e-2;
-    constexpr auto q = nn::hwact::hwQuantizer();
-    const bool vectorized = state.range(0) != 0;
-    alignas(64) double acc[kLanes];
-    alignas(64) double dst_s[kLanes];
-    alignas(64) double dst_v[kLanes];
-    XorWow rng(kCmpSeed + 4);
-    for (int l = 0; l < kLanes; ++l) {
-        acc[l] = rng.uniform(-3.0, 3.0);
-        dst_s[l] = dst_v[l] = 0.0;
-    }
-    // Gate 1: the vectorized hw kernel must reproduce the scalar hw
-    // dispatch bit for bit on every lane. Gate 2: the hw
-    // approximation must stay within the documented bound of the
-    // libm reference it replaces.
-    nn::hwact::activateLanesQuantized<kLanes>(
-        neat::Activation::Sigmoid, 0.3, 0.9, acc, dst_v, kLanes, q);
-    for (int l = 0; l < kLanes; ++l) {
-        const double x = 0.3 + 0.9 * acc[l];
-        GENESYS_ASSERT(
-            std::bit_cast<uint64_t>(nn::hwact::activateQuantized(
-                neat::Activation::Sigmoid, x, q)) ==
-                std::bit_cast<uint64_t>(dst_v[l]),
-            "scalar/vectorized hw activation diverges at lane " << l);
-        GENESYS_ASSERT(
-            std::fabs(dst_v[l] -
-                      neat::activate(neat::Activation::Sigmoid, x)) <=
-                kActDivergenceBound,
-            "hw sigmoid drifted past the documented bound at lane "
-                << l);
-    }
-
-    for (auto _ : state) {
-        if (vectorized) {
-            nn::hwact::activateLanesQuantized<kLanes>(
-                neat::Activation::Sigmoid, 0.3, 0.9, acc, dst_v, kLanes,
-                q);
-            benchmark::DoNotOptimize(dst_v);
-        } else {
-            for (int l = 0; l < kLanes; ++l)
-                dst_s[l] = neat::activate(neat::Activation::Sigmoid,
-                                          0.3 + 0.9 * acc[l]);
-            benchmark::DoNotOptimize(dst_s);
-        }
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            kLanes); // lane activations/s
-    state.SetLabel(vectorized ? "vectorized-hw" : "scalar-libm");
-}
-BENCHMARK(BM_ActivationScalarVsVectorized)->Arg(0)->Arg(1);
 
 // --- heterogeneous wave scheduler --------------------------------------------
 // The episodesPerEval == 1 regime: one episode each of kWaveGenomes

@@ -3,10 +3,10 @@
  * Debug invariant checks, compiled out of release builds.
  *
  * GENESYS_ASSERT (logging.hh) guards cheap, always-on contracts.
- * GENESYS_DCHECK guards the expensive ones — full-structure walks,
- * per-lane bounds in inner loops — that would tax the steady-state
- * path. They exist only when the GENESYS_CHECKED CMake option defines
- * the macro of the same name, and a checked build always runs them.
+ * GENESYS_DCHECK guards the expensive ones — full-structure walks
+ * that would tax the steady-state path. They exist only when the
+ * GENESYS_CHECKED CMake option defines the macro of the same name, and
+ * a checked build always runs them.
  *
  * Checks must never alter observable behavior: a checked build that
  * passes must produce bit-identical golden digests to a release
@@ -59,25 +59,6 @@ sanitizerName()
 #endif
 }
 
-namespace detail
-{
-
-/**
- * The range predicate behind GENESYS_DCHECK_RANGE. A function
- * template rather than inline macro arithmetic so an unsigned value
- * checked against a zero lower bound does not trip -Wtype-limits
- * ("comparison always false") under -Werror — the comparison is
- * type-dependent here, which the compiler treats as intentional.
- */
-template <typename V, typename L, typename H>
-constexpr bool
-dcheckInRange(V v, L lo, H hi)
-{
-    return !(v < lo) && v < hi;
-}
-
-} // namespace detail
-
 #ifdef GENESYS_CHECKED
 
 /** Check an invariant; msg may be an ostream chain. */
@@ -90,21 +71,6 @@ dcheckInRange(V v, L lo, H hi)
         }                                                                  \
     } while (0)
 
-/**
- * Check `lo <= val < hi`. The three operands must share a comparable
- * type (indices are std::size_t throughout GeneSys).
- */
-#define GENESYS_DCHECK_RANGE(val, lo, hi, what)                            \
-    do {                                                                   \
-        const auto _gsy_v = (val);                                         \
-        if (!::genesys::detail::dcheckInRange(_gsy_v, (lo), (hi))) {       \
-            std::ostringstream _gsy_oss;                                   \
-            _gsy_oss << "dcheck failed: " << what << ": " << _gsy_v        \
-                     << " outside [" << (lo) << ", " << (hi) << ")";       \
-            ::genesys::panic(_gsy_oss.str());                              \
-        }                                                                  \
-    } while (0)
-
 #else // !GENESYS_CHECKED
 
 // Compiled out: the unevaluated sizeof keeps operands "used" so a
@@ -112,11 +78,6 @@ dcheckInRange(V v, L lo, H hi)
 #define GENESYS_DCHECK(cond, msg)                                          \
     do {                                                                   \
         (void)sizeof((cond) ? 1 : 0);                                      \
-    } while (0)
-
-#define GENESYS_DCHECK_RANGE(val, lo, hi, what)                            \
-    do {                                                                   \
-        (void)sizeof((val) == (val) ? (lo) : (hi));                        \
     } while (0)
 
 #endif // GENESYS_CHECKED

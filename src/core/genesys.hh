@@ -40,8 +40,9 @@ struct SystemConfig
     int numThreads = 1;
     /**
      * Step a genome's episodes side by side, one lane each (see
-     * exec::EvalEngineConfig::batchEpisodes). Results are
-     * bit-identical either way.
+     * exec::EvalEngineConfig::batchEpisodes). Each lane runs its own
+     * forward pass, so lanes share the plan, not its arithmetic.
+     * Results are bit-identical either way.
      */
     bool batchEpisodes = true;
     /**

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.hh"
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 
@@ -22,7 +21,6 @@ reduceEpisodes(std::span<const EpisodeResult> episodes)
     GENESYS_ASSERT(!episodes.empty(),
                    "reduceEpisodes needs at least one episode");
     EvalDetail detail;
-    detail.episodes.assign(episodes.begin(), episodes.end());
     double total = 0.0;
     for (const EpisodeResult &res : episodes) {
         total += res.fitness;
@@ -55,7 +53,7 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
     const ActionSpace space = lanes.front()->actionSpace();
     const size_t num_lanes = lanes.size();
     // Idle lanes a claim waits for: a whole group where it fits, so a
-    // genome's episodes start side by side and dispatch as one group.
+    // genome's episodes start side by side and stay in lockstep.
     const size_t claim_at = std::min(group, num_lanes);
 
     scratch.net.resize(num_lanes);
@@ -65,15 +63,15 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
             static_cast<size_t>(lanes[l]->observationSize()));
     scratch.action.resize(num_lanes);
     scratch.lane.assign(num_lanes, WaveItem{});
-    scratch.executed.assign(num_lanes, 0);
     scratch.claimed.resize(group);
 
     // Bind idle lanes, lowest first, to the claimed group's remaining
     // items, claiming the next group once this one is used up and
     // enough lanes are idle. Binding resets the lane's recurrent state
-    // and its environment; the lane first activates on the *next*
+    // and its environment; the lane first activates on the next
     // superstep — exactly when a freshly filled PE would join the BSP
-    // lockstep.
+    // lockstep. With no lane freed since the last fill, a fill binds
+    // nothing.
     size_t next_claimed = group; // the claimed group is used up
     bool dry = false;
     size_t live = 0;
@@ -117,96 +115,23 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
         stats.laneSlotSteps += static_cast<long>(num_lanes);
         stats.activeLaneSteps += static_cast<long>(live);
 
-        // --- forward pass: every live lane's plan on its observation.
-        // Live lanes sharing a feed-forward plan execute as one
-        // grouped activateBatch (gathered in lane order, so a claimed
-        // group's lanes get contiguous per-row accumulation); recurrent
-        // lanes keep their cross-tick state in the per-lane scratch and
-        // dispatch individually.
-        std::fill(scratch.executed.begin(), scratch.executed.end(),
-                  uint8_t{0});
+        // --- forward pass: every live lane's plan on its observation,
+        // each through its own activate() and scratch (recurrent lanes
+        // keep their cross-tick state there). activate() panics on an
+        // observation of the wrong size.
         for (size_t l = 0; l < num_lanes; ++l) {
-            if (scratch.lane[l].plan == nullptr || scratch.executed[l])
-                continue;
-            const nn::CompiledPlan &plan = *scratch.lane[l].plan;
-            GENESYS_ASSERT(scratch.obs[l].size() == plan.numInputs(),
-                           "observation size "
-                               << scratch.obs[l].size()
-                               << " != plan inputs "
-                               << plan.numInputs());
-            scratch.groupLanes.clear();
-            scratch.groupLanes.push_back(static_cast<int>(l));
-            if (!plan.isRecurrent()) {
-                for (size_t m = l + 1; m < num_lanes; ++m) {
-                    if (scratch.lane[m].plan == &plan &&
-                        !scratch.executed[m])
-                        scratch.groupLanes.push_back(
-                            static_cast<int>(m));
-                }
-            }
-            if (scratch.groupLanes.size() == 1) {
-                // activate() runs a recurrent plan's tick itself.
-                plan.activate(scratch.obs[l], scratch.net[l]);
-                scratch.executed[l] = 1;
-                continue;
-            }
-
-            const int G = static_cast<int>(scratch.groupLanes.size());
-            const size_t Gz = static_cast<size_t>(G);
-            plan.beginBatch(G, scratch.groupNet);
-            const int num_inputs = static_cast<int>(plan.numInputs());
-            const int num_outputs =
-                static_cast<int>(plan.numOutputs());
-            for (int g = 0; g < G; ++g) {
-                const size_t lane =
-                    static_cast<size_t>(scratch.groupLanes
-                                            [static_cast<size_t>(g)]);
-                // Same panic every other eval path raises when an
-                // environment misreports its observation size —
-                // non-lead group members included, so the gather
-                // below never reads out of bounds.
-                GENESYS_ASSERT(scratch.obs[lane].size() ==
-                                   plan.numInputs(),
-                               "observation size "
-                                   << scratch.obs[lane].size()
-                                   << " != plan inputs "
-                                   << plan.numInputs());
-                for (int i = 0; i < num_inputs; ++i)
-                    scratch.groupNet
-                        .inputs[static_cast<size_t>(i) * Gz +
-                                static_cast<size_t>(g)] =
-                        scratch.obs[lane][static_cast<size_t>(i)];
-            }
-            plan.activateBatch(G, scratch.groupNet);
-            stats.groupedLaneActivations += G;
-            // Scatter each lane's output column into its per-lane
-            // scratch so the environment-step phase below reads one
-            // uniform location regardless of dispatch shape.
-            for (int g = 0; g < G; ++g) {
-                const size_t lane =
-                    static_cast<size_t>(scratch.groupLanes
-                                            [static_cast<size_t>(g)]);
-                scratch.net[lane].outputs.resize(
-                    static_cast<size_t>(num_outputs));
-                for (int o = 0; o < num_outputs; ++o)
-                    scratch.net[lane]
-                        .outputs[static_cast<size_t>(o)] =
-                        scratch.groupNet
-                            .outputs[static_cast<size_t>(o) * Gz +
-                                     static_cast<size_t>(g)];
-                scratch.executed[lane] = 1;
-            }
+            if (const nn::CompiledPlan *plan = scratch.lane[l].plan)
+                plan->activate(scratch.obs[l], scratch.net[l]);
         }
 
         // --- environment step: each live lane advances its own
         // episode, in lane order. A terminating lane records its
-        // result and is refilled in place (or parked when no claim
-        // fits). A lane bound earlier in this loop has not run its
-        // forward pass yet; it joins on the next superstep.
+        // result and goes idle; idle lanes are refilled once every
+        // lane has stepped, and join on the next superstep.
         for (size_t l = 0; l < num_lanes; ++l) {
-            if (scratch.lane[l].plan == nullptr || !scratch.executed[l])
-                continue;
             const WaveItem &it = scratch.lane[l];
+            if (it.plan == nullptr)
+                continue;
             decodeActionInto(space, scratch.net[l].outputs,
                              scratch.action[l]);
             if (!lanes[l]->stepInto(scratch.action[l], scratch.obs[l])
@@ -220,8 +145,8 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
             res.macs = it.plan->macsPerInference() * res.inferences;
             scratch.lane[l] = WaveItem{};
             --live;
-            fill(true);
         }
+        fill(true);
     }
     return stats;
 }

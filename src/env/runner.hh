@@ -54,8 +54,6 @@ struct EvalDetail
     long macs = 0;
     /** Longest single episode (the BSP lockstep count). */
     int maxEpisodeSteps = 0;
-    /** Per-episode results, in episode order. */
-    std::vector<EpisodeResult> episodes;
 };
 
 /**
@@ -90,8 +88,8 @@ struct WaveItem
 /**
  * The work queue the pull form of evaluateWave draws from. Items come
  * a group at a time — one genome's episodes — so a group starts side
- * by side and its same-plan lanes share grouped dispatches. Several
- * episode loops (one per worker) may draw from one source at once.
+ * by side. Several episode loops (one per worker) may draw from one
+ * source at once.
  */
 class WaveSource
 {
@@ -121,7 +119,7 @@ class WaveSource
  */
 struct WaveStats
 {
-    /** BSP supersteps executed (one batched lockstep each). */
+    /** BSP supersteps executed (one lockstep step of every lane). */
     long supersteps = 0;
     /** lanes.size() slots per superstep, summed over supersteps. */
     long laneSlotSteps = 0;
@@ -132,13 +130,6 @@ struct WaveStats
      * the first superstep's fill.
      */
     long refills = 0;
-    /**
-     * Live lanes executed through a shared-plan grouped
-     * CompiledPlan::activateBatch dispatch rather than a per-lane
-     * activate — nonzero only when a wave holds several episodes of
-     * one plan (e.g. episodesPerEval > 1 mixes).
-     */
-    long groupedLaneActivations = 0;
 
     /** activeLaneSteps / laneSlotSteps; 0 when nothing ran. */
     double occupancy() const;
@@ -147,8 +138,7 @@ struct WaveStats
 /**
  * Caller-owned mutable state for evaluateWave: per-lane plan
  * scratches (recurrent lane state lives here across supersteps),
- * observation buffers, decoded actions and item bindings, plus the
- * staging buffers for shared-plan grouped dispatch. Reusing one
+ * observation buffers, decoded actions and item bindings. Reusing one
  * WaveScratch per worker across calls makes the wave loop
  * allocation-free once warm: a second pull-form call allocates
  * nothing, and a second vector-form call over the same items
@@ -167,12 +157,6 @@ struct WaveScratch
     std::vector<WaveItem> lane;
     /** The latest claimed group, handed to lanes as they idle. */
     std::vector<WaveItem> claimed;
-    /** Per-superstep "already executed" marker (plan grouping). */
-    std::vector<uint8_t> executed;
-    /** Lanes gathered into the current shared-plan group. */
-    std::vector<int> groupLanes;
-    /** Batch buffers for shared-plan grouped dispatch. */
-    nn::BatchScratch groupNet;
 };
 
 /** Outcome of one evaluateWave call. */
@@ -198,19 +182,18 @@ struct WaveResult
  * lanes are idle, and it fills the idle lanes in lane order (items
  * left over wait for the next lanes to free). So a group of E
  * episodes on E or more lanes starts in one superstep and stays in
- * lockstep, and at one item per group any idle lane claims. Lanes
- * whose items share one feed-forward plan are executed as a single
- * grouped activateBatch dispatch (lanes scanned in order, so a
- * group's lanes keep the per-row tile accumulation contiguous);
- * recurrent plans and singleton groups dispatch per lane.
+ * lockstep, and at one item per group any idle lane claims. Every
+ * live lane runs its own CompiledPlan::activate; lanes that share a
+ * plan share its read-only arrays, not their arithmetic. Lanes freed
+ * in a superstep are refilled after every lane has stepped.
  *
  * `lanes` are distinct same-named environment instances (an
  * exec::EnvPool worker shard); `scratch` is the caller's reusable
  * wave scratch; each item's outcome is written to `results[slot]`.
  * Each EpisodeResult is bit-identical, field for field, to running
  * that (plan, seed) episode alone on a single lane —
- * lane packing, grouping, refill and claim order never reassociate a
- * lane's arithmetic or reorder its environment stepping.
+ * lane packing, refill and claim order never reassociate a lane's
+ * arithmetic or reorder its environment stepping.
  */
 WaveStats
 evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,

@@ -248,8 +248,6 @@ EvalEngine::publishMetrics(const std::vector<GenomeEvalResult> &results)
     m->counter("wave.active_lane_steps")
         .add(lastBatch_.waveActiveLaneSteps);
     m->counter("wave.refills").add(lastBatch_.waveRefills);
-    m->counter("wave.grouped_lane_activations")
-        .add(lastBatch_.waveGroupedLaneActivations);
     m->gauge("wave.lane_occupancy").set(lastBatch_.laneOccupancy());
     m->gauge("eval.worker_busy_max_ms").set(lastBatch_.workerBusyMaxMs);
     m->gauge("eval.worker_busy_mean_ms").set(lastBatch_.workerBusyMeanMs);
@@ -269,14 +267,11 @@ EvalEngine::publishMetrics(const std::vector<GenomeEvalResult> &results)
     seenCarriedOver_ = carried;
     seenCompileNs_ = compile_ns;
 
-    long episodes = 0;
     auto &steps_histo = m->histogram("eval.episode_steps");
-    for (const GenomeEvalResult &r : results) {
-        episodes += static_cast<long>(r.detail.episodes.size());
-        for (const env::EpisodeResult &e : r.detail.episodes)
-            steps_histo.observe(static_cast<double>(e.steps));
-    }
-    m->counter("eval.episodes").add(episodes);
+    for (const env::EpisodeResult &e : episodeResults())
+        steps_histo.observe(static_cast<double>(e.steps));
+    m->counter("eval.episodes")
+        .add(static_cast<long>(episodeResults().size()));
 }
 
 namespace
@@ -342,6 +337,8 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
                           const SeedFn &seedFor,
                           std::vector<GenomeEvalResult> &results)
 {
+    const std::size_t E = static_cast<std::size_t>(cfg_.episodes);
+    episodeSlots_.resize(batch.size() * E);
     if (batch.empty())
         return;
 
@@ -351,8 +348,6 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
     // start filled), so compiling overlaps other workers' episodes,
     // and a worker stuck on long episodes simply claims fewer genomes
     // instead of gating the generation.
-    const std::size_t E = static_cast<std::size_t>(cfg_.episodes);
-    episodeSlots_.resize(batch.size() * E);
     GenomeQueue queue(batch, cfg, seedFor, cfg_.episodes,
                       cfg_.numericsTier, planCache_, results);
     const std::size_t workers = static_cast<std::size_t>(pool_.size());
@@ -378,8 +373,6 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
         lastBatch_.waveLaneSlotSteps += s.laneSlotSteps;
         lastBatch_.waveActiveLaneSteps += s.activeLaneSteps;
         lastBatch_.waveRefills += s.refills;
-        lastBatch_.waveGroupedLaneActivations +=
-            s.groupedLaneActivations;
         const uint64_t busy = pool_.jobBusyNs(static_cast<int>(w));
         busyMax = std::max(busyMax, busy);
         busySum += busy;

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,7 +94,6 @@ struct BatchStats
     long waveLaneSlotSteps = 0;
     long waveActiveLaneSteps = 0;
     long waveRefills = 0;
-    long waveGroupedLaneActivations = 0;
 
     /**
      * Busy time of each worker within the evaluation pass: the
@@ -142,8 +142,9 @@ struct EvalEngineConfig
     int waveWidth = 0;
     /**
      * Step a genome's `episodes` side by side, one shard lane each,
-     * instead of one after another on a single lane. Bit-identical
-     * results either way — lane width is purely a throughput lever.
+     * instead of one after another on a single lane. Each lane runs
+     * its own forward pass: side-by-side lanes share the genome's
+     * plan, not its arithmetic. Bit-identical results either way.
      */
     bool batchEpisodes = true;
     /**
@@ -231,6 +232,16 @@ class EvalEngine
     const BatchStats &lastBatchStats() const { return lastBatch_; }
 
     /**
+     * Per-episode results of the most recent batch: genome g's
+     * episodes, in episode order, at [g * episodes(), (g + 1) *
+     * episodes()). Valid until the next evaluateGeneration call.
+     */
+    std::span<const env::EpisodeResult> episodeResults() const
+    {
+        return episodeSlots_;
+    }
+
+    /**
      * The plan slots: reset at the top of every evaluateGeneration
      * call to one slot per submitted genome, so its size is bounded
      * by the generation's batch size while elite genomes (same key as
@@ -291,7 +302,8 @@ class EvalEngine
      * MetricsRegistry (no-op when none is installed): BatchStats
      * occupancy/superstep counters, plan-cache compile/hit/
      * carry-over deltas since the last publish, and the episode-step
-     * histogram. Runs once per generation, after the parallel phase.
+     * histogram over episodeResults(). Runs once per generation, after
+     * the parallel phase.
      */
     void publishMetrics(const std::vector<GenomeEvalResult> &results);
 

@@ -163,10 +163,11 @@ Population::restore(PopulationSnapshot snapshot)
     reproduction_.restore(snapshot.nextGenomeKey, snapshot.nextNodeKey);
     hasBest_ = snapshot.hasBest;
     bestGenome_ = std::move(snapshot.bestGenome);
-    traces_ = std::move(snapshot.traces);
+    traces_.clear();
+    if (!snapshot.traces.empty())
+        traces_.push_back(std::move(snapshot.traces.back()));
     history_.clear();
     lastPhases_ = StepPhaseTimes{};
-    trimTraces();
 }
 
 bool
@@ -234,8 +235,8 @@ Population::stepBatch(const BatchFitnessFn &fitness)
     }
     lastPhases_.reproduceSeconds = secondsSince(r0);
     lastPhases_.breedSeconds = reproduction_.lastBreedSeconds();
+    traces_.clear();
     traces_.push_back(std::move(trace_out));
-    trimTraces();
 
     ++generation_;
     const auto s0 = Clock::now();

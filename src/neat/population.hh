@@ -91,9 +91,8 @@ struct PopulationSnapshot
     bool hasBest = false;
     Genome bestGenome;
     /**
-     * The trace that bred `genomes` (at most one). Only the latest
-     * trace has forward effect (the next step's stats read it);
-     * older traces are observability history and stay behind.
+     * The trace that bred `genomes` (at most one; the next step's
+     * stats read it). Population::traces() holds the same.
      */
     std::vector<EvolutionTrace> traces;
 };
@@ -155,7 +154,12 @@ class Population
     /** Stats of every evaluated generation so far. */
     const std::vector<GenerationStats> &history() const { return history_; }
 
-    /** Evolution traces (one per reproduction event). */
+    /**
+     * The evolution trace that bred the current generation: empty
+     * before the first reproduction, otherwise exactly one trace. A
+     * caller that wants the whole history copies back() after every
+     * step that bred.
+     */
     const std::vector<EvolutionTrace> &traces() const { return traces_; }
 
     /**
@@ -169,18 +173,6 @@ class Population
     /** Best genome observed so far (valid after the first step). */
     const Genome &bestGenome() const { return bestGenome_; }
     bool hasBest() const { return hasBest_; }
-
-    /**
-     * Keep only the last `n` traces (bounds memory on long runs).
-     * Takes effect immediately and is enforced after every
-     * stepBatch().
-     */
-    void
-    setTraceWindow(size_t n)
-    {
-        traceWindow_ = n;
-        trimTraces();
-    }
 
     XorWow &rng() { return rng_; }
     const XorWow &rng() const { return rng_; }
@@ -206,16 +198,6 @@ class Population
     GenerationStats
     collectStats(const EvolutionTrace *trace) const;
 
-    /** Drop the oldest traces until at most traceWindow_ remain. */
-    void
-    trimTraces()
-    {
-        if (traces_.size() > traceWindow_)
-            traces_.erase(traces_.begin(),
-                          traces_.end() -
-                              static_cast<std::ptrdiff_t>(traceWindow_));
-    }
-
     NeatConfig cfg_;
     Reproduction reproduction_;
     SpeciesSet speciesSet_;
@@ -227,7 +209,6 @@ class Population
 
     std::vector<GenerationStats> history_;
     std::vector<EvolutionTrace> traces_;
-    size_t traceWindow_ = SIZE_MAX;
     StepPhaseTimes lastPhases_;
 
     Genome bestGenome_;

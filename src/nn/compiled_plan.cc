@@ -224,7 +224,7 @@ anyNaN(const double *sums)
 }
 
 /**
- * The serial tile kernel: the sums of a W-column tile of `numRows`
+ * The tile kernel: the sums of a W-column tile of `numRows`
  * rows. Each row's input is loaded once and multiplies a row of
  * weights two columns per vector. Every column adds its cells in row
  * order, which is its node's edge order, so a column's sum is the
@@ -260,72 +260,24 @@ tileSums(const double *rd, const int32_t *rows, int32_t numRows,
 }
 
 /**
- * A tile's sums with its pads masked out, `lanes` lanes per slot,
- * into sums[column * lanes + lane]. A pad multiplies its row's input
- * by +0.0, which is NaN for an infinite or NaN input, so a tile whose
- * fast sums hold a NaN is recomputed here: this adds exactly each
- * node's own edges, in order, as the interpreters do.
+ * A tile's sums with its pads masked out. A pad multiplies its row's
+ * input by +0.0, which is NaN for an infinite or NaN input, so a tile
+ * whose fast sums hold a NaN is recomputed here: this adds exactly
+ * each node's own edges, in order, as the interpreters do.
  */
 void
 maskedTileSums(const double *rd, const int32_t *rows, const uint8_t *masks,
-               int32_t numRows, const double *w, int width, size_t lanes,
-               double *sums)
+               int32_t numRows, const double *w, int width, double *sums)
 {
-    std::fill(sums, sums + static_cast<size_t>(width) * lanes, 0.0);
+    std::fill(sums, sums + width, 0.0);
     for (int32_t r = 0; r < numRows; ++r) {
-        const double *const sv = rd + static_cast<size_t>(rows[r]) * lanes;
+        const double x = rd[rows[r]];
         const double *const wr = w + static_cast<size_t>(r) * width;
         for (int k = 0; k < width; ++k) {
-            if ((masks[r] >> k & 1u) == 0)
-                continue;
-            for (size_t l = 0; l < lanes; ++l)
-                sums[static_cast<size_t>(k) * lanes + l] += sv[l] * wr[k];
+            if ((masks[r] >> k & 1u) != 0)
+                sums[k] += x * wr[k];
         }
     }
-}
-
-/**
- * The batched tile kernel for C adjacent columns of a tile `width`
- * wide (`w` points at the first column): one pass over the rows with
- * C x kLanes running sums in registers, into
- * sums[column * kLanes + lane]. Per lane, a column adds its cells in
- * the same row order as tileSums. Returns whether any sum is NaN.
- */
-template <int kLanes, int C>
-[[gnu::always_inline]] inline bool
-tileColumnLanes(const double *rd, const int32_t *rows, int32_t numRows,
-                const double *w, int width, double *sums)
-{
-    double acc[C][kLanes] = {};
-    for (int32_t r = 0; r < numRows; ++r) {
-        const double *const __restrict sv =
-            rd + static_cast<size_t>(rows[r]) * kLanes;
-        const double *const wr = w + static_cast<size_t>(r) * width;
-        for (int c = 0; c < C; ++c) {
-            const double we = wr[c];
-            for (int l = 0; l < kLanes; ++l)
-                acc[c][l] += sv[l] * we;
-        }
-    }
-    for (int c = 0; c < C; ++c) {
-        for (int l = 0; l < kLanes; ++l)
-            sums[c * kLanes + l] = acc[c][l];
-    }
-    return anyNaN<C * kLanes>(sums);
-}
-
-/** tileColumnLanes for a runtime column count in [1, C]. */
-template <int kLanes, int C>
-[[gnu::always_inline]] inline bool
-tileColumnsUpTo(int cols, const double *rd, const int32_t *rows,
-                int32_t numRows, const double *w, int width, double *sums)
-{
-    if constexpr (C > 1) {
-        if (cols < C)
-            return tileColumnsUpTo<kLanes, C - 1>(cols, rd, rows, numRows,
-                                                  w, width, sums);
-    }
-    return tileColumnLanes<kLanes, C>(rd, rows, numRows, w, width, sums);
 }
 
 } // namespace
@@ -945,7 +897,7 @@ CompiledPlan::activateBlocks(const double *rd, double *wr,
             }
             // A one-column tile has no pads, so its NaN is the node's.
             if (nan)
-                maskedTileSums(rd, tr, mask + r0, rows, wt, width, 1, pre);
+                maskedTileSums(rd, tr, mask + r0, rows, wt, width, pre);
         } else {
             weighted.clear();
             for (int32_t r = r0; r < r0 + rows; ++r)
@@ -1035,200 +987,6 @@ CompiledPlan::reset(PlanScratch &scratch) const
         return;
     scratch.prev.assign(static_cast<size_t>(numSlots_), 0.0);
     scratch.curr.assign(static_cast<size_t>(numSlots_), 0.0);
-}
-
-void
-CompiledPlan::beginBatch(int lanes, BatchScratch &scratch) const
-{
-    GENESYS_ASSERT(lanes > 0, "beginBatch needs lanes > 0, got "
-                                  << lanes);
-    const size_t L = static_cast<size_t>(lanes);
-    scratch.inputs.resize(static_cast<size_t>(numInputs_) * L);
-    scratch.values.resize(static_cast<size_t>(numSlots_) * L);
-    scratch.outputs.resize(static_cast<size_t>(numOutputs_) * L);
-    scratch.acc.resize(static_cast<size_t>(kTileWidth) * L);
-}
-
-/*
- * The batched kernel: identical per-lane operation order to the
- * serial path (per node, edges accumulate in the same sequence), so
- * each lane is bit-identical to a serial activate() fed the same
- * inputs — lane interleaving never reassociates a lane's arithmetic.
- */
-void
-CompiledPlan::activateBatch(int lanes, BatchScratch &scratch) const
-{
-    GENESYS_ASSERT(!recurrent_,
-                   "activateBatch on a recurrent plan: recurrent lanes "
-                   "run through activate()");
-    if (tier_ == NumericsTier::HwFaithful)
-        activateBatchDispatch<NumericsTier::HwFaithful>(lanes, scratch);
-    else
-        activateBatchDispatch<NumericsTier::Reference>(lanes, scratch);
-}
-
-template <NumericsTier kTier>
-void
-CompiledPlan::activateBatchDispatch(int lanes, BatchScratch &scratch) const
-{
-    // The wave loop groups the episodes of one genome, so a group is
-    // 2..episodesPerEval lanes wide: fixed-width instantiations there
-    // let the per-edge lane loop unroll into straight vector code.
-    switch (lanes) {
-      case 2:
-        return activateBatchImpl<2, kTier>(lanes, scratch);
-      case 3:
-        return activateBatchImpl<3, kTier>(lanes, scratch);
-      case 4:
-        return activateBatchImpl<4, kTier>(lanes, scratch);
-      default:
-        return activateBatchImpl<0, kTier>(lanes, scratch);
-    }
-}
-
-template <int kLanes, NumericsTier kTier>
-void
-CompiledPlan::activateBatchImpl(int lanes, BatchScratch &scratch) const
-{
-    const size_t L =
-        kLanes > 0 ? static_cast<size_t>(kLanes)
-                   : static_cast<size_t>(lanes);
-    // The slot count is the one dimension that varies per genome
-    // (inputs/outputs are environment-fixed), so the value array is
-    // exactly the buffer a plan switch without beginBatch would
-    // overrun — check it with the lane buffers.
-    GENESYS_ASSERT(lanes > 0 &&
-                       scratch.inputs.size() ==
-                           static_cast<size_t>(numInputs_) * L &&
-                       scratch.values.size() ==
-                           static_cast<size_t>(numSlots_) * L &&
-                       scratch.outputs.size() ==
-                           static_cast<size_t>(numOutputs_) * L,
-                   "batch scratch not sized for " << lanes
-                                                  << " lanes of this plan"
-                                                     " — call beginBatch "
-                                                     "first");
-    // The accumulator is the one buffer the size ASSERT above does not
-    // cover; a caller that resized the lane buffers by hand instead of
-    // through beginBatch() would overrun it silently.
-    GENESYS_DCHECK(scratch.acc.size() >= kTileWidth * L,
-                   "activateBatch: accumulator holds "
-                       << scratch.acc.size() << " sums, need "
-                       << kTileWidth * L << " — call beginBatch first");
-
-    // Latch inputs: input i occupies slot i.
-    double *const values = scratch.values.data();
-    const size_t in_count = static_cast<size_t>(numInputs_) * L;
-    std::copy(scratch.inputs.begin(), scratch.inputs.begin() + in_count,
-              values);
-    if constexpr (kTier == NumericsTier::HwFaithful) {
-        // Sensor Limit & Quantize, applied after the latch so the
-        // caller's input buffer stays untouched.
-        for (size_t i = 0; i < in_count; ++i)
-            values[i] = kHwQuantizer(values[i]);
-    }
-
-    const Block *const blk = blocks_.data();
-    const double *const w = edgeWeight_.data();
-    const int32_t *const src = edgeSrc_.data();
-    const uint8_t *const mask = edgeMask_.data();
-    const neat::Activation *const act = activation_.data();
-    const neat::Aggregation *const agg = aggregation_.data();
-    const double *const bias = bias_.data();
-    const double *const response = response_.data();
-    double *const acc = scratch.acc.data();
-    double *const out = values + static_cast<size_t>(numInputs_) * L;
-
-    // Columns per pass over a tile's rows: C x kLanes running sums
-    // stay within eight 16-byte registers.
-    constexpr int kCols =
-        kLanes > 0 ? std::clamp(16 / std::max(kLanes, 1), 1, 4) : 1;
-    const size_t num_blocks = blocks_.size() - 1;
-    for (size_t b = 0; b < num_blocks; ++b) {
-        const int32_t n = blk[b].node;
-        const int width = blk[b + 1].node - n;
-        const int32_t r0 = blk[b].row;
-        const int32_t rows = blk[b + 1].row - r0;
-        const double *const wt = w + blk[b].weight;
-        if (agg[n] == neat::Aggregation::Sum) {
-            // Per lane, each column adds its cells in row order in
-            // both branches, exactly as the serial tile kernel does.
-            bool nan = false;
-            if constexpr (kLanes > 0) {
-                for (int c = 0; c < width; c += kCols)
-                    nan |= tileColumnsUpTo<kLanes, kCols>(
-                        std::min(kCols, width - c), values, src + r0, rows,
-                        wt + c, width, acc + static_cast<size_t>(c) * L);
-            } else {
-                // Generic width: one column at a time in the lane-sized
-                // slices of the shared accumulator. __restrict: the
-                // accumulator is distinct from the value array by
-                // construction, which unlocks vectorization of the
-                // lane loop.
-                for (int c = 0; c < width; ++c) {
-                    double *const __restrict accr =
-                        acc + static_cast<size_t>(c) * L;
-                    std::fill(accr, accr + L, 0.0);
-                    for (int32_t r = 0; r < rows; ++r) {
-                        const double we =
-                            wt[static_cast<size_t>(r) * width + c];
-                        const double *const __restrict sv =
-                            values + static_cast<size_t>(src[r0 + r]) * L;
-                        for (size_t l = 0; l < L; ++l)
-                            accr[l] += sv[l] * we;
-                    }
-                    for (size_t l = 0; l < L; ++l)
-                        nan |= accr[l] != accr[l];
-                }
-            }
-            // A one-column tile has no pads, so its NaN is the node's.
-            if (nan && width > 1)
-                maskedTileSums(values, src + r0, mask + r0, rows, wt, width,
-                               L, acc);
-        } else {
-            for (size_t l = 0; l < L; ++l) {
-                scratch.weighted.clear();
-                for (int32_t r = r0; r < r0 + rows; ++r) {
-                    scratch.weighted.push_back(
-                        (src[r] >= 0
-                             ? values[static_cast<size_t>(src[r]) * L + l]
-                             : 0.0) *
-                        wt[r - r0]);
-                }
-                acc[l] = neat::aggregateInPlace(agg[n], scratch.weighted);
-            }
-        }
-        for (int k = 0; k < width; ++k) {
-            const int32_t m = n + k;
-            const neat::Activation a = act[m];
-            const double bm = bias[m];
-            const double rm = response[m];
-            const double *const sums = acc + static_cast<size_t>(k) * L;
-            double *const dst = out + static_cast<size_t>(m) * L;
-            if constexpr (kTier == NumericsTier::HwFaithful) {
-                // Branch-free hw approximation + Limit & Quantize
-                // across the whole lane vector — the step the reference
-                // tier cannot vectorize because of the per-lane libm
-                // call.
-                hwact::activateLanesQuantized<kLanes>(
-                    a, bm, rm, sums, dst, static_cast<int>(L),
-                    kHwQuantizer);
-            } else {
-                for (size_t l = 0; l < L; ++l)
-                    dst[l] = neat::activate(a, bm + rm * sums[l]);
-            }
-        }
-    }
-
-    double *const outputs = scratch.outputs.data();
-    for (int o = 0; o < numOutputs_; ++o) {
-        const int32_t slot = outputSlot_[static_cast<size_t>(o)];
-        for (size_t l = 0; l < L; ++l) {
-            outputs[static_cast<size_t>(o) * L + l] =
-                slot >= 0 ? values[static_cast<size_t>(slot) * L + l]
-                          : 0.0;
-        }
-    }
 }
 
 } // namespace genesys::nn

@@ -15,25 +15,25 @@
  * Like ADAM, the plan packs each layer's Sum nodes into dense tiles:
  * up to kTileWidth consecutive Sum nodes share one zero-padded,
  * row-major weight block whose rows are the union of their sources.
- * The kernels load each row's input once and accumulate every node
- * of the tile from it, two nodes per 16-byte vector in the serial
- * path. Padding is exact: an accumulator starts at +0.0 and, under
- * round-to-nearest, a sum that starts at +0 never becomes -0, so
- * adding a pad's x * +0.0 = +-0 leaves it unchanged bit for bit. The
- * one exception is a non-finite x, whose pad product is NaN; a tile
- * whose sums come out NaN is recomputed with its pads masked out.
- * Other aggregations keep one CSR-style block per node.
+ * The kernel loads each row's input once and accumulates every node
+ * of the tile from it, two nodes per 16-byte vector. Padding is
+ * exact: an accumulator starts at +0.0 and, under round-to-nearest, a
+ * sum that starts at +0 never becomes -0, so adding a pad's
+ * x * +0.0 = +-0 leaves it unchanged bit for bit. The one exception
+ * is a non-finite x, whose pad product is NaN; a tile whose sums come
+ * out NaN is recomputed with its pads masked out. Other aggregations
+ * keep one CSR-style block per node.
  *
  * A plan is immutable after compileFor(), so it is safe to share
- * read-only across exec::EvalEngine workers; all mutable state lives
- * in the caller's PlanScratch / BatchScratch. The plan is the
- * library's only phenotype. Its outputs are bit-identical to the
- * reference interpreters (FeedForwardNetwork / RecurrentNetwork),
- * which live with the tests in tests/oracle/: the plan preserves the
- * interpreter's node order, per-node link order and accumulation
- * order exactly, which the differential fuzz harnesses in
- * tests/test_compiled_plan.cc and tests/test_recurrent_plan.cc lock
- * down.
+ * read-only across exec::EvalEngine workers and episode lanes; all
+ * mutable state lives in the caller's PlanScratch, one per lane. The
+ * plan is the library's only phenotype. Its outputs are bit-identical
+ * to the reference interpreters (FeedForwardNetwork /
+ * RecurrentNetwork), which live with the tests in tests/oracle/: the
+ * plan preserves the interpreter's node order, per-node link order
+ * and accumulation order exactly, which the differential fuzz
+ * harnesses in tests/test_compiled_plan.cc and
+ * tests/test_recurrent_plan.cc lock down.
  *
  * Plans come in two modes, so every genome — acyclic or cyclic — runs
  * through the same execution substrate. compileFor() picks the mode
@@ -51,16 +51,6 @@
  *    advances one tick; reset() clears the state at episode
  *    boundaries. Bit-identical to the test oracle's RecurrentNetwork
  *    interpreter.
- *
- * Feed-forward plans also run batched (activateBatch): one shared
- * plan evaluated across G live episode lanes, the per-edge
- * accumulation loop running contiguously across the lane dimension —
- * the software mirror of the EvE PE-array stepping a wave of episodes
- * in BSP lockstep. env::evaluateWave is its one caller: it groups the
- * live lanes that share a feed-forward plan and regroups them every
- * superstep as their episodes end. Each lane's floating-point
- * operation order is exactly the serial order, so batched results
- * stay bit-identical to activate() lane for lane.
  */
 
 #ifndef GENESYS_NN_COMPILED_PLAN_HH
@@ -100,28 +90,6 @@ struct PlanScratch
     std::vector<double> prev;
     /** Recurrent double buffer: slot values being written this tick. */
     std::vector<double> curr;
-};
-
-/**
- * Caller-owned mutable state for CompiledPlan::activateBatch: one
- * shared feed-forward plan, L independent episode lanes. Every array
- * is laid out lane-minor — element [i][lane] lives at i * lanes +
- * lane — so the per-edge accumulation loop walks contiguous memory
- * across lanes. Size the buffers with beginBatch(); like PlanScratch,
- * one BatchScratch must not be shared across threads.
- */
-struct BatchScratch
-{
-    /** Network inputs, [input i][lane]: caller fills before each call. */
-    std::vector<double> inputs;
-    /** Value slots, [slot][lane]. */
-    std::vector<double> values;
-    /** Output activations, [output o][lane]. */
-    std::vector<double> outputs;
-    /** Weighted-input staging for non-Sum aggregations (one lane). */
-    std::vector<double> weighted;
-    /** Pre-activation sums, [tile column][lane]: kTileWidth x lanes. */
-    std::vector<double> acc;
 };
 
 /**
@@ -181,7 +149,7 @@ class CompiledPlan
      * every consumer (PlanCache, replay, the engine) runs all genomes
      * through one compiled substrate. Under NumericsTier::HwFaithful
      * the lowering additionally quantizes every bias/response/weight
-     * through the Q6.10 codec and the activate paths run the hw
+     * through the Q6.10 codec and activate() runs the hw
      * approximation + Limit & Quantize kernels (see nn/numerics.hh);
      * the default Reference tier is the bit-identical float path.
      */
@@ -218,24 +186,6 @@ class CompiledPlan
      * feed-forward plans, so episode loops may call it untyped.
      */
     void reset(PlanScratch &scratch) const;
-
-    /**
-     * Size `scratch` for `lanes` episode lanes of this plan. Call
-     * before activateBatch() whenever the plan or the lane count
-     * changes.
-     */
-    void beginBatch(int lanes, BatchScratch &scratch) const;
-
-    /**
-     * Evaluate `lanes` live episode lanes of a feed-forward plan in
-     * lockstep: reads scratch.inputs ([input][lane]), leaves
-     * scratch.outputs ([output][lane]). Each lane's result is
-     * bit-identical to a serial activate() fed the same inputs.
-     * Widths 2-4 run fixed-width kernels, any other width the generic
-     * one. Panics on a recurrent plan: recurrent lanes keep their
-     * state per lane and run through activate().
-     */
-    void activateBatch(int lanes, BatchScratch &scratch) const;
 
     size_t numInputs() const { return static_cast<size_t>(numInputs_); }
     size_t numOutputs() const
@@ -294,14 +244,14 @@ class CompiledPlan
     compileRecurrent(const Genome &genome, const NeatConfig &cfg,
                      CompileScratch &scratch, NumericsTier tier);
 
-    /** Serial body of both modes, specialized per numerics tier so
+    /** activate() for both modes, specialized per numerics tier so
      *  the Reference hot loop carries no tier branch. */
     template <NumericsTier kTier>
     void activateImpl(std::span<const double> inputs,
                       PlanScratch &scratch) const;
 
     /**
-     * The serial kernels' shared body: evaluate every node, block by
+     * The body of both modes: evaluate every node, block by
      * block, reading source slots from `rd` and writing activations to
      * `wr` (one array for feed-forward plans, the prev/curr frames for
      * a recurrent tick). Each node adds its edges in ascending source
@@ -310,22 +260,6 @@ class CompiledPlan
     template <NumericsTier kTier>
     void activateBlocks(const double *rd, double *wr,
                         std::vector<double> &weighted) const;
-
-    /** Lane-width switch of activateBatch for one numerics tier. */
-    template <NumericsTier kTier>
-    void activateBatchDispatch(int lanes, BatchScratch &scratch) const;
-
-    /**
-     * The batched kernel body, specialized on a compile-time lane
-     * count (kLanes > 0) so the per-row lane loops fully unroll and
-     * the running sums stay in registers; kLanes == 0 is the
-     * any-width fallback reading the runtime `lanes`. kTier selects
-     * the activation step: reference libm per lane or the branch-free
-     * hw approximation + Limit & Quantize, which vectorizes across
-     * the lane dimension.
-     */
-    template <int kLanes, NumericsTier kTier>
-    void activateBatchImpl(int lanes, BatchScratch &scratch) const;
 
     /**
      * The lowering shared by both modes: node tables, blocks, layer

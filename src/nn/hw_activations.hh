@@ -1,14 +1,11 @@
 /**
  * @file
  * Branch-free activation approximations for the HwFaithful numerics
- * tier — the no-libm hot loop that lets the lane-minor batched
- * kernel vectorize.
+ * tier — the no-libm activation step of the hw-tier plan kernel.
  *
  * The reference activations (neat::activate, src/neat/activations.cc)
- * call libm per node per lane; on small policies that scalar
- * sigmoid/tanh call is the eval-path floor. The GeneSys hardware has
- * no libm either: EvE/ADAM run fixed-point datapaths with polynomial
- * function units. Each functor here mirrors one reference formula —
+ * call libm per node. The GeneSys hardware has no libm: EvE/ADAM run
+ * fixed-point datapaths with polynomial function units. Each functor here mirrors one reference formula —
  * same input scaling and clamps — with the transcendental core
  * replaced by a rational or truncated-series approximation in the
  * shape of the UPMEM in-memory-inference exemplar:
@@ -18,11 +15,10 @@
  *   exp(x)  ~= taylor5(x / 16) ^ 16            (4 squarings)
  *
  * Everything is straight-line min/max/mul/add (plus one division for
- * tanh-family nodes), so GCC vectorizes the per-lane loop without
- * pragmas; bit-identical whether a lane runs through the scalar or
- * the batched path, because both dispatch to the SAME functor and the
- * per-lane expression order is fixed. Approximation error is bounded
- * per activation below and end-to-end (float-vs-hw fitness
+ * tanh-family nodes), with a fixed expression order, so the plan
+ * kernel and the test oracle's one-node-at-a-time interpreter compute
+ * the same bits through activateQuantized. Approximation error is
+ * bounded per activation below and end-to-end (float-vs-hw fitness
  * divergence) in tests/test_numerics_divergence.cc.
  *
  * Every node output then passes through the caller's
@@ -156,9 +152,7 @@ sinCore(double x)
 
 // One functor per neat::Activation, mirroring the reference formula's
 // input scaling and clamps exactly (see src/neat/activations.cc); only
-// the transcendental core differs. Both the scalar and the batched
-// hw paths dispatch to these same functors, which is what makes the
-// hw tier bit-identical across execution modes.
+// the transcendental core differs.
 
 struct Sigmoid
 {
@@ -233,8 +227,7 @@ struct Inv
 {
     double operator()(double x) const
     {
-        // Compiles to a compare + blend: still branch-free in the
-        // lane loop.
+        // Compiles to a compare + blend: still branch-free.
         return std::fabs(x) < 1e-7 ? 0.0 : 1.0 / x;
     }
 };
@@ -247,77 +240,43 @@ struct Softplus
     }
 };
 
-/**
- * Dispatch `vis` with the functor for `a`. The single switch keeps
- * the scalar path (visitor returns the activated double) and the
- * batched path (visitor runs the whole lane loop with the functor
- * inlined) on one formula table.
- */
-template <class Visitor>
-inline decltype(auto)
-dispatch(neat::Activation a, Visitor &&vis)
-{
-    switch (a) {
-      case neat::Activation::Sigmoid:
-        return vis(Sigmoid{});
-      case neat::Activation::Tanh:
-        return vis(Tanh{});
-      case neat::Activation::ReLU:
-        return vis(ReLU{});
-      case neat::Activation::Identity:
-        return vis(Identity{});
-      case neat::Activation::Sin:
-        return vis(Sin{});
-      case neat::Activation::Gauss:
-        return vis(Gauss{});
-      case neat::Activation::Abs:
-        return vis(Abs{});
-      case neat::Activation::Clamped:
-        return vis(Clamped{});
-      case neat::Activation::Square:
-        return vis(Square{});
-      case neat::Activation::Cube:
-        return vis(Cube{});
-      case neat::Activation::Log:
-        return vis(Log{});
-      case neat::Activation::Exp:
-        return vis(Exp{});
-      case neat::Activation::Hat:
-        return vis(Hat{});
-      case neat::Activation::Inv:
-        return vis(Inv{});
-      default:
-        return vis(Softplus{});
-    }
-}
-
-/** Scalar hw activation + Limit & Quantize for one node value. */
+/** Hw activation + Limit & Quantize for one node value. */
 inline double
 activateQuantized(neat::Activation a, double x,
                   const FixedPointQuantizer &q)
 {
-    return dispatch(a, [&](auto op) { return q(op(x)); });
-}
-
-/**
- * The batched activation step: approximate, quantize and store one
- * node's output across all lanes. The loop body is branch-free, so
- * it vectorizes across the lane dimension, and it evaluates the same
- * expression as activateQuantized, so every lane is bit-identical to
- * the scalar path. kLanes > 0 fixes the trip count at compile time,
- * matching the fixed-width activateBatchImpl instantiations.
- */
-template <int kLanes>
-inline void
-activateLanesQuantized(neat::Activation a, double bias, double response,
-                       const double *__restrict acc, double *__restrict dst,
-                       int lanes, const FixedPointQuantizer &q)
-{
-    const int L = kLanes > 0 ? kLanes : lanes;
-    dispatch(a, [&](auto op) {
-        for (int l = 0; l < L; ++l)
-            dst[l] = q(op(bias + response * acc[l]));
-    });
+    switch (a) {
+      case neat::Activation::Sigmoid:
+        return q(Sigmoid{}(x));
+      case neat::Activation::Tanh:
+        return q(Tanh{}(x));
+      case neat::Activation::ReLU:
+        return q(ReLU{}(x));
+      case neat::Activation::Identity:
+        return q(Identity{}(x));
+      case neat::Activation::Sin:
+        return q(Sin{}(x));
+      case neat::Activation::Gauss:
+        return q(Gauss{}(x));
+      case neat::Activation::Abs:
+        return q(Abs{}(x));
+      case neat::Activation::Clamped:
+        return q(Clamped{}(x));
+      case neat::Activation::Square:
+        return q(Square{}(x));
+      case neat::Activation::Cube:
+        return q(Cube{}(x));
+      case neat::Activation::Log:
+        return q(Log{}(x));
+      case neat::Activation::Exp:
+        return q(Exp{}(x));
+      case neat::Activation::Hat:
+        return q(Hat{}(x));
+      case neat::Activation::Inv:
+        return q(Inv{}(x));
+      default:
+        return q(Softplus{}(x));
+    }
 }
 
 } // namespace genesys::nn::hwact

@@ -42,7 +42,7 @@ runEpisodeWith(env::Environment &env, uint64_t seed, long macs_per_step,
 
 /** Run `episode(seed)` for every seed in order, then reduce. */
 template <typename EpisodeFn>
-env::EvalDetail
+DetailedEval
 evaluateDetailedWith(const std::vector<uint64_t> &episodeSeeds,
                      EpisodeFn &&episode)
 {
@@ -50,11 +50,12 @@ evaluateDetailedWith(const std::vector<uint64_t> &episodeSeeds,
     episodes.reserve(episodeSeeds.size());
     for (uint64_t seed : episodeSeeds)
         episodes.push_back(episode(seed));
-    return env::reduceEpisodes(episodes);
+    // Braced initializers run in order: reduce, then move.
+    return {env::reduceEpisodes(episodes), std::move(episodes)};
 }
 
 template <typename Net>
-env::EvalDetail
+DetailedEval
 evaluateWith(env::Environment &env, Net &net,
              const std::vector<uint64_t> &episodeSeeds)
 {
@@ -84,7 +85,7 @@ runEpisode(env::Environment &env, const nn::CompiledPlan &plan,
         });
 }
 
-env::EvalDetail
+DetailedEval
 evaluateDetailed(env::Environment &env, const nn::CompiledPlan &plan,
                  const std::vector<uint64_t> &episodeSeeds)
 {
@@ -94,7 +95,7 @@ evaluateDetailed(env::Environment &env, const nn::CompiledPlan &plan,
     });
 }
 
-env::EvalDetail
+DetailedEval
 evaluateDetailed(env::Environment &env, const neat::Genome &genome,
                  const neat::NeatConfig &cfg,
                  const std::vector<uint64_t> &episodeSeeds)
@@ -105,6 +106,21 @@ evaluateDetailed(env::Environment &env, const neat::Genome &genome,
     }
     auto net = nn::FeedForwardNetwork::create(genome, cfg);
     return evaluateWith(env, net, episodeSeeds);
+}
+
+std::vector<DetailedEval>
+engineDetails(const exec::EvalEngine &engine,
+              const std::vector<exec::GenomeEvalResult> &results)
+{
+    const auto E = static_cast<std::size_t>(engine.episodes());
+    const auto slots = engine.episodeResults();
+    std::vector<DetailedEval> out;
+    out.reserve(results.size());
+    for (std::size_t g = 0; g < results.size(); ++g) {
+        const auto mine = slots.subspan(g * E, E);
+        out.push_back({results[g].detail, {mine.begin(), mine.end()}});
+    }
+    return out;
 }
 
 } // namespace genesys::oracle

@@ -20,9 +20,26 @@
 #include <vector>
 
 #include "env/runner.hh"
+#include "exec/eval_engine.hh"
 
 namespace genesys::oracle
 {
+
+/** A genome's EvalDetail with the episode results it reduces. */
+struct DetailedEval : env::EvalDetail
+{
+    /** Per-episode results, in episode order. */
+    std::vector<env::EpisodeResult> episodes;
+};
+
+/**
+ * The engine's side of the comparison: each result's EvalDetail with
+ * its episodes from `engine.episodeResults()`. Call right after the
+ * evaluateGeneration that returned `results`.
+ */
+std::vector<DetailedEval>
+engineDetails(const exec::EvalEngine &engine,
+              const std::vector<exec::GenomeEvalResult> &results);
 
 /**
  * Run one episode of `env` from `seed` through a compiled plan, for
@@ -39,19 +56,19 @@ env::EpisodeResult runEpisode(env::Environment &env,
  * episode after another on `env` with one scratch. Mutates only
  * `env`.
  */
-env::EvalDetail evaluateDetailed(env::Environment &env,
-                                 const nn::CompiledPlan &plan,
-                                 const std::vector<uint64_t> &episodeSeeds);
+DetailedEval evaluateDetailed(env::Environment &env,
+                              const nn::CompiledPlan &plan,
+                              const std::vector<uint64_t> &episodeSeeds);
 
 /**
  * Evaluate `genome` over explicit per-episode seeds through the
  * interpreter matching the config's mode (FeedForwardNetwork, or
  * RecurrentNetwork reset at each episode start). Mutates only `env`.
  */
-env::EvalDetail evaluateDetailed(env::Environment &env,
-                                 const neat::Genome &genome,
-                                 const neat::NeatConfig &cfg,
-                                 const std::vector<uint64_t> &episodeSeeds);
+DetailedEval evaluateDetailed(env::Environment &env,
+                              const neat::Genome &genome,
+                              const neat::NeatConfig &cfg,
+                              const std::vector<uint64_t> &episodeSeeds);
 
 } // namespace genesys::oracle
 

@@ -3,12 +3,36 @@
 #include <algorithm>
 #include <set>
 
+#include "common/fixed_point.hh"
 #include "common/logging.hh"
 #include "neat/activations.hh"
 #include "neat/aggregations.hh"
+#include "nn/hw_activations.hh"
 
 namespace genesys::nn
 {
+
+double
+tierAttribute(double v, NumericsTier tier)
+{
+    if (tier != NumericsTier::HwFaithful)
+        return v;
+    return FixedPointCodec(kHwIntBits, kHwFracBits).quantize(v);
+}
+
+double
+tierInput(double x, NumericsTier tier)
+{
+    return tier == NumericsTier::HwFaithful ? hwact::hwQuantizer()(x) : x;
+}
+
+double
+tierActivate(neat::Activation a, double x, NumericsTier tier)
+{
+    if (tier == NumericsTier::HwFaithful)
+        return hwact::activateQuantized(a, x, hwact::hwQuantizer());
+    return neat::activate(a, x);
+}
 
 GenomeAnalysis
 analyzeGenome(const Genome &genome, const NeatConfig &cfg)
@@ -91,11 +115,13 @@ feedForwardLayers(const Genome &genome, const NeatConfig &cfg)
 }
 
 FeedForwardNetwork
-FeedForwardNetwork::create(const Genome &genome, const NeatConfig &cfg)
+FeedForwardNetwork::create(const Genome &genome, const NeatConfig &cfg,
+                           NumericsTier tier)
 {
     FeedForwardNetwork net;
     net.numInputs_ = cfg.numInputs;
     net.numOutputs_ = cfg.numOutputs;
+    net.tier_ = tier;
     net.layers_ = analyzeGenome(genome, cfg).layers;
 
     // Dense slot assignment: inputs first, then nodes in layer order.
@@ -114,7 +140,8 @@ FeedForwardNetwork::create(const Genome &genome, const NeatConfig &cfg)
     std::map<int, std::vector<std::pair<int, double>>> inbound;
     for (const auto &[ck, cg] : genome.connections()) {
         if (cg.enabled)
-            inbound[ck.second].emplace_back(ck.first, cg.weight);
+            inbound[ck.second].emplace_back(
+                ck.first, tierAttribute(cg.weight, tier));
     }
 
     for (const auto &layer : net.layers_) {
@@ -126,8 +153,8 @@ FeedForwardNetwork::create(const Genome &genome, const NeatConfig &cfg)
             ev.key = nk;
             ev.activation = it->second.activation;
             ev.aggregation = it->second.aggregation;
-            ev.bias = it->second.bias;
-            ev.response = it->second.response;
+            ev.bias = tierAttribute(it->second.bias, tier);
+            ev.response = tierAttribute(it->second.response, tier);
             ev.slot = slot_of.at(nk);
             auto in_it = inbound.find(nk);
             if (in_it != inbound.end()) {
@@ -162,7 +189,8 @@ FeedForwardNetwork::activate(const std::vector<double> &inputs) const
 
     std::vector<double> values(static_cast<size_t>(numSlots_), 0.0);
     for (int i = 0; i < numInputs_; ++i)
-        values[static_cast<size_t>(i)] = inputs[static_cast<size_t>(i)];
+        values[static_cast<size_t>(i)] =
+            tierInput(inputs[static_cast<size_t>(i)], tier_);
 
     std::vector<double> weighted;
     for (const auto &ev : evals_) {
@@ -174,8 +202,8 @@ FeedForwardNetwork::activate(const std::vector<double> &inputs) const
                 if (slot >= 0)
                     acc += values[static_cast<size_t>(slot)] * w;
             }
-            values[static_cast<size_t>(ev.slot)] = neat::activate(
-                ev.activation, ev.bias + ev.response * acc);
+            values[static_cast<size_t>(ev.slot)] = tierActivate(
+                ev.activation, ev.bias + ev.response * acc, tier_);
             continue;
         }
         weighted.clear();
@@ -185,8 +213,8 @@ FeedForwardNetwork::activate(const std::vector<double> &inputs) const
                 (slot >= 0 ? values[static_cast<size_t>(slot)] : 0.0) * w);
         }
         const double agg = neat::aggregate(ev.aggregation, weighted);
-        values[static_cast<size_t>(ev.slot)] =
-            neat::activate(ev.activation, ev.bias + ev.response * agg);
+        values[static_cast<size_t>(ev.slot)] = tierActivate(
+            ev.activation, ev.bias + ev.response * agg, tier_);
     }
 
     std::vector<double> outputs;

@@ -3,7 +3,10 @@
  * Feed-forward interpreter phenotype: builds an evaluable network
  * from a genome. Test-only oracle: the library runs every genome as
  * an nn::CompiledPlan, and the differential suites check each plan
- * against this interpreter bit for bit.
+ * against this interpreter bit for bit, in both numerics tiers. The
+ * interpreter evaluates one node at a time and shares no tile layout
+ * with the plan, so it checks the plan's lowering as well as its
+ * kernel.
  *
  * NEAT genomes are irregular acyclic graphs, so inference "is
  * basically processing an acyclic directed graph" (Section III-C2).
@@ -21,12 +24,26 @@
 
 #include "neat/genome.hh"
 #include "nn/levelize.hh"
+#include "nn/numerics.hh"
 
 namespace genesys::nn
 {
 
 using neat::Genome;
 using neat::NeatConfig;
+
+/**
+ * The interpreters' numerics, one value at a time. Reference leaves
+ * attributes and inputs as they are and activates through libm.
+ * HwFaithful rounds attributes (bias, response, weight) through the
+ * Q6.10 gene codec, latches inputs through hwact::hwQuantizer() and
+ * activates through hwact::activateQuantized — the plan's hw lowering
+ * rebuilt without its tiles, so a plan and an interpreter of one tier
+ * must agree bit for bit.
+ */
+double tierAttribute(double v, NumericsTier tier);
+double tierInput(double x, NumericsTier tier);
+double tierActivate(neat::Activation a, double x, NumericsTier tier);
 
 /** Evaluation record for one vertex (node) of the graph. */
 struct NodeEval
@@ -90,9 +107,10 @@ std::vector<std::vector<int>> feedForwardLayers(const Genome &genome,
 class FeedForwardNetwork
 {
   public:
-    /** Build the phenotype of `genome`. */
-    static FeedForwardNetwork create(const Genome &genome,
-                                     const NeatConfig &cfg);
+    /** Build the phenotype of `genome` under `tier`'s numerics. */
+    static FeedForwardNetwork
+    create(const Genome &genome, const NeatConfig &cfg,
+           NumericsTier tier = NumericsTier::Reference);
 
     /**
      * Evaluate: `inputs.size()` must equal numInputs. Returns the
@@ -110,6 +128,7 @@ class FeedForwardNetwork
   private:
     int numInputs_ = 0;
     int numOutputs_ = 0;
+    NumericsTier tier_ = NumericsTier::Reference;
     std::vector<std::vector<int>> layers_;
     std::vector<NodeEval> evals_; // in layer order
     /** Dense value slots: inputs, then evaluated nodes. */

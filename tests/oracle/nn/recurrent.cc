@@ -3,18 +3,19 @@
 #include <map>
 
 #include "common/logging.hh"
-#include "neat/activations.hh"
 #include "neat/aggregations.hh"
 
 namespace genesys::nn
 {
 
 RecurrentNetwork
-RecurrentNetwork::create(const Genome &genome, const NeatConfig &cfg)
+RecurrentNetwork::create(const Genome &genome, const NeatConfig &cfg,
+                         NumericsTier tier)
 {
     RecurrentNetwork net;
     net.numInputs_ = cfg.numInputs;
     net.numOutputs_ = cfg.numOutputs;
+    net.tier_ = tier;
 
     // Slots: inputs first, then every node gene (cycles allowed, so
     // no topological requirement).
@@ -29,7 +30,8 @@ RecurrentNetwork::create(const Genome &genome, const NeatConfig &cfg)
     std::map<int, std::vector<std::pair<int, double>>> inbound;
     for (const auto &[ck, cg] : genome.connections()) {
         if (cg.enabled)
-            inbound[ck.second].emplace_back(ck.first, cg.weight);
+            inbound[ck.second].emplace_back(
+                ck.first, tierAttribute(cg.weight, tier));
     }
 
     for (const auto &[nk, ng] : genome.nodes()) {
@@ -37,8 +39,8 @@ RecurrentNetwork::create(const Genome &genome, const NeatConfig &cfg)
         ev.key = nk;
         ev.activation = ng.activation;
         ev.aggregation = ng.aggregation;
-        ev.bias = ng.bias;
-        ev.response = ng.response;
+        ev.bias = tierAttribute(ng.bias, tier);
+        ev.response = tierAttribute(ng.response, tier);
         ev.slot = slot_of.at(nk);
         auto it = inbound.find(nk);
         if (it != inbound.end()) {
@@ -79,8 +81,9 @@ RecurrentNetwork::activate(const std::vector<double> &inputs)
     // Inputs are visible in the *previous* frame so this tick's node
     // updates read them (standard NEAT recurrent evaluation).
     for (int i = 0; i < numInputs_; ++i) {
-        prev_[static_cast<size_t>(i)] = inputs[static_cast<size_t>(i)];
-        curr_[static_cast<size_t>(i)] = inputs[static_cast<size_t>(i)];
+        const double in = tierInput(inputs[static_cast<size_t>(i)], tier_);
+        prev_[static_cast<size_t>(i)] = in;
+        curr_[static_cast<size_t>(i)] = in;
     }
 
     std::vector<double> weighted;
@@ -91,8 +94,8 @@ RecurrentNetwork::activate(const std::vector<double> &inputs)
                 if (slot >= 0)
                     acc += prev_[static_cast<size_t>(slot)] * w;
             }
-            curr_[static_cast<size_t>(ev.slot)] = neat::activate(
-                ev.activation, ev.bias + ev.response * acc);
+            curr_[static_cast<size_t>(ev.slot)] = tierActivate(
+                ev.activation, ev.bias + ev.response * acc, tier_);
             continue;
         }
         weighted.clear();
@@ -103,8 +106,8 @@ RecurrentNetwork::activate(const std::vector<double> &inputs)
                 w);
         }
         const double agg = neat::aggregate(ev.aggregation, weighted);
-        curr_[static_cast<size_t>(ev.slot)] =
-            neat::activate(ev.activation, ev.bias + ev.response * agg);
+        curr_[static_cast<size_t>(ev.slot)] = tierActivate(
+            ev.activation, ev.bias + ev.response * agg, tier_);
     }
     std::swap(prev_, curr_);
 

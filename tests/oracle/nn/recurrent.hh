@@ -28,9 +28,11 @@ namespace genesys::nn
 class RecurrentNetwork
 {
   public:
-    /** Build the phenotype of `genome` (cycles allowed). */
-    static RecurrentNetwork create(const Genome &genome,
-                                   const NeatConfig &cfg);
+    /** Build the phenotype of `genome` (cycles allowed) under
+     *  `tier`'s numerics (see tierActivate). */
+    static RecurrentNetwork
+    create(const Genome &genome, const NeatConfig &cfg,
+           NumericsTier tier = NumericsTier::Reference);
 
     /**
      * Advance one tick: latch `inputs`, update every node from the
@@ -51,6 +53,7 @@ class RecurrentNetwork
   private:
     int numInputs_ = 0;
     int numOutputs_ = 0;
+    NumericsTier tier_ = NumericsTier::Reference;
     std::vector<NodeEval> evals_;
     std::vector<int> outputSlots_;
     int numSlots_ = 0;

@@ -5,11 +5,10 @@
  * A debug-check layer that silently never triggers is worse than
  * none, so this suite corrupts real structures and expects the
  * checked build to panic: a FlatGeneMap whose embedded gene key
- * disagrees with the sorted key array, and a batched plan driven with
- * a hand-shrunk accumulator the size ASSERTs cannot see. In an
- * unchecked build the same corruptions must go unnoticed (the macros
- * compile out), which doubles as the zero-overhead-contract test —
- * those cases run instead of skipping.
+ * disagrees with the sorted key array. In an unchecked build the same
+ * corruption must go unnoticed (the macros compile out), which
+ * doubles as the zero-overhead-contract test — that case runs instead
+ * of skipping.
  */
 
 #include <gtest/gtest.h>
@@ -22,11 +21,10 @@
 #include "common/rng.hh"
 #include "neat/flat_gene_map.hh"
 #include "neat/gene.hh"
-#include "nn/compiled_plan.hh"
+#include "neat/genome.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
-using namespace genesys::nn;
 
 namespace
 {
@@ -42,25 +40,6 @@ threeNodes()
     }
     return map;
 }
-
-/** A small compiled plan plus config, shared by the batch tests. */
-struct PlanFixture
-{
-    NeatConfig cfg;
-    Genome genome{0};
-    CompiledPlan plan;
-
-    PlanFixture()
-    {
-        cfg.numInputs = 3;
-        cfg.numOutputs = 2;
-        cfg.initialConnection = InitialConnection::FullDirect;
-        NodeIndexer indexer(cfg.numOutputs);
-        XorWow rng(0x5eedULL);
-        genome = Genome::createNew(0, cfg, indexer, rng);
-        plan = CompiledPlan::compileFor(genome, cfg);
-    }
-};
 
 } // namespace
 
@@ -82,33 +61,6 @@ TEST(CheckedInvariants, CorruptedEmbeddedGeneKeyPanics)
     }
     EXPECT_THROW(map.dcheckInvariants("corrupted map"),
                  std::logic_error);
-}
-
-TEST(CheckedInvariants, MisSizedBatchAccumulatorPanics)
-{
-    PlanFixture fx;
-    BatchScratch scratch;
-    fx.plan.beginBatch(4, scratch);
-    // Shrink the one buffer activateBatch's always-on size ASSERTs do
-    // not cover; only the DCHECK stands between this and an overrun.
-    scratch.acc.resize(2);
-    if (!checkedBuild()) {
-        GTEST_SKIP() << "accumulator overrun is only caught (and only "
-                        "safe to provoke) with GENESYS_CHECKED "
-                        "compiled in";
-    }
-    EXPECT_THROW(
-        fx.plan.activateBatch(4, scratch),
-        std::logic_error);
-}
-
-TEST(CheckedInvariants, WellFormedBatchPasses)
-{
-    PlanFixture fx;
-    BatchScratch scratch;
-    fx.plan.beginBatch(4, scratch);
-    fx.plan.activateBatch(4, scratch);
-    EXPECT_EQ(scratch.outputs.size(), fx.plan.numOutputs() * 4);
 }
 
 TEST(CheckedInvariants, MutateAndCrossoverKeepInvariants)

@@ -7,7 +7,8 @@
  * the whole engine's cross-thread determinism contract is built on
  * exact equality. The harness fuzzes ~1k random genomes (varied
  * activations/aggregations, disabled connections, dangling hidden
- * nodes, recurrent cycles) through both paths, and separately pins
+ * nodes, recurrent cycles) through both paths in both numerics tiers
+ * (the interpreter takes the tier too), and separately pins
  * the rewritten graph analysis against a straight transcription of
  * the original (pre-optimization) layering algorithm, since both
  * production paths now share the new analysis code.
@@ -22,7 +23,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -285,25 +285,29 @@ TEST(CompiledPlanFuzz, MatchesInterpreterBitForBit)
                                       : pinnedDenseGenome(cfg);
         SCOPED_TRACE("fuzz genome " + std::to_string(i));
 
-        const auto net = FeedForwardNetwork::create(g, cfg);
-        const auto plan = feedForwardPlan(g, cfg);
+        for (NumericsTier tier :
+             {NumericsTier::Reference, NumericsTier::HwFaithful}) {
+            SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)));
+            const auto net = FeedForwardNetwork::create(g, cfg, tier);
+            const auto plan = feedForwardPlan(g, cfg, tier);
 
-        ASSERT_EQ(plan.numInputs(), net.numInputs());
-        ASSERT_EQ(plan.numOutputs(), net.numOutputs());
-        EXPECT_EQ(plan.macsPerInference(), net.macsPerInference());
-        EXPECT_EQ(plan.layerSpans().size(), net.layers().size());
+            ASSERT_EQ(plan.numInputs(), net.numInputs());
+            ASSERT_EQ(plan.numOutputs(), net.numOutputs());
+            EXPECT_EQ(plan.macsPerInference(), net.macsPerInference());
+            EXPECT_EQ(plan.layerSpans().size(), net.layers().size());
 
-        PlanScratch scratch;
-        for (int t = 0; t < 4; ++t) {
-            std::vector<double> in(static_cast<size_t>(cfg.numInputs));
-            for (auto &x : in)
-                x = rng.uniform(-5.0, 5.0);
-            const auto expect = net.activate(in);
-            plan.activate(in, scratch);
-            ASSERT_EQ(scratch.outputs.size(), expect.size());
-            for (size_t o = 0; o < expect.size(); ++o) {
-                EXPECT_TRUE(bitEqual(scratch.outputs[o], expect[o]))
-                    << "output " << o << " trial " << t;
+            PlanScratch scratch;
+            for (int t = 0; t < 4; ++t) {
+                std::vector<double> in(static_cast<size_t>(cfg.numInputs));
+                for (auto &x : in)
+                    x = rng.uniform(-5.0, 5.0);
+                const auto expect = net.activate(in);
+                plan.activate(in, scratch);
+                ASSERT_EQ(scratch.outputs.size(), expect.size());
+                for (size_t o = 0; o < expect.size(); ++o) {
+                    EXPECT_TRUE(bitEqual(scratch.outputs[o], expect[o]))
+                        << "output " << o << " trial " << t;
+                }
             }
         }
     }
@@ -412,41 +416,33 @@ withDanglingSources(Genome g, const NeatConfig &cfg, XorWow &rng)
 
 TEST(CompiledPlanFuzz, LockstepSumGroupsMatchSerialChains)
 {
-    // The kernels pack runs of up to 8 Sum nodes into tiles. Each
-    // node must still add its edges in its own order: the outputs must
-    // equal the interpreter's (reference tier) and the one-lane
-    // batched kernel's (both tiers), bit for bit.
+    // The kernel packs runs of up to 8 Sum nodes into tiles. Each node
+    // must still add its edges in its own order: in both tiers the
+    // outputs must equal the interpreter's, which adds one node's
+    // edges at a time, bit for bit.
     constexpr int kGenomes = 400;
     constexpr int kTrials = 3;
     for (int i = 0; i < kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase ^ 0x4C0C, static_cast<uint64_t>(i)));
         const NeatConfig cfg = groupConfig(rng);
         const Genome g = groupGenome(cfg, rng);
-        const auto net = FeedForwardNetwork::create(g, cfg);
         for (NumericsTier tier :
              {NumericsTier::Reference, NumericsTier::HwFaithful}) {
             SCOPED_TRACE("group genome " + std::to_string(i) + " tier " +
                          std::to_string(static_cast<int>(tier)));
+            const auto net = FeedForwardNetwork::create(g, cfg, tier);
             const auto plan = CompiledPlan::compileFor(g, cfg, tier);
-            PlanScratch serial;
-            BatchScratch lane;
+            PlanScratch scratch;
             for (int t = 0; t < kTrials; ++t) {
                 std::vector<double> in(static_cast<size_t>(cfg.numInputs));
                 for (auto &x : in)
                     x = rng.uniform(-2.0, 2.0);
-                plan.activate(in, serial);
-                plan.beginBatch(1, lane);
-                lane.inputs = in;
-                plan.activateBatch(1, lane);
-                const auto expect = tier == NumericsTier::Reference
-                                        ? net.activate(in)
-                                        : lane.outputs;
-                ASSERT_EQ(serial.outputs.size(), expect.size());
+                plan.activate(in, scratch);
+                const auto expect = net.activate(in);
+                ASSERT_EQ(scratch.outputs.size(), expect.size());
                 for (size_t o = 0; o < expect.size(); ++o) {
-                    EXPECT_TRUE(bitEqual(serial.outputs[o], expect[o]))
+                    EXPECT_TRUE(bitEqual(scratch.outputs[o], expect[o]))
                         << "output " << o << " trial " << t;
-                    EXPECT_TRUE(bitEqual(serial.outputs[o], lane.outputs[o]))
-                        << "lane kernel, output " << o << " trial " << t;
                 }
             }
         }
@@ -589,14 +585,13 @@ TEST(CompiledPlanFuzz, TilesMatchOraclesOnHostileValues)
     // A pad adds x * +0.0, which is +-0 for finite x and NaN for an
     // infinite or NaN x, so tiles are exact only because their sums
     // start at +0.0 and a NaN tile is recomputed without its pads. For
-    // feed-forward and recurrent genomes in both tiers: the serial
-    // kernel against the interpreter (reference tier), and, for
-    // feed-forward plans, activateBatch at 1 and 4 lanes against the
-    // serial kernel, lane by lane and tick by tick, bit for bit (a NaN
+    // feed-forward and recurrent genomes in both tiers, the plan runs
+    // kStreams independent input streams, each against its own
+    // interpreter of the same tier, tick by tick, bit for bit (a NaN
     // only has to meet a NaN, see sameValue).
     constexpr int kGenomes = 300;
     constexpr int kTicks = 4;
-    constexpr int kLanes = 4;
+    constexpr int kStreams = 4;
     for (int i = 0; i < kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase ^ 0x711E, static_cast<uint64_t>(i)));
         NeatConfig cfg;
@@ -610,56 +605,26 @@ TEST(CompiledPlanFuzz, TilesMatchOraclesOnHostileValues)
                          std::to_string(static_cast<int>(tier)) +
                          (cfg.feedForward ? " feed-forward" : " recurrent"));
             const auto plan = CompiledPlan::compileFor(g, cfg, tier);
-            std::optional<FeedForwardNetwork> ff;
-            std::optional<RecurrentNetwork> rec;
-            if (cfg.feedForward)
-                ff.emplace(FeedForwardNetwork::create(g, cfg));
-            else
-                rec.emplace(RecurrentNetwork::create(g, cfg));
-            // One serial oracle per batched lane: lane 0 of the 1-lane
-            // batch runs lane 0's stream.
-            std::vector<PlanScratch> serial(kLanes);
-            for (PlanScratch &s : serial)
+            const auto ff = FeedForwardNetwork::create(g, cfg, tier);
+            std::vector<RecurrentNetwork> rec;
+            std::vector<PlanScratch> scratch(kStreams);
+            for (PlanScratch &s : scratch) {
                 plan.reset(s);
-            BatchScratch one;
-            BatchScratch four;
-            plan.beginBatch(1, one);
-            plan.beginBatch(kLanes, four);
-            for (int t = 0; t < kTicks; ++t) {
-                for (int l = 0; l < kLanes; ++l) {
-                    const std::vector<double> in = hostileInputs(rng);
-                    plan.activate(in, serial[static_cast<size_t>(l)]);
-                    for (int x = 0; x < kTileInputs; ++x)
-                        four.inputs[static_cast<size_t>(x) * kLanes +
-                                    static_cast<size_t>(l)] =
-                            in[static_cast<size_t>(x)];
-                    if (l == 0)
-                        one.inputs = in;
-                    if (l != 0 || tier != NumericsTier::Reference)
-                        continue;
-                    const auto expect =
-                        ff ? ff->activate(in) : rec->activate(in);
-                    for (size_t o = 0; o < expect.size(); ++o) {
-                        EXPECT_TRUE(
-                            sameValue(serial[0].outputs[o], expect[o]))
-                            << "interpreter, tick " << t << " output " << o;
-                    }
-                }
                 if (!cfg.feedForward)
-                    continue;
-                plan.activateBatch(1, one);
-                plan.activateBatch(kLanes, four);
-                for (size_t o = 0; o < one.outputs.size(); ++o) {
-                    EXPECT_TRUE(sameValue(one.outputs[o],
-                                          serial[0].outputs[o]))
-                        << "1 lane, tick " << t << " output " << o;
-                    for (int l = 0; l < kLanes; ++l) {
-                        EXPECT_TRUE(sameValue(
-                            four.outputs[o * kLanes +
-                                         static_cast<size_t>(l)],
-                            serial[static_cast<size_t>(l)].outputs[o]))
-                            << kLanes << " lanes, lane " << l << " tick "
-                            << t << " output " << o;
+                    rec.push_back(RecurrentNetwork::create(g, cfg, tier));
+            }
+            for (int t = 0; t < kTicks; ++t) {
+                for (size_t l = 0; l < kStreams; ++l) {
+                    const std::vector<double> in = hostileInputs(rng);
+                    plan.activate(in, scratch[l]);
+                    const auto expect = cfg.feedForward ? ff.activate(in)
+                                                        : rec[l].activate(in);
+                    ASSERT_EQ(scratch[l].outputs.size(), expect.size());
+                    for (size_t o = 0; o < expect.size(); ++o) {
+                        EXPECT_TRUE(sameValue(scratch[l].outputs[o],
+                                              expect[o]))
+                            << "stream " << l << " tick " << t
+                            << " output " << o;
                     }
                 }
             }
@@ -847,54 +812,6 @@ TEST(CompiledPlan, CompileScratchReuseIsBitIdentical)
                     EXPECT_TRUE(bitEqual(sb.outputs[o], sa.outputs[o]))
                         << (feed_forward ? "feed-forward" : "recurrent")
                         << " output " << o << " trial " << t;
-            }
-        }
-    }
-}
-
-TEST(CompiledPlanBatch, FeedForwardLanesMatchSerialAtEveryWidth)
-{
-    // The batched kernel at the widths it runs. The wave loop regroups
-    // a genome's live lanes every superstep, so one scratch sees the
-    // group shrink 5, 4, 3, 2 as episodes end (the generic kernel,
-    // then the fixed-width ones); 9 and 11 lanes take the generic
-    // kernel again. Every lane must match a serial activate() of the
-    // same inputs bit for bit, in both tiers.
-    constexpr int kGenomes = 200;
-    constexpr int kWidths[] = {5, 4, 3, 2, 9, 11};
-    for (int i = 0; i < kGenomes; ++i) {
-        XorWow rng(deriveSeed(kFuzzBase ^ 0xBA7C, static_cast<uint64_t>(i)));
-        const bool allow_cycles = i % 4 == 3;
-        const NeatConfig cfg = fuzzConfig(rng, allow_cycles);
-        const Genome g = fuzzGenome(cfg, rng, allow_cycles);
-        for (NumericsTier tier :
-             {NumericsTier::Reference, NumericsTier::HwFaithful}) {
-            SCOPED_TRACE("batch genome " + std::to_string(i) + " tier " +
-                         std::to_string(static_cast<int>(tier)));
-            const auto plan = feedForwardPlan(g, cfg, tier);
-            BatchScratch batch;
-            PlanScratch serial;
-            for (const int lanes : kWidths) {
-                const auto L = static_cast<size_t>(lanes);
-                plan.beginBatch(lanes, batch);
-                std::vector<std::vector<double>> lane_in(L);
-                for (size_t l = 0; l < L; ++l) {
-                    lane_in[l].resize(static_cast<size_t>(cfg.numInputs));
-                    for (auto &x : lane_in[l])
-                        x = rng.uniform(-5.0, 5.0);
-                    for (size_t x = 0; x < lane_in[l].size(); ++x)
-                        batch.inputs[x * L + l] = lane_in[l][x];
-                }
-                plan.activateBatch(lanes, batch);
-                for (size_t l = 0; l < L; ++l) {
-                    plan.activate(lane_in[l], serial);
-                    for (size_t o = 0; o < serial.outputs.size(); ++o) {
-                        EXPECT_TRUE(bitEqual(batch.outputs[o * L + l],
-                                             serial.outputs[o]))
-                            << lanes << " lanes, lane " << l << " output "
-                            << o;
-                    }
-                }
             }
         }
     }

@@ -71,7 +71,8 @@ expectEpisodeIdentical(const env::EpisodeResult &a,
 }
 
 void
-expectDetailIdentical(const env::EvalDetail &a, const env::EvalDetail &b)
+expectDetailIdentical(const oracle::DetailedEval &a,
+                      const oracle::DetailedEval &b)
 {
     EXPECT_EQ(a.fitness, b.fitness);
     EXPECT_EQ(a.inferences, b.inferences);
@@ -135,7 +136,13 @@ TEST(EpisodeBatchTest, SamePlanWaveMatchesSerialAndInterpreter)
 namespace
 {
 
-std::vector<GenomeEvalResult>
+struct EngineRun
+{
+    std::vector<GenomeEvalResult> results;
+    std::vector<oracle::DetailedEval> details;
+};
+
+EngineRun
 evaluateEngine(const neat::NeatConfig &cfg,
                const std::vector<neat::Genome> &genomes, int threads,
                bool batch)
@@ -146,8 +153,11 @@ evaluateEngine(const neat::NeatConfig &cfg,
     ecfg.episodes = 5;
     ecfg.batchEpisodes = batch;
     EvalEngine engine(ecfg);
-    return engine.evaluateGeneration(handlesOf(genomes), cfg,
-                                     EvalEngine::perGenomeSeeds(83));
+    EngineRun run;
+    run.results = engine.evaluateGeneration(
+        handlesOf(genomes), cfg, EvalEngine::perGenomeSeeds(83));
+    run.details = oracle::engineDetails(engine, run.results);
+    return run;
 }
 
 } // namespace
@@ -165,11 +175,12 @@ TEST(EpisodeBatchTest, EngineEpisodeLanesMatchSerialAcrossThreads)
                          " threads " + std::to_string(threads));
             const auto batched =
                 evaluateEngine(cfg, genomes, threads, /*batch=*/true);
-            ASSERT_EQ(batched.size(), reference.size());
-            for (size_t i = 0; i < reference.size(); ++i) {
-                EXPECT_EQ(batched[i].genomeKey, reference[i].genomeKey);
-                expectDetailIdentical(batched[i].detail,
-                                      reference[i].detail);
+            ASSERT_EQ(batched.results.size(), reference.results.size());
+            for (size_t i = 0; i < reference.results.size(); ++i) {
+                EXPECT_EQ(batched.results[i].genomeKey,
+                          reference.results[i].genomeKey);
+                expectDetailIdentical(batched.details[i],
+                                      reference.details[i]);
             }
         }
     }

@@ -432,16 +432,16 @@ TEST(EvalEngineTest, ZeroEpisodeConfigRejected)
     }
 }
 
-// --- trace window (satellite fix) -------------------------------------------
+// --- evolution trace retention ---------------------------------------------
 
-TEST(PopulationTraceWindowTest, WindowEnforcedEveryStep)
+TEST(PopulationTraceTest, KeepsOnlyTheTraceThatBredTheCurrentGeneration)
 {
     auto env = env::makeEnvironment("CartPole_v0");
     neat::NeatConfig cfg = env::configForEnvironment(*env);
     cfg.populationSize = 20;
     cfg.fitnessThreshold = 1e18; // never solve
     neat::Population pop(cfg, 17);
-    pop.setTraceWindow(2);
+    EXPECT_TRUE(pop.traces().empty());
 
     const auto fitness =
         neat::oracle::perGenome([](const neat::Genome &g) {
@@ -449,12 +449,13 @@ TEST(PopulationTraceWindowTest, WindowEnforcedEveryStep)
         });
     for (int i = 0; i < 6; ++i) {
         pop.stepBatch(fitness);
-        EXPECT_LE(pop.traces().size(), 2u) << "after step " << i;
+        ASSERT_EQ(pop.traces().size(), 1u) << "after step " << i;
+        // The held trace bred exactly the genomes now in the
+        // population.
+        const auto &children = pop.traces().back().children;
+        ASSERT_EQ(children.size(), pop.genomes().size());
+        for (const auto &rec : children)
+            EXPECT_EQ(pop.genomes().count(rec.childKey), 1u)
+                << "after step " << i;
     }
-    EXPECT_EQ(pop.traces().size(), 2u);
-
-    // Shrinking the window takes effect immediately, not on the next
-    // step.
-    pop.setTraceWindow(1);
-    EXPECT_EQ(pop.traces().size(), 1u);
 }

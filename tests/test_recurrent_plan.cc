@@ -9,7 +9,8 @@
  * harness fuzzes ~1k random cyclic genomes through both paths with
  * multi-tick stateful episodes, pins the MAC accounting (interpreter
  * == plan == plan schedule — the hw cost model invariant), and checks
- * that the plan rejects the calls a recurrent plan does not serve.
+ * that a recurrent plan rejects a tick before reset(). The wide-tile
+ * fuzz runs both numerics tiers against the tier-aware interpreter.
  *
  * Every genome derives from deriveSeed(kFuzzBase, index) via
  * common::rng, so any failure names a reproducible genome index.
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -334,10 +336,12 @@ TEST(RecurrentPlanFuzz, PackedLayerCountsDistinctSources)
 TEST(RecurrentPlanFuzz, LockstepSumGroupsMatchSerialChains)
 {
     // The recurrent tick packs runs of up to 8 Sum nodes into tiles.
-    // Each node must still add its edges in its own order: every tick
-    // must equal the interpreter's, bit for bit.
+    // Each node must still add its edges in its own order: in both
+    // tiers every tick must equal the interpreter's, bit for bit.
     constexpr int kGenomes = 400;
     constexpr int kTicks = 4;
+    constexpr NumericsTier kTiers[] = {NumericsTier::Reference,
+                                       NumericsTier::HwFaithful};
     for (int i = 0; i < kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase ^ 0x4C0C, static_cast<uint64_t>(i)));
         NeatConfig cfg;
@@ -346,20 +350,27 @@ TEST(RecurrentPlanFuzz, LockstepSumGroupsMatchSerialChains)
         cfg.feedForward = false;
         const Genome g = groupGenome(cfg, rng);
         SCOPED_TRACE("group genome " + std::to_string(i));
-        auto net = RecurrentNetwork::create(g, cfg);
-        const auto plan = CompiledPlan::compileFor(g, cfg);
-        PlanScratch serial;
-        plan.reset(serial);
+        std::vector<RecurrentNetwork> nets;
+        std::vector<CompiledPlan> plans;
+        std::vector<PlanScratch> scratch(std::size(kTiers));
+        for (size_t k = 0; k < std::size(kTiers); ++k) {
+            nets.push_back(RecurrentNetwork::create(g, cfg, kTiers[k]));
+            plans.push_back(CompiledPlan::compileFor(g, cfg, kTiers[k]));
+            plans[k].reset(scratch[k]);
+        }
         for (int t = 0; t < kTicks; ++t) {
             std::vector<double> in(static_cast<size_t>(cfg.numInputs));
             for (auto &x : in)
                 x = rng.uniform(-2.0, 2.0);
-            plan.activate(in, serial);
-            const auto expect = net.activate(in);
-            ASSERT_EQ(serial.outputs.size(), expect.size());
-            for (size_t o = 0; o < expect.size(); ++o) {
-                EXPECT_TRUE(bitEqual(serial.outputs[o], expect[o]))
-                    << "tick " << t << " output " << o;
+            for (size_t k = 0; k < std::size(kTiers); ++k) {
+                plans[k].activate(in, scratch[k]);
+                const auto expect = nets[k].activate(in);
+                ASSERT_EQ(scratch[k].outputs.size(), expect.size());
+                for (size_t o = 0; o < expect.size(); ++o) {
+                    EXPECT_TRUE(bitEqual(scratch[k].outputs[o], expect[o]))
+                        << "tier " << static_cast<int>(kTiers[k])
+                        << " tick " << t << " output " << o;
+                }
             }
         }
     }
@@ -443,7 +454,7 @@ TEST(RecurrentPlan, CompileForDispatchesOnConfigMode)
     EXPECT_DOUBLE_EQ(s.outputs[0], 0.0);
 }
 
-TEST(RecurrentPlan, FeedForwardEntryPointsRejectWrongMode)
+TEST(RecurrentPlan, TickWithoutResetThrows)
 {
     const auto cfg = recConfig();
     const auto plan =
@@ -452,12 +463,6 @@ TEST(RecurrentPlan, FeedForwardEntryPointsRejectWrongMode)
     const std::vector<double> one{1.0};
     // Ticking without reset is a contract violation, not silent UB.
     EXPECT_ANY_THROW(plan.activate(one, s));
-
-    // Recurrent lanes keep their state per lane, so the batched
-    // kernel serves feed-forward plans only.
-    BatchScratch batch;
-    plan.beginBatch(2, batch);
-    EXPECT_ANY_THROW(plan.activateBatch(2, batch));
 }
 
 TEST(RecurrentPlan, PlanCacheServesRecurrentPlansWithCarryOver)

@@ -404,6 +404,7 @@ breed(const NeatConfig &cfg, const Executor &exec)
         const int first_node = pop.reproduction().nodeIndexer().peek();
         EXPECT_FALSE(pop.stepBatch(fitness));
         run.generations.push_back(pop.genomes());
+        run.traces.push_back(pop.traces().back());
 
         int expected = first_node;
         for (const ChildRecord &rec : pop.traces().back().children) {
@@ -422,7 +423,6 @@ breed(const NeatConfig &cfg, const Executor &exec)
         EXPECT_GT(expected, first_node)
             << "forced node additions issued no keys";
     }
-    run.traces = pop.traces();
     run.history = pop.history();
     run.nextNodeKey = pop.reproduction().nodeIndexer().peek();
     return run;

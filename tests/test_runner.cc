@@ -77,8 +77,6 @@ TEST(ReduceEpisodes, MeanFitnessTotalsAndLongestEpisode)
     EXPECT_EQ(d.inferences, 15);
     EXPECT_EQ(d.macs, 150);
     EXPECT_EQ(d.maxEpisodeSteps, 9);
-    ASSERT_EQ(d.episodes.size(), 3u);
-    EXPECT_EQ(d.episodes[1].steps, 9);
 }
 
 TEST(ReduceEpisodes, NoEpisodesPanics)
@@ -105,14 +103,19 @@ struct OneLane
             neat::Genome::createNew(0, cfg, idx, rng), cfg);
     }
 
-    EvalDetail
-    evaluate(const std::vector<uint64_t> &seeds)
+    std::vector<EpisodeResult>
+    episodes(const std::vector<uint64_t> &seeds)
     {
         std::vector<WaveItem> items;
         for (uint64_t s : seeds)
             items.push_back({&plan, s});
-        return reduceEpisodes(
-            evaluateWave(items, {&env}, scratch).episodes);
+        return evaluateWave(items, {&env}, scratch).episodes;
+    }
+
+    EvalDetail
+    evaluate(const std::vector<uint64_t> &seeds)
+    {
+        return reduceEpisodes(episodes(seeds));
     }
 };
 
@@ -140,7 +143,7 @@ TEST(EpisodeRunner, DeterministicEvaluation)
 TEST(EpisodeRunner, CountsInferencesAndMacs)
 {
     OneLane lane(2);
-    const EpisodeResult res = lane.evaluate({17}).episodes.front();
+    const EpisodeResult res = lane.episodes({17}).front();
     EXPECT_EQ(res.inferences, res.steps);
     EXPECT_EQ(res.macs, res.steps * lane.plan.macsPerInference());
     EXPECT_GT(res.steps, 0);

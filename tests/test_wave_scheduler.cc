@@ -10,8 +10,7 @@
  * one genome's episodes (same plan in every lane) are covered by
  * test_episode_batch. The suite also locks the loop's observability:
  * occupancy counters populated on every configuration, refill
- * accounting exact, shared-plan lanes grouped into batched dispatches,
- * one compile per genome whoever claims it.
+ * accounting exact, one compile per genome whoever claims it.
  */
 
 #include <gtest/gtest.h>
@@ -89,7 +88,8 @@ expectEpisodeIdentical(const env::EpisodeResult &a,
 }
 
 void
-expectDetailIdentical(const env::EvalDetail &a, const env::EvalDetail &b)
+expectDetailIdentical(const oracle::DetailedEval &a,
+                      const oracle::DetailedEval &b)
 {
     EXPECT_EQ(a.fitness, b.fitness);
     EXPECT_EQ(a.inferences, b.inferences);
@@ -164,12 +164,12 @@ TEST(WaveSchedulerTest, HeterogeneousWaveMatchesSerialAcrossWidths)
     }
 }
 
-TEST(WaveSchedulerTest, SharedPlanLanesGroupIntoBatchedDispatch)
+TEST(WaveSchedulerTest, SharedPlanLanesMatchSerial)
 {
     // Several episodes of the same plans, adjacent in the item queue:
-    // same-plan lanes must execute through the grouped activateBatch
-    // dispatch (observable in the stats) and stay bit-identical to
-    // the serial loop.
+    // the initial fill packs 2 plans x 4 episodes onto the 8 lanes, so
+    // lanes share a plan (each on its own scratch) and must stay
+    // bit-identical to the serial loop.
     const auto [cfg, genomes] = makeGenomes(4, 67);
     std::vector<nn::CompiledPlan> plans;
     plans.reserve(genomes.size());
@@ -190,10 +190,6 @@ TEST(WaveSchedulerTest, SharedPlanLanesGroupIntoBatchedDispatch)
     const auto lanes = makeLanes(owned, 8);
     env::WaveScratch scratch;
     const auto wave = env::evaluateWave(items, lanes, scratch);
-
-    // The initial fill packs 2 plans x 4 episodes onto the 8 lanes,
-    // so grouped dispatch must have fired.
-    EXPECT_GT(wave.stats.groupedLaneActivations, 0);
 
     size_t k = 0;
     for (size_t i = 0; i < plans.size(); ++i) {
@@ -242,7 +238,13 @@ TEST(WaveSchedulerTest, EmptyAndUndersubscribedWaves)
 namespace
 {
 
-std::vector<GenomeEvalResult>
+struct EngineRun
+{
+    std::vector<GenomeEvalResult> results;
+    std::vector<oracle::DetailedEval> details;
+};
+
+EngineRun
 evaluateEngine(const neat::NeatConfig &cfg,
                const std::vector<neat::Genome> &genomes, int threads,
                bool batch, int waveLanes = 0)
@@ -255,18 +257,20 @@ evaluateEngine(const neat::NeatConfig &cfg,
     ecfg.heterogeneousLanes = batch;
     ecfg.waveLanes = waveLanes;
     EvalEngine engine(ecfg);
-    return engine.evaluateGeneration(handlesOf(genomes), cfg,
-                                     EvalEngine::perGenomeSeeds(83));
+    EngineRun run;
+    run.results = engine.evaluateGeneration(
+        handlesOf(genomes), cfg, EvalEngine::perGenomeSeeds(83));
+    run.details = oracle::engineDetails(engine, run.results);
+    return run;
 }
 
 void
-expectResultsIdentical(const std::vector<GenomeEvalResult> &a,
-                       const std::vector<GenomeEvalResult> &b)
+expectResultsIdentical(const EngineRun &a, const EngineRun &b)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < b.size(); ++i) {
-        EXPECT_EQ(a[i].genomeKey, b[i].genomeKey);
-        expectDetailIdentical(a[i].detail, b[i].detail);
+    ASSERT_EQ(a.results.size(), b.results.size());
+    for (size_t i = 0; i < b.results.size(); ++i) {
+        EXPECT_EQ(a.results[i].genomeKey, b.results[i].genomeKey);
+        expectDetailIdentical(a.details[i], b.details[i]);
     }
 }
 
@@ -388,7 +392,7 @@ namespace
 {
 
 /** The serial oracle: each genome's plan run one episode at a time. */
-env::EvalDetail
+oracle::DetailedEval
 serialDetail(const neat::NeatConfig &cfg, const neat::Genome &genome,
              int key, int episodes, const EvalEngine::SeedFn &seedFor)
 {
@@ -473,10 +477,10 @@ TEST(WaveSchedulerTest, SkewedBatchIndependentOfClaimOrder)
         }
 
         for (const int episodes : {1, 3}) {
-            std::vector<std::vector<env::EvalDetail>> oracle(2);
+            std::vector<std::vector<oracle::DetailedEval>> serial(2);
             for (int gen = 0; gen < 2; ++gen) {
                 for (const auto &h : gen == 0 ? gen1 : gen2)
-                    oracle[static_cast<size_t>(gen)].push_back(
+                    serial[static_cast<size_t>(gen)].push_back(
                         serialDetail(cfg, *h.genome, h.key, episodes,
                                      seedFor));
             }
@@ -498,15 +502,16 @@ TEST(WaveSchedulerTest, SkewedBatchIndependentOfClaimOrder)
                         const auto &handles = gen == 0 ? gen1 : gen2;
                         const auto results = engine.evaluateGeneration(
                             handles, cfg, seedFor);
+                        const auto details =
+                            oracle::engineDetails(engine, results);
                         const auto &expect =
-                            oracle[static_cast<size_t>(gen)];
+                            serial[static_cast<size_t>(gen)];
                         ASSERT_EQ(results.size(), expect.size());
                         long inferences = 0;
                         long lockstep = 0;
                         for (size_t i = 0; i < expect.size(); ++i) {
                             EXPECT_EQ(results[i].genomeKey, handles[i].key);
-                            expectDetailIdentical(results[i].detail,
-                                                  expect[i]);
+                            expectDetailIdentical(details[i], expect[i]);
                             inferences += expect[i].inferences;
                             lockstep += expect[i].maxEpisodeSteps;
                         }
