@@ -9,84 +9,21 @@
 
 #include <benchmark/benchmark.h>
 
-#include <bit>
 
 #include "common/logging.hh"
 #include "core/workloads.hh"
+#include "env/eval_fixtures.hh"
 #include "env/reference_eval.hh"
 #include "env/runner.hh"
 #include "exec/eval_engine.hh"
 #include "hw/eve_pe.hh"
 #include "hw/gene_split.hh"
 #include "nn/compiled_plan.hh"
+#include "nn/plan_fixtures.hh"
 #include "obs/telemetry.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
-
-namespace
-{
-
-NeatConfig
-benchConfig(int inputs, int outputs)
-{
-    NeatConfig cfg;
-    cfg.numInputs = inputs;
-    cfg.numOutputs = outputs;
-    return cfg;
-}
-
-Genome
-grownGenome(const NeatConfig &cfg, int mutations, uint64_t seed)
-{
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(seed);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-    for (int i = 0; i < mutations; ++i)
-        g.mutate(cfg, idx, rng);
-    return g;
-}
-
-/**
- * Dense genome with exactly `hidden` hidden nodes in one layer
- * (inputs -> hidden -> outputs, fully connected), random weights, so
- * the 64-hidden-node benchmarks run on a known topology rather than
- * whatever mutation happened to grow.
- */
-Genome
-denseGenome(const NeatConfig &cfg, int hidden, uint64_t seed)
-{
-    XorWow rng(seed);
-    Genome g(0);
-    for (int o = 0; o < cfg.numOutputs; ++o) {
-        NodeGene n;
-        n.key = o;
-        n.bias = rng.gaussian();
-        g.mutableNodes().emplace(o, n);
-    }
-    for (int h = 0; h < hidden; ++h) {
-        const int key = cfg.numOutputs + h;
-        NodeGene n;
-        n.key = key;
-        n.bias = rng.gaussian();
-        g.mutableNodes().emplace(key, n);
-        for (int i = 0; i < cfg.numInputs; ++i) {
-            ConnectionGene c;
-            c.key = {-i - 1, key};
-            c.weight = rng.gaussian();
-            g.mutableConnections().emplace(c.key, c);
-        }
-        for (int o = 0; o < cfg.numOutputs; ++o) {
-            ConnectionGene c;
-            c.key = {key, o};
-            c.weight = rng.gaussian();
-            g.mutableConnections().emplace(c.key, c);
-        }
-    }
-    return g;
-}
-
-} // namespace
 
 constexpr int kCmpInputs = 8;
 constexpr int kCmpHidden = 64;
@@ -101,9 +38,9 @@ constexpr int kAtariInputs = 128;
 static void
 BM_GenomeCrossover(benchmark::State &state)
 {
-    const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
-    const auto p1 = grownGenome(cfg, 10, 1);
-    const auto p2 = grownGenome(cfg, 10, 2);
+    const auto cfg = oracle::ioConfig(static_cast<int>(state.range(0)), 4);
+    const auto p1 = oracle::grownGenome(cfg, 10, 1);
+    const auto p2 = oracle::grownGenome(cfg, 10, 2);
     XorWow rng(3);
     for (auto _ : state) {
         auto child = Genome::crossover(9, p1, p2, rng);
@@ -118,10 +55,10 @@ BENCHMARK(BM_GenomeCrossover)->Arg(4)->Arg(24)->Arg(128);
 static void
 BM_GenomeMutate(benchmark::State &state)
 {
-    auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
+    auto cfg = oracle::ioConfig(static_cast<int>(state.range(0)), 4);
     NodeIndexer idx(cfg.numOutputs);
     XorWow rng(4);
-    auto g = grownGenome(cfg, 5, 5);
+    auto g = oracle::grownGenome(cfg, 5, 5);
     for (auto _ : state) {
         auto copy = g;
         benchmark::DoNotOptimize(copy.mutate(cfg, idx, rng));
@@ -135,9 +72,9 @@ BENCHMARK(BM_GenomeMutate)->Arg(4)->Arg(128);
 static void
 BM_GenomeDistance(benchmark::State &state)
 {
-    const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
-    const auto a = grownGenome(cfg, 10, 6);
-    const auto b = grownGenome(cfg, 10, 7);
+    const auto cfg = oracle::ioConfig(static_cast<int>(state.range(0)), 4);
+    const auto a = oracle::grownGenome(cfg, 10, 6);
+    const auto b = oracle::grownGenome(cfg, 10, 7);
     for (auto _ : state)
         benchmark::DoNotOptimize(a.distance(b, cfg));
 }
@@ -192,8 +129,8 @@ assertHwTierConsistent(const NeatConfig &cfg, const Genome &g,
 void
 evalPathTiered(benchmark::State &state, nn::NumericsTier tier)
 {
-    const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
+    const auto cfg = oracle::ioConfig(kCmpInputs, kCmpOutputs);
+    const auto g = oracle::denseGenome(cfg, kCmpHidden, kCmpSeed);
     assertHwTierConsistent(cfg, g, kCmpSeed + 3);
     const auto steps = static_cast<int>(state.range(0));
     nn::PlanScratch scratch;
@@ -316,13 +253,13 @@ struct WaveWorkload
     std::vector<uint64_t> seeds;
 
     explicit WaveWorkload(int inputs)
-        : cfg(benchConfig(inputs, kCmpOutputs))
+        : cfg(oracle::ioConfig(inputs, kCmpOutputs))
     {
         genomes.reserve(kWaveGenomes);
         plans.reserve(kWaveGenomes);
         seeds.reserve(kWaveGenomes);
         for (int i = 0; i < kWaveGenomes; ++i) {
-            genomes.push_back(denseGenome(
+            genomes.push_back(oracle::denseGenome(
                 cfg, kCmpHidden, kCmpSeed + static_cast<uint64_t>(i)));
             plans.push_back(
                 nn::CompiledPlan::compileFor(genomes.back(), cfg));
@@ -367,21 +304,14 @@ assertWaveMatchesSerial(const WaveWorkload &w)
     std::vector<std::unique_ptr<env::Environment>> owned;
     const auto lanes = waveLanes(owned, w.cfg.numInputs, kWaveLanes);
     env::WaveScratch scratch;
-    const auto wave = env::evaluateWave(w.items(), lanes, scratch);
+    const auto items = w.items();
+    const auto wave = env::evaluateWave(items, lanes, scratch);
 
     FixedLengthEnv serial_env(w.cfg.numInputs);
-    nn::PlanScratch pscratch;
-    for (size_t i = 0; i < w.plans.size(); ++i) {
-        const auto expect = oracle::runEpisode(serial_env, w.plans[i],
-                                               pscratch, w.seeds[i]);
-        const auto &got = wave.episodes[i];
-        GENESYS_ASSERT(
-            std::bit_cast<uint64_t>(got.fitness) ==
-                    std::bit_cast<uint64_t>(expect.fitness) &&
-                got.steps == expect.steps &&
-                got.macs == expect.macs,
-            "wave/serial episode diverges at item " << i);
-    }
+    const auto expect = oracle::serialEpisodes(serial_env, items);
+    for (size_t i = 0; i < expect.size(); ++i)
+        GENESYS_ASSERT(oracle::identical(wave.episodes[i], expect[i]),
+                       "wave/serial episode diverges at item " << i);
     GENESYS_ASSERT(wave.stats.occupancy() >= 0.9,
                    "heterogeneous wave occupancy "
                        << wave.stats.occupancy()
@@ -435,7 +365,7 @@ namespace
 Genome
 recurrentBenchGenome(const NeatConfig &cfg)
 {
-    Genome g = denseGenome(cfg, kCmpHidden, kCmpSeed);
+    Genome g = oracle::denseGenome(cfg, kCmpHidden, kCmpSeed);
     XorWow rng(kCmpSeed ^ 0x5EC5);
     for (int h = 0; h < kCmpHidden; h += 4) {
         ConnectionGene c;
@@ -459,7 +389,7 @@ BM_RecurrentStep64Hidden(benchmark::State &state)
     // activate(), its cross-tick state in the lane's PlanScratch.
     // Plan-vs-interpreter equality lives in the ctest fuzz suites.
     // Reported per tick.
-    auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
+    auto cfg = oracle::ioConfig(kCmpInputs, kCmpOutputs);
     cfg.feedForward = false;
     const auto g = recurrentBenchGenome(cfg);
     const auto plan = nn::CompiledPlan::compileFor(g, cfg);
@@ -484,8 +414,8 @@ BM_ActivateCompiledGrown(benchmark::State &state)
 {
     // One warm forward pass on a mutation-grown genome at each input
     // width, reported per MAC.
-    const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
-    const auto g = grownGenome(cfg, 20, 8);
+    const auto cfg = oracle::ioConfig(static_cast<int>(state.range(0)), 4);
+    const auto g = oracle::grownGenome(cfg, 20, 8);
     const auto plan = nn::CompiledPlan::compileFor(g, cfg);
 
     std::vector<double> inputs(plan.numInputs(), 0.5);
@@ -504,8 +434,8 @@ BENCHMARK(BM_ActivateCompiledGrown)->Arg(4)->Arg(24)->Arg(128);
 static void
 BM_CompilePlan(benchmark::State &state)
 {
-    const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
-    const auto g = grownGenome(cfg, 20, 9);
+    const auto cfg = oracle::ioConfig(static_cast<int>(state.range(0)), 4);
+    const auto g = oracle::grownGenome(cfg, 20, 9);
     for (auto _ : state)
         benchmark::DoNotOptimize(nn::CompiledPlan::compileFor(g, cfg));
 }
@@ -518,8 +448,8 @@ BM_CompilePlan64HiddenReusedScratch(benchmark::State &state)
     // genome: one per-thread CompileScratch reused across compiles
     // (the plan cache's thread_local), so the ~15 working vectors
     // allocate once and steady-state compilation is allocation-free.
-    const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
-    const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
+    const auto cfg = oracle::ioConfig(kCmpInputs, kCmpOutputs);
+    const auto g = oracle::denseGenome(cfg, kCmpHidden, kCmpSeed);
     nn::CompileScratch scratch;
     for (auto _ : state)
         benchmark::DoNotOptimize(
@@ -532,8 +462,8 @@ BENCHMARK(BM_CompilePlan64HiddenReusedScratch);
 static void
 BM_EncodeGenome(benchmark::State &state)
 {
-    const auto cfg = benchConfig(128, 8);
-    const auto g = grownGenome(cfg, 10, 11);
+    const auto cfg = oracle::ioConfig(128, 8);
+    const auto g = oracle::grownGenome(cfg, 10, 11);
     hw::GeneCodec codec;
     for (auto _ : state)
         benchmark::DoNotOptimize(codec.encodeGenome(g, cfg));
@@ -546,9 +476,9 @@ BENCHMARK(BM_EncodeGenome);
 static void
 BM_AlignStreams(benchmark::State &state)
 {
-    const auto cfg = benchConfig(128, 8);
-    const auto p1 = grownGenome(cfg, 10, 12);
-    const auto p2 = grownGenome(cfg, 10, 13);
+    const auto cfg = oracle::ioConfig(128, 8);
+    const auto p1 = oracle::grownGenome(cfg, 10, 12);
+    const auto p2 = oracle::grownGenome(cfg, 10, 13);
     hw::GeneCodec codec;
     const auto s1 = codec.encodeGenome(p1, cfg);
     const auto s2 = codec.encodeGenome(p2, cfg);
@@ -560,9 +490,9 @@ BENCHMARK(BM_AlignStreams);
 static void
 BM_EvePeChild(benchmark::State &state)
 {
-    const auto cfg = benchConfig(128, 8);
-    const auto p1 = grownGenome(cfg, 10, 14);
-    const auto p2 = grownGenome(cfg, 10, 15);
+    const auto cfg = oracle::ioConfig(128, 8);
+    const auto p1 = oracle::grownGenome(cfg, 10, 14);
+    const auto p2 = oracle::grownGenome(cfg, 10, 15);
     hw::GeneCodec codec;
     const auto stream = hw::alignStreams(codec.encodeGenome(p1, cfg),
                                          codec.encodeGenome(p2, cfg),

@@ -8,12 +8,6 @@ namespace genesys::exec
 
 EnvPool::EnvPool(const std::string &envName, int workers,
                  int lanesPerWorker)
-    : EnvPool([&envName] { return env::makeEnvironment(envName); },
-              workers, lanesPerWorker)
-{
-}
-
-EnvPool::EnvPool(const Factory &factory, int workers, int lanesPerWorker)
     : lanes_(lanesPerWorker)
 {
     GENESYS_ASSERT(workers > 0, "EnvPool needs at least one worker");
@@ -25,7 +19,7 @@ EnvPool::EnvPool(const Factory &factory, int workers, int lanesPerWorker)
     for (auto &shard : shards_) {
         shard.reserve(static_cast<std::size_t>(lanesPerWorker));
         for (int l = 0; l < lanesPerWorker; ++l) {
-            envs_.push_back(factory());
+            envs_.push_back(env::makeEnvironment(envName));
             shard.push_back(envs_.back().get());
         }
     }

@@ -19,7 +19,6 @@
 #ifndef GENESYS_EXEC_ENV_POOL_HH
 #define GENESYS_EXEC_ENV_POOL_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,8 +32,6 @@ namespace genesys::exec
 class EnvPool
 {
   public:
-    using Factory = std::function<std::unique_ptr<env::Environment>()>;
-
     /**
      * Build `workers` shards of the named Table I environment, each
      * shard holding `lanesPerWorker` instances (1 = one episode at a
@@ -42,9 +39,6 @@ class EnvPool
      */
     EnvPool(const std::string &envName, int workers,
             int lanesPerWorker = 1);
-
-    /** Build the shards from an arbitrary factory. */
-    EnvPool(const Factory &factory, int workers, int lanesPerWorker = 1);
 
     EnvPool(const EnvPool &) = delete;
     EnvPool &operator=(const EnvPool &) = delete;

@@ -34,31 +34,6 @@ BatchStats::totalInferences() const
 }
 
 double
-BatchStats::meanOccupancy() const
-{
-    if (waves.empty() || waveWidth <= 0)
-        return 0.0;
-    long slots = 0;
-    long used = 0;
-    for (const auto &w : waves) {
-        slots += waveWidth;
-        used += w.genomes;
-    }
-    return static_cast<double>(used) / static_cast<double>(slots);
-}
-
-double
-BatchStats::lockstepEfficiency() const
-{
-    long slot_steps = 0;
-    for (const auto &w : waves)
-        slot_steps += w.lockstepSteps * w.genomes;
-    return slot_steps > 0 ? static_cast<double>(totalInferences()) /
-                                static_cast<double>(slot_steps)
-                          : 0.0;
-}
-
-double
 BatchStats::laneOccupancy() const
 {
     return waveLaneSlotSteps > 0
@@ -76,12 +51,6 @@ applyNumericsFromEnv(EvalEngineConfig &cfg)
     cfg.numericsTier = nn::numericsTierFromName(tier);
 }
 
-uint64_t
-EvalEngine::mixSeed(uint64_t base, uint64_t genomeKey, uint64_t episode)
-{
-    return deriveSeed(deriveSeed(base, genomeKey), episode);
-}
-
 EvalEngine::SeedFn
 EvalEngine::sharedEpisodeSeeds(uint64_t base)
 {
@@ -94,8 +63,8 @@ EvalEngine::SeedFn
 EvalEngine::perGenomeSeeds(uint64_t base)
 {
     return [base](int genomeKey, int episode) {
-        return mixSeed(base, static_cast<uint64_t>(genomeKey),
-                       static_cast<uint64_t>(episode));
+        return deriveSeed(deriveSeed(base, static_cast<uint64_t>(genomeKey)),
+                          static_cast<uint64_t>(episode));
     };
 }
 

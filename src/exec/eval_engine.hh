@@ -16,10 +16,12 @@
  * genome. Episode results land in per-(genome, episode) slots, and
  * after the pass env::reduceEpisodes turns each genome's slots into
  * its EvalDetail — the same reduction the test oracle's serial loop
- * ends in. Episode seeds come from a SplitMix-style
- * per-(genome, episode) mixer, which makes results a pure function of
- * (genome, seed) — bit-identical whether the batch runs on 1 thread
- * or N, and whichever worker claims which genome.
+ * ends in. The caller's SeedFn maps (genome key, episode) to each
+ * episode's seed; core::System passes sharedEpisodeSeeds of the
+ * generation's derived seed, so every genome of a generation plays the
+ * same episodes. Results are a pure function of (genome, seed) —
+ * bit-identical whether the batch runs on 1 thread or N, and
+ * whichever worker claims which genome.
  *
  * The engine also records how the batch would map onto the EvE
  * PE-array: genomes are grouped into waves of `waveWidth` (one PE
@@ -109,14 +111,6 @@ struct BatchStats
     long lockstepSteps() const;
     /** Useful forward passes across all waves. */
     long totalInferences() const;
-    /** Mean fraction of wave slots holding a genome. */
-    double meanOccupancy() const;
-    /**
-     * Useful work / lockstep-slot work: 1.0 when every genome in a
-     * wave runs episodes of equal length, lower when short episodes
-     * idle behind the wave's longest one.
-     */
-    double lockstepEfficiency() const;
     /**
      * Fraction of wave lane slots that held a live episode
      * (waveActiveLaneSteps / waveLaneSlotSteps); 0 when nothing ran.
@@ -209,13 +203,6 @@ class EvalEngine
                        const SeedFn &seedFor);
 
     /**
-     * SplitMix-style per-(genome, episode) seed mixer: two chained
-     * deriveSeed() (SplitMix64 finalizer) rounds, one per coordinate.
-     */
-    static uint64_t mixSeed(uint64_t base, uint64_t genomeKey,
-                            uint64_t episode);
-
-    /**
      * The default seed policy: every genome sees the same episode
      * seeds (the paper's level playing field — the population is
      * ranked on identical episode sets).
@@ -223,8 +210,10 @@ class EvalEngine
     static SeedFn sharedEpisodeSeeds(uint64_t base);
 
     /**
-     * Independent episodes per genome via mixSeed — for stochastic
-     * fitness averaging where correlated episodes are undesirable.
+     * Independent episodes per genome — for stochastic fitness
+     * averaging where correlated episodes are undesirable. A
+     * SplitMix-style mixer: two chained deriveSeed() (SplitMix64
+     * finalizer) rounds, one per (genome, episode) coordinate.
      */
     static SeedFn perGenomeSeeds(uint64_t base);
 

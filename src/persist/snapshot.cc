@@ -674,9 +674,10 @@ writeSnapshotFile(const SystemSnapshot &snap, const std::string &path)
     const std::vector<uint8_t> &payload = w.bytes();
 
     // Header + payload into a temporary sibling, then an atomic
-    // rename: a crash mid-write never leaves a truncated file under
-    // the final name (and loads of an in-progress save see the
-    // previous complete snapshot).
+    // rename: a process that dies mid-write never leaves a truncated
+    // file under the final name (and loads of an in-progress save see
+    // the previous complete snapshot). No fsync, so this does not hold
+    // across a power loss or kernel crash.
     const std::string tmp = path + ".tmp";
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);

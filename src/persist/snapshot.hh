@@ -110,9 +110,10 @@ struct SystemSnapshot
 
 /**
  * Serialize `snap` to `path`. The file is written to a temporary
- * sibling and renamed into place, so a crash mid-write never leaves a
- * half-written snapshot under the final name. Throws SnapshotError on
- * IO failure.
+ * sibling and renamed into place, so a process that dies mid-write
+ * never leaves a half-written snapshot under the final name. Nothing
+ * is fsynced: a power loss or kernel crash may still leave a truncated
+ * file. Throws SnapshotError on IO failure.
  */
 void writeSnapshotFile(const SystemSnapshot &snap,
                        const std::string &path);

@@ -1,5 +1,6 @@
 #include "env/reference_eval.hh"
 
+#include <bit>
 #include <type_traits>
 
 #include "nn/recurrent.hh"
@@ -98,14 +99,62 @@ evaluateDetailed(env::Environment &env, const nn::CompiledPlan &plan,
 DetailedEval
 evaluateDetailed(env::Environment &env, const neat::Genome &genome,
                  const neat::NeatConfig &cfg,
-                 const std::vector<uint64_t> &episodeSeeds)
+                 const std::vector<uint64_t> &episodeSeeds,
+                 nn::NumericsTier tier)
 {
     if (!cfg.feedForward) {
-        auto net = nn::RecurrentNetwork::create(genome, cfg);
+        auto net = nn::RecurrentNetwork::create(genome, cfg, tier);
         return evaluateWith(env, net, episodeSeeds);
     }
-    auto net = nn::FeedForwardNetwork::create(genome, cfg);
+    auto net = nn::FeedForwardNetwork::create(genome, cfg, tier);
     return evaluateWith(env, net, episodeSeeds);
+}
+
+std::vector<env::EpisodeResult>
+serialEpisodes(env::Environment &env, std::span<const env::WaveItem> items)
+{
+    nn::PlanScratch scratch;
+    std::vector<env::EpisodeResult> out;
+    out.reserve(items.size());
+    for (const env::WaveItem &item : items)
+        out.push_back(runEpisode(env, *item.plan, scratch, item.seed));
+    return out;
+}
+
+DetailedEval
+serialDetail(const std::string &envName, const neat::NeatConfig &cfg,
+             const neat::GenomeHandle &genome, int episodes,
+             const exec::EvalEngine::SeedFn &seedFor, nn::NumericsTier tier)
+{
+    const auto plan = nn::CompiledPlan::compileFor(*genome.genome, cfg, tier);
+    std::vector<uint64_t> seeds;
+    for (int e = 0; e < episodes; ++e)
+        seeds.push_back(seedFor(genome.key, e));
+    auto env = env::makeEnvironment(envName);
+    return evaluateDetailed(*env, plan, seeds);
+}
+
+std::vector<DetailedEval>
+serialDetails(const std::string &envName, const neat::NeatConfig &cfg,
+              const std::vector<neat::GenomeHandle> &batch, int episodes,
+              const exec::EvalEngine::SeedFn &seedFor, nn::NumericsTier tier)
+{
+    std::vector<DetailedEval> out;
+    out.reserve(batch.size());
+    for (const neat::GenomeHandle &h : batch)
+        out.push_back(serialDetail(envName, cfg, h, episodes, seedFor, tier));
+    return out;
+}
+
+bool
+identical(const env::EpisodeResult &a, const env::EpisodeResult &b)
+{
+    return std::bit_cast<uint64_t>(a.fitness) ==
+               std::bit_cast<uint64_t>(b.fitness) &&
+           std::bit_cast<uint64_t>(a.cumulativeReward) ==
+               std::bit_cast<uint64_t>(b.cumulativeReward) &&
+           a.steps == b.steps && a.inferences == b.inferences &&
+           a.macs == b.macs;
 }
 
 std::vector<DetailedEval>

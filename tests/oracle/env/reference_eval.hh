@@ -17,6 +17,8 @@
 #define GENESYS_ORACLE_ENV_REFERENCE_EVAL_HH
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "env/runner.hh"
@@ -63,12 +65,46 @@ DetailedEval evaluateDetailed(env::Environment &env,
 /**
  * Evaluate `genome` over explicit per-episode seeds through the
  * interpreter matching the config's mode (FeedForwardNetwork, or
- * RecurrentNetwork reset at each episode start). Mutates only `env`.
+ * RecurrentNetwork reset at each episode start), under `tier`'s
+ * numerics. Mutates only `env`.
  */
-DetailedEval evaluateDetailed(env::Environment &env,
-                              const neat::Genome &genome,
-                              const neat::NeatConfig &cfg,
-                              const std::vector<uint64_t> &episodeSeeds);
+DetailedEval
+evaluateDetailed(env::Environment &env, const neat::Genome &genome,
+                 const neat::NeatConfig &cfg,
+                 const std::vector<uint64_t> &episodeSeeds,
+                 nn::NumericsTier tier = nn::NumericsTier::Reference);
+
+/**
+ * The serial loop's answer for a wave: each item's episode run by
+ * runEpisode on `env`, in item order (the order the vector form of
+ * env::evaluateWave returns its episodes in).
+ */
+std::vector<env::EpisodeResult>
+serialEpisodes(env::Environment &env, std::span<const env::WaveItem> items);
+
+/**
+ * The serial oracle for one genome of an engine batch: its plan
+ * compiled under `tier`, run on a fresh `envName` instance over the
+ * seeds `seedFor(key, 0 .. episodes - 1)`, one episode after another.
+ */
+DetailedEval serialDetail(const std::string &envName,
+                          const neat::NeatConfig &cfg,
+                          const neat::GenomeHandle &genome, int episodes,
+                          const exec::EvalEngine::SeedFn &seedFor,
+                          nn::NumericsTier tier);
+
+/** serialDetail for every genome of `batch`, in batch order. */
+std::vector<DetailedEval>
+serialDetails(const std::string &envName, const neat::NeatConfig &cfg,
+              const std::vector<neat::GenomeHandle> &batch, int episodes,
+              const exec::EvalEngine::SeedFn &seedFor,
+              nn::NumericsTier tier);
+
+/**
+ * Are two episodes bit-identical? Every field is compared, the
+ * floating ones by bit pattern.
+ */
+bool identical(const env::EpisodeResult &a, const env::EpisodeResult &b);
 
 } // namespace genesys::oracle
 

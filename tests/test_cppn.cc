@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "env/eval_fixtures.hh"
 #include "nn/cppn.hh"
 #include "nn/feedforward.hh"
 
@@ -30,13 +31,7 @@ bigSubstrate()
 neat::Genome
 randomCppn(uint64_t seed, int mutations = 8)
 {
-    const auto cfg = cppnNeatConfig();
-    neat::NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(seed);
-    auto g = neat::Genome::createNew(0, cfg, idx, rng);
-    for (int i = 0; i < mutations; ++i)
-        g.mutate(cfg, idx, rng);
-    return g;
+    return oracle::grownGenome(cppnNeatConfig(), mutations, seed);
 }
 
 } // namespace

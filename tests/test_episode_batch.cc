@@ -1,280 +1,146 @@
 /**
  * @file
- * Bit-identity tests for per-genome episode batching: one genome's
- * E > 1 episodes run side by side as same-plan lanes of
- * env::evaluateWave (batchEpisodes) against the serial episode loop,
- * at the kernel, engine and whole-System levels, for feed-forward and
- * recurrent genomes, across lane widths and thread counts. "Identical"
- * always means bit-identical — episode batching is a pure throughput
- * lever and must never perturb a result.
+ * The whole-run sweep: fixed-length CartPole System runs under every
+ * engine setting the golden digests leave out, each bit-identical to
+ * the 1-thread default run of the same configuration. The golden
+ * suite already pins E = 1 at 1 and 8 threads under every lane
+ * configuration; this sweep adds E = 3 (one genome's episodes side by
+ * side, batchEpisodes), 2 threads, feed-forward and recurrent, and the
+ * fields the digest does not read: the best genome's key and size, and
+ * each generation's best genome, gene total, species count and parent
+ * reuse. Every report must also carry measured lane occupancy.
+ * Equality below the System — engine and kernel against the serial
+ * oracle — lives in test_eval_engine and test_wave_scheduler.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <limits>
+#include <map>
+#include <utility>
 
 #include "core/genesys.hh"
-#include "env/reference_eval.hh"
-#include "env/runner.hh"
-#include "exec/eval_engine.hh"
-#include "nn/compiled_plan.hh"
+#include "core/run_digest.hh"
 
 using namespace genesys;
-using namespace genesys::exec;
 
 namespace
 {
 
-/** Mutation-grown genomes on the CartPole config. */
-std::pair<neat::NeatConfig, std::vector<neat::Genome>>
-makeGenomes(int count, uint64_t seed, bool feed_forward = true)
+struct SystemCase
 {
-    auto env = env::makeEnvironment("CartPole_v0");
-    neat::NeatConfig cfg = env::configForEnvironment(*env);
-    cfg.populationSize = count;
-    cfg.feedForward = feed_forward;
-    // Non-trivial policies: perturb weights away from the paper's
-    // all-zero init so episodes take varied lengths.
-    cfg.weight.initStdev = 1.0;
-    neat::NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(seed);
-    std::vector<neat::Genome> genomes;
-    genomes.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-        auto g = neat::Genome::createNew(i, cfg, idx, rng);
-        for (int m = 0; m < 10; ++m)
-            g.mutate(cfg, idx, rng);
-        genomes.push_back(std::move(g));
-    }
-    return {cfg, std::move(genomes)};
-}
-
-std::vector<neat::GenomeHandle>
-handlesOf(const std::vector<neat::Genome> &genomes)
-{
-    std::vector<neat::GenomeHandle> hs;
-    hs.reserve(genomes.size());
-    for (size_t i = 0; i < genomes.size(); ++i)
-        hs.push_back({static_cast<int>(i), &genomes[i]});
-    return hs;
-}
-
-void
-expectEpisodeIdentical(const env::EpisodeResult &a,
-                       const env::EpisodeResult &b)
-{
-    EXPECT_EQ(a.fitness, b.fitness);
-    EXPECT_EQ(a.cumulativeReward, b.cumulativeReward);
-    EXPECT_EQ(a.steps, b.steps);
-    EXPECT_EQ(a.inferences, b.inferences);
-    EXPECT_EQ(a.macs, b.macs);
-}
-
-void
-expectDetailIdentical(const oracle::DetailedEval &a,
-                      const oracle::DetailedEval &b)
-{
-    EXPECT_EQ(a.fitness, b.fitness);
-    EXPECT_EQ(a.inferences, b.inferences);
-    EXPECT_EQ(a.macs, b.macs);
-    EXPECT_EQ(a.maxEpisodeSteps, b.maxEpisodeSteps);
-    ASSERT_EQ(a.episodes.size(), b.episodes.size());
-    for (size_t e = 0; e < a.episodes.size(); ++e)
-        expectEpisodeIdentical(a.episodes[e], b.episodes[e]);
-}
-
-} // namespace
-
-// --- kernel level: same-plan waves vs the serial episode loop ----------------
-
-TEST(EpisodeBatchTest, SamePlanWaveMatchesSerialAndInterpreter)
-{
-    // One genome's episodes as same-plan wave items — what the engine
-    // runs on a shard at E > 1. The genome-level
-    // interpreter, the serial compiled loop and the wave at every
-    // width must agree bit for bit.
-    const std::vector<uint64_t> seeds{11, 22, 33, 44, 55, 66, 77, 88,
-                                      99, 110};
-    for (const bool feed_forward : {true, false}) {
-        const auto [cfg, genomes] = makeGenomes(8, 41, feed_forward);
-        for (const neat::Genome &g : genomes) {
-            SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
-                         " genome " + std::to_string(g.key()));
-            const auto plan = nn::CompiledPlan::compileFor(g, cfg);
-            ASSERT_EQ(plan.isRecurrent(), !feed_forward);
-
-            auto env = env::makeEnvironment("CartPole_v0");
-            const auto serial = oracle::evaluateDetailed(*env, plan, seeds);
-            expectDetailIdentical(
-                serial, oracle::evaluateDetailed(*env, g, cfg, seeds));
-
-            std::vector<env::WaveItem> items;
-            for (uint64_t seed : seeds)
-                items.push_back({&plan, seed});
-            for (int width : {1, 2, 5, 8}) {
-                SCOPED_TRACE("width " + std::to_string(width));
-                std::vector<std::unique_ptr<env::Environment>> owned;
-                std::vector<env::Environment *> lanes;
-                for (int l = 0; l < width; ++l) {
-                    owned.push_back(env::makeEnvironment("CartPole_v0"));
-                    lanes.push_back(owned.back().get());
-                }
-                env::WaveScratch scratch;
-                const auto wave =
-                    env::evaluateWave(items, lanes, scratch);
-                ASSERT_EQ(wave.episodes.size(), seeds.size());
-                for (size_t e = 0; e < seeds.size(); ++e)
-                    expectEpisodeIdentical(wave.episodes[e],
-                                           serial.episodes[e]);
-            }
-        }
-    }
-}
-
-// --- engine level: episode lanes vs the one-lane serial loop -----------------
-
-namespace
-{
-
-struct EngineRun
-{
-    std::vector<GenomeEvalResult> results;
-    std::vector<oracle::DetailedEval> details;
+    int episodes;
+    bool feedForward;
+    int threads;
+    bool batchEpisodes = true;
+    bool heterogeneousLanes = true;
 };
 
-EngineRun
-evaluateEngine(const neat::NeatConfig &cfg,
-               const std::vector<neat::Genome> &genomes, int threads,
-               bool batch)
+std::vector<SystemCase>
+systemCases()
 {
-    EvalEngineConfig ecfg;
-    ecfg.envName = "CartPole_v0";
-    ecfg.numThreads = threads;
-    ecfg.episodes = 5;
-    ecfg.batchEpisodes = batch;
-    EvalEngine engine(ecfg);
-    EngineRun run;
-    run.results = engine.evaluateGeneration(
-        handlesOf(genomes), cfg, EvalEngine::perGenomeSeeds(83));
-    run.details = oracle::engineDetails(engine, run.results);
-    return run;
-}
-
-} // namespace
-
-TEST(EpisodeBatchTest, EngineEpisodeLanesMatchSerialAcrossThreads)
-{
-    // E = 5: a claim is one genome, its episodes side by side on five
-    // lanes (batchEpisodes) or one after another on one lane.
-    for (const bool feed_forward : {true, false}) {
-        const auto [cfg, genomes] = makeGenomes(16, 47, feed_forward);
-        const auto reference =
-            evaluateEngine(cfg, genomes, 1, /*batch=*/false);
-        for (int threads : {1, 8}) {
-            SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
-                         " threads " + std::to_string(threads));
-            const auto batched =
-                evaluateEngine(cfg, genomes, threads, /*batch=*/true);
-            ASSERT_EQ(batched.results.size(), reference.results.size());
-            for (size_t i = 0; i < reference.results.size(); ++i) {
-                EXPECT_EQ(batched.results[i].genomeKey,
-                          reference.results[i].genomeKey);
-                expectDetailIdentical(batched.details[i],
-                                      reference.details[i]);
-            }
+    std::vector<SystemCase> cases;
+    for (const int episodes : {1, 3}) {
+        for (const bool ff : {true, false}) {
+            cases.push_back({episodes, ff, 2});
+            cases.push_back({episodes, ff, 8});
+            cases.push_back({episodes, ff, 1, false, true});
+            // At E > 1 a shard holds one genome's episodes whatever
+            // heterogeneousLanes says.
+            if (episodes == 1)
+                cases.push_back({episodes, ff, 1, true, false});
         }
     }
+    return cases;
 }
 
-TEST(EpisodeBatchTest, EnginePoolShardsSizedToEpisodeLanes)
+std::string
+systemCaseName(const ::testing::TestParamInfo<SystemCase> &info)
 {
-    // At episodes > 1 a shard holds one genome's episodes: waveLanes
-    // resolves to 1 and each shard holds one lane per episode, or a
-    // single lane when batching is off.
-    const auto [cfg, genomes] = makeGenomes(2, 89);
-    EvalEngineConfig ecfg;
-    ecfg.envName = "CartPole_v0";
-    ecfg.numThreads = 1;
-    ecfg.episodes = 3;
-    ecfg.heterogeneousLanes = true;
-    ecfg.waveLanes = 16;
-    for (const bool batch : {true, false}) {
-        SCOPED_TRACE(batch ? "batched" : "serial");
-        ecfg.batchEpisodes = batch;
-        EvalEngine engine(ecfg);
-        EXPECT_FALSE(engine.usesHeterogeneousWaves());
-        EXPECT_EQ(engine.config().waveLanes, 1);
-        engine.evaluateGeneration(handlesOf(genomes), cfg,
-                                  EvalEngine::sharedEpisodeSeeds(5));
-        EXPECT_EQ(engine.lastBatchStats().laneCount, batch ? 3 : 1);
-    }
+    const SystemCase &c = info.param;
+    std::string name = std::to_string(c.episodes);
+    name += c.feedForward ? "_ff_t" : "_rec_t";
+    name += std::to_string(c.threads);
+    name += c.batchEpisodes ? "" : "_unbatched";
+    name += c.heterogeneousLanes ? "" : "_homogeneous";
+    return "E" + name;
 }
 
-// --- system level: whole-run RunSummary digests ------------------------------
-
-namespace
+struct RunRecord
 {
+    core::RunSummary summary;
+    std::vector<core::GenerationReport> reports;
+};
 
-std::pair<core::RunSummary, std::vector<core::GenerationReport>>
-runSystem(int threads, bool batchEpisodes, bool feed_forward)
+/** Four generations of 50 genomes, never solved, so every run breeds. */
+RunRecord
+runSystem(const SystemCase &c)
 {
     core::SystemConfig cfg;
     cfg.envName = "CartPole_v0";
     cfg.maxGenerations = 4;
-    cfg.episodesPerEval = 3;
+    cfg.episodesPerEval = c.episodes;
     cfg.seed = 23;
-    cfg.numThreads = threads;
-    cfg.batchEpisodes = batchEpisodes;
-    if (!feed_forward)
-        cfg.tweakNeat = [](neat::NeatConfig &ncfg) {
-            ncfg.feedForward = false;
-        };
+    cfg.numThreads = c.threads;
+    cfg.batchEpisodes = c.batchEpisodes;
+    cfg.heterogeneousLanes = c.heterogeneousLanes;
+    cfg.tweakNeat = [ff = c.feedForward](neat::NeatConfig &ncfg) {
+        ncfg.populationSize = 50;
+        ncfg.feedForward = ff;
+        ncfg.fitnessThreshold = std::numeric_limits<double>::infinity();
+    };
     core::System sys(cfg);
-    auto summary = sys.run();
-    return {summary, sys.reports()};
+    RunRecord run;
+    run.summary = sys.run();
+    run.reports = sys.reports();
+    return run;
+}
+
+/** The 1-thread default run of (E, mode), run once per suite. */
+const RunRecord &
+reference(int episodes, bool feed_forward)
+{
+    static std::map<std::pair<int, bool>, RunRecord> runs;
+    const auto key = std::make_pair(episodes, feed_forward);
+    auto it = runs.find(key);
+    if (it == runs.end())
+        it = runs.emplace(key, runSystem({episodes, feed_forward, 1}))
+                 .first;
+    return it->second;
 }
 
 } // namespace
 
-TEST(EpisodeBatchTest, SystemDigestsIdenticalBatchedVsSerial)
+class SystemSweep : public ::testing::TestWithParam<SystemCase>
 {
-    // E = 3: one genome's episodes on three lanes against the same
-    // episodes one after another on a single lane.
-    for (const bool feed_forward : {true, false}) {
-        const auto [s_ref, r_ref] =
-            runSystem(1, /*batchEpisodes=*/false, feed_forward);
+};
 
-        for (int threads : {1, 8}) {
-            SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
-                         " threads " + std::to_string(threads));
-            const auto [s, r] =
-                runSystem(threads, /*batchEpisodes=*/true, feed_forward);
-            EXPECT_EQ(s.solved, s_ref.solved);
-            EXPECT_EQ(s.generations, s_ref.generations);
-            EXPECT_EQ(s.bestFitness, s_ref.bestFitness);
-            EXPECT_EQ(s.totalEvolutionEnergyJ,
-                      s_ref.totalEvolutionEnergyJ);
-            EXPECT_EQ(s.totalInferenceEnergyJ,
-                      s_ref.totalInferenceEnergyJ);
-            EXPECT_EQ(s.totalEvolutionSeconds,
-                      s_ref.totalEvolutionSeconds);
-            EXPECT_EQ(s.totalInferenceSeconds,
-                      s_ref.totalInferenceSeconds);
-            ASSERT_EQ(r.size(), r_ref.size());
-            for (size_t i = 0; i < r_ref.size(); ++i) {
-                EXPECT_EQ(r[i].algo.bestFitness,
-                          r_ref[i].algo.bestFitness);
-                EXPECT_EQ(r[i].algo.meanFitness,
-                          r_ref[i].algo.meanFitness);
-                EXPECT_EQ(r[i].inferenceSteps, r_ref[i].inferenceSteps);
-                EXPECT_EQ(r[i].maxEpisodeSteps,
-                          r_ref[i].maxEpisodeSteps);
-                EXPECT_EQ(r[i].macsPerStep, r_ref[i].macsPerStep);
-                EXPECT_EQ(r[i].hw.eve.cycles, r_ref[i].hw.eve.cycles);
-                EXPECT_EQ(r[i].hw.adam.cycles, r_ref[i].hw.adam.cycles);
-                EXPECT_GT(r[i].batches.waveLaneSlotSteps, 0);
-                EXPECT_GT(r_ref[i].batches.waveLaneSlotSteps, 0);
-            }
-        }
+TEST_P(SystemSweep, MatchesOneThreadDefault)
+{
+    const SystemCase &c = GetParam();
+    const RunRecord &ref = reference(c.episodes, c.feedForward);
+    const RunRecord run = runSystem(c);
+
+    EXPECT_EQ(oracle::digestFields(run.summary, run.reports),
+              oracle::digestFields(ref.summary, ref.reports));
+    EXPECT_EQ(run.summary.bestGenome.key(), ref.summary.bestGenome.key());
+    EXPECT_EQ(run.summary.bestGenome.numGenes(),
+              ref.summary.bestGenome.numGenes());
+    ASSERT_EQ(run.reports.size(), 4u);
+    ASSERT_EQ(ref.reports.size(), 4u);
+    for (size_t g = 0; g < ref.reports.size(); ++g) {
+        SCOPED_TRACE("generation " + std::to_string(g));
+        const neat::GenerationStats &a = run.reports[g].algo;
+        const neat::GenerationStats &b = ref.reports[g].algo;
+        EXPECT_EQ(a.bestGenomeKey, b.bestGenomeKey);
+        EXPECT_EQ(a.totalGenes, b.totalGenes);
+        EXPECT_EQ(a.numSpecies, b.numSpecies);
+        EXPECT_EQ(a.maxParentReuse, b.maxParentReuse);
+        EXPECT_GT(run.reports[g].batches.waveLaneSlotSteps, 0);
+        EXPECT_GT(ref.reports[g].batches.waveLaneSlotSteps, 0);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(EpisodesThreadsKnobs, SystemSweep,
+                         ::testing::ValuesIn(systemCases()),
+                         systemCaseName);

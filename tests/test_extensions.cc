@@ -9,14 +9,18 @@
 
 #include <cmath>
 
+#include "env/eval_fixtures.hh"
 #include "hw/energy_model.hh"
 #include "neat/per_genome.hh"
 #include "neat/population.hh"
 #include "neat/weight_tuner.hh"
+#include "nn/plan_fixtures.hh"
 #include "nn/recurrent.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
+using genesys::oracle::recConfig;
+using genesys::oracle::selfLoopGenome;
 
 // --- power gating ----------------------------------------------------------
 
@@ -59,41 +63,6 @@ TEST(GatedPower, RejectsBadDuty)
 }
 
 // --- recurrent networks ------------------------------------------------------
-
-namespace
-{
-
-NeatConfig
-recConfig(int inputs = 1, int outputs = 1)
-{
-    NeatConfig cfg;
-    cfg.numInputs = inputs;
-    cfg.numOutputs = outputs;
-    cfg.feedForward = false;
-    return cfg;
-}
-
-/** Output node 0 with a self-loop of weight w plus input -1. */
-Genome
-selfLoopGenome(double w_self, double w_in)
-{
-    Genome g(0);
-    NodeGene out;
-    out.key = 0;
-    out.activation = Activation::Identity;
-    g.mutableNodes().emplace(0, out);
-    ConnectionGene self;
-    self.key = {0, 0};
-    self.weight = w_self;
-    ConnectionGene in;
-    in.key = {-1, 0};
-    in.weight = w_in;
-    g.mutableConnections().emplace(self.key, self);
-    g.mutableConnections().emplace(in.key, in);
-    return g;
-}
-
-} // namespace
 
 TEST(Recurrent, SelfLoopIntegratesInput)
 {
@@ -173,11 +142,7 @@ TEST(Recurrent, MutatedCyclicGenomesEvaluateFinite)
     auto cfg = recConfig(3, 2);
     cfg.connAddProb = 0.6;
     cfg.nodeAddProb = 0.4;
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(4);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-    for (int i = 0; i < 30; ++i)
-        g.mutate(cfg, idx, rng);
+    const auto g = genesys::oracle::grownGenome(cfg, 30, 4);
     auto net = nn::RecurrentNetwork::create(g, cfg);
     for (int t = 0; t < 50; ++t) {
         for (double v : net.activate({0.5, -0.5, 1.0}))

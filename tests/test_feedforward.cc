@@ -9,23 +9,17 @@
 
 #include <cmath>
 
+#include "env/eval_fixtures.hh"
 #include "nn/feedforward.hh"
+#include "nn/plan_fixtures.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
 using namespace genesys::nn;
+using oracle::ioConfig;
 
 namespace
 {
-
-NeatConfig
-netConfig(int inputs = 2, int outputs = 1)
-{
-    NeatConfig cfg;
-    cfg.numInputs = inputs;
-    cfg.numOutputs = outputs;
-    return cfg;
-}
 
 /** Hand-built genome: -1,-2 -> hidden 1 -> output 0, plus -2 -> 0. */
 Genome
@@ -61,7 +55,7 @@ handGenome(const NeatConfig &cfg)
 
 TEST(RequiredForOutput, PrunesDeadBranches)
 {
-    const auto cfg = netConfig();
+    const auto cfg = ioConfig(2, 1);
     auto g = handGenome(cfg);
     // Dead-end hidden node 2: fed by input but feeds nothing.
     NodeGene dead;
@@ -80,7 +74,7 @@ TEST(RequiredForOutput, PrunesDeadBranches)
 
 TEST(RequiredForOutput, DisabledConnectionsDoNotCount)
 {
-    const auto cfg = netConfig();
+    const auto cfg = ioConfig(2, 1);
     auto g = handGenome(cfg);
     // Disable the only edge out of node 1 -> node 1 not required.
     g.mutableConnections().at({1, 0}).enabled = false;
@@ -90,7 +84,7 @@ TEST(RequiredForOutput, DisabledConnectionsDoNotCount)
 
 TEST(FeedForwardLayers, TwoLayerStructure)
 {
-    const auto cfg = netConfig();
+    const auto cfg = ioConfig(2, 1);
     const auto g = handGenome(cfg);
     const auto layers = feedForwardLayers(g, cfg);
     ASSERT_EQ(layers.size(), 2u);
@@ -100,7 +94,7 @@ TEST(FeedForwardLayers, TwoLayerStructure)
 
 TEST(FeedForwardLayers, DirectOnlyIsSingleLayer)
 {
-    const auto cfg = netConfig();
+    const auto cfg = ioConfig(2, 1);
     NodeIndexer idx(cfg.numOutputs);
     XorWow rng(1);
     const auto g = Genome::createNew(0, cfg, idx, rng);
@@ -111,7 +105,7 @@ TEST(FeedForwardLayers, DirectOnlyIsSingleLayer)
 
 TEST(FeedForwardNetwork, EvaluatesHandGenomeExactly)
 {
-    const auto cfg = netConfig();
+    const auto cfg = ioConfig(2, 1);
     const auto g = handGenome(cfg);
     const auto net = FeedForwardNetwork::create(g, cfg);
     // hidden = 2*x1 + 3*x2 ; out = 0.5*hidden - 1.0*x2
@@ -122,7 +116,7 @@ TEST(FeedForwardNetwork, EvaluatesHandGenomeExactly)
 
 TEST(FeedForwardNetwork, BiasAndResponseApplied)
 {
-    const auto cfg = netConfig(1, 1);
+    const auto cfg = ioConfig(1, 1);
     Genome g(0);
     NodeGene out;
     out.key = 0;
@@ -142,7 +136,7 @@ TEST(FeedForwardNetwork, BiasAndResponseApplied)
 
 TEST(FeedForwardNetwork, DisabledConnectionContributesNothing)
 {
-    const auto cfg = netConfig();
+    const auto cfg = ioConfig(2, 1);
     auto g = handGenome(cfg);
     g.mutableConnections().at({-2, 0}).enabled = false;
     const auto net = FeedForwardNetwork::create(g, cfg);
@@ -152,7 +146,7 @@ TEST(FeedForwardNetwork, DisabledConnectionContributesNothing)
 
 TEST(FeedForwardNetwork, UnreachableOutputReadsZero)
 {
-    const auto cfg = netConfig(2, 2);
+    const auto cfg = ioConfig(2, 2);
     auto g = handGenome(cfg);
     // Output 1 exists but has no inbound connections.
     NodeGene out1;
@@ -179,26 +173,22 @@ TEST(FeedForwardNetwork, UnreachableOutputReadsZero)
 
 TEST(FeedForwardNetwork, WrongInputCountThrows)
 {
-    const auto cfg = netConfig();
+    const auto cfg = ioConfig(2, 1);
     const auto net = FeedForwardNetwork::create(handGenome(cfg), cfg);
     EXPECT_ANY_THROW(net.activate({1.0}));
 }
 
 TEST(FeedForwardNetwork, MacsPerInferenceCountsEnabledLinks)
 {
-    const auto cfg = netConfig();
+    const auto cfg = ioConfig(2, 1);
     const auto net = FeedForwardNetwork::create(handGenome(cfg), cfg);
     EXPECT_EQ(net.macsPerInference(), 4);
 }
 
 TEST(FeedForwardNetwork, SigmoidOutputsBounded)
 {
-    const auto cfg = netConfig();
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(5);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-    for (int i = 0; i < 20; ++i)
-        g.mutate(cfg, idx, rng);
+    const auto cfg = ioConfig(2, 1);
+    const auto g = oracle::grownGenome(cfg, 20, 5);
     const auto net = FeedForwardNetwork::create(g, cfg);
     for (double x = -3; x <= 3; x += 0.7) {
         const auto out = net.activate({x, -x});
@@ -222,7 +212,7 @@ TEST(FeedForwardLayers, PinnedDiamondWithSkipsAndDeadBranches)
     //   -2 -> 4                    (dead end: not required)
     //    5 -> 3                    (5 has no inputs: never ready...
     //                               ...and blocks nothing else)
-    const auto cfg = netConfig(2, 1);
+    const auto cfg = ioConfig(2, 1);
     Genome g(0);
     for (int nk : {0, 1, 2, 3, 4, 5}) {
         NodeGene n;
@@ -271,7 +261,7 @@ TEST(FeedForwardLayers, ZeroInEdgeNodesNeverLayered)
 {
     // A hidden node with no enabled inbound edges must not appear in
     // any layer even though its in-degree is trivially "satisfied".
-    const auto cfg = netConfig(1, 1);
+    const auto cfg = ioConfig(1, 1);
     Genome g(0);
     NodeGene out;
     out.key = 0;
@@ -300,7 +290,7 @@ TEST(FeedForwardLayers, ZeroInEdgeNodesNeverLayered)
 
 TEST(Levelize, HandGenomeDims)
 {
-    const auto cfg = netConfig();
+    const auto cfg = ioConfig(2, 1);
     const auto sched = levelize(handGenome(cfg), cfg);
     ASSERT_EQ(sched.layers.size(), 2u);
     // Layer 0: node 1 fed by {-1,-2}: M=1, K=2, 2 weights.
@@ -319,12 +309,8 @@ TEST(Levelize, HandGenomeDims)
 
 TEST(Levelize, MacsMatchNetwork)
 {
-    const auto cfg = netConfig();
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(6);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-    for (int i = 0; i < 30; ++i)
-        g.mutate(cfg, idx, rng);
+    const auto cfg = ioConfig(2, 1);
+    const auto g = oracle::grownGenome(cfg, 30, 6);
     const auto net = FeedForwardNetwork::create(g, cfg);
     const auto sched = levelize(g, cfg);
     EXPECT_EQ(sched.totalMacs(), net.macsPerInference());
@@ -332,12 +318,8 @@ TEST(Levelize, MacsMatchNetwork)
 
 TEST(Levelize, DensityAtMostOne)
 {
-    const auto cfg = netConfig(4, 3);
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(7);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-    for (int i = 0; i < 40; ++i)
-        g.mutate(cfg, idx, rng);
+    const auto cfg = ioConfig(4, 3);
+    const auto g = oracle::grownGenome(cfg, 40, 7);
     const auto sched = levelize(g, cfg);
     for (const auto &l : sched.layers) {
         EXPECT_GT(l.density(), 0.0);

@@ -2,9 +2,9 @@
  * @file
  * Tests for the flat SoA genome storage (FlatGeneMap): container
  * semantics, sorted-iteration invariants under mutation, the
- * single-pass validate() cycle check, the elitism/spawn clamp, and
- * the multi-generation 1-vs-8-thread RunSummary bit-identity that
- * locks the flat-genome refactor to the map-based behaviour.
+ * single-pass validate() cycle check and the elitism/spawn clamp.
+ * Whole-run bit-identity across thread counts, the per-generation
+ * history included, is test_episode_batch's System sweep.
  */
 
 #include <gtest/gtest.h>
@@ -398,50 +398,4 @@ TEST(ReproductionClamp, ElitismNeverPushesPopulationPastSize)
     const auto next = repro.reproduce(set, pop, 0, rng, trace);
     EXPECT_LE(next.size(), 10u);
     EXPECT_EQ(trace.children.size(), next.size());
-}
-
-// --- multi-generation differential -------------------------------------------
-
-TEST(FlatGenomeDifferential, MultiGenerationRunSummaryBitIdentical1v8)
-{
-    // Fixed-seed multi-generation run: the flat-genome storage, the
-    // merge-join crossover/distance, the plan carry-over and the
-    // spawn clamp must all leave the end-to-end RunSummary (and the
-    // whole per-generation history) bit-identical between 1 and 8
-    // evaluation threads.
-    auto run = [](int threads) {
-        core::SystemConfig cfg;
-        cfg.envName = "CartPole_v0";
-        cfg.maxGenerations = 6;
-        cfg.seed = 20260727;
-        cfg.numThreads = threads;
-        core::System sys(cfg);
-        auto summary = sys.run();
-        return std::make_pair(std::move(summary),
-                              sys.population().history());
-    };
-
-    const auto [s1, h1] = run(1);
-    const auto [s8, h8] = run(8);
-
-    EXPECT_EQ(s8.solved, s1.solved);
-    EXPECT_EQ(s8.generations, s1.generations);
-    EXPECT_EQ(s8.bestFitness, s1.bestFitness);
-    EXPECT_EQ(s8.totalEvolutionEnergyJ, s1.totalEvolutionEnergyJ);
-    EXPECT_EQ(s8.totalInferenceEnergyJ, s1.totalInferenceEnergyJ);
-    EXPECT_EQ(s8.totalEvolutionSeconds, s1.totalEvolutionSeconds);
-    EXPECT_EQ(s8.totalInferenceSeconds, s1.totalInferenceSeconds);
-    EXPECT_EQ(s8.bestGenome.numGenes(), s1.bestGenome.numGenes());
-
-    ASSERT_EQ(h8.size(), h1.size());
-    for (size_t g = 0; g < h1.size(); ++g) {
-        EXPECT_EQ(h8[g].bestFitness, h1[g].bestFitness) << "gen " << g;
-        EXPECT_EQ(h8[g].meanFitness, h1[g].meanFitness) << "gen " << g;
-        EXPECT_EQ(h8[g].bestGenomeKey, h1[g].bestGenomeKey) << "gen " << g;
-        EXPECT_EQ(h8[g].totalGenes, h1[g].totalGenes) << "gen " << g;
-        EXPECT_EQ(h8[g].evolutionOps, h1[g].evolutionOps) << "gen " << g;
-        EXPECT_EQ(h8[g].numSpecies, h1[g].numSpecies) << "gen " << g;
-        EXPECT_EQ(h8[g].maxParentReuse, h1[g].maxParentReuse)
-            << "gen " << g;
-    }
 }

@@ -2,17 +2,18 @@
  * @file
  * Golden determinism lock: fixed-seed multi-generation runs hashed
  * down to one 64-bit digest per configuration, compared against
- * committed constants. Every prior bit-identity suite compares two
- * live paths against each other (serial vs batched, 1 vs 8 threads);
- * this one pins the absolute bit pattern, so a change that breaks all
- * paths in the *same* way — a reordered accumulation in the episode
- * loop, a perturbed seed derivation, an altered hardware-model
+ * committed constants. The evaluation-path sweeps compare the
+ * library against the serial oracle, or one run against another; this
+ * suite pins the absolute bit pattern, so a change that breaks every
+ * path in the *same* way — a reordered accumulation in the episode
+ * reduction, a perturbed seed derivation, an altered hardware-model
  * constant — still fails ctest without needing a pre-change binary to
- * diff against.
+ * diff against. test_episode_batch's whole-run sweep covers what these
+ * runs leave out (E = 3, 2 threads, fields outside the digest).
  *
- * The digests fold in the RunSummary totals and every generation
- * report's algorithm, workload and hardware-cycle fields (the same
- * fields the differential suites compare), over 6 generations of
+ * The digests (oracle::digestFields, tests/oracle/core/run_digest)
+ * fold in the RunSummary totals and every generation report's
+ * algorithm, workload and hardware-cycle fields, over 6 generations of
  * CartPole and Atari-RAM populations, feed-forward and recurrent.
  * They are toolchain-locked by construction: a different libm or FP
  * contraction regime may legitimately produce different bits. On such
@@ -48,7 +49,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -56,31 +56,18 @@
 #include <sstream>
 
 #include "core/genesys.hh"
+#include "core/run_digest.hh"
 #include "nn/numerics.hh"
 #include "nn/scoped_numerics_env.hh"
 #include "persist/snapshot.hh"
 
 using namespace genesys;
+using oracle::digestFields;
+using oracle::fold;
 using oracle::ScopedNumericsEnv;
 
 namespace
 {
-
-/** FNV-1a 64-bit accumulation over one 64-bit word. */
-void
-fold(uint64_t &h, uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xffu;
-        h *= 0x100000001b3ull;
-    }
-}
-
-void
-fold(uint64_t &h, double v)
-{
-    fold(h, std::bit_cast<uint64_t>(v));
-}
 
 /** The fixed configuration every golden run uses. */
 core::SystemConfig
@@ -124,36 +111,6 @@ manySpeciesConfig(int threads)
         ncfg.fitnessThreshold = std::numeric_limits<double>::infinity();
     };
     return cfg;
-}
-
-/** Digest a run's summary + per-generation reports. */
-uint64_t
-digestFields(const core::RunSummary &s,
-             const std::vector<core::GenerationReport> &reports)
-{
-    uint64_t h = 0xcbf29ce484222325ull; // FNV offset basis
-    fold(h, static_cast<uint64_t>(s.solved));
-    fold(h, static_cast<uint64_t>(s.generations));
-    fold(h, s.bestFitness);
-    fold(h, s.totalEvolutionEnergyJ);
-    fold(h, s.totalInferenceEnergyJ);
-    fold(h, s.totalEvolutionSeconds);
-    fold(h, s.totalInferenceSeconds);
-    for (const core::GenerationReport &r : reports) {
-        fold(h, r.algo.bestFitness);
-        fold(h, r.algo.meanFitness);
-        fold(h, static_cast<uint64_t>(r.algo.evolutionOps));
-        fold(h, static_cast<uint64_t>(r.inferenceSteps));
-        fold(h, static_cast<uint64_t>(r.maxEpisodeSteps));
-        fold(h, r.macsPerStep);
-        fold(h, r.compactCellsPerGenome);
-        fold(h, r.sparseCellsPerGenome);
-        fold(h, static_cast<uint64_t>(r.hw.eve.cycles));
-        fold(h, static_cast<uint64_t>(r.hw.adam.cycles));
-        fold(h, r.hw.evolutionEnergyJ);
-        fold(h, r.hw.inferenceEnergyJ);
-    }
-    return h;
 }
 
 /** A run's summary and per-generation reports: what the digests read. */

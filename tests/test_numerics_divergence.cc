@@ -33,18 +33,21 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/fixed_point.hh"
 #include "common/rng.hh"
 #include "core/genesys.hh"
+#include "env/eval_fixtures.hh"
 #include "neat/activations.hh"
 #include "neat/genome.hh"
 #include "nn/compiled_plan.hh"
 #include "nn/feedforward.hh"
 #include "nn/hw_activations.hh"
 #include "nn/numerics.hh"
+#include "nn/plan_fixtures.hh"
 #include "nn/scoped_numerics_env.hh"
 
 using namespace genesys;
@@ -55,25 +58,18 @@ using neat::NeatConfig;
 namespace
 {
 
+/**
+ * ioConfig with node responses drawn and mutated away from the
+ * default's exact 1.0, so a tier that mistreats `response` shows.
+ */
 NeatConfig
-planConfig(int inputs, int outputs)
+responseConfig(int inputs, int outputs)
 {
-    NeatConfig cfg;
-    cfg.numInputs = inputs;
-    cfg.numOutputs = outputs;
+    NeatConfig cfg = oracle::ioConfig(inputs, outputs);
+    cfg.response.initStdev = 0.5;
+    cfg.response.mutatePower = 0.5;
+    cfg.response.mutateRate = 0.5;
     return cfg;
-}
-
-/** Random genome grown by `mutations` structural/attribute steps. */
-Genome
-grownGenome(const NeatConfig &cfg, int mutations, uint64_t seed)
-{
-    neat::NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(seed);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-    for (int i = 0; i < mutations; ++i)
-        g.mutate(cfg, idx, rng);
-    return g;
 }
 
 /**
@@ -133,10 +129,10 @@ checkFeedForwardGenome(const NeatConfig &cfg, const Genome &g,
 
 TEST(NumericsDivergence, FeedForwardHwBitIdentityAndBoundedDivergence)
 {
-    const auto cfg = planConfig(8, 4);
+    const auto cfg = oracle::ioConfig(8, 4);
     double max_seen = 0.0;
     for (uint64_t seed = 1; seed <= 12; ++seed) {
-        const auto g = grownGenome(cfg, 25, seed);
+        const auto g = oracle::grownGenome(cfg, 25, seed);
         checkFeedForwardGenome(cfg, g, seed * 977,
                                kOutputDivergenceBound, &max_seen);
     }
@@ -147,15 +143,23 @@ TEST(NumericsDivergence, FeedForwardHwBitIdentityAndBoundedDivergence)
     std::cout << "[ divergence ] max per-output |hw - float| = "
               << max_seen << " (bound " << kOutputDivergenceBound
               << ")\n";
+
+    // Side 1 again with varied responses. The bound was sized on the
+    // default config, so only the within-tier identity is asserted.
+    const auto rcfg = responseConfig(8, 4);
+    for (uint64_t seed = 1; seed <= 12; ++seed)
+        checkFeedForwardGenome(rcfg, oracle::grownGenome(rcfg, 25, seed),
+                               seed * 977,
+                               std::numeric_limits<double>::infinity());
 }
 
 TEST(NumericsDivergence, HwAttributesLandOnQuantizedGrid)
 {
     // Every hw-tier node output must sit exactly on the Q6.10 grid:
     // re-quantizing an output through the codec is the identity.
-    const auto cfg = planConfig(8, 4);
+    const auto cfg = oracle::ioConfig(8, 4);
     const FixedPointCodec codec(nn::kHwIntBits, nn::kHwFracBits);
-    const auto g = grownGenome(cfg, 25, 7);
+    const auto g = oracle::grownGenome(cfg, 25, 7);
     const auto hw =
         nn::CompiledPlan::compileFor(g, cfg, nn::NumericsTier::HwFaithful);
     XorWow rng(99);

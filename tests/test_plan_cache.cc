@@ -2,10 +2,12 @@
  * @file
  * Tests for the compiled-plan cache and its behaviour under the
  * parallel evaluation engine: one compile per genome — ever, since
- * elite plans carry across generations — read-only plan sharing
- * across 1/2/8 worker threads with bit-identical results, each plan
- * on its own genome's slot whatever order keys arrive in, and a table
- * bounded by the population size (no leak across generations).
+ * elite plans carry across generations — each plan on its own
+ * genome's slot whatever order keys arrive in, and a table bounded by
+ * the population size (no leak across generations). Read-only plan
+ * sharing across worker threads is checked by test_eval_engine's
+ * engine sweep, which compares every plan's results and schedule at
+ * 1, 2 and 8 threads against the serial oracle.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <set>
 
 #include "core/genesys.hh"
+#include "env/eval_fixtures.hh"
 #include "exec/eval_engine.hh"
 #include "nn/plan_cache.hh"
 
@@ -20,47 +23,13 @@ using namespace genesys;
 using namespace genesys::exec;
 using namespace genesys::nn;
 
-namespace
-{
-
-std::pair<neat::NeatConfig, std::vector<neat::Genome>>
-makeGenomes(int count, uint64_t seed)
-{
-    auto env = env::makeEnvironment("CartPole_v0");
-    neat::NeatConfig cfg = env::configForEnvironment(*env);
-    cfg.populationSize = count;
-    neat::NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(seed);
-    std::vector<neat::Genome> genomes;
-    genomes.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-        auto g = neat::Genome::createNew(i, cfg, idx, rng);
-        for (int m = 0; m < 8; ++m)
-            g.mutate(cfg, idx, rng);
-        genomes.push_back(std::move(g));
-    }
-    return {cfg, std::move(genomes)};
-}
-
-std::vector<neat::GenomeHandle>
-handlesOf(const std::vector<neat::Genome> &genomes)
-{
-    std::vector<neat::GenomeHandle> hs;
-    hs.reserve(genomes.size());
-    for (size_t i = 0; i < genomes.size(); ++i)
-        hs.push_back({static_cast<int>(i), &genomes[i]});
-    return hs;
-}
-
-} // namespace
-
 // --- PlanCache unit behaviour ------------------------------------------------
 
 TEST(PlanCacheTest, CompilesOnceAndSharesThePlan)
 {
-    const auto [cfg, genomes] = makeGenomes(3, 41);
+    const auto [cfg, genomes] = oracle::makeGenomes(3, 41);
     PlanCache cache;
-    cache.beginGeneration(handlesOf(genomes));
+    cache.beginGeneration(oracle::handlesOf(genomes));
     EXPECT_EQ(cache.size(), 0u);
 
     const auto a = cache.acquire(0, genomes[0], cfg);
@@ -78,9 +47,9 @@ TEST(PlanCacheTest, CompilesOnceAndSharesThePlan)
 
 TEST(PlanCacheTest, BeginGenerationDropsEveryPlan)
 {
-    const auto [cfg, genomes] = makeGenomes(2, 43);
+    const auto [cfg, genomes] = oracle::makeGenomes(2, 43);
     PlanCache cache;
-    cache.beginGeneration(handlesOf(genomes));
+    cache.beginGeneration(oracle::handlesOf(genomes));
     cache.acquire(0, genomes[0], cfg);
     cache.acquire(1, genomes[1], cfg);
     ASSERT_EQ(cache.size(), 2u);
@@ -99,9 +68,9 @@ TEST(PlanCacheTest, PlanOutlivesCacheEviction)
     // A shared_ptr handed out stays valid after beginGeneration —
     // consumers holding a plan (e.g. GenomeEvalResult) never see it
     // die under them.
-    const auto [cfg, genomes] = makeGenomes(1, 47);
+    const auto [cfg, genomes] = oracle::makeGenomes(1, 47);
     PlanCache cache;
-    cache.beginGeneration(handlesOf(genomes));
+    cache.beginGeneration(oracle::handlesOf(genomes));
     const auto plan = cache.acquire(0, genomes[0], cfg);
     const std::vector<double> in{0.1, 0.2, 0.3, 0.4};
     PlanScratch s;
@@ -114,9 +83,9 @@ TEST(PlanCacheTest, PlanOutlivesCacheEviction)
 
 TEST(PlanCacheTest, BeginGenerationCarriesOverSurvivingKeys)
 {
-    const auto [cfg, genomes] = makeGenomes(3, 67);
+    const auto [cfg, genomes] = oracle::makeGenomes(3, 67);
     PlanCache cache;
-    cache.beginGeneration(handlesOf(genomes));
+    cache.beginGeneration(oracle::handlesOf(genomes));
     const auto p0 = cache.acquire(0, genomes[0], cfg);
     cache.acquire(1, genomes[1], cfg);
     cache.acquire(2, genomes[2], cfg);
@@ -147,7 +116,7 @@ TEST(PlanCacheTest, HitOnAStructurallyDifferentGenomeIsAnError)
     // lifetime. Reusing one cache across independent runs (both
     // numbering genomes from 0) must trip the fingerprint assertion
     // instead of silently serving the first run's phenotype.
-    const auto [cfg, genomes] = makeGenomes(2, 79);
+    const auto [cfg, genomes] = oracle::makeGenomes(2, 79);
     ASSERT_NE(genomes[0].numGenes(), genomes[1].numGenes());
     PlanCache cache;
     cache.beginGeneration(
@@ -161,43 +130,16 @@ TEST(PlanCacheTest, CarriedPlanUnderAnotherTierIsAnError)
 {
     // One table serves one numerics tier: a carried-over Reference
     // plan must never be served to a hw-tier consumer.
-    const auto [cfg, genomes] = makeGenomes(1, 83);
+    const auto [cfg, genomes] = oracle::makeGenomes(1, 83);
     PlanCache cache;
-    cache.beginGeneration(handlesOf(genomes));
+    cache.beginGeneration(oracle::handlesOf(genomes));
     cache.acquire(0, genomes[0], cfg);
-    cache.beginGeneration(handlesOf(genomes));
+    cache.beginGeneration(oracle::handlesOf(genomes));
     EXPECT_ANY_THROW(
         cache.acquire(0, genomes[0], cfg, NumericsTier::HwFaithful));
 }
 
 // --- cache under the parallel engine -----------------------------------------
-
-TEST(PlanCacheEngineTest, OneCompilePerGenomePerGeneration)
-{
-    const auto [cfg, genomes] = makeGenomes(12, 53);
-
-    EvalEngineConfig ecfg;
-    ecfg.envName = "CartPole_v0";
-    ecfg.numThreads = 4;
-    ecfg.episodes = 3; // several episodes share one plan
-    EvalEngine engine(ecfg);
-
-    const auto results = engine.evaluateGeneration(
-        handlesOf(genomes), cfg, EvalEngine::sharedEpisodeSeeds(7));
-    EXPECT_EQ(engine.planCache().compiles(),
-              static_cast<long>(genomes.size()));
-    EXPECT_EQ(engine.planCache().size(), genomes.size());
-
-    // Every result carries the cached plan; its schedule totals match
-    // the detail's MAC accounting (macs = macsPerInference * steps).
-    for (const auto &r : results) {
-        ASSERT_NE(r.plan, nullptr);
-        EXPECT_EQ(r.plan->macsPerInference() * r.detail.inferences,
-                  r.detail.macs);
-        EXPECT_EQ(r.plan->schedule().totalMacs(),
-                  r.plan->macsPerInference());
-    }
-}
 
 TEST(PlanCacheEngineTest, CacheBoundedAcrossGenerations)
 {
@@ -205,7 +147,7 @@ TEST(PlanCacheEngineTest, CacheBoundedAcrossGenerations)
     // plans: the cache is pruned to the submitted keys each
     // generation (all-fresh keys here, so nothing carries over) and
     // its size stays bounded by the population size.
-    const auto [cfg, genomes] = makeGenomes(10, 59);
+    const auto [cfg, genomes] = oracle::makeGenomes(10, 59);
 
     EvalEngineConfig ecfg;
     ecfg.envName = "CartPole_v0";
@@ -236,7 +178,7 @@ TEST(PlanCacheEngineTest, ElitesCompileExactlyOnceAcrossGenerations)
     // genome copied unchanged under the same key). Their plans must
     // carry over — the paper's "elite = no EvE work, genome stays in
     // the Genome Buffer" — while every fresh key compiles once.
-    const auto [cfg, genomes] = makeGenomes(8, 73);
+    const auto [cfg, genomes] = oracle::makeGenomes(8, 73);
 
     EvalEngineConfig ecfg;
     ecfg.envName = "CartPole_v0";
@@ -318,7 +260,7 @@ TEST(PlanCacheEngineTest, UnsortedKeysKeepEachPlanOnItsGenome)
     // then descending again, with elites moving to other batch
     // positions (genome 3 is an elite twice). Every result's plan must
     // be its own genome's plan, and only the elites carry over.
-    const auto [cfg, genomes] = makeGenomes(12, 89);
+    const auto [cfg, genomes] = oracle::makeGenomes(12, 89);
     const int n = static_cast<int>(genomes.size());
     const auto handle = [&genomes = genomes](int key, int j) {
         return neat::GenomeHandle{key, &genomes[static_cast<size_t>(j)]};
@@ -364,68 +306,4 @@ TEST(PlanCacheEngineTest, UnsortedKeysKeepEachPlanOnItsGenome)
     }
     EXPECT_EQ(engine.planCache().carriedOver(), 4);
     EXPECT_EQ(engine.planCache().compiles(), 3L * n - 4);
-}
-
-TEST(PlanCacheEngineTest, SharedPlansBitIdenticalAcross128Threads)
-{
-    const auto [cfg, genomes] = makeGenomes(24, 61);
-
-    auto evaluate = [&cfg = cfg, &genomes = genomes](int threads) {
-        EvalEngineConfig ecfg;
-        ecfg.envName = "CartPole_v0";
-        ecfg.numThreads = threads;
-        ecfg.episodes = 2;
-        EvalEngine engine(ecfg);
-        return engine.evaluateGeneration(
-            handlesOf(genomes), cfg, EvalEngine::perGenomeSeeds(17));
-    };
-
-    const auto serial = evaluate(1);
-    for (int threads : {2, 8}) {
-        const auto parallel = evaluate(threads);
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(parallel[i].detail.fitness,
-                      serial[i].detail.fitness)
-                << "genome " << i << " at " << threads << " threads";
-            EXPECT_EQ(parallel[i].detail.inferences,
-                      serial[i].detail.inferences);
-            EXPECT_EQ(parallel[i].detail.macs, serial[i].detail.macs);
-            // The levelized schedules must be identical too — the
-            // hardware model sees the same stream at any thread
-            // count.
-            EXPECT_EQ(parallel[i].plan->schedule().totalMacs(),
-                      serial[i].plan->schedule().totalMacs());
-            EXPECT_EQ(parallel[i].plan->schedule().denseCells(),
-                      serial[i].plan->schedule().denseCells());
-        }
-    }
-}
-
-TEST(PlanCacheEngineTest, SystemRunSummaryIdenticalAcrossThreadCounts)
-{
-    // End-to-end: whole System runs (plan compile + cache + episodes
-    // + hardware accounting from plan schedules) must produce
-    // bit-identical RunSummary at 1/2/8 threads.
-    auto run = [](int threads) {
-        core::SystemConfig cfg;
-        cfg.envName = "CartPole_v0";
-        cfg.maxGenerations = 3;
-        cfg.seed = 77;
-        cfg.numThreads = threads;
-        core::System sys(cfg);
-        return sys.run();
-    };
-
-    const auto s1 = run(1);
-    for (int threads : {2, 8}) {
-        const auto sn = run(threads);
-        EXPECT_EQ(sn.solved, s1.solved);
-        EXPECT_EQ(sn.generations, s1.generations);
-        EXPECT_EQ(sn.bestFitness, s1.bestFitness);
-        EXPECT_EQ(sn.totalEvolutionEnergyJ, s1.totalEvolutionEnergyJ);
-        EXPECT_EQ(sn.totalInferenceEnergyJ, s1.totalInferenceEnergyJ);
-        EXPECT_EQ(sn.totalEvolutionSeconds, s1.totalEvolutionSeconds);
-        EXPECT_EQ(sn.totalInferenceSeconds, s1.totalInferenceSeconds);
-    }
 }

@@ -152,9 +152,17 @@ TEST(Population, HoldsTheTraceThatBredTheCurrentGeneration)
         // One trace once a step has bred, whatever the run's length:
         // memory stays flat on lifelong runs.
         ASSERT_EQ(pop.traces().size(), pop.generation() > 0 ? 1u : 0u);
+        if (pop.traces().empty())
+            continue;
+        // The held trace bred exactly the genomes now in the
+        // population.
+        const auto &children = pop.traces().back().children;
+        ASSERT_EQ(children.size(), pop.genomes().size());
+        for (const auto &rec : children)
+            EXPECT_EQ(pop.genomes().count(rec.childKey), 1u)
+                << "after step " << i;
     }
     ASSERT_FALSE(pop.traces().empty());
-    EXPECT_GT(pop.traces().back().children.size(), 0u);
 }
 
 TEST(Population, GeneCountGrowsFromMinimalTopology)

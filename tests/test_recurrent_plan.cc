@@ -19,60 +19,29 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <limits>
 #include <string>
 
 #include "common/rng.hh"
+#include "env/expect_eval.hh"
 #include "nn/compiled_plan.hh"
 #include "nn/plan_cache.hh"
+#include "nn/plan_fixtures.hh"
 #include "nn/recurrent.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
 using namespace genesys::nn;
+using oracle::bitEqual;
+using oracle::recConfig;
+using oracle::selfLoopGenome;
 
 namespace
 {
 
 constexpr uint64_t kFuzzBase = 0xD1B54A32D192ED03ULL;
-
-/** Bit-pattern equality: exact, and NaN-safe unlike EXPECT_EQ. */
-::testing::AssertionResult
-bitEqual(double a, double b)
-{
-    if (std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b))
-        return ::testing::AssertionSuccess();
-    return ::testing::AssertionFailure()
-           << a << " != " << b << " (bits 0x" << std::hex
-           << std::bit_cast<uint64_t>(a) << " vs 0x"
-           << std::bit_cast<uint64_t>(b) << ")";
-}
-
-/** A recurrent config with every activation/aggregation in play. */
-NeatConfig
-fuzzConfig(XorWow &rng)
-{
-    NeatConfig cfg;
-    cfg.numInputs = rng.uniformInt(1, 6);
-    cfg.numOutputs = rng.uniformInt(1, 4);
-    cfg.numHidden = rng.uniformInt(0, 2);
-    cfg.feedForward = false;
-    cfg.initialConnection = InitialConnection::FullDirect;
-    cfg.activation.options = allActivations();
-    cfg.activation.mutateRate = 0.5;
-    cfg.aggregation.options = {
-        Aggregation::Sum,    Aggregation::Product, Aggregation::Max,
-        Aggregation::Min,    Aggregation::Mean,    Aggregation::Median,
-        Aggregation::MaxAbs,
-    };
-    cfg.aggregation.mutateRate = 0.5;
-    cfg.enabled.mutateRate = 0.2;
-    cfg.weight.initStdev = 2.0;
-    return cfg;
-}
 
 /**
  * Random cyclic genome: mutation-grown under feedForward == false
@@ -214,7 +183,7 @@ TEST(RecurrentPlanFuzz, MatchesInterpreterAcrossTicksAndReset)
     CompileScratch compile_scratch; // shared: reuse must not corrupt
     for (int i = 0; i < kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase, static_cast<uint64_t>(i)));
-        const NeatConfig cfg = fuzzConfig(rng);
+        const NeatConfig cfg = oracle::planFuzzConfig(rng, false);
         const Genome g = fuzzGenome(cfg, rng);
         SCOPED_TRACE("fuzz genome " + std::to_string(i));
 
@@ -268,7 +237,7 @@ TEST(RecurrentPlanFuzz, MacCountsAgreeAcrossAllPaths)
     constexpr int kGenomes = 300;
     for (int i = 0; i < kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase ^ 0x77AA, static_cast<uint64_t>(i)));
-        const NeatConfig cfg = fuzzConfig(rng);
+        const NeatConfig cfg = oracle::planFuzzConfig(rng, false);
         const Genome g = fuzzGenome(cfg, rng);
         SCOPED_TRACE("mac genome " + std::to_string(i));
 
@@ -298,7 +267,7 @@ TEST(RecurrentPlanFuzz, PackedLayerCountsDistinctSources)
     constexpr int kGenomes = 300;
     for (int i = 0; i < kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase ^ 0x5EC7, static_cast<uint64_t>(i)));
-        const NeatConfig cfg = fuzzConfig(rng);
+        const NeatConfig cfg = oracle::planFuzzConfig(rng, false);
         Genome g = fuzzGenome(cfg, rng);
         // Two more dangling source keys on some genomes, so several
         // distinct keys share the sentinel.
@@ -377,41 +346,6 @@ TEST(RecurrentPlanFuzz, LockstepSumGroupsMatchSerialChains)
 }
 
 // --- targeted recurrent plan semantics ---------------------------------------
-
-namespace
-{
-
-NeatConfig
-recConfig()
-{
-    NeatConfig cfg;
-    cfg.numInputs = 1;
-    cfg.numOutputs = 1;
-    cfg.feedForward = false;
-    return cfg;
-}
-
-/** Output node 0 with a self-loop of weight w plus input -1. */
-Genome
-selfLoopGenome(double w_self, double w_in)
-{
-    Genome g(0);
-    NodeGene out;
-    out.key = 0;
-    out.activation = Activation::Identity;
-    g.mutableNodes().emplace(0, out);
-    ConnectionGene self;
-    self.key = {0, 0};
-    self.weight = w_self;
-    ConnectionGene in;
-    in.key = {-1, 0};
-    in.weight = w_in;
-    g.mutableConnections().emplace(self.key, self);
-    g.mutableConnections().emplace(in.key, in);
-    return g;
-}
-
-} // namespace
 
 TEST(RecurrentPlan, SelfLoopIntegratesInput)
 {

@@ -11,8 +11,8 @@
 #include <stdexcept>
 
 #include "env/cartpole.hh"
+#include "env/expect_eval.hh"
 #include "env/mountain_car.hh"
-#include "env/reference_eval.hh"
 #include "env/runner.hh"
 
 using namespace genesys;
@@ -103,19 +103,14 @@ struct OneLane
             neat::Genome::createNew(0, cfg, idx, rng), cfg);
     }
 
-    std::vector<EpisodeResult>
-    episodes(const std::vector<uint64_t> &seeds)
+    oracle::DetailedEval
+    evaluate(const std::vector<uint64_t> &seeds)
     {
         std::vector<WaveItem> items;
         for (uint64_t s : seeds)
             items.push_back({&plan, s});
-        return evaluateWave(items, {&env}, scratch).episodes;
-    }
-
-    EvalDetail
-    evaluate(const std::vector<uint64_t> &seeds)
-    {
-        return reduceEpisodes(episodes(seeds));
+        auto episodes = evaluateWave(items, {&env}, scratch).episodes;
+        return {reduceEpisodes(episodes), std::move(episodes)};
     }
 };
 
@@ -125,37 +120,27 @@ TEST(EpisodeRunner, DeterministicEvaluation)
 {
     OneLane lane(1);
     const std::vector<uint64_t> seeds{deriveSeed(42, 0), deriveSeed(42, 1)};
-    const EvalDetail a = lane.evaluate(seeds);
-    EXPECT_EQ(std::bit_cast<uint64_t>(a.fitness),
-              std::bit_cast<uint64_t>(lane.evaluate(seeds).fitness));
+    const oracle::DetailedEval a = lane.evaluate(seeds);
+    oracle::expectDetailIdentical(lane.evaluate(seeds), a);
 
     // The same episodes through the oracle's serial loop.
     CartPole serial_env;
-    const EvalDetail b =
-        oracle::evaluateDetailed(serial_env, lane.plan, seeds);
-    EXPECT_EQ(std::bit_cast<uint64_t>(a.fitness),
-              std::bit_cast<uint64_t>(b.fitness));
-    EXPECT_EQ(a.inferences, b.inferences);
-    EXPECT_EQ(a.macs, b.macs);
-    EXPECT_EQ(a.maxEpisodeSteps, b.maxEpisodeSteps);
+    oracle::expectDetailIdentical(
+        a, oracle::evaluateDetailed(serial_env, lane.plan, seeds));
 }
 
 TEST(EpisodeRunner, CountsInferencesAndMacs)
 {
     OneLane lane(2);
-    const EpisodeResult res = lane.episodes({17}).front();
+    const EpisodeResult res = lane.evaluate({17}).episodes.front();
     EXPECT_EQ(res.inferences, res.steps);
     EXPECT_EQ(res.macs, res.steps * lane.plan.macsPerInference());
     EXPECT_GT(res.steps, 0);
 
     CartPole serial_env;
     nn::PlanScratch scratch;
-    const EpisodeResult serial =
-        oracle::runEpisode(serial_env, lane.plan, scratch, 17);
-    EXPECT_EQ(res.steps, serial.steps);
-    EXPECT_EQ(res.macs, serial.macs);
-    EXPECT_EQ(std::bit_cast<uint64_t>(res.fitness),
-              std::bit_cast<uint64_t>(serial.fitness));
+    oracle::expectEpisodeIdentical(
+        res, oracle::runEpisode(serial_env, lane.plan, scratch, 17));
 }
 
 TEST(ConfigForEnvironment, MatchesSpaces)

@@ -18,6 +18,7 @@
 #include <sstream>
 
 #include "core/genesys.hh"
+#include "core/run_digest.hh"
 #include "hw/gene_encoding.hh"
 #include "neat/per_genome.hh"
 #include "obs/metrics.hh"
@@ -74,28 +75,19 @@ smallSystemConfig()
     return cfg;
 }
 
-/** Digest the observable per-generation state of a report list. */
+/**
+ * Digest the observable per-generation state of a report list: the
+ * golden-digest fields plus each generation's number, gene total and
+ * species count.
+ */
 uint64_t
 digestReports(const std::vector<core::GenerationReport> &reports)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto fold = [&h](uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xffu;
-            h *= 0x100000001b3ull;
-        }
-    };
+    uint64_t h = oracle::digestFields({}, reports);
     for (const core::GenerationReport &r : reports) {
-        fold(static_cast<uint64_t>(r.algo.generation));
-        fold(std::bit_cast<uint64_t>(r.algo.bestFitness));
-        fold(std::bit_cast<uint64_t>(r.algo.meanFitness));
-        fold(static_cast<uint64_t>(r.algo.totalGenes));
-        fold(static_cast<uint64_t>(r.algo.evolutionOps));
-        fold(static_cast<uint64_t>(r.algo.numSpecies));
-        fold(static_cast<uint64_t>(r.inferenceSteps));
-        fold(std::bit_cast<uint64_t>(r.macsPerStep));
-        fold(static_cast<uint64_t>(r.hw.eve.cycles));
-        fold(static_cast<uint64_t>(r.hw.adam.cycles));
+        oracle::fold(h, static_cast<uint64_t>(r.algo.generation));
+        oracle::fold(h, static_cast<uint64_t>(r.algo.totalGenes));
+        oracle::fold(h, static_cast<uint64_t>(r.algo.numSpecies));
     }
     return h;
 }

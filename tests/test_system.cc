@@ -7,12 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <filesystem>
 #include <string>
 
 #include "core/experiment.hh"
-#include "env/reference_eval.hh"
+#include "env/expect_eval.hh"
 #include "nn/scoped_numerics_env.hh"
 #include "hw/eve_pe.hh"
 #include "hw/gene_merge.hh"
@@ -208,14 +207,10 @@ TEST(SystemTest, ReplayBestMatchesSerialOracle)
             // episode, so a replay that leaked state would diverge.
             nn::PlanScratch scratch;
             for (const uint64_t seed : {5ULL, 1234ULL, 5ULL}) {
-                const env::EpisodeResult got = sys.replayBest(seed);
-                const env::EpisodeResult want =
-                    oracle::runEpisode(*serial_env, plan, scratch, seed);
-                EXPECT_EQ(std::bit_cast<uint64_t>(got.fitness),
-                          std::bit_cast<uint64_t>(want.fitness))
-                    << "seed " << seed;
-                EXPECT_EQ(got.steps, want.steps) << "seed " << seed;
-                EXPECT_EQ(got.macs, want.macs) << "seed " << seed;
+                SCOPED_TRACE("seed " + std::to_string(seed));
+                oracle::expectEpisodeIdentical(
+                    sys.replayBest(seed),
+                    oracle::runEpisode(*serial_env, plan, scratch, seed));
             }
         }
     }

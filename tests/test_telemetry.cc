@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -20,6 +19,7 @@
 
 #include "common/logging.hh"
 #include "core/genesys.hh"
+#include "core/run_digest.hh"
 #include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
@@ -77,25 +77,10 @@ freshDir(const std::string &leaf)
     return dir;
 }
 
-void
-fold(uint64_t &h, uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xffu;
-        h *= 0x100000001b3ull;
-    }
-}
-
-void
-fold(uint64_t &h, double v)
-{
-    fold(h, std::bit_cast<uint64_t>(v));
-}
-
 /**
- * Fixed-seed 4-generation CartPole run, digested over the same
- * observable fields as test_golden_digests — with telemetry either
- * fully on (trace + metrics into a throwaway dir) or fully off.
+ * Fixed-seed 4-generation CartPole run, digested as
+ * test_golden_digests digests its runs — with telemetry either fully
+ * on (trace + metrics into a throwaway dir) or fully off.
  */
 uint64_t
 digestRun(int threads, bool telemetry, bool batchEpisodes,
@@ -118,25 +103,7 @@ digestRun(int threads, bool telemetry, bool batchEpisodes,
 
     core::System sys(cfg);
     const core::RunSummary s = sys.run();
-
-    uint64_t h = 0xcbf29ce484222325ull;
-    fold(h, static_cast<uint64_t>(s.solved));
-    fold(h, static_cast<uint64_t>(s.generations));
-    fold(h, s.bestFitness);
-    fold(h, s.totalEvolutionEnergyJ);
-    fold(h, s.totalInferenceEnergyJ);
-    for (const core::GenerationReport &r : sys.reports()) {
-        fold(h, r.algo.bestFitness);
-        fold(h, r.algo.meanFitness);
-        fold(h, static_cast<uint64_t>(r.algo.evolutionOps));
-        fold(h, static_cast<uint64_t>(r.inferenceSteps));
-        fold(h, r.macsPerStep);
-        fold(h, static_cast<uint64_t>(r.hw.eve.cycles));
-        fold(h, static_cast<uint64_t>(r.hw.adam.cycles));
-        fold(h, r.hw.evolutionEnergyJ);
-        fold(h, r.hw.inferenceEnergyJ);
-    }
-    return h;
+    return oracle::digestFields(s, sys.reports());
 }
 
 } // namespace
@@ -410,7 +377,8 @@ TEST(TelemetryTest, ApplyTelemetryFromEnv)
 
 /**
  * The headline contract: telemetry on and off produce bit-identical
- * runs under every chunking of the episode loop, at 1 and 8 threads.
+ * runs under every chunking of the episode loop, at 1 and 8 threads —
+ * each the same digest as the 1-thread default run without telemetry.
  */
 TEST(TelemetryTest, DigestsIdenticalTelemetryOnOffAllChunkings)
 {
@@ -420,23 +388,21 @@ TEST(TelemetryTest, DigestsIdenticalTelemetryOnOffAllChunkings)
         bool batchEpisodes;
         bool heterogeneousLanes;
     };
+    const uint64_t reference = digestRun(1, false, true, true, "reference");
     for (const Chunking &c : {Chunking{"serial", false, false},
                               Chunking{"per-genome", true, false},
                               Chunking{"waves", true, true}}) {
-        const std::string m = c.name;
-        auto digest = [&](int threads, bool telemetry,
-                          const std::string &leaf) {
-            return digestRun(threads, telemetry, c.batchEpisodes,
-                             c.heterogeneousLanes, m + leaf);
-        };
-        const uint64_t off1 = digest(1, false, "-off1");
-        const uint64_t on1 = digest(1, true, "-on1");
-        const uint64_t off8 = digest(8, false, "-off8");
-        const uint64_t on8 = digest(8, true, "-on8");
-        EXPECT_EQ(on1, off1) << "telemetry changed results: " << m;
-        EXPECT_EQ(off8, off1) << "thread count changed results: " << m;
-        EXPECT_EQ(on8, off1)
-            << "telemetry at 8 threads changed results: " << m;
+        for (const int threads : {1, 8}) {
+            for (const bool telemetry : {false, true}) {
+                const std::string leaf = std::string(c.name) +
+                                         (telemetry ? "-on" : "-off") +
+                                         std::to_string(threads);
+                EXPECT_EQ(digestRun(threads, telemetry, c.batchEpisodes,
+                                    c.heterogeneousLanes, leaf),
+                          reference)
+                    << leaf;
+            }
+        }
     }
 }
 

@@ -36,6 +36,7 @@
 #include <utility>
 
 #include "common/rng.hh"
+#include "env/eval_fixtures.hh"
 #include "env/runner.hh"
 #include "neat/genome.hh"
 #include "nn/compiled_plan.hh"
@@ -169,7 +170,7 @@ constexpr int kLanes = 3;
  * weights, so episodes take varied lengths and lanes refill at
  * different supersteps.
  */
-std::pair<neat::NeatConfig, std::vector<neat::Genome>>
+oracle::GenomeSet
 makeGenomes(const env::Environment &env, bool feed_forward, uint64_t seed)
 {
     neat::NeatConfig cfg = env::configForEnvironment(env);
@@ -183,16 +184,7 @@ makeGenomes(const env::Environment &env, bool feed_forward, uint64_t seed)
     };
     cfg.aggregation.mutateRate = 0.5;
     cfg.nodeAddProb = 0.5;
-    neat::NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(seed);
-    std::vector<neat::Genome> genomes;
-    for (int i = 0; i < kGenomes; ++i) {
-        auto g = neat::Genome::createNew(i, cfg, idx, rng);
-        for (int m = 0; m < 8; ++m)
-            g.mutate(cfg, idx, rng);
-        genomes.push_back(std::move(g));
-    }
-    return {cfg, std::move(genomes)};
+    return oracle::growGenomes(cfg, kGenomes, seed, 8);
 }
 
 struct Case
@@ -250,12 +242,7 @@ class WaveAllocations : public ::testing::TestWithParam<Case>
 TEST_P(WaveAllocations, SecondCallAllocatesOnlyItsResult)
 {
     const Case &c = GetParam();
-    std::vector<std::unique_ptr<env::Environment>> owned;
-    std::vector<env::Environment *> lanes;
-    for (int l = 0; l < kLanes; ++l) {
-        owned.push_back(env::makeEnvironment(c.env));
-        lanes.push_back(owned.back().get());
-    }
+    const auto [owned, lanes] = oracle::makeLanes(c.env, kLanes);
     const auto [cfg, genomes] = makeGenomes(*lanes.front(), c.feedForward,
                                             std::hash<std::string>{}(c.env));
     std::vector<nn::CompiledPlan> plans;
@@ -342,12 +329,7 @@ TEST(WavePullAllocations, WarmLoopAllocatesNothing)
     // at one episode per claim and at whole-genome claims of 4, with
     // more items than lanes so every path refills.
     for (const std::string name : {"CartPole_v0", "AirRaid-ram-v0"}) {
-        std::vector<std::unique_ptr<env::Environment>> owned;
-        std::vector<env::Environment *> lanes;
-        for (int l = 0; l < kLanes; ++l) {
-            owned.push_back(env::makeEnvironment(name));
-            lanes.push_back(owned.back().get());
-        }
+        const auto [owned, lanes] = oracle::makeLanes(name, kLanes);
         const auto [cfg, genomes] =
             makeGenomes(*lanes.front(), /*feed_forward=*/true, 11);
         std::vector<nn::CompiledPlan> plans;
@@ -437,11 +419,7 @@ warmCompileAllocations(const std::string &envName, nn::NumericsTier tier)
     const auto env = env::makeEnvironment(envName);
     neat::NeatConfig cfg = env::configForEnvironment(*env);
     cfg.nodeAddProb = 0.5;
-    neat::NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(29);
-    neat::Genome g = neat::Genome::createNew(0, cfg, idx, rng);
-    for (int m = 0; m < 12; ++m)
-        g.mutate(cfg, idx, rng);
+    const neat::Genome g = oracle::grownGenome(cfg, 12, 29);
     nn::CompileScratch scratch;
     const nn::CompiledPlan warm =
         nn::CompiledPlan::compileFor(g, cfg, scratch, tier);

@@ -1,25 +1,25 @@
 /**
  * @file
- * Differential tests for the engine's episode loop, env::evaluateWave:
- * the lane kernel and every engine configuration built on it must be
- * bit-identical to the serial one-episode-at-a-time loop — episode for
- * episode, genome for genome, and down to whole-run RunSummary digests
- * — across lane widths and thread counts, whichever worker claims
- * which genome, for feed-forward and recurrent populations. Waves of
- * many genomes (a different plan per lane) are covered here; waves of
- * one genome's episodes (same plan in every lane) are covered by
- * test_episode_batch. The suite also locks the loop's observability:
- * occupancy counters populated on every configuration, refill
- * accounting exact, one compile per genome whoever claims it.
+ * The episode loop, env::evaluateWave, against the serial oracle
+ * (tests/oracle/env/reference_eval: one episode at a time, one policy
+ * at a time). The kernel sweep runs three item layouts — many genomes
+ * one episode each, a few genomes' episodes side by side, and one
+ * genome's episodes per wave — at lane widths {1, 2, 5, 8, 16}, for
+ * feed-forward and recurrent genomes: every episode bit-identical to
+ * the serial loop, every plan exact against its genome's interpreter,
+ * refill and occupancy accounting exact. The engine's claim order is
+ * covered here too: a skewed batch must give the oracle's results,
+ * compiles and counters whichever worker claims which genome. The
+ * engine sweep (threads, lanes, E) lives in test_eval_engine; the
+ * whole-run sweep in test_episode_batch.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
-#include "core/genesys.hh"
-#include "env/reference_eval.hh"
+#include "env/eval_fixtures.hh"
+#include "env/expect_eval.hh"
 #include "env/runner.hh"
 #include "exec/eval_engine.hh"
 #include "nn/compiled_plan.hh"
@@ -27,275 +27,131 @@
 using namespace genesys;
 using namespace genesys::exec;
 
-namespace
-{
-
-/** Mutation-grown genomes on the CartPole config. */
-std::pair<neat::NeatConfig, std::vector<neat::Genome>>
-makeGenomes(int count, uint64_t seed, bool feed_forward = true)
-{
-    auto env = env::makeEnvironment("CartPole_v0");
-    neat::NeatConfig cfg = env::configForEnvironment(*env);
-    cfg.populationSize = count;
-    cfg.feedForward = feed_forward;
-    // Non-trivial policies: perturb weights away from the paper's
-    // all-zero init so episodes take varied lengths.
-    cfg.weight.initStdev = 1.0;
-    neat::NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(seed);
-    std::vector<neat::Genome> genomes;
-    genomes.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-        auto g = neat::Genome::createNew(i, cfg, idx, rng);
-        for (int m = 0; m < 10; ++m)
-            g.mutate(cfg, idx, rng);
-        genomes.push_back(std::move(g));
-    }
-    return {cfg, std::move(genomes)};
-}
-
-std::vector<neat::GenomeHandle>
-handlesOf(const std::vector<neat::Genome> &genomes)
-{
-    std::vector<neat::GenomeHandle> hs;
-    hs.reserve(genomes.size());
-    for (size_t i = 0; i < genomes.size(); ++i)
-        hs.push_back({static_cast<int>(i), &genomes[i]});
-    return hs;
-}
-
-std::vector<env::Environment *>
-makeLanes(std::vector<std::unique_ptr<env::Environment>> &owned,
-          int width)
-{
-    std::vector<env::Environment *> lanes;
-    for (int l = 0; l < width; ++l) {
-        owned.push_back(env::makeEnvironment("CartPole_v0"));
-        lanes.push_back(owned.back().get());
-    }
-    return lanes;
-}
-
-void
-expectEpisodeIdentical(const env::EpisodeResult &a,
-                       const env::EpisodeResult &b)
-{
-    EXPECT_EQ(a.fitness, b.fitness);
-    EXPECT_EQ(a.cumulativeReward, b.cumulativeReward);
-    EXPECT_EQ(a.steps, b.steps);
-    EXPECT_EQ(a.inferences, b.inferences);
-    EXPECT_EQ(a.macs, b.macs);
-}
-
-void
-expectDetailIdentical(const oracle::DetailedEval &a,
-                      const oracle::DetailedEval &b)
-{
-    EXPECT_EQ(a.fitness, b.fitness);
-    EXPECT_EQ(a.inferences, b.inferences);
-    EXPECT_EQ(a.macs, b.macs);
-    EXPECT_EQ(a.maxEpisodeSteps, b.maxEpisodeSteps);
-    ASSERT_EQ(a.episodes.size(), b.episodes.size());
-    for (size_t e = 0; e < a.episodes.size(); ++e)
-        expectEpisodeIdentical(a.episodes[e], b.episodes[e]);
-}
-
-} // namespace
-
-// --- kernel level: evaluateWave vs one-episode-at-a-time ---------------------
-
-TEST(WaveSchedulerTest, HeterogeneousWaveMatchesSerialAcrossWidths)
-{
-    for (const bool feed_forward : {true, false}) {
-        const auto [cfg, genomes] = makeGenomes(13, 61, feed_forward);
-
-        // One episode of each genome, every genome a different plan —
-        // the plan-heterogeneous packing the scheduler exists for.
-        std::vector<nn::CompiledPlan> plans;
-        plans.reserve(genomes.size());
-        for (const auto &g : genomes)
-            plans.push_back(nn::CompiledPlan::compileFor(g, cfg));
-
-        std::vector<env::WaveItem> items;
-        std::vector<env::EpisodeResult> expect;
-        auto serial_env = env::makeEnvironment("CartPole_v0");
-        for (size_t i = 0; i < plans.size(); ++i) {
-            const uint64_t seed = 1000 + 17 * i;
-            items.push_back({&plans[i], seed});
-            nn::PlanScratch scratch;
-            expect.push_back(
-                oracle::runEpisode(*serial_env, plans[i], scratch, seed));
-        }
-
-        for (int width : {1, 2, 5, 8, 16}) {
-            SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
-                         " width " + std::to_string(width));
-            std::vector<std::unique_ptr<env::Environment>> owned;
-            const auto lanes = makeLanes(owned, width);
-            env::WaveScratch scratch;
-            const auto wave =
-                env::evaluateWave(items, lanes, scratch);
-
-            ASSERT_EQ(wave.episodes.size(), expect.size());
-            for (size_t i = 0; i < expect.size(); ++i) {
-                SCOPED_TRACE("item " + std::to_string(i));
-                expectEpisodeIdentical(wave.episodes[i], expect[i]);
-            }
-
-            // Refill accounting: every episode beyond the initial
-            // lane fill entered through a refill.
-            const long fill = std::min<long>(
-                width, static_cast<long>(items.size()));
-            EXPECT_EQ(wave.stats.refills,
-                      static_cast<long>(items.size()) - fill);
-            EXPECT_GT(wave.stats.supersteps, 0);
-            EXPECT_EQ(wave.stats.laneSlotSteps,
-                      wave.stats.supersteps * width);
-            EXPECT_GE(wave.stats.laneSlotSteps,
-                      wave.stats.activeLaneSteps);
-            // Useful lane-steps are exactly the forward passes.
-            long inferences = 0;
-            for (const auto &r : wave.episodes)
-                inferences += r.inferences;
-            EXPECT_EQ(wave.stats.activeLaneSteps, inferences);
-            EXPECT_GT(wave.stats.occupancy(), 0.0);
-            EXPECT_LE(wave.stats.occupancy(), 1.0);
-        }
-    }
-}
-
-TEST(WaveSchedulerTest, SharedPlanLanesMatchSerial)
-{
-    // Several episodes of the same plans, adjacent in the item queue:
-    // the initial fill packs 2 plans x 4 episodes onto the 8 lanes, so
-    // lanes share a plan (each on its own scratch) and must stay
-    // bit-identical to the serial loop.
-    const auto [cfg, genomes] = makeGenomes(4, 67);
-    std::vector<nn::CompiledPlan> plans;
-    plans.reserve(genomes.size());
-    for (const auto &g : genomes)
-        plans.push_back(nn::CompiledPlan::compileFor(g, cfg));
-
-    std::vector<env::WaveItem> items;
-    std::vector<std::vector<uint64_t>> seeds(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-        for (int e = 0; e < 4; ++e) {
-            const uint64_t seed = 31 * (i + 1) + 7 * e;
-            items.push_back({&plans[i], seed});
-            seeds[i].push_back(seed);
-        }
-    }
-
-    std::vector<std::unique_ptr<env::Environment>> owned;
-    const auto lanes = makeLanes(owned, 8);
-    env::WaveScratch scratch;
-    const auto wave = env::evaluateWave(items, lanes, scratch);
-
-    size_t k = 0;
-    for (size_t i = 0; i < plans.size(); ++i) {
-        auto serial_env = env::makeEnvironment("CartPole_v0");
-        const auto serial =
-            oracle::evaluateDetailed(*serial_env, plans[i], seeds[i]);
-        for (size_t e = 0; e < seeds[i].size(); ++e, ++k) {
-            SCOPED_TRACE("plan " + std::to_string(i) + " episode " +
-                         std::to_string(e));
-            expectEpisodeIdentical(wave.episodes[k],
-                                   serial.episodes[e]);
-        }
-    }
-}
-
-TEST(WaveSchedulerTest, EmptyAndUndersubscribedWaves)
-{
-    const auto [cfg, genomes] = makeGenomes(2, 71);
-    const auto plan = nn::CompiledPlan::compileFor(genomes[0], cfg);
-
-    std::vector<std::unique_ptr<env::Environment>> owned;
-    const auto lanes = makeLanes(owned, 8);
-    env::WaveScratch scratch;
-
-    // No items: nothing runs, nothing counted.
-    const auto empty = env::evaluateWave({}, lanes, scratch);
-    EXPECT_TRUE(empty.episodes.empty());
-    EXPECT_EQ(empty.stats.supersteps, 0);
-
-    // Fewer items than lanes: spare lanes idle but are accounted as
-    // unoccupied slots, and results still match the serial episode.
-    std::vector<env::WaveItem> items{{&plan, 5}};
-    const auto wave = env::evaluateWave(items, lanes, scratch);
-    ASSERT_EQ(wave.episodes.size(), 1u);
-    auto serial_env = env::makeEnvironment("CartPole_v0");
-    nn::PlanScratch pscratch;
-    expectEpisodeIdentical(
-        wave.episodes[0], oracle::runEpisode(*serial_env, plan, pscratch, 5));
-    EXPECT_EQ(wave.stats.refills, 0);
-    EXPECT_EQ(wave.stats.laneSlotSteps, wave.stats.supersteps * 8);
-    EXPECT_EQ(wave.stats.activeLaneSteps, wave.stats.supersteps);
-}
-
-// --- engine level: lane widths vs the one-lane serial configuration ----------
+// --- kernel level: evaluateWave vs the serial loop -------------------------
 
 namespace
 {
 
-struct EngineRun
+/** How a kernel case lays its episodes out as wave items. */
+struct Layout
 {
-    std::vector<GenomeEvalResult> results;
-    std::vector<oracle::DetailedEval> details;
+    const char *name;
+    int genomes;
+    /** Episodes per genome, adjacent in the item queue. */
+    int episodes;
+    /** Run each genome's episodes as its own wave (a shard at E > 1). */
+    bool wavePerGenome;
 };
 
-EngineRun
-evaluateEngine(const neat::NeatConfig &cfg,
-               const std::vector<neat::Genome> &genomes, int threads,
-               bool batch, int waveLanes = 0)
+constexpr Layout kLayouts[] = {
+    // A different plan in every lane: the packing at E = 1.
+    {"mixed", 13, 1, false},
+    // 2 plans x 4 episodes fill 8 lanes: lanes share a plan, each on
+    // its own scratch.
+    {"shared", 4, 4, false},
+    // Same plan in every lane.
+    {"same", 8, 10, true},
+};
+
+struct KernelCase
 {
-    EvalEngineConfig ecfg;
-    ecfg.envName = "CartPole_v0";
-    ecfg.numThreads = threads;
-    ecfg.episodes = 1;
-    ecfg.batchEpisodes = batch;
-    ecfg.heterogeneousLanes = batch;
-    ecfg.waveLanes = waveLanes;
-    EvalEngine engine(ecfg);
-    EngineRun run;
-    run.results = engine.evaluateGeneration(
-        handlesOf(genomes), cfg, EvalEngine::perGenomeSeeds(83));
-    run.details = oracle::engineDetails(engine, run.results);
-    return run;
+    Layout layout;
+    bool feedForward;
+    int width;
+};
+
+std::vector<KernelCase>
+kernelCases()
+{
+    std::vector<KernelCase> cases;
+    for (const Layout &layout : kLayouts)
+        for (const bool ff : {true, false})
+            for (const int width : {1, 2, 5, 8, 16})
+                cases.push_back({layout, ff, width});
+    return cases;
 }
 
-void
-expectResultsIdentical(const EngineRun &a, const EngineRun &b)
+std::string
+kernelCaseName(const ::testing::TestParamInfo<KernelCase> &info)
 {
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (size_t i = 0; i < b.results.size(); ++i) {
-        EXPECT_EQ(a.results[i].genomeKey, b.results[i].genomeKey);
-        expectDetailIdentical(a.details[i], b.details[i]);
-    }
+    const KernelCase &c = info.param;
+    return std::string(c.layout.name) + (c.feedForward ? "_ff" : "_rec") +
+           "_w" + std::to_string(c.width);
 }
 
 } // namespace
 
-TEST(WaveSchedulerTest, EngineWavePathMatchesSerialAcrossThreads)
+class WaveKernel : public ::testing::TestWithParam<KernelCase>
 {
-    for (const bool feed_forward : {true, false}) {
-        const auto [cfg, genomes] = makeGenomes(26, 73, feed_forward);
-        const auto reference =
-            evaluateEngine(cfg, genomes, 1, /*batch=*/false);
+};
 
-        for (int threads : {1, 8}) {
-            for (int lanes : {0, 3, 16}) {
-                SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
-                             " threads " + std::to_string(threads) +
-                             " waveLanes " + std::to_string(lanes));
-                expectResultsIdentical(
-                    evaluateEngine(cfg, genomes, threads, /*batch=*/true,
-                                   lanes),
-                    reference);
-            }
-        }
+TEST_P(WaveKernel, MatchesSerialOracle)
+{
+    const KernelCase &c = GetParam();
+    const auto [cfg, genomes] =
+        oracle::makeGenomes(c.layout.genomes, 61, c.feedForward);
+    const nn::NumericsTier tier = oracle::ambientTier();
+    auto serial_env = env::makeEnvironment("CartPole_v0");
+
+    std::vector<nn::CompiledPlan> plans;
+    plans.reserve(genomes.size()); // items point into it
+    std::vector<std::vector<env::WaveItem>> waves(1);
+    for (size_t g = 0; g < genomes.size(); ++g) {
+        SCOPED_TRACE("genome " + std::to_string(g));
+        plans.push_back(nn::CompiledPlan::compileFor(genomes[g], cfg, tier));
+        ASSERT_EQ(plans[g].isRecurrent(), !c.feedForward);
+        std::vector<uint64_t> seeds;
+        for (int e = 0; e < c.layout.episodes; ++e)
+            seeds.push_back(1000 + 17 * g + 7 * static_cast<uint64_t>(e));
+        oracle::expectDetailIdentical(
+            oracle::evaluateDetailed(*serial_env, plans[g], seeds),
+            oracle::evaluateDetailed(*serial_env, genomes[g], cfg, seeds,
+                                     tier));
+        if (c.layout.wavePerGenome && g > 0)
+            waves.emplace_back();
+        for (const uint64_t seed : seeds)
+            waves.back().push_back({&plans[g], seed});
+    }
+
+    const oracle::Lanes lanes = oracle::makeLanes("CartPole_v0", c.width);
+    env::WaveScratch scratch; // reused across waves, as a worker does
+    for (const auto &items : waves) {
+        const auto wave = env::evaluateWave(items, lanes.lanes, scratch);
+        oracle::expectEpisodesIdentical(
+            wave.episodes, oracle::serialEpisodes(*serial_env, items));
+
+        // Every episode beyond the initial lane fill entered through a
+        // refill, and the useful lane-steps are exactly the forward
+        // passes.
+        const long n = static_cast<long>(items.size());
+        EXPECT_EQ(wave.stats.refills, n - std::min<long>(c.width, n));
+        EXPECT_GT(wave.stats.supersteps, 0);
+        EXPECT_EQ(wave.stats.laneSlotSteps,
+                  wave.stats.supersteps * c.width);
+        long inferences = 0;
+        for (const auto &r : wave.episodes)
+            inferences += r.inferences;
+        EXPECT_EQ(wave.stats.activeLaneSteps, inferences);
+        EXPECT_GT(wave.stats.occupancy(), 0.0);
+        EXPECT_LE(wave.stats.occupancy(), 1.0);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(LayoutsAndWidths, WaveKernel,
+                         ::testing::ValuesIn(kernelCases()),
+                         kernelCaseName);
+
+TEST(WaveSchedulerTest, EmptyWaveRunsNothing)
+{
+    const oracle::Lanes lanes = oracle::makeLanes("CartPole_v0", 8);
+    env::WaveScratch scratch;
+    const auto empty = env::evaluateWave({}, lanes.lanes, scratch);
+    EXPECT_TRUE(empty.episodes.empty());
+    EXPECT_EQ(empty.stats.supersteps, 0);
+    EXPECT_EQ(empty.stats.laneSlotSteps, 0);
+}
+
+// --- engine level: counters and shard sizing -------------------------------
 
 TEST(WaveSchedulerTest, OccupancyCountersObservableAndHigh)
 {
@@ -307,7 +163,8 @@ TEST(WaveSchedulerTest, OccupancyCountersObservableAndHigh)
     // at most the longest episode. That bound holds whichever worker
     // claims what; a wave that waited for all its lanes to finish
     // before refilling would break it.
-    const auto [cfg, genomes] = makeGenomes(96, 79);
+    const auto [cfg, genomes] = oracle::makeGenomes(96, 79);
+    const auto handles = oracle::handlesOf(genomes);
     constexpr int kThreads = 2;
     constexpr int kLanes = 8;
 
@@ -321,7 +178,7 @@ TEST(WaveSchedulerTest, OccupancyCountersObservableAndHigh)
     EXPECT_EQ(engine.config().waveLanes, kLanes);
 
     const auto wave_results = engine.evaluateGeneration(
-        handlesOf(genomes), cfg, EvalEngine::sharedEpisodeSeeds(3));
+        handles, cfg, EvalEngine::sharedEpisodeSeeds(3));
     long wave_inferences = 0;
     long max_episode_steps = 0;
     for (const auto &r : wave_results) {
@@ -349,7 +206,7 @@ TEST(WaveSchedulerTest, OccupancyCountersObservableAndHigh)
     EvalEngine single_engine(scfg);
     EXPECT_FALSE(single_engine.usesHeterogeneousWaves());
     const auto results = single_engine.evaluateGeneration(
-        handlesOf(genomes), cfg, EvalEngine::sharedEpisodeSeeds(3));
+        handles, cfg, EvalEngine::sharedEpisodeSeeds(3));
     long inferences = 0;
     for (const auto &r : results)
         inferences += r.detail.inferences;
@@ -365,20 +222,29 @@ TEST(WaveSchedulerTest, OccupancyCountersObservableAndHigh)
 
 TEST(WaveSchedulerTest, WaveShardSizingAndFallback)
 {
-    // At episodes > 1 a shard holds one genome's episodes (episode
-    // lanes are covered by test_episode_batch); episodes == 1 sizes
-    // shards by waveLanes.
+    // At episodes > 1 a shard holds one genome's episodes: waveLanes
+    // resolves to 1 and each shard holds one lane per episode, or a
+    // single lane when batching is off. Episodes == 1 sizes shards by
+    // waveLanes, 2 by default.
+    const auto [cfg, genomes] = oracle::makeGenomes(2, 89);
     EvalEngineConfig ecfg;
     ecfg.envName = "CartPole_v0";
     ecfg.numThreads = 1;
     ecfg.episodes = 3;
-    ecfg.batchEpisodes = true;
-    ecfg.heterogeneousLanes = true;
     ecfg.waveLanes = 16;
-    EXPECT_FALSE(EvalEngine(ecfg).usesHeterogeneousWaves());
+    for (const bool batch : {true, false}) {
+        SCOPED_TRACE(batch ? "batched" : "serial");
+        ecfg.batchEpisodes = batch;
+        EvalEngine engine(ecfg);
+        EXPECT_FALSE(engine.usesHeterogeneousWaves());
+        EXPECT_EQ(engine.config().waveLanes, 1);
+        engine.evaluateGeneration(oracle::handlesOf(genomes), cfg,
+                                  EvalEngine::sharedEpisodeSeeds(5));
+        EXPECT_EQ(engine.lastBatchStats().laneCount, batch ? 3 : 1);
+    }
 
-    // The default lane width is 2.
     EvalEngineConfig wcfg = ecfg;
+    wcfg.batchEpisodes = true;
     wcfg.episodes = 1;
     wcfg.waveLanes = 0;
     EvalEngine wave_engine(wcfg);
@@ -391,19 +257,6 @@ TEST(WaveSchedulerTest, WaveShardSizingAndFallback)
 namespace
 {
 
-/** The serial oracle: each genome's plan run one episode at a time. */
-oracle::DetailedEval
-serialDetail(const neat::NeatConfig &cfg, const neat::Genome &genome,
-             int key, int episodes, const EvalEngine::SeedFn &seedFor)
-{
-    const auto plan = nn::CompiledPlan::compileFor(genome, cfg);
-    std::vector<uint64_t> seeds;
-    for (int e = 0; e < episodes; ++e)
-        seeds.push_back(seedFor(key, e));
-    auto env = env::makeEnvironment("CartPole_v0");
-    return oracle::evaluateDetailed(*env, plan, seeds);
-}
-
 /**
  * A skewed CartPole batch: a few hand-set balancing controllers, whose
  * episodes all run to the 200-step limit, spread among many
@@ -411,14 +264,18 @@ serialDetail(const neat::NeatConfig &cfg, const neat::Genome &genome,
  * Whoever claims a balancer holds its lanes ~20x longer than a short
  * genome, so a static split would gate the generation on that worker.
  */
-std::pair<neat::NeatConfig, std::vector<neat::Genome>>
+oracle::GenomeSet
 makeSkewedGenomes(bool feed_forward, const EvalEngine::SeedFn &seedFor)
 {
-    auto [cfg, pool] = makeGenomes(200, 97, feed_forward);
+    auto [cfg, pool] = oracle::makeGenomes(200, 97, feed_forward);
+    const auto serial = [&cfg = cfg, &seedFor](const neat::Genome &g,
+                                               int key) {
+        return oracle::serialDetail("CartPole_v0", cfg, {key, &g}, 3,
+                                    seedFor, nn::NumericsTier::Reference);
+    };
     std::vector<neat::Genome> shorts;
     for (size_t i = 0; i < pool.size() && shorts.size() < 40; ++i) {
-        if (serialDetail(cfg, pool[i], static_cast<int>(i), 3, seedFor)
-                .maxEpisodeSteps <= 12)
+        if (serial(pool[i], static_cast<int>(i)).maxEpisodeSteps <= 12)
             shorts.push_back(std::move(pool[i]));
     }
     EXPECT_EQ(shorts.size(), 40u);
@@ -439,9 +296,7 @@ makeSkewedGenomes(bool feed_forward, const EvalEngine::SeedFn &seedFor)
                     gain * w[in];
             g.mutableNodes().at(0).bias = 0.0;
             for (const auto &e :
-                 serialDetail(cfg, g, static_cast<int>(batch.size()), 3,
-                              seedFor)
-                     .episodes)
+                 serial(g, static_cast<int>(batch.size())).episodes)
                 EXPECT_EQ(e.steps, 200) << "balancer " << i;
             batch.push_back(std::move(g));
         }
@@ -464,7 +319,8 @@ TEST(WaveSchedulerTest, SkewedBatchIndependentOfClaimOrder)
         const auto [cfg, genomes] = makeSkewedGenomes(feed_forward, seedFor);
         // Generation 2 keeps every other genome (same key, so its plan
         // carries over) and replaces the rest under fresh keys.
-        std::vector<neat::GenomeHandle> gen1 = handlesOf(genomes);
+        const std::vector<neat::GenomeHandle> gen1 =
+            oracle::handlesOf(genomes);
         std::vector<neat::GenomeHandle> gen2;
         long fresh = 0;
         for (size_t i = 0; i < gen1.size(); ++i) {
@@ -477,13 +333,13 @@ TEST(WaveSchedulerTest, SkewedBatchIndependentOfClaimOrder)
         }
 
         for (const int episodes : {1, 3}) {
-            std::vector<std::vector<oracle::DetailedEval>> serial(2);
-            for (int gen = 0; gen < 2; ++gen) {
-                for (const auto &h : gen == 0 ? gen1 : gen2)
-                    serial[static_cast<size_t>(gen)].push_back(
-                        serialDetail(cfg, *h.genome, h.key, episodes,
-                                     seedFor));
-            }
+            const auto oracleFor = [&](const auto &handles) {
+                return oracle::serialDetails("CartPole_v0", cfg, handles,
+                                             episodes, seedFor,
+                                             nn::NumericsTier::Reference);
+            };
+            const std::vector<oracle::DetailedEval> serial[] = {
+                oracleFor(gen1), oracleFor(gen2)};
             for (const int threads : {1, 2, 3, 8}) {
                 for (const int lanes : {1, 3, 8}) {
                     SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
@@ -500,20 +356,16 @@ TEST(WaveSchedulerTest, SkewedBatchIndependentOfClaimOrder)
                     long compiles = 0;
                     for (int gen = 0; gen < 2; ++gen) {
                         const auto &handles = gen == 0 ? gen1 : gen2;
-                        const auto results = engine.evaluateGeneration(
-                            handles, cfg, seedFor);
-                        const auto details =
-                            oracle::engineDetails(engine, results);
                         const auto &expect =
                             serial[static_cast<size_t>(gen)];
-                        ASSERT_EQ(results.size(), expect.size());
+                        oracle::expectMatchesOracle(
+                            oracle::evaluate(engine, handles, cfg, seedFor),
+                            handles, expect);
                         long inferences = 0;
                         long lockstep = 0;
-                        for (size_t i = 0; i < expect.size(); ++i) {
-                            EXPECT_EQ(results[i].genomeKey, handles[i].key);
-                            expectDetailIdentical(details[i], expect[i]);
-                            inferences += expect[i].inferences;
-                            lockstep += expect[i].maxEpisodeSteps;
+                        for (const auto &d : expect) {
+                            inferences += d.inferences;
+                            lockstep += d.maxEpisodeSteps;
                         }
 
                         // One compile per genome not carried over, and
@@ -543,80 +395,6 @@ TEST(WaveSchedulerTest, SkewedBatchIndependentOfClaimOrder)
                     }
                 }
             }
-        }
-    }
-}
-
-// --- system level: whole-run RunSummary digests ------------------------------
-
-namespace
-{
-
-std::pair<core::RunSummary, std::vector<core::GenerationReport>>
-runSystem(int threads, bool batch, bool feed_forward)
-{
-    core::SystemConfig cfg;
-    cfg.envName = "CartPole_v0";
-    cfg.maxGenerations = 4;
-    cfg.episodesPerEval = 1;
-    cfg.seed = 29;
-    cfg.numThreads = threads;
-    cfg.batchEpisodes = batch;
-    cfg.heterogeneousLanes = batch;
-    if (!feed_forward)
-        cfg.tweakNeat = [](neat::NeatConfig &ncfg) {
-            ncfg.feedForward = false;
-        };
-    core::System sys(cfg);
-    auto summary = sys.run();
-    return {summary, sys.reports()};
-}
-
-void
-expectRunsIdentical(
-    const std::pair<core::RunSummary,
-                    std::vector<core::GenerationReport>> &run,
-    const std::pair<core::RunSummary,
-                    std::vector<core::GenerationReport>> &ref)
-{
-    const auto &[s, r] = run;
-    const auto &[s_ref, r_ref] = ref;
-    EXPECT_EQ(s.solved, s_ref.solved);
-    EXPECT_EQ(s.generations, s_ref.generations);
-    EXPECT_EQ(s.bestFitness, s_ref.bestFitness);
-    EXPECT_EQ(s.totalEvolutionEnergyJ, s_ref.totalEvolutionEnergyJ);
-    EXPECT_EQ(s.totalInferenceEnergyJ, s_ref.totalInferenceEnergyJ);
-    EXPECT_EQ(s.totalEvolutionSeconds, s_ref.totalEvolutionSeconds);
-    EXPECT_EQ(s.totalInferenceSeconds, s_ref.totalInferenceSeconds);
-    ASSERT_EQ(r.size(), r_ref.size());
-    for (size_t i = 0; i < r_ref.size(); ++i) {
-        EXPECT_EQ(r[i].algo.bestFitness, r_ref[i].algo.bestFitness);
-        EXPECT_EQ(r[i].algo.meanFitness, r_ref[i].algo.meanFitness);
-        EXPECT_EQ(r[i].inferenceSteps, r_ref[i].inferenceSteps);
-        EXPECT_EQ(r[i].maxEpisodeSteps, r_ref[i].maxEpisodeSteps);
-        EXPECT_EQ(r[i].macsPerStep, r_ref[i].macsPerStep);
-        EXPECT_EQ(r[i].hw.eve.cycles, r_ref[i].hw.eve.cycles);
-        EXPECT_EQ(r[i].hw.adam.cycles, r_ref[i].hw.adam.cycles);
-        // Every configuration measures its lane occupancy and
-        // surfaces it in the generation reports.
-        EXPECT_GT(r[i].batches.waveLaneSlotSteps, 0);
-        EXPECT_GT(r_ref[i].batches.waveLaneSlotSteps, 0);
-    }
-}
-
-} // namespace
-
-TEST(WaveSchedulerTest, SystemDigestsIdenticalAcrossChunkings)
-{
-    // E = 1 compares multi-lane shards with one-lane serial shards;
-    // E > 1 episode lanes are covered by test_episode_batch.
-    for (const bool feed_forward : {true, false}) {
-        const auto ref = runSystem(1, /*batch=*/false, feed_forward);
-        for (int threads : {1, 8}) {
-            SCOPED_TRACE(std::string(feed_forward ? "ff" : "rec") +
-                         " threads " + std::to_string(threads));
-            expectRunsIdentical(
-                runSystem(threads, /*batch=*/true, feed_forward), ref);
         }
     }
 }
