@@ -4,13 +4,17 @@
  * loop — NEAT population, environment instances, and the SoC
  * hardware model — in ~20 lines of user code.
  *
- * Build & run:  ./build/examples/quickstart [seed] [maxGenerations] [resumeSnapshot]
+ * Build & run:  ./build/examples/quickstart [--checkpoint-dir DIR]
+ *                   [--telemetry-dir DIR] [seed] [maxGenerations]
+ *                   [resumeSnapshot]
  *
- * Set GENESYS_CHECKPOINT_DIR to write a persist:: snapshot at every
- * generation barrier; pass a snapshot path as the third argument to
- * resume it in a fresh process. A resumed run is bit-identical to the
- * uninterrupted one — the per-generation "digest gen" lines printed
- * below let CI diff the two.
+ * The flags map onto core::SystemConfig. --checkpoint-dir writes a
+ * persist:: snapshot into DIR at every generation barrier; pass a
+ * snapshot path as the third positional argument to resume it in a
+ * fresh process. A resumed run is bit-identical to the uninterrupted
+ * one — the per-generation "digest gen" lines printed below let CI
+ * diff the two. --telemetry-dir turns on span tracing and metrics and
+ * writes their artifacts into DIR.
  */
 
 #include <bit>
@@ -18,6 +22,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "common/check.hh"
 #include "common/table.hh"
@@ -30,9 +36,32 @@ main(int argc, char **argv)
 
     core::SystemConfig cfg;
     cfg.envName = "CartPole_v0";
-    cfg.maxGenerations =
-        argc > 2 ? std::atoi(argv[2]) : 40;
-    cfg.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+    std::vector<std::string> args; // positional
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0) {
+            args.push_back(arg);
+            continue;
+        }
+        if (i + 1 == argc ||
+            (arg != "--checkpoint-dir" && arg != "--telemetry-dir")) {
+            std::cerr << "usage: quickstart [--checkpoint-dir DIR] "
+                         "[--telemetry-dir DIR] [seed] "
+                         "[maxGenerations] [resumeSnapshot]\n";
+            return 2;
+        }
+        const std::string dir = argv[++i];
+        if (arg == "--checkpoint-dir") {
+            cfg.checkpointDir = dir;
+        } else {
+            cfg.telemetry.trace = true;
+            cfg.telemetry.metrics = true;
+            cfg.telemetry.dir = dir;
+        }
+    }
+    cfg.seed =
+        !args.empty() ? std::strtoull(args[0].c_str(), nullptr, 10) : 7;
+    cfg.maxGenerations = args.size() > 1 ? std::atoi(args[1].c_str()) : 40;
     // Evaluate each generation on all hardware threads; fitness is
     // bit-identical to a serial (numThreads = 1) run.
     cfg.numThreads = 0;
@@ -41,14 +70,13 @@ main(int argc, char **argv)
 
     // Self-identifying log header: which correctness tooling this
     // binary carries (GENESYS_CHECKED build flag, the sanitizer it
-    // was compiled under, if any) and the numerics tier the run
-    // resolved (config + GENESYS_NUMERICS override).
+    // was compiled under, if any) and the run's numerics tier.
     std::cout << "build: checked=" << (checkedBuild() ? "on" : "off")
               << " sanitizer=" << sanitizerName()
               << " numerics=" << nn::numericsTierName(sys.numericsTier())
               << "\n";
-    if (argc > 3)
-        sys.resumeFrom(argv[3]);
+    if (args.size() > 2)
+        sys.resumeFrom(args[2]);
     core::RunSummary summary = sys.run();
 
     Table t("CartPole_v0 evolution (population 150)");

@@ -51,16 +51,11 @@ System::System(SystemConfig cfg)
 
     // Telemetry session first, so the sinks are installed before any
     // pool worker spawns (workers name their timeline rows on their
-    // first drain). GENESYS_TRACE / GENESYS_METRICS override the
-    // config the same way GENESYS_NUMERICS does below.
-    obs::applyTelemetryFromEnv(cfg_.telemetry);
+    // first drain).
     telemetry_ = std::make_unique<obs::Telemetry>(cfg_.telemetry);
 
-    // Checkpointing knobs resolve the same way; a bad
-    // GENESYS_CHECKPOINT_EVERY is a fatal configuration error here,
+    // A bad checkpoint interval is a fatal configuration error here,
     // not at the first generation barrier.
-    persist::applyCheckpointFromEnv(cfg_.checkpointDir,
-                                    cfg_.checkpointEveryN);
     if (!cfg_.checkpointDir.empty()) {
         if (cfg_.checkpointEveryN <= 0) {
             fatal("bad SystemConfig::checkpointEveryN " +
@@ -84,11 +79,6 @@ System::System(SystemConfig cfg)
     ecfg.heterogeneousLanes = cfg_.heterogeneousLanes;
     ecfg.waveLanes = cfg_.waveLanes;
     ecfg.numericsTier = cfg_.numericsTier;
-    // CI test-matrix hook: GENESYS_NUMERICS pins the numerics tier
-    // for every System-level consumer; the resolved tier is kept for
-    // replay and snapshot provenance.
-    exec::applyNumericsFromEnv(ecfg);
-    numericsTier_ = ecfg.numericsTier;
     engine_ = std::make_unique<exec::EvalEngine>(std::move(ecfg));
     startup_.engineSeconds = secondsSince(engine0);
 
@@ -305,7 +295,7 @@ System::writeCheckpoint()
     snap.numInputs = neatCfg_.numInputs;
     snap.numOutputs = neatCfg_.numOutputs;
     snap.feedForward = neatCfg_.feedForward;
-    snap.numericsTier = numericsTier_;
+    snap.numericsTier = cfg_.numericsTier;
     snap.population = population_->capture();
     if (const auto *reg = obs::MetricsRegistry::active())
         snap.counters = reg->counterSnapshot();
@@ -353,10 +343,10 @@ System::resumeFrom(const std::string &path)
     if (snap.feedForward != neatCfg_.feedForward)
         mismatch("feed-forward flag", snap.feedForward,
                  neatCfg_.feedForward);
-    if (snap.numericsTier != numericsTier_)
+    if (snap.numericsTier != cfg_.numericsTier)
         mismatch("numerics tier",
                  nn::numericsTierName(snap.numericsTier),
-                 nn::numericsTierName(numericsTier_));
+                 nn::numericsTierName(cfg_.numericsTier));
 
     // Structure gate: the digest only proves the bytes are the ones
     // written, not that they describe genomes this run can breed and
@@ -452,7 +442,7 @@ System::replayBest(uint64_t seed)
     // under the same numerics tier the run evaluated with. The episode
     // runs on the engine's loop, one item on one lane.
     const auto plan = nn::CompiledPlan::compileFor(
-        population_->bestGenome(), neatCfg_, numericsTier_);
+        population_->bestGenome(), neatCfg_, cfg_.numericsTier);
     env::WaveScratch scratch;
     return env::evaluateWave({{&plan, seed}}, {env_.get()}, scratch)
         .episodes.front();

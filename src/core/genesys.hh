@@ -60,9 +60,7 @@ struct SystemConfig
      * path; HwFaithful quantizes weights/bias/response and every node
      * activation through the Q6.10 gene format with branch-free
      * approximation kernels — the datapath the GeneSys silicon runs.
-     * The GENESYS_NUMERICS environment variable ("reference", "hw")
-     * overrides this knob (exec::applyNumericsFromEnv); the resolved
-     * tier is recorded in checkpoints and must match on resume.
+     * The tier is recorded in checkpoints and must match on resume.
      */
     nn::NumericsTier numericsTier = nn::NumericsTier::Reference;
     /** Simulate the SoC alongside the algorithm? */
@@ -74,20 +72,15 @@ struct SystemConfig
      * directory (see obs::TelemetryConfig). Off by default — the
      * null sink costs one predicted branch per instrumentation site
      * and is side-effect-free on results either way: golden digests
-     * are bit-identical with telemetry on and off. The GENESYS_TRACE
-     * / GENESYS_METRICS / GENESYS_TELEMETRY_DIR environment
-     * variables override these fields (same idiom as
-     * GENESYS_NUMERICS).
+     * are bit-identical with telemetry on and off.
      */
     obs::TelemetryConfig telemetry{};
     /**
      * Checkpointing: when non-empty, a persist:: snapshot of the full
      * evolution state is written into this directory at the
-     * generation barrier (created if missing). "" = off. The
-     * GENESYS_CHECKPOINT_DIR / GENESYS_CHECKPOINT_EVERY environment
-     * variables override these fields (same idiom as
-     * GENESYS_NUMERICS). Resuming from a snapshot reproduces the
-     * uninterrupted run bit-identically — see System::resumeFrom.
+     * generation barrier (created if missing). "" = off. Resuming
+     * from a snapshot reproduces the uninterrupted run
+     * bit-identically — see System::resumeFrom.
      */
     std::string checkpointDir;
     /**
@@ -245,8 +238,8 @@ class System
     const exec::EvalEngine &evalEngine() const { return *engine_; }
     /** The run's telemetry session (disabled unless configured). */
     const obs::Telemetry &telemetry() const { return *telemetry_; }
-    /** The resolved numerics tier (config + GENESYS_NUMERICS). */
-    nn::NumericsTier numericsTier() const { return numericsTier_; }
+    /** The run's numerics tier (SystemConfig::numericsTier). */
+    nn::NumericsTier numericsTier() const { return cfg_.numericsTier; }
 
     /** Where construction spent its wall-clock. */
     const StartupPhases &startupPhases() const { return startup_; }
@@ -294,8 +287,6 @@ class System
     StartupPhases startup_;
     ResumePhases resume_;
     bool solved_ = false;
-    /** Resolved once in the constructor; used by replay + snapshots. */
-    nn::NumericsTier numericsTier_ = nn::NumericsTier::Reference;
 };
 
 } // namespace genesys::core

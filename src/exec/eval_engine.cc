@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <span>
@@ -40,15 +39,6 @@ BatchStats::laneOccupancy() const
                ? static_cast<double>(waveActiveLaneSteps) /
                      static_cast<double>(waveLaneSlotSteps)
                : 0.0;
-}
-
-void
-applyNumericsFromEnv(EvalEngineConfig &cfg)
-{
-    const char *tier = std::getenv("GENESYS_NUMERICS");
-    if (tier == nullptr || *tier == '\0')
-        return;
-    cfg.numericsTier = nn::numericsTierFromName(tier);
 }
 
 EvalEngine::SeedFn

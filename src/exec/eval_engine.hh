@@ -164,20 +164,10 @@ struct EvalEngineConfig
      * attributes and activations through the Q6.10 gene format and
      * runs the branch-free approximation kernels. Tiers are distinct
      * numerics by design — digests match within a tier, not across.
+     * core::System copies SystemConfig::numericsTier here.
      */
     nn::NumericsTier numericsTier = nn::NumericsTier::Reference;
 };
-
-/**
- * Apply the GENESYS_NUMERICS environment variable to `cfg`:
- * "reference" selects the float tier, "hw" the hardware-faithful
- * fixed-point tier. Unset (or empty) leaves `cfg` untouched; anything
- * else is a fatal configuration error. This is a CI matrix hook —
- * core::System applies it on top of SystemConfig — and the tiers are
- * *not* bit-identical to each other, so digest-pinning tests must set
- * the tier explicitly.
- */
-void applyNumericsFromEnv(EvalEngineConfig &cfg);
 
 /**
  * Persistent batch evaluator: construct once per run, submit one

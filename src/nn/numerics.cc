@@ -22,15 +22,4 @@ numericsTierName(NumericsTier tier)
     return tierNames[idx];
 }
 
-NumericsTier
-numericsTierFromName(const std::string &name)
-{
-    for (size_t i = 0; i < tierNames.size(); ++i) {
-        if (tierNames[i] == name)
-            return static_cast<NumericsTier>(i);
-    }
-    fatal("unknown numerics tier \"" + name +
-          "\" (expected reference or hw)");
-}
-
 } // namespace genesys::nn

@@ -43,9 +43,6 @@ enum class NumericsTier : uint8_t
 /** Human-readable tier name ("reference" / "hw"). */
 const std::string &numericsTierName(NumericsTier tier);
 
-/** Parse a tier name back to the enum; fatal on unknown names. */
-NumericsTier numericsTierFromName(const std::string &name);
-
 /**
  * Integer/fractional bit split of the hardware attribute format: the
  * Q6.10 gene fields (hw::GeneCodec uses the same constants). The

@@ -1,6 +1,5 @@
 #include "obs/telemetry.hh"
 
-#include <cstdlib>
 #include <filesystem>
 
 #include "common/logging.hh"
@@ -8,38 +7,6 @@
 
 namespace genesys::obs
 {
-
-namespace
-{
-
-/** Parse a "0"/"1" environment toggle; unset/empty leaves `out`. */
-void
-applyBoolEnv(const char *var, bool &out)
-{
-    const char *v = std::getenv(var);
-    if (v == nullptr || *v == '\0')
-        return;
-    const std::string s(v);
-    if (s == "0")
-        out = false;
-    else if (s == "1")
-        out = true;
-    else
-        fatal(std::string(var) + "=\"" + s +
-              "\" is not a valid toggle (expected 0 or 1)");
-}
-
-} // namespace
-
-void
-applyTelemetryFromEnv(TelemetryConfig &cfg)
-{
-    applyBoolEnv("GENESYS_TRACE", cfg.trace);
-    applyBoolEnv("GENESYS_METRICS", cfg.metrics);
-    const char *dir = std::getenv("GENESYS_TELEMETRY_DIR");
-    if (dir != nullptr && *dir != '\0')
-        cfg.dir = dir;
-}
 
 Telemetry::Telemetry(TelemetryConfig cfg) : cfg_(std::move(cfg))
 {

@@ -16,11 +16,8 @@
  *                                     counts, stream lengths
  *
  * Disabled (the default) nothing is installed and every
- * instrumentation site stays a null-pointer branch. Configuration
- * follows the GENESYS_NUMERICS idiom: core::SystemConfig carries a
- * TelemetryConfig, and the GENESYS_TRACE / GENESYS_METRICS /
- * GENESYS_TELEMETRY_DIR environment variables override it
- * (applyTelemetryFromEnv).
+ * instrumentation site stays a null-pointer branch. A run is
+ * configured through core::SystemConfig::telemetry alone.
  *
  * One session at a time: if another session is already installed, a
  * new enabled session degrades to disabled with a warning rather
@@ -59,18 +56,9 @@ struct TelemetryConfig
 };
 
 /**
- * Apply GENESYS_TRACE ("0"/"1"), GENESYS_METRICS ("0"/"1") and
- * GENESYS_TELEMETRY_DIR (a path) to `cfg`. Unset or empty variables
- * leave the corresponding field untouched; any other value is a
- * fatal configuration error — the same idiom as
- * exec::applyNumericsFromEnv.
- */
-void applyTelemetryFromEnv(TelemetryConfig &cfg);
-
-/**
- * The run-scoped telemetry session. Construct after resolving the
- * config (core::System does both); destruction (or an explicit
- * finish()) flushes trace.json and metrics.prom and uninstalls the
+ * The run-scoped telemetry session (core::System builds one from
+ * SystemConfig::telemetry); destruction (or an explicit finish())
+ * flushes trace.json and metrics.prom and uninstalls the
  * sinks. finish() must run while no other thread is recording — in
  * System the engine (and its worker pool) is destroyed first.
  */

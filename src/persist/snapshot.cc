@@ -3,7 +3,6 @@
 #include <bit>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -585,25 +584,6 @@ snapshotFileName(int generation)
     oss << "snapshot-gen-" << std::setw(6) << std::setfill('0')
         << generation << ".gsnap";
     return oss.str();
-}
-
-void
-applyCheckpointFromEnv(std::string &dir, int &every_n)
-{
-    if (const char *d = std::getenv("GENESYS_CHECKPOINT_DIR");
-        d != nullptr && *d != '\0') {
-        dir = d;
-    }
-    if (const char *e = std::getenv("GENESYS_CHECKPOINT_EVERY");
-        e != nullptr && *e != '\0') {
-        char *end = nullptr;
-        const long n = std::strtol(e, &end, 10);
-        if (end == e || *end != '\0' || n <= 0) {
-            fatal("bad GENESYS_CHECKPOINT_EVERY \"" + std::string(e) +
-                  "\" (expected a positive integer)");
-        }
-        every_n = static_cast<int>(n);
-    }
 }
 
 void

@@ -94,9 +94,10 @@ struct SystemSnapshot
     bool feedForward = true;
     /**
      * Numerics tier the run evaluated under. Tiers are numerically
-     * distinct lowerings, so a resumed run must re-select the same
-     * one for the continuation to be bit-identical — System::
-     * resumeFrom validates this like the other provenance fields.
+     * distinct lowerings, so the resuming System's
+     * SystemConfig::numericsTier must match for the continuation to
+     * be bit-identical — System::resumeFrom validates this like the
+     * other provenance fields.
      */
     nn::NumericsTier numericsTier = nn::NumericsTier::Reference;
 
@@ -138,16 +139,6 @@ SystemSnapshot readSnapshot(std::istream &in, std::uintmax_t size,
 
 /** Canonical file name for a checkpoint of generation `generation`. */
 std::string snapshotFileName(int generation);
-
-/**
- * Apply the GENESYS_CHECKPOINT_DIR / GENESYS_CHECKPOINT_EVERY
- * environment variables on top of the config fields (the
- * applyNumericsFromEnv idiom): a set, non-empty GENESYS_CHECKPOINT_DIR
- * replaces `dir`; GENESYS_CHECKPOINT_EVERY must parse as a positive
- * integer and replaces `every_n`. Unset/empty leaves the fields
- * untouched; garbage is a fatal configuration error.
- */
-void applyCheckpointFromEnv(std::string &dir, int &every_n);
 
 /**
  * Lossless single-genome snapshot codec: key, fitness, deletion

@@ -90,14 +90,6 @@ makeLanes(const std::string &envName, int width)
     return l;
 }
 
-nn::NumericsTier
-ambientTier()
-{
-    exec::EvalEngineConfig cfg;
-    exec::applyNumericsFromEnv(cfg);
-    return cfg.numericsTier;
-}
-
 EngineRun
 evaluate(exec::EvalEngine &engine,
          const std::vector<neat::GenomeHandle> &batch,

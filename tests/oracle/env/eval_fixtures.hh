@@ -70,13 +70,6 @@ struct Lanes
 
 Lanes makeLanes(const std::string &envName, int width);
 
-/**
- * The tier GENESYS_NUMERICS selects (Reference when unset), so a suite
- * that builds plans itself runs under the same tier as the engine and
- * System runs beside it.
- */
-nn::NumericsTier ambientTier();
-
 /** One engine pass: its results and each genome's episode slots. */
 struct EngineRun
 {

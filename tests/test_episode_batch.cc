@@ -5,10 +5,11 @@
  * the 1-thread default run of the same configuration. The golden
  * suite already pins E = 1 at 1 and 8 threads under every lane
  * configuration; this sweep adds E = 3 (one genome's episodes side by
- * side, batchEpisodes), 2 threads, feed-forward and recurrent, and the
- * fields the digest does not read: the best genome's key and size, and
- * each generation's best genome, gene total, species count and parent
- * reuse. Every report must also carry measured lane occupancy.
+ * side, batchEpisodes), 2 threads, feed-forward and recurrent, both
+ * numerics tiers, and the fields the digest does not read: the best
+ * genome's key and size, and each generation's best genome, gene
+ * total, species count and parent reuse. Every report must also carry
+ * measured lane occupancy.
  * Equality below the System — engine and kernel against the serial
  * oracle — lives in test_eval_engine and test_wave_scheduler.
  */
@@ -17,7 +18,7 @@
 
 #include <limits>
 #include <map>
-#include <utility>
+#include <tuple>
 
 #include "core/genesys.hh"
 #include "core/run_digest.hh"
@@ -31,6 +32,7 @@ struct SystemCase
 {
     int episodes;
     bool feedForward;
+    nn::NumericsTier tier;
     int threads;
     bool batchEpisodes = true;
     bool heterogeneousLanes = true;
@@ -40,15 +42,18 @@ std::vector<SystemCase>
 systemCases()
 {
     std::vector<SystemCase> cases;
-    for (const int episodes : {1, 3}) {
-        for (const bool ff : {true, false}) {
-            cases.push_back({episodes, ff, 2});
-            cases.push_back({episodes, ff, 8});
-            cases.push_back({episodes, ff, 1, false, true});
-            // At E > 1 a shard holds one genome's episodes whatever
-            // heterogeneousLanes says.
-            if (episodes == 1)
-                cases.push_back({episodes, ff, 1, true, false});
+    for (const nn::NumericsTier tier :
+         {nn::NumericsTier::Reference, nn::NumericsTier::HwFaithful}) {
+        for (const int episodes : {1, 3}) {
+            for (const bool ff : {true, false}) {
+                cases.push_back({episodes, ff, tier, 2});
+                cases.push_back({episodes, ff, tier, 8});
+                cases.push_back({episodes, ff, tier, 1, false, true});
+                // At E > 1 a shard holds one genome's episodes
+                // whatever heterogeneousLanes says.
+                if (episodes == 1)
+                    cases.push_back({episodes, ff, tier, 1, true, false});
+            }
         }
     }
     return cases;
@@ -59,7 +64,8 @@ systemCaseName(const ::testing::TestParamInfo<SystemCase> &info)
 {
     const SystemCase &c = info.param;
     std::string name = std::to_string(c.episodes);
-    name += c.feedForward ? "_ff_t" : "_rec_t";
+    name += c.feedForward ? "_ff" : "_rec";
+    name += c.tier == nn::NumericsTier::HwFaithful ? "_hw_t" : "_t";
     name += std::to_string(c.threads);
     name += c.batchEpisodes ? "" : "_unbatched";
     name += c.heterogeneousLanes ? "" : "_homogeneous";
@@ -84,6 +90,7 @@ runSystem(const SystemCase &c)
     cfg.numThreads = c.threads;
     cfg.batchEpisodes = c.batchEpisodes;
     cfg.heterogeneousLanes = c.heterogeneousLanes;
+    cfg.numericsTier = c.tier;
     cfg.tweakNeat = [ff = c.feedForward](neat::NeatConfig &ncfg) {
         ncfg.populationSize = 50;
         ncfg.feedForward = ff;
@@ -96,15 +103,17 @@ runSystem(const SystemCase &c)
     return run;
 }
 
-/** The 1-thread default run of (E, mode), run once per suite. */
+/** The 1-thread default run of (E, mode, tier), run once per suite. */
 const RunRecord &
-reference(int episodes, bool feed_forward)
+reference(const SystemCase &c)
 {
-    static std::map<std::pair<int, bool>, RunRecord> runs;
-    const auto key = std::make_pair(episodes, feed_forward);
+    static std::map<std::tuple<int, bool, nn::NumericsTier>, RunRecord>
+        runs;
+    const auto key = std::make_tuple(c.episodes, c.feedForward, c.tier);
     auto it = runs.find(key);
     if (it == runs.end())
-        it = runs.emplace(key, runSystem({episodes, feed_forward, 1}))
+        it = runs.emplace(key, runSystem({c.episodes, c.feedForward,
+                                          c.tier, 1}))
                  .first;
     return it->second;
 }
@@ -118,7 +127,7 @@ class SystemSweep : public ::testing::TestWithParam<SystemCase>
 TEST_P(SystemSweep, MatchesOneThreadDefault)
 {
     const SystemCase &c = GetParam();
-    const RunRecord &ref = reference(c.episodes, c.feedForward);
+    const RunRecord &ref = reference(c);
     const RunRecord run = runSystem(c);
 
     EXPECT_EQ(oracle::digestFields(run.summary, run.reports),

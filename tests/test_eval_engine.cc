@@ -2,8 +2,9 @@
  * @file
  * Tests for the parallel batched evaluation engine (src/exec/). The
  * engine sweep runs one generation at E in {1, 5} x threads {1, 2, 8}
- * x wave lanes {default, 3, 16} x feed-forward/recurrent, plus the
- * batchEpisodes and heterogeneousLanes knobs switched off, and checks
+ * x wave lanes {default, 3, 16} x feed-forward/recurrent x numerics
+ * tier {Reference, HwFaithful}, plus the batchEpisodes and
+ * heterogeneousLanes knobs switched off, and checks
  * every genome, episode for episode, against the serial oracle
  * (tests/oracle/env/reference_eval) — twice on one engine, so the
  * second pass runs on carried-over plans. Also here: thread-pool
@@ -84,6 +85,7 @@ struct EngineCase
     /** EvalEngineConfig::waveLanes; 0 is the default width. */
     int waveLanes;
     bool feedForward;
+    nn::NumericsTier tier;
     bool batchEpisodes = true;
     bool heterogeneousLanes = true;
 };
@@ -92,13 +94,17 @@ std::vector<EngineCase>
 engineCases()
 {
     std::vector<EngineCase> cases;
-    for (const bool ff : {true, false}) {
-        for (const int episodes : {1, 5}) {
-            for (const int threads : {1, 2, 8})
-                for (const int lanes : {0, 3, 16})
-                    cases.push_back({episodes, threads, lanes, ff});
-            cases.push_back({episodes, 2, 0, ff, false, true});
-            cases.push_back({episodes, 2, 0, ff, true, false});
+    for (const nn::NumericsTier tier :
+         {nn::NumericsTier::Reference, nn::NumericsTier::HwFaithful}) {
+        for (const bool ff : {true, false}) {
+            for (const int episodes : {1, 5}) {
+                for (const int threads : {1, 2, 8})
+                    for (const int lanes : {0, 3, 16})
+                        cases.push_back(
+                            {episodes, threads, lanes, ff, tier});
+                cases.push_back({episodes, 2, 0, ff, tier, false, true});
+                cases.push_back({episodes, 2, 0, ff, tier, true, false});
+            }
         }
     }
     return cases;
@@ -112,6 +118,7 @@ engineCaseName(const ::testing::TestParamInfo<EngineCase> &info)
     name += "_t" + std::to_string(c.threads);
     name += "_l" + std::to_string(c.waveLanes);
     name += c.feedForward ? "_ff" : "_rec";
+    name += c.tier == nn::NumericsTier::HwFaithful ? "_hw" : "";
     name += c.batchEpisodes ? "" : "_unbatched";
     name += c.heterogeneousLanes ? "" : "_homogeneous";
     return "E" + name;
@@ -136,7 +143,7 @@ TEST_P(EngineSweep, MatchesSerialOracle)
     ecfg.waveLanes = c.waveLanes;
     ecfg.batchEpisodes = c.batchEpisodes;
     ecfg.heterogeneousLanes = c.heterogeneousLanes;
-    applyNumericsFromEnv(ecfg);
+    ecfg.numericsTier = c.tier;
     EvalEngine engine(ecfg);
     std::vector<nn::CompiledPlan> fresh;
     for (const auto &g : genomes)

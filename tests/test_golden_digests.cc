@@ -29,14 +29,13 @@
  * whichever worker claims which genome: the strongest cross-schedule
  * identity statement in the tree.
  *
- * GENESYS_NUMERICS, by contrast, IS pinned per test: the numerics
- * tiers are intentionally different lowerings with different bit
- * patterns, so each configuration carries one constant per tier
- * (Reference and HwFaithful) and selects its tier explicitly — a CI
- * job exporting GENESYS_NUMERICS=hw suite-wide must not silently
- * retarget the reference constants. The Hw* tests make the same
- * cross-thread/cross-mode/cross-resume identity statement for the
- * quantized tier that the originals make for the float tier.
+ * The numerics tier, by contrast, selects the constant: the tiers are
+ * intentionally different lowerings with different bit patterns, so
+ * each configuration carries one constant per tier (Reference and
+ * HwFaithful) and sets SystemConfig::numericsTier to match. The Hw*
+ * tests make the same cross-thread/cross-mode/cross-resume identity
+ * statement for the quantized tier that the originals make for the
+ * float tier.
  *
  * The Resumed* variants run the same configurations interrupted at a
  * mid-run generation barrier — checkpoint, destroy the System, resume
@@ -58,13 +57,11 @@
 #include "core/genesys.hh"
 #include "core/run_digest.hh"
 #include "nn/numerics.hh"
-#include "nn/scoped_numerics_env.hh"
 #include "persist/snapshot.hh"
 
 using namespace genesys;
 using oracle::digestFields;
 using oracle::fold;
-using oracle::ScopedNumericsEnv;
 
 namespace
 {
@@ -72,9 +69,11 @@ namespace
 /** The fixed configuration every golden run uses. */
 core::SystemConfig
 goldenConfig(const std::string &envName, bool feed_forward, int threads,
+             nn::NumericsTier tier = nn::NumericsTier::Reference,
              bool batchEpisodes = true, bool heterogeneousLanes = true)
 {
     core::SystemConfig cfg;
+    cfg.numericsTier = tier;
     cfg.batchEpisodes = batchEpisodes;
     cfg.heterogeneousLanes = heterogeneousLanes;
     cfg.envName = envName;
@@ -132,9 +131,8 @@ digestWithSpecies(const RunRecord &rec)
 
 /** Run `cfg` to its horizon in one System. */
 RunRecord
-runFresh(const core::SystemConfig &cfg, nn::NumericsTier tier)
+runFresh(const core::SystemConfig &cfg)
 {
-    ScopedNumericsEnv pin(tier);
     core::System sys(cfg);
     RunRecord rec;
     rec.summary = sys.run();
@@ -149,9 +147,8 @@ digestRun(const std::string &envName, bool feed_forward, int threads,
           bool heterogeneousLanes = true)
 {
     const RunRecord rec =
-        runFresh(goldenConfig(envName, feed_forward, threads,
-                              batchEpisodes, heterogeneousLanes),
-                 tier);
+        runFresh(goldenConfig(envName, feed_forward, threads, tier,
+                              batchEpisodes, heterogeneousLanes));
     return digestFields(rec.summary, rec.reports);
 }
 
@@ -165,10 +162,8 @@ digestRun(const std::string &envName, bool feed_forward, int threads,
  * checkpoint directory.
  */
 RunRecord
-runResumed(const core::SystemConfig &cfg, int split, nn::NumericsTier tier,
-           const std::string &tag)
+runResumed(const core::SystemConfig &cfg, int split, const std::string &tag)
 {
-    ScopedNumericsEnv pin(tier);
     namespace fs = std::filesystem;
     std::ostringstream dn;
     // PID-qualified so two suite processes on one machine (e.g. two
@@ -176,7 +171,7 @@ runResumed(const core::SystemConfig &cfg, int split, nn::NumericsTier tier,
     // tier-qualified so the Reference and HwFaithful variants of one
     // configuration never share one either.
     dn << "genesys-golden-ckpt-" << tag << '-' << cfg.numThreads << '-'
-       << nn::numericsTierName(tier) << '-' << ::getpid();
+       << nn::numericsTierName(cfg.numericsTier) << '-' << ::getpid();
     const fs::path dir = fs::temp_directory_path() / dn.str();
     fs::remove_all(dir);
 
@@ -238,7 +233,7 @@ digestResumedRun(const std::string &envName, bool feed_forward,
                  int threads, int split, nn::NumericsTier tier)
 {
     const RunRecord rec = runResumed(
-        goldenConfig(envName, feed_forward, threads), split, tier,
+        goldenConfig(envName, feed_forward, threads, tier), split,
         envName + (feed_forward ? "-ff" : "-rec"));
     return digestFields(rec.summary, rec.reports);
 }
@@ -325,8 +320,7 @@ TEST(GoldenDigestTest, AtariRamRecurrent)
 TEST(GoldenDigestTest, CartPoleManySpecies)
 {
     constexpr uint64_t kGolden = 0xdeed1e52fe75c27eull;
-    const RunRecord rec =
-        runFresh(manySpeciesConfig(1), nn::NumericsTier::Reference);
+    const RunRecord rec = runFresh(manySpeciesConfig(1));
     const uint64_t d1 = digestWithSpecies(rec);
     if (std::getenv("GENESYS_PRINT_DIGESTS") != nullptr) {
         printf("golden digest %-16s %s %-9s: 0x%016llxull\n",
@@ -340,9 +334,7 @@ TEST(GoldenDigestTest, CartPoleManySpecies)
         << "many-species CartPole digest drifted; if the change is "
            "intentional, regenerate with GENESYS_PRINT_DIGESTS=1 "
            "./tests/test_golden_digests";
-    EXPECT_EQ(digestWithSpecies(runFresh(manySpeciesConfig(8),
-                                         nn::NumericsTier::Reference)),
-              d1)
+    EXPECT_EQ(digestWithSpecies(runFresh(manySpeciesConfig(8))), d1)
         << "many-species digest differs at 8 threads";
 
     // The configuration must keep covering what it was added for:
@@ -367,8 +359,7 @@ TEST(GoldenDigestTest, ResumedCartPoleManySpecies)
     // rests on the stagnation state the checkpoint carried.
     for (int threads : {1, 8}) {
         const RunRecord rec =
-            runResumed(manySpeciesConfig(threads), 10,
-                       nn::NumericsTier::Reference, "many-species");
+            runResumed(manySpeciesConfig(threads), 10, "many-species");
         EXPECT_EQ(digestWithSpecies(rec), 0xdeed1e52fe75c27eull)
             << "many-species resumed digest differs at " << threads
             << " threads: checkpoint/resume is not bit-identical";

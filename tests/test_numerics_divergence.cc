@@ -48,10 +48,8 @@
 #include "nn/hw_activations.hh"
 #include "nn/numerics.hh"
 #include "nn/plan_fixtures.hh"
-#include "nn/scoped_numerics_env.hh"
 
 using namespace genesys;
-using oracle::ScopedNumericsEnv;
 using neat::Genome;
 using neat::NeatConfig;
 
@@ -207,10 +205,11 @@ namespace
  * golden-digest suite's shape: small population, few generations).
  */
 core::SystemConfig
-divergenceConfig(const std::string &env_name)
+divergenceConfig(const std::string &env_name, nn::NumericsTier tier)
 {
     core::SystemConfig cfg;
     cfg.envName = env_name;
+    cfg.numericsTier = tier;
     cfg.maxGenerations = 4;
     cfg.episodesPerEval = 1;
     cfg.seed = 20260808;
@@ -228,10 +227,9 @@ struct TierRun
 };
 
 TierRun
-runTier(const std::string &env_name, const char *tier)
+runTier(const std::string &env_name, nn::NumericsTier tier)
 {
-    ScopedNumericsEnv pin(tier);
-    core::System sys(divergenceConfig(env_name));
+    core::System sys(divergenceConfig(env_name, tier));
     const core::RunSummary s = sys.run();
     TierRun r;
     r.gen0Mean = sys.reports().front().algo.meanFitness;
@@ -270,8 +268,8 @@ constexpr EnvBound kEnvBounds[] = {
 TEST(NumericsDivergence, FitnessDivergenceBoundedPerEnvironment)
 {
     for (const EnvBound &eb : kEnvBounds) {
-        const TierRun ref = runTier(eb.env, "reference");
-        const TierRun hw = runTier(eb.env, "hw");
+        const TierRun ref = runTier(eb.env, nn::NumericsTier::Reference);
+        const TierRun hw = runTier(eb.env, nn::NumericsTier::HwFaithful);
         EXPECT_LE(relDivergence(ref.gen0Mean, hw.gen0Mean), eb.gen0Bound)
             << eb.env << ": gen-0 mean fitness " << ref.gen0Mean
             << " (float) vs " << hw.gen0Mean << " (hw)";
@@ -283,23 +281,5 @@ TEST(NumericsDivergence, FitnessDivergenceBoundedPerEnvironment)
         EXPECT_GT(hw.bestFitness, 0.25 * ref.bestFitness)
             << eb.env << ": hw-tier search collapsed (best "
             << hw.bestFitness << " vs float " << ref.bestFitness << ")";
-    }
-}
-
-TEST(NumericsDivergence, EnvOverrideSelectsTier)
-{
-    // The GENESYS_NUMERICS hook resolves exactly like the eval-mode
-    // hook: set → overrides config; unset → config wins.
-    {
-        ScopedNumericsEnv pin("hw");
-        core::System sys(divergenceConfig("CartPole_v0"));
-        EXPECT_EQ(sys.numericsTier(), nn::NumericsTier::HwFaithful);
-    }
-    {
-        ScopedNumericsEnv pin("reference");
-        core::SystemConfig cfg = divergenceConfig("CartPole_v0");
-        cfg.numericsTier = nn::NumericsTier::HwFaithful;
-        core::System sys(cfg);
-        EXPECT_EQ(sys.numericsTier(), nn::NumericsTier::Reference);
     }
 }

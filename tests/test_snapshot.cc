@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -507,8 +506,8 @@ TEST_F(SnapshotCorruptionTest, TruncatedBelowHeader)
 
 TEST_F(SnapshotCorruptionTest, TruncatedPayload)
 {
-    auto v = bytes_;
-    v.resize(v.size() - 100);
+    ASSERT_GT(bytes_.size(), 100u);
+    const std::vector<char> v(bytes_.begin(), bytes_.end() - 100);
     const std::string msg = errorFor(writeVariant("trunc.gsnap", v));
     EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
     EXPECT_NE(msg.find("payload bytes"), std::string::npos) << msg;
@@ -602,8 +601,8 @@ TEST_F(SnapshotCorruptionTest, MalformedGenomesReportTheSerialOrderFirst)
 TEST_F(SnapshotCorruptionTest, DistinctMessagesPerFailureMode)
 {
     // The three ISSUE failure modes must be told apart by message.
-    auto trunc = bytes_;
-    trunc.resize(trunc.size() - 1);
+    ASSERT_FALSE(bytes_.empty());
+    const std::vector<char> trunc(bytes_.begin(), bytes_.end() - 1);
     auto flip = bytes_;
     flip[flip.size() - 1] = static_cast<char>(flip[flip.size() - 1] ^ 1);
     auto vers = bytes_;
@@ -1212,6 +1211,20 @@ TEST(SnapshotResume, RejectsMismatchedConfig)
                 << e.what();
         }
     }
+    {
+        // A resume under the other arithmetic would silently diverge.
+        core::SystemConfig other = smallSystemConfig();
+        other.numericsTier = nn::NumericsTier::HwFaithful;
+        core::System sys(other);
+        try {
+            sys.resumeFrom(path);
+            FAIL() << "numerics tier mismatch accepted";
+        } catch (const persist::SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find("numerics tier"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     fs::remove_all(dir);
 }
 
@@ -1297,52 +1310,12 @@ TEST(MetricsSnapshot, CounterSnapshotRestoreRoundTrip)
     EXPECT_EQ(b.counter("z").value(), 43);
 }
 
-// --- env hooks ---------------------------------------------------------------
+// --- checkpoint config -------------------------------------------------------
 
-TEST(CheckpointEnv, AppliesDirAndEvery)
+TEST(CheckpointConfig, NonPositiveConfigEveryIsFatal)
 {
-    setenv("GENESYS_CHECKPOINT_DIR", "/tmp/ckpt-env-test", 1);
-    setenv("GENESYS_CHECKPOINT_EVERY", "5", 1);
-    std::string dir = "preset";
-    int every = 1;
-    persist::applyCheckpointFromEnv(dir, every);
-    EXPECT_EQ(dir, "/tmp/ckpt-env-test");
-    EXPECT_EQ(every, 5);
-    unsetenv("GENESYS_CHECKPOINT_DIR");
-    unsetenv("GENESYS_CHECKPOINT_EVERY");
-}
-
-TEST(CheckpointEnv, UnsetLeavesConfigUntouched)
-{
-    unsetenv("GENESYS_CHECKPOINT_DIR");
-    unsetenv("GENESYS_CHECKPOINT_EVERY");
-    std::string dir = "preset";
-    int every = 3;
-    persist::applyCheckpointFromEnv(dir, every);
-    EXPECT_EQ(dir, "preset");
-    EXPECT_EQ(every, 3);
-}
-
-TEST(CheckpointEnv, GarbageEveryIsFatal)
-{
-    setenv("GENESYS_CHECKPOINT_EVERY", "sometimes", 1);
-    std::string dir;
-    int every = 1;
-    EXPECT_THROW(persist::applyCheckpointFromEnv(dir, every),
-                 std::runtime_error);
-    setenv("GENESYS_CHECKPOINT_EVERY", "0", 1);
-    EXPECT_THROW(persist::applyCheckpointFromEnv(dir, every),
-                 std::runtime_error);
-    unsetenv("GENESYS_CHECKPOINT_EVERY");
-}
-
-TEST(CheckpointEnv, NonPositiveConfigEveryIsFatal)
-{
-    // The config field gets the same check as the environment
-    // variable: with a directory set, a zero or negative interval
-    // would create the directory and then never write a snapshot.
-    unsetenv("GENESYS_CHECKPOINT_DIR");
-    unsetenv("GENESYS_CHECKPOINT_EVERY");
+    // With a directory set, a zero or negative interval would create
+    // the directory and then never write a snapshot.
     const fs::path root = scratchDir("every0");
     const fs::path dir = root / "ckpt";
     for (int every : {0, -3}) {

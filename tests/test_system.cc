@@ -12,7 +12,6 @@
 
 #include "core/experiment.hh"
 #include "env/expect_eval.hh"
-#include "nn/scoped_numerics_env.hh"
 #include "hw/eve_pe.hh"
 #include "hw/gene_merge.hh"
 #include "hw/gene_split.hh"
@@ -182,9 +181,6 @@ TEST(SystemTest, ReplayBestMatchesSerialOracle)
              {nn::NumericsTier::Reference, nn::NumericsTier::HwFaithful}) {
             SCOPED_TRACE(std::string(feed_forward ? "ff " : "rec ") +
                          nn::numericsTierName(tier));
-            // Pinned: an ambient GENESYS_NUMERICS would override
-            // cfg.numericsTier.
-            oracle::ScopedNumericsEnv pin(tier);
             SystemConfig cfg;
             cfg.envName = "CartPole_v0";
             cfg.maxGenerations = 3;

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -29,35 +28,6 @@ using namespace genesys;
 
 namespace
 {
-
-/** Save/restore one environment variable around a test. */
-class EnvVarGuard
-{
-  public:
-    explicit EnvVarGuard(const char *name) : name_(name)
-    {
-        const char *v = std::getenv(name);
-        had_ = v != nullptr;
-        if (had_)
-            old_ = v;
-    }
-
-    ~EnvVarGuard()
-    {
-        if (had_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-    void set(const std::string &v) { ::setenv(name_, v.c_str(), 1); }
-    void unset() { ::unsetenv(name_); }
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 std::string
 readFile(const std::string &path)
@@ -344,35 +314,6 @@ TEST(TelemetryTest, DisabledSessionInstallsNothing)
     EXPECT_FALSE(session.installed());
     EXPECT_EQ(obs::Tracer::active(), nullptr);
     EXPECT_EQ(obs::MetricsRegistry::active(), nullptr);
-}
-
-TEST(TelemetryTest, ApplyTelemetryFromEnv)
-{
-    EnvVarGuard trace("GENESYS_TRACE");
-    EnvVarGuard metrics("GENESYS_METRICS");
-    EnvVarGuard dir("GENESYS_TELEMETRY_DIR");
-
-    obs::TelemetryConfig cfg;
-    trace.unset();
-    metrics.unset();
-    dir.unset();
-    obs::applyTelemetryFromEnv(cfg);
-    EXPECT_FALSE(cfg.trace);
-    EXPECT_FALSE(cfg.metrics);
-    EXPECT_EQ(cfg.dir, "genesys-telemetry");
-
-    trace.set("1");
-    metrics.set("0");
-    dir.set("somewhere/else");
-    cfg.metrics = true;
-    obs::applyTelemetryFromEnv(cfg);
-    EXPECT_TRUE(cfg.trace);
-    EXPECT_FALSE(cfg.metrics);
-    EXPECT_EQ(cfg.dir, "somewhere/else");
-
-    trace.set("yes");
-    EXPECT_THROW(obs::applyTelemetryFromEnv(cfg),
-                 std::runtime_error);
 }
 
 /**

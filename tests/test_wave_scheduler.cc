@@ -5,7 +5,8 @@
  * at a time). The kernel sweep runs three item layouts — many genomes
  * one episode each, a few genomes' episodes side by side, and one
  * genome's episodes per wave — at lane widths {1, 2, 5, 8, 16}, for
- * feed-forward and recurrent genomes: every episode bit-identical to
+ * feed-forward and recurrent genomes, under both numerics tiers:
+ * every episode bit-identical to
  * the serial loop, every plan exact against its genome's interpreter,
  * refill and occupancy accounting exact. The engine's claim order is
  * covered here too: a skewed batch must give the oracle's results,
@@ -58,16 +59,19 @@ struct KernelCase
     Layout layout;
     bool feedForward;
     int width;
+    nn::NumericsTier tier;
 };
 
 std::vector<KernelCase>
 kernelCases()
 {
     std::vector<KernelCase> cases;
-    for (const Layout &layout : kLayouts)
-        for (const bool ff : {true, false})
-            for (const int width : {1, 2, 5, 8, 16})
-                cases.push_back({layout, ff, width});
+    for (const nn::NumericsTier tier :
+         {nn::NumericsTier::Reference, nn::NumericsTier::HwFaithful})
+        for (const Layout &layout : kLayouts)
+            for (const bool ff : {true, false})
+                for (const int width : {1, 2, 5, 8, 16})
+                    cases.push_back({layout, ff, width, tier});
     return cases;
 }
 
@@ -76,7 +80,8 @@ kernelCaseName(const ::testing::TestParamInfo<KernelCase> &info)
 {
     const KernelCase &c = info.param;
     return std::string(c.layout.name) + (c.feedForward ? "_ff" : "_rec") +
-           "_w" + std::to_string(c.width);
+           "_w" + std::to_string(c.width) +
+           (c.tier == nn::NumericsTier::HwFaithful ? "_hw" : "");
 }
 
 } // namespace
@@ -90,7 +95,6 @@ TEST_P(WaveKernel, MatchesSerialOracle)
     const KernelCase &c = GetParam();
     const auto [cfg, genomes] =
         oracle::makeGenomes(c.layout.genomes, 61, c.feedForward);
-    const nn::NumericsTier tier = oracle::ambientTier();
     auto serial_env = env::makeEnvironment("CartPole_v0");
 
     std::vector<nn::CompiledPlan> plans;
@@ -98,7 +102,8 @@ TEST_P(WaveKernel, MatchesSerialOracle)
     std::vector<std::vector<env::WaveItem>> waves(1);
     for (size_t g = 0; g < genomes.size(); ++g) {
         SCOPED_TRACE("genome " + std::to_string(g));
-        plans.push_back(nn::CompiledPlan::compileFor(genomes[g], cfg, tier));
+        plans.push_back(
+            nn::CompiledPlan::compileFor(genomes[g], cfg, c.tier));
         ASSERT_EQ(plans[g].isRecurrent(), !c.feedForward);
         std::vector<uint64_t> seeds;
         for (int e = 0; e < c.layout.episodes; ++e)
@@ -106,7 +111,7 @@ TEST_P(WaveKernel, MatchesSerialOracle)
         oracle::expectDetailIdentical(
             oracle::evaluateDetailed(*serial_env, plans[g], seeds),
             oracle::evaluateDetailed(*serial_env, genomes[g], cfg, seeds,
-                                     tier));
+                                     c.tier));
         if (c.layout.wavePerGenome && g > 0)
             waves.emplace_back();
         for (const uint64_t seed : seeds)
