@@ -1,7 +1,8 @@
 /**
  * @file
- * Hardware ablations beyond the paper's figures, for the design
- * choices DESIGN.md calls out:
+ * Hardware ablations beyond the paper's figures, for design choices
+ * the paper leaves open (README, "Modelled, not measured", says what
+ * in this reproduction is modelled):
  *   1. greedy (parent-clustered) vs naive (arrival-order) PE
  *      allocation — how much of the multicast win comes from the
  *      Gene Split allocation policy;

@@ -37,15 +37,15 @@ printSeries(const std::string &title,
     size_t longest = 0;
     for (const auto &[name, s] : series) {
         header.push_back(name);
-        longest = std::max(longest, s.values.size());
+        longest = std::max(longest, s.size());
     }
     t.setHeader(header);
     for (size_t g = 0; g < longest; ++g) {
         std::vector<std::string> row{Table::integer(
             static_cast<long long>(g))};
         for (const auto &[name, s] : series) {
-            row.push_back(g < s.values.size()
-                              ? Table::num(s.values[g], precision)
+            row.push_back(g < s.size()
+                              ? Table::num(s[g], precision)
                               : "-");
         }
         t.addRow(std::move(row));
@@ -79,9 +79,9 @@ main()
                 converged += r.summary.solved ? 1 : 0;
             }
             series.emplace_back(std::string(e.env) + " (mean)",
-                                meanSeries(fits, e.env));
+                                meanSeries(fits));
             series.emplace_back(std::string(e.env) + " (max)",
-                                maxSeries(fits, e.env));
+                                maxSeries(fits));
             std::cout << e.env << ": " << converged << "/" << kRuns
                       << " runs reached target fitness within "
                       << e.gens << " generations\n";
@@ -101,7 +101,7 @@ main()
             std::vector<Series> genes;
             for (const auto &r : runs)
                 genes.push_back(r.geneSeries);
-            series.emplace_back(env, meanSeries(genes, env));
+            series.emplace_back(env, meanSeries(genes));
         }
         for (const char *env : {"AirRaid-ram-v0", "Alien-ram-v0",
                                 "Asterix-ram-v0"}) {
@@ -109,7 +109,7 @@ main()
             std::vector<Series> genes;
             for (const auto &r : runs)
                 genes.push_back(r.geneSeries);
-            series.emplace_back(env, meanSeries(genes, env));
+            series.emplace_back(env, meanSeries(genes));
         }
         printSeries("Fig 4(b): total genes in population vs generation",
                     series, 0);
@@ -129,7 +129,7 @@ main()
             std::vector<Series> reuse;
             for (const auto &r : runs)
                 reuse.push_back(r.reuseSeries);
-            series.emplace_back(env, meanSeries(reuse, env));
+            series.emplace_back(env, meanSeries(reuse));
         }
         printSeries("Fig 4(c): fittest-parent reuse vs generation "
                     "(children bred from the most-reused parent)",

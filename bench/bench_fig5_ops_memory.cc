@@ -35,11 +35,11 @@ collect(const WorkloadSpec &base, uint64_t seed)
     auto spec = base;
     spec.maxGenerations = base.isAtari ? 8 : 25;
     for (const auto &run : runSeeds(spec, seed, kRuns, false)) {
-        for (double v : run.opsSeries.values) {
+        for (double v : run.opsSeries) {
             if (v > 0)
                 s.ops.push_back(v);
         }
-        for (double v : run.footprintSeries.values)
+        for (double v : run.footprintSeries)
             s.bytes.push_back(v);
     }
     return s;

@@ -38,8 +38,8 @@ main()
     t.print(std::cout);
 
     std::cout << "\nNote: Atari-RAM rows are deterministic synthetic "
-                 "surrogates over a 128-byte\nmachine state (see "
-                 "DESIGN.md #3); classic-control rows use gym-identical "
-                 "dynamics.\n";
+                 "surrogates over a 128-byte\nmachine state (see README, "
+                 "\"Modelled, not measured\"); classic-control rows use "
+                 "gym-identical dynamics.\n";
     return 0;
 }

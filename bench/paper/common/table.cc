@@ -1,7 +1,6 @@
 #include "common/table.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -75,23 +74,6 @@ Table::print(std::ostream &os) const
             total += w + 2;
         os << std::string(total, '-') << "\n";
     }
-    for (const auto &r : rows_)
-        emit(r);
-}
-
-void
-Table::writeCsv(std::ostream &os) const
-{
-    auto emit = [&os](const std::vector<std::string> &row) {
-        for (size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                os << ",";
-            os << row[i];
-        }
-        os << "\n";
-    };
-    if (!header_.empty())
-        emit(header_);
     for (const auto &r : rows_)
         emit(r);
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * Aligned-column table printer used by the bench harness to emit the
- * paper's tables and figure series in a reproducible text form, plus a
- * small CSV writer for downstream plotting.
+ * paper's tables and figure series in a reproducible text form.
  */
 
 #ifndef GENESYS_COMMON_TABLE_HH
@@ -34,12 +33,6 @@ class Table
 
     /** Print with column alignment and a rule under the header. */
     void print(std::ostream &os) const;
-
-    /** Write as CSV (no alignment padding). */
-    void writeCsv(std::ostream &os) const;
-
-    size_t rows() const { return rows_.size(); }
-    const std::string &title() const { return title_; }
 
   private:
     std::string title_;

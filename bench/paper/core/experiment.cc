@@ -5,6 +5,35 @@
 namespace genesys::core
 {
 
+namespace
+{
+
+std::vector<WorkloadSpec>
+workloads(std::initializer_list<const char *> env_names)
+{
+    std::vector<WorkloadSpec> out;
+    for (const char *name : env_names)
+        out.push_back(workload(name));
+    return out;
+}
+
+} // namespace
+
+std::vector<WorkloadSpec>
+evaluationSuite()
+{
+    return workloads({"CartPole_v0", "MountainCar_v0", "LunarLander_v2",
+                      "AirRaid-ram-v0", "Amidar-ram-v0", "Alien-ram-v0"});
+}
+
+std::vector<WorkloadSpec>
+characterizationSuite()
+{
+    return workloads({"CartPole_v0", "MountainCar_v0", "Acrobot",
+                      "LunarLander_v2", "Bipedal", "AirRaid-ram-v0",
+                      "Alien-ram-v0", "Amidar-ram-v0", "Asterix-ram-v0"});
+}
+
 WorkloadRun
 runWorkload(const WorkloadSpec &spec, uint64_t seed, bool simulate_hw)
 {
@@ -23,21 +52,14 @@ runWorkload(const WorkloadSpec &spec, uint64_t seed, bool simulate_hw)
     run.reports = sys.reports();
 
     const double target = sys.environment().targetFitness();
-    run.fitnessSeries.name = spec.envName;
-    run.geneSeries.name = spec.envName;
-    run.reuseSeries.name = spec.envName;
-    run.opsSeries.name = spec.envName;
-    run.footprintSeries.name = spec.envName;
     for (const auto &r : run.reports) {
-        run.fitnessSeries.values.push_back(
+        run.fitnessSeries.push_back(
             std::clamp(r.algo.bestFitness / target, 0.0, 1.2));
-        run.geneSeries.values.push_back(
-            static_cast<double>(r.algo.totalGenes));
-        run.reuseSeries.values.push_back(
+        run.geneSeries.push_back(static_cast<double>(r.algo.totalGenes));
+        run.reuseSeries.push_back(
             static_cast<double>(r.algo.maxParentReuse));
-        run.opsSeries.values.push_back(
-            static_cast<double>(r.algo.evolutionOps));
-        run.footprintSeries.values.push_back(
+        run.opsSeries.push_back(static_cast<double>(r.algo.evolutionOps));
+        run.footprintSeries.push_back(
             static_cast<double>(r.algo.memoryBytes));
     }
     return run;

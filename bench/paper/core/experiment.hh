@@ -1,19 +1,26 @@
 /**
  * @file
- * Experiment harness shared by the bench binaries: runs workloads,
- * extracts per-generation series (Fig 4), distributions (Fig 5) and
- * averaged platform-model profiles (Figs 9-10) from closed-loop runs.
+ * Experiment harness shared by the bench binaries: the workload
+ * suites, runs of them, per-generation series (Fig 4), distributions
+ * (Fig 5) and averaged platform-model profiles (Figs 9-10) from
+ * closed-loop runs.
  */
 
 #ifndef GENESYS_CORE_EXPERIMENT_HH
 #define GENESYS_CORE_EXPERIMENT_HH
 
-#include "common/stats.hh"
+#include "common/series.hh"
 #include "core/genesys.hh"
 #include "platform/platform_model.hh"
 
 namespace genesys::core
 {
+
+/** The six environments of the Fig 9-11 evaluation, paper order. */
+std::vector<WorkloadSpec> evaluationSuite();
+
+/** The full Table I suite. */
+std::vector<WorkloadSpec> characterizationSuite();
 
 /** One completed workload run plus derived series. */
 struct WorkloadRun

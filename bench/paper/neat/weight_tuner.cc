@@ -64,11 +64,9 @@ WeightTuner::tune(const Genome &seed_genome, const FitnessFn &fitness,
             next.resize(static_cast<size_t>(cfg_.parents));
         pool = std::move(next);
 
-        if (pool.front().first > best_before) {
-            ++result.improvingIterations;
-        } else {
+        // No improvement (a NaN fitness included): anneal.
+        if (!(pool.front().first > best_before))
             sigma = std::max(cfg_.sigmaMin, sigma * cfg_.sigmaDecay);
-        }
     }
 
     result.best = pool.front().second;

@@ -43,7 +43,6 @@ struct WeightTunerResult
     double bestFitness = 0.0;
     double initialFitness = 0.0;
     int evaluations = 0;
-    int improvingIterations = 0;
 };
 
 /**

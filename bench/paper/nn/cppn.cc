@@ -8,13 +8,6 @@
 namespace genesys::nn
 {
 
-using neat::Activation;
-using neat::ConnectionGene;
-using neat::InitialConnection;
-using neat::NeatConfig;
-using neat::NodeGene;
-using neat::Genome;
-
 int
 SubstrateConfig::phenotypeNodes() const
 {

@@ -14,14 +14,15 @@ namespace
 /**
  * Per-platform cost constants.
  *
- * These are modeled, not measured (DESIGN.md §3): the paper used real
- * i7 / GTX 1080 / Jetson TX2 hardware. Constants are chosen from
- * public characteristics of those parts (kernel-launch and cudaMemcpy
- * latencies, PCIe effective bandwidth, interpreter-level per-op cost
- * of the neat-python codebase the paper ran, TDPs) and calibrated so
- * the published *relative* results hold: parallel CPU inference
- * ~3.5x serial, GPU_a ~70% / GPU_b ~20% time in memcpy, GeneSys
- * orders-of-magnitude ahead (Figs 9-10).
+ * These are modelled, not measured (see README, "Modelled, not
+ * measured"): the paper used real i7 / GTX 1080 / Jetson TX2
+ * hardware. Constants are chosen from public characteristics of those
+ * parts (kernel-launch and cudaMemcpy latencies, PCIe effective
+ * bandwidth, interpreter-level per-op cost of the neat-python codebase
+ * the paper ran, TDPs) and calibrated so the published *relative*
+ * results hold: parallel CPU inference ~3.5x serial, GPU_a ~70% /
+ * GPU_b ~20% time in memcpy, GeneSys orders-of-magnitude ahead
+ * (Figs 9-10).
  */
 struct Costs
 {
@@ -30,7 +31,6 @@ struct Costs
     const char *inferenceStrategy;
     const char *evolutionStrategy;
     bool gpu;
-    bool embedded;
 
     double evoOpS;        ///< seconds per crossover/mutation gene-op
     double evoOverheadS;  ///< fixed per-generation reproduction cost
@@ -49,35 +49,35 @@ struct Costs
 // Indexed by PlatformId order.
 constexpr std::array<Costs, 8> costs = {{
     // CPU_a: i7, serial / serial
-    {"CPU_a", "6th gen i7", "Serial", "Serial", false, false,
+    {"CPU_a", "6th gen i7", "Serial", "Serial", false,
      2.0e-6, 2.0e-3, 5.0e-9, 4.0e-5, 1.0,
      0.0, 0.0, 1.0, 0.0, 45.0},
     // CPU_b: i7, PLP inference / serial evolution
-    {"CPU_b", "6th gen i7", "PLP", "Serial", false, false,
+    {"CPU_b", "6th gen i7", "PLP", "Serial", false,
      2.0e-6, 2.0e-3, 5.0e-9, 4.0e-5, 3.5,
      0.0, 0.0, 1.0, 0.0, 52.0},
     // GPU_a: GTX 1080, BSP inference / PLP evolution
-    {"GPU_a", "Nvidia GTX 1080", "BSP", "PLP", true, false,
+    {"GPU_a", "Nvidia GTX 1080", "BSP", "PLP", true,
      2.5e-9, 3.0e-4, 0.0, 0.0, 1.0,
      8.0e-6, 1.5e-5, 6.0e9, 1.25e-11, 150.0},
     // GPU_b: GTX 1080, BSP+PLP inference / PLP evolution
-    {"GPU_b", "Nvidia GTX 1080", "BSP + PLP", "PLP", true, false,
+    {"GPU_b", "Nvidia GTX 1080", "BSP + PLP", "PLP", true,
      2.5e-9, 3.0e-4, 0.0, 0.0, 1.0,
      8.0e-6, 1.5e-5, 6.0e9, 1.25e-11, 160.0},
     // CPU_c: Cortex-A57, serial / serial
-    {"CPU_c", "ARM Cortex A57", "Serial", "Serial", false, true,
+    {"CPU_c", "ARM Cortex A57", "Serial", "Serial", false,
      1.0e-5, 8.0e-3, 2.5e-8, 1.5e-4, 1.0,
      0.0, 0.0, 1.0, 0.0, 4.0},
     // CPU_d: Cortex-A57, PLP inference
-    {"CPU_d", "ARM Cortex A57", "PLP", "Serial", false, true,
+    {"CPU_d", "ARM Cortex A57", "PLP", "Serial", false,
      1.0e-5, 8.0e-3, 2.5e-8, 1.5e-4, 3.5,
      0.0, 0.0, 1.0, 0.0, 5.0},
     // GPU_c: Tegra, BSP inference / PLP evolution
-    {"GPU_c", "Nvidia Tegra", "BSP", "PLP", true, true,
+    {"GPU_c", "Nvidia Tegra", "BSP", "PLP", true,
      1.2e-8, 1.2e-3, 0.0, 0.0, 1.0,
      3.0e-5, 4.0e-5, 4.0e9, 1.0e-10, 10.0},
     // GPU_d: Tegra, BSP+PLP inference
-    {"GPU_d", "Nvidia Tegra", "BSP + PLP", "PLP", true, true,
+    {"GPU_d", "Nvidia Tegra", "BSP + PLP", "PLP", true,
      1.2e-8, 1.2e-3, 0.0, 0.0, 1.0,
      3.0e-5, 4.0e-5, 4.0e9, 1.0e-10, 11.0},
 }};
@@ -101,64 +101,28 @@ allPlatforms()
     return all;
 }
 
-const std::string &
+std::string
 platformName(PlatformId id)
 {
-    static const std::array<std::string, 8> names = [] {
-        std::array<std::string, 8> n;
-        for (size_t i = 0; i < costs.size(); ++i)
-            n[i] = costs[i].name;
-        return n;
-    }();
-    return names[static_cast<size_t>(id)];
+    return cost(id).name;
 }
 
-const std::string &
+std::string
 platformDevice(PlatformId id)
 {
-    static const std::array<std::string, 8> v = [] {
-        std::array<std::string, 8> n;
-        for (size_t i = 0; i < costs.size(); ++i)
-            n[i] = costs[i].device;
-        return n;
-    }();
-    return v[static_cast<size_t>(id)];
+    return cost(id).device;
 }
 
-const std::string &
+std::string
 platformInferenceStrategy(PlatformId id)
 {
-    static const std::array<std::string, 8> v = [] {
-        std::array<std::string, 8> n;
-        for (size_t i = 0; i < costs.size(); ++i)
-            n[i] = costs[i].inferenceStrategy;
-        return n;
-    }();
-    return v[static_cast<size_t>(id)];
+    return cost(id).inferenceStrategy;
 }
 
-const std::string &
+std::string
 platformEvolutionStrategy(PlatformId id)
 {
-    static const std::array<std::string, 8> v = [] {
-        std::array<std::string, 8> n;
-        for (size_t i = 0; i < costs.size(); ++i)
-            n[i] = costs[i].evolutionStrategy;
-        return n;
-    }();
-    return v[static_cast<size_t>(id)];
-}
-
-bool
-platformIsGpu(PlatformId id)
-{
-    return cost(id).gpu;
-}
-
-bool
-platformIsEmbedded(PlatformId id)
-{
-    return cost(id).embedded;
+    return cost(id).evolutionStrategy;
 }
 
 double

@@ -6,13 +6,13 @@
  * paper's parallelization strategies (serial, PLP multithreading,
  * GPU bulk-synchronous with/without PLP batching).
  *
- * The paper measured real hardware; we model it (DESIGN.md §3). Each
- * model is driven by the *actual* per-generation workload profile of
- * our NEAT runs (op counts, steps, MACs, matrix shapes) combined with
- * per-platform cost constants (documented in platform_model.cc and
- * calibrated to land the paper's published ratios: GPU_a ~70% /
- * GPU_b ~20% memcpy share, GeneSys 100x inference speedup and 4-5
- * orders evolution energy advantage).
+ * The paper measured real hardware; we model it (see README,
+ * "Modelled, not measured"). Each model is driven by the *actual*
+ * per-generation workload profile of our NEAT runs (op counts, steps,
+ * MACs, matrix shapes) combined with per-platform cost constants
+ * (documented in platform_model.cc and calibrated to land the paper's
+ * published ratios: GPU_a ~70% / GPU_b ~20% memcpy share, GeneSys 100x
+ * inference speedup and 4-5 orders evolution energy advantage).
  */
 
 #ifndef GENESYS_PLATFORM_PLATFORM_MODEL_HH
@@ -40,12 +40,10 @@ enum class PlatformId
 /** All Table III baseline platforms, in paper order. */
 const std::vector<PlatformId> &allPlatforms();
 
-const std::string &platformName(PlatformId id);
-const std::string &platformDevice(PlatformId id);
-const std::string &platformInferenceStrategy(PlatformId id);
-const std::string &platformEvolutionStrategy(PlatformId id);
-bool platformIsGpu(PlatformId id);
-bool platformIsEmbedded(PlatformId id);
+std::string platformName(PlatformId id);
+std::string platformDevice(PlatformId id);
+std::string platformInferenceStrategy(PlatformId id);
+std::string platformEvolutionStrategy(PlatformId id);
 
 /**
  * Per-generation workload profile, extracted from a real NEAT run
@@ -110,8 +108,6 @@ class PlatformModel
 {
   public:
     explicit PlatformModel(PlatformId id) : id_(id) {}
-
-    PlatformId id() const { return id_; }
 
     /** Evolution (reproduction) runtime per generation, seconds. */
     double evolutionSeconds(const WorkloadProfile &w) const;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
-
 namespace genesys
 {
 
@@ -47,125 +45,6 @@ double
 RunningStat::stdev() const
 {
     return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    GENESYS_ASSERT(hi > lo, "histogram range must be non-empty");
-    GENESYS_ASSERT(bins > 0, "histogram needs at least one bin");
-}
-
-void
-Histogram::add(double x)
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto bin = static_cast<long>(std::floor((x - lo_) / width));
-    bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
-    ++counts_[static_cast<size_t>(bin)];
-    ++total_;
-}
-
-double
-Histogram::frequencyAt(size_t bin) const
-{
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
-}
-
-double
-Histogram::binCenter(size_t bin) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + width * (static_cast<double>(bin) + 0.5);
-}
-
-double
-percentile(std::vector<double> samples, double p)
-{
-    GENESYS_ASSERT(!samples.empty(), "percentile of empty sample set");
-    GENESYS_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
-    std::sort(samples.begin(), samples.end());
-    if (samples.size() == 1)
-        return samples.front();
-    const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-    const auto lo = static_cast<size_t>(std::floor(rank));
-    const auto hi = static_cast<size_t>(std::ceil(rank));
-    const double frac = rank - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-double
-mean(const std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : v)
-        s += x;
-    return s / static_cast<double>(v.size());
-}
-
-double
-geomean(const std::vector<double> &v)
-{
-    GENESYS_ASSERT(!v.empty(), "geomean of empty vector");
-    double logsum = 0.0;
-    for (double x : v) {
-        GENESYS_ASSERT(x > 0.0, "geomean requires positive inputs");
-        logsum += std::log(x);
-    }
-    return std::exp(logsum / static_cast<double>(v.size()));
-}
-
-namespace
-{
-
-Series
-combineSeries(const std::vector<Series> &runs, const std::string &name,
-              bool take_max)
-{
-    Series out;
-    out.name = name;
-    size_t longest = 0;
-    for (const auto &r : runs)
-        longest = std::max(longest, r.values.size());
-    out.values.resize(longest, 0.0);
-    std::vector<size_t> counts(longest, 0);
-    for (const auto &r : runs) {
-        for (size_t i = 0; i < r.values.size(); ++i) {
-            if (take_max) {
-                out.values[i] = counts[i] == 0
-                                    ? r.values[i]
-                                    : std::max(out.values[i], r.values[i]);
-            } else {
-                out.values[i] += r.values[i];
-            }
-            ++counts[i];
-        }
-    }
-    if (!take_max) {
-        for (size_t i = 0; i < longest; ++i) {
-            if (counts[i] > 0)
-                out.values[i] /= static_cast<double>(counts[i]);
-        }
-    }
-    return out;
-}
-
-} // namespace
-
-Series
-meanSeries(const std::vector<Series> &runs, const std::string &name)
-{
-    return combineSeries(runs, name, false);
-}
-
-Series
-maxSeries(const std::vector<Series> &runs, const std::string &name)
-{
-    return combineSeries(runs, name, true);
 }
 
 } // namespace genesys

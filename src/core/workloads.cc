@@ -34,31 +34,8 @@ neatConfigFor(const WorkloadSpec &spec)
 WorkloadSpec
 workload(const std::string &env_name)
 {
-    for (const auto &w : characterizationSuite()) {
-        if (w.envName == env_name)
-            return w;
-    }
-    fatal("unknown workload: " + env_name);
-}
-
-std::vector<WorkloadSpec>
-evaluationSuite()
-{
-    // The six workloads of Figs 9-11.
-    return {
-        {"CartPole_v0", 40, 1, false},
-        {"MountainCar_v0", 40, 1, false},
-        {"LunarLander_v2", 40, 1, false},
-        {"AirRaid-ram-v0", 12, 1, true},
-        {"Amidar-ram-v0", 12, 1, true},
-        {"Alien-ram-v0", 12, 1, true},
-    };
-}
-
-std::vector<WorkloadSpec>
-characterizationSuite()
-{
-    return {
+    // Table I, with the bench generation caps.
+    static const WorkloadSpec table[] = {
         {"CartPole_v0", 40, 1, false},
         {"MountainCar_v0", 40, 1, false},
         {"Acrobot", 40, 1, false},
@@ -69,6 +46,11 @@ characterizationSuite()
         {"Amidar-ram-v0", 12, 1, true},
         {"Asterix-ram-v0", 12, 1, true},
     };
+    for (const auto &w : table) {
+        if (w.envName == env_name)
+            return w;
+    }
+    fatal("unknown workload: " + env_name);
 }
 
 } // namespace genesys::core

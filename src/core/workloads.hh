@@ -10,7 +10,6 @@
 #define GENESYS_CORE_WORKLOADS_HH
 
 #include <string>
-#include <vector>
 
 #include "env/runner.hh"
 
@@ -34,12 +33,6 @@ neat::NeatConfig neatConfigFor(const WorkloadSpec &spec);
 
 /** Look up a workload by environment name. */
 WorkloadSpec workload(const std::string &env_name);
-
-/** The six environments of the Fig 9-11 evaluation, paper order. */
-std::vector<WorkloadSpec> evaluationSuite();
-
-/** The full Table I suite. */
-std::vector<WorkloadSpec> characterizationSuite();
 
 } // namespace genesys::core
 

@@ -9,7 +9,7 @@
  * pellets, a score, and RAM bytes that mix entity state with derived
  * (hashed) bytes — preserving what matters to GeneSys: 128-input
  * genomes, large discrete action sets, and the O(10^5) gene
- * populations of Fig 4(b). See DESIGN.md §3.
+ * populations of Fig 4(b). See README, "Modelled, not measured".
  */
 
 #ifndef GENESYS_ENV_ATARI_RAM_HH

@@ -6,7 +6,8 @@
  * planar biped — hull plus two 2-joint legs with torque-driven joint
  * dynamics and kinematic ground contact — preserving the 24-dim
  * observation layout (hull state, joint states, contacts, 10 lidar
- * rays) and 4 continuous joint actions. See DESIGN.md §3.
+ * rays) and 4 continuous joint actions. See README, "Modelled, not
+ * measured".
  */
 
 #ifndef GENESYS_ENV_BIPEDAL_HH

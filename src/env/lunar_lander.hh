@@ -6,8 +6,8 @@
  * The gym original uses Box2D; we implement an equivalent rigid-body
  * 2D lander (gravity, main + two side thrusters, two landing legs,
  * flat pad at the origin) with the gym observation layout, action
- * set, and potential-based shaping reward. See DESIGN.md §3 for the
- * substitution rationale.
+ * set, and potential-based shaping reward. See README, "Modelled, not
+ * measured", for the substitution rationale.
  */
 
 #ifndef GENESYS_ENV_LUNAR_LANDER_HH

@@ -65,15 +65,6 @@ TEST(TableIII, AllPlatformsEnumerated)
     EXPECT_EQ(platformEvolutionStrategy(PlatformId::CPU_a), "Serial");
 }
 
-TEST(TableIII, GpuAndEmbeddedFlags)
-{
-    EXPECT_FALSE(platformIsGpu(PlatformId::CPU_a));
-    EXPECT_TRUE(platformIsGpu(PlatformId::GPU_a));
-    EXPECT_FALSE(platformIsEmbedded(PlatformId::GPU_a));
-    EXPECT_TRUE(platformIsEmbedded(PlatformId::CPU_c));
-    EXPECT_TRUE(platformIsEmbedded(PlatformId::GPU_d));
-}
-
 TEST(PlatformModelTest, ParallelCpuInferenceIs3p5xFaster)
 {
     // Section VI-B: "Parallel inference on CPU is 3.5 times faster

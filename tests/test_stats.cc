@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the statistics utilities.
+ * Tests for the running moments and the figure series helpers.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/series.hh"
 #include "common/stats.hh"
 
 using namespace genesys;
@@ -69,39 +70,6 @@ TEST(RunningStat, MergeWithEmpty)
     EXPECT_EQ(empty.count(), 2u);
 }
 
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);   // bin 0
-    h.add(9.99);  // bin 9
-    h.add(-5.0);  // clamped to bin 0
-    h.add(100.0); // clamped to bin 9
-    h.add(5.0);   // bin 5
-    EXPECT_EQ(h.countAt(0), 2u);
-    EXPECT_EQ(h.countAt(9), 2u);
-    EXPECT_EQ(h.countAt(5), 1u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, Frequencies)
-{
-    Histogram h(0.0, 4.0, 4);
-    for (int i = 0; i < 8; ++i)
-        h.add(0.5);
-    for (int i = 0; i < 2; ++i)
-        h.add(2.5);
-    EXPECT_DOUBLE_EQ(h.frequencyAt(0), 0.8);
-    EXPECT_DOUBLE_EQ(h.frequencyAt(2), 0.2);
-    EXPECT_DOUBLE_EQ(h.frequencyAt(1), 0.0);
-}
-
-TEST(Histogram, BinCenters)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.binCenter(4), 9.0);
-}
-
 TEST(Percentile, MedianAndExtremes)
 {
     std::vector<double> v{5, 1, 3, 2, 4};
@@ -116,31 +84,20 @@ TEST(Percentile, Interpolates)
     EXPECT_DOUBLE_EQ(percentile(v, 25), 2.5);
 }
 
-TEST(MeanGeomean, Basics)
-{
-    EXPECT_DOUBLE_EQ(mean({1, 2, 3}), 2.0);
-    EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    EXPECT_NEAR(geomean({1.0, 100.0}), 10.0, 1e-9);
-}
-
 TEST(Series, MeanCombinesRaggedRuns)
 {
-    Series a{"a", {1.0, 2.0, 3.0}};
-    Series b{"b", {3.0, 4.0}};
-    const Series m = meanSeries({a, b}, "m");
-    ASSERT_EQ(m.values.size(), 3u);
-    EXPECT_DOUBLE_EQ(m.values[0], 2.0);
-    EXPECT_DOUBLE_EQ(m.values[1], 3.0);
-    EXPECT_DOUBLE_EQ(m.values[2], 3.0); // only run a contributes
+    const Series m = meanSeries({{1.0, 2.0, 3.0}, {3.0, 4.0}});
+    ASSERT_EQ(m.size(), 3u);
+    EXPECT_DOUBLE_EQ(m[0], 2.0);
+    EXPECT_DOUBLE_EQ(m[1], 3.0);
+    EXPECT_DOUBLE_EQ(m[2], 3.0); // only the first run contributes
 }
 
 TEST(Series, MaxEnvelope)
 {
-    Series a{"a", {1.0, 5.0}};
-    Series b{"b", {3.0, 2.0, 9.0}};
-    const Series m = maxSeries({a, b}, "m");
-    ASSERT_EQ(m.values.size(), 3u);
-    EXPECT_DOUBLE_EQ(m.values[0], 3.0);
-    EXPECT_DOUBLE_EQ(m.values[1], 5.0);
-    EXPECT_DOUBLE_EQ(m.values[2], 9.0);
+    const Series m = maxSeries({{1.0, 5.0}, {3.0, 2.0, 9.0}});
+    ASSERT_EQ(m.size(), 3u);
+    EXPECT_DOUBLE_EQ(m[0], 3.0);
+    EXPECT_DOUBLE_EQ(m[1], 5.0);
+    EXPECT_DOUBLE_EQ(m[2], 9.0);
 }

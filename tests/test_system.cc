@@ -217,13 +217,13 @@ TEST(ExperimentTest, RunWorkloadBuildsSeries)
     auto spec = workload("MountainCar_v0");
     spec.maxGenerations = 4;
     const auto run = runWorkload(spec, 9, true);
-    EXPECT_EQ(run.fitnessSeries.values.size(), run.reports.size());
-    EXPECT_EQ(run.geneSeries.values.size(), run.reports.size());
-    for (double f : run.fitnessSeries.values) {
+    EXPECT_EQ(run.fitnessSeries.size(), run.reports.size());
+    EXPECT_EQ(run.geneSeries.size(), run.reports.size());
+    for (double f : run.fitnessSeries) {
         EXPECT_GE(f, 0.0);
         EXPECT_LE(f, 1.2);
     }
-    for (double g : run.geneSeries.values)
+    for (double g : run.geneSeries)
         EXPECT_GT(g, 0.0);
 }
 
@@ -247,8 +247,7 @@ TEST(ExperimentTest, RunSeedsProducesDistinctRuns)
     spec.maxGenerations = 3;
     const auto runs = runSeeds(spec, 1, 3, false);
     ASSERT_EQ(runs.size(), 3u);
-    EXPECT_NE(runs[0].geneSeries.values.back(),
-              runs[1].geneSeries.values.back());
+    EXPECT_NE(runs[0].geneSeries.back(), runs[1].geneSeries.back());
 }
 
 TEST(WorkloadsTest, SuitesWellFormed)

@@ -29,16 +29,6 @@ TEST(TableTest, AlignsColumns)
     EXPECT_NE(out.find("wide-cell"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput)
-{
-    Table t;
-    t.setHeader({"x", "y"});
-    t.addRow({"1", "2"});
-    std::ostringstream oss;
-    t.writeCsv(oss);
-    EXPECT_EQ(oss.str(), "x,y\n1,2\n");
-}
-
 TEST(TableTest, Formatters)
 {
     EXPECT_EQ(Table::num(3.14159, 2), "3.14");
