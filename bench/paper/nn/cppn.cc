@@ -36,7 +36,6 @@ cppnNeatConfig()
     NeatConfig cfg;
     cfg.numInputs = 4; // x1, y1, x2, y2
     cfg.numOutputs = 1;
-    cfg.initialConnection = InitialConnection::FullDirect;
     // CPPNs need expressive weights from the start.
     cfg.weight.initMean = 0.0;
     cfg.weight.initStdev = 1.0;

@@ -201,7 +201,6 @@ configForEnvironment(const Environment &env)
     cfg.numOutputs = env.recommendedOutputs();
     cfg.populationSize = 150; // paper's population size
     cfg.fitnessThreshold = env.targetFitness();
-    cfg.initialConnection = neat::InitialConnection::FullDirect;
     // Match the paper's setup: simple initial topology with all
     // input-output connections present but zero-weighted
     // (Section III-B: "fully-connected but the weight on each

@@ -16,8 +16,6 @@ NeatConfig::validate() const
         fatal("numOutputs must be >= 1");
     if (numHidden < 0)
         fatal("numHidden must be >= 0");
-    if (partialConnectionProb < 0.0 || partialConnectionProb > 1.0)
-        fatal("partialConnectionProb must be in [0,1]");
     for (double p : {connAddProb, connDeleteProb, nodeAddProb,
                      nodeDeleteProb}) {
         if (p < 0.0 || p > 1.0)

@@ -19,24 +19,6 @@
 namespace genesys::neat
 {
 
-/** How the initial population's connections are created. */
-enum class InitialConnection
-{
-    /** No connections at all. */
-    Unconnected,
-    /** Every input connected to every output (the paper's setup). */
-    FullDirect,
-    /** Each input-output pair connected with a probability. */
-    PartialDirect,
-};
-
-/** Which statistic summarizes a species' fitness for stagnation. */
-enum class SpeciesFitnessFunc
-{
-    Max,
-    Mean,
-};
-
 /**
  * Complete NEAT configuration: genome structure, mutation
  * probabilities, compatibility/speciation parameters, reproduction
@@ -49,16 +31,11 @@ struct NeatConfig
     int populationSize = 150;
     /** Stop when the best fitness reaches this value. */
     double fitnessThreshold = 1.0;
-    /** Re-seed a fresh population if all species go extinct. */
-    bool resetOnExtinction = true;
 
     // --- genome structure -------------------------------------------------
     int numInputs = 2;
     int numOutputs = 1;
     int numHidden = 0;
-    InitialConnection initialConnection = InitialConnection::FullDirect;
-    /** Connection probability for PartialDirect. */
-    double partialConnectionProb = 0.5;
     /** Only acyclic genomes (paper evolves feed-forward networks). */
     bool feedForward = true;
 
@@ -77,8 +54,6 @@ struct NeatConfig
     double connDeleteProb = 0.5;
     double nodeAddProb = 0.2;
     double nodeDeleteProb = 0.2;
-    /** At most one structural mutation per genome per generation. */
-    bool singleStructuralMutation = false;
     /**
      * Hardware liveness constraint (Section IV-C3): the EvE Delete
      * Gene Engine refuses node deletions once this many nodes have
@@ -111,7 +86,6 @@ struct NeatConfig
     double parentSelectionBias = 2.0;
 
     // --- stagnation ------------------------------------------------------------
-    SpeciesFitnessFunc speciesFitnessFunc = SpeciesFitnessFunc::Max;
     int maxStagnation = 15;
     /** Number of best species protected from stagnation removal. */
     int speciesElitism = 2;

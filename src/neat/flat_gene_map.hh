@@ -196,7 +196,7 @@ class FlatGeneMap
      * Insert (key, gene) keeping sort order; no-op if key exists. A
      * key past the current last one appends without a search (as
      * crossover's merge-join inserts); any other key shifts every
-     * later gene, so out-of-order bulk inserts belong in assign().
+     * later gene.
      */
     std::pair<iterator, bool>
     emplace(const Key &key, Gene gene)
@@ -213,29 +213,6 @@ class FlatGeneMap
         values_.insert(values_.begin() + static_cast<std::ptrdiff_t>(i),
                        std::move(gene));
         return {iterator{this, i}, true};
-    }
-
-    /**
-     * Replace the contents with `entries`, given in any order: one
-     * stable sort, then appends into storage reserved once. Of
-     * entries with equal keys the first is kept, as emplacing them in
-     * order would keep it.
-     */
-    void
-    assign(std::vector<std::pair<Key, Gene>> entries)
-    {
-        std::stable_sort(entries.begin(), entries.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
-                         });
-        clear();
-        reserve(entries.size());
-        for (auto &[key, gene] : entries) {
-            if (!keys_.empty() && !(keys_.back() < key))
-                continue;
-            keys_.push_back(key);
-            values_.push_back(std::move(gene));
-        }
     }
 
     /**

@@ -77,76 +77,45 @@ Genome::createNew(int key, const NeatConfig &cfg, NodeIndexer &indexer,
         g.nodes_.emplace(nk, NodeGene::createNew(nk, cfg, local));
     }
 
-    // Connections are drawn input-major (inputs -1, -2, ..., each to
-    // every output), then per hidden node from every input and to
-    // every output; the RNG stream fixes which weight lands on which
-    // key. Hidden wiring keeps initial hidden nodes live from the
-    // start.
-    if (cfg.initialConnection == InitialConnection::PartialDirect) {
-        // Which keys exist depends on the draws, so collect and sort.
-        std::vector<std::pair<ConnKey, ConnectionGene>> drawn;
-        drawn.reserve(num_inputs * (num_outputs + num_hidden) +
-                      num_hidden * num_outputs);
-        auto add_conn = [&](int src, int dst) {
-            const ConnKey ck{src, dst};
-            drawn.emplace_back(ck, ConnectionGene::createNew(ck, cfg, local));
-        };
-        for (int in = -1; in >= -cfg.numInputs; --in) {
-            for (int out = 0; out < cfg.numOutputs; ++out) {
-                if (local.bernoulli(cfg.partialConnectionProb))
-                    add_conn(in, out);
+    // Every input connects to every output (the paper's setup,
+    // Section III-B). Connections are drawn input-major (inputs -1,
+    // -2, ..., each to every output), then per hidden node from every
+    // input and to every output; the RNG stream fixes which weight
+    // lands on which key. Hidden wiring keeps initial hidden nodes
+    // live from the start. The key set is fixed, so each draw is
+    // written straight into its sorted slot. In key order, input -a-1
+    // owns row num_inputs-1-a: its connections to the outputs, then
+    // one to each hidden node. The hidden-to-output connections
+    // follow all input rows, hidden node by hidden node.
+    const size_t row = num_outputs + num_hidden;
+    const size_t hidden_base = num_inputs * row;
+    g.connections_.assignInPlace(
+        hidden_base + num_hidden * num_outputs,
+        [&](std::span<ConnKey> keys, std::span<ConnectionGene> genes) {
+            auto put = [&](size_t slot, int src, int dst) {
+                keys[slot] = {src, dst};
+                genes[slot] =
+                    ConnectionGene::createNew(keys[slot], cfg, local);
+            };
+            const auto row_of = [&](size_t a) {
+                return (num_inputs - 1 - a) * row;
+            };
+            const auto input_key = [](size_t a) {
+                return -static_cast<int>(a) - 1;
+            };
+            for (size_t a = 0; a < num_inputs; ++a) {
+                for (size_t o = 0; o < num_outputs; ++o)
+                    put(row_of(a) + o, input_key(a), static_cast<int>(o));
             }
-        }
-        for (size_t j = 0; j < num_hidden; ++j) {
-            const int h = first_hidden + static_cast<int>(j);
-            for (int in = -1; in >= -cfg.numInputs; --in)
-                add_conn(in, h);
-            for (int out = 0; out < cfg.numOutputs; ++out)
-                add_conn(h, out);
-        }
-        g.connections_.assign(std::move(drawn));
-    } else {
-        // Unconnected and FullDirect fix the key set, so each draw is
-        // written straight into its sorted slot. In key order, input
-        // -a-1 owns row num_inputs-1-a: its direct connections to the
-        // outputs, then one to each hidden node. The hidden-to-output
-        // connections follow all input rows, hidden node by hidden
-        // node.
-        const size_t direct =
-            cfg.initialConnection == InitialConnection::FullDirect
-                ? num_outputs
-                : 0;
-        const size_t row = direct + num_hidden;
-        const size_t hidden_base = num_inputs * row;
-        g.connections_.assignInPlace(
-            hidden_base + num_hidden * num_outputs,
-            [&](std::span<ConnKey> keys, std::span<ConnectionGene> genes) {
-                auto put = [&](size_t slot, int src, int dst) {
-                    keys[slot] = {src, dst};
-                    genes[slot] =
-                        ConnectionGene::createNew(keys[slot], cfg, local);
-                };
-                const auto row_of = [&](size_t a) {
-                    return (num_inputs - 1 - a) * row;
-                };
-                const auto input_key = [](size_t a) {
-                    return -static_cast<int>(a) - 1;
-                };
-                for (size_t a = 0; a < num_inputs; ++a) {
-                    for (size_t o = 0; o < direct; ++o)
-                        put(row_of(a) + o, input_key(a),
-                            static_cast<int>(o));
-                }
-                for (size_t j = 0; j < num_hidden; ++j) {
-                    const int h = first_hidden + static_cast<int>(j);
-                    for (size_t a = 0; a < num_inputs; ++a)
-                        put(row_of(a) + direct + j, input_key(a), h);
-                    for (size_t o = 0; o < num_outputs; ++o)
-                        put(hidden_base + j * num_outputs + o, h,
-                            static_cast<int>(o));
-                }
-            });
-    }
+            for (size_t j = 0; j < num_hidden; ++j) {
+                const int h = first_hidden + static_cast<int>(j);
+                for (size_t a = 0; a < num_inputs; ++a)
+                    put(row_of(a) + num_outputs + j, input_key(a), h);
+                for (size_t o = 0; o < num_outputs; ++o)
+                    put(hidden_base + j * num_outputs + o, h,
+                        static_cast<int>(o));
+            }
+        });
     rng = local;
     g.connections_.dcheckInvariants("Genome::createNew");
     return g;
@@ -227,38 +196,18 @@ Genome::mutate(const NeatConfig &cfg, NodeIndexer &indexer, XorWow &rng)
 {
     MutationCounts counts;
 
-    if (cfg.singleStructuralMutation) {
-        const double div = std::max(1.0, cfg.nodeAddProb +
-                                             cfg.nodeDeleteProb +
-                                             cfg.connAddProb +
-                                             cfg.connDeleteProb);
-        const double r = rng.uniform();
-        double acc = cfg.nodeAddProb / div;
-        if (r < acc) {
-            if (mutateAddNode(cfg, indexer, rng) >= 0)
-                counts.addOps += 3; // node + two connections
-        } else if (r < (acc += cfg.nodeDeleteProb / div)) {
-            counts.deleteOps += deleteNodeIfAllowed(cfg, rng);
-        } else if (r < (acc += cfg.connAddProb / div)) {
-            if (mutateAddConnection(cfg, rng))
-                ++counts.addOps;
-        } else if (r < acc + cfg.connDeleteProb / div) {
-            counts.deleteOps += mutateDeleteConnection(rng);
-        }
-    } else {
-        if (rng.bernoulli(cfg.nodeAddProb)) {
-            if (mutateAddNode(cfg, indexer, rng) >= 0)
-                counts.addOps += 3;
-        }
-        if (rng.bernoulli(cfg.nodeDeleteProb))
-            counts.deleteOps += deleteNodeIfAllowed(cfg, rng);
-        if (rng.bernoulli(cfg.connAddProb)) {
-            if (mutateAddConnection(cfg, rng))
-                ++counts.addOps;
-        }
-        if (rng.bernoulli(cfg.connDeleteProb))
-            counts.deleteOps += mutateDeleteConnection(rng);
+    if (rng.bernoulli(cfg.nodeAddProb)) {
+        if (mutateAddNode(cfg, indexer, rng) >= 0)
+            counts.addOps += 3; // node + two connections
     }
+    if (rng.bernoulli(cfg.nodeDeleteProb))
+        counts.deleteOps += deleteNodeIfAllowed(cfg, rng);
+    if (rng.bernoulli(cfg.connAddProb)) {
+        if (mutateAddConnection(cfg, rng))
+            ++counts.addOps;
+    }
+    if (rng.bernoulli(cfg.connDeleteProb))
+        counts.deleteOps += mutateDeleteConnection(rng);
 
     counts.perturbOps += perturb(cfg, rng);
     nodes_.dcheckInvariants("Genome::mutate nodes");

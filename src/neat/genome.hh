@@ -134,9 +134,9 @@ class Genome
     // --- construction -----------------------------------------------------
     /**
      * Create a generation-0 genome: output (+ optional hidden) node
-     * genes and the configured initial connectivity. The paper's
-     * experiments start FullDirect with weights drawn from the init
-     * distribution (Section III-B).
+     * genes, every input connected to every output (and every hidden
+     * node wired from every input and to every output), with weights
+     * drawn from the init distribution (Section III-B).
      */
     static Genome createNew(int key, const NeatConfig &cfg,
                             NodeIndexer &indexer, XorWow &rng);

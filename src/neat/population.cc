@@ -224,9 +224,6 @@ Population::stepBatch(const BatchFitnessFn &fitness)
                                             generation_, rng_,
                                             trace_out, executor_);
         if (next.empty()) {
-            if (!cfg_.resetOnExtinction)
-                fatal("complete extinction in generation " +
-                      std::to_string(generation_));
             warn("complete extinction; restarting population");
             next = reproduction_.createNewPopulation(rng_);
             trace_out.children.clear();

@@ -142,7 +142,10 @@ class Population
      * is reached — breed the next generation. Returns true if the
      * threshold was reached. A non-finite fitness (NaN, ±inf) is
      * replaced by the lowest finite fitness of the batch (0.0 if none
-     * is finite) and counted in the `fitness.non_finite` metric.
+     * is finite) and counted in the `fitness.non_finite` metric. If
+     * every species goes extinct, the next generation is a fresh
+     * generation-0 population under new keys, and its trace records
+     * no children.
      */
     bool stepBatch(const BatchFitnessFn &fitness);
 

@@ -26,8 +26,8 @@ struct Species
     /** Last generation whose species fitness beat bestFitness. */
     int lastImprovedGeneration = 0;
     /**
-     * Best species fitness (per cfg.speciesFitnessFunc) so far; -inf
-     * until the species' first stagnation pass.
+     * Best species fitness (best member fitness) so far; -inf until
+     * the species' first stagnation pass.
      */
     double bestFitness = -std::numeric_limits<double>::infinity();
     Genome representative;

@@ -35,18 +35,8 @@ Stagnation::update(SpeciesSet &species,
             st.memberMax = std::max(st.memberMax, f);
         }
         st.memberMean = sum / static_cast<double>(sp.memberKeys.size());
-        switch (cfg_.speciesFitnessFunc) {
-          case SpeciesFitnessFunc::Max:
-            st.fitness = st.memberMax;
-            break;
-          case SpeciesFitnessFunc::Mean:
-            st.fitness = st.memberMean;
-            break;
-          default:
-            panic("unknown species fitness function");
-        }
-        if (st.fitness > sp.bestFitness) {
-            sp.bestFitness = st.fitness;
+        if (st.memberMax > sp.bestFitness) {
+            sp.bestFitness = st.memberMax;
             sp.lastImprovedGeneration = generation;
         }
         st.stagnant =
@@ -59,7 +49,7 @@ Stagnation::update(SpeciesSet &species,
     // key order whatever their number and the standard library.
     std::stable_sort(standings.begin(), standings.end(),
                      [](const SpeciesStanding &a, const SpeciesStanding &b) {
-                         return a.fitness < b.fitness;
+                         return a.memberMax < b.memberMax;
                      });
 
     // The top `speciesElitism` species (by fitness) are never marked

@@ -16,15 +16,14 @@ namespace genesys::neat
 {
 
 /**
- * One species' standing in a generation: its fitness, its members'
- * fitness summary (reproduction's fitness sharing reads these, so
- * member fitnesses are read once per generation) and the verdict.
+ * One species' standing in a generation: its members' fitness summary
+ * (reproduction's fitness sharing reads these, so member fitnesses are
+ * read once per generation) and the verdict. The species' own fitness
+ * is its best member's, memberMax.
  */
 struct SpeciesStanding
 {
     int key = -1;
-    /** Species fitness, per cfg.speciesFitnessFunc. */
-    double fitness = 0.0;
     /** Mean member fitness, summed in member order. */
     double memberMean = 0.0;
     double memberMin = 0.0;

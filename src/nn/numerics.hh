@@ -14,10 +14,10 @@
  * at compile time, node activations run branch-free polynomial/
  * rational approximations (nn/hw_activations.hh) instead of libm,
  * and every node output is saturated-and-quantized back to the Q6.10
- * grid. No libm in the hot loop means the lane-minor batched kernel
- * vectorizes; the tier is deterministic (bit-identical across thread
- * counts, execution modes and checkpoint/resume — it has its own
- * golden digests) but intentionally NOT bit-identical to Reference.
+ * grid, with no libm call in the hot loop. The tier is deterministic
+ * (bit-identical across thread counts, execution modes and
+ * checkpoint/resume — it has its own golden digests) but
+ * intentionally NOT bit-identical to Reference.
  * tests/test_numerics_divergence.cc bounds the float-vs-hw fitness
  * divergence per environment.
  */

@@ -1,5 +1,6 @@
 #include "neat/create_new.hh"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -62,23 +63,9 @@ createNew(int key, const NeatConfig &cfg, NodeIndexer &indexer, XorWow &rng)
         const ConnKey ck{src, dst};
         drawn.emplace_back(ck, createConnection(ck, cfg, rng));
     };
-    switch (cfg.initialConnection) {
-      case InitialConnection::Unconnected:
-        break;
-      case InitialConnection::FullDirect:
-        for (int in : inputs) {
-            for (int out : outputs)
-                add_conn(in, out);
-        }
-        break;
-      case InitialConnection::PartialDirect:
-        for (int in : inputs) {
-            for (int out : outputs) {
-                if (rng.bernoulli(cfg.partialConnectionProb))
-                    add_conn(in, out);
-            }
-        }
-        break;
+    for (int in : inputs) {
+        for (int out : outputs)
+            add_conn(in, out);
     }
     for (int h : hidden) {
         for (int in : inputs)
@@ -86,7 +73,10 @@ createNew(int key, const NeatConfig &cfg, NodeIndexer &indexer, XorWow &rng)
         for (int out : outputs)
             add_conn(h, out);
     }
-    g.mutableConnections().assign(std::move(drawn));
+    std::sort(drawn.begin(), drawn.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    for (auto &[ck, cg] : drawn)
+        g.mutableConnections().emplace(ck, cg);
     return g;
 }
 

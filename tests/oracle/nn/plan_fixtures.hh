@@ -32,7 +32,6 @@ planFuzzConfig(XorWow &rng, bool feedForward)
     cfg.numOutputs = rng.uniformInt(1, 4);
     cfg.numHidden = rng.uniformInt(0, 2);
     cfg.feedForward = feedForward;
-    cfg.initialConnection = neat::InitialConnection::FullDirect;
     cfg.activation.options = neat::allActivations();
     cfg.activation.mutateRate = 0.5;
     cfg.aggregation.options = {

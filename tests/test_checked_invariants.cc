@@ -71,7 +71,6 @@ TEST(CheckedInvariants, MutateAndCrossoverKeepInvariants)
     NeatConfig cfg;
     cfg.numInputs = 2;
     cfg.numOutputs = 1;
-    cfg.initialConnection = InitialConnection::FullDirect;
     NodeIndexer indexer(cfg.numOutputs);
     XorWow rng(0xabcdULL);
     Genome a = Genome::createNew(1, cfg, indexer, rng);

@@ -53,9 +53,6 @@ TEST(NeatConfigTest, RejectsBadProbabilities)
     cfg = valid();
     cfg.nodeDeleteProb = -0.1;
     EXPECT_ANY_THROW(cfg.validate());
-    cfg = valid();
-    cfg.partialConnectionProb = 2.0;
-    EXPECT_ANY_THROW(cfg.validate());
 }
 
 TEST(NeatConfigTest, RejectsBadSurvivalThreshold)

@@ -97,6 +97,9 @@ runSystem(const SystemCase &c)
         ncfg.fitnessThreshold = std::numeric_limits<double>::infinity();
     };
     core::System sys(cfg);
+    // The sweep compares runs built from the same code, so a tier the
+    // System fails to forward would pass it unseen.
+    EXPECT_EQ(sys.evalEngine().config().numericsTier, c.tier);
     RunRecord run;
     run.summary = sys.run();
     run.reports = sys.reports();

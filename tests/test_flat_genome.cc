@@ -45,35 +45,6 @@ TEST(FlatGeneMap, KeepsKeysSortedRegardlessOfInsertionOrder)
     }
 }
 
-TEST(FlatGeneMap, AssignMatchesEmplaceInOrderAndKeepsFirstDuplicate)
-{
-    // Unsorted entries with every key repeated several times: assign
-    // must build what emplacing them one by one builds, which keeps
-    // the first entry of each key. Enough entries that an unstable
-    // sort would reorder equal keys.
-    std::vector<std::pair<int, NodeGene>> entries;
-    FlatGeneMap<int, NodeGene> want;
-    for (int i = 0; i < 600; ++i) {
-        NodeGene ng;
-        ng.key = (i * 37) % 101;
-        ng.bias = static_cast<double>(i);
-        entries.emplace_back(ng.key, ng);
-        want.emplace(ng.key, ng);
-    }
-    FlatGeneMap<int, NodeGene> got;
-    NodeGene stale;
-    stale.key = 1000;
-    got.emplace(stale.key, stale); // replaced, not merged
-    got.assign(std::move(entries));
-    got.dcheckInvariants("assign test");
-    ASSERT_EQ(got.keys(), want.keys());
-    for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got.valueAt(i).key, got.keyAt(i));
-        EXPECT_EQ(got.valueAt(i).bias, want.valueAt(i).bias)
-            << "key " << got.keyAt(i);
-    }
-}
-
 TEST(FlatGeneMap, EmplaceDoesNotOverwriteInsertOrAssignDoes)
 {
     FlatGeneMap<int, NodeGene> m;

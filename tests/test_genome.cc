@@ -76,33 +76,6 @@ TEST(Genome, CreateNewFullDirect)
     g.validate(cfg);
 }
 
-TEST(Genome, CreateNewUnconnected)
-{
-    auto cfg = smallConfig();
-    cfg.initialConnection = InitialConnection::Unconnected;
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(2);
-    const auto g = Genome::createNew(0, cfg, idx, rng);
-    EXPECT_EQ(g.numConnectionGenes(), 0u);
-    g.validate(cfg);
-}
-
-TEST(Genome, CreateNewPartialDirectProbability)
-{
-    auto cfg = smallConfig();
-    cfg.initialConnection = InitialConnection::PartialDirect;
-    cfg.partialConnectionProb = 0.5;
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(3);
-    size_t total = 0;
-    const int n = 400;
-    for (int i = 0; i < n; ++i)
-        total += Genome::createNew(i, cfg, idx, rng)
-                     .numConnectionGenes();
-    // Expect about half of the 6 possible connections.
-    EXPECT_NEAR(static_cast<double>(total) / n, 3.0, 0.3);
-}
-
 TEST(Genome, CreateNewWithHiddenNodesIsWired)
 {
     auto cfg = smallConfig();
@@ -119,60 +92,45 @@ TEST(Genome, CreateNewWithHiddenNodesIsWired)
 
 TEST(Genome, CreateNewMatchesSortedConstruction)
 {
-    // createNew writes each connection into its closed-form slot (or,
-    // for PartialDirect, sorts once) and skips the Box-Muller math of
-    // zero-stdev attributes; the result must be the genome the
-    // draw-collect-sort oracle builds with every variate drawn, down
-    // to the bits, and leave the RNG and the node indexer where it
-    // leaves them.
-    const struct
-    {
-        InitialConnection mode;
-        const char *name;
-    } modes[] = {{InitialConnection::FullDirect, "FullDirect"},
-                 {InitialConnection::PartialDirect, "PartialDirect"},
-                 {InitialConnection::Unconnected, "Unconnected"}};
-    for (const auto &m : modes) {
-        for (int hidden : {0, 2}) {
-            // Stdev 1 draws every weight; stdev 0 with mean 0, as
-            // configForEnvironment sets it, skips them all; mean -0.0
-            // must not be skipped.
-            for (double weight_mean : {0.0, -0.0, 0.75}) {
-                for (double weight_stdev : {1.0, 0.0}) {
-                    SCOPED_TRACE(std::string(m.name) + ", numHidden " +
-                                 std::to_string(hidden) + ", weight N(" +
-                                 std::to_string(weight_mean) + ", " +
-                                 std::to_string(weight_stdev) + ")");
-                    NeatConfig cfg;
-                    cfg.numInputs = 24;
-                    cfg.numOutputs = 5;
-                    cfg.numHidden = hidden;
-                    cfg.initialConnection = m.mode;
-                    cfg.partialConnectionProb = 0.5;
-                    cfg.weight.initMean = weight_mean;
-                    cfg.weight.initStdev = weight_stdev;
-                    XorWow rng(100 + static_cast<uint64_t>(hidden));
-                    XorWow ref_rng = rng;
-                    NodeIndexer idx(cfg.numOutputs),
-                        ref_idx(cfg.numOutputs);
-                    for (int k = 0; k < 3; ++k) {
-                        const Genome got =
-                            Genome::createNew(k, cfg, idx, rng);
-                        const Genome want =
-                            oracle::createNew(k, cfg, ref_idx, ref_rng);
-                        expectSameGenes(got, want);
-                        got.validate(cfg);
-                    }
-                    const XorWowState a = rng.saveState();
-                    const XorWowState b = ref_rng.saveState();
-                    for (int i = 0; i < 5; ++i)
-                        EXPECT_EQ(a.state[i], b.state[i]);
-                    EXPECT_EQ(a.weyl, b.weyl);
-                    EXPECT_EQ(a.hasCachedGaussian, b.hasCachedGaussian);
-                    EXPECT_EQ(std::bit_cast<uint64_t>(a.cachedGaussian),
-                              std::bit_cast<uint64_t>(b.cachedGaussian));
-                    EXPECT_EQ(idx.peek(), ref_idx.peek());
+    // createNew writes each connection into its closed-form slot and
+    // skips the Box-Muller math of zero-stdev attributes; the result
+    // must be the genome the draw-collect-sort oracle builds with
+    // every variate drawn, down to the bits, and leave the RNG and
+    // the node indexer where it leaves them.
+    for (int hidden : {0, 2}) {
+        // Stdev 1 draws every weight; stdev 0 with mean 0, as
+        // configForEnvironment sets it, skips them all; mean -0.0 must
+        // not be skipped.
+        for (double weight_mean : {0.0, -0.0, 0.75}) {
+            for (double weight_stdev : {1.0, 0.0}) {
+                SCOPED_TRACE("numHidden " + std::to_string(hidden) +
+                             ", weight N(" + std::to_string(weight_mean) +
+                             ", " + std::to_string(weight_stdev) + ")");
+                NeatConfig cfg;
+                cfg.numInputs = 24;
+                cfg.numOutputs = 5;
+                cfg.numHidden = hidden;
+                cfg.weight.initMean = weight_mean;
+                cfg.weight.initStdev = weight_stdev;
+                XorWow rng(100 + static_cast<uint64_t>(hidden));
+                XorWow ref_rng = rng;
+                NodeIndexer idx(cfg.numOutputs), ref_idx(cfg.numOutputs);
+                for (int k = 0; k < 3; ++k) {
+                    const Genome got = Genome::createNew(k, cfg, idx, rng);
+                    const Genome want =
+                        oracle::createNew(k, cfg, ref_idx, ref_rng);
+                    expectSameGenes(got, want);
+                    got.validate(cfg);
                 }
+                const XorWowState a = rng.saveState();
+                const XorWowState b = ref_rng.saveState();
+                for (int i = 0; i < 5; ++i)
+                    EXPECT_EQ(a.state[i], b.state[i]);
+                EXPECT_EQ(a.weyl, b.weyl);
+                EXPECT_EQ(a.hasCachedGaussian, b.hasCachedGaussian);
+                EXPECT_EQ(std::bit_cast<uint64_t>(a.cachedGaussian),
+                          std::bit_cast<uint64_t>(b.cachedGaussian));
+                EXPECT_EQ(idx.peek(), ref_idx.peek());
             }
         }
     }

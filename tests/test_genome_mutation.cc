@@ -86,20 +86,20 @@ TEST(MutateAddNode, SplitPreservesPathWeights)
 TEST(MutateAddNode, FailsOnEmptyConnections)
 {
     auto cfg = mutConfig();
-    cfg.initialConnection = InitialConnection::Unconnected;
     NodeIndexer idx(cfg.numOutputs);
     XorWow rng(3);
     auto g = Genome::createNew(0, cfg, idx, rng);
+    g.mutableConnections().clear();
     EXPECT_EQ(g.mutateAddNode(cfg, idx, rng), -1);
 }
 
 TEST(MutateAddConnection, AddsValidEdge)
 {
     auto cfg = mutConfig();
-    cfg.initialConnection = InitialConnection::Unconnected;
     NodeIndexer idx(cfg.numOutputs);
     XorWow rng(4);
     auto g = Genome::createNew(0, cfg, idx, rng);
+    g.mutableConnections().clear();
     int added = 0;
     for (int i = 0; i < 50; ++i) {
         if (g.mutateAddConnection(cfg, rng))
@@ -170,10 +170,10 @@ TEST(MutateDeleteConnection, RemovesOne)
 TEST(MutateDeleteConnection, EmptyIsNoop)
 {
     auto cfg = mutConfig();
-    cfg.initialConnection = InitialConnection::Unconnected;
     NodeIndexer idx(cfg.numOutputs);
     XorWow rng(9);
     auto g = Genome::createNew(0, cfg, idx, rng);
+    g.mutableConnections().clear();
     EXPECT_EQ(g.mutateDeleteConnection(rng), 0);
 }
 
@@ -211,25 +211,6 @@ TEST(Mutate, CountsPerturbOpsPerGene)
     EXPECT_EQ(counts.perturbOps, static_cast<long>(g.numGenes()));
     EXPECT_EQ(counts.addOps, 0);
     EXPECT_EQ(counts.deleteOps, 0);
-}
-
-TEST(Mutate, SingleStructuralMutationMode)
-{
-    auto cfg = mutConfig();
-    cfg.singleStructuralMutation = true;
-    cfg.nodeAddProb = 1.0;
-    cfg.nodeDeleteProb = 1.0;
-    cfg.connAddProb = 1.0;
-    cfg.connDeleteProb = 1.0;
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(12);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-    const auto counts = g.mutate(cfg, idx, rng);
-    // Exactly one structural mutation class fired.
-    const bool add_only = counts.addOps > 0 && counts.deleteOps == 0;
-    const bool del_only = counts.deleteOps > 0 && counts.addOps == 0;
-    const bool none = counts.addOps == 0 && counts.deleteOps == 0;
-    EXPECT_TRUE(add_only || del_only || none);
 }
 
 /**

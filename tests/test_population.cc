@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "neat/per_genome.hh"
 #include "neat/population.hh"
@@ -201,6 +203,37 @@ TEST(Population, StepStopsAtThreshold)
     EXPECT_EQ(pop.history().size(), 1u);
     EXPECT_EQ(pop.generation(), 0);
     EXPECT_TRUE(pop.traces().empty());
+}
+
+TEST(Population, ExtinctionRestartsWithFreshKeys)
+{
+    // Flat fitness with no protected species makes every species
+    // stagnate; when reproduction leaves no survivors, the step seeds
+    // a fresh population instead and records no children.
+    NeatConfig cfg;
+    cfg.numInputs = 2;
+    cfg.numOutputs = 1;
+    cfg.populationSize = 20;
+    cfg.maxStagnation = 1;
+    cfg.speciesElitism = 0;
+    cfg.fitnessThreshold = std::numeric_limits<double>::infinity();
+    Population pop(cfg, 5);
+    const auto flat = perGenome([](const Genome &) { return 1.0; });
+    int max_key = pop.genomes().rbegin()->first;
+    int restarts = 0;
+    for (int i = 0; i < 8; ++i) {
+        ASSERT_FALSE(pop.stepBatch(flat));
+        ASSERT_EQ(pop.genomes().size(), 20u) << "after step " << i;
+        if (pop.traces().back().children.empty()) {
+            ++restarts;
+            // Plan carry-over keys on genome keys, so a restarted
+            // population must reuse none of them.
+            EXPECT_GT(pop.genomes().begin()->first, max_key)
+                << "restart at generation " << pop.generation();
+        }
+        max_key = std::max(max_key, pop.genomes().rbegin()->first);
+    }
+    EXPECT_GE(restarts, 2);
 }
 
 TEST(Population, NonFiniteFitnessRanksLowestAndRunContinues)

@@ -91,7 +91,7 @@ TEST_F(StagnationFixture, SpeciesElitismProtectsBest)
     }
 }
 
-TEST_F(StagnationFixture, SpeciesFitnessMaxVersusMean)
+TEST_F(StagnationFixture, SpeciesFitnessIsMemberMax)
 {
     SpeciesSet set(cfg);
     set.speciate(pop, 0);
@@ -99,24 +99,19 @@ TEST_F(StagnationFixture, SpeciesFitnessMaxVersusMean)
     for (auto &[gk, g] : pop)
         g.setFitness(i++ < 3 ? 0.0 : 10.0);
 
-    cfg.speciesFitnessFunc = SpeciesFitnessFunc::Max;
-    Stagnation max_stag(cfg);
+    Stagnation stag(cfg);
+    stag.update(set, pop, 0);
+    // Each species' best fitness so far is its best member's, not a
+    // summary such as the mean.
     double max_val = 0.0;
-    for (const SpeciesStanding &st : max_stag.update(set, pop, 0))
-        max_val = std::max(max_val, st.fitness);
-    EXPECT_DOUBLE_EQ(max_val, 10.0);
-
-    SpeciesSet set2(cfg);
-    set2.speciate(pop, 0);
-    cfg.speciesFitnessFunc = SpeciesFitnessFunc::Mean;
-    Stagnation mean_stag(cfg);
-    // With a single species the mean is 5.0; with several, each
-    // species' mean is between 0 and 10.
-    for (const SpeciesStanding &st : mean_stag.update(set2, pop, 0)) {
-        EXPECT_EQ(st.fitness, st.memberMean);
-        EXPECT_GE(st.fitness, 0.0);
-        EXPECT_LE(st.fitness, 10.0);
+    for (const auto &[sk, sp] : set.species()) {
+        double best = -std::numeric_limits<double>::infinity();
+        for (int mk : sp.memberKeys)
+            best = std::max(best, pop.at(mk).fitness());
+        EXPECT_EQ(sp.bestFitness, best) << "species " << sk;
+        max_val = std::max(max_val, sp.bestFitness);
     }
+    EXPECT_DOUBLE_EQ(max_val, 10.0);
 }
 
 TEST_F(StagnationFixture, BestFitnessTracksImprovement)

@@ -372,7 +372,7 @@ TEST(WavePullAllocations, WarmLoopAllocatesNothing)
 namespace
 {
 
-/** Allocations made by one FullDirect createNew at `inputs` inputs. */
+/** Allocations made by one createNew at `inputs` inputs. */
 long
 createNewAllocations(int inputs, int hidden)
 {
