@@ -33,8 +33,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -195,6 +197,110 @@ TEST(NumericsDivergence, HwSigmoidWithinBoundOfLibm)
     EXPECT_GT(max_seen, 0.0);
     std::cout << "[ divergence ] max hw sigmoid |hw - libm| = " << max_seen
               << " (bound " << kSigmoidBound << ")\n";
+}
+
+// --- function-unit tables ---------------------------------------------------
+// The plan kernel and the oracle interpreter share activateQuantized,
+// so the sweeps cannot see a change to a function unit, and the libm
+// bounds above leave room for one inside them. These digests pin each
+// unit's output bits over a dense grid plus hostile inputs: any change
+// to a core, a clamp or the Limit & Quantize stage moves a constant.
+
+namespace
+{
+
+/** Inputs every table folds after its dense grid. */
+std::vector<double>
+hostileInputs()
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double max = std::numeric_limits<double>::max();
+    constexpr double sub = std::numeric_limits<double>::denorm_min();
+    std::vector<double> xs = {0.0, -0.0, inf, -inf,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              sub, -sub, max, -max};
+    // Clamp points of the cores and their callers (tanh's +-3 at the
+    // 2.5x scaling, sin's and softplus' +-60 at 5x, exp's +-16 and
+    // +-60, gauss' +-3.4, clamped's +-1, the 1e-7 log/inv floor) and
+    // the Q6.10 rails with the half-LSB past each.
+    for (double c : {1.2, 3.0, 12.0, 3.2, 16.0, 60.0, 3.4, 1.0, 1e-7,
+                     32.0, 31.9990234375, 32.00048828125}) {
+        xs.push_back(c);
+        xs.push_back(-c);
+    }
+    return xs;
+}
+
+/**
+ * FNV-1a over the output bits of `f` on every multiple of 2^-12 in
+ * [-range, range], then on hostileInputs(). A NaN output folds as the
+ * canonical quiet NaN: its sign and payload are the host's, not the
+ * unit's.
+ */
+template <typename F>
+uint64_t
+functionUnitDigest(F f, double range)
+{
+    uint64_t h = 0xCBF29CE484222325ULL;
+    auto mix = [&h](double v) {
+        uint64_t bits = std::isnan(v) ? 0x7FF8000000000000ULL
+                                      : std::bit_cast<uint64_t>(v);
+        for (int b = 0; b < 8; ++b, bits >>= 8) {
+            h ^= bits & 0xFF;
+            h *= 0x100000001B3ULL;
+        }
+    };
+    const auto steps = static_cast<long>(range * 4096.0);
+    for (long k = -steps; k <= steps; ++k)
+        mix(f(static_cast<double>(k) * 0x1p-12));
+    for (double x : hostileInputs())
+        mix(f(x));
+    return h;
+}
+
+} // namespace
+
+TEST(HwFunctionUnits, ActivationTablesArePinned)
+{
+    constexpr auto q = nn::hwact::hwQuantizer();
+    const std::pair<neat::Activation, uint64_t> pinned[] = {
+        {neat::Activation::Sigmoid, 0x5b1dd9c6951f48faULL},
+        {neat::Activation::Tanh, 0x4a32bcfdd6024b64ULL},
+        {neat::Activation::ReLU, 0xe611f60346f4188cULL},
+        {neat::Activation::Identity, 0x9e4b0e5206f27c4cULL},
+        {neat::Activation::Sin, 0x5fe2ce2d8cdf1758ULL},
+        {neat::Activation::Gauss, 0x7804d98166157bbdULL},
+        {neat::Activation::Abs, 0x99b2abda9b0a1e54ULL},
+        {neat::Activation::Clamped, 0x04f994f5f266b190ULL},
+        {neat::Activation::Square, 0xc70edfd69510e0e4ULL},
+        {neat::Activation::Cube, 0xfc9a10e0f3709cf6ULL},
+        {neat::Activation::Log, 0xdcb96e8eb166b750ULL},
+        {neat::Activation::Exp, 0x3e99402ed9236a32ULL},
+        {neat::Activation::Hat, 0x86096083640cbb78ULL},
+        {neat::Activation::Inv, 0xa186dafe170d1212ULL},
+        {neat::Activation::Softplus, 0xe3955dae289a49c8ULL},
+    };
+    static_assert(std::size(pinned) ==
+                  static_cast<size_t>(neat::Activation::NumActivations));
+    for (const auto &[a, digest] : pinned) {
+        const uint64_t got = functionUnitDigest(
+            [a, &q](double x) {
+                return nn::hwact::activateQuantized(a, x, q);
+            },
+            32.0);
+        EXPECT_EQ(got, digest) << neat::activationName(a) << " digest 0x"
+                               << std::hex << got;
+    }
+}
+
+TEST(HwFunctionUnits, QuantizerTableIsPinned)
+{
+    // The grid runs two units past each rail, so it folds every
+    // half-LSB tie (round half to even) and both saturations.
+    constexpr auto q = nn::hwact::hwQuantizer();
+    const uint64_t got = functionUnitDigest(q, 34.0);
+    EXPECT_EQ(got, 0x5c1b5f9713763c4cULL)
+        << "Q6.10 quantizer digest 0x" << std::hex << got;
 }
 
 namespace
