@@ -9,9 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
 
 #include "common/logging.hh"
 #include "core/workloads.hh"
+#include "env/atari_ram.hh"
 #include "env/eval_fixtures.hh"
 #include "env/reference_eval.hh"
 #include "env/runner.hh"
@@ -353,6 +356,67 @@ BM_EvalPathWaveHeterogeneousAtariScale(benchmark::State &state)
     evalPathWaveHeterogeneous(state, WaveWorkload(kAtariInputs));
 }
 BENCHMARK(BM_EvalPathWaveHeterogeneousAtariScale);
+
+// --- environment step -------------------------------------------------------
+// AirRaid's RAM step on L lanes: one stepInto per lane (second arg 0)
+// or one stepLanes call that interleaves the lanes' RAM-hash chains
+// (second arg 1). Finished lanes reset in place. Reported per
+// lane-step and kernel-only: the episode loop adds the forward pass,
+// decode and retire around it.
+
+static void
+BM_AtariRamLanes(benchmark::State &state)
+{
+    const auto num_lanes = static_cast<size_t>(state.range(0));
+    const bool together = state.range(1) != 0;
+    std::vector<std::unique_ptr<env::AtariRam>> games;
+    std::vector<env::Environment *> lanes;
+    std::vector<std::vector<double>> obs(num_lanes,
+                                         std::vector<double>(128));
+    std::vector<env::Action> actions(num_lanes);
+    const std::vector<uint8_t> live(num_lanes, 1);
+    std::vector<env::StepOutcome> out(num_lanes);
+    uint64_t seed = 1;
+    for (size_t l = 0; l < num_lanes; ++l) {
+        games.push_back(
+            std::make_unique<env::AtariRam>(env::AtariVariant::AirRaid));
+        lanes.push_back(games.back().get());
+        lanes[l]->resetInto(seed++, obs[l]);
+    }
+    XorWow rng(7);
+    std::vector<int> script(256);
+    for (int &a : script)
+        a = static_cast<int>(rng.uniformInt(6));
+
+    size_t tick = 0;
+    for (auto _ : state) {
+        for (size_t l = 0; l < num_lanes; ++l)
+            actions[l].discrete = script[(tick + 37 * l) & 255];
+        ++tick;
+        if (together) {
+            lanes.front()->stepLanes(lanes, actions, obs, live, out);
+        } else {
+            for (size_t l = 0; l < num_lanes; ++l)
+                out[l] = lanes[l]->stepInto(actions[l], obs[l]);
+        }
+        for (size_t l = 0; l < num_lanes; ++l) {
+            if (out[l].done)
+                lanes[l]->resetInto(seed++, obs[l]);
+        }
+        benchmark::DoNotOptimize(obs.data());
+        benchmark::ClobberMemory();
+    }
+    const auto lane_steps =
+        static_cast<double>(state.iterations()) *
+        static_cast<double>(num_lanes);
+    state.SetItemsProcessed(static_cast<int64_t>(lane_steps));
+    state.counters["per_lane_step"] = benchmark::Counter(
+        lane_steps,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AtariRamLanes)
+    ->ArgNames({"lanes", "together"})
+    ->ArgsProduct({{1, 2, 4}, {0, 1}});
 
 // --- recurrent step ----------------------------------------------------------
 // The 64-hidden dense genome augmented with recurrent structure: a

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace genesys::env
@@ -43,6 +44,27 @@ constexpr std::array<uint64_t, 65> kRamHashPow = [] {
     t[64] = p;
     return t;
 }();
+
+/** One round of the finalizer chain that derives RAM bytes 64..127. */
+constexpr uint64_t
+mixRound(uint64_t h)
+{
+    h ^= h >> 33;
+    h *= 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 29;
+    return h;
+}
+
+/** Store derived RAM byte i, taken from chain state h, and its
+ *  observation value. */
+inline void
+storeDerived(std::array<uint8_t, 128> &ram, std::span<double> obs,
+             size_t i, uint64_t h)
+{
+    const auto b = static_cast<uint8_t>(h >> ((i % 8) * 8));
+    ram[i] = b;
+    obs[i] = kByteToUnit[b];
+}
 
 } // namespace
 
@@ -124,8 +146,7 @@ AtariRam::resetInto(uint64_t seed, std::span<double> obs)
     done_ = false;
     fireCooldown_ = 0;
     resetBookkeeping();
-    refreshRam();
-    observe(obs);
+    deriveRam(writeRamLow(obs), obs);
 }
 
 void
@@ -179,6 +200,54 @@ AtariRam::moveEnemies()
 
 StepOutcome
 AtariRam::stepInto(const Action &action, std::span<double> obs)
+{
+    StepOutcome out;
+    deriveRam(advance(action, obs, out), obs);
+    return out;
+}
+
+void
+AtariRam::stepLanes(std::span<Environment *const> lanes,
+                    std::span<const Action> actions,
+                    std::span<std::vector<double>> obs,
+                    std::span<const uint8_t> live,
+                    std::span<StepOutcome> out)
+{
+    checkLaneBatch(lanes, actions, obs, live, out);
+    for (size_t l = 0; l < lanes.size(); ++l) {
+        GENESYS_DCHECK(dynamic_cast<AtariRam *>(lanes[l]) != nullptr,
+                       "stepLanes lane " << l << " is "
+                                         << lanes[l]->name()
+                                         << ", not an AtariRam");
+    }
+    // Live lanes pair up in lane order. The first of a pair holds its
+    // chain seed until the second has advanced; then both chains run
+    // interleaved. An odd lane out runs alone.
+    AtariRam *first = nullptr;
+    size_t first_lane = 0;
+    uint64_t first_seed = 0;
+    for (size_t l = 0; l < lanes.size(); ++l) {
+        if (!live[l])
+            continue;
+        auto &env = static_cast<AtariRam &>(*lanes[l]);
+        const uint64_t seed = env.advance(actions[l], obs[l], out[l]);
+        if (first == nullptr) {
+            first = &env;
+            first_lane = l;
+            first_seed = seed;
+            continue;
+        }
+        deriveRamPair(*first, first_seed, obs[first_lane], env, seed,
+                      obs[l]);
+        first = nullptr;
+    }
+    if (first != nullptr)
+        first->deriveRam(first_seed, obs[first_lane]);
+}
+
+uint64_t
+AtariRam::advance(const Action &action, std::span<double> obs,
+                  StepOutcome &out)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
     checkObservationSpan(obs);
@@ -275,56 +344,74 @@ AtariRam::stepInto(const Action &action, std::span<double> obs)
 
     accumulate(reward);
     done_ = dead_ || stepsTaken_ >= maxSteps();
+    out = {reward, done_};
+    return writeRamLow(obs);
+}
 
-    refreshRam();
-    observe(obs);
-    return {reward, done_};
+uint64_t
+AtariRam::writeRamLow(std::span<double> obs)
+{
+    // Each byte is scaled into the observation and enters the chain
+    // seed's sum from the value just stored, so neither reads RAM
+    // back. The sum is mod 2^64, so the order it folds the bytes in
+    // leaves its bits unchanged.
+    uint64_t sum = 0;
+    auto put = [this, obs, &sum](size_t i, uint8_t b) {
+        ram_[i] = b;
+        obs[i] = kByteToUnit[b];
+        sum += b * kRamHashPow[i];
+    };
+    put(0, static_cast<uint8_t>(px_));
+    put(1, static_cast<uint8_t>(py_));
+    for (int e = 0; e < numEnemies; ++e) {
+        const auto i = static_cast<size_t>(2 + 3 * e);
+        put(i, static_cast<uint8_t>(ex_[e]));
+        put(i + 1, static_cast<uint8_t>(ey_[e]));
+        put(i + 2, enemyAlive_[e] ? 1 : 0);
+    }
+    for (size_t i = 20; i < 24; ++i) // always zero
+        put(i, 0);
+    for (int p = 0; p < numPellets; ++p) {
+        const auto i = static_cast<size_t>(24 + 3 * p);
+        put(i, static_cast<uint8_t>(pelletX_[p]));
+        put(i + 1, static_cast<uint8_t>(pelletY_[p]));
+        put(i + 2, pelletAlive_[p] ? 1 : 0);
+    }
+    put(60, static_cast<uint8_t>(score_ & 0xFF));
+    put(61, static_cast<uint8_t>((score_ >> 8) & 0xFF));
+    put(62, static_cast<uint8_t>(lives_));
+    put(63, static_cast<uint8_t>(stepsTaken_ & 0xFF));
+    const uint64_t h = 0x243F6A8885A308D3ULL ^
+                       (static_cast<uint64_t>(variant_) << 56);
+    return h * kRamHashPow[64] + sum;
 }
 
 void
-AtariRam::refreshRam()
+AtariRam::deriveRam(uint64_t h, std::span<double> obs)
 {
-    ram_.fill(0);
-    ram_[0] = static_cast<uint8_t>(px_);
-    ram_[1] = static_cast<uint8_t>(py_);
-    for (int e = 0; e < numEnemies; ++e) {
-        ram_[static_cast<size_t>(2 + 3 * e)] = static_cast<uint8_t>(ex_[e]);
-        ram_[static_cast<size_t>(3 + 3 * e)] = static_cast<uint8_t>(ey_[e]);
-        ram_[static_cast<size_t>(4 + 3 * e)] = enemyAlive_[e] ? 1 : 0;
-    }
-    for (int p = 0; p < numPellets; ++p) {
-        ram_[static_cast<size_t>(24 + 3 * p)] =
-            static_cast<uint8_t>(pelletX_[p]);
-        ram_[static_cast<size_t>(25 + 3 * p)] =
-            static_cast<uint8_t>(pelletY_[p]);
-        ram_[static_cast<size_t>(26 + 3 * p)] = pelletAlive_[p] ? 1 : 0;
-    }
-    ram_[60] = static_cast<uint8_t>(score_ & 0xFF);
-    ram_[61] = static_cast<uint8_t>((score_ >> 8) & 0xFF);
-    ram_[62] = static_cast<uint8_t>(lives_);
-    ram_[63] = static_cast<uint8_t>(stepsTaken_ & 0xFF);
     // Derived bytes 64..127: deterministic mixes of the live state,
     // mimicking the redundant/encoded bytes of real 2600 RAM. The
     // network has to discover which bytes carry signal.
-    uint64_t h = 0x243F6A8885A308D3ULL ^
-                 (static_cast<uint64_t>(variant_) << 56);
-    uint64_t sum = 0;
-    for (size_t i = 0; i < 64; ++i)
-        sum += ram_[i] * kRamHashPow[i];
-    h = h * kRamHashPow[64] + sum;
     for (size_t i = 64; i < 128; ++i) {
-        h ^= h >> 33;
-        h *= 0xFF51AFD7ED558CCDULL;
-        h ^= h >> 29;
-        ram_[i] = static_cast<uint8_t>(h >> ((i % 8) * 8));
+        h = mixRound(h);
+        storeDerived(ram_, obs, i, h);
     }
 }
 
 void
-AtariRam::observe(std::span<double> obs) const
+AtariRam::deriveRamPair(AtariRam &a, uint64_t ha, std::span<double> obsA,
+                        AtariRam &b, uint64_t hb, std::span<double> obsB)
 {
-    for (size_t i = 0; i < ram_.size(); ++i)
-        obs[i] = kByteToUnit[ram_[i]];
+    // Each round of one chain depends on the previous round, so one
+    // chain alone leaves the multiplier idle between rounds; two
+    // independent chains fill those gaps, and the observation stores
+    // ride along in the slack.
+    for (size_t i = 64; i < 128; ++i) {
+        ha = mixRound(ha);
+        hb = mixRound(hb);
+        storeDerived(a.ram_, obsA, i, ha);
+        storeDerived(b.ram_, obsB, i, hb);
+    }
 }
 
 double

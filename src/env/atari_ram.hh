@@ -53,6 +53,19 @@ class AtariRam : public Environment
     StepOutcome stepInto(const Action &action,
                          std::span<double> obs) override;
 
+    bool stepsLanesTogether() const override { return true; }
+
+    /**
+     * stepInto() on every live lane, the lanes' RAM-hash chains run
+     * two at a time so each hides the other's multiply latency. Every
+     * lane must be an AtariRam.
+     */
+    void stepLanes(std::span<Environment *const> lanes,
+                   std::span<const Action> actions,
+                   std::span<std::vector<double>> obs,
+                   std::span<const uint8_t> live,
+                   std::span<StepOutcome> out) override;
+
     long score() const { return score_; }
     bool dead() const { return dead_; }
     AtariVariant variant() const { return variant_; }
@@ -66,9 +79,24 @@ class AtariRam : public Environment
     static constexpr int numPellets = 12;
 
   private:
-    void refreshRam();
-    /** RAM bytes scaled to [0, 1]. */
-    void observe(std::span<double> obs) const;
+    /**
+     * One step's game update, checked as stepInto() checks it, through
+     * RAM bytes 0..63 and their observation values. Returns the seed
+     * of the chain that derives bytes 64..127.
+     */
+    uint64_t advance(const Action &action, std::span<double> obs,
+                     StepOutcome &out);
+    /**
+     * Write RAM bytes 0..63 from the game state and their values,
+     * scaled to [0, 1], into `obs`; returns the chain seed.
+     */
+    uint64_t writeRamLow(std::span<double> obs);
+    /** Derive RAM bytes 64..127 and their observation values from `h`. */
+    void deriveRam(uint64_t h, std::span<double> obs);
+    /** deriveRam() on two games at once, their chains interleaved. */
+    static void deriveRamPair(AtariRam &a, uint64_t ha,
+                              std::span<double> obsA, AtariRam &b,
+                              uint64_t hb, std::span<double> obsB);
     void moveEnemies();
     double targetScore() const;
 

@@ -27,6 +27,37 @@ Environment::step(const Action &action)
 }
 
 void
+Environment::stepLanes(std::span<Environment *const> lanes,
+                       std::span<const Action> actions,
+                       std::span<std::vector<double>> obs,
+                       std::span<const uint8_t> live,
+                       std::span<StepOutcome> out)
+{
+    checkLaneBatch(lanes, actions, obs, live, out);
+    for (size_t l = 0; l < lanes.size(); ++l) {
+        if (live[l])
+            out[l] = lanes[l]->stepInto(actions[l], obs[l]);
+    }
+}
+
+void
+Environment::checkLaneBatch(std::span<Environment *const> lanes,
+                            std::span<const Action> actions,
+                            std::span<std::vector<double>> obs,
+                            std::span<const uint8_t> live,
+                            std::span<StepOutcome> out)
+{
+    const size_t n = lanes.size();
+    GENESYS_ASSERT(actions.size() == n && obs.size() == n &&
+                       live.size() == n && out.size() == n,
+                   "stepLanes over " << n << " lanes got " << actions.size()
+                                     << " actions, " << obs.size()
+                                     << " observations, " << live.size()
+                                     << " live flags and " << out.size()
+                                     << " outcomes");
+}
+
+void
 Environment::checkObservationSpan(std::span<const double> obs) const
 {
     GENESYS_ASSERT(obs.size() == static_cast<size_t>(observationSize()),

@@ -9,6 +9,7 @@
 #ifndef GENESYS_ENV_ENV_HH
 #define GENESYS_ENV_ENV_HH
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -107,6 +108,30 @@ class Environment
     virtual StepOutcome stepInto(const Action &action,
                                  std::span<double> obs) = 0;
 
+    /**
+     * Whether stepLanes() beats one stepInto() per lane for this
+     * environment type. The episode loop then decodes every live lane,
+     * makes one stepLanes() call and retires finished lanes in lane
+     * order; otherwise it steps each lane as it decodes it.
+     */
+    virtual bool stepsLanesTogether() const { return false; }
+
+    /**
+     * Advance every live lane one step: lane l with live[l] != 0 steps
+     * with actions[l], writes its observation into obs[l] and its
+     * outcome into out[l]. Idle lanes are not touched. All five spans
+     * are lane-indexed and equally long. Lane for lane the result is
+     * lanes[l]->stepInto(actions[l], obs[l]), which the default calls.
+     * Call it on any one of the lanes: an override may assume that
+     * every lane has that lane's dynamic type, and a checked build
+     * asserts that it does.
+     */
+    virtual void stepLanes(std::span<Environment *const> lanes,
+                           std::span<const Action> actions,
+                           std::span<std::vector<double>> obs,
+                           std::span<const uint8_t> live,
+                           std::span<StepOutcome> out);
+
     /** resetInto() into a fresh vector. */
     std::vector<double> reset(uint64_t seed);
 
@@ -131,6 +156,13 @@ class Environment
   protected:
     /** Fail loudly unless `obs` holds exactly observationSize() doubles. */
     void checkObservationSpan(std::span<const double> obs) const;
+
+    /** Fail loudly unless stepLanes()' spans are equally long. */
+    static void checkLaneBatch(std::span<Environment *const> lanes,
+                               std::span<const Action> actions,
+                               std::span<std::vector<double>> obs,
+                               std::span<const uint8_t> live,
+                               std::span<StepOutcome> out);
 
     /** Book-keeping helper for subclasses' stepInto() implementations. */
     void

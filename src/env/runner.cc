@@ -63,7 +63,10 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
             static_cast<size_t>(lanes[l]->observationSize()));
     scratch.action.resize(num_lanes);
     scratch.lane.assign(num_lanes, WaveItem{});
+    scratch.live.assign(num_lanes, 0);
+    scratch.outcome.resize(num_lanes);
     scratch.claimed.resize(group);
+    const bool together = lanes.front()->stepsLanesTogether();
 
     // Bind idle lanes, lowest first, to the claimed group's remaining
     // items, claiming the next group once this one is used up and
@@ -97,6 +100,7 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
             while (scratch.lane[l].plan != nullptr)
                 ++l;
             scratch.lane[l] = it;
+            scratch.live[l] = 1;
             it.plan->reset(scratch.net[l]);
             lanes[l]->resetInto(it.seed, scratch.obs[l]);
             ++live;
@@ -109,6 +113,20 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
         }
     };
     fill(false);
+
+    // A terminated lane records its result and goes idle.
+    auto retire = [&](size_t l) {
+        const WaveItem &it = scratch.lane[l];
+        EpisodeResult &res = results[it.slot];
+        res.cumulativeReward = lanes[l]->cumulativeReward();
+        res.fitness = lanes[l]->episodeFitness();
+        res.steps = lanes[l]->stepsTaken();
+        res.inferences = res.steps; // one pass per step
+        res.macs = it.plan->macsPerInference() * res.inferences;
+        scratch.lane[l] = WaveItem{};
+        scratch.live[l] = 0;
+        --live;
+    };
 
     while (live > 0) {
         ++stats.supersteps;
@@ -125,26 +143,33 @@ evaluateWave(WaveSource &source, const std::vector<Environment *> &lanes,
         }
 
         // --- environment step: each live lane advances its own
-        // episode, in lane order. A terminating lane records its
-        // result and goes idle; idle lanes are refilled once every
-        // lane has stepped, and join on the next superstep.
-        for (size_t l = 0; l < num_lanes; ++l) {
-            const WaveItem &it = scratch.lane[l];
-            if (it.plan == nullptr)
-                continue;
-            decodeActionInto(space, scratch.net[l].outputs,
-                             scratch.action[l]);
-            if (!lanes[l]->stepInto(scratch.action[l], scratch.obs[l])
-                     .done)
-                continue;
-            EpisodeResult &res = results[it.slot];
-            res.cumulativeReward = lanes[l]->cumulativeReward();
-            res.fitness = lanes[l]->episodeFitness();
-            res.steps = lanes[l]->stepsTaken();
-            res.inferences = res.steps; // one pass per step
-            res.macs = it.plan->macsPerInference() * res.inferences;
-            scratch.lane[l] = WaveItem{};
-            --live;
+        // episode and terminating lanes retire, in lane order. Idle
+        // lanes are refilled once every lane has stepped, and join on
+        // the next superstep. Environments that step lanes together
+        // take every live lane's action in one stepLanes() call;
+        // the others step each lane as soon as it is decoded.
+        if (together) {
+            for (size_t l = 0; l < num_lanes; ++l) {
+                if (scratch.live[l])
+                    decodeActionInto(space, scratch.net[l].outputs,
+                                     scratch.action[l]);
+            }
+            lanes.front()->stepLanes(lanes, scratch.action, scratch.obs,
+                                     scratch.live, scratch.outcome);
+            for (size_t l = 0; l < num_lanes; ++l) {
+                if (scratch.live[l] && scratch.outcome[l].done)
+                    retire(l);
+            }
+        } else {
+            for (size_t l = 0; l < num_lanes; ++l) {
+                if (!scratch.live[l])
+                    continue;
+                decodeActionInto(space, scratch.net[l].outputs,
+                                 scratch.action[l]);
+                if (lanes[l]->stepInto(scratch.action[l], scratch.obs[l])
+                        .done)
+                    retire(l);
+            }
         }
         fill(true);
     }

@@ -155,6 +155,10 @@ struct WaveScratch
     std::vector<Action> action;
     /** Item driving each lane; a null plan marks an idle lane. */
     std::vector<WaveItem> lane;
+    /** 1 where lane[l] holds an item: stepLanes()' live mask. */
+    std::vector<uint8_t> live;
+    /** Per-lane outcome of the latest stepLanes() call. */
+    std::vector<StepOutcome> outcome;
     /** The latest claimed group, handed to lanes as they idle. */
     std::vector<WaveItem> claimed;
 };

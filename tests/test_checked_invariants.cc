@@ -19,6 +19,8 @@
 
 #include "common/check.hh"
 #include "common/rng.hh"
+#include "env/atari_ram.hh"
+#include "env/cartpole.hh"
 #include "neat/flat_gene_map.hh"
 #include "neat/gene.hh"
 #include "neat/genome.hh"
@@ -82,6 +84,29 @@ TEST(CheckedInvariants, MutateAndCrossoverKeepInvariants)
     Genome child = Genome::crossover(3, a, b, rng, nullptr);
     child.nodes().dcheckInvariants("crossover child nodes");
     child.connections().dcheckInvariants("crossover child conns");
+}
+
+TEST(CheckedInvariants, MixedAtariRamLaneBatchPanics)
+{
+    // AtariRam::stepLanes treats every lane as an AtariRam, so a batch
+    // that mixes in a CartPole is a caller bug. The checked build
+    // catches it before any lane steps. An unchecked build has no check
+    // to observe, and stepping the mixed batch there is undefined.
+    if (!checkedBuild())
+        GTEST_SKIP() << "the lane type check exists in checked builds";
+    env::AtariRam atari(env::AtariVariant::AirRaid);
+    env::CartPole cart;
+    std::vector<std::vector<double>> obs = {std::vector<double>(128),
+                                            std::vector<double>(4)};
+    atari.resetInto(1, obs[0]);
+    cart.resetInto(1, obs[1]);
+    const std::vector<env::Environment *> lanes = {&atari, &cart};
+    const std::vector<env::Action> actions(2); // action 0 suits both
+    const std::vector<uint8_t> live = {1, 1};
+    std::vector<env::StepOutcome> out(2);
+    EXPECT_THROW(atari.stepLanes(lanes, actions, obs, live, out),
+                 std::logic_error);
+    EXPECT_EQ(atari.stepsTaken(), 0);
 }
 
 TEST(CheckedInvariants, CheckedBuildFollowsBuildFlag)

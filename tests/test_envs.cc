@@ -11,8 +11,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -341,6 +343,115 @@ TEST_P(EnvContract, SpanFormsMatchVectorAdapters)
     EXPECT_THROW(spans->resetInto(1, narrow), std::logic_error);
 }
 
+TEST_P(EnvContract, LaneStepMatchesStepInto)
+{
+    // stepLanes over 1..5 lanes equals a per-lane stepInto twin bit for
+    // bit. The AtariRam variants run the interleaved override, every
+    // other environment the default. Lane l joins l supersteps late,
+    // abandons its episode after 3 + 4l steps (or ends it earlier) and
+    // then idles for 1 + l % 3 supersteps before its next episode, so
+    // the batches mix idle lanes, odd live counts and episodes that end
+    // at different supersteps. An idle lane's observation and outcome
+    // must stay untouched.
+    const double guard = -777.25;
+    auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    for (size_t num_lanes = 1; num_lanes <= 5; ++num_lanes) {
+        SCOPED_TRACE(std::to_string(num_lanes) + " lanes");
+        std::vector<std::unique_ptr<Environment>> batch, twins;
+        std::vector<Environment *> lanes;
+        for (size_t l = 0; l < num_lanes; ++l) {
+            batch.push_back(makeEnvironment(GetParam()));
+            twins.push_back(makeEnvironment(GetParam()));
+            lanes.push_back(batch.back().get());
+        }
+        const auto space = lanes.front()->actionSpace();
+        const auto width =
+            static_cast<size_t>(lanes.front()->observationSize());
+        std::vector<double> outputs(
+            static_cast<size_t>(lanes.front()->recommendedOutputs()));
+        std::vector<Action> actions(num_lanes);
+        std::vector<std::vector<double>> obs(num_lanes,
+                                             std::vector<double>(width));
+        std::vector<std::vector<double>> twin_obs = obs;
+        std::vector<uint8_t> live(num_lanes, 0);
+        std::vector<StepOutcome> out(num_lanes);
+        std::vector<int> steps(num_lanes, 0), join_at(num_lanes);
+        std::vector<uint64_t> episodes(num_lanes, 0);
+        std::vector<XorWow> policy;
+        for (size_t l = 0; l < num_lanes; ++l) {
+            join_at[l] = static_cast<int>(l);
+            policy.emplace_back(100 + l);
+        }
+        int idle_steps = 0;
+        for (int t = 0; t < 80; ++t) {
+            for (size_t l = 0; l < num_lanes; ++l) {
+                if (live[l] || t < join_at[l])
+                    continue;
+                const uint64_t seed =
+                    1000 * num_lanes + 10 * l + episodes[l]++;
+                batch[l]->resetInto(seed, obs[l]);
+                twins[l]->resetInto(seed, twin_obs[l]);
+                live[l] = 1;
+                steps[l] = 0;
+            }
+            for (size_t l = 0; l < num_lanes; ++l) {
+                if (live[l]) {
+                    for (double &o : outputs)
+                        o = policy[l].uniform(-1.0, 1.0);
+                    decodeActionInto(space, outputs, actions[l]);
+                } else {
+                    std::fill(obs[l].begin(), obs[l].end(), guard);
+                    out[l] = {guard, true};
+                    ++idle_steps;
+                }
+            }
+            lanes.front()->stepLanes(lanes, actions, obs, live, out);
+            for (size_t l = 0; l < num_lanes; ++l) {
+                const std::string at = "superstep " + std::to_string(t) +
+                                       " lane " + std::to_string(l);
+                if (!live[l]) {
+                    for (double v : obs[l])
+                        ASSERT_EQ(v, guard) << at << ": idle lane written";
+                    EXPECT_EQ(out[l].reward, guard) << at;
+                    EXPECT_TRUE(out[l].done) << at;
+                    continue;
+                }
+                const StepOutcome want =
+                    twins[l]->stepInto(actions[l], twin_obs[l]);
+                for (size_t i = 0; i < width; ++i) {
+                    ASSERT_EQ(bits(obs[l][i]), bits(twin_obs[l][i]))
+                        << at << " value " << i;
+                }
+                const Environment &got = *batch[l], &twin = *twins[l];
+                EXPECT_EQ(bits(out[l].reward), bits(want.reward)) << at;
+                EXPECT_EQ(out[l].done, want.done) << at;
+                EXPECT_EQ(bits(got.cumulativeReward()),
+                          bits(twin.cumulativeReward()))
+                    << at;
+                EXPECT_EQ(got.stepsTaken(), twin.stepsTaken()) << at;
+                EXPECT_EQ(bits(got.episodeFitness()),
+                          bits(twin.episodeFitness()))
+                    << at;
+                if (const auto *ram = dynamic_cast<const AtariRam *>(&got)) {
+                    EXPECT_EQ(ram->ram(),
+                              static_cast<const AtariRam &>(twin).ram())
+                        << at;
+                }
+                if (want.done || ++steps[l] == 3 + 4 * static_cast<int>(l)) {
+                    live[l] = 0;
+                    join_at[l] = t + 2 + static_cast<int>(l % 3);
+                }
+            }
+        }
+        EXPECT_GT(idle_steps, 0);
+        // Spans of different lengths are a caller bug.
+        EXPECT_THROW(lanes.front()->stepLanes(
+                         lanes, actions, obs, live,
+                         std::span(out).first(num_lanes - 1)),
+                     std::logic_error);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(TableI, EnvContract,
                          ::testing::ValuesIn(environmentNames()));
 
@@ -619,59 +730,166 @@ namespace
 {
 
 /**
- * FNV-1a over the bit patterns of every observation and reward of a
- * fixed-seed episode played by a seeded random policy, several
- * episodes deep, so any change to the RAM layout or its derived
- * bytes changes the digest.
+ * One replay of the pinned episodes: fixed seeds played by a seeded
+ * random policy, four episodes deep, folding the bit patterns of
+ * every observation and reward into an FNV-1a digest, so any change
+ * to the RAM layout or its derived bytes changes the digest.
  */
+class PinnedReplay
+{
+  public:
+    explicit PinnedReplay(AtariVariant variant) : env(variant) {}
+
+    AtariRam env;
+    uint64_t digest = 0xCBF29CE484222325ULL;
+
+    /** Reset `obs` into the next episode; false once all are played. */
+    bool
+    nextEpisode(std::vector<double> &obs)
+    {
+        if (episode_ == 4)
+            return false;
+        env.resetInto(31 + episode_++, obs);
+        for (double v : obs)
+            mix(v);
+        return true;
+    }
+
+    Action
+    nextAction()
+    {
+        const auto n = static_cast<uint32_t>(env.actionSpace().n);
+        return {static_cast<int>(policy_.uniformInt(n)), {}};
+    }
+
+    /** Fold one step's observation and reward. */
+    void
+    fold(const std::vector<double> &obs, const StepOutcome &out)
+    {
+        for (double v : obs)
+            mix(v);
+        mix(out.reward);
+    }
+
+  private:
+    void
+    mix(double v)
+    {
+        uint64_t bits = std::bit_cast<uint64_t>(v);
+        for (int b = 0; b < 8; ++b, bits >>= 8) {
+            digest ^= bits & 0xFF;
+            digest *= 0x100000001B3ULL;
+        }
+    }
+
+    XorWow policy_{23};
+    uint64_t episode_ = 0;
+};
+
+/** The pinned episodes' digest, stepped through stepInto. */
 uint64_t
 atariTrajectoryDigest(AtariVariant variant)
 {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    auto mix = [&h](double v) {
-        uint64_t bits = std::bit_cast<uint64_t>(v);
-        for (int b = 0; b < 8; ++b, bits >>= 8) {
-            h ^= bits & 0xFF;
-            h *= 0x100000001B3ULL;
-        }
-    };
-    AtariRam env(variant);
-    const auto n = static_cast<uint32_t>(env.actionSpace().n);
+    PinnedReplay replay(variant);
     std::vector<double> obs(128);
-    XorWow policy(23);
-    for (uint64_t episode = 0; episode < 4; ++episode) {
-        env.resetInto(31 + episode, obs);
-        for (double v : obs)
-            mix(v);
-        bool done = false;
-        while (!done) {
-            const StepOutcome out = env.stepInto(
-                {static_cast<int>(policy.uniformInt(n)), {}}, obs);
-            for (double v : obs)
-                mix(v);
-            mix(out.reward);
-            done = out.done;
+    while (replay.nextEpisode(obs)) {
+        StepOutcome out;
+        do {
+            out = replay.env.stepInto(replay.nextAction(), obs);
+            replay.fold(obs, out);
+        } while (!out.done);
+    }
+    return replay.digest;
+}
+
+/**
+ * The pinned episodes replayed on `numLanes` lanes at once through
+ * stepLanes, lane l joining l supersteps late so each batch pairs
+ * lanes at different points of the trajectory. Returns each lane's
+ * digest.
+ */
+std::vector<uint64_t>
+atariLaneTrajectoryDigests(AtariVariant variant, size_t numLanes)
+{
+    std::vector<std::unique_ptr<PinnedReplay>> replays;
+    std::vector<Environment *> lanes;
+    for (size_t l = 0; l < numLanes; ++l) {
+        replays.push_back(std::make_unique<PinnedReplay>(variant));
+        lanes.push_back(&replays.back()->env);
+    }
+    std::vector<Action> actions(numLanes);
+    std::vector<std::vector<double>> obs(numLanes,
+                                         std::vector<double>(128));
+    std::vector<uint8_t> live(numLanes, 0);
+    std::vector<uint8_t> played(numLanes, 0);
+    std::vector<StepOutcome> out(numLanes);
+    size_t finished = 0;
+    for (size_t t = 0; finished < numLanes; ++t) {
+        for (size_t l = 0; l < numLanes && l <= t; ++l) {
+            if (live[l] || played[l])
+                continue;
+            if (replays[l]->nextEpisode(obs[l])) {
+                live[l] = 1;
+            } else {
+                played[l] = 1;
+                ++finished;
+            }
+        }
+        for (size_t l = 0; l < numLanes; ++l) {
+            if (live[l])
+                actions[l] = replays[l]->nextAction();
+        }
+        lanes.front()->stepLanes(lanes, actions, obs, live, out);
+        for (size_t l = 0; l < numLanes; ++l) {
+            if (!live[l])
+                continue;
+            replays[l]->fold(obs[l], out[l]);
+            live[l] = out[l].done ? 0 : 1;
         }
     }
-    return h;
+    std::vector<uint64_t> digests;
+    for (const auto &replay : replays)
+        digests.push_back(replay->digest);
+    return digests;
 }
+
+/**
+ * Pins every byte the four variants expose, the derived bytes 64..127
+ * included, so a rewrite of the RAM hash must reproduce the old
+ * observations exactly.
+ */
+constexpr std::pair<AtariVariant, uint64_t> kPinnedTrajectories[] = {
+    {AtariVariant::AirRaid, 0x5913c07c484435b7ULL},
+    {AtariVariant::Alien, 0x49f4a2b1a065e324ULL},
+    {AtariVariant::Amidar, 0x1dfa7df1183331b1ULL},
+    {AtariVariant::Asterix, 0x97e73874a42c43c3ULL},
+};
 
 } // namespace
 
 TEST(AtariRamTest, ObservationTrajectoriesArePinned)
 {
-    // Pins every byte the four variants expose, the derived bytes
-    // 64..127 included, so a rewrite of the RAM hash must reproduce
-    // the old observations exactly.
-    const std::pair<AtariVariant, uint64_t> pinned[] = {
-        {AtariVariant::AirRaid, 0x5913c07c484435b7ULL},
-        {AtariVariant::Alien, 0x49f4a2b1a065e324ULL},
-        {AtariVariant::Amidar, 0x1dfa7df1183331b1ULL},
-        {AtariVariant::Asterix, 0x97e73874a42c43c3ULL},
-    };
-    for (const auto &[variant, digest] : pinned) {
+    for (const auto &[variant, digest] : kPinnedTrajectories) {
         EXPECT_EQ(atariTrajectoryDigest(variant), digest)
             << atariVariantName(variant) << " digest 0x" << std::hex
             << atariTrajectoryDigest(variant);
+    }
+}
+
+TEST(AtariRamTest, LaneStepsReplayPinnedTrajectories)
+{
+    // The same episodes through the interleaved stepLanes: one lane
+    // (the odd lane out), a pair, and a pair plus a remainder.
+    for (const auto &[variant, digest] : kPinnedTrajectories) {
+        for (size_t num_lanes : {1u, 2u, 3u}) {
+            const std::vector<uint64_t> got =
+                atariLaneTrajectoryDigests(variant, num_lanes);
+            for (size_t l = 0; l < got.size(); ++l) {
+                EXPECT_EQ(got[l], digest)
+                    << atariVariantName(variant) << ", " << num_lanes
+                    << " lanes, lane " << l << " digest 0x" << std::hex
+                    << got[l];
+            }
+        }
     }
 }

@@ -239,14 +239,15 @@ def check_map_gene_storage(ctx):
 
 
 def check_libm_in_hot_path(ctx):
-    # The HwFaithful tier's speedup contract (src/nn/hw_activations.hh)
-    # is that nothing under src/nn/ calls a libm transcendental: the
-    # per-lane activation loops only vectorize because every
-    # sigmoid/tanh/exp goes through the branch-free rational/
-    # truncated-series cores, and one stray std::exp reintroduces the
-    # scalar call that is the eval-path floor on small policies. The
-    # reference formulas live in src/neat/activations.cc — outside this
-    # scope by design — and nn code reaches them via neat::activate.
+    # The HwFaithful tier models the GeneSys datapath, which has no
+    # libm: every sigmoid/tanh/exp under src/nn/ goes through the
+    # branch-free rational/truncated-series function units in
+    # src/nn/hw_activations.hh, whose output bits test_numerics_divergence
+    # pins. A stray std::exp would make a hw plan's bits depend on the
+    # host's libm instead of those units, and put a libm call back into
+    # the per-node activation step of the plan kernel. The reference
+    # formulas live in src/neat/activations.cc — outside this scope by
+    # design — and nn code reaches them via neat::activate.
     if not ctx.path.startswith("src/nn/"):
         return
     pat = re.compile(r"\bstd::(tanh|exp|exp2|expm1|sigmoid)[fl]?\s*\(")
@@ -257,8 +258,8 @@ def check_libm_in_hot_path(ctx):
                 "libm transcendental in the src/nn/ hot path: use the "
                 "branch-free cores in nn/hw_activations.hh (hw tier) or "
                 "neat::activate (reference tier); a raw libm call "
-                "defeats vectorization and is the scalar floor the "
-                "HwFaithful tier exists to remove. Annotate with "
+                "ties hw-tier bits to the host libm instead of the "
+                "pinned function units. Annotate with "
                 "genesys-lint: allow(libm-in-hot-path, <why>) if the "
                 "site is off the per-step eval path")
 
