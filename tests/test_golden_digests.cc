@@ -14,7 +14,8 @@
  * The digests (oracle::digestFields, tests/oracle/core/run_digest)
  * fold in the RunSummary totals and every generation report's
  * algorithm, workload and hardware-cycle fields, over 6 generations of
- * CartPole and Atari-RAM populations, feed-forward and recurrent.
+ * CartPole and Atari-RAM populations, feed-forward and recurrent, and
+ * of a feed-forward LunarLander population.
  * They are toolchain-locked by construction: a different libm or FP
  * contraction regime may legitimately produce different bits. On such
  * a change — or an *intentional* semantic change — regenerate with
@@ -65,6 +66,16 @@ using oracle::fold;
 
 namespace
 {
+
+// The constants that HwTierMovesDigests holds apart: the two tiers of
+// one configuration, on the workloads whose episodes they score
+// differently.
+constexpr uint64_t kAtariRamFeedForward = 0x0c2b83e79f4d6cd4ull;
+constexpr uint64_t kAtariRamRecurrent = 0x8cd2f0b7e7b2976aull;
+constexpr uint64_t kLunarLanderFeedForward = 0xb5ff0454d6bfb1edull;
+constexpr uint64_t kHwAtariRamFeedForward = 0x6f0429717d4d0369ull;
+constexpr uint64_t kHwAtariRamRecurrent = 0x4809cadcf81e17abull;
+constexpr uint64_t kHwLunarLanderFeedForward = 0x15d1c7dba64d032cull;
 
 /** The fixed configuration every golden run uses. */
 core::SystemConfig
@@ -309,12 +320,17 @@ TEST(GoldenDigestTest, CartPoleRecurrent)
 
 TEST(GoldenDigestTest, AtariRamFeedForward)
 {
-    expectGolden("AirRaid-ram-v0", true, 0x0c2b83e79f4d6cd4ull);
+    expectGolden("AirRaid-ram-v0", true, kAtariRamFeedForward);
 }
 
 TEST(GoldenDigestTest, AtariRamRecurrent)
 {
-    expectGolden("AirRaid-ram-v0", false, 0x8cd2f0b7e7b2976aull);
+    expectGolden("AirRaid-ram-v0", false, kAtariRamRecurrent);
+}
+
+TEST(GoldenDigestTest, LunarLanderFeedForward)
+{
+    expectGolden("LunarLander_v2", true, kLunarLanderFeedForward);
 }
 
 TEST(GoldenDigestTest, CartPoleManySpecies)
@@ -378,14 +394,12 @@ TEST(GoldenDigestTest, ResumedCartPoleRecurrent)
 
 TEST(GoldenDigestTest, ResumedAtariRamFeedForward)
 {
-    expectGoldenResumed("AirRaid-ram-v0", true, 3,
-                        0x0c2b83e79f4d6cd4ull);
+    expectGoldenResumed("AirRaid-ram-v0", true, 3, kAtariRamFeedForward);
 }
 
 TEST(GoldenDigestTest, ResumedAtariRamRecurrent)
 {
-    expectGoldenResumed("AirRaid-ram-v0", false, 3,
-                        0x8cd2f0b7e7b2976aull);
+    expectGoldenResumed("AirRaid-ram-v0", false, 3, kAtariRamRecurrent);
 }
 
 // --- HwFaithful tier -------------------------------------------------
@@ -413,14 +427,32 @@ TEST(GoldenDigestTest, HwCartPoleRecurrent)
 
 TEST(GoldenDigestTest, HwAtariRamFeedForward)
 {
-    expectGolden("AirRaid-ram-v0", true, 0x6f0429717d4d0369ull,
+    expectGolden("AirRaid-ram-v0", true, kHwAtariRamFeedForward,
                  nn::NumericsTier::HwFaithful);
 }
 
 TEST(GoldenDigestTest, HwAtariRamRecurrent)
 {
-    expectGolden("AirRaid-ram-v0", false, 0x4809cadcf81e17abull,
+    expectGolden("AirRaid-ram-v0", false, kHwAtariRamRecurrent,
                  nn::NumericsTier::HwFaithful);
+}
+
+TEST(GoldenDigestTest, HwLunarLanderFeedForward)
+{
+    expectGolden("LunarLander_v2", true, kHwLunarLanderFeedForward,
+                 nn::NumericsTier::HwFaithful);
+}
+
+// A run that drops SystemConfig::numericsTier on its way to the
+// engine scores the hw cases in the reference tier and lands on the
+// reference constants. CartPole cannot catch that (its constants
+// coincide, above); these configurations can, as long as their
+// constants stay distinct.
+TEST(GoldenDigestTest, HwTierMovesDigests)
+{
+    EXPECT_NE(kHwAtariRamFeedForward, kAtariRamFeedForward);
+    EXPECT_NE(kHwAtariRamRecurrent, kAtariRamRecurrent);
+    EXPECT_NE(kHwLunarLanderFeedForward, kLunarLanderFeedForward);
 }
 
 TEST(GoldenDigestTest, ResumedHwCartPoleFeedForward)
@@ -437,12 +469,12 @@ TEST(GoldenDigestTest, ResumedHwCartPoleRecurrent)
 
 TEST(GoldenDigestTest, ResumedHwAtariRamFeedForward)
 {
-    expectGoldenResumed("AirRaid-ram-v0", true, 3, 0x6f0429717d4d0369ull,
+    expectGoldenResumed("AirRaid-ram-v0", true, 3, kHwAtariRamFeedForward,
                         nn::NumericsTier::HwFaithful);
 }
 
 TEST(GoldenDigestTest, ResumedHwAtariRamRecurrent)
 {
-    expectGoldenResumed("AirRaid-ram-v0", false, 3, 0x4809cadcf81e17abull,
+    expectGoldenResumed("AirRaid-ram-v0", false, 3, kHwAtariRamRecurrent,
                         nn::NumericsTier::HwFaithful);
 }
