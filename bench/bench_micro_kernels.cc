@@ -20,7 +20,6 @@
 #include "env/runner.hh"
 #include "exec/eval_engine.hh"
 #include "hw/eve_pe.hh"
-#include "hw/gene_split.hh"
 #include "nn/compiled_plan.hh"
 #include "nn/plan_fixtures.hh"
 #include "obs/telemetry.hh"

@@ -1,11 +1,26 @@
 #include "hw/eve_pe.hh"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/logging.hh"
 
 namespace genesys::hw
 {
+
+namespace
+{
+
+/** Sort key for merge-join: (is_connection, id/src, 0/dst). */
+std::tuple<int, int, int>
+geneKey(const GeneCodec &codec, PackedGene g)
+{
+    if (g.isNode())
+        return {0, codec.nodeId(g), 0};
+    return {1, codec.connectionSource(g), codec.connectionDest(g)};
+}
+
+} // namespace
 
 PeConfig
 peConfigFrom(const neat::NeatConfig &cfg, size_t expected_stream_len)
@@ -27,6 +42,44 @@ peConfigFrom(const neat::NeatConfig &cfg, size_t expected_stream_len)
     pe.attrMin = cfg.weight.minValue;
     pe.attrMax = cfg.weight.maxValue;
     return pe;
+}
+
+std::vector<GenePair>
+alignStreams(const std::vector<PackedGene> &parent1,
+             const std::vector<PackedGene> &parent2,
+             const GeneCodec &codec, long *cycles_out)
+{
+    std::vector<GenePair> out;
+    out.reserve(parent1.size());
+    long cycles = 0;
+
+    size_t i = 0, j = 0;
+    while (i < parent1.size() || j < parent2.size()) {
+        ++cycles;
+        if (j >= parent2.size() ||
+            (i < parent1.size() &&
+             geneKey(codec, parent1[i]) < geneKey(codec, parent2[j]))) {
+            // Parent-1-only gene: singleton pair.
+            GenePair p;
+            p.parent1 = parent1[i++];
+            p.hasParent2 = false;
+            out.push_back(p);
+        } else if (i >= parent1.size() ||
+                   geneKey(codec, parent2[j]) <
+                       geneKey(codec, parent1[i])) {
+            // Parent-2-only gene: consumed by the aligner, no pair.
+            ++j;
+        } else {
+            GenePair p;
+            p.parent1 = parent1[i++];
+            p.parent2 = parent2[j++];
+            p.hasParent2 = true;
+            out.push_back(p);
+        }
+    }
+    if (cycles_out)
+        *cycles_out = cycles;
+    return out;
 }
 
 EvePe::EvePe(const GeneCodec &codec, PeConfig cfg, uint64_t prng_seed)

@@ -62,6 +62,21 @@ struct GenePair
     bool hasParent2 = false;
 };
 
+/**
+ * Gene Split's stream alignment (Section IV-C4): key-align two packed
+ * parent streams (each organized nodes-first, ascending ids) so the
+ * Crossover Engine always sees matching gene pairs. The output
+ * contains one GenePair per gene of parent 1 — homologous pairs where
+ * parent 2 carries the same key, singletons otherwise. Parent-2-only
+ * (disjoint) genes are read and discarded by the aligner, which costs
+ * stream cycles but produces no pair; `cycles_out` (if non-null)
+ * receives the union length.
+ */
+std::vector<GenePair> alignStreams(const std::vector<PackedGene> &parent1,
+                                   const std::vector<PackedGene> &parent2,
+                                   const GeneCodec &codec,
+                                   long *cycles_out = nullptr);
+
 /** Output of processing one child genome. */
 struct PeChildResult
 {

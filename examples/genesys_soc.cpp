@@ -20,7 +20,6 @@
 #include "core/genesys.hh"
 #include "hw/eve_pe.hh"
 #include "hw/gene_merge.hh"
-#include "hw/gene_split.hh"
 
 using namespace genesys;
 using namespace genesys::hw;

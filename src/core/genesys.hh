@@ -233,7 +233,6 @@ class System
     const neat::Population &population() const { return *population_; }
     const neat::NeatConfig &neatConfig() const { return neatCfg_; }
     const env::Environment &environment() const { return *env_; }
-    const hw::GenesysSoc &socModel() const { return soc_; }
     const SystemConfig &config() const { return cfg_; }
     const exec::EvalEngine &evalEngine() const { return *engine_; }
     /** The run's telemetry session (disabled unless configured). */

@@ -39,8 +39,6 @@ class Acrobot : public Environment
     StepOutcome stepInto(const Action &action,
                          std::span<double> obs) override;
 
-    bool succeeded() const { return succeeded_; }
-
   private:
     void observe(std::span<double> obs) const;
     /** Height of the tip above the pivot, in [-2, 2]. */

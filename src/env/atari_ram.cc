@@ -55,15 +55,42 @@ mixRound(uint64_t h)
     return h;
 }
 
-/** Store derived RAM byte i, taken from chain state h, and its
- *  observation value. */
+/** Store the observation value of derived RAM byte i, taken from
+ *  chain state h. */
 inline void
-storeDerived(std::array<uint8_t, 128> &ram, std::span<double> obs,
-             size_t i, uint64_t h)
+storeDerived(std::span<double> obs, size_t i, uint64_t h)
 {
-    const auto b = static_cast<uint8_t>(h >> ((i % 8) * 8));
-    ram[i] = b;
-    obs[i] = kByteToUnit[b];
+    obs[i] = kByteToUnit[static_cast<uint8_t>(h >> ((i % 8) * 8))];
+}
+
+/** Derive RAM bytes 64..127 into `obs` from chain seed `h`. */
+void
+deriveRam(uint64_t h, std::span<double> obs)
+{
+    // Derived bytes 64..127: deterministic mixes of the live state,
+    // mimicking the redundant/encoded bytes of real 2600 RAM. The
+    // network has to discover which bytes carry signal.
+    for (size_t i = 64; i < 128; ++i) {
+        h = mixRound(h);
+        storeDerived(obs, i, h);
+    }
+}
+
+/** deriveRam() on two games at once, their chains interleaved. */
+void
+deriveRamPair(uint64_t ha, std::span<double> obsA, uint64_t hb,
+              std::span<double> obsB)
+{
+    // Each round of one chain depends on the previous round, so one
+    // chain alone leaves the multiplier idle between rounds; two
+    // independent chains fill those gaps, and the observation stores
+    // ride along in the slack.
+    for (size_t i = 64; i < 128; ++i) {
+        ha = mixRound(ha);
+        hb = mixRound(hb);
+        storeDerived(obsA, i, ha);
+        storeDerived(obsB, i, hb);
+    }
 }
 
 } // namespace
@@ -223,7 +250,7 @@ AtariRam::stepLanes(std::span<Environment *const> lanes,
     // Live lanes pair up in lane order. The first of a pair holds its
     // chain seed until the second has advanced; then both chains run
     // interleaved. An odd lane out runs alone.
-    AtariRam *first = nullptr;
+    bool pending = false;
     size_t first_lane = 0;
     uint64_t first_seed = 0;
     for (size_t l = 0; l < lanes.size(); ++l) {
@@ -231,18 +258,17 @@ AtariRam::stepLanes(std::span<Environment *const> lanes,
             continue;
         auto &env = static_cast<AtariRam &>(*lanes[l]);
         const uint64_t seed = env.advance(actions[l], obs[l], out[l]);
-        if (first == nullptr) {
-            first = &env;
+        if (!pending) {
+            pending = true;
             first_lane = l;
             first_seed = seed;
             continue;
         }
-        deriveRamPair(*first, first_seed, obs[first_lane], env, seed,
-                      obs[l]);
-        first = nullptr;
+        deriveRamPair(first_seed, obs[first_lane], seed, obs[l]);
+        pending = false;
     }
-    if (first != nullptr)
-        first->deriveRam(first_seed, obs[first_lane]);
+    if (pending)
+        deriveRam(first_seed, obs[first_lane]);
 }
 
 uint64_t
@@ -352,12 +378,10 @@ uint64_t
 AtariRam::writeRamLow(std::span<double> obs)
 {
     // Each byte is scaled into the observation and enters the chain
-    // seed's sum from the value just stored, so neither reads RAM
-    // back. The sum is mod 2^64, so the order it folds the bytes in
-    // leaves its bits unchanged.
+    // seed's sum from the register that holds it. The sum is mod 2^64,
+    // so the order it folds the bytes in leaves its bits unchanged.
     uint64_t sum = 0;
-    auto put = [this, obs, &sum](size_t i, uint8_t b) {
-        ram_[i] = b;
+    auto put = [obs, &sum](size_t i, uint8_t b) {
         obs[i] = kByteToUnit[b];
         sum += b * kRamHashPow[i];
     };
@@ -384,34 +408,6 @@ AtariRam::writeRamLow(std::span<double> obs)
     const uint64_t h = 0x243F6A8885A308D3ULL ^
                        (static_cast<uint64_t>(variant_) << 56);
     return h * kRamHashPow[64] + sum;
-}
-
-void
-AtariRam::deriveRam(uint64_t h, std::span<double> obs)
-{
-    // Derived bytes 64..127: deterministic mixes of the live state,
-    // mimicking the redundant/encoded bytes of real 2600 RAM. The
-    // network has to discover which bytes carry signal.
-    for (size_t i = 64; i < 128; ++i) {
-        h = mixRound(h);
-        storeDerived(ram_, obs, i, h);
-    }
-}
-
-void
-AtariRam::deriveRamPair(AtariRam &a, uint64_t ha, std::span<double> obsA,
-                        AtariRam &b, uint64_t hb, std::span<double> obsB)
-{
-    // Each round of one chain depends on the previous round, so one
-    // chain alone leaves the multiplier idle between rounds; two
-    // independent chains fill those gaps, and the observation stores
-    // ride along in the slack.
-    for (size_t i = 64; i < 128; ++i) {
-        ha = mixRound(ha);
-        hb = mixRound(hb);
-        storeDerived(a.ram_, obsA, i, ha);
-        storeDerived(b.ram_, obsB, i, hb);
-    }
 }
 
 double

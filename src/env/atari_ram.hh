@@ -70,9 +70,6 @@ class AtariRam : public Environment
     bool dead() const { return dead_; }
     AtariVariant variant() const { return variant_; }
 
-    /** Raw RAM snapshot (for tests). */
-    const std::array<uint8_t, 128> &ram() const { return ram_; }
-
     static constexpr int gridW = 16;
     static constexpr int gridH = 16;
     static constexpr int numEnemies = 6;
@@ -87,16 +84,11 @@ class AtariRam : public Environment
     uint64_t advance(const Action &action, std::span<double> obs,
                      StepOutcome &out);
     /**
-     * Write RAM bytes 0..63 from the game state and their values,
-     * scaled to [0, 1], into `obs`; returns the chain seed.
+     * Write RAM bytes 0..63 of the game state into `obs`, byte b as
+     * b / 255.0; returns the chain seed. The observation is the only
+     * copy of the RAM.
      */
     uint64_t writeRamLow(std::span<double> obs);
-    /** Derive RAM bytes 64..127 and their observation values from `h`. */
-    void deriveRam(uint64_t h, std::span<double> obs);
-    /** deriveRam() on two games at once, their chains interleaved. */
-    static void deriveRamPair(AtariRam &a, uint64_t ha,
-                              std::span<double> obsA, AtariRam &b,
-                              uint64_t hb, std::span<double> obsB);
     void moveEnemies();
     double targetScore() const;
 
@@ -114,8 +106,6 @@ class AtariRam : public Environment
     bool dead_ = false;
     bool done_ = true;
     int fireCooldown_ = 0;
-
-    std::array<uint8_t, 128> ram_{};
 };
 
 } // namespace genesys::env

@@ -40,7 +40,6 @@ class MountainCar : public Environment
                          std::span<double> obs) override;
 
     bool reachedGoal() const { return reachedGoal_; }
-    double maxPosition() const { return maxPosition_; }
 
   private:
     double position_ = 0.0;

@@ -235,38 +235,52 @@ configForEnvironment(const Environment &env)
     return cfg;
 }
 
+namespace
+{
+
+template <class E, auto... args>
+std::unique_ptr<Environment>
+construct()
+{
+    return std::make_unique<E>(args...);
+}
+
+/** The Table I environments, in table order, with their factories. */
+constexpr struct
+{
+    const char *name;
+    std::unique_ptr<Environment> (*make)();
+} kEnvironments[] = {
+    {"CartPole_v0", construct<CartPole>},
+    {"MountainCar_v0", construct<MountainCar>},
+    {"Acrobot", construct<Acrobot>},
+    {"LunarLander_v2", construct<LunarLander>},
+    {"Bipedal", construct<BipedalWalker>},
+    {"AirRaid-ram-v0", construct<AtariRam, AtariVariant::AirRaid>},
+    {"Alien-ram-v0", construct<AtariRam, AtariVariant::Alien>},
+    {"Amidar-ram-v0", construct<AtariRam, AtariVariant::Amidar>},
+    {"Asterix-ram-v0", construct<AtariRam, AtariVariant::Asterix>},
+};
+
+} // namespace
+
 std::unique_ptr<Environment>
 makeEnvironment(const std::string &name)
 {
-    if (name == "CartPole_v0")
-        return std::make_unique<CartPole>();
-    if (name == "MountainCar_v0")
-        return std::make_unique<MountainCar>();
-    if (name == "Acrobot")
-        return std::make_unique<Acrobot>();
-    if (name == "LunarLander_v2")
-        return std::make_unique<LunarLander>();
-    if (name == "Bipedal")
-        return std::make_unique<BipedalWalker>();
-    if (name == "AirRaid-ram-v0")
-        return std::make_unique<AtariRam>(AtariVariant::AirRaid);
-    if (name == "Alien-ram-v0")
-        return std::make_unique<AtariRam>(AtariVariant::Alien);
-    if (name == "Amidar-ram-v0")
-        return std::make_unique<AtariRam>(AtariVariant::Amidar);
-    if (name == "Asterix-ram-v0")
-        return std::make_unique<AtariRam>(AtariVariant::Asterix);
+    for (const auto &e : kEnvironments) {
+        if (name == e.name)
+            return e.make();
+    }
     fatal("unknown environment: " + name);
 }
 
 std::vector<std::string>
 environmentNames()
 {
-    return {
-        "CartPole_v0",    "MountainCar_v0", "Acrobot",
-        "LunarLander_v2", "Bipedal",        "AirRaid-ram-v0",
-        "Alien-ram-v0",   "Amidar-ram-v0",  "Asterix-ram-v0",
-    };
+    std::vector<std::string> names;
+    for (const auto &e : kEnvironments)
+        names.emplace_back(e.name);
+    return names;
 }
 
 } // namespace genesys::env

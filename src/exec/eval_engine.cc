@@ -49,15 +49,6 @@ EvalEngine::sharedEpisodeSeeds(uint64_t base)
     };
 }
 
-EvalEngine::SeedFn
-EvalEngine::perGenomeSeeds(uint64_t base)
-{
-    return [base](int genomeKey, int episode) {
-        return deriveSeed(deriveSeed(base, static_cast<uint64_t>(genomeKey)),
-                          static_cast<uint64_t>(episode));
-    };
-}
-
 namespace
 {
 

@@ -199,14 +199,6 @@ class EvalEngine
      */
     static SeedFn sharedEpisodeSeeds(uint64_t base);
 
-    /**
-     * Independent episodes per genome — for stochastic fitness
-     * averaging where correlated episodes are undesirable. A
-     * SplitMix-style mixer: two chained deriveSeed() (SplitMix64
-     * finalizer) rounds, one per (genome, episode) coordinate.
-     */
-    static SeedFn perGenomeSeeds(uint64_t base);
-
     /** Wave mapping of the most recent batch. */
     const BatchStats &lastBatchStats() const { return lastBatch_; }
 

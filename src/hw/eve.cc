@@ -2,10 +2,43 @@
 
 #include <algorithm>
 
-#include "hw/gene_split.hh"
+#include "common/logging.hh"
 
 namespace genesys::hw
 {
+
+std::vector<std::vector<size_t>>
+allocateWaves(const neat::EvolutionTrace &trace, int num_pe)
+{
+    GENESYS_ASSERT(num_pe >= 1, "need at least one PE");
+
+    std::vector<size_t> order;
+    for (size_t i = 0; i < trace.children.size(); ++i) {
+        if (!trace.children[i].isElite)
+            order.push_back(i);
+    }
+    // Greedy grouping: cluster children by (parent1, parent2) so a
+    // wave draws from as few distinct parent genomes as possible.
+    std::sort(order.begin(), order.end(), [&trace](size_t a, size_t b) {
+        const auto &ca = trace.children[a];
+        const auto &cb = trace.children[b];
+        if (ca.parent1Key != cb.parent1Key)
+            return ca.parent1Key < cb.parent1Key;
+        if (ca.parent2Key != cb.parent2Key)
+            return ca.parent2Key < cb.parent2Key;
+        return a < b;
+    });
+
+    std::vector<std::vector<size_t>> waves;
+    for (size_t start = 0; start < order.size();
+         start += static_cast<size_t>(num_pe)) {
+        const size_t end =
+            std::min(order.size(), start + static_cast<size_t>(num_pe));
+        waves.emplace_back(order.begin() + static_cast<long>(start),
+                           order.begin() + static_cast<long>(end));
+    }
+    return waves;
+}
 
 EveGenStats
 EveEngine::simulateGeneration(const neat::EvolutionTrace &trace,

@@ -11,11 +11,24 @@
 #ifndef GENESYS_HW_EVE_HH
 #define GENESYS_HW_EVE_HH
 
+#include <vector>
+
 #include "hw/noc.hh"
 #include "hw/sram.hh"
 
 namespace genesys::hw
 {
+
+/**
+ * Gene Split's greedy PE allocation: children are grouped so that
+ * children of the same parents land in the same wave ("The PE
+ * allocation is done with a greedy policy, such that maximum number of
+ * children can be created from the parents currently in the SRAM",
+ * Section IV-C5). Returns waves of indices into trace.children
+ * (elites excluded — they never enter EvE).
+ */
+std::vector<std::vector<size_t>>
+allocateWaves(const neat::EvolutionTrace &trace, int num_pe);
 
 /** Performance/energy results for one generation on EvE. */
 struct EveGenStats

@@ -35,10 +35,18 @@ struct GenerationStats
     /** Genome Buffer bytes needed for the generation (Fig 5(b)). */
     long memoryBytes = 0;
 
-    /** Reproduction work creating this generation (Fig 5(a)). */
+    /**
+     * Reproduction work (Fig 5(a)) and the reuse of the most-used
+     * parent (Fig 4(c)). Here, and in core::System::reports()[g] when
+     * SystemConfig::simulateHardware is off, they count the
+     * reproduction that bred generation g (zero for generation 0).
+     * With simulateHardware on, System overwrites all three in
+     * reports()[g] from the trace that breeds generation g + 1, the
+     * one its EvE model replays (zero once the run solves). The two
+     * definitions are one generation apart.
+     */
     long evolutionOps = 0;
     MutationCounts opBreakdown;
-    /** Reuse of the most-used parent (Fig 4(c)). */
     int maxParentReuse = 0;
 
     int numSpecies = 0;

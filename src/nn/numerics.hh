@@ -45,7 +45,8 @@ const std::string &numericsTierName(NumericsTier tier);
 
 /**
  * Integer/fractional bit split of the hardware attribute format: the
- * Q6.10 gene fields (hw::GeneCodec uses the same constants). The
+ * Q6.10 gene fields (the paper-model hw::GeneCodec in genesys_paper,
+ * bench/paper/hw/gene_encoding.hh, uses the same split). The
  * HwFaithful lowering quantizes through FixedPointCodec(kHwIntBits,
  * kHwFracBits) so software numerics and the gene wire format agree.
  */

@@ -27,9 +27,10 @@
  *
  * Genome attributes are stored as full-precision IEEE-754 doubles
  * (bit_cast to u64) — the *lossless* snapshot codec. This is NOT the
- * hw::GeneCodec 64-bit format: that one quantizes attributes to Q6.10
- * and is the hardware/migration wire format only; round-tripping a
- * population through it would silently diverge from the golden
+ * hw::GeneCodec 64-bit format (a paper model in genesys_paper,
+ * bench/paper/hw/gene_encoding.hh): that one quantizes attributes to
+ * Q6.10 and is the hardware/migration wire format only; round-tripping
+ * a population through it would silently diverge from the golden
  * digests (see tests/test_gene_encoding.cc for the pinned error).
  *
  * Versioning policy: the format version bumps on ANY layout change —
@@ -144,7 +145,7 @@ std::string snapshotFileName(int generation);
  * Lossless single-genome snapshot codec: key, fitness, deletion
  * counter and every gene with full-precision double attributes. The
  * building block the population chunk uses, exposed for tests — the
- * bit-exact counterpart of the lossy hw::GeneCodec.
+ * bit-exact counterpart of the lossy hw::GeneCodec (genesys_paper).
  */
 std::vector<uint8_t> encodeGenomeLossless(const neat::Genome &g);
 

@@ -69,6 +69,15 @@ makeGenomes(int count, uint64_t seed, bool feedForward)
     return growGenomes(cfg, count, seed, 10);
 }
 
+exec::EvalEngine::SeedFn
+perGenomeSeeds(uint64_t base)
+{
+    return [base](int genomeKey, int episode) {
+        return deriveSeed(deriveSeed(base, static_cast<uint64_t>(genomeKey)),
+                          static_cast<uint64_t>(episode));
+    };
+}
+
 std::vector<neat::GenomeHandle>
 handlesOf(const std::vector<neat::Genome> &genomes)
 {

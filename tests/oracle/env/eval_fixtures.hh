@@ -57,6 +57,14 @@ neat::Genome denseGenome(const neat::NeatConfig &cfg, int hidden,
  */
 GenomeSet makeGenomes(int count, uint64_t seed, bool feedForward = true);
 
+/**
+ * Independent episodes per genome, unlike the engine's shared-seed
+ * default: a SplitMix-style mixer, two chained deriveSeed() (SplitMix64
+ * finalizer) rounds, one per (genome, episode) coordinate. The suites
+ * use it to give every genome a different episode set.
+ */
+exec::EvalEngine::SeedFn perGenomeSeeds(uint64_t base);
+
 /** Batch handles for `genomes`, genome i under key i. */
 std::vector<neat::GenomeHandle>
 handlesOf(const std::vector<neat::Genome> &genomes);

@@ -432,11 +432,6 @@ TEST_P(EnvContract, LaneStepMatchesStepInto)
                 EXPECT_EQ(bits(got.episodeFitness()),
                           bits(twin.episodeFitness()))
                     << at;
-                if (const auto *ram = dynamic_cast<const AtariRam *>(&got)) {
-                    EXPECT_EQ(ram->ram(),
-                              static_cast<const AtariRam &>(twin).ram())
-                        << at;
-                }
                 if (want.done || ++steps[l] == 3 + 4 * static_cast<int>(l)) {
                     live[l] = 0;
                     join_at[l] = t + 2 + static_cast<int>(l % 3);
@@ -676,18 +671,38 @@ TEST(AtariRamTest, ActionSetSizesMatchGym)
     EXPECT_EQ(AtariRam(AtariVariant::Asterix).actionSpace().n, 9);
 }
 
+namespace
+{
+
+/** RAM byte i read back from its observation value, b / 255.0. */
+long
+ramByte(const std::vector<double> &obs, size_t i)
+{
+    return std::lround(obs[i] * 255.0);
+}
+
+} // namespace
+
+// ramByte's readback is exact for every byte value.
+TEST(AtariRamTest, ObservationRoundTripsEveryByte)
+{
+    for (int b = 0; b < 256; ++b)
+        EXPECT_EQ(std::lround((b / 255.0) * 255.0), b);
+}
+
 TEST(AtariRamTest, ScoreVisibleInRam)
 {
     AtariRam env(AtariVariant::Amidar);
-    env.reset(14);
+    std::vector<double> obs = env.reset(14);
     XorWow rng(15);
     bool done = false;
     while (!done && env.score() == 0) {
-        done = env.step({static_cast<int>(rng.uniformInt(10u)), {}})
-                   .done;
+        StepResult r = env.step({static_cast<int>(rng.uniformInt(10u)), {}});
+        done = r.done;
+        obs = std::move(r.observation);
     }
     if (env.score() > 0) {
-        const long ram_score = env.ram()[60] + 256L * env.ram()[61];
+        const long ram_score = ramByte(obs, 60) + 256L * ramByte(obs, 61);
         EXPECT_EQ(ram_score, env.score());
     }
 }

@@ -156,7 +156,7 @@ TEST_P(EngineSweep, MatchesSerialOracle)
     // fully re-initializes a lane, so worker history is invisible.
     for (const uint64_t base : {82, 83}) {
         SCOPED_TRACE("seed base " + std::to_string(base));
-        const auto seedFor = EvalEngine::perGenomeSeeds(base);
+        const auto seedFor = oracle::perGenomeSeeds(base);
         const auto run = oracle::evaluate(engine, handles, cfg, seedFor);
         oracle::expectMatchesOracle(
             run, handles,
@@ -188,7 +188,7 @@ TEST(EvalEngineTest, SeedMixerSeparatesStreams)
 {
     // Distinct (genome, episode) coordinates must yield distinct
     // seeds; the shared policy must ignore the genome coordinate.
-    const auto mixed = EvalEngine::perGenomeSeeds(7);
+    const auto mixed = oracle::perGenomeSeeds(7);
     std::set<uint64_t> seen;
     for (int g = 0; g < 32; ++g)
         for (int e = 0; e < 8; ++e)
@@ -306,7 +306,7 @@ TEST(EvalEngineTest, PopulationSmallerThanLaneWidth)
     // must still match the serial oracle genome for genome.
     const auto [cfg, genomes] = oracle::makeGenomes(3, 31);
     const auto handles = oracle::handlesOf(genomes);
-    const auto seedFor = EvalEngine::perGenomeSeeds(17);
+    const auto seedFor = oracle::perGenomeSeeds(17);
     const auto expect = oracle::serialDetails(
         "CartPole_v0", cfg, handles, 1, seedFor, nn::NumericsTier::Reference);
 
@@ -355,14 +355,14 @@ TEST(EvalEngineTest, CompileFailurePropagatesAsException)
             EvalEngine engine(ecfg);
             EXPECT_THROW(engine.evaluateGeneration(
                              handles, cfg,
-                             EvalEngine::perGenomeSeeds(7)),
+                             oracle::perGenomeSeeds(7)),
                          std::logic_error);
 
             // The engine survives the failure: a clean batch on the
             // same instance still evaluates.
             const auto ok = engine.evaluateGeneration(
                 oracle::handlesOf(genomes), cfg,
-                EvalEngine::perGenomeSeeds(7));
+                oracle::perGenomeSeeds(7));
             EXPECT_EQ(ok.size(), genomes.size());
         }
     }

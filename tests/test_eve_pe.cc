@@ -13,7 +13,6 @@
 
 #include "hw/eve_pe.hh"
 #include "hw/gene_merge.hh"
-#include "hw/gene_split.hh"
 
 using namespace genesys;
 using namespace genesys::hw;

@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "hw/eve.hh"
+#include "hw/eve_pe.hh"
 #include "hw/gene_merge.hh"
-#include "hw/gene_split.hh"
 
 using namespace genesys;
 using namespace genesys::hw;

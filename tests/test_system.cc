@@ -14,7 +14,6 @@
 #include "env/expect_eval.hh"
 #include "hw/eve_pe.hh"
 #include "hw/gene_merge.hh"
-#include "hw/gene_split.hh"
 #include "obs/metrics.hh"
 #include "persist/snapshot.hh"
 

@@ -319,7 +319,7 @@ TEST(WaveSchedulerTest, SkewedBatchIndependentOfClaimOrder)
     // (waveLanes); at E = 3 a shard holds one genome's episodes, so
     // lanes == 1 runs them on one lane (batching off) and wider shards
     // hold E = 3 lanes.
-    const auto seedFor = EvalEngine::perGenomeSeeds(41);
+    const auto seedFor = oracle::perGenomeSeeds(41);
     for (const bool feed_forward : {true, false}) {
         const auto [cfg, genomes] = makeSkewedGenomes(feed_forward, seedFor);
         // Generation 2 keeps every other genome (same key, so its plan
