@@ -68,7 +68,6 @@ class AtariRam : public Environment
 
     long score() const { return score_; }
     bool dead() const { return dead_; }
-    AtariVariant variant() const { return variant_; }
 
     static constexpr int gridW = 16;
     static constexpr int gridH = 16;

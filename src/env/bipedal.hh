@@ -44,7 +44,6 @@ class BipedalWalker : public Environment
                          std::span<double> obs) override;
 
     double hullX() const { return x_; }
-    bool fell() const { return fell_; }
 
   private:
     void observe(std::span<double> obs) const;

@@ -1,6 +1,7 @@
 #include "env/runner.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "obs/tracer.hh"
@@ -245,21 +246,18 @@ construct()
     return std::make_unique<E>(args...);
 }
 
-/** The Table I environments, in table order, with their factories. */
-constexpr struct
-{
-    const char *name;
-    std::unique_ptr<Environment> (*make)();
-} kEnvironments[] = {
-    {"CartPole_v0", construct<CartPole>},
-    {"MountainCar_v0", construct<MountainCar>},
-    {"Acrobot", construct<Acrobot>},
-    {"LunarLander_v2", construct<LunarLander>},
-    {"Bipedal", construct<BipedalWalker>},
-    {"AirRaid-ram-v0", construct<AtariRam, AtariVariant::AirRaid>},
-    {"Alien-ram-v0", construct<AtariRam, AtariVariant::Alien>},
-    {"Amidar-ram-v0", construct<AtariRam, AtariVariant::Amidar>},
-    {"Asterix-ram-v0", construct<AtariRam, AtariVariant::Asterix>},
+/** The Table I environments, in table order, and their factories. */
+constexpr std::pair<const char *, std::unique_ptr<Environment> (*)()>
+    kEnvironments[] = {
+        {"CartPole_v0", construct<CartPole>},
+        {"MountainCar_v0", construct<MountainCar>},
+        {"Acrobot", construct<Acrobot>},
+        {"LunarLander_v2", construct<LunarLander>},
+        {"Bipedal", construct<BipedalWalker>},
+        {"AirRaid-ram-v0", construct<AtariRam, AtariVariant::AirRaid>},
+        {"Alien-ram-v0", construct<AtariRam, AtariVariant::Alien>},
+        {"Amidar-ram-v0", construct<AtariRam, AtariVariant::Amidar>},
+        {"Asterix-ram-v0", construct<AtariRam, AtariVariant::Asterix>},
 };
 
 } // namespace
@@ -267,9 +265,9 @@ constexpr struct
 std::unique_ptr<Environment>
 makeEnvironment(const std::string &name)
 {
-    for (const auto &e : kEnvironments) {
-        if (name == e.name)
-            return e.make();
+    for (const auto &[known, make] : kEnvironments) {
+        if (name == known)
+            return make();
     }
     fatal("unknown environment: " + name);
 }
@@ -278,8 +276,8 @@ std::vector<std::string>
 environmentNames()
 {
     std::vector<std::string> names;
-    for (const auto &e : kEnvironments)
-        names.emplace_back(e.name);
+    for (const auto &entry : kEnvironments)
+        names.emplace_back(entry.first);
     return names;
 }
 

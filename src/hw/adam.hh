@@ -119,8 +119,6 @@ class AdamEngine
     AdamStats
     simulatePopulation(const std::vector<GenomeInferenceWork> &work) const;
 
-    const SocParams &soc() const { return soc_; }
-
     /** CPU cycles to pack one node value into an input vector. */
     static constexpr long cpuCyclesPerPack = 4;
     /** Byte-packed observation/action elements per 64-bit word. */

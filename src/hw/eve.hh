@@ -85,9 +85,6 @@ class EveEngine
     EveGenStats simulateGeneration(const neat::EvolutionTrace &trace,
                                    long generation_bytes = 0) const;
 
-    const SocParams &soc() const { return soc_; }
-    const GenomeBuffer &buffer() const { return buffer_; }
-
   private:
     SocParams soc_;
     const EnergyModel &energy_;

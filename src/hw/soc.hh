@@ -70,11 +70,6 @@ class GenesysSoc
                        const std::vector<GenomeInferenceWork> &inference,
                        long generation_bytes = 0) const;
 
-    const SocParams &soc() const { return soc_; }
-    const EnergyModel &energy() const { return energyModel_; }
-    const EveEngine &eve() const { return eve_; }
-    const AdamEngine &adam() const { return adam_; }
-
   private:
     SocParams soc_;
     EnergyModel energyModel_;

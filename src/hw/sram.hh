@@ -21,7 +21,6 @@ class GenomeBuffer
     GenomeBuffer(int kib, int banks) : kib_(kib), banks_(banks) {}
 
     long capacityBytes() const { return static_cast<long>(kib_) * 1024; }
-    int banks() const { return banks_; }
 
     /** Does a generation of `bytes` fit on chip? */
     bool fits(long bytes) const { return bytes <= capacityBytes(); }

@@ -36,14 +36,10 @@ struct GenerationStats
     long memoryBytes = 0;
 
     /**
-     * Reproduction work (Fig 5(a)) and the reuse of the most-used
-     * parent (Fig 4(c)). Here, and in core::System::reports()[g] when
-     * SystemConfig::simulateHardware is off, they count the
-     * reproduction that bred generation g (zero for generation 0).
-     * With simulateHardware on, System overwrites all three in
-     * reports()[g] from the trace that breeds generation g + 1, the
-     * one its EvE model replays (zero once the run solves). The two
-     * definitions are one generation apart.
+     * Reproduction work (Fig 5(a)) and reuse of the most-used parent
+     * (Fig 4(c)) of the reproduction that bred this generation. With
+     * SystemConfig::simulateHardware on, core::System's reports()[g]
+     * carries instead those of the one that breeds generation g + 1.
      */
     long evolutionOps = 0;
     MutationCounts opBreakdown;

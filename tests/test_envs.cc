@@ -671,38 +671,24 @@ TEST(AtariRamTest, ActionSetSizesMatchGym)
     EXPECT_EQ(AtariRam(AtariVariant::Asterix).actionSpace().n, 9);
 }
 
-namespace
-{
-
-/** RAM byte i read back from its observation value, b / 255.0. */
-long
-ramByte(const std::vector<double> &obs, size_t i)
-{
-    return std::lround(obs[i] * 255.0);
-}
-
-} // namespace
-
-// ramByte's readback is exact for every byte value.
-TEST(AtariRamTest, ObservationRoundTripsEveryByte)
-{
-    for (int b = 0; b < 256; ++b)
-        EXPECT_EQ(std::lround((b / 255.0) * 255.0), b);
-}
-
 TEST(AtariRamTest, ScoreVisibleInRam)
 {
+    // The observation is the only copy of the RAM: byte b reads back
+    // exactly as lround(obs * 255).
+    for (int b = 0; b < 256; ++b)
+        ASSERT_EQ(std::lround(b / 255.0 * 255.0), b);
     AtariRam env(AtariVariant::Amidar);
     std::vector<double> obs = env.reset(14);
     XorWow rng(15);
     bool done = false;
     while (!done && env.score() == 0) {
-        StepResult r = env.step({static_cast<int>(rng.uniformInt(10u)), {}});
+        auto r = env.step({static_cast<int>(rng.uniformInt(10u)), {}});
         done = r.done;
         obs = std::move(r.observation);
     }
     if (env.score() > 0) {
-        const long ram_score = ramByte(obs, 60) + 256L * ramByte(obs, 61);
+        const long ram_score = std::lround(obs[60] * 255.0) +
+                               256L * std::lround(obs[61] * 255.0);
         EXPECT_EQ(ram_score, env.score());
     }
 }
