@@ -28,6 +28,16 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/** A NEAT executor that fans out over `engine`'s workers. */
+neat::Executor
+executorOn(exec::EvalEngine &engine)
+{
+    return [&engine](std::size_t count,
+                     const std::function<void(std::size_t)> &body) {
+        engine.runParallel(count, [&body](std::size_t i, int) { body(i); });
+    };
+}
+
 } // namespace
 
 System::System(SystemConfig cfg)
@@ -85,14 +95,8 @@ System::System(SystemConfig cfg)
     // Breeding and speciation fan out over the same workers, between
     // evaluations, as EvE's PE array breeds one child per PE. The
     // engine comes first so generation 0's speciation does too.
-    population_ = std::make_unique<neat::Population>(
-        neatCfg_, cfg_.seed,
-        [engine = engine_.get()](
-            std::size_t count,
-            const std::function<void(std::size_t)> &body) {
-            engine->runParallel(count,
-                                [&body](std::size_t i, int) { body(i); });
-        });
+    population_ = std::make_unique<neat::Population>(neatCfg_, cfg_.seed,
+                                                     executorOn(*engine_));
     startup_.populationSeconds =
         population_->lastStepPhases().reproduceSeconds;
     startup_.speciateSeconds = population_->lastStepPhases().speciateSeconds;
@@ -313,7 +317,9 @@ System::resumeFrom(const std::string &path)
 {
     const auto wall0 = Clock::now();
     ResumePhases phases;
-    persist::SystemSnapshot snap = persist::readSnapshotFile(path);
+    // The genomes decode on the engine's workers.
+    persist::SystemSnapshot snap =
+        persist::readSnapshotFile(path, executorOn(*engine_));
     phases.readSeconds = secondsSince(wall0);
     const auto validate0 = Clock::now();
 

@@ -38,8 +38,22 @@ struct NodeGene
     Activation activation = Activation::Sigmoid;
     Aggregation aggregation = Aggregation::Sum;
 
-    /** Create with attributes drawn from the config's init specs. */
-    static NodeGene createNew(int key, const NeatConfig &cfg, XorWow &rng);
+    /**
+     * Create with attributes drawn from the config's init specs, in
+     * field order. Inline, like crossover and mutate, so a caller's
+     * local generator copy stays in registers across the draws.
+     */
+    static NodeGene
+    createNew(int key, const NeatConfig &cfg, XorWow &rng)
+    {
+        NodeGene g;
+        g.key = key;
+        g.bias = cfg.bias.initValue(rng);
+        g.response = cfg.response.initValue(rng);
+        g.activation = cfg.activation.initValue(rng);
+        g.aggregation = cfg.aggregation.initValue(rng);
+        return g;
+    }
 
     /**
      * Homologous-gene distance used by genome compatibility
@@ -102,8 +116,16 @@ struct ConnectionGene
     double weight = 0.0;
     bool enabled = true;
 
-    static ConnectionGene createNew(ConnKey key, const NeatConfig &cfg,
-                                    XorWow &rng);
+    /** Create with the weight, then the enabled flag, drawn. */
+    static ConnectionGene
+    createNew(ConnKey key, const NeatConfig &cfg, XorWow &rng)
+    {
+        ConnectionGene g;
+        g.key = key;
+        g.weight = cfg.weight.initValue(rng);
+        g.enabled = cfg.enabled.initValue(rng);
+        return g;
+    }
 
     /** |Δweight| + enabled mismatch (see NodeGene::distance). */
     double

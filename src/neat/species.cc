@@ -1,6 +1,7 @@
 #include "neat/species.hh"
 
 #include <limits>
+#include <span>
 
 #include "common/logging.hh"
 
@@ -16,8 +17,8 @@ namespace
  * values a serial loop would compute.
  */
 std::vector<double>
-distanceTable(const std::vector<const Genome *> &reps,
-              const std::vector<const Genome *> &genomes,
+distanceTable(std::span<const Genome *const> reps,
+              std::span<const Genome *const> genomes,
               const NeatConfig &cfg, const Executor &exec)
 {
     const size_t cols = genomes.size();
@@ -78,8 +79,10 @@ SpeciesSet::speciate(const std::map<int, Genome> &population, int generation,
 
     // Step 2: every other genome, in key order, joins the nearest
     // compatible species, or founds a new one. Distances to the
-    // step-1 representatives come from a second table; those to
-    // species founded here are computed as they arise.
+    // step-1 representatives come from a second table. A genome that
+    // founds a species gets a column: its distances to every later
+    // genome, computed on `exec` when it founds, before the scan
+    // reads them.
     std::vector<const Genome *> rest;
     rest.reserve(genomes.size() - live.size());
     for (size_t i = 0; i < genomes.size(); ++i) {
@@ -91,15 +94,23 @@ SpeciesSet::speciate(const std::map<int, Genome> &population, int generation,
         reps.push_back(&sp->representative);
     const std::vector<double> toPicked = distanceTable(reps, rest, cfg_, exec);
     const size_t tabled = live.size();
+    // One column per species founded here, in live order: the
+    // founder against rest[next], rest[next + 1], ...
+    struct Column
+    {
+        size_t next;
+        std::vector<double> d;
+    };
+    std::vector<Column> founded;
 
     for (size_t j = 0; j < rest.size(); ++j) {
         const Genome &g = *rest[j];
         double best = kInf;
         Species *home = nullptr;
         for (size_t s = 0; s < live.size(); ++s) {
-            const double d =
-                s < tabled ? toPicked[s * rest.size() + j]
-                           : live[s]->representative.distance(g, cfg_);
+            const Column *c = s < tabled ? nullptr : &founded[s - tabled];
+            const double d = c ? c->d[j - c->next]
+                               : toPicked[s * rest.size() + j];
             if (d < cfg_.compatibilityThreshold && d < best) {
                 best = d;
                 home = live[s];
@@ -118,6 +129,10 @@ SpeciesSet::speciate(const std::map<int, Genome> &population, int generation,
         sp.representative = g;
         sp.memberKeys.assign(1, g.key());
         live.push_back(&sp);
+        const Genome *founder = &sp.representative;
+        const auto later = std::span(rest).subspan(j + 1);
+        founded.push_back(
+            {j + 1, distanceTable({&founder, 1}, later, cfg_, exec)});
     }
 }
 

@@ -46,12 +46,12 @@ class SpeciesSet
     explicit SpeciesSet(const NeatConfig &cfg) : cfg_(cfg) {}
 
     /**
-     * Partition `population` into species for `generation`. Two
-     * distance tables are computed up front on `exec`: the previous
-     * representatives against every genome, then the representatives
-     * step 1 picks against the genomes left over. The assignment
-     * itself stays serial, so the partition does not depend on the
-     * executor.
+     * Partition `population` into species for `generation`. Every
+     * distance is computed on `exec`: the previous representatives
+     * against every genome, then the representatives step 1 picks
+     * against the genomes left over, then each genome that founds a
+     * species against the genomes after it. The assignment itself
+     * stays serial, so the partition does not depend on the executor.
      */
     void speciate(const std::map<int, Genome> &population, int generation,
                   const Executor &exec = {});

@@ -4,10 +4,13 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <map>
+#include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 
@@ -237,6 +240,23 @@ class ByteReader
         return at;
     }
 
+    /**
+     * Claim the next `n` bytes as a reader of their own, with the same
+     * context, so they can be parsed apart from this one.
+     */
+    ByteReader
+    sub(size_t n, const char *what)
+    {
+        return ByteReader(record(n, what), n, context_);
+    }
+
+    /** The bytes not yet read. */
+    std::span<const uint8_t>
+    rest() const
+    {
+        return {data_ + pos_, size_ - pos_};
+    }
+
     int32_t i32(const char *what) { return static_cast<int32_t>(u32(what)); }
     int64_t i64(const char *what) { return static_cast<int64_t>(u64(what)); }
     double f64(const char *what) { return std::bit_cast<double>(u64(what)); }
@@ -408,6 +428,79 @@ readGenome(ByteReader &r)
     g.nodes().dcheckInvariants("persist::readGenome nodes");
     g.connections().dcheckInvariants("persist::readGenome connections");
     return g;
+}
+
+/**
+ * Length of the genome record at the front of `bytes`, by the bounds
+ * checks readGenome makes (the fixed fields, then each gene count
+ * against the bytes left after it), or nullopt if one of them fails.
+ * Reads only the two counts.
+ */
+std::optional<size_t>
+genomeExtent(std::span<const uint8_t> bytes)
+{
+    // key, node deletions, has-fitness, fitness.
+    size_t at = 4 + 4 + 1 + 8;
+    if (bytes.size() < at)
+        return std::nullopt;
+    for (const size_t gene_bytes : {kNodeGeneBytes, kConnGeneBytes}) {
+        if (bytes.size() - at < 8)
+            return std::nullopt;
+        const uint64_t n = loadLe<uint64_t>(bytes.data() + at);
+        at += 8;
+        if (n > (bytes.size() - at) / gene_bytes)
+            return std::nullopt;
+        at += static_cast<size_t>(n) * gene_bytes;
+    }
+    return at;
+}
+
+/**
+ * The POPL chunk's genomes, decoded on `exec`. A serial walk finds
+ * each genome's bytes; workers decode them into slots; a serial pass
+ * then takes the slots in file order. So the first failure thrown is
+ * the one a serial read meets first, with the same message.
+ */
+void
+readPopulationGenomes(ByteReader &r, std::map<int, neat::Genome> &genomes,
+                      const std::string &path, const neat::Executor &exec)
+{
+    const size_t n = r.count("genome", 22);
+    std::vector<ByteReader> records;
+    records.reserve(n);
+    while (records.size() < n) {
+        const std::optional<size_t> len = genomeExtent(r.rest());
+        if (!len)
+            break;
+        records.push_back(r.sub(*len, "genome"));
+    }
+
+    std::vector<neat::Genome> decoded(records.size());
+    std::vector<std::exception_ptr> failed(records.size());
+    neat::forEachIndex(exec, records.size(), [&](size_t i) {
+        try {
+            decoded[i] = readGenome(records[i]);
+        } catch (...) {
+            failed[i] = std::current_exception();
+        }
+    });
+    for (size_t i = 0; i < records.size(); ++i) {
+        if (failed[i])
+            std::rethrow_exception(failed[i]);
+        const int key = decoded[i].key();
+        if (!genomes.emplace(key, std::move(decoded[i])).second) {
+            throw SnapshotError("malformed snapshot \"" + path +
+                                "\": duplicate genome key " +
+                                std::to_string(key));
+        }
+    }
+    if (records.size() < n) {
+        // The walk stopped at a genome that overruns the chunk. Reading
+        // it reports the first fault a serial read meets in it.
+        (void)readGenome(r);
+        panic("genome " + std::to_string(records.size()) +
+              " read cleanly past the bounds its walk rejected");
+    }
 }
 
 void
@@ -692,7 +785,7 @@ writeSnapshotFile(const SystemSnapshot &snap, const std::string &path)
 }
 
 SystemSnapshot
-readSnapshotFile(const std::string &path)
+readSnapshotFile(const std::string &path, const neat::Executor &exec)
 {
     // Size the path before allocating anything: a directory or a
     // device has no meaningful size to read into.
@@ -719,14 +812,20 @@ readSnapshotFile(const std::string &path)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         throw SnapshotError("cannot open snapshot file \"" + path + "\"");
-    return readSnapshot(is, size, path);
+    return readSnapshot(is, size, path, exec);
 }
 
 SystemSnapshot
-readSnapshot(std::istream &in, std::uintmax_t size, const std::string &path)
+readSnapshot(std::istream &in, std::uintmax_t size, const std::string &path,
+             const neat::Executor &exec)
 {
-    std::vector<uint8_t> file(static_cast<size_t>(size));
-    in.read(reinterpret_cast<char *>(file.data()),
+    // Left uninitialised: read() fills every byte, or the short-read
+    // check below throws before any is looked at.
+    const auto storage =
+        std::make_unique_for_overwrite<uint8_t[]>(static_cast<size_t>(size));
+    const std::span<const uint8_t> file(storage.get(),
+                                        static_cast<size_t>(size));
+    in.read(reinterpret_cast<char *>(storage.get()),
             static_cast<std::streamsize>(file.size()));
     if (static_cast<std::uintmax_t>(in.gcount()) != size) {
         throw SnapshotError("short read of snapshot \"" + path + "\": " +
@@ -836,18 +935,7 @@ readSnapshot(std::istream &in, std::uintmax_t size, const std::string &path)
         } else if (tag == kChunkPopulation) {
             mark_once(seen_population);
             snap.population.generation = r.i32("generation counter");
-            const size_t n = r.count("genome", 22);
-            for (size_t i = 0; i < n; ++i) {
-                neat::Genome g = readGenome(r);
-                const int key = g.key();
-                if (!snap.population.genomes.emplace(key, std::move(g))
-                         .second) {
-                    throw SnapshotError(
-                        "malformed snapshot \"" + path +
-                        "\": duplicate genome key " +
-                        std::to_string(key));
-                }
-            }
+            readPopulationGenomes(r, snap.population.genomes, path, exec);
         } else if (tag == kChunkSpecies) {
             mark_once(seen_species);
             snap.population.nextSpeciesKey = r.i32("next species key");

@@ -50,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "neat/executor.hh"
 #include "neat/population.hh"
 #include "nn/numerics.hh"
 
@@ -127,8 +128,14 @@ void writeSnapshotFile(const SystemSnapshot &snap,
  * failure mode: missing path, not a regular file, unsizable file,
  * short read, truncation, bad magic, unsupported version, digest
  * mismatch, malformed chunk) without side effects.
+ *
+ * The population's genomes decode on `exec` (empty: on the caller).
+ * The snapshot returned, and the message of any error thrown, do not
+ * depend on it: of several faults, the one reported is the first a
+ * serial read meets.
  */
-SystemSnapshot readSnapshotFile(const std::string &path);
+SystemSnapshot readSnapshotFile(const std::string &path,
+                                const neat::Executor &exec = {});
 
 /**
  * readSnapshotFile's reader once the file is open: read exactly
@@ -136,7 +143,8 @@ SystemSnapshot readSnapshotFile(const std::string &path);
  * parse and validate them. `path` only names the source in messages.
  */
 SystemSnapshot readSnapshot(std::istream &in, std::uintmax_t size,
-                            const std::string &path);
+                            const std::string &path,
+                            const neat::Executor &exec = {});
 
 /** Canonical file name for a checkpoint of generation `generation`. */
 std::string snapshotFileName(int generation);

@@ -35,12 +35,16 @@ FINDING_MARK = re.compile(r"//.*\bfinding:\s*([a-z][a-z0-9-]*)")
 
 # fixture stem -> (rule, scan path for the bad twin, scan path for the
 # clean twin). The clean path differs where the rule is path-scoped.
+# A rule scoped to several trees lists a bad twin path for each.
 FIXTURE_PLAN = {
     "foreign_rng": ("foreign-rng", "src/neat", "src/neat"),
     "wall_clock": ("wall-clock", "src/env", "src/obs"),
     "unordered_container": ("unordered-container", "src/core", "src/core"),
-    "map_gene_storage": ("map-gene-storage", "src/neat", "src/neat"),
-    "libm_hot_path": ("libm-in-hot-path", "src/nn", "src/neat"),
+    "map_gene_storage": ("map-gene-storage",
+                         ("src/neat", "bench/paper/neat", "bench/paper/nn"),
+                         "src/neat"),
+    "libm_hot_path": ("libm-in-hot-path", ("src/nn", "bench/paper/nn"),
+                      "src/neat"),
     "raw_stdio": ("raw-stdio", "src/hw", "src/hw"),
     "using_namespace_header": ("using-namespace-header", "src/core",
                                "src/core"),
@@ -92,7 +96,10 @@ class TestRuleFixtures(unittest.TestCase):
 
 
 def _add_fixture_tests():
-    for stem, (rule, bad_dir, clean_dir) in FIXTURE_PLAN.items():
+    for stem, (rule, bad_dirs, clean_dir) in FIXTURE_PLAN.items():
+        if isinstance(bad_dirs, str):
+            bad_dirs = (bad_dirs,)
+        bad_dir = bad_dirs[0]
         bad_file = next(
             n for n in os.listdir(FIXTURES)
             if n.startswith(stem + "_bad."))
@@ -100,7 +107,7 @@ def _add_fixture_tests():
             n for n in os.listdir(FIXTURES)
             if n.startswith(stem + "_clean."))
 
-        def test_bad(self, bad_file=bad_file, bad_dir=bad_dir,
+        def test_bad(self, bad_file=bad_file, bad_dirs=bad_dirs,
                      rule=rule):
             expected = expected_findings(
                 os.path.join(FIXTURES, bad_file))
@@ -110,8 +117,10 @@ def _add_fixture_tests():
             self.assertTrue(
                 all(r == rule for r, _ in expected),
                 "%s declares markers for foreign rules" % bad_file)
-            got = LintedFixture(bad_file, bad_dir).pairs()
-            self.assertEqual(expected, got)
+            for bad_dir in bad_dirs:
+                with self.subTest(scan_path=bad_dir):
+                    got = LintedFixture(bad_file, bad_dir).pairs()
+                    self.assertEqual(expected, got)
 
         def test_clean(self, clean_file=clean_file,
                        clean_dir=clean_dir):

@@ -18,6 +18,7 @@
 
 #include "core/genesys.hh"
 #include "core/run_digest.hh"
+#include "exec/thread_pool.hh"
 #include "hw/gene_encoding.hh"
 #include "neat/per_genome.hh"
 #include "obs/metrics.hh"
@@ -985,6 +986,71 @@ findFields(const std::vector<uint8_t> &file, std::vector<Field> &counts,
     }
 }
 
+/** Offsets of the POPL chunk's genome records in a well-formed file. */
+std::vector<size_t>
+populationGenomesAt(const std::vector<uint8_t> &file)
+{
+    std::vector<size_t> at;
+    for (const ChunkAt &c : chunksOf(file)) {
+        if (std::memcmp(file.data() + c.tagAt, "POPL", 4) != 0)
+            continue;
+        const uint64_t genomes = getLe(file, c.body + 4, 8);
+        size_t g_at = c.body + 12;
+        for (uint64_t g = 0; g < genomes; ++g) {
+            at.push_back(g_at);
+            const uint64_t nodes = getLe(file, g_at + 17, 8);
+            const size_t conns_at = g_at + 25 + 22 * nodes;
+            g_at = conns_at + 8 + 17 * getLe(file, conns_at, 8);
+        }
+    }
+    return at;
+}
+
+/** Rewrite the header's payload size and digest to match the payload. */
+void
+resealHeader(std::vector<uint8_t> &file)
+{
+    putLe(file, 8, 8, file.size() - kFuzzHeaderBytes);
+    putLe(file, 16, 8, fuzzDigest(file, kFuzzHeaderBytes));
+}
+
+void
+writeBytes(const std::string &path, const std::vector<uint8_t> &file)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char *>(file.data()),
+             static_cast<std::streamsize>(file.size()));
+}
+
+/** An executor over `pool`'s workers. */
+neat::Executor
+onPool(exec::ThreadPool &pool)
+{
+    return [&pool](size_t count, const std::function<void(size_t)> &body) {
+        pool.parallelFor(count, [&body](size_t i, int) { body(i); });
+    };
+}
+
+/**
+ * What reading `path` on `exec` yields: "error: " and the
+ * SnapshotError's text, or the snapshot read, written back out to
+ * `echo` and returned as its bytes.
+ */
+std::string
+readOutcome(const std::string &path, const neat::Executor &exec,
+            const std::string &echo)
+{
+    try {
+        persist::writeSnapshotFile(persist::readSnapshotFile(path, exec),
+                                   echo);
+    } catch (const persist::SnapshotError &e) {
+        return std::string("error: ") + e.what();
+    }
+    std::ifstream is(echo, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
 /** Apply one structure-aware mutation to `file` (header excluded). */
 void
 mutateSnapshot(std::vector<uint8_t> &file, const std::vector<Field> &counts,
@@ -1116,6 +1182,9 @@ TEST(SnapshotFuzz, HostilePayloadsAreRejectedOrRestoreValidGenomes)
 
     cfg.checkpointDir.clear();
     const std::string path = (dir / "fuzz.gsnap").string();
+    const std::string echo = (dir / "echo.gsnap").string();
+    exec::ThreadPool pool(4);
+    const neat::Executor on_pool = onPool(pool);
     XorWow rng(0xF022);
     int rejected = 0, restored = 0;
     for (int it = 0; it < kIterations; ++it) {
@@ -1124,13 +1193,17 @@ TEST(SnapshotFuzz, HostilePayloadsAreRejectedOrRestoreValidGenomes)
         const int rounds = rng.uniformInt(1, 3);
         for (int m = 0; m < rounds; ++m)
             mutateSnapshot(file, counts, keys, members, rng);
-        putLe(file, 8, 8, file.size() - kFuzzHeaderBytes);
-        putLe(file, 16, 8, fuzzDigest(file, kFuzzHeaderBytes));
-        {
-            std::ofstream os(path, std::ios::binary | std::ios::trunc);
-            os.write(reinterpret_cast<const char *>(file.data()),
-                     static_cast<std::streamsize>(file.size()));
-        }
+        resealHeader(file);
+        writeBytes(path, file);
+
+        // The genomes decode on the executor: on 4 workers the reader
+        // must throw the same error, or read the same snapshot, as on
+        // the caller.
+        const std::string serial = readOutcome(path, {}, echo);
+        const std::string pooled = readOutcome(path, on_pool, echo);
+        EXPECT_TRUE(serial == pooled)
+            << "caller: " << serial.substr(0, 160)
+            << "\n4 workers: " << pooled.substr(0, 160);
 
         core::System sys(cfg);
         try {
@@ -1168,6 +1241,58 @@ TEST(SnapshotFuzz, HostilePayloadsAreRejectedOrRestoreValidGenomes)
     // Both outcomes occur, so the budget is not spent on one of them.
     EXPECT_GT(rejected, 0);
     EXPECT_GT(restored, 0);
+    fs::remove_all(dir);
+}
+
+TEST(SnapshotRead, FirstFaultInFileOrderOnAnyExecutor)
+{
+    // Genome 1 has a bad activation id and genome 3 a connection count
+    // that overruns the chunk. A serial read meets genome 1 first, so
+    // that is the fault reported, however the genomes are decoded.
+    const fs::path dir = scratchDir("two-faults");
+    neat::NeatConfig cfg;
+    cfg.populationSize = 6;
+    persist::SystemSnapshot snap;
+    snap.envName = "CartPole_v0";
+    snap.populationSize = cfg.populationSize;
+    snap.numInputs = cfg.numInputs;
+    snap.numOutputs = cfg.numOutputs;
+    snap.population = neat::Population(cfg, 9).capture();
+    const std::string path = (dir / "two-faults.gsnap").string();
+    persist::writeSnapshotFile(snap, path);
+    std::vector<uint8_t> file;
+    {
+        std::ifstream is(path, std::ios::binary);
+        file.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    const std::vector<size_t> at = populationGenomesAt(file);
+    ASSERT_EQ(at.size(), 6u);
+
+    // Genome 1's first node record: key at +25, activation id at +45
+    // (key 4, deletions 4, has-fitness 1, fitness 8, node count 8,
+    // node key 4, bias 8, response 8).
+    const uint64_t node_key = getLe(file, at[1] + 25, 4);
+    const uint8_t activation = file[at[1] + 45];
+    file[at[1] + 45] = 0xee;
+    const size_t conns_at = at[3] + 25 + 22 * getLe(file, at[3] + 17, 8);
+    putLe(file, conns_at, 8, 1ull << 40);
+
+    exec::ThreadPool pool(4);
+    const std::string echo = (dir / "echo.gsnap").string();
+    const auto expect_error = [&](const std::string &want) {
+        resealHeader(file);
+        writeBytes(path, file);
+        EXPECT_EQ(readOutcome(path, {}, echo), "error: " + want);
+        EXPECT_EQ(readOutcome(path, onPool(pool), echo), "error: " + want);
+    };
+    expect_error("malformed snapshot: node " + std::to_string(node_key) +
+                 " has invalid activation id 238");
+    // With genome 1 repaired, genome 3's overrun is the fault.
+    file[at[1] + 45] = activation;
+    expect_error("malformed snapshot: chunk POPL: connection gene count " +
+                 std::to_string(1ull << 40) +
+                 " exceeds the bytes left in the chunk");
     fs::remove_all(dir);
 }
 

@@ -8,9 +8,12 @@
 #include <algorithm>
 #include <set>
 
+#include "exec/thread_pool.hh"
 #include "neat/reproduction.hh"
+#include "neat/speciate.hh"
 #include "neat/species.hh"
 #include "neat/stagnation.hh"
+#include "persist/snapshot.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -161,4 +164,105 @@ TEST(SpeciesSet, UnevaluatedMemberFitnessThrows)
     SpeciesSet set(cfg);
     set.speciate(pop, 0);
     EXPECT_ANY_THROW(Stagnation(cfg).update(set, pop, 0));
+}
+
+namespace
+{
+
+/**
+ * The next generation of `pop`, with fresh keys from `next_key`: a
+ * few parents survive unchanged, the rest are children of two random
+ * parents, mutated 0 to 3 times, so species split, merge and die out
+ * between generations.
+ */
+std::map<int, Genome>
+grownGeneration(const std::map<int, Genome> &pop, const NeatConfig &cfg,
+                NodeIndexer &idx, XorWow &rng, int &next_key)
+{
+    std::vector<const Genome *> parents;
+    for (const auto &[gk, g] : pop)
+        parents.push_back(&g);
+    const auto any = [&] {
+        return parents[rng.uniformInt(static_cast<uint32_t>(parents.size()))];
+    };
+    std::map<int, Genome> next;
+    for (int i = 0; i < 4; ++i) {
+        const Genome *elite = any();
+        next.emplace(elite->key(), *elite);
+    }
+    while (next.size() < pop.size()) {
+        const int key = next_key++;
+        Genome child = Genome::crossover(key, *any(), *any(), rng);
+        for (int m = rng.uniformInt(0, 3); m > 0; --m)
+            child.mutate(cfg, idx, rng);
+        next.emplace(key, std::move(child));
+    }
+    return next;
+}
+
+void
+expectSameSpecies(const SpeciesSet &want, const SpeciesSet &got)
+{
+    EXPECT_EQ(want.nextSpeciesKey(), got.nextSpeciesKey());
+    ASSERT_EQ(want.count(), got.count());
+    auto it = got.species().begin();
+    for (const auto &[sk, sp] : want.species()) {
+        const Species &other = (it++)->second;
+        SCOPED_TRACE("species " + std::to_string(sk));
+        EXPECT_EQ(sk, other.key);
+        EXPECT_EQ(sp.key, other.key);
+        EXPECT_EQ(sp.lastImprovedGeneration, other.lastImprovedGeneration);
+        EXPECT_EQ(sp.memberKeys, other.memberKeys);
+        EXPECT_EQ(persist::encodeGenomeLossless(sp.representative),
+                  persist::encodeGenomeLossless(other.representative));
+    }
+}
+
+} // namespace
+
+TEST(SpeciesSet, PoolMatchesSerialLoop)
+{
+    // Every distance runs on the executor, those to species founded
+    // during the assignment included. Whatever the executor, the
+    // partition must be the one the serial reference loop builds.
+    exec::ThreadPool pool(4);
+    const Executor on_pool =
+        [&pool](size_t count, const std::function<void(size_t)> &body) {
+            pool.parallelFor(count, [&body](size_t i, int) { body(i); });
+        };
+    size_t most_species = 0;
+    for (const double threshold : {0.5, 1.0, 3.0, 4.5}) {
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(::testing::Message() << "threshold " << threshold
+                                              << ", seed " << seed);
+            NeatConfig cfg = speciesConfig();
+            cfg.numInputs = 4;
+            cfg.numOutputs = 2;
+            cfg.compatibilityThreshold = threshold;
+            NodeIndexer idx(cfg.numOutputs);
+            XorWow rng(seed);
+            std::map<int, Genome> pop;
+            int next_key = 0;
+            for (; next_key < 48; ++next_key) {
+                Genome g = Genome::createNew(next_key, cfg, idx, rng);
+                for (int m = rng.uniformInt(0, 5); m > 0; --m)
+                    g.mutate(cfg, idx, rng);
+                pop.emplace(next_key, std::move(g));
+            }
+
+            SpeciesSet serial(cfg), inline_set(cfg), pooled(cfg);
+            for (int gen = 0; gen < 4; ++gen) {
+                SCOPED_TRACE("generation " + std::to_string(gen));
+                oracle::speciate(serial, pop, gen, cfg);
+                inline_set.speciate(pop, gen);
+                pooled.speciate(pop, gen, on_pool);
+                expectSameSpecies(serial, inline_set);
+                expectSameSpecies(serial, pooled);
+                most_species = std::max(most_species, serial.count());
+                pop = grownGeneration(pop, cfg, idx, rng, next_key);
+            }
+        }
+    }
+    // The low thresholds found many species mid-assignment.
+    EXPECT_GE(most_species, 10u);
 }

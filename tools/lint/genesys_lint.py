@@ -219,12 +219,18 @@ def check_unordered_container(ctx):
                 "or FlatGeneMap)")
 
 
+# The NEAT and network code: the library's, and the paper models built
+# on it (the CPPN and the weight tuner in bench/paper/).
+GENE_CODE_DIRS = ("src/neat/", "src/nn/", "bench/paper/neat/",
+                  "bench/paper/nn/")
+NN_CODE_DIRS = ("src/nn/", "bench/paper/nn/")
+
+
 def check_map_gene_storage(ctx):
     # Only gene-typed maps are the regression: species membership,
     # reproduction bookkeeping and the per-generation plan cache use
     # std::map legitimately (small, per-generation, key-ordered).
-    if not (ctx.path.startswith("src/neat/")
-            or ctx.path.startswith("src/nn/")):
+    if not ctx.path.startswith(GENE_CODE_DIRS):
         return
     pat = re.compile(
         r"std::(multi)?map\s*<[^;{]*\b(NodeGene|ConnectionGene|ConnKey)\b")
@@ -232,7 +238,7 @@ def check_map_gene_storage(ctx):
         if pat.search(line):
             yield Finding(
                 ctx.path, lineno, None,
-                "std::map gene storage in src/neat//src/nn: genes moved "
+                "std::map gene storage in NEAT/network code: genes moved "
                 "to the flat SoA neat::FlatGeneMap in PR 3 (map "
                 "iteration dominated plan compile); don't reintroduce "
                 "node-per-gene containers")
@@ -247,15 +253,16 @@ def check_libm_in_hot_path(ctx):
     # host's libm instead of those units, and put a libm call back into
     # the per-node activation step of the plan kernel. The reference
     # formulas live in src/neat/activations.cc — outside this scope by
-    # design — and nn code reaches them via neat::activate.
-    if not ctx.path.startswith("src/nn/"):
+    # design — and nn code reaches them via neat::activate. The paper's
+    # network models in bench/paper/nn/ follow the same rule.
+    if not ctx.path.startswith(NN_CODE_DIRS):
         return
     pat = re.compile(r"\bstd::(tanh|exp|exp2|expm1|sigmoid)[fl]?\s*\(")
     for lineno, line in enumerate(ctx.code_lines, start=1):
         if pat.search(line):
             yield Finding(
                 ctx.path, lineno, None,
-                "libm transcendental in the src/nn/ hot path: use the "
+                "libm transcendental in the network hot path: use the "
                 "branch-free cores in nn/hw_activations.hh (hw tier) or "
                 "neat::activate (reference tier); a raw libm call "
                 "ties hw-tier bits to the host libm instead of the "
@@ -411,11 +418,12 @@ RULES = [
      "order is unspecified",
      check_unordered_container),
     ("map-gene-storage",
-     "No std::map gene storage reintroduced in src/neat/ or src/nn/ "
-     "hot paths (post-PR-3 flat SoA regression guard)",
+     "No std::map gene storage reintroduced in src/neat/, src/nn/ or "
+     "their bench/paper/ models (post-PR-3 flat SoA regression guard)",
      check_map_gene_storage),
     ("libm-in-hot-path",
-     "No raw std::tanh/std::exp/std::sigmoid in src/nn/: eval-path "
+     "No raw std::tanh/std::exp/std::sigmoid in src/nn/ or "
+     "bench/paper/nn/: eval-path "
      "transcendentals go through nn/hw_activations.hh cores or "
      "neat::activate (reference TU src/neat/activations.cc is exempt)",
      check_libm_in_hot_path),
