@@ -377,10 +377,14 @@ writeGenome(ByteWriter &w, const neat::Genome &g)
     }
 }
 
-neat::Genome
-readGenome(ByteReader &r)
+/**
+ * Decode the rest of a genome record, after its key, into `g`, which
+ * carries that key and no genes. The gene arrays keep whatever
+ * capacity `g` already has.
+ */
+void
+readGenomeFields(ByteReader &r, neat::Genome &g)
 {
-    neat::Genome g(r.i32("genome key"));
     g.restoreNodeDeletions(r.i32("node deletions"));
     const bool has_fitness = r.u8("has-fitness flag") != 0;
     const double fitness = r.f64("fitness");
@@ -427,64 +431,83 @@ readGenome(ByteReader &r)
     });
     g.nodes().dcheckInvariants("persist::readGenome nodes");
     g.connections().dcheckInvariants("persist::readGenome connections");
+}
+
+neat::Genome
+readGenome(ByteReader &r)
+{
+    neat::Genome g(r.i32("genome key"));
+    readGenomeFields(r, g);
     return g;
 }
 
+/** Where a genome record's genes lie, found without decoding them. */
+struct GenomeLayout
+{
+    size_t bytes;
+    size_t nodes;
+    size_t connections;
+};
+
 /**
- * Length of the genome record at the front of `bytes`, by the bounds
- * checks readGenome makes (the fixed fields, then each gene count
- * against the bytes left after it), or nullopt if one of them fails.
- * Reads only the two counts.
+ * The layout of the genome record at the front of `bytes`, by the
+ * bounds checks readGenome makes (the fixed fields, then each gene
+ * count against the bytes left after it), or nullopt if one of them
+ * fails. Reads only the two counts.
  */
-std::optional<size_t>
-genomeExtent(std::span<const uint8_t> bytes)
+std::optional<GenomeLayout>
+genomeLayout(std::span<const uint8_t> bytes)
 {
     // key, node deletions, has-fitness, fitness.
     size_t at = 4 + 4 + 1 + 8;
-    if (bytes.size() < at)
-        return std::nullopt;
-    for (const size_t gene_bytes : {kNodeGeneBytes, kConnGeneBytes}) {
-        if (bytes.size() - at < 8)
+    size_t counts[2];
+    const size_t gene_bytes[2] = {kNodeGeneBytes, kConnGeneBytes};
+    for (int k = 0; k < 2; ++k) {
+        if (bytes.size() < at || bytes.size() - at < 8)
             return std::nullopt;
         const uint64_t n = loadLe<uint64_t>(bytes.data() + at);
         at += 8;
-        if (n > (bytes.size() - at) / gene_bytes)
+        if (n > (bytes.size() - at) / gene_bytes[k])
             return std::nullopt;
-        at += static_cast<size_t>(n) * gene_bytes;
+        counts[k] = static_cast<size_t>(n);
+        at += counts[k] * gene_bytes[k];
     }
-    return at;
+    return GenomeLayout{at, counts[0], counts[1]};
 }
 
 /**
  * The POPL chunk's genomes, decoded on `exec`. A serial walk finds
- * each genome's bytes; workers decode them into slots; a serial pass
- * then takes the slots in file order. So the first failure thrown is
- * the one a serial read meets first, with the same message.
+ * each genome's bytes and sizes its gene arrays, on the thread that
+ * keeps the genomes; workers decode the genes into them; a serial
+ * pass then takes the genomes in file order. So the first failure
+ * thrown is the one a serial read meets first, with the same message.
  */
 void
 readPopulationGenomes(ByteReader &r, std::map<int, neat::Genome> &genomes,
                       const std::string &path, const neat::Executor &exec)
 {
     const size_t n = r.count("genome", 22);
-    std::vector<ByteReader> records;
-    records.reserve(n);
-    while (records.size() < n) {
-        const std::optional<size_t> len = genomeExtent(r.rest());
-        if (!len)
+    std::vector<neat::Genome> decoded;
+    std::vector<ByteReader> fields;
+    while (decoded.size() < n) {
+        const std::optional<GenomeLayout> layout = genomeLayout(r.rest());
+        if (!layout)
             break;
-        records.push_back(r.sub(*len, "genome"));
+        neat::Genome &g = decoded.emplace_back(r.i32("genome key"));
+        g.mutableNodes().reserve(layout->nodes);
+        g.mutableConnections().reserve(layout->connections);
+        fields.push_back(r.sub(layout->bytes - 4, "genome"));
     }
 
-    std::vector<neat::Genome> decoded(records.size());
-    std::vector<std::exception_ptr> failed(records.size());
-    neat::forEachIndex(exec, records.size(), [&](size_t i) {
+    std::vector<std::exception_ptr> failed(decoded.size());
+    neat::forEachIndex(exec, decoded.size(), [&](size_t i) {
         try {
-            decoded[i] = readGenome(records[i]);
+            readGenomeFields(fields[i], decoded[i]);
         } catch (...) {
             failed[i] = std::current_exception();
         }
     });
-    for (size_t i = 0; i < records.size(); ++i) {
+    for (size_t i = 0; i < decoded.size(); ++i) {
         if (failed[i])
             std::rethrow_exception(failed[i]);
         const int key = decoded[i].key();
@@ -494,11 +517,11 @@ readPopulationGenomes(ByteReader &r, std::map<int, neat::Genome> &genomes,
                                 std::to_string(key));
         }
     }
-    if (records.size() < n) {
+    if (decoded.size() < n) {
         // The walk stopped at a genome that overruns the chunk. Reading
         // it reports the first fault a serial read meets in it.
         (void)readGenome(r);
-        panic("genome " + std::to_string(records.size()) +
+        panic("genome " + std::to_string(decoded.size()) +
               " read cleanly past the bounds its walk rejected");
     }
 }
