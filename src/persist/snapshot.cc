@@ -331,6 +331,8 @@ class ByteReader
 /** Encoded bytes of one node gene and one connection gene. */
 constexpr size_t kNodeGeneBytes = 22;
 constexpr size_t kConnGeneBytes = 17;
+/** A genome's fields before its genes: key, node deletions, fitness. */
+constexpr size_t kGenomeHeadBytes = 4 + 4 + 1 + 8;
 
 /**
  * Fill `genes` with `count` genes, each decoded by `decode(gene)`
@@ -458,8 +460,7 @@ struct GenomeLayout
 std::optional<GenomeLayout>
 genomeLayout(std::span<const uint8_t> bytes)
 {
-    // key, node deletions, has-fitness, fitness.
-    size_t at = 4 + 4 + 1 + 8;
+    size_t at = kGenomeHeadBytes;
     size_t counts[2];
     const size_t gene_bytes[2] = {kNodeGeneBytes, kConnGeneBytes};
     for (int k = 0; k < 2; ++k) {
@@ -632,9 +633,8 @@ readRngState(ByteReader &r)
 size_t
 genomeBytes(const neat::Genome &g)
 {
-    // key, node deletions, has-fitness, fitness, two gene counts.
-    constexpr size_t kFixed = 4 + 4 + 1 + 8 + 8 + 8;
-    return kFixed + kNodeGeneBytes * g.numNodeGenes() +
+    // The fixed fields, then two gene counts.
+    return kGenomeHeadBytes + 8 + 8 + kNodeGeneBytes * g.numNodeGenes() +
            kConnGeneBytes * g.numConnectionGenes();
 }
 

@@ -1248,7 +1248,8 @@ TEST(SnapshotRead, FirstFaultInFileOrderOnAnyExecutor)
 {
     // Genome 1 has a bad activation id and genome 3 a connection count
     // that overruns the chunk. A serial read meets genome 1 first, so
-    // that is the fault reported, however the genomes are decoded.
+    // that is the fault reported, however the genomes are decoded;
+    // then the faults are repaired one at a time, in file order.
     const fs::path dir = scratchDir("two-faults");
     neat::NeatConfig cfg;
     cfg.populationSize = 6;
@@ -1286,10 +1287,20 @@ TEST(SnapshotRead, FirstFaultInFileOrderOnAnyExecutor)
         EXPECT_EQ(readOutcome(path, {}, echo), "error: " + want);
         EXPECT_EQ(readOutcome(path, onPool(pool), echo), "error: " + want);
     };
-    expect_error("malformed snapshot: node " + std::to_string(node_key) +
-                 " has invalid activation id 238");
-    // With genome 1 repaired, genome 3's overrun is the fault.
+    const std::string bad_activation = "malformed snapshot: node " +
+                                       std::to_string(node_key) +
+                                       " has invalid activation id 238";
+    expect_error(bad_activation);
+    // A second decode fault, in genome 2, is not the first either.
+    const uint64_t node_key2 = getLe(file, at[2] + 25, 4);
+    const uint8_t aggregation = file[at[2] + 46];
+    file[at[2] + 46] = 0xee;
+    expect_error(bad_activation);
     file[at[1] + 45] = activation;
+    expect_error("malformed snapshot: node " + std::to_string(node_key2) +
+                 " has invalid aggregation id 238");
+    // With genomes 1 and 2 repaired, genome 3's overrun is the fault.
+    file[at[2] + 46] = aggregation;
     expect_error("malformed snapshot: chunk POPL: connection gene count " +
                  std::to_string(1ull << 40) +
                  " exceeds the bytes left in the chunk");
