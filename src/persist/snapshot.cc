@@ -502,8 +502,12 @@ readPopulationGenomes(ByteReader &r, std::map<int, neat::Genome> &genomes,
 
     std::vector<std::exception_ptr> failed(decoded.size());
     neat::forEachIndex(exec, decoded.size(), [&](size_t i) {
+        // Decode through a copy: the cursor moves on every field, and
+        // neighbouring readers in `fields` share cache lines with the
+        // genomes other workers are decoding.
+        ByteReader fr = fields[i];
         try {
-            readGenomeFields(fields[i], decoded[i]);
+            readGenomeFields(fr, decoded[i]);
         } catch (...) {
             failed[i] = std::current_exception();
         }
